@@ -33,7 +33,7 @@ from .harmonic import (
     forward_transform,
     min_grid_size,
 )
-from .sums import fsum, rowwise_fsum
+from .sums import fsum
 from .symbols import SampledSymbol, Symbol
 
 SHELL_RATIO_LIMIT = 0.9
@@ -528,8 +528,7 @@ def reconstruct(dec: NuclearDecomposition, f: PeriodicFunction) -> PeriodicFunct
     """sum_xi fhat(xi) H_xi, which must reproduce T_a f on band-limited inputs."""
     c = forward_transform(f, dec.lattice)
     stacked = np.stack([h.values for h, _ in dec.terms], axis=1)
-    out = rowwise_fsum(stacked * c.coeffs[None, :])
-    return PeriodicFunction(f.dim, f.grid_size, out)
+    return PeriodicFunction(f.dim, f.grid_size, stacked @ c.coeffs)
 
 
 def nuclear_quasinorm_bound(

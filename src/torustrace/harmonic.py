@@ -9,6 +9,12 @@ Conventions fixed here and used by the whole package:
   order, which keeps transforms separable and orderings reproducible,
 * integrals are rectangle-rule averages, exact on band-limited integrands
   under the anti-aliasing margin ``M >= 2(2N+1)``.
+
+Transforms run as one FFT on the ``M^dim`` grid cube, with lattice point
+``xi`` stored at cube index ``xi mod M``; the margin keeps wrapped indices
+distinct.  FFT output is byte-identical across runs of one build but, unlike
+the ``math.fsum`` scalar reductions, depends on summation order in the last
+bits.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .sums import fsum, columnwise_fsum, rowwise_fsum
+from .sums import fsum
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,7 +58,6 @@ class FrequencyLattice:
         rng = range(-self.radius, self.radius + 1)
         self.points = np.array(list(product(rng, repeat=self.dim)), dtype=np.int64)
         self.points.setflags(write=False)
-        self._index = {tuple(p): i for i, p in enumerate(self.points)}
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -67,16 +72,28 @@ class FrequencyLattice:
     def __repr__(self) -> str:
         return f"FrequencyLattice(dim={self.dim}, radius={self.radius})"
 
+    def indices_of(self, points) -> np.ndarray:
+        """Positions of integer points in the lexicographic order,
+        sum_k (p_k + N) (2N+1)^(dim-1-k); KeyError for a point outside the box."""
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, self.dim)
+        outside = np.abs(pts).max(axis=1, initial=0) > self.radius
+        if outside.any():
+            key = tuple(int(c) for c in pts[np.argmax(outside)])
+            raise KeyError(f"{key} is outside the lattice of radius {self.radius}")
+        idx = np.zeros(pts.shape[0], dtype=np.int64)
+        for k in range(self.dim):
+            idx = idx * (2 * self.radius + 1) + pts[:, k] + self.radius
+        return idx
+
     def index_of(self, point) -> int:
-        key = tuple(int(c) for c in np.atleast_1d(np.asarray(point)))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"{key} is outside the lattice of radius {self.radius}") from None
+        key = np.atleast_1d(np.asarray(point, dtype=np.int64))
+        if key.shape != (self.dim,):
+            raise KeyError(f"{tuple(key.tolist())} is not a point of a dim-{self.dim} lattice")
+        return int(self.indices_of(key)[0])
 
     def __contains__(self, point) -> bool:
-        key = tuple(int(c) for c in np.atleast_1d(np.asarray(point)))
-        return key in self._index
+        key = np.atleast_1d(np.asarray(point, dtype=np.int64))
+        return key.shape == (self.dim,) and bool(np.abs(key).max() <= self.radius)
 
     def squared_norms(self) -> np.ndarray:
         """|xi|^2 per point, exact integers."""
@@ -95,6 +112,12 @@ def japanese_bracket(xi) -> float:
     """<xi> = (1 + |xi|^2)^(1/2), Euclidean norm on the integer lattice."""
     arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     return float(math.sqrt(1.0 + float(np.dot(arr, arr))))
+
+
+def grid_points(dim: int, grid_size: int) -> np.ndarray:
+    """Uniform grid x_i = i/M in lexicographic order, as an (M^dim, dim) float array."""
+    idx = np.indices((grid_size,) * dim).reshape(dim, -1).T
+    return idx.astype(np.float64) / grid_size
 
 
 @dataclass
@@ -120,10 +143,7 @@ class PeriodicFunction:
 
     def x_points(self) -> np.ndarray:
         """Grid points as an (M^dim, dim) float array."""
-        idx = np.array(
-            list(product(range(self.grid_size), repeat=self.dim)), dtype=np.float64
-        )
-        return idx / self.grid_size
+        return grid_points(self.dim, self.grid_size)
 
     def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
         self._check_compatible(other)
@@ -174,21 +194,22 @@ def forward_transform(f: PeriodicFunction, lattice: FrequencyLattice) -> Fourier
     if f.dim != lattice.dim:
         raise ValueError(f"dimension mismatch: function dim {f.dim}, lattice dim {lattice.dim}")
     _require_margin(f.grid_size, lattice.radius, "forward_transform")
-    x = f.x_points()
-    phases = np.exp(-1j * TWO_PI * (x @ lattice.points.T.astype(np.float64)))
-    terms = f.values[:, None] * phases
-    coeffs = columnwise_fsum(terms) / (f.grid_size**f.dim)
-    return FourierCoefficients(lattice, coeffs)
+    cube = np.fft.fftn(f.values.reshape((f.grid_size,) * f.dim), norm="forward")
+    return FourierCoefficients(lattice, cube[tuple((lattice.points % f.grid_size).T)])
+
+
+def _synthesize(points: np.ndarray, coeffs: np.ndarray, dim: int, grid_size: int) -> PeriodicFunction:
+    """f(x_i) = sum_k e^{i2pi<x_i, p_k>} coeffs[k] by one inverse FFT; the points
+    must be distinct modulo grid_size."""
+    cube = np.zeros((grid_size,) * dim, dtype=np.complex128)
+    cube[tuple((points % grid_size).T)] = coeffs
+    return PeriodicFunction(dim, grid_size, np.fft.ifftn(cube, norm="forward").reshape(-1))
 
 
 def inverse_transform(c: FourierCoefficients, grid_size: int) -> PeriodicFunction:
     """Synthesis f(x_i) = sum_xi e^{i2pi<x_i, xi>} c[xi] on an M-point grid."""
     _require_margin(grid_size, c.lattice.radius, "inverse_transform")
-    f = PeriodicFunction(c.lattice.dim, grid_size, np.zeros(grid_size**c.lattice.dim))
-    x = f.x_points()
-    phases = np.exp(1j * TWO_PI * (x @ c.lattice.points.T.astype(np.float64)))
-    f.values = rowwise_fsum(phases * c.coeffs[None, :])
-    return f
+    return _synthesize(c.lattice.points, c.coeffs, c.lattice.dim, grid_size)
 
 
 def partial_inverse(
@@ -196,16 +217,8 @@ def partial_inverse(
 ) -> PeriodicFunction:
     """Inverse transform restricted to the given lattice indices."""
     _require_margin(grid_size, c.lattice.radius, "partial_inverse")
-    dim = c.lattice.dim
-    f = PeriodicFunction(dim, grid_size, np.zeros(grid_size**dim))
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return f
-    x = f.x_points()
-    pts = c.lattice.points[idx].astype(np.float64)
-    phases = np.exp(1j * TWO_PI * (x @ pts.T))
-    f.values = rowwise_fsum(phases * c.coeffs[idx][None, :])
-    return f
+    return _synthesize(c.lattice.points[idx], c.coeffs[idx], c.lattice.dim, grid_size)
 
 
 def lp_norm(f: PeriodicFunction, p: float) -> float:

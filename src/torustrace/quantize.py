@@ -20,7 +20,7 @@ from .harmonic import (
     forward_transform,
     inverse_transform,
 )
-from .sums import fsum_complex, rowwise_fsum
+from .sums import fsum_complex
 from .symbols import SampledSymbol, Symbol, x_fourier_table
 
 EIGEN_SIDE_LIMIT = 4096
@@ -83,7 +83,7 @@ def apply_symbol(
     x = recon.x_points()
     table = a.values(x, lattice.points)
     phases = np.exp(1j * TWO_PI * (x @ lattice.points.T.astype(np.float64)))
-    values = rowwise_fsum(phases * table * c.coeffs[None, :])
+    values = (phases * table) @ c.coeffs
     return PeriodicFunction(f.dim, f.grid_size, values)
 
 
@@ -95,30 +95,13 @@ def operator_matrix(a: Symbol, lattice: FrequencyLattice) -> OperatorMatrix:
     """
     if a.dim != lattice.dim:
         raise ValueError(f"dimension mismatch: symbol dim {a.dim}, lattice dim {lattice.dim}")
-    pts = lattice.points
-    side = len(lattice)
-    n = lattice.dim
-    span = 2 * lattice.radius
-    diff_axis = np.arange(-span, span + 1, dtype=np.int64)
-    if n == 1:
-        diffs = diff_axis.reshape(-1, 1)
-    else:
-        grid = np.meshgrid(diff_axis, diff_axis, indexing="ij")
-        diffs = np.stack([g.ravel() for g in grid], axis=1)
-    table = x_fourier_table(a, diffs, lattice)  # (num_diffs, side)
-
-    def diff_row(d: np.ndarray) -> int:
-        idx = 0
-        for c in d:
-            idx = idx * (2 * span + 1) + int(c) + span
-        return idx
-
-    entries = np.empty((side, side), dtype=np.complex128)
-    for j in range(side):
-        d = pts - pts[j]
-        rows = [diff_row(dr) for dr in d]
-        entries[:, j] = table[rows, j]
-    return OperatorMatrix(lattice, entries)
+    diffs = FrequencyLattice(lattice.dim, 2 * lattice.radius)
+    table = x_fourier_table(a, diffs.points, lattice)  # (len(diffs), side)
+    # row of eta - xi in the difference lattice, built one axis at a time
+    rows = np.zeros((len(lattice), len(lattice)), dtype=np.int64)
+    for axis in lattice.points.T:
+        rows = rows * (2 * diffs.radius + 1) + (axis[:, None] - axis[None, :] + diffs.radius)
+    return OperatorMatrix(lattice, table[rows, np.arange(len(lattice))])
 
 
 def canonical_eigen_order(eigs: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Deterministic summation back-end.
+"""Exactly rounded scalar reductions.
 
-Every series, quadrature and trace in this package reduces through the two
-helpers below.  ``math.fsum`` is compensated (Shewchuk) summation and returns
-the correctly rounded value of the exact sum, so reported digits do not depend
-on term order or platform; complex sums reduce the real and imaginary parts
-separately.
+Every reported scalar reduction in this package (series, traces, norms)
+goes through the two helpers below.  ``math.fsum`` is compensated (Shewchuk)
+summation and returns the correctly rounded value of the exact sum of its
+terms, so such a value does not depend on term order; complex sums reduce the
+real and imaginary parts separately.  Transforms and matrix entries do not
+come through here: they are FFTs and gathers (see ``harmonic``), byte-identical
+across runs of one build but not independent of summation order.
 """
 
 from __future__ import annotations
@@ -27,20 +29,3 @@ def fsum_complex(values) -> complex:
     if np.iscomplexobj(arr):
         return complex(math.fsum(arr.real), math.fsum(arr.imag))
     return complex(math.fsum(arr.astype(np.float64)), 0.0)
-
-
-def columnwise_fsum(terms: np.ndarray) -> np.ndarray:
-    """Exact sum of each column of a 2-d term matrix."""
-    out = np.empty(terms.shape[1], dtype=np.complex128)
-    if np.iscomplexobj(terms):
-        for j in range(terms.shape[1]):
-            out[j] = complex(math.fsum(terms[:, j].real), math.fsum(terms[:, j].imag))
-    else:
-        for j in range(terms.shape[1]):
-            out[j] = math.fsum(terms[:, j])
-    return out
-
-
-def rowwise_fsum(terms: np.ndarray) -> np.ndarray:
-    """Exact sum of each row of a 2-d term matrix."""
-    return columnwise_fsum(terms.T)

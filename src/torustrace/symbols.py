@@ -6,7 +6,7 @@ Two representations coexist:
   quotients, x-derivatives and x-Fourier coefficients are all exact,
 * sampled symbols — a complex table over grid x lattice; differences shrink
   the lattice, x-derivatives are spectral, x-Fourier coefficients come from
-  rectangle-rule quadrature.
+  the rectangle rule, evaluated by FFT over the x axes.
 
 Forward differences are used throughout:
 ``(D_j a)(x, xi) = a(x, xi + e_j) - a(x, xi)``.
@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .harmonic import FrequencyLattice, TWO_PI
+from .harmonic import FrequencyLattice, TWO_PI, grid_points
 from .sums import fsum, fsum_complex
 
 NEG_INFINITY_ORDER = -math.inf
@@ -307,25 +307,16 @@ class SampledSymbol(Symbol):
         self.claimed_delta = claimed_delta
 
     def values(self, x, xi):
-        xi = np.asarray(xi, dtype=np.int64)
-        cols = [self.lattice.index_of(p) for p in np.atleast_2d(xi)]
+        cols = self.lattice.indices_of(xi)
         if np.asarray(x).shape[0] != self.table.shape[0]:
             raise ValueError("sampled symbols evaluate only on their native grid")
         return self.table[:, cols]
 
     def x_sup_abs(self, xi, grid_size: int = 64):
-        xi = np.atleast_2d(np.asarray(xi, dtype=np.int64))
-        cols = [self.lattice.index_of(p) for p in xi]
-        return np.abs(self.table[:, cols]).max(axis=0)
+        return np.abs(self.table[:, self.lattice.indices_of(xi)]).max(axis=0)
 
     def x_bandwidth(self):
         return None
-
-    def x_grid_points(self) -> np.ndarray:
-        idx = np.array(
-            list(product(range(self.grid_size), repeat=self.dim)), dtype=np.float64
-        )
-        return idx / self.grid_size
 
     def __add__(self, other: "SampledSymbol") -> "SampledSymbol":
         if (
@@ -382,8 +373,7 @@ def multiplier_symbol(g: XiFactor, dim: int = 1, order: float | None = None) -> 
 
 def sample_symbol(a: Symbol, grid_size: int, lattice: FrequencyLattice) -> SampledSymbol:
     """Tabulate any symbol into the sampled representation."""
-    idx = np.array(list(product(range(grid_size), repeat=a.dim)), dtype=np.float64)
-    table = a.values(idx / grid_size, lattice.points)
+    table = a.values(grid_points(a.dim, grid_size), lattice.points)
     return SampledSymbol(
         a.dim, grid_size, lattice, table,
         claimed_order=a.claimed_order,
@@ -432,11 +422,9 @@ def difference_op(a: Symbol, alpha, zero_extend: bool = False) -> Symbol:
         for gamma in product(*ranges):
             sign = (-1) ** (sum(alpha) - sum(gamma))
             coef = sign * math.prod(math.comb(x, g) for x, g in zip(alpha, gamma))
-            shift = np.asarray(gamma, dtype=np.int64)
-            for j, p in enumerate(new_lat.points):
-                q = p + shift
-                if q in a.lattice:
-                    table[:, j] += coef * a.table[:, a.lattice.index_of(q)]
+            q = new_lat.points + np.asarray(gamma, dtype=np.int64)
+            inside = np.abs(q).max(axis=1) <= a.lattice.radius
+            table[:, inside] += coef * a.table[:, a.lattice.indices_of(q[inside])]
         new_order = None
         if a.claimed_order is not None:
             new_order = a.claimed_order - a.claimed_rho * sum(alpha)
@@ -508,7 +496,7 @@ def symbol_fourier(a: Symbol, eta, xi) -> complex:
         return complex(a.x_fourier(eta, xi.reshape(1, -1))[0])
     if isinstance(a, SampledSymbol):
         col = a.lattice.index_of(xi)
-        x = a.x_grid_points()
+        x = grid_points(a.dim, a.grid_size)
         phases = np.exp(-1j * TWO_PI * (x @ eta.astype(np.float64)))
         return fsum_complex(phases * a.table[:, col]) / (a.grid_size**a.dim)
     raise TypeError(f"unsupported symbol type {type(a).__name__}")
@@ -521,10 +509,13 @@ def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> n
     outside the admissible difference range and reported as 0.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
+    out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
     if isinstance(a, SeparableSymbol):
-        out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
-        for r, eta in enumerate(etas):
-            out[r] = a.x_fourier(eta, lattice.points)
+        # only rows eta = (k, 0, ...) with k in the x-factor's support are nonzero
+        g = a.xifactor.values(lattice.points)
+        on_axis = np.all(etas[:, 1:] == 0, axis=1)
+        for k, coef in a.xfactor.fourier().items():
+            out[on_axis & (etas[:, 0] == k)] = coef * g
         return out
     if isinstance(a, SampledSymbol):
         if lattice != a.lattice:
@@ -533,17 +524,11 @@ def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> n
                 f"(dim {a.lattice.dim}), not the requested radius {lattice.radius} "
                 f"(dim {lattice.dim})"
             )
-        x = a.x_grid_points()
-        out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
-        half = a.grid_size // 2
-        scale = a.grid_size**a.dim
-        for r, eta in enumerate(etas):
-            if np.max(np.abs(eta)) > half:
-                continue
-            phases = np.exp(-1j * TWO_PI * (x @ eta.astype(np.float64)))
-            terms = phases[:, None] * a.table
-            for l in range(len(lattice)):
-                out[r, l] = fsum_complex(terms[:, l]) / scale
+        m = a.grid_size
+        cube = a.table.reshape((m,) * a.dim + (len(lattice),))
+        spectrum = np.fft.fftn(cube, axes=tuple(range(a.dim)), norm="forward")
+        window = np.abs(etas).max(axis=1) <= m // 2
+        out[window] = spectrum[tuple((etas[window] % m).T)]
         return out
     raise TypeError(f"unsupported symbol type {type(a).__name__}")
 

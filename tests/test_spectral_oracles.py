@@ -1,0 +1,154 @@
+"""FFT transforms and gathered matrices against the quadrature oracles in ``oracles.py``.
+
+FFTs sum in a different order than the exactly rounded quadrature, so
+transforms and sampled x-Fourier tables are compared with a tolerance of
+1e-13 relative to the data's size, a few hundred ulps at these grid sizes.
+Catalog tables and the matrix gather do no arithmetic of their own and must
+match bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from torustrace.harmonic import (
+    FourierCoefficients,
+    FrequencyLattice,
+    PeriodicFunction,
+    forward_transform,
+    inverse_transform,
+    min_grid_size,
+    partial_inverse,
+)
+from torustrace.quantize import operator_matrix
+from torustrace.symbols import (
+    BracketPower,
+    GaussianDecay,
+    SampledSymbol,
+    bessel_symbol,
+    character_symbol,
+    difference_op,
+    heat_symbol,
+    modulated_symbol,
+    x_derivative,
+    x_fourier_table,
+)
+
+TOL = 1e-13
+
+# (dim, radius) pairs kept small: the oracles loop in Python.
+shapes = st.sampled_from([(1, 0), (1, 1), (1, 4), (1, 7), (2, 0), (2, 1), (2, 2)])
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _close(got, want):
+    scale = 1.0 + float(np.abs(want).max(initial=0.0))
+    assert np.abs(got - want).max(initial=0.0) <= TOL * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=shapes, extra=st.integers(0, 3), seed=st.integers(0, 2**31))
+def test_forward_transform(shape, extra, seed):
+    dim, radius = shape
+    lat = FrequencyLattice(dim, radius)
+    grid = min_grid_size(radius) + extra  # extra odd gives an odd grid
+    f = PeriodicFunction(dim, grid, _complex(np.random.default_rng(seed), grid**dim))
+    _close(forward_transform(f, lat).coeffs, oracles.forward_transform(f, lat).coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=shapes, extra=st.integers(0, 3), seed=st.integers(0, 2**31))
+def test_inverse_transform(shape, extra, seed):
+    dim, radius = shape
+    lat = FrequencyLattice(dim, radius)
+    grid = min_grid_size(radius) + extra
+    c = FourierCoefficients(lat, _complex(np.random.default_rng(seed), len(lat)))
+    _close(inverse_transform(c, grid).values, oracles.inverse_transform(c, grid).values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=shapes, extra=st.integers(0, 3), seed=st.integers(0, 2**31),
+       keep=st.floats(0.0, 1.0))
+def test_partial_inverse(shape, extra, seed, keep):
+    dim, radius = shape
+    lat = FrequencyLattice(dim, radius)
+    grid = min_grid_size(radius) + extra
+    rng = np.random.default_rng(seed)
+    c = FourierCoefficients(lat, _complex(rng, len(lat)))
+    idx = np.flatnonzero(rng.random(len(lat)) < keep)
+    _close(partial_inverse(c, idx, grid).values, oracles.partial_inverse(c, idx, grid).values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_partial_inverse_empty_index_set(dim):
+    lat = FrequencyLattice(dim, 2)
+    c = FourierCoefficients(lat, np.ones(len(lat)))
+    got = partial_inverse(c, np.array([], dtype=np.int64), min_grid_size(2) + 1)
+    assert got.values.shape == ((min_grid_size(2) + 1) ** dim,)
+    assert not got.values.any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), radius=st.integers(0, 2), grid=st.integers(2, 9),
+       seed=st.integers(0, 2**31))
+def test_sampled_x_fourier_table(dim, radius, grid, seed):
+    lat = FrequencyLattice(dim, radius)
+    a = SampledSymbol(dim, grid, lat, _complex(np.random.default_rng(seed), (grid**dim, len(lat))))
+    # one ring past the alias window |eta|_inf <= M//2, so eta = +-M/2 (even M)
+    # and the zeroed rows beyond it are both covered
+    etas = FrequencyLattice(dim, grid // 2 + 1).points
+    got = x_fourier_table(a, etas, lat)
+    want = oracles.sampled_x_fourier_table(a, etas)
+    _close(got, want)
+    assert not got[np.abs(etas).max(axis=1) > grid // 2].any()
+
+
+CATALOG = [
+    lambda dim: bessel_symbol(-4.0, dim),
+    lambda dim: heat_symbol(0.3, dim),
+    lambda dim: modulated_symbol(2.0, BracketPower(-4.0), dim),
+    lambda dim: modulated_symbol(0.0, GaussianDecay(0.2), dim),
+    lambda dim: character_symbol(dim, 2),
+    lambda dim: difference_op(modulated_symbol(2.0, BracketPower(-3.0), dim), 1),
+    lambda dim: x_derivative(modulated_symbol(0.5, BracketPower(-2.0), dim), 3),
+    lambda dim: x_derivative(bessel_symbol(-2.0, dim), 1),
+]
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 3), (1, 9), (2, 2), (2, 4)])
+@pytest.mark.parametrize("k", range(len(CATALOG)))
+def test_catalog_matrix_bit_identical(dim, radius, k):
+    a = CATALOG[k](dim)
+    lat = FrequencyLattice(dim, radius)
+    diffs = FrequencyLattice(dim, 2 * radius).points
+    table = oracles.catalog_x_fourier_table(a, diffs, lat)
+    assert np.array_equal(x_fourier_table(a, diffs, lat), table)
+    assert np.array_equal(operator_matrix(a, lat).entries, oracles.operator_matrix(table, lat))
+
+
+@pytest.mark.parametrize("dim,radius,grid", [(1, 3, 14), (1, 3, 9), (2, 2, 10), (2, 2, 7)])
+def test_sampled_matrix(dim, radius, grid):
+    lat = FrequencyLattice(dim, radius)
+    table = _complex(np.random.default_rng(radius + grid), (grid**dim, len(lat)))
+    a = SampledSymbol(dim, grid, lat, table)
+    diffs = FrequencyLattice(dim, 2 * radius).points
+    want = oracles.operator_matrix(oracles.sampled_x_fourier_table(a, diffs), lat)
+    _close(operator_matrix(a, lat).entries, want)
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 0), (1, 5), (2, 3)])
+def test_lattice_index_arithmetic(dim, radius):
+    lat = FrequencyLattice(dim, radius)
+    assert np.array_equal(lat.indices_of(lat.points), np.arange(len(lat)))
+    assert all(lat.index_of(p) == i for i, p in enumerate(lat.points))
+    outside = (radius + 1,) + (0,) * (dim - 1)
+    assert outside not in lat
+    with pytest.raises(KeyError, match="outside"):
+        lat.index_of(outside)
+    with pytest.raises(KeyError, match="outside"):
+        lat.indices_of(np.vstack([lat.points, [outside]]))
