@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,12 +25,10 @@ from . import __version__
 from .besov import BLOCK_WEIGHTS, BesovParams, besov_norm, block_norm_table
 from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
-    DivergenceWarning,
+    bessel_tail,
     bessel_terms,
-    bessel_trace,
     enumerate_dual,
     heat_terms,
-    heat_trace,
     partial_sum_convergence,
     series_diagnostics,
 )
@@ -44,6 +41,7 @@ from .harmonic import (
 )
 from .io import load_periodic_function, load_sampled_symbol
 from .quantize import EigensolverError, eigen_residuals, eigenvalues, operator_matrix
+from .sums import fsum
 from .symbols import (
     BracketPower,
     GaussianDecay,
@@ -164,6 +162,25 @@ def emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _float_flag(allow_inf: bool):
+    """argparse type for float flags: NaN is refused, and so is +-inf unless
+    the flag's range includes it (Lebesgue exponents p, q in [1, inf])."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            allowed = "a number or inf" if allow_inf else "a finite number"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {allowed}; pass {allowed}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
+FINITE = _float_flag(allow_inf=False)
+FINITE_OR_INF = _float_flag(allow_inf=True)
+
+
 def _add_symbol_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--symbol",
@@ -172,9 +189,9 @@ def _add_symbol_flags(sub: argparse.ArgumentParser) -> None:
         "modulated((c+cos 2 pi x1) g(xi)), character(e^{i 2 pi x1})",
     )
     sub.add_argument("--symbol-file", help="sampled-symbol JSON file")
-    sub.add_argument("--m", type=float, help="bracket-power exponent (signed: -4 decays)")
-    sub.add_argument("--t", type=float, help="heat/gaussian time parameter")
-    sub.add_argument("--c", type=float, default=2.0, help="modulation offset (default 2)")
+    sub.add_argument("--m", type=FINITE, help="bracket-power exponent (signed: -4 decays)")
+    sub.add_argument("--t", type=FINITE, help="heat/gaussian time parameter")
+    sub.add_argument("--c", type=FINITE, default=2.0, help="modulation offset (default 2)")
     sub.add_argument(
         "--g",
         choices=["bracket", "gaussian"],
@@ -440,15 +457,15 @@ def _run_nuclearity(args) -> tuple[dict, dict, str | None]:
         _require(args.case is not None, "--theorem tt1 needs --case 1|2|3|4")
         for flag in ("r", "p", "q", "cutoff"):
             _require(getattr(args, flag) is not None, f"--theorem tt1 needs --{flag}")
-        dual = enumerate_dual(args.group, args.cutoff, dim=args.dim)
+        dual = _dual(args)
         if args.symbol == "heat":
             _require(args.t is not None, "tt1 heat multiplier needs --t TIME")
             t = args.t
-            symbol_fn = lambda p: math.exp(-t * p.lam)  # noqa: E731
+            symbol_fn = lambda dual: np.exp(-t * dual.lam)  # noqa: E731
         else:
             _require(args.m is not None, "tt1 bracket multiplier needs --m EXPONENT")
             m = args.m
-            symbol_fn = lambda p: p.bracket**m  # noqa: E731
+            symbol_fn = lambda dual: dual.bracket**m  # noqa: E731
         try:
             verdict = check_tt1(dual, symbol_fn, args.r, args.p, args.q, args.case)
         except ValueError as exc:
@@ -457,31 +474,37 @@ def _run_nuclearity(args) -> tuple[dict, dict, str | None]:
     return body, {"strictness": "strict inequalities checked strictly"}, None
 
 
+def _dual(args, half_integers: bool = True):
+    """The dual slice the flags ask for, refused (exit 2) above the size budget."""
+    try:
+        return enumerate_dual(args.group, args.cutoff, dim=args.dim, half_integers=half_integers)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _run_heat_trace(args) -> tuple[dict, dict, str | None]:
     _require(args.t is not None and args.t > 0, "--t must be > 0")
     _require(args.cutoff is not None and args.cutoff >= 0, "--cutoff must be >= 0")
-    dual = enumerate_dual(args.group, args.cutoff, dim=args.dim,
-                          half_integers=not args.integer_spins)
-    value = heat_trace(dual, args.t)
-    diag = series_diagnostics(dual, heat_terms(dual, args.t))
+    dual = _dual(args, half_integers=not args.integer_spins)
+    terms = heat_terms(dual, args.t)
     body = {"group": args.group, "dim": args.dim, "t": args.t, "cutoff": args.cutoff,
-            "value": value}
-    return body, diag, None
+            "value": fsum(terms)}
+    return body, series_diagnostics(dual, terms), None
 
 
 def _run_bessel_trace(args) -> tuple[dict, dict, str | None]:
     _require(args.alpha is not None, "pass --alpha EXPONENT")
     _require(args.cutoff is not None and args.cutoff >= 0, "--cutoff must be >= 0")
-    dual = enumerate_dual(args.group, args.cutoff, dim=args.dim,
-                          half_integers=not args.integer_spins)
+    dual = _dual(args, half_integers=not args.integer_spins)
     divergent = args.alpha <= dual.group_dimension
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergenceWarning)
+    terms = bessel_terms(dual, args.alpha)
+    value = fsum(terms)
+    if args.tail_correct:
         try:
-            value = bessel_trace(dual, args.alpha, tail_correction=args.tail_correct)
+            value += bessel_tail(dual, args.alpha)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    diag = series_diagnostics(dual, bessel_terms(dual, args.alpha))
+    diag = series_diagnostics(dual, terms, divergent=divergent)
     diag["divergent"] = divergent
     body = {
         "group": args.group,
@@ -578,9 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="nuclear and spectral trace at one radius")
     _add_symbol_flags(p)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--order-hint", type=float, dest="order_hint",
+    p.add_argument("--order-hint", type=FINITE, dest="order_hint",
                    help="power-law order for the truncation tail bound")
-    p.add_argument("--certify-w", type=float, dest="certify_w",
+    p.add_argument("--certify-w", type=FINITE, dest="certify_w",
                    help="also report the quasi-norm certificate at this weight")
     common(p)
 
@@ -595,9 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
     p.add_argument("--stock", type=int, help="use the stock family truncated at K")
     p.add_argument("--grid", type=int, help="grid size override")
-    p.add_argument("--w", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--w", type=FINITE, required=True)
+    p.add_argument("--p", type=FINITE_OR_INF, required=True)
+    p.add_argument("--q", type=FINITE_OR_INF, required=True)
     p.add_argument("--radius", type=int, required=True)
     common(p)
 
@@ -609,45 +632,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-idx", default="0", dest="beta_idx",
                    help="x-derivative multi-index, comma separated")
     p.add_argument("--decay-k", type=int, dest="decay_k")
-    p.add_argument("--decay-m", type=float, dest="decay_m")
-    p.add_argument("--decay-delta", type=float, dest="decay_delta")
+    p.add_argument("--decay-m", type=FINITE, dest="decay_m")
+    p.add_argument("--decay-delta", type=FINITE, dest="decay_delta")
     common(p)
 
     p = sub.add_parser("nuclearity", help="run a sufficient-condition checker")
     p.add_argument("--theorem", choices=["t1", "t2", "tt1"], required=True)
     p.add_argument("--case", type=int, choices=[1, 2, 3, 4])
     p.add_argument("--n", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--p1", type=float)
+    p.add_argument("--r", type=FINITE)
+    p.add_argument("--alpha", type=FINITE)
+    p.add_argument("--p1", type=FINITE)
     p.add_argument("--k", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--w2", type=float)
-    p.add_argument("--p2", type=float, default=2.0)
-    p.add_argument("--q2", type=float, default=2.0)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
+    p.add_argument("--delta", type=FINITE)
+    p.add_argument("--m", type=FINITE)
+    p.add_argument("--w2", type=FINITE)
+    p.add_argument("--p2", type=FINITE_OR_INF, default=2.0)
+    p.add_argument("--q2", type=FINITE_OR_INF, default=2.0)
+    p.add_argument("--p", type=FINITE_OR_INF)
+    p.add_argument("--q", type=FINITE_OR_INF)
     p.add_argument("--group", choices=["torus", "su2"], default="torus")
     p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-    p.add_argument("--cutoff", type=float)
+    p.add_argument("--cutoff", type=FINITE)
     p.add_argument("--symbol", choices=["bessel", "heat"], default="bessel")
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=FINITE)
     common(p)
 
     p = sub.add_parser("heat-trace", help="sum d^2 exp(-t lambda) over a dual")
     p.add_argument("--group", choices=["torus", "su2"], required=True)
     p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--cutoff", type=float, required=True)
+    p.add_argument("--t", type=FINITE, required=True)
+    p.add_argument("--cutoff", type=FINITE, required=True)
     p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
     common(p)
 
     p = sub.add_parser("bessel-trace", help="sum d^2 bracket^(-alpha) over a dual")
     p.add_argument("--group", choices=["torus", "su2"], required=True)
     p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--cutoff", type=float, required=True)
+    p.add_argument("--alpha", type=FINITE, required=True)
+    p.add_argument("--cutoff", type=FINITE, required=True)
     p.add_argument("--tail-correct", action="store_true", dest="tail_correct")
     p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
     p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
@@ -658,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", type=int)
     p.add_argument("--stock", type=int)
     p.add_argument("--grid", type=int)
-    p.add_argument("--w", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--w", type=FINITE, required=True)
+    p.add_argument("--p", type=FINITE_OR_INF, required=True)
+    p.add_argument("--q", type=FINITE_OR_INF, required=True)
     p.add_argument("--n-values", required=True, dest="n_values")
     p.add_argument("--radius", type=int)
     common(p)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm
+from .besov import BesovParams, besov_norm, block_index, block_sums
 from .harmonic import (
     FrequencyLattice,
     PeriodicFunction,
@@ -169,6 +170,20 @@ def _power_series_witness(n: int, exponent: float, label: str) -> SeriesWitness:
     )
 
 
+def _complete_shell_sums(shells: np.ndarray, terms: np.ndarray, lambda_cap: float):
+    """(labels, sums) of the bracket shells j wholly inside a truncation complete up
+    to lambda_cap (4^{j+1} <= 1 + lambda_cap): a clipped shell could fake decay."""
+    keep = shells < block_index(math.floor(lambda_cap), "bracket")
+    labels, sums = block_sums(shells[keep], terms[keep])
+    return [float(j) for j in labels], sums
+
+
+def shell_ratios(shell_sums: list[float]) -> list[float]:
+    """Consecutive shell-sum ratios; 0/0 reads 0 and x/0 reads inf."""
+    pairs = zip(shell_sums, shell_sums[1:])
+    return [cur / prev if prev else (math.inf if cur else 0.0) for prev, cur in pairs]
+
+
 def certify_shell_sums(shell_sums: list[float]) -> tuple[bool, float, float]:
     """Geometric-ratio certificate on dyadic shell sums.
 
@@ -176,23 +191,15 @@ def certify_shell_sums(shell_sums: list[float]) -> tuple[bool, float, float]:
     the last SHELL_RATIO_COUNT consecutive ratios all sit at or below
     SHELL_RATIO_LIMIT; the tail is then bounded by the geometric remainder.
     """
-    sums = [s for s in shell_sums]
-    if not sums or fsum(sums) == 0.0:
+    if not shell_sums or fsum(shell_sums) == 0.0:
         return True, 0.0, 0.0
-    ratios = []
-    for prev, cur in zip(sums, sums[1:]):
-        if prev == 0.0:
-            ratios.append(0.0 if cur == 0.0 else math.inf)
-        else:
-            ratios.append(cur / prev)
+    ratios = shell_ratios(shell_sums)
     if len(ratios) < SHELL_RATIO_COUNT:
         return False, math.inf, math.inf
     recent = ratios[-SHELL_RATIO_COUNT:]
     worst = max(recent)
-    if worst <= SHELL_RATIO_LIMIT:
-        rho = worst
-        tail = sums[-1] * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        return True, tail, worst
+    if worst <= SHELL_RATIO_LIMIT:  # < 1, so the geometric remainder is finite
+        return True, shell_sums[-1] * worst / (1.0 - worst), worst
     return False, math.inf, worst
 
 
@@ -275,23 +282,9 @@ def _truncated_bracket_convolution(n: int, w2: float, k: int, radius: int) -> Se
     for i, xi in enumerate(lat.points):
         shifted = np.sqrt(1.0 + np.sum((xi[None, :] - window.points) ** 2, axis=1))
         conv[i] = fsum(u * shifted ** (-2.0 * k))
-    max_complete = -1
-    while 4.0 ** (max_complete + 2) <= 1.0 + float(base) ** 2:
-        max_complete += 1
-    sq = lat.squared_norms()
-    shells: dict[int, list[float]] = {}
-    for i in range(len(lat)):
-        key = int(sq[i]) + 1
-        j = 0 if key <= 0 else (key.bit_length() - 1) // 2
-        if j <= max_complete:
-            shells.setdefault(j, []).append(float(conv[i]))
-    shell_sums = [fsum(shells[j]) for j in sorted(shells)]
+    shells = block_index(lat.squared_norms(), "bracket")
+    labels, shell_sums = _complete_shell_sums(shells, conv, float(base) ** 2)
     certified, tail, _ = certify_shell_sums(shell_sums)
-    partials = []
-    running = 0.0
-    for s in shell_sums:
-        running += s
-        partials.append(running)
     note = ""
     if not certified:
         note = (
@@ -301,8 +294,8 @@ def _truncated_bracket_convolution(n: int, w2: float, k: int, radius: int) -> Se
         )
     return SeriesWitness(
         series=f"sum_xi (<.>^({w2:.6g}) * <.>^({-2.0 * k:.6g}))(xi) over Z^{n}",
-        labels=[float(j) for j in sorted(shells)],
-        partial_sums=partials,
+        labels=labels,
+        partial_sums=list(accumulate(shell_sums)),
         tail_estimate=tail,
         certified=certified,
         rule="geometric-shell-ratio",
@@ -401,20 +394,23 @@ def _tt1_case_clauses(case: int, p: float, q: float) -> list[Clause]:
     raise ValueError(f"case must be 1, 2, 3 or 4, got {case}")
 
 
-def _tt1_lr_power(value, d: int, r: float) -> float:
-    """||a(xi)||_{l^r}^r for a scalar (read as scalar * identity) or a matrix."""
-    if np.isscalar(value) or np.asarray(value).ndim == 0:
-        return d * abs(complex(value)) ** r
-    arr = np.asarray(value)
-    return float(fsum(np.abs(arr).ravel().astype(np.float64) ** r))
+def _tt1_lr_powers(values, d: np.ndarray, r: float) -> np.ndarray:
+    """||a(xi)||_{l^r}^r per point: d |a|^r for an (N,) array of scalar * identity
+    values, entrywise sums for a sequence of N matrices."""
+    if len(values) != len(d):
+        raise ValueError(f"a symbol must give one value or matrix per dual point ({len(d)})")
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        return d * np.abs(values) ** r
+    return np.array([fsum(np.abs(np.asarray(m)).ravel() ** r) for m in values])
 
 
 def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerdict:
     """Multiplier criterion over a compact-group dual.
 
-    ``a`` maps a dual point to a scalar (meaning scalar * identity) or a
-    d x d matrix.  The selected case's series is summed over the dual
-    truncation and certified by the geometric shell-ratio monitor.
+    ``a`` maps the whole dual to its N values: an (N,) array (scalar *
+    identity per point) or a sequence of N d x d matrices.  The selected
+    case's series is summed over the dual truncation and certified by the
+    geometric shell-ratio monitor.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must lie in (0, 1], got {r}")
@@ -439,34 +435,18 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
     else:
         d_exp = 1.0 + r * (0.5 - 1.0 / p)
         xi_exp = 0.0
-    # Only dyadic bracket shells completely inside the truncation take part in
-    # the ratio monitor; a clipped trailing shell could fake geometric decay.
-    max_complete = -1
-    while 4.0 ** (max_complete + 2) <= 1.0 + dual.lambda_cap:
-        max_complete += 1
-    shells: dict[int, list[float]] = {}
-    for point in dual.points:
-        term = (
-            point.bracket**xi_exp
-            * _tt1_lr_power(a(point), point.d, r)
-            * float(point.d) ** d_exp
-        )
-        key = int(math.floor(point.lam)) + 1  # 1 + lambda governs the bracket
-        j = 0 if key <= 0 else (key.bit_length() - 1) // 2
-        if j <= max_complete:
-            shells.setdefault(j, []).append(term)
-    shell_sums = [fsum(shells[j]) for j in sorted(shells)]
+    terms = (
+        dual.bracket**xi_exp
+        * _tt1_lr_powers(a(dual), dual.d, r)
+        * dual.d.astype(np.float64) ** d_exp
+    )
+    labels, shell_sums = _complete_shell_sums(dual.shells, terms, dual.lambda_cap)
     certified, tail, worst = certify_shell_sums(shell_sums)
-    partials = []
-    running = 0.0
-    for s in shell_sums:
-        running += s
-        partials.append(running)
     witness = SeriesWitness(
         series=f"case {case} dual series, bracket exponent {xi_exp:.6g}, "
         f"dimension exponent {d_exp:.6g}",
-        labels=[float(j) for j in sorted(shells)],
-        partial_sums=partials,
+        labels=labels,
+        partial_sums=list(accumulate(shell_sums)),
         tail_estimate=tail,
         certified=certified,
         rule="geometric-shell-ratio",

@@ -6,6 +6,11 @@ carries dimension 1 and Laplacian eigenvalue |xi|^2, so the group bracket
 (1 + lambda)^{1/2} coincides with the toroidal <xi>.  The SU(2) dual is indexed
 by l in {0, 1/2, 1, 3/2, ...} with dimension 2l + 1 and eigenvalue l(l + 1);
 ``half_integers=False`` restricts to the integer-spin subset.
+
+A ``GroupDual`` holds arrays ``labels`` (N x k), ``d`` and ``lam``, sorted by
+(lambda, label); series are whole-array expressions over them.  A symbol
+callable receives the whole dual and returns an (N,) array of scalar-times-
+identity values (or, for ``criteria.check_tt1``, also N d x d matrices).
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm
+from .besov import BesovParams, besov_norm, block_index, block_sums
+from .criteria import shell_ratios
 from .harmonic import (
     FrequencyLattice,
     PeriodicFunction,
@@ -28,34 +33,39 @@ from .harmonic import (
 from .sums import fsum, fsum_complex
 
 GROUPS = ("torus", "su2")
+# Largest dual enumerate_dual builds; about 0.3 GB of labels, d and lam on dim 2.
+DUAL_SIZE_LIMIT = 10**7
 
 
 class DivergenceWarning(UserWarning):
     """The requested series diverges; the partial sum is still reported."""
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    label: tuple
-    d: int
-    lam: float
-
-    @property
-    def bracket(self) -> float:
-        return math.sqrt(1.0 + self.lam)
-
-
 @dataclass
 class GroupDual:
     group: str
     cutoff: float
-    points: list[DualPoint]
+    labels: np.ndarray  # (N, k): torus xi (int64, k = dim), su2 (l,) (float64, k = 1)
+    d: np.ndarray  # (N,) int64 representation dimension
+    lam: np.ndarray  # (N,) float64 Laplacian eigenvalue
+
+    def __len__(self) -> int:
+        return self.lam.shape[0]
+
+    @property
+    def bracket(self) -> np.ndarray:
+        return np.sqrt(1.0 + self.lam)
+
+    @property
+    def shells(self) -> np.ndarray:
+        """Dyadic bracket shell j of each point, 4^j <= floor(1 + lambda) < 4^{j+1}."""
+        return block_index(np.floor(self.lam).astype(np.int64), "bracket")
 
     @property
     def group_dimension(self) -> int:
         if self.group == "su2":
             return 3
-        return len(self.points[0].label) if self.points else 1
+        return self.labels.shape[1]
 
     @property
     def lambda_cap(self) -> float:
@@ -70,58 +80,58 @@ class GroupDual:
         return float(int(self.cutoff)) ** 2  # Euclidean ball inside the max-norm box
 
 
+def dual_size(group: str, cutoff: float, dim: int = 1, half_integers: bool = True):
+    """Number of points ``enumerate_dual`` builds, from its arguments alone."""
+    if not math.isfinite(cutoff):
+        return math.inf
+    if group == "torus":
+        return (2 * math.floor(cutoff) + 1) ** dim
+    return math.floor(2 * cutoff if half_integers else cutoff) + 1
+
+
 def enumerate_dual(
     group: str, cutoff, dim: int = 1, half_integers: bool = True
 ) -> GroupDual:
-    """Finite slice of the unitary dual, sorted by Laplacian eigenvalue.
+    """Finite slice of the unitary dual, sorted by Laplacian eigenvalue, ties by label.
 
     torus: lattice points |xi|_inf <= cutoff, d = 1, lambda = |xi|^2.
     su2:   l = 0, 1/2, ..., cutoff (integers only when half_integers=False),
            d = 2l + 1, lambda = l(l + 1).
+    A slice above DUAL_SIZE_LIMIT points is refused before anything is allocated.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-    if cutoff < 0:
+    if not cutoff >= 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    points: list[DualPoint] = []
+    size = dual_size(group, cutoff, dim, half_integers)
+    if size > DUAL_SIZE_LIMIT:
+        raise ValueError(
+            f"the {group} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
+            "lower the cutoff"
+        )
     if group == "torus":
-        radius = int(cutoff)
-        rng = range(-radius, radius + 1)
-        for xi in product(rng, repeat=dim):
-            lam = float(sum(c * c for c in xi))
-            points.append(DualPoint(tuple(xi), 1, lam))
+        radius = math.floor(cutoff)
+        axis = np.arange(-radius, radius + 1, dtype=np.int64)
+        labels = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        lam = np.sum(labels * labels, axis=1).astype(np.float64)
+        order = np.lexsort((*labels.T[::-1], lam))  # last key is the primary one
+        labels, lam = labels[order], lam[order]
+        d = np.ones(lam.shape[0], dtype=np.int64)
     else:
-        step = 1 if not half_integers else 0.5
-        twice_max = int(round(2 * cutoff))
-        num = twice_max + 1 if half_integers else int(cutoff) + 1
-        for j in range(num):
-            l = j * step
-            points.append(DualPoint((l,), int(round(2 * l + 1)), l * (l + 1.0)))
-    points.sort(key=lambda p: (p.lam, p.label))
-    return GroupDual(group, cutoff, points)
+        # lambda grows with l, so counting order is already sorted
+        l = np.arange(size) * (0.5 if half_integers else 1.0)
+        labels, d, lam = l[:, None], (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0)
+    return GroupDual(group, cutoff, labels, d, lam)
 
 
-def _dual_shell_sums(dual: GroupDual, terms: np.ndarray) -> list[float]:
-    shells: dict[int, list[float]] = {}
-    for point, term in zip(dual.points, terms):
-        key = int(math.floor(1.0 + point.lam))
-        j = 0 if key <= 0 else (key.bit_length() - 1) // 2
-        shells.setdefault(j, []).append(float(term))
-    return [fsum(shells[j]) for j in sorted(shells)]
-
-
-def series_diagnostics(dual: GroupDual, terms: np.ndarray) -> dict:
-    """Geometric shell-ratio monitor over dyadic bracket shells."""
-    shell_sums = _dual_shell_sums(dual, np.abs(np.asarray(terms)))
-    ratios = []
-    for prev, cur in zip(shell_sums, shell_sums[1:]):
-        if prev == 0.0:
-            ratios.append(0.0 if cur == 0.0 else math.inf)
-        else:
-            ratios.append(cur / prev)
-    if fsum(shell_sums) == 0.0:
+def series_diagnostics(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> dict:
+    """Geometric shell-ratio monitor over dyadic bracket shells; a series known
+    to be ``divergent`` is never reported as converged, whatever its shells show."""
+    _, shell_sums = block_sums(dual.shells, np.abs(np.asarray(terms)))
+    ratios = shell_ratios(shell_sums)
+    if fsum(shell_sums) == 0.0 and not divergent:
         return {"shell_sums": shell_sums, "tail_estimate": 0.0, "converged": True}
-    if not ratios:
+    if divergent or not ratios:
         return {"shell_sums": shell_sums, "tail_estimate": math.inf, "converged": False}
     rho = max(ratios[-4:]) if len(ratios) >= 4 else max(ratios)
     converged = rho <= 0.9 and len(ratios) >= 2
@@ -129,31 +139,43 @@ def series_diagnostics(dual: GroupDual, terms: np.ndarray) -> dict:
     return {"shell_sums": shell_sums, "tail_estimate": tail, "converged": converged}
 
 
+def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
+    """Terms d^2 exp(-t lambda) of the heat series, one per dual point."""
+    if not t > 0:
+        raise ValueError(f"heat trace needs t > 0, got {t}")
+    return dual.d * dual.d * np.exp(-t * dual.lam)
+
+
 def heat_trace(dual: GroupDual, t: float) -> float:
     """sum over the dual of d^2 exp(-t lambda)."""
-    if t <= 0:
-        raise ValueError(f"heat trace needs t > 0, got {t}")
-    return fsum(p.d * p.d * math.exp(-t * p.lam) for p in dual.points)
+    return fsum(heat_terms(dual, t))
 
 
-def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
-    return np.array([p.d * p.d * math.exp(-t * p.lam) for p in dual.points])
+def bessel_terms(dual: GroupDual, alpha: float) -> np.ndarray:
+    """Terms d^2 <xi>^{-alpha} of the Bessel series, one per dual point."""
+    with np.errstate(over="ignore"):  # a term beyond the float range is reported as inf
+        return dual.d * dual.d * (1.0 + dual.lam) ** (-alpha / 2.0)
 
 
-def _bracket_tail_integral(alpha: float, start: float) -> float:
-    """integral_{start}^{inf} (1 + t^2)^{-alpha/2} dt for alpha > 1.
+def bessel_tail(dual: GroupDual, alpha: float) -> float:
+    """Midpoint integral of the Bessel terms a torus dim-1 slice of radius R
+    omits: 2 int_{R + 1/2}^{inf} (1 + t^2)^{-alpha/2} dt, alpha > 1.
 
     Substituting t = 1/u then u = v^4 removes both the infinite limit and the
     endpoint singularity, after which fixed-order Gauss-Legendre is exact to
     rounding for the smooth integrand.
     """
-    upper = (1.0 / start) ** 0.25
+    if dual.group != "torus" or dual.group_dimension != 1:
+        raise ValueError("tail correction is implemented for the torus with dim = 1")
+    if alpha <= 1:
+        raise ValueError("tail correction needs a convergent series (alpha > 1)")
+    upper = (1.0 / (float(int(dual.cutoff)) + 0.5)) ** 0.25
     nodes, weights = np.polynomial.legendre.leggauss(64)
     v = 0.5 * upper * (nodes + 1.0)
     scale = 0.5 * upper
     u = v**4
     integrand = 4.0 * v ** (4.0 * alpha - 5.0) * (1.0 + u * u) ** (-alpha / 2.0)
-    return float(scale * fsum(weights * integrand))
+    return 2.0 * float(scale * fsum(weights * integrand))
 
 
 def bessel_trace(dual: GroupDual, alpha: float, tail_correction: bool = False) -> float:
@@ -161,8 +183,8 @@ def bessel_trace(dual: GroupDual, alpha: float, tail_correction: bool = False) -
 
     Convergent only for alpha above the group dimension; below that a
     DivergenceWarning is raised and the raw partial sum is still returned.
-    ``tail_correction`` (torus, dim 1) adds the midpoint integral of the
-    omitted tail so modest cutoffs reach closed-form accuracy.
+    ``tail_correction`` (torus, dim 1) adds ``bessel_tail`` so modest cutoffs
+    reach closed-form accuracy.
     """
     n = dual.group_dimension
     if alpha <= n:
@@ -172,25 +194,15 @@ def bessel_trace(dual: GroupDual, alpha: float, tail_correction: bool = False) -
             DivergenceWarning,
             stacklevel=2,
         )
-    value = fsum(p.d * p.d * (1.0 + p.lam) ** (-alpha / 2.0) for p in dual.points)
+    value = fsum(bessel_terms(dual, alpha))
     if tail_correction:
-        if dual.group != "torus" or n != 1:
-            raise ValueError("tail correction is implemented for the torus with dim = 1")
-        if alpha <= 1:
-            raise ValueError("tail correction needs a convergent series (alpha > 1)")
-        value += 2.0 * _bracket_tail_integral(alpha, float(int(dual.cutoff)) + 0.5)
+        value += bessel_tail(dual, alpha)
     return value
-
-
-def bessel_terms(dual: GroupDual, alpha: float) -> np.ndarray:
-    return np.array([p.d * p.d * (1.0 + p.lam) ** (-alpha / 2.0) for p in dual.points])
 
 
 def multiplier_trace(dual: GroupDual, a) -> complex:
     """sum d_xi Tr[a(xi)] for scalar-times-identity symbols: sum d^2 a(xi)."""
-    return fsum_complex(
-        np.array([p.d * p.d * complex(a(p)) for p in dual.points], dtype=np.complex128)
-    )
+    return fsum_complex(dual.d * dual.d * np.asarray(a(dual), dtype=np.complex128))
 
 
 def partial_sum_convergence(

@@ -1,14 +1,20 @@
-"""Slow reference implementations of the spectral-domain core.
+"""Slow reference implementations of the spectral-domain core and the dual series.
 
-Each function is direct rectangle-rule quadrature or synthesis with explicit
-phases, reduced term by term through ``math.fsum``, or a per-column loop.
-The package computes the same quantities by FFT and index gathers; the tests
-in ``test_spectral_oracles.py`` compare the two.
+Spectral core: each function is direct rectangle-rule quadrature or synthesis
+with explicit phases, reduced term by term through ``math.fsum``, or a
+per-column loop.  The package computes the same quantities by FFT and index
+gathers; the tests in ``test_spectral_oracles.py`` compare the two.
+
+Dual series: one ``DualPoint`` object per point of the unitary dual, walked
+point by point with ``math`` functions and per-point dyadic binning.  The
+package holds the dual as numpy arrays; ``test_dual_oracles.py`` compares the
+two.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -100,3 +106,80 @@ def operator_matrix(table: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
         rows = [diff_row(dr) for dr in pts - pts[j]]
         entries[:, j] = table[rows, j]
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Dual series, point by point
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DualPoint:
+    label: tuple
+    d: int
+    lam: float
+
+    @property
+    def bracket(self) -> float:
+        return math.sqrt(1.0 + self.lam)
+
+
+def enumerate_dual(group: str, cutoff, dim: int = 1, half_integers: bool = True) -> list[DualPoint]:
+    """torus: |xi|_inf <= cutoff, d = 1, lambda = |xi|^2; su2: l = 0, 1/2, ..., cutoff
+    (integers only when half_integers=False), d = 2l + 1, lambda = l(l + 1);
+    sorted by (lambda, label)."""
+    points: list[DualPoint] = []
+    if group == "torus":
+        rng = range(-int(cutoff), int(cutoff) + 1)
+        for xi in product(rng, repeat=dim):
+            points.append(DualPoint(tuple(xi), 1, float(sum(c * c for c in xi))))
+    else:
+        step = 0.5 if half_integers else 1
+        num = int(math.floor(2 * cutoff)) + 1 if half_integers else int(cutoff) + 1
+        for j in range(num):
+            l = j * step
+            points.append(DualPoint((l,), int(round(2 * l + 1)), l * (l + 1.0)))
+    points.sort(key=lambda p: (p.lam, p.label))
+    return points
+
+
+def heat_terms(points: list[DualPoint], t: float) -> list[float]:
+    return [p.d * p.d * math.exp(-t * p.lam) for p in points]
+
+
+def bessel_terms(points: list[DualPoint], alpha: float) -> list[float]:
+    return [p.d * p.d * (1.0 + p.lam) ** (-alpha / 2.0) for p in points]
+
+
+def _shell(p: DualPoint) -> int:
+    key = int(math.floor(1.0 + p.lam))
+    return 0 if key <= 0 else (key.bit_length() - 1) // 2
+
+
+def dual_shell_sums(points: list[DualPoint], terms) -> list[float]:
+    """Exactly rounded sum of the terms over each dyadic bracket shell."""
+    shells: dict[int, list[float]] = {}
+    for point, term in zip(points, terms):
+        shells.setdefault(_shell(point), []).append(float(term))
+    return [math.fsum(shells[j]) for j in sorted(shells)]
+
+
+def tt1_shells(points, a, r, d_exp, xi_exp, lambda_cap) -> tuple[list[float], list[float]]:
+    """(shell labels, shell sums) of the tt1 series <xi>^xi_exp ||a(xi)||_r^r d^d_exp
+    over the dyadic bracket shells lying wholly below 1 + lambda_cap; ``a`` maps a
+    DualPoint to a scalar (scalar * identity) or a d x d matrix."""
+    max_complete = -1
+    while 4.0 ** (max_complete + 2) <= 1.0 + lambda_cap:
+        max_complete += 1
+    shells: dict[int, list[float]] = {}
+    for point in points:
+        value = a(point)
+        if np.ndim(value) == 0:
+            lr = point.d * abs(complex(value)) ** r
+        else:
+            lr = math.fsum(np.abs(np.asarray(value)).ravel().astype(np.float64) ** r)
+        term = point.bracket**xi_exp * lr * float(point.d) ** d_exp
+        j = _shell(point)
+        if j <= max_complete:
+            shells.setdefault(j, []).append(term)
+    return [float(j) for j in sorted(shells)], [math.fsum(shells[j]) for j in sorted(shells)]

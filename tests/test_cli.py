@@ -256,6 +256,37 @@ class TestDualTraceCommands:
         ])
         assert doc["diagnostics"]["divergent"] is True
 
+    def test_divergent_series_never_converged(self, capsys):
+        doc = run_json(capsys, [
+            "bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "1",
+            "--cutoff", "4",
+        ])
+        assert doc["diagnostics"]["divergent"] is True
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["tail_estimate"] == "inf"
+
+    def test_overflowing_terms_reported_as_inf(self, capsys):
+        code, out, err = run(capsys, [
+            "bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "-1000",
+            "--cutoff", "10",
+        ])
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["body"]["value"] == "inf"
+        assert doc["diagnostics"]["divergent"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["heat-trace", "--group", "torus", "--dim", "2", "--t", "1", "--cutoff", "2000"],
+        ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "1e9"],
+        ["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "torus", "--cutoff",
+         "1e7", "--r", "1", "--p", "2", "--q", "2", "--m", "-4"],
+    ])
+    def test_dual_above_size_budget_exit_2(self, capsys, argv):
+        # sizes above the budget only: the dual is refused before it is built
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "lower the cutoff" in err and "Traceback" not in err
+
     def test_bessel_require_convergent_exit_3(self, capsys):
         code, _, err = run(capsys, [
             "bessel-trace", "--group", "su2", "--alpha", "3", "--cutoff", "30",
@@ -318,6 +349,32 @@ class TestSpectrumCommand:
             "--format", "csv",
         ])
         assert out.splitlines()[0] == "index,re,im"
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv", [
+        ["bessel-trace", "--group", "torus", "--alpha", "nan", "--cutoff", "4"],
+        ["trace", "--symbol", "bessel", "--m", "nan", "--radius", "4"],
+        ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "inf"],
+        ["heat-trace", "--group", "torus", "--t=-inf", "--cutoff", "4"],
+        ["besov-norm", "--character", "4", "--w", "inf", "--p", "2", "--q", "2",
+         "--radius", "8"],
+        ["besov-norm", "--character", "4", "--w", "1", "--p", "2", "--q", "nan",
+         "--radius", "8"],
+        ["nuclearity", "--theorem", "t1", "--n", "1", "--r", "NaN", "--alpha", "0.5",
+         "--p1", "2", "--k", "1", "--delta", "0", "--m", "-4", "--w2", "0"],
+    ])
+    def test_rejected_at_parser_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "is not a" in err and "Traceback" not in err
+
+    def test_inf_accepted_where_in_range(self, capsys):
+        doc = run_json(capsys, [
+            "besov-norm", "--character", "4", "--w", "1", "--p", "inf", "--q", "inf",
+            "--radius", "8",
+        ])
+        assert doc["body"]["norm"] == pytest.approx(4.0)
 
 
 class TestCliContract:

@@ -168,18 +168,18 @@ class TestCheckT2:
 class TestCheckTT1:
     def test_torus_case3_satisfied(self):
         dual = enumerate_dual("torus", 512, dim=1)
-        v = check_tt1(dual, lambda p: p.bracket**-3.0, 1.0, 2.0, 2.0, 3)
+        v = check_tt1(dual, lambda dual: dual.bracket**-3.0, 1.0, 2.0, 2.0, 3)
         assert v.satisfied
         assert v.witness.certified
 
     def test_su2_case3_satisfied(self):
         dual = enumerate_dual("su2", 200)
-        v = check_tt1(dual, lambda p: p.bracket**-4.0, 1.0, 2.0, 2.0, 3)
+        v = check_tt1(dual, lambda dual: dual.bracket**-4.0, 1.0, 2.0, 2.0, 3)
         assert v.satisfied
 
     def test_su2_case3_violated(self):
         dual = enumerate_dual("su2", 200)
-        v = check_tt1(dual, lambda p: p.bracket**-2.0, 1.0, 2.0, 2.0, 3)
+        v = check_tt1(dual, lambda dual: dual.bracket**-2.0, 1.0, 2.0, 2.0, 3)
         assert not v.satisfied
         [clause] = v.violated_clauses
         assert clause.lhs > 0.9  # observed shell ratio, both sides evaluated
@@ -188,17 +188,17 @@ class TestCheckTT1:
     def test_case_ranges_raise(self):
         dual = enumerate_dual("torus", 16, dim=1)
         with pytest.raises(ValueError, match="case 3"):
-            check_tt1(dual, lambda p: 1.0, 1.0, 3.0, 3.0, 3)
+            check_tt1(dual, lambda dual: np.ones(len(dual)), 1.0, 3.0, 3.0, 3)
         with pytest.raises(ValueError, match="case 4"):
-            check_tt1(dual, lambda p: 1.0, 1.0, 4.0, 3.0, 4)
+            check_tt1(dual, lambda dual: np.ones(len(dual)), 1.0, 4.0, 3.0, 4)
         with pytest.raises(ValueError, match="case"):
-            check_tt1(dual, lambda p: 1.0, 1.0, 2.0, 2.0, 5)
+            check_tt1(dual, lambda dual: np.ones(len(dual)), 1.0, 2.0, 2.0, 5)
 
     def test_matrix_symbol_accepted(self):
         dual = enumerate_dual("su2", 100)
         v = check_tt1(
             dual,
-            lambda p: p.bracket**-4.0 * np.eye(p.d),
+            lambda dual: [b**-4.0 * np.eye(d) for b, d in zip(dual.bracket, dual.d)],
             1.0,
             2.0,
             2.0,
@@ -317,28 +317,28 @@ HAND_TABLE = [
      lambda: check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-0.5), False),
     ("tt1 case 3 torus satisfied",
      lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda p: p.bracket**-3.0, 1.0, 2.0, 2.0, 3), True),
+                       lambda dual: dual.bracket**-3.0, 1.0, 2.0, 2.0, 3), True),
     ("tt1 case 3 su2 satisfied",
      lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda p: p.bracket**-4.0, 1.0, 2.0, 2.0, 3), True),
+                       lambda dual: dual.bracket**-4.0, 1.0, 2.0, 2.0, 3), True),
     ("tt1 case 3 su2 violated",
      lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda p: p.bracket**-2.0, 1.0, 2.0, 2.0, 3), False),
+                       lambda dual: dual.bracket**-2.0, 1.0, 2.0, 2.0, 3), False),
     ("tt1 case 1 torus satisfied",
      lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda p: p.bracket**-4.0, 1.0, 1.5, 3.0, 1), True),
+                       lambda dual: dual.bracket**-4.0, 1.0, 1.5, 3.0, 1), True),
     ("tt1 case 1 su2 satisfied",
      lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda p: p.bracket**-6.0, 1.0, 1.5, 3.0, 1), True),
+                       lambda dual: dual.bracket**-6.0, 1.0, 1.5, 3.0, 1), True),
     ("tt1 case 2 torus satisfied",
      lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda p: p.bracket**-3.0, 1.0, 2.0, 1.0, 2), True),
+                       lambda dual: dual.bracket**-3.0, 1.0, 2.0, 1.0, 2), True),
     ("tt1 case 2 torus violated",
      lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda p: p.bracket**-1.0, 1.0, 2.0, 1.0, 2), False),
+                       lambda dual: dual.bracket**-1.0, 1.0, 2.0, 1.0, 2), False),
     ("tt1 case 4 su2 satisfied",
      lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda p: p.bracket**-5.0, 1.0, 4.0, 2.0, 4), True),
+                       lambda dual: dual.bracket**-5.0, 1.0, 4.0, 2.0, 4), True),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from torustrace.besov import BesovParams
@@ -28,32 +29,37 @@ PI_COTH_PI = math.pi / math.tanh(math.pi)
 class TestEnumerateDual:
     def test_torus_n1(self):
         dual = enumerate_dual("torus", 2, dim=1)
-        assert len(dual.points) == 5
-        assert all(p.d == 1 for p in dual.points)
-        assert sorted(p.lam for p in dual.points) == [0.0, 1.0, 1.0, 4.0, 4.0]
-        assert dual.points[0].lam == 0.0  # sorted by eigenvalue
+        assert len(dual) == 5
+        assert all(d == 1 for d in dual.d)
+        assert sorted(dual.lam) == [0.0, 1.0, 1.0, 4.0, 4.0]
+        assert dual.lam[0] == 0.0  # sorted by eigenvalue
         # eigenvalue ties broken by label
-        assert [p.label for p in dual.points] == [(0,), (-1,), (1,), (-2,), (2,)]
+        assert [tuple(label) for label in dual.labels] == [(0,), (-1,), (1,), (-2,), (2,)]
 
     def test_su2_small(self):
         dual = enumerate_dual("su2", 1)
-        got = [(p.label[0], p.d, p.lam) for p in dual.points]
+        got = [(label[0], d, lam) for label, d, lam in zip(dual.labels, dual.d, dual.lam)]
         assert got == [(0, 1, 0.0), (0.5, 2, 0.75), (1, 3, 2.0)]
 
     def test_torus_n2(self):
         dual = enumerate_dual("torus", 1, dim=2)
-        lams = sorted(p.lam for p in dual.points)
+        lams = sorted(dual.lam)
         assert lams == [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+
+    def test_su2_fractional_cutoff_stops_at_cutoff(self):
+        # l = 1 > 0.75 is left out, as for the integer-spin subset
+        dual = enumerate_dual("su2", 0.75)
+        assert dual.labels[:, 0].tolist() == [0.0, 0.5]
 
     def test_su2_integer_spins(self):
         dual = enumerate_dual("su2", 3, half_integers=False)
-        assert [p.label[0] for p in dual.points] == [0, 1, 2, 3]
+        assert [label[0] for label in dual.labels] == [0, 1, 2, 3]
 
     def test_bracket_consistent_with_lattice(self):
         dual = enumerate_dual("torus", 5, dim=1)
-        for p in dual.points:
-            k = p.label[0]
-            assert p.bracket == pytest.approx(math.sqrt(1 + k * k), abs=1e-15)
+        for label, bracket in zip(dual.labels, dual.bracket):
+            k = label[0]
+            assert bracket == pytest.approx(math.sqrt(1 + k * k), abs=1e-15)
 
 
 class TestHeatTrace:
@@ -122,27 +128,27 @@ class TestBesselTrace:
 class TestMultiplierTrace:
     def test_heat_symbol_chases_definition(self):
         dual = enumerate_dual("su2", 15)
-        got = multiplier_trace(dual, lambda p: math.exp(-1.0 * p.lam))
+        got = multiplier_trace(dual, lambda dual: np.exp(-1.0 * dual.lam))
         assert got.real == pytest.approx(heat_trace(dual, 1.0), abs=1e-12)
         assert got.imag == 0.0
 
     def test_bessel_symbol_chases_definition(self):
         dual = enumerate_dual("torus", 50, dim=1)
-        got = multiplier_trace(dual, lambda p: p.bracket**-4.0)
+        got = multiplier_trace(dual, lambda dual: dual.bracket**-4.0)
         assert got.real == pytest.approx(bessel_trace(dual, 4.0), abs=1e-12)
 
     def test_cross_module_against_nuclear_trace(self):
         # same multiplier, summed over the dual and over the lattice
         dual = enumerate_dual("torus", 16, dim=1)
         lat = FrequencyLattice(1, 16)
-        via_dual = multiplier_trace(dual, lambda p: p.bracket**-4.0)
+        via_dual = multiplier_trace(dual, lambda dual: dual.bracket**-4.0)
         via_lattice = nuclear_trace(bessel_symbol(-4.0), lat)
         assert abs(via_dual - via_lattice) <= 1e-12
 
     def test_gaussian_cross_module(self):
         dual = enumerate_dual("torus", 6, dim=1)
         lat = FrequencyLattice(1, 6)
-        via_dual = multiplier_trace(dual, lambda p: math.exp(-p.lam))
+        via_dual = multiplier_trace(dual, lambda dual: np.exp(-dual.lam))
         via_lattice = nuclear_trace(heat_symbol(1.0), lat)
         assert abs(via_dual - via_lattice) <= 1e-14
 
@@ -152,7 +158,7 @@ class TestWeylGrowth:
         # sum over l = 0, 1/2, ..., L of (2l+1)^2 telescopes to a cubic closed form
         for twice_l_max in (4, 9, 20):
             dual = enumerate_dual("su2", twice_l_max / 2.0)
-            got = fsum(p.d**2 for p in dual.points)
+            got = fsum(dual.d.astype(float) ** 2)
             j = twice_l_max + 1
             assert got == pytest.approx(j * (j + 1) * (2 * j + 1) / 6.0, abs=1e-9)
 
@@ -160,7 +166,7 @@ class TestWeylGrowth:
         sums = []
         for l_max in (5, 10, 20, 40):
             dual = enumerate_dual("su2", l_max)
-            sums.append(fsum(p.d**2 for p in dual.points))
+            sums.append(fsum(dual.d.astype(float) ** 2))
         assert all(b > 2 * a for a, b in zip(sums, sums[1:]))
 
 
