@@ -40,7 +40,7 @@ from .harmonic import (
     min_grid_size,
 )
 from .io import load_periodic_function, load_sampled_symbol
-from .quantize import EigensolverError, eigen_residuals, eigenvalues, operator_matrix
+from .quantize import EIGEN_SIDE_LIMIT, EigensolverError, eigenvalues, operator_matrix
 from .sums import fsum
 from .symbols import (
     BracketPower,
@@ -289,6 +289,16 @@ def _require(condition: bool, remedy: str) -> None:
         raise ValidationError(remedy)
 
 
+def _require_side(dim: int, radius: int) -> None:
+    """Refuse a compression too large to eigensolve before anything is allocated."""
+    side = (2 * radius + 1) ** dim
+    _require(
+        side <= EIGEN_SIDE_LIMIT,
+        f"radius {radius} in dim {dim} gives matrix side {side}, above the desk-scale "
+        f"guard {EIGEN_SIDE_LIMIT}; lower --radius",
+    )
+
+
 def _verdict_payload(verdict) -> dict:
     witness = None
     if verdict.witness is not None:
@@ -320,6 +330,7 @@ def _verdict_payload(verdict) -> dict:
 def _run_trace(args) -> tuple[dict, dict, str | None]:
     a = build_symbol(args)
     _require(args.radius >= 0, "--radius must be >= 0")
+    _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
     nuc = nuclear_trace(a, lattice)
     spec, eigs = spectral_trace(a, lattice)
@@ -351,6 +362,7 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
     a = build_symbol(args)
     radii = _parse_int_list(args.radii, "--radii")
     _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
+    _require_side(a.dim, max(radii))
     report = lidskii_compare(a, radii)
     history = [
         {
@@ -522,9 +534,14 @@ def _run_bessel_trace(args) -> tuple[dict, dict, str | None]:
 
 
 def _run_approx_demo(args) -> tuple[dict, dict, str | None]:
-    f = build_function(args, analysis_radius=args.radius)
-    n_values = [float(tok) for tok in args.n_values.split(",") if tok.strip()]
+    try:
+        n_values = [FINITE(tok) for tok in args.n_values.split(",") if tok.strip()]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValidationError(
+            f"--n-values wants a comma-separated list of finite numbers, got {args.n_values!r}"
+        ) from exc
     _require(bool(n_values), "--n-values needs a comma-separated list, e.g. 1,2,4,8")
+    f = build_function(args, analysis_radius=args.radius)
     lattice = None
     if args.radius is not None:
         lattice = FrequencyLattice(f.dim, args.radius)
@@ -543,10 +560,11 @@ def _run_approx_demo(args) -> tuple[dict, dict, str | None]:
 def _run_spectrum(args) -> tuple[dict, dict, str | None]:
     a = build_symbol(args)
     _require(args.radius is not None and args.radius >= 0, "pass --radius N >= 0")
+    _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
     matrix = operator_matrix(a, lattice)
-    eigs = eigenvalues(matrix)
-    residual_max = float(eigen_residuals(matrix).max()) if eigs.size else 0.0
+    eigs, residuals = eigenvalues(matrix, with_residuals=True)
+    residual_max = float(residuals.max()) if eigs.size else 0.0
     if args.matrix_csv:
         rows = []
         for i in range(matrix.side):

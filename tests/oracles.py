@@ -9,11 +9,16 @@ Dual series: one ``DualPoint`` object per point of the unitary dual, walked
 point by point with ``math`` functions and per-point dyadic binning.  The
 package holds the dual as numpy arrays; ``test_dual_oracles.py`` compares the
 two.
+
+Spectra: breadth-first search for the connected components of a matrix's
+nonzero pattern, and the full-matrix LAPACK solve.  The package solves one
+component block at a time; ``test_block_eigen.py`` compares the two.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -183,3 +188,34 @@ def tt1_shells(points, a, r, d_exp, xi_exp, lambda_cap) -> tuple[list[float], li
         if j <= max_complete:
             shells.setdefault(j, []).append(term)
     return [float(j) for j in sorted(shells)], [math.fsum(shells[j]) for j in sorted(shells)]
+
+
+# ---------------------------------------------------------------------------
+# Spectra of whole matrices
+# ---------------------------------------------------------------------------
+
+
+def connected_components(matrix) -> np.ndarray:
+    """Label of each index: the smallest index reachable from it through
+    nonzero entries A[i, j] or A[j, i], by breadth-first search."""
+    A = np.asarray(matrix)
+    n = A.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    for seed in range(n):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = seed
+        queue = deque([seed])
+        while queue:
+            i = queue.popleft()
+            for j in range(n):
+                if labels[j] < 0 and (A[i, j] != 0 or A[j, i] != 0):
+                    labels[j] = seed
+                    queue.append(j)
+    return labels
+
+
+def dense_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues of the whole matrix by one LAPACK call, in canonical order."""
+    eigs = np.linalg.eigvals(np.asarray(matrix, dtype=np.complex128))
+    return eigs[np.lexsort((np.angle(eigs), -np.abs(eigs)))]

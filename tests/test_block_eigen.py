@@ -1,0 +1,238 @@
+"""Block-by-block eigensolver against the whole-matrix oracles in ``oracles``.
+
+``quantize.eigenvalues`` splits a matrix into the connected components of its
+symmetrised nonzero pattern and solves equal-sized blocks in one batched LAPACK
+call.  Component labels must equal a breadth-first search exactly; eigenvalue
+multisets must match the full-matrix solve within 1e-10 ||A||_2, paired by
+nearest match; a one-component matrix must give the full-matrix result bit for
+bit.  The eigen-sum and residual checks must still fire.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from torustrace.cli import main
+from torustrace.harmonic import FrequencyLattice, min_grid_size
+from torustrace.quantize import (
+    EigensolverError,
+    canonical_eigen_order,
+    connected_components,
+    eigenvalues,
+    operator_matrix,
+)
+from torustrace.symbols import (
+    BracketPower,
+    SampledSymbol,
+    bessel_symbol,
+    character_symbol,
+    modulated_symbol,
+    sample_symbol,
+)
+
+KINDS = ("dense", "sparse", "shift", "diagonal")
+block_lists = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=6), st.sampled_from(KINDS)), max_size=7
+)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def permuted_block_diagonal(blocks, seed: int) -> np.ndarray:
+    """Random complex blocks on the diagonal, then one random symmetric permutation."""
+    rng = np.random.default_rng(seed)
+    side = sum(size for size, _ in blocks)
+    out = np.zeros((side, side), dtype=np.complex128)
+    start = 0
+    for size, kind in blocks:
+        if kind == "shift":
+            block = np.eye(size, k=1, dtype=np.complex128)
+        else:
+            block = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            if kind == "sparse":
+                block *= rng.random((size, size)) < 0.4
+            elif kind == "diagonal":
+                block = np.diag(np.diag(block))
+        out[start:start + size, start:start + size] = block
+        start += size
+    perm = rng.permutation(side)
+    return out[np.ix_(perm, perm)]
+
+
+def assert_same_multiset(got: np.ndarray, want: np.ndarray, tol: float) -> None:
+    """Pair each eigenvalue with its nearest unpaired oracle eigenvalue."""
+    assert got.shape == want.shape
+    left = list(want)
+    for g in got:
+        j = int(np.argmin(np.abs(np.array(left) - g)))
+        assert abs(left.pop(j) - g) <= tol, (g, got, want)
+
+
+def two_norm(A: np.ndarray) -> float:
+    return float(np.linalg.norm(A, 2)) if A.size else 0.0
+
+
+def catalog_matrices():
+    yield operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), FrequencyLattice(2, 3))
+    yield operator_matrix(character_symbol(2), FrequencyLattice(2, 2))
+    yield operator_matrix(character_symbol(), FrequencyLattice(1, 3))
+    yield operator_matrix(bessel_symbol(-2.0, 2), FrequencyLattice(2, 2))
+
+
+class TestComponents:
+    @settings(max_examples=120, deadline=None)
+    @given(block_lists, seeds)
+    @example([], 0)
+    @example([(1, "dense")] * 5, 1)
+    @example([(6, "dense")], 2)
+    @example([(6, "shift"), (2, "shift")], 3)
+    def test_labels_equal_bfs(self, blocks, seed):
+        A = permuted_block_diagonal(blocks, seed)
+        assert np.array_equal(connected_components(A), oracles.connected_components(A))
+
+    def test_catalog_matrices(self):
+        for mat in catalog_matrices():
+            labels = connected_components(mat.entries)
+            assert np.array_equal(labels, oracles.connected_components(mat.entries))
+
+    def test_modulated_rows_are_components(self):
+        # (c + cos 2 pi x1) g(xi) couples xi to xi +- e1 only: one component per xi2
+        lat = FrequencyLattice(2, 3)
+        mat = operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), lat)
+        labels = connected_components(mat.entries)
+        assert len(set(labels.tolist())) == 7
+        for label in set(labels.tolist()):
+            assert len(set(lat.points[labels == label, 1].tolist())) == 1
+
+
+class TestBlockSpectrum:
+    @settings(max_examples=120, deadline=None)
+    @given(block_lists, seeds)
+    @example([], 0)
+    @example([(1, "dense")] * 5, 1)
+    @example([(6, "dense")], 2)
+    @example([(6, "shift"), (2, "shift"), (1, "diagonal")], 3)
+    def test_multiset_matches_full_solve(self, blocks, seed):
+        A = permuted_block_diagonal(blocks, seed)
+        tol = 1e-10 * two_norm(A)
+        got = eigenvalues(A)
+        assert_same_multiset(got, oracles.dense_eigenvalues(A), tol)
+        assert np.array_equal(got, got[canonical_eigen_order(got)])
+        with_res, residuals = eigenvalues(A, with_residuals=True)
+        assert_same_multiset(with_res, got, tol)
+        assert residuals.shape == got.shape
+        assert np.all(residuals <= 1e-9 * max(two_norm(A), 1e-300))
+
+    def test_catalog_matrices(self):
+        for mat in catalog_matrices():
+            tol = 1e-10 * two_norm(mat.entries)
+            assert_same_multiset(eigenvalues(mat), oracles.dense_eigenvalues(mat.entries), tol)
+
+    def test_character_shift_is_nilpotent(self):
+        mat = operator_matrix(character_symbol(2), FrequencyLattice(2, 2))
+        assert np.abs(eigenvalues(mat)).max() == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=24), seeds)
+    def test_one_component_bit_identical(self, side, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        assert np.array_equal(eigenvalues(A), oracles.dense_eigenvalues(A))
+        vals = np.linalg.eig(A)[0]
+        assert np.array_equal(eigenvalues(A, with_residuals=True)[0], vals[canonical_eigen_order(vals)])
+
+    def test_random_sampled_symbol_is_one_component(self, rng):
+        lat = FrequencyLattice(2, 2)
+        grid = min_grid_size(2)
+        table = rng.standard_normal((grid**2, len(lat))) + 1j * rng.standard_normal((grid**2, len(lat)))
+        mat = operator_matrix(SampledSymbol(2, grid, lat, table), lat)
+        assert not np.any(connected_components(mat.entries))
+        assert np.array_equal(eigenvalues(mat), oracles.dense_eigenvalues(mat.entries))
+
+    def test_exact_zeros_of_a_sampled_symbol_split_it(self):
+        # the FFT of a real even x-factor has exact zeros; splitting on them is exact
+        lat = FrequencyLattice(2, 2)
+        a = sample_symbol(modulated_symbol(2.0, BracketPower(-2.0), dim=2), min_grid_size(2), lat)
+        mat = operator_matrix(a, lat)
+        labels = connected_components(mat.entries)
+        assert np.array_equal(labels, oracles.connected_components(mat.entries))
+        assert len(set(labels.tolist())) > 1
+        tol = 1e-10 * two_norm(mat.entries)
+        assert_same_multiset(eigenvalues(mat), oracles.dense_eigenvalues(mat.entries), tol)
+
+
+def counting(monkeypatch, name: str, corrupt=None) -> list:
+    """Replace np.linalg.<name> by a wrapper that records each batch shape and
+    optionally corrupts the result."""
+    real = getattr(np.linalg, name)
+    calls = []
+
+    def wrapper(a):
+        calls.append(np.shape(a))
+        out = real(a)
+        return corrupt(out) if corrupt else out
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def corrupt_first_vector(result):
+    vals, vecs = result
+    vecs = vecs.copy()
+    vecs[..., 0, 0] += 1.0
+    return vals, vecs
+
+
+def shift_first_value(vals):
+    vals = vals.copy()
+    vals[..., 0] += 1e-3
+    return vals
+
+
+class TestChecksSurvive:
+    def matrix(self):
+        return operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), FrequencyLattice(2, 2))
+
+    def test_corrupted_eigenpair_raises(self, monkeypatch):
+        counting(monkeypatch, "eig", corrupt_first_vector)
+        with pytest.raises(EigensolverError, match="residual"):
+            eigenvalues(self.matrix(), with_residuals=True)
+
+    def test_eigen_sum_missing_trace_raises(self, monkeypatch):
+        counting(monkeypatch, "eigvals", shift_first_value)
+        with pytest.raises(EigensolverError, match="trace"):
+            eigenvalues(self.matrix())
+
+    def test_one_component_checks_still_fire(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        counting(monkeypatch, "eig", corrupt_first_vector)
+        with pytest.raises(EigensolverError, match="residual"):
+            eigenvalues(A, with_residuals=True)
+
+    def test_cli_exit_3(self, monkeypatch, capsys):
+        counting(monkeypatch, "eig", corrupt_first_vector)
+        code = main(["spectrum", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "numerical failure" in captured.err and "Traceback" not in captured.err
+
+    def test_one_lapack_call_per_block_size(self, monkeypatch):
+        A = permuted_block_diagonal([(3, "dense"), (1, "dense"), (3, "dense"), (2, "dense")], 11)
+        calls = counting(monkeypatch, "eigvals")
+        eigenvalues(A)
+        assert sorted(calls) == [(1, 1, 1), (1, 2, 2), (2, 3, 3)]
+
+    def test_spectrum_solves_once_and_reports_residual(self, monkeypatch, capsys):
+        eig_calls = counting(monkeypatch, "eig")
+        eigvals_calls = counting(monkeypatch, "eigvals")
+        code = main(["spectrum", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        # seven components of side 7 (one per xi2): a single batched call
+        assert eig_calls == [(7, 7, 7)] and eigvals_calls == []
+        residual = json.loads(out)["diagnostics"]["max_residual"]
+        assert 0.0 <= residual <= 1e-9

@@ -321,6 +321,55 @@ class TestApproxDemoCommand:
         assert code == 2
 
 
+class TestApproxDemoNValues:
+    @pytest.mark.parametrize("values", ["nan,2", "1,inf", "2,-inf", "1,two"])
+    def test_non_finite_or_malformed_exit_2(self, capsys, values):
+        code, out, err = run(capsys, [
+            "approx-demo", "--stock", "8", "--w", "0", "--p", "2", "--q", "2",
+            "--n-values", values,
+        ])
+        assert code == 2 and out == ""
+        assert "finite numbers" in err and "Traceback" not in err
+
+
+class TestMatrixSideGuard:
+    """Sides above EIGEN_SIDE_LIMIT are refused from the flags alone: the lattice,
+    trace and matrix functions are replaced by tripwires that must not be reached."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def tripwires(self, monkeypatch):
+        import torustrace.cli as cli
+
+        def trip(*args, **kwargs):
+            raise self.Reached
+
+        for name in ("FrequencyLattice", "operator_matrix", "lidskii_compare", "nuclear_trace"):
+            monkeypatch.setattr(cli, name, trip)
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--symbol", "bessel", "--m", "-4", "--dim", "1", "--radius", "2100"],
+        ["trace", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radius", "100000"],
+        ["lidskii", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radii", "4,8,33"],
+        ["spectrum", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "33"],
+    ])
+    def test_refused_before_allocation(self, capsys, tripwires, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "lower --radius" in err and "4096" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--symbol", "bessel", "--m", "-4", "--dim", "1", "--radius", "2047"],
+        ["lidskii", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radii", "4,31"],
+        ["spectrum", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radius", "31"],
+    ])
+    def test_largest_side_within_guard_passes(self, tripwires, argv):
+        with pytest.raises(self.Reached):
+            main(argv)
+
+
 class TestSpectrumCommand:
     def test_eigenvalue_list(self, capsys):
         doc = run_json(capsys, [
