@@ -54,13 +54,11 @@ from .besov import (
 )
 from .criteria import (
     CriterionVerdict,
-    NuclearDecomposition,
     check_t1,
     check_t2,
     check_tt1,
     epsilon,
     lr_seminorm,
-    nuclear_decomposition,
     nuclear_quasinorm_bound,
 )
 from .traces import TraceReport, lidskii_compare, nuclear_trace, spectral_trace, tail_estimate
@@ -112,13 +110,11 @@ __all__ = [
     "fourier_embedding_ratio",
     "holder_norm",
     "CriterionVerdict",
-    "NuclearDecomposition",
     "check_t1",
     "check_t2",
     "check_tt1",
     "epsilon",
     "lr_seminorm",
-    "nuclear_decomposition",
     "nuclear_quasinorm_bound",
     "TraceReport",
     "lidskii_compare",

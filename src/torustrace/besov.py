@@ -100,8 +100,18 @@ def besov_norm(
     block_weight: str = "abs",
 ) -> float:
     """(sum_m 2^{mwq} ||block_m f||_{L^p}^q)^{1/q}; q = inf takes the sup over m."""
-    c = forward_transform(f, lattice)
-    pieces = dyadic_blocks(c, grid_size=f.grid_size, block_weight=block_weight)
+    return coefficient_norm(forward_transform(f, lattice), params, f.grid_size, block_weight)
+
+
+def coefficient_norm(
+    c: FourierCoefficients,
+    params: BesovParams,
+    grid_size: int,
+    block_weight: str = "abs",
+) -> float:
+    """The dyadic-block norm of the function with coefficients ``c``, each block
+    synthesized on a ``grid_size`` grid for its L^p norm."""
+    pieces = dyadic_blocks(c, grid_size=grid_size, block_weight=block_weight)
     weighted = [
         (2.0 ** (block.index * params.w)) * lp_norm(piece, params.p)
         for block, piece in pieces

@@ -566,11 +566,11 @@ def _run_spectrum(args) -> tuple[dict, dict, str | None]:
     eigs, residuals = eigenvalues(matrix, with_residuals=True)
     residual_max = float(residuals.max()) if eigs.size else 0.0
     if args.matrix_csv:
-        rows = []
-        for i in range(matrix.side):
-            for j in range(matrix.side):
-                entry = matrix.entries[i, j]
-                rows.append([i, j, entry.real, entry.imag])
+        rows = [
+            [i, j, v.real, v.imag]
+            for i, row in enumerate(matrix.entries.tolist())
+            for j, v in enumerate(row)
+        ]
         emit(render_csv("eta_index,xi_index,re,im", rows), args.matrix_csv)
     body = {
         "radius": args.radius,

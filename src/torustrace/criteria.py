@@ -1,6 +1,9 @@
 """Executable sufficient-condition checkers for r-nuclearity, and the numeric
 quasi-norm bound coming from the canonical rank-one decomposition
-T_a f = sum_xi fhat(xi) H_xi with H_xi(x) = e^{i2pi<x,xi>} a(x, xi).
+T_a f = sum_xi fhat(xi) H_xi with H_xi(x) = e^{i2pi<x,xi>} a(x, xi).  The
+coefficients of H_xi are column xi of the compression (``quantize``), so the
+bound norms those columns with ``besov``'s coefficient-level norm and never
+samples H_xi.
 
 Three checkers are exposed:
 
@@ -26,16 +29,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm, block_index, block_sums
-from .harmonic import (
-    FrequencyLattice,
-    PeriodicFunction,
-    TWO_PI,
-    forward_transform,
-    min_grid_size,
-)
+from .besov import BesovParams, block_index, block_sums, coefficient_norm
+from .harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
+from .quantize import compression
 from .sums import fsum
-from .symbols import SampledSymbol, Symbol
+from .symbols import Symbol
 
 SHELL_RATIO_LIMIT = 0.9
 SHELL_RATIO_COUNT = 4
@@ -146,7 +144,7 @@ def _lattice_power_sums(n: int, exponent: float, radii: list[int]) -> list[float
     return out
 
 
-def _power_tail_bound(n: int, exponent: float, radius: int) -> float:
+def power_tail_bound(n: int, exponent: float, radius: int) -> float:
     """Integral-test bound on sum_{|xi|_inf > R} <xi>^exponent (finite iff exponent < -n)."""
     if exponent >= -n:
         return math.inf
@@ -159,7 +157,7 @@ def _power_tail_bound(n: int, exponent: float, radius: int) -> float:
 def _power_series_witness(n: int, exponent: float, label: str) -> SeriesWitness:
     radii = [4, 8, 16, 32, 64] if n == 1 else [2, 4, 8, 16]
     sums = _lattice_power_sums(n, exponent, radii)
-    tail = _power_tail_bound(n, exponent, radii[-1])
+    tail = power_tail_bound(n, exponent, radii[-1])
     return SeriesWitness(
         series=label,
         labels=[float(r) for r in radii],
@@ -473,42 +471,8 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
 
 
 # ---------------------------------------------------------------------------
-# Canonical decomposition and quasi-norm bound
+# Quasi-norm bound of the canonical decomposition
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class NuclearDecomposition:
-    """Rank-one terms (H_xi, bound on the paired functional's dual norm)."""
-
-    lattice: FrequencyLattice
-    terms: list[tuple[PeriodicFunction, float]]
-
-
-def rank_one_factor(a: Symbol, xi, grid_size: int) -> PeriodicFunction:
-    """H_xi(x) = e^{i2pi<x,xi>} a(x, xi) sampled on an M-point grid."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.int64))
-    probe = PeriodicFunction(a.dim, grid_size, np.zeros(grid_size**a.dim))
-    x = probe.x_points()
-    table = a.values(x, xi.reshape(1, -1))[:, 0]
-    phase = np.exp(1j * TWO_PI * (x @ xi.astype(np.float64)))
-    return PeriodicFunction(a.dim, grid_size, phase * table)
-
-
-def nuclear_decomposition(
-    a: Symbol, lattice: FrequencyLattice, grid_size: int
-) -> NuclearDecomposition:
-    """Canonical decomposition; the functional bound 1.0 folds the coefficient-map
-    embedding constant."""
-    terms = [(rank_one_factor(a, xi, grid_size), 1.0) for xi in lattice.points]
-    return NuclearDecomposition(lattice, terms)
-
-
-def reconstruct(dec: NuclearDecomposition, f: PeriodicFunction) -> PeriodicFunction:
-    """sum_xi fhat(xi) H_xi, which must reproduce T_a f on band-limited inputs."""
-    c = forward_transform(f, dec.lattice)
-    stacked = np.stack([h.values for h, _ in dec.terms], axis=1)
-    return PeriodicFunction(f.dim, f.grid_size, stacked @ c.coeffs)
 
 
 def nuclear_quasinorm_bound(
@@ -520,25 +484,23 @@ def nuclear_quasinorm_bound(
 ) -> float:
     """sum_xi ||H_xi||_{B}^r for the canonical decomposition.
 
-    Stability of this sum across growing radii is the numerical nuclearity
-    certificate; raised to 1/r it upper-bounds the r-quasi-norm up to the
-    embedding constant absorbed in the functional bounds.
+    H_xi = e_xi a(., xi) has coefficients hat{a}(eta - xi, xi), column xi of the
+    compression with rows |eta|_inf <= N + b, where b bounds the symbol's
+    x-Fourier content: the x-factor's bandwidth, or for a sampled table the
+    window |eta|_inf <= M//2 of its x-Fourier data.  Stability of this sum
+    across growing radii is the numerical nuclearity certificate; raised to 1/r
+    it upper-bounds the r-quasi-norm up to the embedding constant absorbed in
+    the functional bounds.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    if isinstance(a, SampledSymbol):
-        # sampled tables only evaluate on their native grid; use the largest
-        # alias-safe analysis lattice that grid supports
-        from .harmonic import max_alias_free_radius
-
-        grid = a.grid_size
-        norm_lattice = FrequencyLattice(lattice.dim, max_alias_free_radius(grid))
-    else:
-        bandwidth = a.x_bandwidth() or 0
-        norm_lattice = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
-        grid = min_grid_size(norm_lattice.radius)
-    powers = []
-    for xi in lattice.points:
-        h = rank_one_factor(a, xi, grid)
-        powers.append(besov_norm(h, besov, norm_lattice, block_weight) ** r)
-    return float(fsum(powers))
+    bandwidth = a.x_bandwidth()
+    if bandwidth is None:
+        bandwidth = a.grid_size // 2
+    rows = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
+    grid = min_grid_size(rows.radius)
+    columns = compression(a, rows, lattice)
+    return float(fsum(
+        coefficient_norm(FourierCoefficients(rows, h), besov, grid, block_weight) ** r
+        for h in columns.T
+    ))

@@ -1,9 +1,11 @@
 """Quantization of symbols on the torus.
 
 ``apply_symbol`` evaluates (T_a f)(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi)
-on the sample grid.  ``operator_matrix`` is the same operator compressed to
-the truncated character basis, A[eta, xi] = hat{a}(eta - xi, xi), so its trace
-and spectrum are exactly those of the compression P_N T_a P_N at every radius.
+on the sample grid.  ``compression`` gathers hat{a}(eta - xi, xi) for eta in a
+row lattice and xi in a column lattice; column xi holds the coefficients of
+the rank-one factor H_xi = e_xi a(., xi).  Its square case ``operator_matrix``
+is T_a compressed to the truncated character basis, so its trace and spectrum
+are exactly those of P_N T_a P_N, and at a smaller radius it is a sub-block.
 
 ``eigenvalues`` solves A one connected component of its nonzero pattern at a
 time.  hat{a}(eta - xi, xi) vanishes off the symbol's x-Fourier support, so a
@@ -92,21 +94,30 @@ def apply_symbol(
     return PeriodicFunction(f.dim, f.grid_size, values)
 
 
-def operator_matrix(a: Symbol, lattice: FrequencyLattice) -> OperatorMatrix:
-    """A[eta, xi] = hat{a}(eta - xi, xi) over the lattice ordering.
+def compression(a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice) -> np.ndarray:
+    """hat{a}(eta - xi, xi) for eta in ``rows`` and xi in ``columns``, one gather.
 
-    Differences eta - xi outside the admissible range of the symbol's x-Fourier
-    data contribute 0 (only possible for sampled symbols).
+    Column xi holds the x-Fourier coefficients of H_xi = e_xi a(., xi) on the
+    row lattice.  Differences eta - xi outside the admissible range of the
+    symbol's x-Fourier data contribute 0 (only possible for sampled symbols).
     """
-    if a.dim != lattice.dim:
-        raise ValueError(f"dimension mismatch: symbol dim {a.dim}, lattice dim {lattice.dim}")
-    diffs = FrequencyLattice(lattice.dim, 2 * lattice.radius)
-    table = x_fourier_table(a, diffs.points, lattice)  # (len(diffs), side)
+    if not a.dim == rows.dim == columns.dim:
+        raise ValueError(
+            f"dimension mismatch: symbol dim {a.dim}, lattice dims {rows.dim}, {columns.dim}"
+        )
+    diffs = FrequencyLattice(a.dim, rows.radius + columns.radius)
+    table = x_fourier_table(a, diffs.points, columns)  # (len(diffs), len(columns))
     # row of eta - xi in the difference lattice, built one axis at a time
-    rows = np.zeros((len(lattice), len(lattice)), dtype=np.int64)
-    for axis in lattice.points.T:
-        rows = rows * (2 * diffs.radius + 1) + (axis[:, None] - axis[None, :] + diffs.radius)
-    return OperatorMatrix(lattice, table[rows, np.arange(len(lattice))])
+    index = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    for eta, xi in zip(rows.points.T, columns.points.T):
+        index = index * (2 * diffs.radius + 1) + (eta[:, None] - xi[None, :] + diffs.radius)
+    return table[index, np.arange(len(columns))]
+
+
+def operator_matrix(a: Symbol, lattice: FrequencyLattice) -> OperatorMatrix:
+    """A[eta, xi] = hat{a}(eta - xi, xi) over the lattice ordering: the square
+    ``compression``."""
+    return OperatorMatrix(lattice, compression(a, lattice, lattice))
 
 
 def canonical_eigen_order(eigs: np.ndarray) -> np.ndarray:
@@ -211,8 +222,3 @@ def eigenvalues(matrix, with_residuals: bool = False, residual_tol: float = 1e-9
     if with_residuals:
         return eigs, residuals
     return eigs
-
-
-def eigen_residuals(matrix) -> np.ndarray:
-    """Residual norms ||A v - lambda v|| for the canonical eigenpairs."""
-    return eigenvalues(matrix, with_residuals=True)[1]

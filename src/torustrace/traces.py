@@ -4,7 +4,10 @@ At every truncation radius the compression satisfies the trace identity
 exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).  Growing
 the radius and watching the nuclear-trace increments gives an empirical tail;
 non-summable symbols are not rejected, their divergence is surfaced in the
-per-radius history.
+per-radius history.  ``lidskii_compare`` builds the compression once, at the
+largest radius, and reads every smaller radius from its nested sub-block, so
+a sampled symbol works at any radius up to its table's.  The integral-test
+tail bound is ``criteria.power_tail_bound`` scaled by the symbol's envelope.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criteria import power_tail_bound
 from .harmonic import FrequencyLattice
+from .quantize import OperatorMatrix, eigenvalues, operator_matrix
 from .sums import fsum_complex
 from .symbols import Symbol, x_fourier_table
-from .quantize import eigenvalues, operator_matrix
 
 
 @dataclass
@@ -31,7 +35,6 @@ class RadiusRecord:
 class TraceReport:
     nuclear_trace: complex
     spectral_trace: complex | None
-    eigenvalues: np.ndarray | None
     truncation_radius: int
     tail_estimate: float | None
     history: list[RadiusRecord] = field(default_factory=list)
@@ -66,27 +69,28 @@ def _increments_converged(increments: list[float]) -> bool | None:
     return True
 
 
-def lidskii_compare(
-    a: Symbol, radii: list[int], include_eigenvalues: bool = False
-) -> TraceReport:
+def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     """Nuclear and spectral traces across increasing radii.
 
-    Successive nuclear-trace increments serve as the empirical truncation
-    tail; a history whose increments fail to shrink geometrically is flagged
-    as non-convergent rather than rejected.
+    The compression is built once, at the largest radius; the compression at
+    each smaller radius is its sub-block on the nested lattice.  Successive
+    nuclear-trace increments serve as the empirical truncation tail; a history
+    whose increments fail to shrink geometrically is flagged as non-convergent
+    rather than rejected.
     """
     radii = [int(r) for r in radii]
     if not radii:
         raise ValueError("need at least one radius")
     if any(b <= s for s, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
+    outer = operator_matrix(a, FrequencyLattice(a.dim, radii[-1]))
     history: list[RadiusRecord] = []
-    eigs_last = None
     for radius in radii:
         lattice = FrequencyLattice(a.dim, radius)
-        nuc = nuclear_trace(a, lattice)
-        spec, eigs = spectral_trace(a, lattice)
-        eigs_last = eigs
+        idx = outer.lattice.indices_of(lattice.points)
+        block = OperatorMatrix(lattice, outer.entries[np.ix_(idx, idx)])
+        nuc = block.trace()
+        spec = fsum_complex(eigenvalues(block))
         history.append(RadiusRecord(radius, nuc, spec, abs(nuc - spec)))
     increments = [
         abs(nxt.nuclear - cur.nuclear) for cur, nxt in zip(history, history[1:])
@@ -95,7 +99,6 @@ def lidskii_compare(
     return TraceReport(
         nuclear_trace=history[-1].nuclear,
         spectral_trace=history[-1].spectral,
-        eigenvalues=eigs_last if include_eigenvalues else None,
         truncation_radius=radii[-1],
         tail_estimate=tail,
         history=history,
@@ -122,7 +125,4 @@ def tail_estimate(a: Symbol, lattice: FrequencyLattice, order_hint: float) -> fl
     sups = np.asarray(a.x_sup_abs(pts), dtype=np.float64)
     brackets = np.sqrt(1.0 + np.sum(pts.astype(np.float64) ** 2, axis=1))
     envelope = float((sups * brackets ** (-order_hint)).max()) if pts.size else 0.0
-    h = order_hint
-    if n == 1:
-        return 2.0 * envelope * radius ** (h + 1) / (-h - 1)
-    return 8.0 * envelope * radius ** (h + 2) / (-h - 2)
+    return envelope * power_tail_bound(n, order_hint, radius)

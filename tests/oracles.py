@@ -13,6 +13,12 @@ two.
 Spectra: breadth-first search for the connected components of a matrix's
 nonzero pattern, and the full-matrix LAPACK solve.  The package solves one
 component block at a time; ``test_block_eigen.py`` compares the two.
+
+Canonical decomposition: the rank-one factors H_xi sampled on a grid, their
+sum applied to a function, and the quasi-norm bound computed by forward
+transforming every sampled H_xi.  The package reads H_xi's coefficients from
+the compressed matrix instead; ``test_compression_oracles.py`` compares the
+two.
 """
 
 from __future__ import annotations
@@ -24,11 +30,14 @@ from itertools import product
 
 import numpy as np
 
+from torustrace import harmonic
+from torustrace.besov import besov_norm
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
+    min_grid_size,
 )
 
 
@@ -219,3 +228,51 @@ def dense_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of the whole matrix by one LAPACK call, in canonical order."""
     eigs = np.linalg.eigvals(np.asarray(matrix, dtype=np.complex128))
     return eigs[np.lexsort((np.angle(eigs), -np.abs(eigs)))]
+
+
+# ---------------------------------------------------------------------------
+# Canonical decomposition T_a f = sum_xi fhat(xi) H_xi, sampled
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class NuclearDecomposition:
+    """Rank-one terms (H_xi, bound on the paired functional's dual norm)."""
+
+    lattice: FrequencyLattice
+    terms: list[tuple[PeriodicFunction, float]]
+
+
+def rank_one_factor(a, xi, grid_size: int) -> PeriodicFunction:
+    """H_xi(x) = e^{i2pi<x,xi>} a(x, xi) sampled on an M-point grid."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.int64))
+    probe = PeriodicFunction(a.dim, grid_size, np.zeros(grid_size**a.dim))
+    x = probe.x_points()
+    table = a.values(x, xi.reshape(1, -1))[:, 0]
+    phase = np.exp(1j * TWO_PI * (x @ xi.astype(np.float64)))
+    return PeriodicFunction(a.dim, grid_size, phase * table)
+
+
+def nuclear_decomposition(a, lattice: FrequencyLattice, grid_size: int) -> NuclearDecomposition:
+    """Canonical decomposition; the functional bound 1.0 folds the coefficient-map
+    embedding constant."""
+    terms = [(rank_one_factor(a, xi, grid_size), 1.0) for xi in lattice.points]
+    return NuclearDecomposition(lattice, terms)
+
+
+def reconstruct(dec: NuclearDecomposition, f: PeriodicFunction) -> PeriodicFunction:
+    """sum_xi fhat(xi) H_xi, which must reproduce T_a f on band-limited inputs."""
+    c = harmonic.forward_transform(f, dec.lattice)
+    stacked = np.stack([h.values for h, _ in dec.terms], axis=1)
+    return PeriodicFunction(f.dim, f.grid_size, stacked @ c.coeffs)
+
+
+def quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice, block_weight: str = "abs") -> float:
+    """sum_xi ||H_xi||_B^r for a catalog symbol, each H_xi sampled on the margin grid
+    of radius N + bandwidth and normed through its forward transform."""
+    norm_lattice = FrequencyLattice(lattice.dim, lattice.radius + a.x_bandwidth())
+    grid = min_grid_size(norm_lattice.radius)
+    return math.fsum(
+        besov_norm(rank_one_factor(a, xi, grid), besov, norm_lattice, block_weight) ** r
+        for xi in lattice.points
+    )

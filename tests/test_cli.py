@@ -392,6 +392,28 @@ class TestSpectrumCommand:
         assert lines[0] == "eta_index,xi_index,re,im"
         assert len(lines) == 1 + 25
 
+    def test_matrix_export_bytes_match_entrywise_rendering(self, capsys, tmp_path):
+        from torustrace.cli import render_csv
+        from torustrace.quantize import operator_matrix
+        from torustrace.symbols import BracketPower, modulated_symbol
+
+        path = tmp_path / "matrix.csv"
+        code, _, err = run(capsys, [
+            "spectrum", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "2",
+            "--matrix-csv", str(path),
+        ])
+        assert code == 0, err
+        matrix = operator_matrix(
+            modulated_symbol(2.0, BracketPower(-4.0), 2), FrequencyLattice(2, 2)
+        )
+        rows = []
+        for i in range(matrix.side):
+            for j in range(matrix.side):
+                entry = matrix.entries[i, j]
+                rows.append([i, j, entry.real, entry.imag])
+        expected = render_csv("eta_index,xi_index,re,im", rows)
+        assert path.read_bytes() == expected.encode()
+
     def test_csv_spectrum(self, capsys):
         code, out, _ = run(capsys, [
             "spectrum", "--symbol", "bessel", "--m", "-2", "--radius", "2",

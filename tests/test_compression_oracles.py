@@ -1,0 +1,165 @@
+"""The compression as the one source of H_xi and of every Lidskii radius.
+
+``criteria.nuclear_quasinorm_bound`` reads the coefficients of the rank-one
+factors H_xi = e_xi a(., xi) from columns of ``quantize.compression``; the
+oracle in ``oracles`` samples every H_xi and forward-transforms it.  The two
+sum the same norms of coefficients that differ only by FFT rounding, so they
+agree to 1e-13 relative.  ``traces.lidskii_compare`` slices one compression;
+its records must equal the per-radius traces exactly, and for a sampled table
+they must match the quadrature and whole-matrix oracles.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from torustrace.besov import BLOCK_WEIGHTS, BesovParams
+from torustrace.cli import main
+from torustrace.criteria import nuclear_quasinorm_bound
+from torustrace.harmonic import FrequencyLattice
+from torustrace.io import save_sampled_symbol
+from torustrace.quantize import compression
+from torustrace.symbols import (
+    BracketPower,
+    GaussianDecay,
+    SampledSymbol,
+    bessel_symbol,
+    character_symbol,
+    heat_symbol,
+    modulated_symbol,
+    sample_symbol,
+)
+from torustrace.traces import lidskii_compare, nuclear_trace, spectral_trace, tail_estimate
+
+CATALOG = {
+    "bessel": lambda dim: bessel_symbol(-3.0, dim),
+    "heat": lambda dim: heat_symbol(0.1, dim),
+    "modulated-bracket": lambda dim: modulated_symbol(2.0, BracketPower(-4.0), dim),
+    "modulated-gaussian": lambda dim: modulated_symbol(0.5, GaussianDecay(0.2), dim),
+    "character": lambda dim: character_symbol(dim),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CATALOG)),
+    dim=st.sampled_from([1, 2]),
+    radius=st.integers(min_value=0, max_value=6),
+    w=st.sampled_from([0.0, 0.5, 1.0]),
+    p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    q=st.sampled_from([1.0, 2.0, math.inf]),
+    r=st.sampled_from([0.5, 1.0]),
+    block_weight=st.sampled_from(BLOCK_WEIGHTS),
+)
+def test_catalog_certificate_matches_rank_one_oracle(name, dim, radius, w, p, q, r, block_weight):
+    a = CATALOG[name](dim)
+    lattice = FrequencyLattice(dim, radius)
+    params = BesovParams(w, p, q)
+    got = nuclear_quasinorm_bound(a, r, params, lattice, block_weight)
+    want = oracles.quasinorm_bound(a, r, params, lattice, block_weight)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("dim, radius, grid", [(1, 16, 32), (2, 4, 12)])
+def test_sampled_certificate_equals_catalog(dim, radius, grid):
+    # every H_xi's coefficients lie in the table's x-Fourier window, so none drops out
+    a = modulated_symbol(2.0, BracketPower(-4.0), dim)
+    lattice = FrequencyLattice(dim, radius)
+    sampled = sample_symbol(a, grid, lattice)
+    params = BesovParams(1.0, 2.0, 2.0)
+    got = nuclear_quasinorm_bound(sampled, 1.0, params, lattice)
+    want = nuclear_quasinorm_bound(a, 1.0, params, lattice)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("dim, row_radius, column_radius", [(1, 5, 2), (1, 0, 3), (2, 3, 2)])
+def test_rectangular_compression_matches_per_entry_coefficients(name, dim, row_radius, column_radius):
+    a = CATALOG[name](dim)
+    rows = FrequencyLattice(dim, row_radius)
+    columns = FrequencyLattice(dim, column_radius)
+    got = compression(a, rows, columns)
+    want = np.array(
+        [[a.x_fourier(eta - xi, xi[None, :])[0] for xi in columns.points] for eta in rows.points]
+    )
+    assert got.shape == (len(rows), len(columns))
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CATALOG)),
+    dim=st.sampled_from([1, 2]),
+    radii=st.sets(st.integers(min_value=0, max_value=6), min_size=1, max_size=4),
+)
+def test_lidskii_records_equal_per_radius_traces(name, dim, radii):
+    a = CATALOG[name](dim)
+    radii = sorted(radii)
+    report = lidskii_compare(a, radii)
+    for rec, radius in zip(report.history, radii):
+        lattice = FrequencyLattice(dim, radius)
+        assert rec.radius == radius
+        assert rec.nuclear == nuclear_trace(a, lattice)
+        assert rec.spectral == spectral_trace(a, lattice)[0]
+
+
+def _oracle_traces(a: SampledSymbol, radius: int) -> tuple[complex, complex]:
+    """(nuclear, spectral) of the radius-R compression by quadrature and a whole-matrix solve."""
+    lattice = FrequencyLattice(a.dim, radius)
+    cols = a.lattice.indices_of(lattice.points)
+    diffs = FrequencyLattice(a.dim, 2 * radius)
+    table = oracles.sampled_x_fourier_table(a, diffs.points)[:, cols]
+    matrix = oracles.operator_matrix(table, lattice)
+    diag, eigs = np.diag(matrix), oracles.dense_eigenvalues(matrix)
+    return (complex(math.fsum(diag.real), math.fsum(diag.imag)),
+            complex(math.fsum(eigs.real), math.fsum(eigs.imag)))
+
+
+@pytest.mark.parametrize("dim, grid, radius, radii", [(1, 32, 16, "4,8,16"), (2, 12, 4, "1,2,4")])
+def test_sampled_lidskii_runs_below_table_radius(capsys, tmp_path, dim, grid, radius, radii):
+    rng = np.random.default_rng(2024)
+    lattice = FrequencyLattice(dim, radius)
+    table = rng.standard_normal((grid**dim, len(lattice))) + 1j * rng.standard_normal(
+        (grid**dim, len(lattice))
+    )
+    a = SampledSymbol(dim, grid, lattice, table)
+    path = tmp_path / "symbol.json"
+    save_sampled_symbol(a, str(path))
+    code = main(["lidskii", "--symbol-file", str(path), "--radii", radii])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    history = json.loads(captured.out)["body"]["history"]
+    assert [rec["radius"] for rec in history] == [int(r) for r in radii.split(",")]
+    for rec in history:
+        nuclear, spectral = _oracle_traces(a, rec["radius"])
+        assert abs(complex(*rec["nuclear"]) - nuclear) <= 1e-12 * (1.0 + abs(nuclear))
+        assert abs(complex(*rec["spectral"]) - spectral) <= 1e-11 * (1.0 + abs(spectral))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    radius=st.integers(min_value=1, max_value=12),
+    order=st.floats(min_value=-8.0, max_value=-2.05),
+)
+def test_tail_estimate_within_two_ulp_of_closed_form(dim, radius, order):
+    # the integral-test bound with the envelope folded in first; both forms round
+    # twice after the power, so they differ by at most 2 ulp (1 ulp in all but
+    # about 0.2% of random cases)
+    order = min(order, -dim - 0.05)
+    a = bessel_symbol(order, dim)
+    lattice = FrequencyLattice(dim, radius)
+    pts = lattice.points[np.abs(lattice.points).max(axis=1) == radius]
+    brackets = np.sqrt(1.0 + np.sum(pts.astype(np.float64) ** 2, axis=1))
+    envelope = float((np.abs(a.xifactor.values(pts)) * brackets ** (-order)).max())
+    if dim == 1:
+        want = 2.0 * envelope * radius ** (order + 1) / (-order - 1)
+    else:
+        want = 8.0 * envelope * radius ** (order + 2) / (-order - 2)
+    got = tail_estimate(a, lattice, order)
+    assert abs(got - want) <= 2 * math.ulp(want)
