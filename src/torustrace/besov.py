@@ -23,6 +23,7 @@ from .harmonic import (
     PeriodicFunction,
     forward_transform,
     lp_norm,
+    max_alias_free_radius,
     min_grid_size,
     partial_inverse,
 )
@@ -178,8 +179,6 @@ def fourier_embedding_ratio(
             f"beta = {beta:.6g} < 1 leaves the Banach range; need alpha <= 1/p1"
         )
     if lattice is None:
-        from .harmonic import max_alias_free_radius
-
         lattice = FrequencyLattice(f.dim, max_alias_free_radius(f.grid_size))
     c = forward_transform(f, lattice)
     numerator = float(fsum(np.abs(c.coeffs) ** beta) ** (1.0 / beta))

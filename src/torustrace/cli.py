@@ -53,7 +53,7 @@ from .symbols import (
     heat_symbol,
     modulated_symbol,
 )
-from .traces import lidskii_compare, nuclear_trace, spectral_trace, tail_estimate
+from .traces import compression_radius, lidskii_compare, nuclear_trace, spectral_trace, tail_estimate
 
 SCHEMA_VERSION = 1
 NORMALIZATION_NOTE = (
@@ -362,7 +362,7 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
     a = build_symbol(args)
     radii = _parse_int_list(args.radii, "--radii")
     _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
-    _require_side(a.dim, max(radii))
+    _require_side(a.dim, compression_radius(a, radii))
     report = lidskii_compare(a, radii)
     history = [
         {
@@ -565,13 +565,13 @@ def _run_spectrum(args) -> tuple[dict, dict, str | None]:
     matrix = operator_matrix(a, lattice)
     eigs, residuals = eigenvalues(matrix, with_residuals=True)
     residual_max = float(residuals.max()) if eigs.size else 0.0
-    if args.matrix_csv:
+    if args.matrix_csv:  # one f-string a row; .17g spells nan/inf/-inf as render_csv does
         rows = [
-            [i, j, v.real, v.imag]
+            f"{i},{j},{v.real:.17g},{v.imag:.17g}\n"
             for i, row in enumerate(matrix.entries.tolist())
             for j, v in enumerate(row)
         ]
-        emit(render_csv("eta_index,xi_index,re,im", rows), args.matrix_csv)
+        emit("eta_index,xi_index,re,im\n" + "".join(rows), args.matrix_csv)
     body = {
         "radius": args.radius,
         "eigenvalues": [complex(v) for v in eigs],
@@ -603,123 +603,127 @@ CSV_CAPABLE = {"lidskii", "besov-norm", "approx-demo", "spectrum"}
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only ``command``'s subparser.
+
+    Each ``add_argument`` builds a help formatter (terminal size, gettext
+    lookups), so the whole parser costs more than many commands' numerics;
+    ``main`` builds only the subcommand it runs.  The top-level usage names
+    every command either way, so help, usage and errors do not depend on it.
+    """
     parser = argparse.ArgumentParser(
         prog="torustrace",
         description="Toroidal operator calculus: traces, dyadic norms, nuclearity checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an explicit metavar would rename the missing-command error, so only a partial parser sets it
+    metavar = None if command is None else "{" + ",".join(HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def common(sp):
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--output", help="write the report here instead of stdout")
-        sp.add_argument("--block-weight", choices=list(BLOCK_WEIGHTS), default="abs",
-                        dest="block_weight")
+    def add(name: str, help: str):
+        return sub.add_parser(name, help=help) if command in (None, name) else None
 
-    p = sub.add_parser("trace", help="nuclear and spectral trace at one radius")
-    _add_symbol_flags(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--order-hint", type=FINITE, dest="order_hint",
-                   help="power-law order for the truncation tail bound")
-    p.add_argument("--certify-w", type=FINITE, dest="certify_w",
-                   help="also report the quasi-norm certificate at this weight")
-    common(p)
+    if p := add("trace", "nuclear and spectral trace at one radius"):
+        _add_symbol_flags(p)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--order-hint", type=FINITE, dest="order_hint",
+                       help="power-law order for the truncation tail bound")
+        p.add_argument("--certify-w", type=FINITE, dest="certify_w",
+                       help="also report the quasi-norm certificate at this weight")
 
-    p = sub.add_parser("lidskii", help="trace identity across increasing radii")
-    _add_symbol_flags(p)
-    p.add_argument("--radii", required=True, help="comma-separated increasing radii")
-    p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
-    common(p)
+    if p := add("lidskii", "trace identity across increasing radii"):
+        _add_symbol_flags(p)
+        p.add_argument("--radii", required=True, help="comma-separated increasing radii")
+        p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
 
-    p = sub.add_parser("besov-norm", help="dyadic-block norm of a sampled function")
-    p.add_argument("--input", help="periodic-function JSON file")
-    p.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
-    p.add_argument("--stock", type=int, help="use the stock family truncated at K")
-    p.add_argument("--grid", type=int, help="grid size override")
-    p.add_argument("--w", type=FINITE, required=True)
-    p.add_argument("--p", type=FINITE_OR_INF, required=True)
-    p.add_argument("--q", type=FINITE_OR_INF, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    common(p)
+    if p := add("besov-norm", "dyadic-block norm of a sampled function"):
+        p.add_argument("--input", help="periodic-function JSON file")
+        p.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
+        p.add_argument("--stock", type=int, help="use the stock family truncated at K")
+        p.add_argument("--grid", type=int, help="grid size override")
+        p.add_argument("--w", type=FINITE, required=True)
+        p.add_argument("--p", type=FINITE_OR_INF, required=True)
+        p.add_argument("--q", type=FINITE_OR_INF, required=True)
+        p.add_argument("--radius", type=int, required=True)
 
-    p = sub.add_parser("check-class", help="empirical symbol order and Fourier decay")
-    _add_symbol_flags(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--alpha-idx", default="0", dest="alpha_idx",
-                   help="difference multi-index, comma separated")
-    p.add_argument("--beta-idx", default="0", dest="beta_idx",
-                   help="x-derivative multi-index, comma separated")
-    p.add_argument("--decay-k", type=int, dest="decay_k")
-    p.add_argument("--decay-m", type=FINITE, dest="decay_m")
-    p.add_argument("--decay-delta", type=FINITE, dest="decay_delta")
-    common(p)
+    if p := add("check-class", "empirical symbol order and Fourier decay"):
+        _add_symbol_flags(p)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--alpha-idx", default="0", dest="alpha_idx",
+                       help="difference multi-index, comma separated")
+        p.add_argument("--beta-idx", default="0", dest="beta_idx",
+                       help="x-derivative multi-index, comma separated")
+        p.add_argument("--decay-k", type=int, dest="decay_k")
+        p.add_argument("--decay-m", type=FINITE, dest="decay_m")
+        p.add_argument("--decay-delta", type=FINITE, dest="decay_delta")
 
-    p = sub.add_parser("nuclearity", help="run a sufficient-condition checker")
-    p.add_argument("--theorem", choices=["t1", "t2", "tt1"], required=True)
-    p.add_argument("--case", type=int, choices=[1, 2, 3, 4])
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=FINITE)
-    p.add_argument("--alpha", type=FINITE)
-    p.add_argument("--p1", type=FINITE)
-    p.add_argument("--k", type=int)
-    p.add_argument("--delta", type=FINITE)
-    p.add_argument("--m", type=FINITE)
-    p.add_argument("--w2", type=FINITE)
-    p.add_argument("--p2", type=FINITE_OR_INF, default=2.0)
-    p.add_argument("--q2", type=FINITE_OR_INF, default=2.0)
-    p.add_argument("--p", type=FINITE_OR_INF)
-    p.add_argument("--q", type=FINITE_OR_INF)
-    p.add_argument("--group", choices=["torus", "su2"], default="torus")
-    p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-    p.add_argument("--cutoff", type=FINITE)
-    p.add_argument("--symbol", choices=["bessel", "heat"], default="bessel")
-    p.add_argument("--t", type=FINITE)
-    common(p)
+    if p := add("nuclearity", "run a sufficient-condition checker"):
+        p.add_argument("--theorem", choices=["t1", "t2", "tt1"], required=True)
+        p.add_argument("--case", type=int, choices=[1, 2, 3, 4])
+        p.add_argument("--n", type=int)
+        p.add_argument("--r", type=FINITE)
+        p.add_argument("--alpha", type=FINITE)
+        p.add_argument("--p1", type=FINITE)
+        p.add_argument("--k", type=int)
+        p.add_argument("--delta", type=FINITE)
+        p.add_argument("--m", type=FINITE)
+        p.add_argument("--w2", type=FINITE)
+        p.add_argument("--p2", type=FINITE_OR_INF, default=2.0)
+        p.add_argument("--q2", type=FINITE_OR_INF, default=2.0)
+        p.add_argument("--p", type=FINITE_OR_INF)
+        p.add_argument("--q", type=FINITE_OR_INF)
+        p.add_argument("--group", choices=["torus", "su2"], default="torus")
+        p.add_argument("--dim", type=int, default=1, choices=[1, 2])
+        p.add_argument("--cutoff", type=FINITE)
+        p.add_argument("--symbol", choices=["bessel", "heat"], default="bessel")
+        p.add_argument("--t", type=FINITE)
 
-    p = sub.add_parser("heat-trace", help="sum d^2 exp(-t lambda) over a dual")
-    p.add_argument("--group", choices=["torus", "su2"], required=True)
-    p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-    p.add_argument("--t", type=FINITE, required=True)
-    p.add_argument("--cutoff", type=FINITE, required=True)
-    p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
-    common(p)
+    if p := add("heat-trace", "sum d^2 exp(-t lambda) over a dual"):
+        p.add_argument("--group", choices=["torus", "su2"], required=True)
+        p.add_argument("--dim", type=int, default=1, choices=[1, 2])
+        p.add_argument("--t", type=FINITE, required=True)
+        p.add_argument("--cutoff", type=FINITE, required=True)
+        p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
 
-    p = sub.add_parser("bessel-trace", help="sum d^2 bracket^(-alpha) over a dual")
-    p.add_argument("--group", choices=["torus", "su2"], required=True)
-    p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-    p.add_argument("--alpha", type=FINITE, required=True)
-    p.add_argument("--cutoff", type=FINITE, required=True)
-    p.add_argument("--tail-correct", action="store_true", dest="tail_correct")
-    p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
-    p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
-    common(p)
+    if p := add("bessel-trace", "sum d^2 bracket^(-alpha) over a dual"):
+        p.add_argument("--group", choices=["torus", "su2"], required=True)
+        p.add_argument("--dim", type=int, default=1, choices=[1, 2])
+        p.add_argument("--alpha", type=FINITE, required=True)
+        p.add_argument("--cutoff", type=FINITE, required=True)
+        p.add_argument("--tail-correct", action="store_true", dest="tail_correct")
+        p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
+        p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
 
-    p = sub.add_parser("approx-demo", help="partial-sum convergence in a dyadic norm")
-    p.add_argument("--input")
-    p.add_argument("--character", type=int)
-    p.add_argument("--stock", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--w", type=FINITE, required=True)
-    p.add_argument("--p", type=FINITE_OR_INF, required=True)
-    p.add_argument("--q", type=FINITE_OR_INF, required=True)
-    p.add_argument("--n-values", required=True, dest="n_values")
-    p.add_argument("--radius", type=int)
-    common(p)
+    if p := add("approx-demo", "partial-sum convergence in a dyadic norm"):
+        p.add_argument("--input")
+        p.add_argument("--character", type=int)
+        p.add_argument("--stock", type=int)
+        p.add_argument("--grid", type=int)
+        p.add_argument("--w", type=FINITE, required=True)
+        p.add_argument("--p", type=FINITE_OR_INF, required=True)
+        p.add_argument("--q", type=FINITE_OR_INF, required=True)
+        p.add_argument("--n-values", required=True, dest="n_values")
+        p.add_argument("--radius", type=int)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of the compressed operator")
-    _add_symbol_flags(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--matrix-csv", dest="matrix_csv",
-                   help="also export the matrix as eta,xi,re,im CSV")
-    common(p)
+    if p := add("spectrum", "eigenvalues of the compressed operator"):
+        _add_symbol_flags(p)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--matrix-csv", dest="matrix_csv",
+                       help="also export the matrix as eta,xi,re,im CSV")
 
+    for p in sub.choices.values():  # flags common to every subcommand, after its own
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--output", help="write the report here instead of stdout")
+        p.add_argument("--block-weight", choices=list(BLOCK_WEIGHTS), default="abs",
+                       dest="block_weight")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; only its subparser is built (all of them for help or a typo)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in HANDLERS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     handler = HANDLERS[args.command]

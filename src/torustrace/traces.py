@@ -4,10 +4,9 @@ At every truncation radius the compression satisfies the trace identity
 exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).  Growing
 the radius and watching the nuclear-trace increments gives an empirical tail;
 non-summable symbols are not rejected, their divergence is surfaced in the
-per-radius history.  ``lidskii_compare`` builds the compression once, at the
-largest radius, and reads every smaller radius from its nested sub-block, so
-a sampled symbol works at any radius up to its table's.  The integral-test
-tail bound is ``criteria.power_tail_bound`` scaled by the symbol's envelope.
+per-radius history.  ``lidskii_compare`` reads every radius from a nested
+sub-block of one compression, at the largest radius or a sampled table's.  The
+integral-test tail bound is ``criteria.power_tail_bound`` times the envelope.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .criteria import power_tail_bound
 from .harmonic import FrequencyLattice
 from .quantize import OperatorMatrix, eigenvalues, operator_matrix
 from .sums import fsum_complex
-from .symbols import Symbol, x_fourier_table
+from .symbols import SampledSymbol, Symbol, x_fourier_table
 
 
 @dataclass
@@ -69,11 +68,16 @@ def _increments_converged(increments: list[float]) -> bool | None:
     return True
 
 
+def compression_radius(a: Symbol, radii: list[int]) -> int:
+    """The largest of ``radii``, or a sampled symbol's table radius if larger."""
+    return max(max(radii), a.lattice.radius if isinstance(a, SampledSymbol) else 0)
+
+
 def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     """Nuclear and spectral traces across increasing radii.
 
-    The compression is built once, at the largest radius; the compression at
-    each smaller radius is its sub-block on the nested lattice.  Successive
+    The compression is built once, at ``compression_radius``; the compression
+    at each radius is its sub-block on the nested lattice.  Successive
     nuclear-trace increments serve as the empirical truncation tail; a history
     whose increments fail to shrink geometrically is flagged as non-convergent
     rather than rejected.
@@ -83,7 +87,7 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
         raise ValueError("need at least one radius")
     if any(b <= s for s, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
-    outer = operator_matrix(a, FrequencyLattice(a.dim, radii[-1]))
+    outer = operator_matrix(a, FrequencyLattice(a.dim, compression_radius(a, radii)))
     history: list[RadiusRecord] = []
     for radius in radii:
         lattice = FrequencyLattice(a.dim, radius)

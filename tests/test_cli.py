@@ -360,6 +360,19 @@ class TestMatrixSideGuard:
         assert code == 2 and out == ""
         assert "lower --radius" in err and "4096" in err
 
+    def test_sampled_lidskii_checks_the_table_side(self, capsys, tmp_path, monkeypatch, tripwires):
+        # radii 1,2 give side 25, but the compression is built at the table radius 4 (side 81)
+        import torustrace.cli as cli
+
+        path = tmp_path / "a.json"
+        save_sampled_symbol(
+            sample_symbol(bessel_symbol(-4.0, 2), min_grid_size(4), FrequencyLattice(2, 4)), str(path)
+        )
+        monkeypatch.setattr(cli, "EIGEN_SIDE_LIMIT", 50)
+        code, out, err = run(capsys, ["lidskii", "--symbol-file", str(path), "--radii", "1,2"])
+        assert code == 2 and out == ""
+        assert "radius 4 in dim 2 gives matrix side 81" in err
+
     @pytest.mark.parametrize("argv", [
         ["trace", "--symbol", "bessel", "--m", "-4", "--dim", "1", "--radius", "2047"],
         ["lidskii", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radii", "4,31"],

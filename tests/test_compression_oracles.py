@@ -120,7 +120,11 @@ def _oracle_traces(a: SampledSymbol, radius: int) -> tuple[complex, complex]:
             complex(math.fsum(eigs.real), math.fsum(eigs.imag)))
 
 
-@pytest.mark.parametrize("dim, grid, radius, radii", [(1, 32, 16, "4,8,16"), (2, 12, 4, "1,2,4")])
+@pytest.mark.parametrize("dim, grid, radius, radii", [
+    (1, 32, 16, "4,8,16"), (2, 12, 4, "1,2,4"),
+    # largest radius below the table's: sub-blocks of the table-radius compression
+    (1, 32, 16, "4,8"), (2, 12, 4, "1,2"), (2, 12, 4, "0"),
+])
 def test_sampled_lidskii_runs_below_table_radius(capsys, tmp_path, dim, grid, radius, radii):
     rng = np.random.default_rng(2024)
     lattice = FrequencyLattice(dim, radius)
