@@ -46,9 +46,8 @@ from .quantize import (
 )
 from .besov import (
     BesovParams,
-    DyadicBlock,
     besov_norm,
-    dyadic_blocks,
+    block_norms,
     fourier_embedding_ratio,
     holder_norm,
 )
@@ -104,9 +103,8 @@ __all__ = [
     "eigenvalues",
     "operator_matrix",
     "BesovParams",
-    "DyadicBlock",
     "besov_norm",
-    "dyadic_blocks",
+    "block_norms",
     "fourier_embedding_ratio",
     "holder_norm",
     "CriterionVerdict",

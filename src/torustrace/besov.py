@@ -8,6 +8,12 @@ package: the dual series shells (``groups``) and the series certificates
 (``criteria``) use it too.  The ``block_weight`` switch picks |xi| (``"abs"``,
 default) or <xi> (``"bracket"``) as the grouping size; the two give equivalent
 norms but different numbers, and reports state which was used.
+
+Every dyadic norm goes through ``block_norms``: a function's block L^p norms
+from its coefficients, all blocks synthesized by one inverse FFT.
+``coefficient_norm`` weights that table; ``besov_norm``, the ``besov-norm``
+table, the embedding ratio, the partial-sum errors and the quasi-norm
+certificate all start from coefficients.
 """
 
 from __future__ import annotations
@@ -21,11 +27,10 @@ from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
+    _require_margin,
     forward_transform,
     lp_norm,
     max_alias_free_radius,
-    min_grid_size,
-    partial_inverse,
 )
 from .sums import fsum
 
@@ -45,12 +50,6 @@ class BesovParams:
             raise ValueError(f"p must lie in [1, inf], got {self.p}")
         if not (self.q >= 1.0):
             raise ValueError(f"q must lie in [1, inf], got {self.q}")
-
-
-@dataclass
-class DyadicBlock:
-    index: int
-    frequencies: np.ndarray  # points of the block, lattice order
 
 
 def block_index(squared_norm, block_weight: str = "abs"):
@@ -73,35 +72,39 @@ def block_sums(blocks: np.ndarray, terms: np.ndarray) -> tuple[list[int], list[f
     return [int(blocks[a]) for a in starts], [fsum(terms[a:b]) for a, b in zip(starts, ends)]
 
 
-def dyadic_blocks(
+def block_norms(
     c: FourierCoefficients,
-    grid_size: int | None = None,
+    p: float,
+    grid_size: int,
     block_weight: str = "abs",
-) -> list[tuple[DyadicBlock, PeriodicFunction]]:
-    """Partition coefficients into dyadic blocks and synthesize each piece.
+) -> list[tuple[int, float]]:
+    """(m, ||block_m||_{L^p}) for each dyadic block m of ``c``'s lattice, ascending.
 
-    The per-block functions sum to the full synthesis of ``c``.
+    Every block is scattered into one (blocks, M, ..) array at ``points % M``,
+    one inverse FFT runs over the grid axes, and each row is reduced by
+    ``lp_norm``.  Memory: blocks x M^dim x 16 bytes, twice over for the FFT's
+    output.
     """
     lattice = c.lattice
-    if grid_size is None:
-        grid_size = min_grid_size(lattice.radius)
+    _require_margin(grid_size, lattice.radius, "block_norms")
     blocks = block_index(lattice.squared_norms(), block_weight)
-    out = []
-    for m in np.flatnonzero(np.bincount(blocks)):  # not np.unique: ~15 ms first call
-        idx = np.flatnonzero(blocks == m)
-        piece = partial_inverse(c, idx, grid_size)
-        out.append((DyadicBlock(int(m), lattice.points[idx]), piece))
-    return out
+    present = np.flatnonzero(np.bincount(blocks))  # not np.unique: ~15 ms first call
+    cube = np.zeros((len(present),) + (grid_size,) * lattice.dim, dtype=np.complex128)
+    cube[(np.searchsorted(present, blocks), *(lattice.points % grid_size).T)] = c.coeffs
+    pieces = np.fft.ifftn(cube, axes=tuple(range(1, lattice.dim + 1)), norm="forward")
+    return [
+        (int(m), lp_norm(PeriodicFunction(lattice.dim, grid_size, piece), p))
+        for m, piece in zip(present, pieces)
+    ]
 
 
-def besov_norm(
-    f: PeriodicFunction,
-    params: BesovParams,
-    lattice: FrequencyLattice,
-    block_weight: str = "abs",
-) -> float:
-    """(sum_m 2^{mwq} ||block_m f||_{L^p}^q)^{1/q}; q = inf takes the sup over m."""
-    return coefficient_norm(forward_transform(f, lattice), params, f.grid_size, block_weight)
+def weighted_norm(table: list[tuple[int, float]], params: BesovParams) -> float:
+    """(sum_m 2^{mwq} n_m^q)^{1/q} of a ``block_norms`` table; q = inf takes the sup over m."""
+    weighted = [(2.0 ** (m * params.w)) * norm for m, norm in table]
+    if params.q == math.inf:
+        return max(weighted, default=0.0)
+    total = fsum(t**params.q for t in weighted)
+    return float(total ** (1.0 / params.q))
 
 
 def coefficient_norm(
@@ -112,27 +115,17 @@ def coefficient_norm(
 ) -> float:
     """The dyadic-block norm of the function with coefficients ``c``, each block
     synthesized on a ``grid_size`` grid for its L^p norm."""
-    pieces = dyadic_blocks(c, grid_size=grid_size, block_weight=block_weight)
-    weighted = [
-        (2.0 ** (block.index * params.w)) * lp_norm(piece, params.p)
-        for block, piece in pieces
-    ]
-    if params.q == math.inf:
-        return max(weighted, default=0.0)
-    total = fsum(t**params.q for t in weighted)
-    return float(total ** (1.0 / params.q))
+    return weighted_norm(block_norms(c, params.p, grid_size, block_weight), params)
 
 
-def block_norm_table(
+def besov_norm(
     f: PeriodicFunction,
-    p: float,
+    params: BesovParams,
     lattice: FrequencyLattice,
     block_weight: str = "abs",
-) -> list[tuple[int, float]]:
-    """(m, ||block_m f||_{L^p}) rows for export."""
-    c = forward_transform(f, lattice)
-    pieces = dyadic_blocks(c, grid_size=f.grid_size, block_weight=block_weight)
-    return [(block.index, lp_norm(piece, p)) for block, piece in pieces]
+) -> float:
+    """(sum_m 2^{mwq} ||block_m f||_{L^p}^q)^{1/q}; q = inf takes the sup over m."""
+    return coefficient_norm(forward_transform(f, lattice), params, f.grid_size, block_weight)
 
 
 def holder_norm(f: PeriodicFunction, w: float) -> float:
@@ -182,8 +175,7 @@ def fourier_embedding_ratio(
         lattice = FrequencyLattice(f.dim, max_alias_free_radius(f.grid_size))
     c = forward_transform(f, lattice)
     numerator = float(fsum(np.abs(c.coeffs) ** beta) ** (1.0 / beta))
-    params = BesovParams(alpha * f.dim, p1, beta)
-    denominator = besov_norm(f, params, lattice)
+    denominator = coefficient_norm(c, BesovParams(alpha * f.dim, p1, beta), f.grid_size)
     if denominator == 0.0:
         raise ValueError("zero Besov norm: the ratio needs a nonzero function")
     return numerator / denominator

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .besov import BLOCK_WEIGHTS, BesovParams, besov_norm, block_norm_table
+from .besov import BLOCK_WEIGHTS, BesovParams, block_norms, weighted_norm
 from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
     bessel_tail,
@@ -36,6 +36,7 @@ from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
+    forward_transform,
     inverse_transform,
     min_grid_size,
 )
@@ -53,7 +54,7 @@ from .symbols import (
     heat_symbol,
     modulated_symbol,
 )
-from .traces import compression_radius, lidskii_compare, nuclear_trace, spectral_trace, tail_estimate
+from .traces import lidskii_compare, nuclear_trace, spectral_trace, tail_estimate
 
 SCHEMA_VERSION = 1
 NORMALIZATION_NOTE = (
@@ -362,7 +363,7 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
     a = build_symbol(args)
     radii = _parse_int_list(args.radii, "--radii")
     _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
-    _require_side(a.dim, compression_radius(a, radii))
+    _require_side(a.dim, max(radii))
     report = lidskii_compare(a, radii)
     history = [
         {
@@ -407,13 +408,12 @@ def _run_besov_norm(args) -> tuple[dict, dict, str | None]:
     f = build_function(args, analysis_radius=args.radius)
     lattice = FrequencyLattice(f.dim, args.radius)
     params = BesovParams(args.w, args.p, args.q)
-    value = besov_norm(f, params, lattice, args.block_weight)
-    blocks = block_norm_table(f, args.p, lattice, args.block_weight)
+    blocks = block_norms(forward_transform(f, lattice), args.p, f.grid_size, args.block_weight)
     body = {
         "w": args.w,
         "p": args.p,
         "q": args.q,
-        "norm": value,
+        "norm": weighted_norm(blocks, params),
         "blocks": [{"m": m, "lp_norm": v} for m, v in blocks],
     }
     csv_text = render_csv("m,block_lp_norm", [[m, v] for m, v in blocks])

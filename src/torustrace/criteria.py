@@ -136,12 +136,12 @@ def lr_seminorm(a: np.ndarray, r: float) -> float:
 
 
 def _lattice_power_sums(n: int, exponent: float, radii: list[int]) -> list[float]:
-    """Partial sums of sum_{|xi|_inf <= R} <xi>^exponent."""
-    out = []
-    for radius in radii:
-        lat = FrequencyLattice(n, radius)
-        out.append(fsum(lat.brackets() ** exponent))
-    return out
+    """Partial sums of sum_{|xi|_inf <= R} <xi>^exponent, each over a nested box
+    of the largest lattice."""
+    lat = FrequencyLattice(n, max(radii))
+    terms = lat.brackets() ** exponent
+    sup = np.abs(lat.points).max(axis=1)
+    return [fsum(terms[sup <= radius]) for radius in radii]
 
 
 def power_tail_bound(n: int, exponent: float, radius: int) -> float:

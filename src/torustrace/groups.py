@@ -21,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm, block_index, block_sums
+from .besov import BesovParams, block_index, block_sums, coefficient_norm
 from .criteria import shell_ratios
 from .harmonic import (
+    FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
+    box_points,
     forward_transform,
     max_alias_free_radius,
-    partial_inverse,
 )
 from .sums import fsum, fsum_complex
 
@@ -110,11 +111,10 @@ def enumerate_dual(
             "lower the cutoff"
         )
     if group == "torus":
-        radius = math.floor(cutoff)
-        axis = np.arange(-radius, radius + 1, dtype=np.int64)
-        labels = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        labels = box_points(dim, math.floor(cutoff))
         lam = np.sum(labels * labels, axis=1).astype(np.float64)
-        order = np.lexsort((*labels.T[::-1], lam))  # last key is the primary one
+        # the box is in label order already, so a stable sort on lambda breaks ties by label
+        order = np.argsort(lam, kind="stable")
         labels, lam = labels[order], lam[order]
         d = np.ones(lam.shape[0], dtype=np.int64)
     else:
@@ -217,6 +217,8 @@ def partial_sum_convergence(
     S_N keeps the frequencies with <xi> <= N, the finite-rank truncations whose
     strong convergence underlies the approximation property.  For a
     trigonometric polynomial of degree D the error vanishes once N >= <D>.
+    The residual f - S_N f is normed from f's coefficients with the kept ones
+    zeroed: one transform for all N.
     """
     if lattice is None:
         lattice = FrequencyLattice(f.dim, max_alias_free_radius(f.grid_size))
@@ -225,7 +227,6 @@ def partial_sum_convergence(
     rows: list[tuple[float, float]] = []
     for n_cut in n_values:
         n_cut = float(n_cut)
-        residual_idx = np.nonzero(1.0 + sq > n_cut * n_cut)[0]
-        residual = partial_inverse(c, residual_idx, f.grid_size)
-        rows.append((n_cut, besov_norm(residual, besov, lattice, block_weight)))
+        residual = FourierCoefficients(lattice, np.where(1.0 + sq > n_cut * n_cut, c.coeffs, 0.0))
+        rows.append((n_cut, coefficient_norm(residual, besov, f.grid_size, block_weight)))
     return rows

@@ -14,14 +14,16 @@ Transforms run as one FFT on the ``M^dim`` grid cube, with lattice point
 ``xi`` stored at cube index ``xi mod M``; the margin keeps wrapped indices
 distinct.  FFT output is byte-identical across runs of one build but, unlike
 the ``math.fsum`` scalar reductions, depends on summation order in the last
-bits.
+bits.  Partial syntheses (one dyadic block at a time) live in
+``besov.block_norms``, which runs all blocks through one batched inverse FFT.
+``box_points`` is the one enumeration of an integer max-norm box: the lattice
+and the torus dual (``groups``) both build their points with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -40,6 +42,13 @@ def max_alias_free_radius(grid_size: int) -> int:
     return max((grid_size - 2) // 4, 0)
 
 
+def box_points(dim: int, radius: int) -> np.ndarray:
+    """Integer points |p|_inf <= radius of Z^dim in lexicographic order, coordinate
+    values running from -radius to +radius, as a C-ordered (n, dim) int64 array."""
+    box = np.indices((2 * radius + 1,) * dim, dtype=np.int64) - radius
+    return box.reshape(dim, -1).T.copy()
+
+
 class FrequencyLattice:
     """Truncated integer lattice {xi in Z^dim : |xi|_inf <= radius}.
 
@@ -55,8 +64,7 @@ class FrequencyLattice:
             raise ValueError(f"lattice radius must be >= 0, got {radius}")
         self.dim = int(dim)
         self.radius = int(radius)
-        rng = range(-self.radius, self.radius + 1)
-        self.points = np.array(list(product(rng, repeat=self.dim)), dtype=np.int64)
+        self.points = box_points(self.dim, self.radius)
         self.points.setflags(write=False)
 
     def __len__(self) -> int:
@@ -198,27 +206,14 @@ def forward_transform(f: PeriodicFunction, lattice: FrequencyLattice) -> Fourier
     return FourierCoefficients(lattice, cube[tuple((lattice.points % f.grid_size).T)])
 
 
-def _synthesize(points: np.ndarray, coeffs: np.ndarray, dim: int, grid_size: int) -> PeriodicFunction:
-    """f(x_i) = sum_k e^{i2pi<x_i, p_k>} coeffs[k] by one inverse FFT; the points
-    must be distinct modulo grid_size."""
-    cube = np.zeros((grid_size,) * dim, dtype=np.complex128)
-    cube[tuple((points % grid_size).T)] = coeffs
-    return PeriodicFunction(dim, grid_size, np.fft.ifftn(cube, norm="forward").reshape(-1))
-
-
 def inverse_transform(c: FourierCoefficients, grid_size: int) -> PeriodicFunction:
-    """Synthesis f(x_i) = sum_xi e^{i2pi<x_i, xi>} c[xi] on an M-point grid."""
+    """Synthesis f(x_i) = sum_xi e^{i2pi<x_i, xi>} c[xi] on an M-point grid, by one
+    inverse FFT of the cube holding c[xi] at ``xi mod M``."""
     _require_margin(grid_size, c.lattice.radius, "inverse_transform")
-    return _synthesize(c.lattice.points, c.coeffs, c.lattice.dim, grid_size)
-
-
-def partial_inverse(
-    c: FourierCoefficients, indices: np.ndarray, grid_size: int
-) -> PeriodicFunction:
-    """Inverse transform restricted to the given lattice indices."""
-    _require_margin(grid_size, c.lattice.radius, "partial_inverse")
-    idx = np.asarray(indices, dtype=np.int64)
-    return _synthesize(c.lattice.points[idx], c.coeffs[idx], c.lattice.dim, grid_size)
+    dim = c.lattice.dim
+    cube = np.zeros((grid_size,) * dim, dtype=np.complex128)
+    cube[tuple((c.lattice.points % grid_size).T)] = c.coeffs
+    return PeriodicFunction(dim, grid_size, np.fft.ifftn(cube, norm="forward").reshape(-1))
 
 
 def lp_norm(f: PeriodicFunction, p: float) -> float:

@@ -505,8 +505,10 @@ def symbol_fourier(a: Symbol, eta, xi) -> complex:
 def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
     """Table hat{a}(eta_r, xi_l) of shape (R, L) over explicit eta rows.
 
-    For sampled symbols, eta outside the alias-free window |eta|_inf <= M//2 is
-    outside the admissible difference range and reported as 0.
+    A sampled symbol answers any lattice inside its table's: the lattice's
+    columns are taken from the table and only those are transformed.  Eta
+    outside the alias-free window |eta|_inf <= M//2 is outside the admissible
+    difference range and reported as 0.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
     out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
@@ -518,14 +520,15 @@ def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> n
             out[on_axis & (etas[:, 0] == k)] = coef * g
         return out
     if isinstance(a, SampledSymbol):
-        if lattice != a.lattice:
+        if lattice.dim != a.dim or lattice.radius > a.lattice.radius:
             raise ValueError(
                 f"sampled symbol is tabulated on lattice radius {a.lattice.radius} "
-                f"(dim {a.lattice.dim}), not the requested radius {lattice.radius} "
-                f"(dim {lattice.dim})"
+                f"(dim {a.lattice.dim}), which does not hold the requested radius "
+                f"{lattice.radius} (dim {lattice.dim}); request at most radius {a.lattice.radius}"
             )
         m = a.grid_size
-        cube = a.table.reshape((m,) * a.dim + (len(lattice),))
+        columns = a.table if lattice == a.lattice else a.table[:, a.lattice.indices_of(lattice.points)]
+        cube = columns.reshape((m,) * a.dim + (len(lattice),))
         spectrum = np.fft.fftn(cube, axes=tuple(range(a.dim)), norm="forward")
         window = np.abs(etas).max(axis=1) <= m // 2
         out[window] = spectrum[tuple((etas[window] % m).T)]

@@ -5,8 +5,9 @@ exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).  Growing
 the radius and watching the nuclear-trace increments gives an empirical tail;
 non-summable symbols are not rejected, their divergence is surfaced in the
 per-radius history.  ``lidskii_compare`` reads every radius from a nested
-sub-block of one compression, at the largest radius or a sampled table's.  The
-integral-test tail bound is ``criteria.power_tail_bound`` times the envelope.
+sub-block of one compression at the largest radius; a sampled table answers
+any radius up to its own.  The integral-test tail bound is
+``criteria.power_tail_bound`` times the envelope.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .criteria import power_tail_bound
 from .harmonic import FrequencyLattice
 from .quantize import OperatorMatrix, eigenvalues, operator_matrix
 from .sums import fsum_complex
-from .symbols import SampledSymbol, Symbol, x_fourier_table
+from .symbols import Symbol, x_fourier_table
 
 
 @dataclass
@@ -68,16 +69,11 @@ def _increments_converged(increments: list[float]) -> bool | None:
     return True
 
 
-def compression_radius(a: Symbol, radii: list[int]) -> int:
-    """The largest of ``radii``, or a sampled symbol's table radius if larger."""
-    return max(max(radii), a.lattice.radius if isinstance(a, SampledSymbol) else 0)
-
-
 def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     """Nuclear and spectral traces across increasing radii.
 
-    The compression is built once, at ``compression_radius``; the compression
-    at each radius is its sub-block on the nested lattice.  Successive
+    The compression is built once, at the largest radius; the compression at
+    each radius is its sub-block on the nested lattice.  Successive
     nuclear-trace increments serve as the empirical truncation tail; a history
     whose increments fail to shrink geometrically is flagged as non-convergent
     rather than rejected.
@@ -87,7 +83,7 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
         raise ValueError("need at least one radius")
     if any(b <= s for s, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
-    outer = operator_matrix(a, FrequencyLattice(a.dim, compression_radius(a, radii)))
+    outer = operator_matrix(a, FrequencyLattice(a.dim, radii[-1]))
     history: list[RadiusRecord] = []
     for radius in radii:
         lattice = FrequencyLattice(a.dim, radius)

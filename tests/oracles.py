@@ -5,6 +5,12 @@ with explicit phases, reduced term by term through ``math.fsum``, or a
 per-column loop.  The package computes the same quantities by FFT and index
 gathers; the tests in ``test_spectral_oracles.py`` compare the two.
 
+Dyadic blocks: one inverse FFT per block, each block's L^p norm reduced on
+its own, and the partial-sum errors by synthesizing each residual and
+transforming it again.  The package scatters all blocks into one batched
+inverse FFT and norms residuals from masked coefficients; ``test_besov.py``
+compares the two.
+
 Dual series: one ``DualPoint`` object per point of the unitary dual, walked
 point by point with ``math`` functions and per-point dyadic binning.  The
 package holds the dual as numpy arrays; ``test_dual_oracles.py`` compares the
@@ -31,7 +37,7 @@ from itertools import product
 import numpy as np
 
 from torustrace import harmonic
-from torustrace.besov import besov_norm
+from torustrace.besov import besov_norm, block_index
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
@@ -61,23 +67,45 @@ def forward_transform(f: PeriodicFunction, lattice: FrequencyLattice) -> Fourier
     return FourierCoefficients(lattice, _exact_column_sums(terms) / (f.grid_size**f.dim))
 
 
-def partial_inverse(
-    c: FourierCoefficients, indices: np.ndarray, grid_size: int
-) -> PeriodicFunction:
-    dim = c.lattice.dim
-    f = PeriodicFunction(dim, grid_size, np.zeros(grid_size**dim))
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return f
-    x = _grid(dim, grid_size)
-    pts = c.lattice.points[idx].astype(np.float64)
-    phases = np.exp(1j * TWO_PI * (x @ pts.T))
-    f.values = _exact_column_sums((phases * c.coeffs[idx][None, :]).T)
-    return f
-
-
 def inverse_transform(c: FourierCoefficients, grid_size: int) -> PeriodicFunction:
-    return partial_inverse(c, np.arange(len(c.lattice)), grid_size)
+    x = _grid(c.lattice.dim, grid_size)
+    phases = np.exp(1j * TWO_PI * (x @ c.lattice.points.T.astype(np.float64)))
+    return PeriodicFunction(c.lattice.dim, grid_size, _exact_column_sums((phases * c.coeffs[None, :]).T))
+
+
+# ---------------------------------------------------------------------------
+# Dyadic blocks, one synthesis per block
+# ---------------------------------------------------------------------------
+
+
+def dyadic_blocks(
+    c: FourierCoefficients, grid_size: int, block_weight: str = "abs"
+) -> list[tuple[int, np.ndarray, PeriodicFunction]]:
+    """(m, the block's points, the block's synthesis) per dyadic block m, ascending;
+    each block synthesized by its own inverse transform, the coefficients outside
+    it zeroed.  The pieces sum to the synthesis of ``c``."""
+    lattice = c.lattice
+    blocks = block_index(lattice.squared_norms(), block_weight)
+    out = []
+    for m in sorted(set(blocks.tolist())):
+        inside = FourierCoefficients(lattice, np.where(blocks == m, c.coeffs, 0))
+        out.append((m, lattice.points[blocks == m], harmonic.inverse_transform(inside, grid_size)))
+    return out
+
+
+def partial_sum_errors(
+    f: PeriodicFunction, besov, n_values, lattice: FrequencyLattice, block_weight: str = "abs"
+) -> list[tuple[float, float]]:
+    """(N, ||f - S_N f||_B): each residual synthesized on f's grid, then normed by
+    ``besov_norm`` through its own forward transform."""
+    c = harmonic.forward_transform(f, lattice)
+    sq = lattice.squared_norms().astype(np.float64)
+    rows = []
+    for n_cut in map(float, n_values):
+        residual = FourierCoefficients(lattice, np.where(1.0 + sq > n_cut * n_cut, c.coeffs, 0))
+        g = harmonic.inverse_transform(residual, f.grid_size)
+        rows.append((n_cut, besov_norm(g, besov, lattice, block_weight)))
+    return rows
 
 
 def sampled_x_fourier_table(a, etas: np.ndarray) -> np.ndarray:

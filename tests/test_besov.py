@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from torustrace.besov import (
     BesovParams,
     besov_norm,
     block_index,
-    dyadic_blocks,
+    block_norms,
     fourier_embedding_ratio,
     holder_norm,
 )
+from torustrace.groups import partial_sum_convergence
 from torustrace.harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -43,42 +48,105 @@ class TestBlockIndex:
 
 
 class TestDyadicBlocks:
+    """Block norms from ``block_norms``; the partition itself from the per-block oracle."""
+
     def test_character_four_single_block(self):
         f, lat = character(4, radius=8)
-        blocks = dyadic_blocks(forward_transform(f, lat))
-        nonempty = [(b.index, lp_norm(piece, 2)) for b, piece in blocks if lp_norm(piece, 2) > 1e-12]
+        nonempty = [(m, v) for m, v in block_norms(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12]
         assert [m for m, _ in nonempty] == [2]
 
     def test_constant_block_zero(self):
         f, lat = bandlimited({0: 1.0}, radius=4)
-        blocks = dyadic_blocks(forward_transform(f, lat))
-        nonempty = [b.index for b, piece in blocks if lp_norm(piece, 2) > 1e-12]
+        nonempty = [m for m, v in block_norms(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12]
         assert nonempty == [0]
 
     def test_two_characters_two_blocks(self):
         f, lat = bandlimited({1: 1.0, 5: 1.0}, radius=8)
-        blocks = dyadic_blocks(forward_transform(f, lat))
-        nonempty = sorted(b.index for b, piece in blocks if lp_norm(piece, 2) > 1e-12)
+        nonempty = sorted(m for m, v in block_norms(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12)
         assert nonempty == [0, 2]
 
     def test_partition_sums_to_function(self, rng):
         lat = FrequencyLattice(1, 8)
         f = random_bandlimited(lat, min_grid_size(8), rng)
-        blocks = dyadic_blocks(forward_transform(f, lat), grid_size=f.grid_size)
+        blocks = oracles.dyadic_blocks(forward_transform(f, lat), f.grid_size)
         total = np.zeros_like(f.values)
-        for _, piece in blocks:
+        for _, _, piece in blocks:
             total = total + piece.values
         assert np.abs(total - f.values).max() <= 1e-12 * max(1.0, np.abs(f.values).max())
 
     def test_blocks_partition_lattice(self):
         lat = FrequencyLattice(2, 5)
-        blocks = dyadic_blocks(
-            FourierCoefficients(lat, np.ones(len(lat), dtype=complex))
+        blocks = oracles.dyadic_blocks(
+            FourierCoefficients(lat, np.ones(len(lat), dtype=complex)), min_grid_size(5)
         )
-        seen = np.vstack([b.frequencies for b, _ in blocks])
+        seen = np.vstack([points for _, points, _ in blocks])
         assert seen.shape[0] == len(lat)
-        max_block = max(b.index for b, _ in blocks)
+        max_block = max(m for m, _, _ in blocks)
         assert 2**max_block <= math.sqrt(2) * 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 0), (1, 1), (1, 5), (1, 16), (1, 40), (2, 0), (2, 1), (2, 3), (2, 7)]),
+    extra=st.integers(0, 3),  # odd and even grids
+    p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    block_weight=st.sampled_from(["abs", "bracket"]),
+    zero=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_block_norms_match_per_block_synthesis(shape, extra, p, block_weight, zero, seed):
+    # one batched inverse FFT gives the per-block FFT's norms bit for bit
+    dim, radius = shape
+    lat = FrequencyLattice(dim, radius)
+    grid = min_grid_size(radius) + extra
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(len(lat)) if zero else rng.standard_normal(len(lat)) + 1j * rng.standard_normal(len(lat))
+    c = FourierCoefficients(lat, coeffs)
+    want = [(m, lp_norm(piece, p)) for m, _, piece in oracles.dyadic_blocks(c, grid, block_weight)]
+    assert block_norms(c, p, grid, block_weight) == want
+
+
+def test_block_norms_refuse_an_aliasing_grid():
+    lat = FrequencyLattice(1, 4)
+    with pytest.raises(ValueError, match="anti-aliasing margin"):
+        block_norms(FourierCoefficients(lat, np.ones(len(lat))), 2.0, min_grid_size(4) - 1)
+
+
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / math.ulp(want) if want else abs(got) / math.ulp(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (1, 6), (1, 19), (2, 1), (2, 4), (2, 6)]),
+    extra=st.integers(0, 3),
+    w=st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
+    p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    q=st.sampled_from([1.0, 2.0, math.inf]),
+    block_weight=st.sampled_from(["abs", "bracket"]),
+    seed=st.integers(0, 2**31),
+)
+def test_partial_sum_errors_match_resynthesis(shape, extra, w, p, q, block_weight, seed):
+    # masking coefficients skips a synthesis and a transform, each rounding in the
+    # last bits; over 25000 random rows the two paths differed by at most 6 ulp
+    dim, radius = shape
+    lat = FrequencyLattice(dim, radius)
+    f = random_bandlimited(lat, min_grid_size(radius) + extra, np.random.default_rng(seed))
+    params, n_values = BesovParams(w, p, q), [0.5, 1, 2, 3.5, 5, 8, 100]
+    got = partial_sum_convergence(f, params, n_values, lat, block_weight)
+    want = oracles.partial_sum_errors(f, params, n_values, lat, block_weight)
+    assert [n for n, _ in got] == [n for n, _ in want]
+    assert max(_ulps(g, e) for (_, g), (_, e) in zip(got, want)) <= 8
+
+
+def test_readme_partial_sum_errors_within_two_ulp():
+    # the README approx-demo: sum_{|xi| <= 8} <xi>^-2 e_xi, w = 0, p = q = 2
+    lat = FrequencyLattice(1, 8)
+    f = inverse_transform(FourierCoefficients(lat, lat.brackets() ** -2.0), min_grid_size(8))
+    params, n_values = BesovParams(0.0, 2.0, 2.0), [1, 2, 4, 8, 9]
+    got = partial_sum_convergence(f, params, n_values, lat)
+    want = oracles.partial_sum_errors(f, params, n_values, lat)
+    assert all(_ulps(g, e) <= 2 for (_, g), (_, e) in zip(got, want))
 
 
 class TestBesovNorm:

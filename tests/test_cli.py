@@ -1,7 +1,11 @@
 """End-to-end CLI coverage: every subcommand, exit codes, schemas, determinism."""
 
+import importlib
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +325,43 @@ class TestApproxDemoCommand:
         assert code == 2
 
 
+class TestDyadicCommandTransforms:
+    """One forward transform per command, and one inverse FFT per block table: the
+    FFT entry points are counted while a file input (no synthesis of its own) runs."""
+
+    @pytest.fixture
+    def ffts(self, monkeypatch, path):  # after the input file is written
+        counts = {"fftn": 0, "ifftn": 0}
+        for name in counts:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return counts
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        f, _ = bandlimited({0: 1.0, 1: 1.0, 3: 0.5, 7: 0.25}, radius=8)
+        path = tmp_path / "f.json"
+        save_periodic_function(f, str(path))
+        return str(path)
+
+    def test_besov_norm_one_transform_one_synthesis(self, capsys, ffts, path):
+        doc = run_json(capsys, ["besov-norm", "--input", path, "--w", "1", "--p", "3", "--q", "2",
+                                "--radius", "8"])
+        assert [b["m"] for b in doc["body"]["blocks"]] == [0, 1, 2, 3]
+        assert ffts == {"fftn": 1, "ifftn": 1}
+
+    def test_approx_demo_one_transform(self, capsys, ffts, path):
+        doc = run_json(capsys, ["approx-demo", "--input", path, "--w", "0", "--p", "2", "--q", "2",
+                                "--radius", "8", "--n-values", "1,2,4,8,9"])
+        assert len(doc["body"]["table"]) == 5
+        assert ffts == {"fftn": 1, "ifftn": 5}
+
+
 class TestApproxDemoNValues:
     @pytest.mark.parametrize("values", ["nan,2", "1,inf", "2,-inf", "1,two"])
     def test_non_finite_or_malformed_exit_2(self, capsys, values):
@@ -360,18 +401,31 @@ class TestMatrixSideGuard:
         assert code == 2 and out == ""
         assert "lower --radius" in err and "4096" in err
 
-    def test_sampled_lidskii_checks_the_table_side(self, capsys, tmp_path, monkeypatch, tripwires):
-        # radii 1,2 give side 25, but the compression is built at the table radius 4 (side 81)
-        import torustrace.cli as cli
-
+    @staticmethod
+    def _radius_4_table(tmp_path) -> str:
         path = tmp_path / "a.json"
         save_sampled_symbol(
             sample_symbol(bessel_symbol(-4.0, 2), min_grid_size(4), FrequencyLattice(2, 4)), str(path)
         )
+        return str(path)
+
+    def test_sampled_lidskii_checks_the_table_side(self, capsys, tmp_path, monkeypatch, tripwires):
+        # radii 1,4 reach the table radius 4: side 81, above a guard of 50
+        import torustrace.cli as cli
+
         monkeypatch.setattr(cli, "EIGEN_SIDE_LIMIT", 50)
-        code, out, err = run(capsys, ["lidskii", "--symbol-file", str(path), "--radii", "1,2"])
+        code, out, err = run(capsys, ["lidskii", "--symbol-file", self._radius_4_table(tmp_path), "--radii", "1,4"])
         assert code == 2 and out == ""
         assert "radius 4 in dim 2 gives matrix side 81" in err
+
+    def test_sampled_lidskii_below_the_table_side_runs(self, capsys, tmp_path, monkeypatch):
+        # radii 1,2 give side 25: the compression is built at radius 2, not at the table's 4
+        import torustrace.cli as cli
+
+        monkeypatch.setattr(cli, "EIGEN_SIDE_LIMIT", 50)
+        code, out, err = run(capsys, ["lidskii", "--symbol-file", self._radius_4_table(tmp_path), "--radii", "1,2"])
+        assert code == 0, err
+        assert [rec["radius"] for rec in json.loads(out)["body"]["history"]] == [1, 2]
 
     @pytest.mark.parametrize("argv", [
         ["trace", "--symbol", "bessel", "--m", "-4", "--dim", "1", "--radius", "2047"],
@@ -462,6 +516,18 @@ class TestNonFiniteFlags:
 
 
 class TestCliContract:
+    def test_console_script_target_runs(self, capsys, monkeypatch):
+        # the [project.scripts] target an install puts on PATH as `torustrace`
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        module, func = re.search(r'^torustrace = "([\w.]+):(\w+)"$', text, re.M).groups()
+        entrypoint = getattr(importlib.import_module(module), func)
+        monkeypatch.setattr(sys, "argv", ["torustrace", "besov-norm", "--character", "4", "--w", "1",
+                                          "--p", "2", "--q", "2", "--radius", "8"])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["body"]["norm"] == pytest.approx(4.0, abs=1e-10)
+
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run(capsys, ["trace", "--symbol", "bessel", "--m", "-4",
                                   "--radius", "4", "--no-such-flag"])

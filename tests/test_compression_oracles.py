@@ -6,7 +6,9 @@ oracle in ``oracles`` samples every H_xi and forward-transforms it.  The two
 sum the same norms of coefficients that differ only by FFT rounding, so they
 agree to 1e-13 relative.  ``traces.lidskii_compare`` slices one compression;
 its records must equal the per-radius traces exactly, and for a sampled table
-they must match the quadrature and whole-matrix oracles.
+they must match the quadrature and whole-matrix oracles.  A sampled table
+answers every radius up to its own: the compression at a smaller radius is
+the sub-block of the table-radius compression, bit for bit.
 """
 
 import json
@@ -23,7 +25,7 @@ from torustrace.cli import main
 from torustrace.criteria import nuclear_quasinorm_bound
 from torustrace.harmonic import FrequencyLattice
 from torustrace.io import save_sampled_symbol
-from torustrace.quantize import compression
+from torustrace.quantize import compression, operator_matrix
 from torustrace.symbols import (
     BracketPower,
     GaussianDecay,
@@ -122,7 +124,7 @@ def _oracle_traces(a: SampledSymbol, radius: int) -> tuple[complex, complex]:
 
 @pytest.mark.parametrize("dim, grid, radius, radii", [
     (1, 32, 16, "4,8,16"), (2, 12, 4, "1,2,4"),
-    # largest radius below the table's: sub-blocks of the table-radius compression
+    # largest radius below the table's: the compression is built from the table's columns
     (1, 32, 16, "4,8"), (2, 12, 4, "1,2"), (2, 12, 4, "0"),
 ])
 def test_sampled_lidskii_runs_below_table_radius(capsys, tmp_path, dim, grid, radius, radii):
@@ -143,6 +145,41 @@ def test_sampled_lidskii_runs_below_table_radius(capsys, tmp_path, dim, grid, ra
         nuclear, spectral = _oracle_traces(a, rec["radius"])
         assert abs(complex(*rec["nuclear"]) - nuclear) <= 1e-12 * (1.0 + abs(nuclear))
         assert abs(complex(*rec["spectral"]) - spectral) <= 1e-11 * (1.0 + abs(spectral))
+
+
+@pytest.mark.parametrize("dim, grid, radius", [(1, 32, 16), (1, 7, 5), (2, 12, 4), (2, 7, 3)])
+def test_sampled_matrix_below_table_radius_is_a_sub_block(dim, grid, radius):
+    rng = np.random.default_rng(7)
+    lattice = FrequencyLattice(dim, radius)
+    a = SampledSymbol(dim, grid, lattice, rng.standard_normal((grid**dim, len(lattice))) + 0j)
+    full = operator_matrix(a, lattice).entries
+    for r in range(radius + 1):
+        smaller = FrequencyLattice(dim, r)
+        idx = lattice.indices_of(smaller.points)
+        assert np.array_equal(operator_matrix(a, smaller).entries, full[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("dim, grid, radius, below", [(1, 32, 16, 5), (2, 12, 4, 2), (2, 12, 4, 0)])
+def test_sampled_trace_and_spectrum_run_below_table_radius(capsys, tmp_path, dim, grid, radius, below):
+    catalog = modulated_symbol(2.0, BracketPower(-4.0), dim)
+    a = sample_symbol(catalog, grid, FrequencyLattice(dim, radius))
+    path = tmp_path / "symbol.json"
+    save_sampled_symbol(a, str(path))
+    code = main(["trace", "--symbol-file", str(path), "--radius", str(below), "--certify-w", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    doc = json.loads(captured.out)
+    nuclear, spectral = _oracle_traces(a, below)
+    assert abs(complex(*doc["body"]["nuclear_trace"]) - nuclear) <= 1e-12 * (1.0 + abs(nuclear))
+    assert abs(complex(*doc["body"]["spectral_trace"]) - spectral) <= 1e-11 * (1.0 + abs(spectral))
+    bound = nuclear_quasinorm_bound(catalog, 1.0, BesovParams(1.0, 2.0, 2.0), FrequencyLattice(dim, below))
+    assert abs(doc["diagnostics"]["quasinorm_certificate"]["bound"] - bound) <= 1e-12 * bound
+    code = main(["spectrum", "--symbol-file", str(path), "--radius", str(below)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    eigs = [complex(*v) for v in json.loads(captured.out)["body"]["eigenvalues"]]
+    assert len(eigs) == (2 * below + 1) ** dim
+    assert abs(sum(eigs) - spectral) <= 1e-11 * (1.0 + abs(spectral))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from torustrace.besov import BesovParams
 from torustrace.criteria import (
     Clause,
+    _lattice_power_sums,
     check_t1,
     check_t2,
     check_tt1,
@@ -91,6 +92,12 @@ class TestCheckT1:
         assert v.witness.partial_sums[-1] == pytest.approx(
             fsum((1.0 + k * k) ** -2.0 for k in range(-64, 65)), abs=1e-14
         )
+
+    @pytest.mark.parametrize("n, radii", [(1, [4, 8, 16, 32, 64]), (2, [2, 4, 8, 16])])
+    def test_witness_sums_over_nested_boxes_equal_per_radius_sums(self, n, radii):
+        # one lattice at the largest radius, summed over nested boxes, exactly rounded
+        want = [fsum(FrequencyLattice(n, r).brackets() ** -4.5) for r in radii]
+        assert _lattice_power_sums(n, -4.5, radii) == want
 
     def test_order_clause_fails_at_equality(self):
         v = check_t1(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=-1.0, w2=0.0)

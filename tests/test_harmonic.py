@@ -1,6 +1,7 @@
 """Transforms, brackets and L^p norms: oracle values and invariants."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from torustrace.harmonic import (
     FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
+    box_points,
     forward_transform,
     inverse_transform,
     japanese_bracket,
@@ -21,6 +23,15 @@ from torustrace.harmonic import (
 from torustrace.sums import fsum
 
 from conftest import bandlimited, character
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_box_points_are_the_lexicographic_box(dim, radius):
+    points = box_points(dim, radius)
+    want = np.array(list(product(range(-radius, radius + 1), repeat=dim)), dtype=np.int64)
+    assert np.array_equal(points, want.reshape(-1, dim))
+    assert points.dtype == np.int64 and points.flags.c_contiguous
 
 
 class TestFrequencyLattice:

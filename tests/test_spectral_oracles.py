@@ -20,7 +20,6 @@ from torustrace.harmonic import (
     forward_transform,
     inverse_transform,
     min_grid_size,
-    partial_inverse,
 )
 from torustrace.quantize import operator_matrix
 from torustrace.symbols import (
@@ -69,28 +68,6 @@ def test_inverse_transform(shape, extra, seed):
     grid = min_grid_size(radius) + extra
     c = FourierCoefficients(lat, _complex(np.random.default_rng(seed), len(lat)))
     _close(inverse_transform(c, grid).values, oracles.inverse_transform(c, grid).values)
-
-
-@settings(max_examples=30, deadline=None)
-@given(shape=shapes, extra=st.integers(0, 3), seed=st.integers(0, 2**31),
-       keep=st.floats(0.0, 1.0))
-def test_partial_inverse(shape, extra, seed, keep):
-    dim, radius = shape
-    lat = FrequencyLattice(dim, radius)
-    grid = min_grid_size(radius) + extra
-    rng = np.random.default_rng(seed)
-    c = FourierCoefficients(lat, _complex(rng, len(lat)))
-    idx = np.flatnonzero(rng.random(len(lat)) < keep)
-    _close(partial_inverse(c, idx, grid).values, oracles.partial_inverse(c, idx, grid).values)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_partial_inverse_empty_index_set(dim):
-    lat = FrequencyLattice(dim, 2)
-    c = FourierCoefficients(lat, np.ones(len(lat)))
-    got = partial_inverse(c, np.array([], dtype=np.int64), min_grid_size(2) + 1)
-    assert got.values.shape == ((min_grid_size(2) + 1) ** dim,)
-    assert not got.values.any()
 
 
 @settings(max_examples=25, deadline=None)
