@@ -29,10 +29,10 @@ from .harmonic import (
     PeriodicFunction,
     _require_margin,
     forward_transform,
-    lp_norm,
+    lp_norms,
     max_alias_free_radius,
 )
-from .sums import fsum
+from .sums import fsum, fsum_by
 
 BLOCK_WEIGHTS = ("abs", "bracket")
 
@@ -63,13 +63,11 @@ def block_index(squared_norm, block_weight: str = "abs"):
 
 
 def block_sums(blocks: np.ndarray, terms: np.ndarray) -> tuple[list[int], list[float]]:
-    """(block indices present, exactly rounded sum of ``terms`` over each), ascending;
-    after a stable sort each block is one contiguous slice."""
-    order = np.argsort(blocks, kind="stable")
-    blocks, terms = np.asarray(blocks)[order], np.asarray(terms, dtype=np.float64)[order]
-    starts = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist()] if len(blocks) else []
-    ends = [*starts[1:], len(blocks)]
-    return [int(blocks[a]) for a in starts], [fsum(terms[a:b]) for a, b in zip(starts, ends)]
+    """(block indices present, exactly rounded sum of ``terms`` over each), ascending."""
+    blocks = np.asarray(blocks, dtype=np.intp)
+    present = np.flatnonzero(np.bincount(blocks)).tolist()
+    sums = fsum_by(blocks, np.asarray(terms, dtype=np.float64))
+    return present, [sums[m] for m in present]
 
 
 def block_norms(
@@ -81,8 +79,8 @@ def block_norms(
     """(m, ||block_m||_{L^p}) for each dyadic block m of ``c``'s lattice, ascending.
 
     Every block is scattered into one (blocks, M, ..) array at ``points % M``,
-    one inverse FFT runs over the grid axes, and each row is reduced by
-    ``lp_norm``.  Memory: blocks x M^dim x 16 bytes, twice over for the FFT's
+    one inverse FFT runs over the grid axes, and ``lp_norms`` reduces the rows
+    together.  Memory: blocks x M^dim x 16 bytes, twice over for the FFT's
     output.
     """
     lattice = c.lattice
@@ -92,10 +90,7 @@ def block_norms(
     cube = np.zeros((len(present),) + (grid_size,) * lattice.dim, dtype=np.complex128)
     cube[(np.searchsorted(present, blocks), *(lattice.points % grid_size).T)] = c.coeffs
     pieces = np.fft.ifftn(cube, axes=tuple(range(1, lattice.dim + 1)), norm="forward")
-    return [
-        (int(m), lp_norm(PeriodicFunction(lattice.dim, grid_size, piece), p))
-        for m, piece in zip(present, pieces)
-    ]
+    return list(zip(present.tolist(), lp_norms(pieces.reshape(len(present), -1), p)))
 
 
 def weighted_norm(table: list[tuple[int, float]], params: BesovParams) -> float:

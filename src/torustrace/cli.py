@@ -290,13 +290,14 @@ def _require(condition: bool, remedy: str) -> None:
         raise ValidationError(remedy)
 
 
-def _require_side(dim: int, radius: int) -> None:
-    """Refuse a compression too large to eigensolve before anything is allocated."""
+def _require_side(dim: int, radius: int, flag: str = "--radius") -> None:
+    """Refuse a compression too large to eigensolve before anything is allocated;
+    the remedy names the command's own radius ``flag``."""
     side = (2 * radius + 1) ** dim
     _require(
         side <= EIGEN_SIDE_LIMIT,
         f"radius {radius} in dim {dim} gives matrix side {side}, above the desk-scale "
-        f"guard {EIGEN_SIDE_LIMIT}; lower --radius",
+        f"guard {EIGEN_SIDE_LIMIT}; lower {flag}",
     )
 
 
@@ -363,7 +364,7 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
     a = build_symbol(args)
     radii = _parse_int_list(args.radii, "--radii")
     _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
-    _require_side(a.dim, max(radii))
+    _require_side(a.dim, max(radii), "--radii")
     report = lidskii_compare(a, radii)
     history = [
         {

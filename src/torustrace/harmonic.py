@@ -13,8 +13,8 @@ Conventions fixed here and used by the whole package:
 Transforms run as one FFT on the ``M^dim`` grid cube, with lattice point
 ``xi`` stored at cube index ``xi mod M``; the margin keeps wrapped indices
 distinct.  FFT output is byte-identical across runs of one build but, unlike
-the ``math.fsum`` scalar reductions, depends on summation order in the last
-bits.  Partial syntheses (one dyadic block at a time) live in
+the exactly rounded scalar reductions (``sums``), depends on summation order
+in the last bits.  Partial syntheses (one dyadic block at a time) live in
 ``besov.block_norms``, which runs all blocks through one batched inverse FFT.
 ``box_points`` is the one enumeration of an integer max-norm box: the lattice
 and the torus dual (``groups``) both build their points with it.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import fsum
+from .sums import fsum_by
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,13 +218,18 @@ def inverse_transform(c: FourierCoefficients, grid_size: int) -> PeriodicFunctio
 
 def lp_norm(f: PeriodicFunction, p: float) -> float:
     """Rectangle-rule L^p norm on the probability-measure torus; p = inf is the grid sup."""
+    return lp_norms(f.values[None, :], p)[0]
+
+
+def lp_norms(rows: np.ndarray, p: float) -> list[float]:
+    """``lp_norm`` of each row of grid values, the rows reduced by one ``fsum_by``."""
     if p != math.inf and p < 1:
         raise ValueError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    mags = np.abs(f.values)
+    mags = np.abs(rows)
     if p == math.inf:
-        return float(mags.max())
-    total = fsum(mags.astype(np.float64) ** p)
-    return float((total / f.values.size) ** (1.0 / p))
+        return [float(m) for m in mags.max(axis=1)]
+    totals = fsum_by(None, mags.astype(np.float64) ** p)
+    return [float((total / rows.shape[1]) ** (1.0 / p)) for total in totals]
 
 
 def random_bandlimited(

@@ -1,12 +1,43 @@
 """Exactly rounded scalar reductions.
 
 Every reported scalar reduction in this package (series, traces, norms)
-goes through the two helpers below.  ``math.fsum`` is compensated (Shewchuk)
+goes through the helpers below.  ``math.fsum`` is compensated (Shewchuk)
 summation and returns the correctly rounded value of the exact sum of its
 terms, so such a value does not depend on term order; complex sums reduce the
 real and imaginary parts separately.  Transforms and matrix entries do not
 come through here: they are FFTs and gathers (see ``harmonic``), byte-identical
 across runs of one build but not independent of summation order.
+
+A 1-D float64 ndarray is summed by ``fsum_by``, which returns the same bits
+as ``math.fsum`` at a fraction of its per-term cost:
+
+- ``np.frexp`` writes each term as x = f 2^e with 1/2 <= |f| < 1.  Every
+  double is a multiple of 2^-1074, so f 2^53 is an integer, and f 2^27 splits
+  into two exact integers: ``hi`` = trunc(f 2^27), below 2^27, and
+  ``lo`` = (f 2^27 - hi) 2^26, below 2^26.  Then x = hi 2^(e-27) + lo 2^(e-53),
+  and both parts are multiples of 2^-1074.
+- Two ``np.bincount`` calls add up the parts in bins of one scale 2^(k-1127):
+  ``hi`` in bin k = e + 1100, ``lo`` in bin k = e + 1074 (its scale is that of
+  ``hi`` 26 exponents down).  A term puts at most one part, below 2^27, in any
+  bin, so with fewer than 2^26 terms every partial bin sum is an integer
+  below 2^53 and each float addition is exact, in any order.
+- ``np.ldexp`` turns each nonzero bin into an exact float (a multiple of
+  2^-1074 with at most 53 significant bits), and one ``math.fsum`` over those
+  (at most 2125 per group) rounds the exact sum of the group's terms.  That
+  call and ``math.fsum`` over the terms themselves return the correctly
+  rounded value of the same exact number, so they are equal.  An exact sum of
+  zero is +0.0 from both: ``math.fsum`` keeps no zero partials, so even an
+  all -0.0 input sums to +0.0 (``tests/test_exact_sums.py`` pins this).
+
+Memory: the terms go through in chunks of ``CHUNK``, with about 36 bytes of
+temporaries per term (about 1 MB a chunk), plus 2125 x 8 bytes of bins per
+group.  The terms go to ``math.fsum`` itself, so that its values and its
+exceptions are kept, when there are fewer than ``CROSSOVER`` of them; when
+any is inf or nan; when max|x| >= 2^(1023 - n.bit_length()) for n terms
+(``math.fsum`` raises an order-dependent OverflowError on some finite sums
+near the top of the range, and a bin could overflow); when there are 2^26 or
+more; and when there are more than ``MAX_GROUPS`` groups.  Lists, generators
+and other arrays always go to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -15,9 +46,26 @@ import math
 
 import numpy as np
 
+# Below about 1000 terms one math.fsum call is as fast as the kernel, whose
+# fixed cost is about 60 us (2-core Xeon, numpy 2.4; figures in CHANGES.md).
+CROSSOVER = 1024
+# Terms per frexp/bincount pass: 2^14 and 2^15 time best on 200001 terms,
+# 2^17 and up fall out of cache.
+CHUNK = 1 << 15
+# Past this many groups the bins (17 kB a group) outweigh the terms; such
+# calls take the per-group math.fsum path.
+MAX_GROUPS = 256
+_MAX_TERMS = 1 << 26  # keeps every bin sum of 27-bit integers below 2^53
+_OFFSET = 1074  # frexp exponents of nonzero doubles lie in [-1073, 1024]
+_BINS = _OFFSET + 1025 + 26  # bin k holds scale 2^(k - 1127), k in [1, 2124]
+
 
 def fsum(values) -> float:
-    """Exactly rounded sum of real terms."""
+    """Exactly rounded sum of real terms: ``fsum_by``'s one-group case for a 1-D
+    float64 ndarray of ``CROSSOVER`` terms or more, ``math.fsum`` for anything else."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.ndim == 1 and values.size >= CROSSOVER):
+        return fsum_by(None, values)[0]
     return math.fsum(values)
 
 
@@ -27,5 +75,65 @@ def fsum_complex(values) -> complex:
     if arr.size == 0:
         return 0j
     if np.iscomplexobj(arr):
-        return complex(math.fsum(arr.real), math.fsum(arr.imag))
-    return complex(math.fsum(arr.astype(np.float64)), 0.0)
+        return complex(fsum(arr.real), fsum(arr.imag))
+    return complex(fsum(arr.astype(np.float64)), 0.0)
+
+
+def fsum_by(groups, values) -> list[float]:
+    """Exactly rounded sum of each group of float64 ``values``, equal bit for bit to
+    ``math.fsum`` over that group's terms.  ``groups`` holds a nonnegative integer
+    per term of a 1-D ``values``, and the sums of groups 0 .. max(groups) come back
+    (an empty group sums to 0.0).  With ``groups`` None each row of a 2-D
+    ``values`` is a group, and a 1-D ``values`` is one group."""
+    values = np.asarray(values, dtype=np.float64)
+    if groups is None:
+        values = np.atleast_2d(values)
+        size, row_length = values.shape
+    else:
+        groups = np.asarray(groups, dtype=np.intp)
+        size = int(groups.max()) + 1 if groups.size else 0
+    n = values.size
+    if n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS:
+        return _fsum_slices(groups, values, size)
+    limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
+    if not (values.max() < limit and -values.min() < limit):  # nan fails both
+        return _fsum_slices(groups, values, size)
+    values = values.reshape(-1)
+    bins = np.zeros((size, _BINS))  # bins[g, k]: group g's integer sum at scale 2^(k - 1127)
+    low, high = _BINS, 0  # the bins any chunk touched
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        frac, key = np.frexp(values[start:stop])
+        first = int(key.min())
+        width = int(key.max()) - first + 1
+        key -= first
+        if groups is not None:
+            key = groups[start:stop] * width + key
+        elif size > 1:
+            key = np.arange(start, stop) // row_length * width + key
+        frac *= 2.0**27
+        hi = np.trunc(frac)
+        frac -= hi
+        frac *= 2.0**26
+        # hi 2^(e-27) lands in bin e + 1100, lo 2^(e-53) = lo 2^((e-26)-27) in bin e + 1074
+        window = bins[:, first + _OFFSET:first + _OFFSET + width + 26]
+        window[:, 26:] += np.bincount(key, hi, minlength=size * width).reshape(size, width)
+        window[:, :width] += np.bincount(key, frac, minlength=size * width).reshape(size, width)
+        low, high = min(low, first + _OFFSET), max(high, first + _OFFSET + width + 26)
+    window = bins[:, low:high]
+    nonzero = window != 0
+    scale = np.broadcast_to(np.arange(low, high) - (_OFFSET + 53), window.shape)
+    exact = np.ldexp(window[nonzero], scale[nonzero]).tolist()
+    cuts = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
+    return [math.fsum(exact[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _fsum_slices(groups, values: np.ndarray, size: int) -> list[float]:
+    """``math.fsum`` over each group's terms in turn: each row of ``values`` when
+    ``groups`` is None, else the contiguous slices of a stable sort by group."""
+    if groups is None:
+        return [math.fsum(row) for row in values]
+    order = np.argsort(groups, kind="stable")
+    cuts = np.searchsorted(groups[order], np.arange(size + 1)).tolist()
+    values = values[order]
+    return [math.fsum(values[a:b]) for a, b in zip(cuts, cuts[1:])]

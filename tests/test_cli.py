@@ -390,16 +390,16 @@ class TestMatrixSideGuard:
         for name in ("FrequencyLattice", "operator_matrix", "lidskii_compare", "nuclear_trace"):
             monkeypatch.setattr(cli, name, trip)
 
-    @pytest.mark.parametrize("argv", [
-        ["trace", "--symbol", "bessel", "--m", "-4", "--dim", "1", "--radius", "2100"],
-        ["trace", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radius", "100000"],
-        ["lidskii", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radii", "4,8,33"],
-        ["spectrum", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "33"],
-    ])
-    def test_refused_before_allocation(self, capsys, tripwires, argv):
+    @pytest.mark.parametrize("argv, remedy", [
+        (["trace", "--symbol", "bessel", "--m", "-4", "--dim", "1", "--radius", "2100"], "lower --radius"),
+        (["trace", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radius", "100000"], "lower --radius"),
+        (["lidskii", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radii", "4,8,33"], "lower --radii"),
+        (["spectrum", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "33"], "lower --radius"),
+    ], ids=["argv0", "argv1", "argv2", "argv3"])  # ids that do not spell out the remedy text
+    def test_refused_before_allocation(self, capsys, tripwires, argv, remedy):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
-        assert "lower --radius" in err and "4096" in err
+        assert remedy in err and "4096" in err
 
     @staticmethod
     def _radius_4_table(tmp_path) -> str:
