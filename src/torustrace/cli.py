@@ -25,6 +25,7 @@ from . import __version__
 from .besov import BLOCK_WEIGHTS, BesovParams, block_norms, weighted_norm
 from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
+    DUAL_SIZE_LIMIT,
     bessel_tail,
     bessel_terms,
     enumerate_dual,
@@ -424,6 +425,13 @@ def _run_besov_norm(args) -> tuple[dict, dict, str | None]:
 def _run_check_class(args) -> tuple[dict, dict, str | None]:
     a = build_symbol(args)
     _require(args.radius is not None and args.radius >= 8, "--radius must be >= 8 for the fit")
+    # the fit's lattice, on the dual series' size scale, refused before it is built
+    points = (2 * args.radius + 1) ** a.dim
+    _require(
+        points <= DUAL_SIZE_LIMIT,
+        f"radius {args.radius} in dim {a.dim} gives a lattice of {points} points, above "
+        f"{DUAL_SIZE_LIMIT}; lower --radius",
+    )
     lattice = FrequencyLattice(a.dim, args.radius)
     alpha = _parse_multi_index(args.alpha_idx, a.dim, "--alpha-idx")
     beta = _parse_multi_index(args.beta_idx, a.dim, "--beta-idx")

@@ -33,7 +33,7 @@ from .besov import BesovParams, block_index, block_sums, coefficient_norm
 from .harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
 from .quantize import compression
 from .sums import fsum
-from .symbols import Symbol
+from .symbols import Symbol, x_fourier_support
 
 SHELL_RATIO_LIMIT = 0.9
 SHELL_RATIO_COUNT = 4
@@ -485,18 +485,16 @@ def nuclear_quasinorm_bound(
     """sum_xi ||H_xi||_{B}^r for the canonical decomposition.
 
     H_xi = e_xi a(., xi) has coefficients hat{a}(eta - xi, xi), column xi of the
-    compression with rows |eta|_inf <= N + b, where b bounds the symbol's
-    x-Fourier content: the x-factor's bandwidth, or for a sampled table the
-    window |eta|_inf <= M//2 of its x-Fourier data.  Stability of this sum
-    across growing radii is the numerical nuclearity certificate; raised to 1/r
-    it upper-bounds the r-quasi-norm up to the embedding constant absorbed in
-    the functional bounds.
+    compression with rows |eta|_inf <= N + b, where b is the largest
+    |eta|_inf on the symbol's x-Fourier support (``x_fourier_support``): the
+    x-factor's bandwidth, or for a sampled table its window M//2.  Stability
+    of this sum across growing radii is the numerical nuclearity certificate;
+    raised to 1/r it upper-bounds the r-quasi-norm up to the embedding
+    constant absorbed in the functional bounds.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    bandwidth = a.x_bandwidth()
-    if bandwidth is None:
-        bandwidth = a.grid_size // 2
+    bandwidth = int(np.abs(x_fourier_support(a)).max(initial=0))
     rows = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
     grid = min_grid_size(rows.radius)
     columns = compression(a, rows, lattice)

@@ -1,8 +1,9 @@
 """Quantization of symbols on the torus.
 
 ``apply_symbol`` evaluates (T_a f)(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi)
-on the sample grid.  ``compression`` gathers hat{a}(eta - xi, xi) for eta in a
-row lattice and xi in a column lattice; column xi holds the coefficients of
+on the sample grid.  ``compression`` scatters hat{a}(eta - xi, xi) for eta in a
+row lattice and xi in a column lattice from the symbol's x-Fourier support
+(defined in ``symbols.x_fourier_support``); column xi holds the coefficients of
 the rank-one factor H_xi = e_xi a(., xi).  Its square case ``operator_matrix``
 is T_a compressed to the truncated character basis, so its trace and spectrum
 are exactly those of P_N T_a P_N, and at a smaller radius it is a sub-block.
@@ -28,7 +29,7 @@ from .harmonic import (
     inverse_transform,
 )
 from .sums import fsum_complex
-from .symbols import SampledSymbol, Symbol, x_fourier_table
+from .symbols import SampledSymbol, Symbol, x_fourier_support, x_fourier_table
 
 EIGEN_SIDE_LIMIT = 4096
 
@@ -95,23 +96,36 @@ def apply_symbol(
 
 
 def compression(a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice) -> np.ndarray:
-    """hat{a}(eta - xi, xi) for eta in ``rows`` and xi in ``columns``, one gather.
+    """hat{a}(eta - xi, xi) for eta in ``rows`` and xi in ``columns``, one scatter.
 
     Column xi holds the x-Fourier coefficients of H_xi = e_xi a(., xi) on the
-    row lattice.  Differences eta - xi outside the admissible range of the
-    symbol's x-Fourier data contribute 0 (only possible for sampled symbols).
+    row lattice.  Only the differences d = eta - xi on the symbol's x-Fourier
+    support (``symbols.x_fourier_support``) are evaluated; their table is
+    scattered into a zero result, entry (d, xi) to row xi + d when that lies
+    in the row box.  The in-box test and the row offsets are built one axis
+    at a time, so no index as large as the result is held.
     """
     if not a.dim == rows.dim == columns.dim:
         raise ValueError(
             f"dimension mismatch: symbol dim {a.dim}, lattice dims {rows.dim}, {columns.dim}"
         )
-    diffs = FrequencyLattice(a.dim, rows.radius + columns.radius)
-    table = x_fourier_table(a, diffs.points, columns)  # (len(diffs), len(columns))
-    # row of eta - xi in the difference lattice, built one axis at a time
-    index = np.zeros((len(rows), len(columns)), dtype=np.int64)
-    for eta, xi in zip(rows.points.T, columns.points.T):
-        index = index * (2 * diffs.radius + 1) + (eta[:, None] - xi[None, :] + diffs.radius)
-    return table[index, np.arange(len(columns))]
+    support = x_fourier_support(a, rows.radius + columns.radius)
+    table = x_fourier_table(a, support, columns)  # (len(support), len(columns))
+    side, size = 2 * rows.radius + 1, len(rows) * len(columns)
+    shift = np.zeros((len(support), 1), dtype=np.int64)  # row offset of d
+    base = np.zeros(len(columns), dtype=np.int64)  # row of xi
+    outside = np.zeros(table.shape, dtype=bool)
+    for d, xi in zip(support.T, columns.points.T):
+        outside |= np.abs(d[:, None] + xi) > rows.radius
+        shift = shift * side + d[:, None]
+        base = base * side + xi + rows.radius
+    # flat position of (xi + d, xi) in the result; pairs off the row box go to one
+    # spare slot past its end
+    flat = shift * len(columns) + (base * len(columns) + np.arange(len(columns)))
+    flat[outside] = size
+    result = np.zeros(size + 1, dtype=np.complex128)
+    result[flat] = table
+    return result[:size].reshape(len(rows), len(columns))
 
 
 def operator_matrix(a: Symbol, lattice: FrequencyLattice) -> OperatorMatrix:

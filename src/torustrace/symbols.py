@@ -8,6 +8,11 @@ Two representations coexist:
   the lattice, x-derivatives are spectral, x-Fourier coefficients come from
   the rectangle rule, evaluated by FFT over the x axes.
 
+``x_fourier_support`` is where the x-Fourier support is defined: the eta at
+which hat{a}(eta, .) can be nonzero.  Every consumer of x-Fourier data (the
+decay constant here, ``quantize.compression`` and through it the matrix and
+the quasi-norm certificate) evaluates ``x_fourier_table`` on those rows only.
+
 Forward differences are used throughout:
 ``(D_j a)(x, xi) = a(x, xi + e_j) - a(x, xi)``.
 """
@@ -21,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .harmonic import FrequencyLattice, TWO_PI, grid_points
+from .harmonic import FrequencyLattice, TWO_PI, box_points, grid_points
 from .sums import fsum, fsum_complex
 
 NEG_INFINITY_ORDER = -math.inf
@@ -502,18 +507,38 @@ def symbol_fourier(a: Symbol, eta, xi) -> complex:
     raise TypeError(f"unsupported symbol type {type(a).__name__}")
 
 
+def x_fourier_support(a: Symbol, radius: int | None = None) -> np.ndarray:
+    """The eta with |eta|_inf <= radius (no bound for None) where hat{a}(eta, .)
+    can be nonzero, as an (S, dim) int64 array in lexicographic order.
+
+    A separable symbol's are the on-axis points (k, 0, ...) for the keys k of
+    its x-factor's coefficients; a sampled table's are the box of radius
+    min(radius, M//2), the window ``x_fourier_table`` reports.
+    """
+    if isinstance(a, SeparableSymbol):
+        keys = sorted(k for k in a.xfactor.fourier() if radius is None or abs(k) <= radius)
+        support = np.zeros((len(keys), a.dim), dtype=np.int64)
+        support[:, 0] = keys
+        return support
+    if isinstance(a, SampledSymbol):
+        half = a.grid_size // 2
+        return box_points(a.dim, half if radius is None else min(radius, half))
+    raise TypeError(f"unsupported symbol type {type(a).__name__}")
+
+
 def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
     """Table hat{a}(eta_r, xi_l) of shape (R, L) over explicit eta rows.
 
     A sampled symbol answers any lattice inside its table's: the lattice's
     columns are taken from the table and only those are transformed.  Eta
     outside the alias-free window |eta|_inf <= M//2 is outside the admissible
-    difference range and reported as 0.
+    difference range and reported as 0.  Rows off ``x_fourier_support`` are 0,
+    so callers ask for those rows only.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
-    out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
     if isinstance(a, SeparableSymbol):
         # only rows eta = (k, 0, ...) with k in the x-factor's support are nonzero
+        out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
         g = a.xifactor.values(lattice.points)
         on_axis = np.all(etas[:, 1:] == 0, axis=1)
         for k, coef in a.xfactor.fourier().items():
@@ -530,8 +555,8 @@ def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> n
         columns = a.table if lattice == a.lattice else a.table[:, a.lattice.indices_of(lattice.points)]
         cube = columns.reshape((m,) * a.dim + (len(lattice),))
         spectrum = np.fft.fftn(cube, axes=tuple(range(a.dim)), norm="forward")
-        window = np.abs(etas).max(axis=1) <= m // 2
-        out[window] = spectrum[tuple((etas[window] % m).T)]
+        out = spectrum[tuple((etas % m).T)]
+        out[np.abs(etas).max(axis=1) > m // 2] = 0
         return out
     raise TypeError(f"unsupported symbol type {type(a).__name__}")
 
@@ -558,15 +583,19 @@ def estimate_order(
     pts = work_lattice.points
     sups = np.asarray(b.x_sup_abs(pts), dtype=np.float64)
     sq = np.sum(pts.astype(np.int64) ** 2, axis=1)
-    shells: dict[int, tuple[float, float]] = {}
-    for i in range(pts.shape[0]):
-        s = math.isqrt(int(sq[i]))
-        v = float(sups[i])
-        if s not in shells or v > shells[s][1]:
-            shells[s] = (math.sqrt(1.0 + float(sq[i])), v)
+    # exact integer shells isqrt(|xi|^2): the float root is off by at most one
+    shell = np.sqrt(sq).astype(np.int64)
+    shell -= shell * shell > sq
+    shell += (shell + 1) * (shell + 1) <= sq
+    # per shell the first point, in lattice order, of the largest supremum; a
+    # shell whose first point is nan keeps it (nothing compares greater)
+    order = np.lexsort((-sups, shell))
+    starts = np.flatnonzero(np.r_[True, np.diff(shell[order]) != 0])
+    best, first = order[starts], np.minimum.reduceat(order, starts)
+    best = np.where(np.isnan(sups[first]), first, best)
     xs, ys = [], []
-    for s in sorted(shells):
-        bracket, v = shells[s]
+    for s2, v in zip(sq[best].tolist(), sups[best].tolist()):
+        bracket = math.sqrt(1.0 + float(s2))
         if bracket < 2.0 or v <= 0.0:
             continue
         xs.append(math.log(bracket))
@@ -591,12 +620,23 @@ def fourier_decay_constant(
     """Empirical constant sup |hat{a}(eta, xi)| <eta>^{2k} <xi>^{-(m + 2k delta)}.
 
     A finite, radius-stable value certifies the expected x-Fourier decay of a
-    symbol of order m and x-roughness delta with 2k derivatives in x.
+    symbol of order m and x-roughness delta with 2k derivatives in x.  Only
+    the rows on ``x_fourier_support`` are weighted; a value that overflows
+    float64 is refused (ValueError), not reported.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    table = np.abs(x_fourier_table(a, lattice.points, lattice))
-    eta_w = lattice.brackets() ** (2 * k)
-    xi_w = lattice.brackets() ** (-(m + 2 * k * delta))
-    weighted = eta_w[:, None] * table * xi_w[None, :]
-    return float(weighted.max())
+    support = x_fourier_support(a, lattice.radius)
+    table = np.abs(x_fourier_table(a, support, lattice))
+    eta_brackets = np.sqrt(1.0 + np.sum(support**2, axis=1).astype(np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta_w = eta_brackets ** (2 * k)
+        xi_w = lattice.brackets() ** (-(m + 2 * k * delta))
+        weighted = eta_w[:, None] * table * xi_w[None, :]
+        constant = float(weighted.max(initial=0.0))
+    if not math.isfinite(constant):
+        raise ValueError(
+            f"the decay constant at k={k}, m={m}, delta={delta} is {constant}, not a finite "
+            "float64: the weights <eta>^(2k) <xi>^-(m + 2k delta) overflow; lower k or raise m"
+        )
+    return constant

@@ -20,6 +20,16 @@ Spectra: breadth-first search for the connected components of a matrix's
 nonzero pattern, and the full-matrix LAPACK solve.  The package solves one
 component block at a time; ``test_block_eigen.py`` compares the two.
 
+x-Fourier data over every eta: the compression gathered from a table over
+the whole difference lattice through an index as large as the result, the
+decay constant maximised over the dense eta x xi table, and the order fit's
+shell suprema kept in a dict, point by point.  The package evaluates the
+support rows only and bins shells in one vectorised pass;
+``test_support_oracles.py`` compares the two, bit for bit.
+
+L^p norms on a grid: each total by ``math.fsum``, independent of the binned
+``sums.fsum_by`` the package reduces with.
+
 Canonical decomposition: the rank-one factors H_xi sampled on a grid, their
 sum applied to a function, and the quasi-norm bound computed by forward
 transforming every sampled H_xi.  The package reads H_xi's coefficients from
@@ -45,6 +55,7 @@ from torustrace.harmonic import (
     PeriodicFunction,
     min_grid_size,
 )
+from torustrace.symbols import SampledSymbol, difference_op, x_derivative, x_fourier_table
 
 
 def _grid(dim: int, grid_size: int) -> np.ndarray:
@@ -148,6 +159,71 @@ def operator_matrix(table: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
         rows = [diff_row(dr) for dr in pts - pts[j]]
         entries[:, j] = table[rows, j]
     return entries
+
+
+def lp_norm(values: np.ndarray, p: float) -> float:
+    """Rectangle-rule L^p norm of grid values, the total summed by ``math.fsum``."""
+    mags = np.abs(values)
+    if p == math.inf:
+        return float(mags.max())
+    total = math.fsum((mags.astype(np.float64) ** p).tolist())
+    return float((total / values.size) ** (1.0 / p))
+
+
+# ---------------------------------------------------------------------------
+# x-Fourier data over every eta
+# ---------------------------------------------------------------------------
+
+
+def dense_compression(a, rows: FrequencyLattice, columns: FrequencyLattice) -> np.ndarray:
+    """hat{a}(eta - xi, xi) gathered from the table over the whole difference
+    lattice of radius rows + columns, through one (rows x columns) int64 index."""
+    diffs = FrequencyLattice(a.dim, rows.radius + columns.radius)
+    table = x_fourier_table(a, diffs.points, columns)
+    index = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    for eta, xi in zip(rows.points.T, columns.points.T):
+        index = index * (2 * diffs.radius + 1) + (eta[:, None] - xi[None, :] + diffs.radius)
+    return table[index, np.arange(len(columns))]
+
+
+def dense_decay_constant(a, k: int, m: float, delta: float, lattice: FrequencyLattice) -> float:
+    """max over the dense lattice x lattice table of |hat{a}(eta, xi)| <eta>^{2k} <xi>^{-(m + 2k delta)}."""
+    table = np.abs(x_fourier_table(a, lattice.points, lattice))
+    eta_w = lattice.brackets() ** (2 * k)
+    xi_w = lattice.brackets() ** (-(m + 2 * k * delta))
+    return float((eta_w[:, None] * table * xi_w[None, :]).max())
+
+
+def shell_order_fit(a, alpha, beta, lattice: FrequencyLattice) -> tuple[float, float]:
+    """(m_hat, C_hat): shell suprema kept in a dict point by point (the first point
+    of a strictly larger value wins), then the log-log least-squares fit."""
+    b = difference_op(x_derivative(a, beta), alpha)
+    pts = (b.lattice if isinstance(b, SampledSymbol) else lattice).points
+    sups = np.asarray(b.x_sup_abs(pts), dtype=np.float64)
+    sq = np.sum(pts.astype(np.int64) ** 2, axis=1)
+    shells: dict[int, tuple[float, float]] = {}
+    for i in range(pts.shape[0]):
+        s = math.isqrt(int(sq[i]))
+        v = float(sups[i])
+        if s not in shells or v > shells[s][1]:
+            shells[s] = (math.sqrt(1.0 + float(sq[i])), v)
+    xs, ys = [], []
+    for s in sorted(shells):
+        bracket, v = shells[s]
+        if bracket < 2.0 or v <= 0.0:
+            continue
+        xs.append(math.log(bracket))
+        ys.append(math.log(v))
+    if not xs:
+        return -math.inf, 0.0
+    if len(xs) == 1:
+        return 0.0, math.exp(ys[0])
+    n = len(xs)
+    sx, sy = math.fsum(xs), math.fsum(ys)
+    sxx = math.fsum(x * x for x in xs)
+    sxy = math.fsum(x * y for x, y in zip(xs, ys))
+    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    return float(slope), float(math.exp((sy - slope * sx) / n))
 
 
 # ---------------------------------------------------------------------------

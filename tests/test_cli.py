@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,61 @@ class TestCheckClassCommand:
             "--decay-k", "1",
         ])
         assert code == 2 and "--decay-m" in err
+
+    def test_overflowing_decay_weights_are_refused(self, capsys):
+        # the dense eta x xi table read nan here (0 x inf on its zero rows) and
+        # numpy wrote RuntimeWarnings; the support rows give inf, which is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [
+                "check-class", "--symbol", "modulated", "--c", "2", "--m", "-4",
+                "--radius", "16", "--decay-k", "1", "--decay-m", "-1000",
+            ])
+        assert code == 2 and out == ""
+        assert "not a finite float64" in err and "lower k or raise m" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    def test_large_decay_k_reports_the_true_constant(self, capsys):
+        # sup at eta = +-1, xi = 0: 0.5 <1>^800 = 1.29e120, not nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = run_json(capsys, [
+                "check-class", "--symbol", "modulated", "--c", "2", "--m", "-4",
+                "--radius", "16", "--decay-k", "400", "--decay-m", "-4",
+            ])
+        assert doc["body"]["decay_constant"]["C_est"] == pytest.approx(0.5 * math.sqrt(2.0) ** 800)
+
+
+class TestCheckClassLatticeBudget:
+    """Lattices above DUAL_SIZE_LIMIT points are refused from the flags alone; the
+    lattice constructor is a tripwire that must not be reached."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def tripwire(self, monkeypatch):
+        import torustrace.cli as cli
+
+        def trip(*args, **kwargs):
+            raise self.Reached
+
+        monkeypatch.setattr(cli, "FrequencyLattice", trip)
+
+    @pytest.mark.parametrize("dim, radius", [(1, 5_000_000), (2, 1581), (2, 10**9)])
+    def test_refused_before_allocation(self, capsys, tripwire, dim, radius):
+        code, out, err = run(capsys, [
+            "check-class", "--symbol", "bessel", "--m", "-4", "--dim", str(dim),
+            "--radius", str(radius),
+        ])
+        assert code == 2 and out == ""
+        assert "lower --radius" in err and "10000000" in err
+
+    @pytest.mark.parametrize("dim, radius", [(1, 4_999_999), (2, 1580)])
+    def test_largest_lattice_within_budget_passes(self, tripwire, dim, radius):
+        with pytest.raises(self.Reached):
+            main(["check-class", "--symbol", "bessel", "--m", "-4", "--dim", str(dim),
+                  "--radius", str(radius)])
 
 
 class TestNuclearityCommand:
