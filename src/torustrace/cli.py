@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .besov import BLOCK_WEIGHTS, BesovParams, block_norms, weighted_norm
+from .besov import BLOCK_WEIGHTS, BesovParams, block_index, block_norms, weighted_norm
 from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
     DUAL_SIZE_LIMIT,
@@ -39,11 +39,12 @@ from .harmonic import (
     PeriodicFunction,
     forward_transform,
     inverse_transform,
+    max_alias_free_radius,
     min_grid_size,
 )
 from .io import load_periodic_function, load_sampled_symbol
 from .quantize import EIGEN_SIDE_LIMIT, EigensolverError, eigenvalues, operator_matrix
-from .sums import fsum
+from .sums import fsum, fsum_complex
 from .symbols import (
     BracketPower,
     GaussianDecay,
@@ -55,7 +56,7 @@ from .symbols import (
     heat_symbol,
     modulated_symbol,
 )
-from .traces import lidskii_compare, nuclear_trace, spectral_trace, tail_estimate
+from .traces import lidskii_compare, tail_estimate
 
 SCHEMA_VERSION = 1
 NORMALIZATION_NOTE = (
@@ -245,7 +246,33 @@ def _character_function(k: int, grid_size: int) -> PeriodicFunction:
     return inverse_transform(FourierCoefficients(lattice, coeffs), grid_size)
 
 
+def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | None) -> None:
+    """Refuse a dyadic-norm run above DUAL_SIZE_LIMIT points before anything is
+    built: its analysis lattice, and its block synthesis, which holds one copy of
+    the grid per dyadic block of that lattice (``besov.block_norms``)."""
+    radius = max_alias_free_radius(grid) if analysis_radius is None else max(analysis_radius, 0)
+    sources = (("--input grid", args.input), ("--stock", args.stock),
+               ("--character", args.character), ("--grid", args.grid), ("--radius", analysis_radius))
+    flags = [flag for flag, value in sources if value is not None]
+    remedy = "lower " + ", ".join(flags[:-1]) + (" or " if len(flags) > 1 else "") + flags[-1]
+    lattice = (2 * radius + 1) ** dim
+    _require(
+        lattice <= DUAL_SIZE_LIMIT,
+        f"radius {radius} in dim {dim} gives a lattice of {lattice} points, above "
+        f"{DUAL_SIZE_LIMIT}; {remedy}",
+    )
+    blocks = int(block_index(dim * radius**2, args.block_weight)) + 1
+    points = blocks * grid**dim
+    _require(
+        points <= DUAL_SIZE_LIMIT,
+        f"{blocks} dyadic blocks synthesized on {grid**dim} grid points hold {points} points, "
+        f"above {DUAL_SIZE_LIMIT}; {remedy}",
+    )
+
+
 def build_function(args, analysis_radius: int | None = None) -> PeriodicFunction:
+    """The input function of ``besov-norm``/``approx-demo``, refused (exit 2) when
+    its sizes exceed the dyadic-norm budget."""
     sources = [args.input is not None, args.character is not None, args.stock is not None]
     if sum(sources) != 1:
         raise ValidationError(
@@ -253,16 +280,19 @@ def build_function(args, analysis_radius: int | None = None) -> PeriodicFunction
         )
     if args.input is not None:
         try:
-            return load_periodic_function(args.input)
+            f = load_periodic_function(args.input)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"malformed function file: {exc}") from exc
+        _require_dyadic_budget(args, f.dim, f.grid_size, analysis_radius)
+        return f
     content = abs(args.character) if args.character is not None else args.stock
     needed = min_grid_size(max(content, 1, analysis_radius or 0))
-    grid = getattr(args, "grid", None) or needed
+    grid = args.grid or needed
     if grid < needed:
         raise ValidationError(
             f"--grid {grid} is below the anti-aliasing margin {needed}; raise it"
         )
+    _require_dyadic_budget(args, 1, grid, analysis_radius)
     if args.character is not None:
         return _character_function(args.character, grid)
     return _stock_function(args.stock, grid)
@@ -335,8 +365,10 @@ def _run_trace(args) -> tuple[dict, dict, str | None]:
     _require(args.radius >= 0, "--radius must be >= 0")
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
-    nuc = nuclear_trace(a, lattice)
-    spec, eigs = spectral_trace(a, lattice)
+    matrix = operator_matrix(a, lattice)
+    nuc = matrix.trace()  # nuclear_trace's zero row: the diagonal, in the same order
+    eigs = eigenvalues(matrix)
+    spec = fsum_complex(eigs)
     body = {
         "radius": args.radius,
         "nuclear_trace": nuc,
@@ -435,7 +467,10 @@ def _run_check_class(args) -> tuple[dict, dict, str | None]:
     lattice = FrequencyLattice(a.dim, args.radius)
     alpha = _parse_multi_index(args.alpha_idx, a.dim, "--alpha-idx")
     beta = _parse_multi_index(args.beta_idx, a.dim, "--beta-idx")
-    m_hat, c_hat = estimate_order(a, alpha, beta, lattice)
+    try:
+        m_hat, c_hat = estimate_order(a, alpha, beta, lattice)
+    except OverflowError as exc:
+        raise ValidationError(f"{exc}; lower --m, --alpha-idx or --beta-idx") from exc
     body: dict = {
         "alpha": list(alpha),
         "beta": list(beta),

@@ -1,9 +1,15 @@
 """Executable sufficient-condition checkers for r-nuclearity, and the numeric
 quasi-norm bound coming from the canonical rank-one decomposition
 T_a f = sum_xi fhat(xi) H_xi with H_xi(x) = e^{i2pi<x,xi>} a(x, xi).  The
-coefficients of H_xi are column xi of the compression (``quantize``), so the
-bound norms those columns with ``besov``'s coefficient-level norm and never
-samples H_xi.
+coefficients of H_xi are hat{a}(d, xi) at eta = xi + d for d on the symbol's
+x-Fourier support (``symbols.x_fourier_support``), so the bound never samples
+H_xi.  At p = 2, the certificate the CLI reports, Parseval makes a dyadic
+block's L^2 norm the l^2 norm of its coefficients: the bound reads the
+support table once and sums |hat{a}|^2 per (block, column), with no
+compression and no synthesis.  For p != 2 a block's grid L^p norm is a
+quadrature that depends on the grid, so the bound norms the columns of the
+compression (``quantize``) with ``besov``'s coefficient-level norm on the
+margin grid, as ``besov-norm`` norms a function.
 
 Three checkers are exposed:
 
@@ -29,11 +35,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .besov import BesovParams, block_index, block_sums, coefficient_norm
+from .besov import BesovParams, block_index, block_sums, coefficient_norm, weighted_norm
 from .harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
 from .quantize import compression
 from .sums import fsum
-from .symbols import Symbol, x_fourier_support
+from .symbols import Symbol, x_fourier_support, x_fourier_table
 
 SHELL_RATIO_LIMIT = 0.9
 SHELL_RATIO_COUNT = 4
@@ -484,21 +490,48 @@ def nuclear_quasinorm_bound(
 ) -> float:
     """sum_xi ||H_xi||_{B}^r for the canonical decomposition.
 
-    H_xi = e_xi a(., xi) has coefficients hat{a}(eta - xi, xi), column xi of the
-    compression with rows |eta|_inf <= N + b, where b is the largest
-    |eta|_inf on the symbol's x-Fourier support (``x_fourier_support``): the
-    x-factor's bandwidth, or for a sampled table its window M//2.  Stability
-    of this sum across growing radii is the numerical nuclearity certificate;
-    raised to 1/r it upper-bounds the r-quasi-norm up to the embedding
-    constant absorbed in the functional bounds.
+    H_xi = e_xi a(., xi) has coefficients hat{a}(d, xi) at eta = xi + d for d
+    on the symbol's x-Fourier support (``x_fourier_support``), so they lie in
+    |eta|_inf <= N + b with b the support's largest |d|_inf: the x-factor's
+    bandwidth, or for a sampled table its window M//2.
+
+    For p = 2 Parseval gives each block's L^2 norm as the l^2 norm of its
+    coefficients, which is what the grid synthesis on a margin-safe grid
+    computes up to rounding.  So the support table (S x L) is read once, the
+    block of each eta = xi + d found by ``block_index``, and |hat a|^2 summed
+    into a (blocks x L) table of per-(block, column) energies; each column is
+    weighted by ``weighted_norm``.  For p != 2 a block's grid L^p norm is a
+    quadrature that depends on the grid, so those columns of the compression
+    with rows out to N + b are synthesized on the min_grid_size(N + b) grid,
+    as ``besov-norm`` does.
+
+    Stability of this sum across growing radii is the numerical nuclearity
+    certificate; raised to 1/r it upper-bounds the r-quasi-norm up to the
+    embedding constant absorbed in the functional bounds.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    bandwidth = int(np.abs(x_fourier_support(a)).max(initial=0))
-    rows = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
-    grid = min_grid_size(rows.radius)
-    columns = compression(a, rows, lattice)
+    support = x_fourier_support(a)
+    radius = lattice.radius + int(np.abs(support).max(initial=0))  # N + b
+    if besov.p != 2.0:
+        rows = FrequencyLattice(lattice.dim, radius)
+        columns = compression(a, rows, lattice)
+        return float(fsum(
+            coefficient_norm(FourierCoefficients(rows, h), besov, min_grid_size(radius), block_weight) ** r
+            for h in columns.T
+        ))
+    table = x_fourier_table(a, support, lattice)  # (S, L): H_xi's coefficient at xi + d
+    squared = sum((d[:, None] + xi) ** 2 for d, xi in zip(support.T, lattice.points.T))
+    # every block of the row box |eta|_inf <= N + b is nonempty, so each column
+    # reports all of them, as block_norms does on that lattice
+    count = int(block_index(lattice.dim * radius**2, block_weight)) + 1
+    size = len(lattice)
+    energy = np.bincount(
+        (block_index(squared, block_weight) * size + np.arange(size)).ravel(),
+        weights=(table.real**2 + table.imag**2).ravel(),
+        minlength=count * size,
+    ).reshape(count, size)
     return float(fsum(
-        coefficient_norm(FourierCoefficients(rows, h), besov, grid, block_weight) ** r
-        for h in columns.T
+        weighted_norm(list(enumerate(norms)), besov) ** r
+        for norms in np.sqrt(energy).T.tolist()
     ))

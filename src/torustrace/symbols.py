@@ -573,15 +573,23 @@ def estimate_order(
 
     Returns (m_hat, C_hat) from a log-log least-squares fit of shell-wise
     suprema against the bracket, excluding the flat region <xi> < 2.  The
-    all-zero case reports order -inf.
+    all-zero case reports order -inf.  Suprema that overflow float64 (a large
+    order, difference or derivative) are refused with OverflowError; nan
+    entries of a table are fitted as they are.
     """
     if lattice.radius < 8:
         raise ValueError(f"estimate_order needs lattice radius >= 8, got {lattice.radius}")
-    b = x_derivative(a, beta)
-    b = difference_op(b, alpha)
-    work_lattice = b.lattice if isinstance(b, SampledSymbol) else lattice
-    pts = work_lattice.points
-    sups = np.asarray(b.x_sup_abs(pts), dtype=np.float64)
+    try:
+        with np.errstate(over="raise"):
+            b = difference_op(x_derivative(a, beta), alpha)
+            work_lattice = b.lattice if isinstance(b, SampledSymbol) else lattice
+            pts = work_lattice.points
+            sups = np.asarray(b.x_sup_abs(pts), dtype=np.float64)
+    except (FloatingPointError, OverflowError) as exc:
+        raise OverflowError(
+            f"the order fit's suprema sup_x |D^alpha d^beta a(x, xi)| at alpha={alpha}, "
+            f"beta={beta} overflow float64"
+        ) from exc
     sq = np.sum(pts.astype(np.int64) ** 2, axis=1)
     # exact integer shells isqrt(|xi|^2): the float root is off by at most one
     shell = np.sqrt(sq).astype(np.int64)

@@ -34,7 +34,10 @@ Canonical decomposition: the rank-one factors H_xi sampled on a grid, their
 sum applied to a function, and the quasi-norm bound computed by forward
 transforming every sampled H_xi.  The package reads H_xi's coefficients from
 the compressed matrix instead; ``test_compression_oracles.py`` compares the
-two.
+two.  The bound from the dense compression, each column synthesized on the
+margin grid, is the grid path the package keeps for p != 2; at p = 2 the
+package sums |coefficient|^2 per block (Parseval) and
+``test_certificate_parseval.py`` compares the two.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from itertools import product
 import numpy as np
 
 from torustrace import harmonic
-from torustrace.besov import besov_norm, block_index
+from torustrace.besov import besov_norm, block_index, coefficient_norm
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
@@ -55,7 +58,13 @@ from torustrace.harmonic import (
     PeriodicFunction,
     min_grid_size,
 )
-from torustrace.symbols import SampledSymbol, difference_op, x_derivative, x_fourier_table
+from torustrace.symbols import (
+    SampledSymbol,
+    difference_op,
+    x_derivative,
+    x_fourier_support,
+    x_fourier_table,
+)
 
 
 def _grid(dim: int, grid_size: int) -> np.ndarray:
@@ -379,4 +388,18 @@ def quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice, block_weight:
     return math.fsum(
         besov_norm(rank_one_factor(a, xi, grid), besov, norm_lattice, block_weight) ** r
         for xi in lattice.points
+    )
+
+
+def dense_quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice, block_weight: str = "abs") -> float:
+    """sum_xi ||H_xi||_B^r with H_xi column xi of the dense compression whose rows
+    reach N + b (b the x-Fourier support's largest |eta|_inf), each column normed
+    by synthesizing its dyadic blocks on the min_grid_size(N + b) grid."""
+    bandwidth = int(np.abs(x_fourier_support(a)).max(initial=0))
+    rows = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
+    grid = min_grid_size(rows.radius)
+    columns = dense_compression(a, rows, lattice)
+    return math.fsum(
+        coefficient_norm(FourierCoefficients(rows, h), besov, grid, block_weight) ** r
+        for h in columns.T
     )

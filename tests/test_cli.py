@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from torustrace.cli import main
-from torustrace.harmonic import FrequencyLattice, min_grid_size
+from torustrace.harmonic import FourierCoefficients, FrequencyLattice, inverse_transform, min_grid_size
 from torustrace.io import (
     load_periodic_function,
     load_sampled_symbol,
@@ -210,6 +210,17 @@ class TestCheckClassCommand:
             ])
         assert doc["body"]["decay_constant"]["C_est"] == pytest.approx(0.5 * math.sqrt(2.0) ** 800)
 
+    @pytest.mark.parametrize("flags", [["--m", "800", "--alpha-idx", "1"], ["--m", "800"]])
+    def test_overflowing_order_fit_is_refused(self, capsys, flags):
+        # <xi>^800 overflows from |xi| = 3 on and its differences read inf - inf:
+        # the fit reported m_hat nan with numpy RuntimeWarnings on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["check-class", "--symbol", "bessel", *flags, "--radius", "9"])
+        assert code == 2 and out == ""
+        assert "overflow float64" in err and "--m" in err and "--alpha-idx" in err
+        assert "Warning" not in err and "Traceback" not in err
+
 
 class TestCheckClassLatticeBudget:
     """Lattices above DUAL_SIZE_LIMIT points are refused from the flags alone; the
@@ -241,6 +252,70 @@ class TestCheckClassLatticeBudget:
         with pytest.raises(self.Reached):
             main(["check-class", "--symbol", "bessel", "--m", "-4", "--dim", str(dim),
                   "--radius", str(radius)])
+
+
+class TestDyadicNormBudget:
+    """``besov-norm``/``approx-demo`` size their lattice and block synthesis from
+    the flags (and a function file's grid) and refuse more than DUAL_SIZE_LIMIT
+    points; every builder is a tripwire that must not be reached."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def tripwires(self, monkeypatch):
+        import torustrace.cli as cli
+
+        def trip(*args, **kwargs):
+            raise self.Reached
+
+        for name in ("FrequencyLattice", "inverse_transform", "forward_transform",
+                     "partial_sum_convergence"):
+            monkeypatch.setattr(cli, name, trip)
+
+    @pytest.fixture
+    def function_files(self, tmp_path):
+        paths = {}
+        for dim in (1, 2):
+            lattice = FrequencyLattice(dim, 1)
+            coeffs = np.zeros(len(lattice), dtype=complex)
+            coeffs[0] = 1.0
+            f = inverse_transform(FourierCoefficients(lattice, coeffs), 6)
+            paths[dim] = str(tmp_path / f"f{dim}.json")
+            save_periodic_function(f, paths[dim])
+        return paths
+
+    NORM = ["--w", "1", "--p", "2", "--q", "2"]
+
+    @pytest.mark.parametrize("argv, remedy", [
+        (["besov-norm", "--stock", "1000000000", *NORM, "--radius", "8"], "lower --stock or --radius"),
+        (["approx-demo", "--stock", "1000000000", *NORM, "--n-values", "1,2"], "lower --stock"),
+        (["besov-norm", "--character", "4", "--grid", "2500001", *NORM, "--radius", "8"],
+         "lower --character, --grid or --radius"),
+        (["approx-demo", "--character", "4", "--grid", "2500001", *NORM, "--radius", "8",
+          "--n-values", "1"], "lower --character, --grid or --radius"),
+        (["besov-norm", "--character", "4", *NORM, "--radius", "3000000"], "lower --character or --radius"),
+        (["besov-norm", "--input", 1, *NORM, "--radius", "5000000"], "lower --input grid or --radius"),
+        (["approx-demo", "--input", 2, *NORM, "--radius", "1581", "--n-values", "1"],
+         "lower --input grid or --radius"),
+    ], ids=[f"argv{i}" for i in range(7)])  # ids that do not spell out the remedy text
+    def test_refused_before_allocation(self, capsys, tripwires, function_files, argv, remedy):
+        argv = [function_files[v] if isinstance(v, int) else v for v in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert remedy in err and "above 10000000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["besov-norm", "--character", "4", "--grid", "2500000", *NORM, "--radius", "8"],
+        ["approx-demo", "--stock", "4", "--grid", "2500000", *NORM, "--radius", "8", "--n-values", "1"],
+        ["besov-norm", "--input", 1, *NORM, "--radius", "4999999"],
+        ["approx-demo", "--input", 2, *NORM, "--n-values", "1"],
+    ], ids=[f"argv{i}" for i in range(4)])
+    def test_largest_sizes_within_budget_pass(self, tripwires, function_files, argv):
+        # 4 dyadic blocks of radius 8 on 2500000 grid points are exactly the budget
+        argv = [function_files[v] if isinstance(v, int) else v for v in argv]
+        with pytest.raises(self.Reached):
+            main(argv)
 
 
 class TestNuclearityCommand:
@@ -443,7 +518,7 @@ class TestMatrixSideGuard:
         def trip(*args, **kwargs):
             raise self.Reached
 
-        for name in ("FrequencyLattice", "operator_matrix", "lidskii_compare", "nuclear_trace"):
+        for name in ("FrequencyLattice", "operator_matrix", "lidskii_compare"):
             monkeypatch.setattr(cli, name, trip)
 
     @pytest.mark.parametrize("argv, remedy", [
