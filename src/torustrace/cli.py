@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .besov import BLOCK_WEIGHTS, BesovParams, block_index, block_norms, weighted_norm
+from .besov import BesovParams, block_index, block_norms, weighted_norm
 from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
     DUAL_SIZE_LIMIT,
@@ -261,7 +261,7 @@ def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | Non
         f"radius {radius} in dim {dim} gives a lattice of {lattice} points, above "
         f"{DUAL_SIZE_LIMIT}; {remedy}",
     )
-    blocks = int(block_index(dim * radius**2, args.block_weight)) + 1
+    blocks = int(block_index(dim * radius**2)) + 1
     points = blocks * grid**dim
     _require(
         points <= DUAL_SIZE_LIMIT,
@@ -319,6 +319,11 @@ def _parse_multi_index(text: str, dim: int, flag: str) -> tuple[int, ...]:
 def _require(condition: bool, remedy: str) -> None:
     if not condition:
         raise ValidationError(remedy)
+
+
+def _overflow_remedy(w: float, flags: str) -> str:
+    """Remedy for a dyadic norm whose weights 2^{m w} or q-th powers overflow float64."""
+    return f"the weighted dyadic block norms at w = {w:g} overflow float64; lower {flags}"
 
 
 def _require_side(dim: int, radius: int, flag: str = "--radius") -> None:
@@ -380,9 +385,10 @@ def _run_trace(args) -> tuple[dict, dict, str | None]:
     if args.order_hint is not None:
         diagnostics["tail_estimate"] = tail_estimate(a, lattice, args.order_hint)
     if args.certify_w is not None:
-        bound = nuclear_quasinorm_bound(
-            a, 1.0, BesovParams(args.certify_w, 2.0, 2.0), lattice, args.block_weight
-        )
+        try:
+            bound = nuclear_quasinorm_bound(a, 1.0, BesovParams(args.certify_w, 2.0, 2.0), lattice)
+        except OverflowError as exc:
+            raise ValidationError(_overflow_remedy(args.certify_w, "--certify-w")) from exc
         diagnostics["quasinorm_certificate"] = {
             "w": args.certify_w,
             "p": 2.0,
@@ -442,12 +448,16 @@ def _run_besov_norm(args) -> tuple[dict, dict, str | None]:
     f = build_function(args, analysis_radius=args.radius)
     lattice = FrequencyLattice(f.dim, args.radius)
     params = BesovParams(args.w, args.p, args.q)
-    blocks = block_norms(forward_transform(f, lattice), args.p, f.grid_size, args.block_weight)
+    blocks = block_norms(forward_transform(f, lattice), args.p, f.grid_size)
+    try:
+        norm = weighted_norm(blocks, params)
+    except OverflowError as exc:
+        raise ValidationError(_overflow_remedy(args.w, "--w or --q")) from exc
     body = {
         "w": args.w,
         "p": args.p,
         "q": args.q,
-        "norm": weighted_norm(blocks, params),
+        "norm": norm,
         "blocks": [{"m": m, "lp_norm": v} for m, v in blocks],
     }
     csv_text = render_csv("m,block_lp_norm", [[m, v] for m, v in blocks])
@@ -590,7 +600,10 @@ def _run_approx_demo(args) -> tuple[dict, dict, str | None]:
     if args.radius is not None:
         lattice = FrequencyLattice(f.dim, args.radius)
     params = BesovParams(args.w, args.p, args.q)
-    rows = partial_sum_convergence(f, params, n_values, lattice, args.block_weight)
+    try:
+        rows = partial_sum_convergence(f, params, n_values, lattice)
+    except OverflowError as exc:
+        raise ValidationError(_overflow_remedy(args.w, "--w or --q")) from exc
     body = {
         "w": args.w,
         "p": args.p,
@@ -757,7 +770,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for p in sub.choices.values():  # flags common to every subcommand, after its own
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--block-weight", choices=list(BLOCK_WEIGHTS), default="abs",
+        # echoed in the header; |xi| and <xi> bin every dim 1 and 2 lattice alike (``besov``)
+        p.add_argument("--block-weight", choices=["abs", "bracket"], default="abs",
                        dest="block_weight")
     return parser
 
@@ -773,16 +787,10 @@ def main(argv=None) -> int:
     handler = HANDLERS[args.command]
     try:
         body, diagnostics, csv_text = handler(args)
-    except ValidationError as exc:
+    except (ValidationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except EigensolverError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
-    except NumericalFailure as exc:
+    except (EigensolverError, NumericalFailure) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
     if args.format == "csv":

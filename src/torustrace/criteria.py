@@ -127,15 +127,6 @@ def _epsilon_ext(t: float) -> float:
     return epsilon(t)
 
 
-def lr_seminorm(a: np.ndarray, r: float) -> float:
-    """Entrywise l^r seminorm (sum |a_ij|^r)^{1/r}, 0 < r <= 1."""
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"r must lie in (0, 1], got {r}")
-    a = np.asarray(a)
-    total = fsum(np.abs(a).ravel().astype(np.float64) ** r)
-    return float(total ** (1.0 / r))
-
-
 # ---------------------------------------------------------------------------
 # Series witnesses
 # ---------------------------------------------------------------------------
@@ -177,7 +168,7 @@ def _power_series_witness(n: int, exponent: float, label: str) -> SeriesWitness:
 def _complete_shell_sums(shells: np.ndarray, terms: np.ndarray, lambda_cap: float):
     """(labels, sums) of the bracket shells j wholly inside a truncation complete up
     to lambda_cap (4^{j+1} <= 1 + lambda_cap): a clipped shell could fake decay."""
-    keep = shells < block_index(math.floor(lambda_cap), "bracket")
+    keep = shells < block_index(math.floor(lambda_cap) + 1)
     labels, sums = block_sums(shells[keep], terms[keep])
     return [float(j) for j in labels], sums
 
@@ -286,7 +277,7 @@ def _truncated_bracket_convolution(n: int, w2: float, k: int, radius: int) -> Se
     for i, xi in enumerate(lat.points):
         shifted = np.sqrt(1.0 + np.sum((xi[None, :] - window.points) ** 2, axis=1))
         conv[i] = fsum(u * shifted ** (-2.0 * k))
-    shells = block_index(lat.squared_norms(), "bracket")
+    shells = block_index(lat.squared_norms() + 1)
     labels, shell_sums = _complete_shell_sums(shells, conv, float(base) ** 2)
     certified, tail, _ = certify_shell_sums(shell_sums)
     note = ""
@@ -486,7 +477,6 @@ def nuclear_quasinorm_bound(
     r: float,
     besov: BesovParams,
     lattice: FrequencyLattice,
-    block_weight: str = "abs",
 ) -> float:
     """sum_xi ||H_xi||_{B}^r for the canonical decomposition.
 
@@ -517,17 +507,17 @@ def nuclear_quasinorm_bound(
         rows = FrequencyLattice(lattice.dim, radius)
         columns = compression(a, rows, lattice)
         return float(fsum(
-            coefficient_norm(FourierCoefficients(rows, h), besov, min_grid_size(radius), block_weight) ** r
+            coefficient_norm(FourierCoefficients(rows, h), besov, min_grid_size(radius)) ** r
             for h in columns.T
         ))
     table = x_fourier_table(a, support, lattice)  # (S, L): H_xi's coefficient at xi + d
     squared = sum((d[:, None] + xi) ** 2 for d, xi in zip(support.T, lattice.points.T))
     # every block of the row box |eta|_inf <= N + b is nonempty, so each column
     # reports all of them, as block_norms does on that lattice
-    count = int(block_index(lattice.dim * radius**2, block_weight)) + 1
+    count = int(block_index(lattice.dim * radius**2)) + 1
     size = len(lattice)
     energy = np.bincount(
-        (block_index(squared, block_weight) * size + np.arange(size)).ravel(),
+        (block_index(squared) * size + np.arange(size)).ravel(),
         weights=(table.real**2 + table.imag**2).ravel(),
         minlength=count * size,
     ).reshape(count, size)

@@ -59,8 +59,11 @@ class GroupDual:
 
     @property
     def shells(self) -> np.ndarray:
-        """Dyadic bracket shell j of each point, 4^j <= floor(1 + lambda) < 4^{j+1}."""
-        return block_index(np.floor(self.lam).astype(np.int64), "bracket")
+        """Dyadic bracket shell j of each point, 4^j <= floor(lambda) + 1 < 4^{j+1}.
+
+        On the SU(2) dual the spins l = 2^k - 1/2 have floor(lambda) = 4^k - 1,
+        so the ``+ 1`` moves them up a shell."""
+        return block_index(np.floor(self.lam).astype(np.int64) + 1)
 
     @property
     def group_dimension(self) -> int:
@@ -210,7 +213,6 @@ def partial_sum_convergence(
     besov: BesovParams,
     n_values,
     lattice: FrequencyLattice | None = None,
-    block_weight: str = "abs",
 ) -> list[tuple[float, float]]:
     """Dyadic-norm error of the bracket-cutoff partial sums S_N f.
 
@@ -228,5 +230,5 @@ def partial_sum_convergence(
     for n_cut in n_values:
         n_cut = float(n_cut)
         residual = FourierCoefficients(lattice, np.where(1.0 + sq > n_cut * n_cut, c.coeffs, 0.0))
-        rows.append((n_cut, coefficient_norm(residual, besov, f.grid_size, block_weight)))
+        rows.append((n_cut, coefficient_norm(residual, besov, f.grid_size)))
     return rows

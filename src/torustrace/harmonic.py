@@ -17,7 +17,9 @@ the exactly rounded scalar reductions (``sums``), depends on summation order
 in the last bits.  Partial syntheses (one dyadic block at a time) live in
 ``besov.block_norms``, which runs all blocks through one batched inverse FFT.
 ``box_points`` is the one enumeration of an integer max-norm box: the lattice
-and the torus dual (``groups``) both build their points with it.
+and the torus dual (``groups``) both build their points with it.  The
+Japanese bracket <xi> = (1 + |xi|^2)^{1/2} of every lattice point is
+``FrequencyLattice.brackets``.
 """
 
 from __future__ import annotations
@@ -111,16 +113,6 @@ class FrequencyLattice:
         """Japanese bracket <xi> = sqrt(1 + |xi|^2) per point."""
         return np.sqrt(1.0 + self.squared_norms().astype(np.float64))
 
-    def euclidean_ball_mask(self, r: float) -> np.ndarray:
-        """Filter predicate |xi|_2 <= r (Euclidean-ball truncation)."""
-        return self.squared_norms() <= r * r
-
-
-def japanese_bracket(xi) -> float:
-    """<xi> = (1 + |xi|^2)^(1/2), Euclidean norm on the integer lattice."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    return float(math.sqrt(1.0 + float(np.dot(arr, arr))))
-
 
 def grid_points(dim: int, grid_size: int) -> np.ndarray:
     """Uniform grid x_i = i/M in lexicographic order, as an (M^dim, dim) float array."""
@@ -148,10 +140,6 @@ class PeriodicFunction:
                 f"{self.grid_size ** self.dim}"
             )
         self.values = vals
-
-    def x_points(self) -> np.ndarray:
-        """Grid points as an (M^dim, dim) float array."""
-        return grid_points(self.dim, self.grid_size)
 
     def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
         self._check_compatible(other)

@@ -1,12 +1,13 @@
 """Quantization of symbols on the torus.
 
-``apply_symbol`` evaluates (T_a f)(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi)
-on the sample grid.  ``compression`` scatters hat{a}(eta - xi, xi) for eta in a
-row lattice and xi in a column lattice from the symbol's x-Fourier support
-(defined in ``symbols.x_fourier_support``); column xi holds the coefficients of
-the rank-one factor H_xi = e_xi a(., xi).  Its square case ``operator_matrix``
-is T_a compressed to the truncated character basis, so its trace and spectrum
-are exactly those of P_N T_a P_N, and at a smaller radius it is a sub-block.
+T_a f(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi) sends the character e_xi to
+sum_eta hat{a}(eta - xi, xi) e_eta.  ``compression`` scatters those entries
+for eta in a row lattice and xi in a column lattice from the symbol's
+x-Fourier support (defined in ``symbols.x_fourier_support``); column xi holds
+the coefficients of the rank-one factor H_xi = e_xi a(., xi).  Its square
+case ``operator_matrix`` is T_a compressed to the truncated character basis,
+so its trace and spectrum are exactly those of P_N T_a P_N, and at a smaller
+radius it is a sub-block.
 
 ``eigenvalues`` solves A one connected component of its nonzero pattern at a
 time.  hat{a}(eta - xi, xi) vanishes off the symbol's x-Fourier support, so a
@@ -16,26 +17,15 @@ along x1; a sampled symbol is usually a single block, solved unpermuted.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import (
-    FrequencyLattice,
-    PeriodicFunction,
-    TWO_PI,
-    forward_transform,
-    inverse_transform,
-)
+from .harmonic import FrequencyLattice
 from .sums import fsum_complex
-from .symbols import SampledSymbol, Symbol, x_fourier_support, x_fourier_table
+from .symbols import Symbol, x_fourier_support, x_fourier_table
 
 EIGEN_SIDE_LIMIT = 4096
-
-
-class BandlimitWarning(UserWarning):
-    """Input carried frequencies beyond the lattice; they were truncated."""
 
 
 class EigensolverError(RuntimeError):
@@ -63,36 +53,6 @@ class OperatorMatrix:
 
     def trace(self) -> complex:
         return fsum_complex(np.diag(self.entries))
-
-
-def apply_symbol(
-    a: Symbol, f: PeriodicFunction, lattice: FrequencyLattice
-) -> PeriodicFunction:
-    """Apply T_a to f; f is truncated to the lattice band (with a warning)."""
-    if a.dim != f.dim or f.dim != lattice.dim:
-        raise ValueError(
-            f"grid/lattice mismatch: symbol dim {a.dim}, function dim {f.dim}, "
-            f"lattice dim {lattice.dim}"
-        )
-    if isinstance(a, SampledSymbol) and (
-        a.grid_size != f.grid_size or a.lattice != lattice
-    ):
-        raise ValueError("grid/lattice mismatch between sampled symbol and arguments")
-    c = forward_transform(f, lattice)
-    recon = inverse_transform(c, f.grid_size)
-    excess = float(np.abs(f.values - recon.values).max())
-    if excess > 1e-10 * (1.0 + float(np.abs(f.values).max())):
-        warnings.warn(
-            f"input is not band-limited to radius {lattice.radius}; excess content "
-            f"of sup-size {excess:.3e} was truncated",
-            BandlimitWarning,
-            stacklevel=2,
-        )
-    x = recon.x_points()
-    table = a.values(x, lattice.points)
-    phases = np.exp(1j * TWO_PI * (x @ lattice.points.T.astype(np.float64)))
-    values = (phases * table) @ c.coeffs
-    return PeriodicFunction(f.dim, f.grid_size, values)
 
 
 def compression(a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice) -> np.ndarray:

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .harmonic import FrequencyLattice, TWO_PI, box_points, grid_points
-from .sums import fsum, fsum_complex
+from .sums import fsum
 
 NEG_INFINITY_ORDER = -math.inf
 
@@ -486,25 +486,6 @@ def x_derivative(a: Symbol, beta) -> Symbol:
 # ---------------------------------------------------------------------------
 # x-Fourier coefficients of symbols
 # ---------------------------------------------------------------------------
-
-
-def symbol_fourier(a: Symbol, eta, xi) -> complex:
-    """hat{a}(eta, xi) = integral over x of e^{-i2pi<x,eta>} a(x, xi).
-
-    Catalog symbols use their exact coefficients (equal to the quadrature value
-    up to rounding); sampled symbols integrate their table by the rectangle
-    rule.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=np.int64))
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.int64))
-    if isinstance(a, SeparableSymbol):
-        return complex(a.x_fourier(eta, xi.reshape(1, -1))[0])
-    if isinstance(a, SampledSymbol):
-        col = a.lattice.index_of(xi)
-        x = grid_points(a.dim, a.grid_size)
-        phases = np.exp(-1j * TWO_PI * (x @ eta.astype(np.float64)))
-        return fsum_complex(phases * a.table[:, col]) / (a.grid_size**a.dim)
-    raise TypeError(f"unsupported symbol type {type(a).__name__}")
 
 
 def x_fourier_support(a: Symbol, radius: int | None = None) -> np.ndarray:

@@ -123,6 +123,6 @@ def tail_estimate(a: Symbol, lattice: FrequencyLattice, order_hint: float) -> fl
     boundary = np.abs(lattice.points).max(axis=1) == radius
     pts = lattice.points[boundary]
     sups = np.asarray(a.x_sup_abs(pts), dtype=np.float64)
-    brackets = np.sqrt(1.0 + np.sum(pts.astype(np.float64) ** 2, axis=1))
+    brackets = lattice.brackets()[boundary]
     envelope = float((sups * brackets ** (-order_hint)).max()) if pts.size else 0.0
     return envelope * power_tail_bound(n, order_hint, radius)

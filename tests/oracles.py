@@ -38,11 +38,19 @@ two.  The bound from the dense compression, each column synthesized on the
 margin grid, is the grid path the package keeps for p != 2; at p = 2 the
 package sums |coefficient|^2 per block (Parseval) and
 ``test_certificate_parseval.py`` compares the two.
+
+Operator application and single coefficients: T_a f evaluated on the sample
+grid with the full phase table, hat{a}(eta, xi) one coefficient at a time,
+and the coefficient-map embedding ratio ||fhat||_{l^beta} / ||f||_B.  The
+tests of ``test_quantize.py``, ``test_symbols.py`` and ``test_criteria.py``
+hold the compressed matrix to the first two, and ``test_besov.py`` the dyadic
+norm to the third.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -50,16 +58,18 @@ from itertools import product
 import numpy as np
 
 from torustrace import harmonic
-from torustrace.besov import besov_norm, block_index, coefficient_norm
+from torustrace.besov import BesovParams, besov_norm, block_index, coefficient_norm
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
+    max_alias_free_radius,
     min_grid_size,
 )
 from torustrace.symbols import (
     SampledSymbol,
+    SeparableSymbol,
     difference_op,
     x_derivative,
     x_fourier_support,
@@ -98,14 +108,12 @@ def inverse_transform(c: FourierCoefficients, grid_size: int) -> PeriodicFunctio
 # ---------------------------------------------------------------------------
 
 
-def dyadic_blocks(
-    c: FourierCoefficients, grid_size: int, block_weight: str = "abs"
-) -> list[tuple[int, np.ndarray, PeriodicFunction]]:
+def dyadic_blocks(c: FourierCoefficients, grid_size: int) -> list[tuple[int, np.ndarray, PeriodicFunction]]:
     """(m, the block's points, the block's synthesis) per dyadic block m, ascending;
     each block synthesized by its own inverse transform, the coefficients outside
     it zeroed.  The pieces sum to the synthesis of ``c``."""
     lattice = c.lattice
-    blocks = block_index(lattice.squared_norms(), block_weight)
+    blocks = block_index(lattice.squared_norms())
     out = []
     for m in sorted(set(blocks.tolist())):
         inside = FourierCoefficients(lattice, np.where(blocks == m, c.coeffs, 0))
@@ -113,9 +121,7 @@ def dyadic_blocks(
     return out
 
 
-def partial_sum_errors(
-    f: PeriodicFunction, besov, n_values, lattice: FrequencyLattice, block_weight: str = "abs"
-) -> list[tuple[float, float]]:
+def partial_sum_errors(f: PeriodicFunction, besov, n_values, lattice: FrequencyLattice) -> list[tuple[float, float]]:
     """(N, ||f - S_N f||_B): each residual synthesized on f's grid, then normed by
     ``besov_norm`` through its own forward transform."""
     c = harmonic.forward_transform(f, lattice)
@@ -124,7 +130,7 @@ def partial_sum_errors(
     for n_cut in map(float, n_values):
         residual = FourierCoefficients(lattice, np.where(1.0 + sq > n_cut * n_cut, c.coeffs, 0))
         g = harmonic.inverse_transform(residual, f.grid_size)
-        rows.append((n_cut, besov_norm(g, besov, lattice, block_weight)))
+        rows.append((n_cut, besov_norm(g, besov, lattice)))
     return rows
 
 
@@ -359,8 +365,7 @@ class NuclearDecomposition:
 def rank_one_factor(a, xi, grid_size: int) -> PeriodicFunction:
     """H_xi(x) = e^{i2pi<x,xi>} a(x, xi) sampled on an M-point grid."""
     xi = np.atleast_1d(np.asarray(xi, dtype=np.int64))
-    probe = PeriodicFunction(a.dim, grid_size, np.zeros(grid_size**a.dim))
-    x = probe.x_points()
+    x = _grid(a.dim, grid_size)
     table = a.values(x, xi.reshape(1, -1))[:, 0]
     phase = np.exp(1j * TWO_PI * (x @ xi.astype(np.float64)))
     return PeriodicFunction(a.dim, grid_size, phase * table)
@@ -380,18 +385,18 @@ def reconstruct(dec: NuclearDecomposition, f: PeriodicFunction) -> PeriodicFunct
     return PeriodicFunction(f.dim, f.grid_size, stacked @ c.coeffs)
 
 
-def quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice, block_weight: str = "abs") -> float:
+def quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice) -> float:
     """sum_xi ||H_xi||_B^r for a catalog symbol, each H_xi sampled on the margin grid
     of radius N + bandwidth and normed through its forward transform."""
     norm_lattice = FrequencyLattice(lattice.dim, lattice.radius + a.x_bandwidth())
     grid = min_grid_size(norm_lattice.radius)
     return math.fsum(
-        besov_norm(rank_one_factor(a, xi, grid), besov, norm_lattice, block_weight) ** r
+        besov_norm(rank_one_factor(a, xi, grid), besov, norm_lattice) ** r
         for xi in lattice.points
     )
 
 
-def dense_quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice, block_weight: str = "abs") -> float:
+def dense_quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice) -> float:
     """sum_xi ||H_xi||_B^r with H_xi column xi of the dense compression whose rows
     reach N + b (b the x-Fourier support's largest |eta|_inf), each column normed
     by synthesizing its dyadic blocks on the min_grid_size(N + b) grid."""
@@ -400,6 +405,78 @@ def dense_quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice, block_w
     grid = min_grid_size(rows.radius)
     columns = dense_compression(a, rows, lattice)
     return math.fsum(
-        coefficient_norm(FourierCoefficients(rows, h), besov, grid, block_weight) ** r
+        coefficient_norm(FourierCoefficients(rows, h), besov, grid) ** r
         for h in columns.T
     )
+
+
+# ---------------------------------------------------------------------------
+# Operator application, single coefficients and the embedding ratio
+# ---------------------------------------------------------------------------
+
+
+class BandlimitWarning(UserWarning):
+    """Input carried frequencies beyond the lattice; they were truncated."""
+
+
+def apply_symbol(a, f: PeriodicFunction, lattice: FrequencyLattice) -> PeriodicFunction:
+    """(T_a f)(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi) on f's grid; f is
+    truncated to the lattice band (with a warning)."""
+    if a.dim != f.dim or f.dim != lattice.dim:
+        raise ValueError(
+            f"grid/lattice mismatch: symbol dim {a.dim}, function dim {f.dim}, "
+            f"lattice dim {lattice.dim}"
+        )
+    if isinstance(a, SampledSymbol) and (a.grid_size != f.grid_size or a.lattice != lattice):
+        raise ValueError("grid/lattice mismatch between sampled symbol and arguments")
+    c = harmonic.forward_transform(f, lattice)
+    recon = harmonic.inverse_transform(c, f.grid_size)
+    excess = float(np.abs(f.values - recon.values).max())
+    if excess > 1e-10 * (1.0 + float(np.abs(f.values).max())):
+        warnings.warn(
+            f"input is not band-limited to radius {lattice.radius}; excess content "
+            f"of sup-size {excess:.3e} was truncated",
+            BandlimitWarning,
+            stacklevel=2,
+        )
+    x = _grid(f.dim, f.grid_size)
+    table = a.values(x, lattice.points)
+    phases = np.exp(1j * TWO_PI * (x @ lattice.points.T.astype(np.float64)))
+    return PeriodicFunction(f.dim, f.grid_size, (phases * table) @ c.coeffs)
+
+
+def symbol_fourier(a, eta, xi) -> complex:
+    """hat{a}(eta, xi) = integral over x of e^{-i2pi<x,eta>} a(x, xi): a catalog
+    symbol's exact coefficient, a sampled table's rectangle rule."""
+    eta = np.atleast_1d(np.asarray(eta, dtype=np.int64))
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.int64))
+    if isinstance(a, SeparableSymbol):
+        return complex(a.x_fourier(eta, xi.reshape(1, -1))[0])
+    phases = np.exp(-1j * TWO_PI * (_grid(a.dim, a.grid_size) @ eta.astype(np.float64)))
+    terms = phases * a.table[:, a.lattice.index_of(xi)]
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)) / (a.grid_size**a.dim)
+
+
+def fourier_embedding_ratio(
+    f: PeriodicFunction, p1: float, alpha: float, lattice: FrequencyLattice | None = None
+) -> float:
+    """||fhat||_{l^beta} / ||f||_{B^{alpha n}_{p1, beta}} with beta = (alpha + 1/p1')^{-1}.
+
+    Boundedness of this ratio over a family of functions witnesses the
+    coefficient-map embedding of the dyadic-norm space into l^beta.
+    """
+    if not (1.0 < p1 <= 2.0):
+        raise ValueError(f"p1 must lie in (1, 2], got {p1}")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    beta = 1.0 / (alpha + 1.0 - 1.0 / p1)
+    if beta < 1.0:
+        raise ValueError(f"beta = {beta:.6g} < 1 leaves the Banach range; need alpha <= 1/p1")
+    if lattice is None:
+        lattice = FrequencyLattice(f.dim, max_alias_free_radius(f.grid_size))
+    c = harmonic.forward_transform(f, lattice)
+    numerator = math.fsum((np.abs(c.coeffs) ** beta).tolist()) ** (1.0 / beta)
+    denominator = coefficient_norm(c, BesovParams(alpha * f.dim, p1, beta), f.grid_size)
+    if denominator == 0.0:
+        raise ValueError("zero Besov norm: the ratio needs a nonzero function")
+    return numerator / denominator

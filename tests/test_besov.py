@@ -1,4 +1,4 @@
-"""Dyadic blocks, Besov and Hoelder norms, and the coefficient-map embedding."""
+"""Dyadic blocks, Besov norms, and the coefficient-map embedding (an oracle)."""
 
 import math
 
@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torustrace.besov import (
-    BesovParams,
-    besov_norm,
-    block_index,
-    block_norms,
-    fourier_embedding_ratio,
-    holder_norm,
-)
+from torustrace.besov import BesovParams, besov_norm, block_index, block_norms
 from torustrace.groups import partial_sum_convergence
 from torustrace.harmonic import (
     FourierCoefficients,
@@ -28,6 +21,7 @@ from torustrace.harmonic import (
     random_bandlimited,
 )
 from conftest import bandlimited, character
+from oracles import fourier_embedding_ratio
 
 
 class TestBlockIndex:
@@ -36,15 +30,22 @@ class TestBlockIndex:
         [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (7, 2), (8, 3), (15, 3), (16, 4)],
     )
     def test_abs_weight(self, xi, expected):
-        assert block_index(xi * xi, "abs") == expected
+        assert block_index(xi * xi) == expected
 
     def test_bracket_weight_origin(self):
-        # <0> = 1 lands in block 0 without any special-casing
-        assert block_index(0, "bracket") == 0
+        # the bracket key <0>^2 = 1 lands in block 0 without any special-casing
+        assert block_index(0 + 1) == 0
 
-    def test_invalid_weight(self):
-        with pytest.raises(ValueError, match="block_weight"):
-            block_index(4, "euclid")
+
+@pytest.mark.parametrize("dim,radius", [(1, 5000), (2, 300)])
+def test_bracket_key_bins_every_lattice_as_abs(dim, radius):
+    # |xi|^2 and <xi>^2 = |xi|^2 + 1 fall in different blocks only where
+    # |xi|^2 = 4^m - 1 = 3 mod 4, which no sum of one or two squares is; the
+    # lattices are nested, so the largest of each dim covers every smaller one
+    sq = FrequencyLattice(dim, radius).squared_norms()
+    assert np.array_equal(block_index(sq), block_index(sq + 1))
+    # the SU(2) bracket key floor(lambda) + 1 does move: spin 3/2 has lambda 15/4
+    assert block_index(3) == 0 and block_index(3 + 1) == 1
 
 
 class TestDyadicBlocks:
@@ -90,11 +91,10 @@ class TestDyadicBlocks:
     shape=st.sampled_from([(1, 0), (1, 1), (1, 5), (1, 16), (1, 40), (2, 0), (2, 1), (2, 3), (2, 7)]),
     extra=st.integers(0, 3),  # odd and even grids
     p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
-    block_weight=st.sampled_from(["abs", "bracket"]),
     zero=st.booleans(),
     seed=st.integers(0, 2**31),
 )
-def test_block_norms_match_per_block_synthesis(shape, extra, p, block_weight, zero, seed):
+def test_block_norms_match_per_block_synthesis(shape, extra, p, zero, seed):
     # one batched inverse FFT and one binned sum give the per-block FFT's norms,
     # each summed by math.fsum, bit for bit
     dim, radius = shape
@@ -103,8 +103,8 @@ def test_block_norms_match_per_block_synthesis(shape, extra, p, block_weight, ze
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(len(lat)) if zero else rng.standard_normal(len(lat)) + 1j * rng.standard_normal(len(lat))
     c = FourierCoefficients(lat, coeffs)
-    want = [(m, oracles.lp_norm(piece.values, p)) for m, _, piece in oracles.dyadic_blocks(c, grid, block_weight)]
-    assert block_norms(c, p, grid, block_weight) == want
+    want = [(m, oracles.lp_norm(piece.values, p)) for m, _, piece in oracles.dyadic_blocks(c, grid)]
+    assert block_norms(c, p, grid) == want
 
 
 def test_block_norms_refuse_an_aliasing_grid():
@@ -124,18 +124,17 @@ def _ulps(got: float, want: float) -> float:
     w=st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
     p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
     q=st.sampled_from([1.0, 2.0, math.inf]),
-    block_weight=st.sampled_from(["abs", "bracket"]),
     seed=st.integers(0, 2**31),
 )
-def test_partial_sum_errors_match_resynthesis(shape, extra, w, p, q, block_weight, seed):
+def test_partial_sum_errors_match_resynthesis(shape, extra, w, p, q, seed):
     # masking coefficients skips a synthesis and a transform, each rounding in the
     # last bits; over 25000 random rows the two paths differed by at most 6 ulp
     dim, radius = shape
     lat = FrequencyLattice(dim, radius)
     f = random_bandlimited(lat, min_grid_size(radius) + extra, np.random.default_rng(seed))
     params, n_values = BesovParams(w, p, q), [0.5, 1, 2, 3.5, 5, 8, 100]
-    got = partial_sum_convergence(f, params, n_values, lat, block_weight)
-    want = oracles.partial_sum_errors(f, params, n_values, lat, block_weight)
+    got = partial_sum_convergence(f, params, n_values, lat)
+    want = oracles.partial_sum_errors(f, params, n_values, lat)
     assert [n for n, _ in got] == [n for n, _ in want]
     assert max(_ulps(g, e) for (_, g), (_, e) in zip(got, want)) <= 8
 
@@ -218,41 +217,14 @@ class TestBesovNorm:
         assert besov_norm(g, BesovParams(1.0, 2.0, 2.0), lat) == pytest.approx(2.0, abs=1e-10)
 
     def test_bracket_weight_reported_variant(self):
-        # <4> = sqrt(17) in [4, 8) -> same block; <1> = sqrt(2) moves to block 0
+        # <4> = sqrt(17) in [4, 8) and <1> = sqrt(2) in [1, 2) keep the blocks of
+        # |4| and |1|, so the norms the bracket grouping would give are these
+        assert block_index(4 * 4 + 1) == block_index(4 * 4) == 2
+        assert block_index(1 * 1 + 1) == block_index(1 * 1) == 0
         f, lat = character(4, radius=8)
-        a = besov_norm(f, BesovParams(1.0, 2.0, 2.0), lat, block_weight="bracket")
-        assert a == pytest.approx(4.0, abs=1e-10)
+        assert besov_norm(f, BesovParams(1.0, 2.0, 2.0), lat) == pytest.approx(4.0, abs=1e-10)
         g, lat2 = character(1, radius=4)
-        assert besov_norm(g, BesovParams(1.0, 2.0, 2.0), lat2, block_weight="abs") == (
-            pytest.approx(1.0, abs=1e-10)
-        )
-        assert besov_norm(g, BesovParams(1.0, 2.0, 2.0), lat2, block_weight="bracket") == (
-            pytest.approx(1.0, abs=1e-10)
-        )
-
-
-class TestHolderNorm:
-    def test_constant(self):
-        f = PeriodicFunction(1, 64, 3.5 * np.ones(64))
-        assert holder_norm(f, 0.5) == pytest.approx(3.5, abs=1e-13)
-
-    def test_character_bounds(self):
-        f, _ = character(1, radius=1, grid_size=128)
-        v = holder_norm(f, 0.5)
-        assert 1.0 <= v <= 1.0 + 2 * math.pi
-
-    def test_homogeneity(self):
-        f, _ = character(2, radius=2, grid_size=128)
-        v1 = holder_norm(f, 0.3)
-        v2 = holder_norm(f.scaled(2.0), 0.3)
-        assert v2 == pytest.approx(2.0 * v1, abs=1e-12 * v2)
-
-    def test_domain_checks(self):
-        f = PeriodicFunction(1, 64, np.ones(64))
-        with pytest.raises(ValueError):
-            holder_norm(f, 1.5)
-        with pytest.raises(ValueError):
-            holder_norm(PeriodicFunction(1, 32, np.ones(32)), 0.5)
+        assert besov_norm(g, BesovParams(1.0, 2.0, 2.0), lat2) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestFourierEmbeddingRatio:

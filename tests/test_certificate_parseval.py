@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import oracles
 import torustrace
 from torustrace import criteria, quantize, symbols
-from torustrace.besov import BLOCK_WEIGHTS, BesovParams
+from torustrace.besov import BesovParams
 from torustrace.cli import main
 from torustrace.criteria import nuclear_quasinorm_bound
 from torustrace.harmonic import FrequencyLattice
@@ -67,14 +67,13 @@ def _symbol(source: str, dim: int, lattice: FrequencyLattice, grid: int | None):
     p=st.sampled_from([2.0, 2.0, 1.0, 3.0, math.inf]),
     q=st.sampled_from([1.0, 2.0, math.inf]),
     r=st.sampled_from([0.5, 1.0]),
-    block_weight=st.sampled_from(BLOCK_WEIGHTS),
 )
-def test_certificate_matches_dense_synthesis(source, sampled, grid, dim, radius, w, p, q, r, block_weight):
+def test_certificate_matches_dense_synthesis(source, sampled, grid, dim, radius, w, p, q, r):
     lattice = FrequencyLattice(dim, radius)
     a = _symbol(source, dim, lattice, grid if sampled or source == "random" else None)
     params = BesovParams(w, p, q)
-    got = nuclear_quasinorm_bound(a, r, params, lattice, block_weight)
-    want = oracles.dense_quasinorm_bound(a, r, params, lattice, block_weight)
+    got = nuclear_quasinorm_bound(a, r, params, lattice)
+    want = oracles.dense_quasinorm_bound(a, r, params, lattice)
     if p == 2.0:
         assert abs(got - want) <= 2 * math.ulp(want)
     else:

@@ -646,6 +646,62 @@ class TestNonFiniteFlags:
         assert doc["body"]["norm"] == pytest.approx(4.0)
 
 
+class TestWeightOverflow:
+    """A dyadic weight 2^{m w}, or its q-th power, beyond float64 is refused
+    (exit 2) with the flag to lower, not raised as an OverflowError."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "4",
+          "--certify-w", "400"], "--certify-w"),
+        (["besov-norm", "--character", "4", "--w", "1000", "--p", "2", "--q", "2",
+          "--radius", "8"], "--w"),
+        (["approx-demo", "--stock", "8", "--w", "400", "--p", "2", "--q", "2",
+          "--n-values", "1"], "--w"),
+    ], ids=["trace", "besov-norm", "approx-demo"])
+    def test_exit_2_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and f"lower {flag}" in err
+
+
+class TestBlockWeightEchoOnly:
+    """|xi| and <xi> bin every dim 1 and dim 2 lattice alike, so ``--block-weight
+    bracket`` changes only the header line that echoes it."""
+
+    @pytest.fixture
+    def function_2d(self, tmp_path):
+        lattice = FrequencyLattice(2, 6)
+        rng = np.random.default_rng(11)
+        coeffs = rng.standard_normal(len(lattice)) + 1j * rng.standard_normal(len(lattice))
+        path = str(tmp_path / "f2.json")
+        save_periodic_function(inverse_transform(FourierCoefficients(lattice, coeffs), 26), path)
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["besov-norm", "--stock", "40", "--w", "0.5", "--p", "3", "--q", "1", "--radius", "40"],
+        ["approx-demo", "--stock", "30", "--w", "1", "--p", "2", "--q", "2",
+         "--n-values", "1,3,7,15,31"],
+        ["trace", "--symbol", "modulated", "--m", "-4", "--dim", "1", "--radius", "20",
+         "--certify-w", "1"],
+        ["besov-norm", "--input", None, "--w", "1", "--p", "2", "--q", "2", "--radius", "6"],
+        ["approx-demo", "--input", None, "--w", "0.5", "--p", "3", "--q", "inf",
+         "--n-values", "1,2,4,8"],
+        ["trace", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "8",
+         "--certify-w", "1"],
+    ], ids=["besov-norm-1d", "approx-demo-1d", "trace-1d", "besov-norm-2d", "approx-demo-2d",
+            "trace-2d"])
+    def test_stdout_identical_apart_from_header(self, capsys, function_2d, argv):
+        argv = [function_2d if v is None else v for v in argv]
+        outputs = []
+        for weight in ("abs", "bracket"):
+            code, out, err = run(capsys, argv + ["--block-weight", weight])
+            assert code == 0, err
+            outputs.append(out.splitlines())
+        differing = [(a, b) for a, b in zip(*outputs) if a != b]
+        assert len(outputs[0]) == len(outputs[1])
+        assert differing == [('    "block_weight": "abs",', '    "block_weight": "bracket",')]
+
+
 class TestCliContract:
     def test_console_script_target_runs(self, capsys, monkeypatch):
         # the [project.scripts] target an install puts on PATH as `torustrace`

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torustrace.besov import BLOCK_WEIGHTS, BesovParams
+from torustrace.besov import BesovParams
 from torustrace.cli import main
 from torustrace.criteria import nuclear_quasinorm_bound
 from torustrace.harmonic import FrequencyLattice
@@ -56,14 +56,13 @@ CATALOG = {
     p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
     q=st.sampled_from([1.0, 2.0, math.inf]),
     r=st.sampled_from([0.5, 1.0]),
-    block_weight=st.sampled_from(BLOCK_WEIGHTS),
 )
-def test_catalog_certificate_matches_rank_one_oracle(name, dim, radius, w, p, q, r, block_weight):
+def test_catalog_certificate_matches_rank_one_oracle(name, dim, radius, w, p, q, r):
     a = CATALOG[name](dim)
     lattice = FrequencyLattice(dim, radius)
     params = BesovParams(w, p, q)
-    got = nuclear_quasinorm_bound(a, r, params, lattice, block_weight)
-    want = oracles.quasinorm_bound(a, r, params, lattice, block_weight)
+    got = nuclear_quasinorm_bound(a, r, params, lattice)
+    want = oracles.quasinorm_bound(a, r, params, lattice)
     assert abs(got - want) <= 1e-13 * want
 
 

@@ -13,17 +13,16 @@ from torustrace.criteria import (
     check_t1,
     check_t2,
     check_tt1,
+    _tt1_lr_powers,
     epsilon,
-    lr_seminorm,
     nuclear_quasinorm_bound,
 )
 from torustrace.groups import enumerate_dual
 from torustrace.harmonic import FrequencyLattice, min_grid_size, random_bandlimited
-from torustrace.quantize import apply_symbol
 from torustrace.sums import fsum
 from torustrace.symbols import BracketPower, bessel_symbol, modulated_symbol
 
-from oracles import nuclear_decomposition, reconstruct
+from oracles import apply_symbol, nuclear_decomposition, reconstruct
 
 
 class TestEpsilon:
@@ -52,6 +51,12 @@ class TestEpsilon:
         assert epsilon(lo) >= epsilon(hi)
 
 
+def lr_seminorm(a: np.ndarray, r: float) -> float:
+    # the entrywise l^r seminorm of one matrix value, from the r-th powers tt1 sums
+    a = np.asarray(a)
+    return float(_tt1_lr_powers([a], np.array([a.shape[0]]), r)[0] ** (1.0 / r))
+
+
 class TestLrSeminorm:
     def test_zero_matrix(self):
         assert lr_seminorm(np.zeros((3, 3)), 0.5) == 0.0
@@ -59,13 +64,16 @@ class TestLrSeminorm:
     @pytest.mark.parametrize("d,r", [(2, 1.0), (3, 0.5), (4, 0.25)])
     def test_identity(self, d, r):
         assert lr_seminorm(np.eye(d), r) == pytest.approx(d ** (1.0 / r), rel=1e-14)
+        # a scalar value stands for value * identity: the same seminorm
+        assert _tt1_lr_powers(np.ones(1), np.array([d]), r)[0] == pytest.approx(d, rel=1e-14)
 
     def test_all_ones_half(self):
         assert lr_seminorm(np.ones((2, 2)), 0.5) == pytest.approx(16.0, rel=1e-14)
 
     def test_r_validated(self):
-        with pytest.raises(ValueError):
-            lr_seminorm(np.ones((2, 2)), 1.5)
+        dual = enumerate_dual("su2", 2.0)
+        with pytest.raises(ValueError, match="r must lie"):
+            check_tt1(dual, lambda dual: [np.ones((int(d), int(d))) for d in dual.d], 1.5, 2.0, 2.0, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31), r=st.floats(0.1, 0.95))

@@ -15,7 +15,6 @@ from torustrace.harmonic import (
     box_points,
     forward_transform,
     inverse_transform,
-    japanese_bracket,
     lp_norm,
     min_grid_size,
     random_bandlimited,
@@ -50,10 +49,12 @@ class TestFrequencyLattice:
         assert tuple(a.points[-1]) == (2, 2)
 
     def test_euclidean_filter(self):
+        # the Euclidean ball |xi|_2 <= 2 inside the max-norm box, from the exact |xi|^2
         lat = FrequencyLattice(2, 2)
-        mask = lat.euclidean_ball_mask(2.0)
-        kept = lat.points[mask]
-        assert all(p[0] ** 2 + p[1] ** 2 <= 4 for p in kept)
+        sq = lat.squared_norms()
+        assert sq.tolist() == [int(p[0]) ** 2 + int(p[1]) ** 2 for p in lat.points]
+        mask = sq <= 4
+        assert mask.sum() == 13
         assert not mask.all()  # corners (2,2) fall outside
 
     def test_rejects_bad_args(self):
@@ -64,14 +65,18 @@ class TestFrequencyLattice:
 
 
 class TestJapaneseBracket:
+    # <xi> = (1 + |xi|^2)^(1/2) per lattice point, from FrequencyLattice.brackets
     def test_origin(self):
-        assert japanese_bracket(0) == 1.0
+        lat = FrequencyLattice(1, 2)
+        assert lat.brackets()[lat.index_of((0,))] == 1.0
 
     def test_three_four(self):
-        assert japanese_bracket((3, 4)) == pytest.approx(math.sqrt(26), abs=1e-15)
+        lat = FrequencyLattice(2, 4)
+        assert lat.brackets()[lat.index_of((3, 4))] == pytest.approx(math.sqrt(26), abs=1e-15)
 
     def test_one(self):
-        assert japanese_bracket(1) == pytest.approx(math.sqrt(2), abs=1e-15)
+        lat = FrequencyLattice(1, 1)
+        assert lat.brackets()[lat.index_of((1,))] == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 class TestForwardTransform:

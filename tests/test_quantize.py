@@ -3,19 +3,8 @@
 import numpy as np
 import pytest
 
-from torustrace.harmonic import (
-    FrequencyLattice,
-    forward_transform,
-    min_grid_size,
-    random_bandlimited,
-)
-from torustrace.quantize import (
-    BandlimitWarning,
-    apply_symbol,
-    canonical_eigen_order,
-    eigenvalues,
-    operator_matrix,
-)
+from torustrace.harmonic import FrequencyLattice, forward_transform, min_grid_size, random_bandlimited
+from torustrace.quantize import canonical_eigen_order, eigenvalues, operator_matrix
 from torustrace.sums import fsum, fsum_complex
 from torustrace.symbols import (
     BracketPower,
@@ -26,6 +15,7 @@ from torustrace.symbols import (
 )
 
 from conftest import bandlimited, character
+from oracles import BandlimitWarning, apply_symbol, symbol_fourier
 
 
 class TestApply:
@@ -119,7 +109,7 @@ class TestOperatorMatrix:
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_entries_match_symbol_fourier_brute_force_2d(self):
-        from torustrace.symbols import sample_symbol, symbol_fourier
+        from torustrace.symbols import sample_symbol
 
         lat = FrequencyLattice(2, 2)
         a = modulated_symbol(2.0, BracketPower(-1.5), dim=2)

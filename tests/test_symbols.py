@@ -20,9 +20,10 @@ from torustrace.symbols import (
     modulated_symbol,
     multiplier_symbol,
     sample_symbol,
-    symbol_fourier,
     x_derivative,
 )
+
+from oracles import symbol_fourier
 
 
 def tabulate(symbol, lattice, grid_size=None):
