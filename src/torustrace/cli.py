@@ -17,13 +17,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .besov import BesovParams, block_index, block_norms, weighted_norm
-from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
+from .criteria import SHELL_RATIO_LIMIT, check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
     DUAL_SIZE_LIMIT,
     bessel_tail,
@@ -43,7 +44,8 @@ from .harmonic import (
     min_grid_size,
 )
 from .io import load_periodic_function, load_sampled_symbol
-from .quantize import EIGEN_SIDE_LIMIT, EigensolverError, eigenvalues, operator_matrix
+from .quantize import (EIGEN_SIDE_LIMIT, TRACE_IDENTITY_TOL, EigensolverError, eigenvalues,
+                       operator_matrix)
 from .sums import fsum, fsum_complex
 from .symbols import (
     BracketPower,
@@ -337,29 +339,6 @@ def _require_side(dim: int, radius: int, flag: str = "--radius") -> None:
     )
 
 
-def _verdict_payload(verdict) -> dict:
-    witness = None
-    if verdict.witness is not None:
-        witness = {
-            "series": verdict.witness.series,
-            "labels": [float(x) for x in verdict.witness.labels],
-            "partial_sums": [float(x) for x in verdict.witness.partial_sums],
-            "tail_estimate": verdict.witness.tail_estimate,
-            "certified": verdict.witness.certified,
-            "rule": verdict.witness.rule,
-            "note": verdict.witness.note,
-        }
-    return {
-        "satisfied": verdict.satisfied,
-        "derived_params": dict(verdict.derived_params),
-        "violated_clauses": [
-            {"description": c.description, "lhs": c.lhs, "relation": c.op, "rhs": c.rhs}
-            for c in verdict.violated_clauses
-        ],
-        "witness": witness,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -381,7 +360,7 @@ def _run_trace(args) -> tuple[dict, dict, str | None]:
         "abs_difference": abs(nuc - spec),
         "eigenvalue_count": int(eigs.size),
     }
-    diagnostics: dict = {"trace_identity_tolerance": 1e-9}
+    diagnostics: dict = {"trace_identity_tolerance": TRACE_IDENTITY_TOL}
     if args.order_hint is not None:
         diagnostics["tail_estimate"] = tail_estimate(a, lattice, args.order_hint)
     if args.certify_w is not None:
@@ -405,18 +384,9 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
     _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
     _require_side(a.dim, max(radii), "--radii")
     report = lidskii_compare(a, radii)
-    history = [
-        {
-            "radius": rec.radius,
-            "nuclear": rec.nuclear,
-            "spectral": rec.spectral,
-            "abs_diff": rec.abs_diff,
-        }
-        for rec in report.history
-    ]
     body = {
         "radii": radii,
-        "history": history,
+        "history": [asdict(rec) for rec in report.history],
         "nuclear_trace": report.nuclear_trace,
         "spectral_trace": report.spectral_trace,
         "tail_estimate": report.tail_estimate,
@@ -435,7 +405,7 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
         ],
     )
     diagnostics = {
-        "increment_rule": "converged when each increment <= 0.9 x previous",
+        "increment_rule": f"converged when each increment <= {SHELL_RATIO_LIMIT:g} x previous",
         "note": "nuclear/spectral agreement at every radius is a property of the "
         "finite compression; summability of the full operator is what the "
         "nuclearity checkers certify",
@@ -536,8 +506,7 @@ def _run_nuclearity(args) -> tuple[dict, dict, str | None]:
             verdict = check_tt1(dual, symbol_fn, args.r, args.p, args.q, args.case)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    body = _verdict_payload(verdict)
-    return body, {"strictness": "strict inequalities checked strictly"}, None
+    return asdict(verdict), {"strictness": "strict inequalities checked strictly"}, None
 
 
 def _dual(args, half_integers: bool = True):
@@ -651,9 +620,6 @@ HANDLERS = {
     "approx-demo": _run_approx_demo,
     "spectrum": _run_spectrum,
 }
-
-CSV_CAPABLE = {"lidskii", "besov-norm", "approx-demo", "spectrum"}
-
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -784,37 +750,22 @@ def main(argv=None) -> int:
         args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    handler = HANDLERS[args.command]
     try:
-        body, diagnostics, csv_text = handler(args)
+        body, diagnostics, csv_text = HANDLERS[args.command](args)
+        if args.format == "csv":
+            if csv_text is None:
+                raise ValidationError(f"{args.command} has no CSV schema; use --format json")
+            text = csv_text
+        else:
+            header = make_header(getattr(args, "block_weight", None))
+            text = render_json({"header": header, "body": body, "diagnostics": diagnostics}) + "\n"
+        emit(text, args.output)
     except (ValidationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (EigensolverError, NumericalFailure) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    if args.format == "csv":
-        if args.command not in CSV_CAPABLE or csv_text is None:
-            sys.stderr.write(
-                f"error: {args.command} has no CSV schema; use --format json\n"
-            )
-            return 2
-        try:
-            emit(csv_text, args.output)
-        except ValidationError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
-        return 0
-    report = {
-        "header": make_header(getattr(args, "block_weight", None)),
-        "body": body,
-        "diagnostics": diagnostics,
-    }
-    try:
-        emit(render_json(report) + "\n", args.output)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     return 0
 
 

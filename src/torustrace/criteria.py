@@ -38,7 +38,7 @@ import numpy as np
 from .besov import BesovParams, block_index, block_sums, coefficient_norm, weighted_norm
 from .harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
 from .quantize import compression
-from .sums import fsum
+from .sums import fsum, fsum_by
 from .symbols import Symbol, x_fourier_support, x_fourier_table
 
 SHELL_RATIO_LIMIT = 0.9
@@ -56,29 +56,29 @@ class Clause:
 
     description: str
     lhs: float
-    op: str  # "<", "<=", ">", ">=", "==", "int"
+    relation: str  # "<", "<=", ">", ">=", "==", "int"
     rhs: float
 
     def holds(self) -> bool:
-        if self.op == "<":
+        if self.relation == "<":
             return self.lhs < self.rhs
-        if self.op == "<=":
+        if self.relation == "<=":
             return self.lhs <= self.rhs
-        if self.op == ">":
+        if self.relation == ">":
             return self.lhs > self.rhs
-        if self.op == ">=":
+        if self.relation == ">=":
             return self.lhs >= self.rhs
-        if self.op == "==":
+        if self.relation == "==":
             return self.lhs == self.rhs
-        if self.op == "int":
+        if self.relation == "int":
             return float(self.lhs).is_integer()
-        raise ValueError(f"unknown relation {self.op!r}")
+        raise ValueError(f"unknown relation {self.relation!r}")
 
     def render(self) -> str:
         note = ""
-        if self.op in ("<", ">") and self.lhs == self.rhs:
+        if self.relation in ("<", ">") and self.lhs == self.rhs:
             note = " (fails at equality)"
-        return f"{self.description}: {self.lhs:.9g} {self.op} {self.rhs:.9g} is false{note}"
+        return f"{self.description}: {self.lhs:.9g} {self.relation} {self.rhs:.9g} is false{note}"
 
 
 @dataclass
@@ -96,10 +96,12 @@ class SeriesWitness:
 
 @dataclass
 class CriterionVerdict:
+    """A checker's verdict; its ``dataclasses.asdict`` is the report body, fields in order."""
+
     satisfied: bool
     derived_params: dict[str, float | str]
-    witness: SeriesWitness | None
     violated_clauses: list[Clause] = field(default_factory=list)
+    witness: SeriesWitness | None = None
 
 
 def _failures(clauses: list[Clause]) -> list[Clause]:
@@ -151,26 +153,38 @@ def power_tail_bound(n: int, exponent: float, radius: int) -> float:
     return 8.0 * radius ** (exponent + 2) / (-exponent - 2)
 
 
-def _power_series_witness(n: int, exponent: float, label: str) -> SeriesWitness:
+def _power_series_witness(n: int, exponent: float) -> SeriesWitness:
     radii = [4, 8, 16, 32, 64] if n == 1 else [2, 4, 8, 16]
-    sums = _lattice_power_sums(n, exponent, radii)
-    tail = power_tail_bound(n, exponent, radii[-1])
     return SeriesWitness(
-        series=label,
+        series=f"sum <xi>^({exponent:.6g}) over Z^{n}",
         labels=[float(r) for r in radii],
-        partial_sums=sums,
-        tail_estimate=tail,
+        partial_sums=_lattice_power_sums(n, exponent, radii),
+        tail_estimate=power_tail_bound(n, exponent, radii[-1]),
         certified=exponent < -n,
         rule="integral-test(power-law)",
     )
 
 
-def _complete_shell_sums(shells: np.ndarray, terms: np.ndarray, lambda_cap: float):
-    """(labels, sums) of the bracket shells j wholly inside a truncation complete up
-    to lambda_cap (4^{j+1} <= 1 + lambda_cap): a clipped shell could fake decay."""
+def _shell_witness(
+    series: str, shells: np.ndarray, terms: np.ndarray, lambda_cap: float, note: str = ""
+) -> tuple[SeriesWitness, float]:
+    """Geometric shell-ratio witness and its worst recent ratio.  Only the bracket
+    shells j wholly inside a truncation complete up to lambda_cap
+    (4^{j+1} <= 1 + lambda_cap) are summed, since a clipped shell could fake
+    decay; ``note`` is attached when the sums are not certified."""
     keep = shells < block_index(math.floor(lambda_cap) + 1)
     labels, sums = block_sums(shells[keep], terms[keep])
-    return [float(j) for j in labels], sums
+    certified, tail, worst = certify_shell_sums(sums)
+    witness = SeriesWitness(
+        series=series,
+        labels=[float(j) for j in labels],
+        partial_sums=list(accumulate(sums)),
+        tail_estimate=tail,
+        certified=certified,
+        rule="geometric-shell-ratio",
+        note="" if certified else note,
+    )
+    return witness, worst
 
 
 def shell_ratios(shell_sums: list[float]) -> list[float]:
@@ -226,6 +240,12 @@ def _derived_source_params(n: float, alpha: float, p1: float) -> dict[str, float
     return {"w1": alpha * n, "q1": q1, "beta": q1}
 
 
+def _refuse_degenerate(n: int, r: float, p1: float) -> None:
+    if r <= 0 or p1 <= 0 or n < 1:
+        raise ValueError(f"degenerate parameters: need n >= 1, r > 0, p1 > 0 "
+                         f"(got n={n}, r={r}, p1={p1})")
+
+
 def check_t1(
     n: int,
     r: float,
@@ -243,9 +263,7 @@ def check_t1(
     Requires 0 <= w2 < 2k - n and m < -n/r - w2 - delta(2k); the governing
     series sum <xi>^{r(w2 + m + 2k delta)} is reported as the witness.
     """
-    if r <= 0 or p1 <= 0 or n < 1:
-        raise ValueError(f"degenerate parameters: need n >= 1, r > 0, p1 > 0 "
-                         f"(got n={n}, r={r}, p1={p1})")
+    _refuse_degenerate(n, r, p1)
     clauses = _common_t_clauses(n, r, alpha, p1, delta, p2, q2)
     clauses += [
         Clause("k is an integer", k, "int", 0),
@@ -258,44 +276,32 @@ def check_t1(
     exponent = r * (w2 + m + delta * 2.0 * k)
     derived = _derived_source_params(n, alpha, p1)
     derived["series_exponent"] = exponent
-    witness = _power_series_witness(n, exponent, f"sum <xi>^({exponent:.6g}) over Z^{n}")
     return CriterionVerdict(
         satisfied=not failures,
         derived_params=derived,
-        witness=witness,
         violated_clauses=failures,
+        witness=_power_series_witness(n, exponent),
     )
 
 
-def _truncated_bracket_convolution(n: int, w2: float, k: int, radius: int) -> SeriesWitness:
-    """Witness for sum_xi (<.>^{w2} * <.>^{-2k})(xi), truncated symmetrically."""
-    base = min(radius, 64 if n == 1 else 8)
+def _truncated_bracket_convolution(n: int, w2: float, k: int) -> SeriesWitness:
+    """Witness for sum_xi (<.>^{w2} * <.>^{-2k})(xi) over the box |xi|_inf <= R
+    (R = 64 in dim 1, 8 in dim 2), each convolution value summed over the window
+    |.|_inf <= 2R: one (lattice x window) array, each row exactly rounded."""
+    base = 64 if n == 1 else 8
     window = FrequencyLattice(n, 2 * base)
-    u = window.brackets() ** w2
     lat = FrequencyLattice(n, base)
-    conv = np.empty(len(lat))
-    for i, xi in enumerate(lat.points):
-        shifted = np.sqrt(1.0 + np.sum((xi[None, :] - window.points) ** 2, axis=1))
-        conv[i] = fsum(u * shifted ** (-2.0 * k))
-    shells = block_index(lat.squared_norms() + 1)
-    labels, shell_sums = _complete_shell_sums(shells, conv, float(base) ** 2)
-    certified, tail, _ = certify_shell_sums(shell_sums)
-    note = ""
-    if not certified:
-        note = (
-            "shell sums of the convolution series do not decay geometrically; "
-            "the clause verdict above follows the stated inequalities, but the "
-            "series bound is not certified numerically at this truncation"
-        )
-    return SeriesWitness(
-        series=f"sum_xi (<.>^({w2:.6g}) * <.>^({-2.0 * k:.6g}))(xi) over Z^{n}",
-        labels=labels,
-        partial_sums=list(accumulate(shell_sums)),
-        tail_estimate=tail,
-        certified=certified,
-        rule="geometric-shell-ratio",
-        note=note,
+    squared = sum((xi[:, None] - eta) ** 2 for xi, eta in zip(lat.points.T, window.points.T))
+    shifted = np.sqrt(1.0 + squared)
+    conv = np.array(fsum_by(None, window.brackets() ** w2 * shifted ** (-2.0 * k)))
+    witness, _ = _shell_witness(
+        f"sum_xi (<.>^({w2:.6g}) * <.>^({-2.0 * k:.6g}))(xi) over Z^{n}",
+        block_index(lat.squared_norms() + 1), conv, float(base) ** 2,
+        note="shell sums of the convolution series do not decay geometrically; "
+        "the clause verdict above follows the stated inequalities, but the "
+        "series bound is not certified numerically at this truncation",
     )
+    return witness
 
 
 def check_t2(
@@ -309,17 +315,16 @@ def check_t2(
     w2: float,
     p2: float = 2.0,
     q2: float = 2.0,
-    witness_radius: int = 64,
 ) -> CriterionVerdict:
     """Negative-target-weight criterion; two alternative clause sets.
 
     Nuclear set: w2 < -n/2, m <= -delta(2k), k > n/4.  r-nuclear set: w2 <= 0,
     m < -n/r - delta(2k), k > n/2.  The verdict is satisfied when either set
-    holds together with the shared parameter ranges.
+    holds together with the shared parameter ranges.  The witness is the
+    convolution series when w2 < -n/2 (where the r-nuclear set implies the
+    nuclear one), else sum <xi>^{r(m + 2k delta)}.
     """
-    if r <= 0 or p1 <= 0 or n < 1:
-        raise ValueError(f"degenerate parameters: need n >= 1, r > 0, p1 > 0 "
-                         f"(got n={n}, r={r}, p1={p1})")
+    _refuse_degenerate(n, r, p1)
     shared = _common_t_clauses(n, r, alpha, p1, delta, p2, q2)
     shared.append(Clause("k is an integer", k, "int", 0))
     set_nuclear = [
@@ -335,29 +340,25 @@ def check_t2(
     shared_fail = _failures(shared)
     nuclear_fail = _failures(set_nuclear)
     r_nuclear_fail = _failures(set_r_nuclear)
-    satisfied = not shared_fail and (not nuclear_fail or not r_nuclear_fail)
+    exponent = r * (m + delta * 2.0 * k)
     derived = _derived_source_params(n, alpha, p1)
-    if not nuclear_fail and not shared_fail:
+    if not shared_fail and not nuclear_fail:
         derived["clause_set"] = "nuclear"
-        witness = _truncated_bracket_convolution(n, w2, k, witness_radius)
-    elif not r_nuclear_fail and not shared_fail:
+    elif not shared_fail and not r_nuclear_fail:
         derived["clause_set"] = "r-nuclear"
-        exponent = r * (m + delta * 2.0 * k)
         derived["series_exponent"] = exponent
-        witness = _power_series_witness(n, exponent, f"sum <xi>^({exponent:.6g}) over Z^{n}")
     else:
         derived["clause_set"] = "none"
-        if w2 < -n / 2.0:
-            witness = _truncated_bracket_convolution(n, w2, k, witness_radius)
-        else:
-            exponent = r * (m + delta * 2.0 * k)
-            witness = _power_series_witness(n, exponent, f"sum <xi>^({exponent:.6g}) over Z^{n}")
-    violated = [] if satisfied else shared_fail + nuclear_fail + r_nuclear_fail
+    satisfied = derived["clause_set"] != "none"
+    if w2 < -n / 2.0:
+        witness = _truncated_bracket_convolution(n, w2, k)
+    else:
+        witness = _power_series_witness(n, exponent)
     return CriterionVerdict(
         satisfied=satisfied,
         derived_params=derived,
+        violated_clauses=[] if satisfied else shared_fail + nuclear_fail + r_nuclear_fail,
         witness=witness,
-        violated_clauses=violated,
     )
 
 
@@ -435,21 +436,12 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
         * _tt1_lr_powers(a(dual), dual.d, r)
         * dual.d.astype(np.float64) ** d_exp
     )
-    labels, shell_sums = _complete_shell_sums(dual.shells, terms, dual.lambda_cap)
-    certified, tail, worst = certify_shell_sums(shell_sums)
-    witness = SeriesWitness(
-        series=f"case {case} dual series, bracket exponent {xi_exp:.6g}, "
-        f"dimension exponent {d_exp:.6g}",
-        labels=labels,
-        partial_sums=list(accumulate(shell_sums)),
-        tail_estimate=tail,
-        certified=certified,
-        rule="geometric-shell-ratio",
+    witness, worst = _shell_witness(
+        f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
+        dual.shells, terms, dual.lambda_cap,
     )
-    convergence = Clause(
-        "series tail monitor: worst recent shell ratio <= 0.9", worst, "<=", SHELL_RATIO_LIMIT
-    )
-    failures = [] if certified else [convergence]
+    monitor = Clause(f"series tail monitor: worst recent shell ratio <= {SHELL_RATIO_LIMIT:g}",
+                     worst, "<=", SHELL_RATIO_LIMIT)
     derived: dict[str, float | str] = {
         "case": float(case),
         "dimension_exponent": d_exp,
@@ -460,10 +452,10 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
     if case == 1:
         derived["epsilon_q_conjugate"] = _epsilon_ext(q / (q - 1.0))
     return CriterionVerdict(
-        satisfied=certified,
+        satisfied=witness.certified,
         derived_params=derived,
+        violated_clauses=[] if witness.certified else [monitor],
         witness=witness,
-        violated_clauses=failures,
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovParams, block_index, block_sums, coefficient_norm
-from .criteria import shell_ratios
+from .criteria import SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, shell_ratios
 from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -136,8 +136,8 @@ def series_diagnostics(dual: GroupDual, terms: np.ndarray, divergent: bool = Fal
         return {"shell_sums": shell_sums, "tail_estimate": 0.0, "converged": True}
     if divergent or not ratios:
         return {"shell_sums": shell_sums, "tail_estimate": math.inf, "converged": False}
-    rho = max(ratios[-4:]) if len(ratios) >= 4 else max(ratios)
-    converged = rho <= 0.9 and len(ratios) >= 2
+    rho = max(ratios[-SHELL_RATIO_COUNT:])  # over all ratios when there are fewer
+    converged = rho <= SHELL_RATIO_LIMIT and len(ratios) >= 2
     tail = shell_sums[-1] * rho / (1.0 - rho) if rho < 1.0 else math.inf
     return {"shell_sums": shell_sums, "tail_estimate": tail, "converged": converged}
 

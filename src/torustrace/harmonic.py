@@ -210,14 +210,21 @@ def lp_norm(f: PeriodicFunction, p: float) -> float:
 
 
 def lp_norms(rows: np.ndarray, p: float) -> list[float]:
-    """``lp_norm`` of each row of grid values, the rows reduced by one ``fsum_by``."""
+    """``lp_norm`` of each row of grid values, the rows reduced by one ``fsum_by``.
+    A row whose sum of |f|^p leaves float64 (0 or inf) while its sup is nonzero and
+    finite is normed relative to its sup, as sup ||f / sup||_p."""
     if p != math.inf and p < 1:
         raise ValueError(f"p must satisfy p >= 1 or p = inf, got {p}")
     mags = np.abs(rows)
     if p == math.inf:
         return [float(m) for m in mags.max(axis=1)]
-    totals = fsum_by(None, mags.astype(np.float64) ** p)
-    return [float((total / rows.shape[1]) ** (1.0 / p)) for total in totals]
+    with np.errstate(over="ignore", under="ignore"):
+        totals = fsum_by(None, mags.astype(np.float64) ** p)
+    norms = [float((total / rows.shape[1]) ** (1.0 / p)) for total in totals]
+    for i, total in enumerate(totals):
+        if total in (0.0, math.inf) and 0.0 < (sup := float(mags[i].max())) < math.inf:
+            norms[i] = sup * lp_norms(mags[i:i + 1] / sup, p)[0]  # a term of 1: in range
+    return norms
 
 
 def random_bandlimited(

@@ -26,6 +26,8 @@ from .sums import fsum_complex
 from .symbols import Symbol, x_fourier_support, x_fourier_table
 
 EIGEN_SIDE_LIMIT = 4096
+TRACE_IDENTITY_TOL = 1e-9
+EIGEN_RESIDUAL_TOL = 1e-9
 
 
 class EigensolverError(RuntimeError):
@@ -128,7 +130,7 @@ def connected_components(matrix) -> np.ndarray:
         labels = hooked
 
 
-def eigenvalues(matrix, with_residuals: bool = False, residual_tol: float = 1e-9):
+def eigenvalues(matrix, with_residuals: bool = False):
     """All eigenvalues of a dense complex matrix in canonical order.
 
     The matrix is split into the connected components of its symmetrised
@@ -136,11 +138,13 @@ def eigenvalues(matrix, with_residuals: bool = False, residual_tol: float = 1e-9
     diagonal, so its spectrum is the union of the blocks' spectra.  Components
     of equal size are stacked and solved by one batched LAPACK call (zgeev:
     balancing, Hessenberg, shifted QR); a one-component matrix is solved
-    unpermuted.  The eigenvalue sum is checked against the matrix trace.  With
-    ``with_residuals`` the eigenvectors are computed too, every pair is checked
-    against ``||A v - lambda v|| <= residual_tol * ||A||_2`` (``||A||_2`` is the
+    unpermuted.  The eigenvalue sum must match the matrix trace to within
+    ``TRACE_IDENTITY_TOL * (1 + |trace|)``.  With ``with_residuals`` the
+    eigenvectors are computed too, every pair is checked against
+    ``||A v - lambda v|| <= EIGEN_RESIDUAL_TOL * ||A||_2`` (``||A||_2`` is the
     largest block norm), and the residual norms are returned alongside the
-    eigenvalues, in the same order.
+    eigenvalues, in the same order.  Either check failing raises
+    EigensolverError.
     """
     A = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -180,16 +184,16 @@ def eigenvalues(matrix, with_residuals: bool = False, residual_tol: float = 1e-9
     eigs = eigs[order]
     if with_residuals:
         residuals = residuals[order]
-        bad = np.flatnonzero(residuals > residual_tol * max(norm_a, 1e-300))
+        bad = np.flatnonzero(residuals > EIGEN_RESIDUAL_TOL * max(norm_a, 1e-300))
         if bad.size:
             i = int(bad[0])
             raise EigensolverError(
                 f"eigenpair {i} residual {residuals[i]:.3e} exceeds "
-                f"{residual_tol:.1e} * ||A|| = {residual_tol * norm_a:.3e}"
+                f"{EIGEN_RESIDUAL_TOL:.1e} * ||A|| = {EIGEN_RESIDUAL_TOL * norm_a:.3e}"
             )
     trace = fsum_complex(np.diag(A))
     esum = fsum_complex(eigs)
-    if abs(esum - trace) > 1e-9 * (1.0 + abs(trace)):
+    if abs(esum - trace) > TRACE_IDENTITY_TOL * (1.0 + abs(trace)):
         raise EigensolverError(
             f"eigenvalue sum {esum} disagrees with matrix trace {trace}"
         )

@@ -209,12 +209,17 @@ class DifferencedXi(XiFactor):
     def values(self, xi):
         xi = np.asarray(xi, dtype=np.int64)
         total = np.zeros(xi.shape[0], dtype=np.complex128)
-        ranges = [range(a + 1) for a in self.alpha]
-        for gamma in product(*ranges):
-            sign = (-1) ** (sum(self.alpha) - sum(gamma))
-            coef = sign * math.prod(math.comb(a, g) for a, g in zip(self.alpha, gamma))
-            total = total + coef * self.base.values(xi + np.asarray(gamma, dtype=np.int64))
+        for gamma, coef in _binomial_shifts(self.alpha):
+            total = total + coef * self.base.values(xi + gamma)
         return total
+
+
+def _binomial_shifts(alpha: tuple[int, ...]):
+    """(gamma, coefficient) pairs of D^alpha a(xi) = sum_gamma coefficient a(xi + gamma),
+    0 <= gamma <= alpha: signed products of binomial coefficients."""
+    for gamma in product(*(range(a + 1) for a in alpha)):
+        sign = (-1) ** (sum(alpha) - sum(gamma))
+        yield np.asarray(gamma, dtype=np.int64), sign * math.prod(map(math.comb, alpha, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +239,12 @@ class Symbol:
         """Table a(x_k, xi_l) of shape (K, L)."""
         raise NotImplementedError
 
-    def x_sup_abs(self, xi: np.ndarray, grid_size: int = 64) -> np.ndarray:
+    def x_sup_abs(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def x_bandwidth(self) -> int | None:
         """Largest |eta_1| carrying x-frequency content; None when unknown."""
         raise NotImplementedError
-
-    def is_x_independent(self) -> bool:
-        return self.x_bandwidth() == 0
 
 
 class SeparableSymbol(Symbol):
@@ -269,7 +271,7 @@ class SeparableSymbol(Symbol):
     def values(self, x, xi):
         return np.outer(self.xfactor.values(np.asarray(x)), self.xifactor.values(xi))
 
-    def x_sup_abs(self, xi, grid_size: int = 64):
+    def x_sup_abs(self, xi):
         return self.xfactor.sup_abs() * np.abs(self.xifactor.values(xi))
 
     def x_bandwidth(self):
@@ -317,7 +319,7 @@ class SampledSymbol(Symbol):
             raise ValueError("sampled symbols evaluate only on their native grid")
         return self.table[:, cols]
 
-    def x_sup_abs(self, xi, grid_size: int = 64):
+    def x_sup_abs(self, xi):
         return np.abs(self.table[:, self.lattice.indices_of(xi)]).max(axis=0)
 
     def x_bandwidth(self):
@@ -379,12 +381,16 @@ def multiplier_symbol(g: XiFactor, dim: int = 1, order: float | None = None) -> 
 def sample_symbol(a: Symbol, grid_size: int, lattice: FrequencyLattice) -> SampledSymbol:
     """Tabulate any symbol into the sampled representation."""
     table = a.values(grid_points(a.dim, grid_size), lattice.points)
-    return SampledSymbol(
-        a.dim, grid_size, lattice, table,
-        claimed_order=a.claimed_order,
-        claimed_rho=a.claimed_rho,
-        claimed_delta=a.claimed_delta,
-    )
+    return SampledSymbol(a.dim, grid_size, lattice, table, **_claims(a))
+
+
+def _claims(a: Symbol, order_shift: float | None = None) -> dict:
+    """The claims of a symbol derived from ``a``: rho and delta carried over, the
+    order moved by ``order_shift`` (an unknown order stays unknown)."""
+    order = a.claimed_order
+    if order is not None and order_shift is not None:
+        order += order_shift
+    return {"claimed_order": order, "claimed_rho": a.claimed_rho, "claimed_delta": a.claimed_delta}
 
 
 # ---------------------------------------------------------------------------
@@ -392,52 +398,29 @@ def sample_symbol(a: Symbol, grid_size: int, lattice: FrequencyLattice) -> Sampl
 # ---------------------------------------------------------------------------
 
 
-def difference_op(a: Symbol, alpha, zero_extend: bool = False) -> Symbol:
+def difference_op(a: Symbol, alpha) -> Symbol:
     """Iterated forward difference D^alpha in the frequency variable.
 
-    By default sampled symbols shrink: the result lives on radius
-    N - max(alpha) so every retained point still has its shifted neighbours
-    inside the original table.  ``zero_extend=True`` keeps the full lattice and
-    reads missing neighbours as 0 instead; that silently corrupts decay
-    behaviour near the edge, so it is opt-in.
+    Sampled symbols shrink: the result lives on radius N - max(alpha) so every
+    retained point still has its shifted neighbours inside the original table.
     """
     alpha = _as_multi_index(alpha, a.dim)
     if isinstance(a, SeparableSymbol):
-        new_order = None
-        if a.claimed_order is not None:
-            new_order = a.claimed_order - a.claimed_rho * sum(alpha)
-        return SeparableSymbol(
-            a.xfactor, DifferencedXi(a.xifactor, alpha), a.dim,
-            claimed_order=new_order, claimed_rho=a.claimed_rho,
-            claimed_delta=a.claimed_delta,
-        )
+        claims = _claims(a, -(a.claimed_rho * sum(alpha)))
+        return SeparableSymbol(a.xfactor, DifferencedXi(a.xifactor, alpha), a.dim, **claims)
     if isinstance(a, SampledSymbol):
-        if zero_extend:
-            new_lat = a.lattice
-        else:
-            new_radius = a.lattice.radius - max(alpha)
-            if new_radius < 0:
-                raise ValueError(
-                    f"difference margin exhausted: order {alpha} on lattice radius "
-                    f"{a.lattice.radius}"
-                )
-            new_lat = FrequencyLattice(a.dim, new_radius)
+        new_radius = a.lattice.radius - max(alpha)
+        if new_radius < 0:
+            raise ValueError(
+                f"difference margin exhausted: order {alpha} on lattice radius "
+                f"{a.lattice.radius}"
+            )
+        new_lat = FrequencyLattice(a.dim, new_radius)
         table = np.zeros((a.table.shape[0], len(new_lat)), dtype=np.complex128)
-        ranges = [range(x + 1) for x in alpha]
-        for gamma in product(*ranges):
-            sign = (-1) ** (sum(alpha) - sum(gamma))
-            coef = sign * math.prod(math.comb(x, g) for x, g in zip(alpha, gamma))
-            q = new_lat.points + np.asarray(gamma, dtype=np.int64)
-            inside = np.abs(q).max(axis=1) <= a.lattice.radius
-            table[:, inside] += coef * a.table[:, a.lattice.indices_of(q[inside])]
-        new_order = None
-        if a.claimed_order is not None:
-            new_order = a.claimed_order - a.claimed_rho * sum(alpha)
-        return SampledSymbol(
-            a.dim, a.grid_size, new_lat, table,
-            claimed_order=new_order, claimed_rho=a.claimed_rho,
-            claimed_delta=a.claimed_delta,
-        )
+        for gamma, coef in _binomial_shifts(alpha):
+            table += coef * a.table[:, a.lattice.indices_of(new_lat.points + gamma)]
+        claims = _claims(a, -(a.claimed_rho * sum(alpha)))
+        return SampledSymbol(a.dim, a.grid_size, new_lat, table, **claims)
     raise TypeError(f"unsupported symbol type {type(a).__name__}")
 
 
@@ -446,18 +429,12 @@ def x_derivative(a: Symbol, beta) -> Symbol:
     for sampled ones (band-limited assumption on the table)."""
     beta = _as_multi_index(beta, a.dim)
     if isinstance(a, SeparableSymbol):
-        new_order = None
-        if a.claimed_order is not None:
-            new_order = a.claimed_order + a.claimed_delta * sum(beta)
         if any(b > 0 for b in beta[1:]):
             xf: XFactor = ZeroX()  # catalog x-factors depend on x_1 only
         else:
             xf = a.xfactor.derivative(beta[0])
-        return SeparableSymbol(
-            xf, a.xifactor, a.dim,
-            claimed_order=new_order, claimed_rho=a.claimed_rho,
-            claimed_delta=a.claimed_delta,
-        )
+        claims = _claims(a, a.claimed_delta * sum(beta))
+        return SeparableSymbol(xf, a.xifactor, a.dim, **claims)
     if isinstance(a, SampledSymbol):
         m = a.grid_size
         shape = (m,) * a.dim + (len(a.lattice),)
@@ -472,14 +449,8 @@ def x_derivative(a: Symbol, beta) -> Symbol:
             shape_mult[axis] = m
             spectrum = spectrum * mult.reshape(shape_mult)
         table = np.fft.ifftn(spectrum, axes=tuple(range(a.dim))).reshape(a.table.shape)
-        new_order = None
-        if a.claimed_order is not None:
-            new_order = a.claimed_order + a.claimed_delta * sum(beta)
-        return SampledSymbol(
-            a.dim, a.grid_size, a.lattice, table,
-            claimed_order=new_order, claimed_rho=a.claimed_rho,
-            claimed_delta=a.claimed_delta,
-        )
+        claims = _claims(a, a.claimed_delta * sum(beta))
+        return SampledSymbol(a.dim, a.grid_size, a.lattice, table, **claims)
     raise TypeError(f"unsupported symbol type {type(a).__name__}")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import power_tail_bound
+from .criteria import SHELL_RATIO_LIMIT, power_tail_bound
 from .harmonic import FrequencyLattice
 from .quantize import OperatorMatrix, eigenvalues, operator_matrix
 from .sums import fsum_complex
@@ -64,7 +64,7 @@ def _increments_converged(increments: list[float]) -> bool | None:
         if prev == 0.0:
             if cur > 0.0:
                 return False
-        elif cur > 0.9 * prev:
+        elif cur > SHELL_RATIO_LIMIT * prev:
             return False
     return True
 

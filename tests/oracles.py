@@ -14,7 +14,9 @@ compares the two.
 Dual series: one ``DualPoint`` object per point of the unitary dual, walked
 point by point with ``math`` functions and per-point dyadic binning.  The
 package holds the dual as numpy arrays; ``test_dual_oracles.py`` compares the
-two.
+two.  The t2 convolution witness likewise, one window sum and one shell per
+lattice point; the package sums all rows of one (lattice x window) array, and
+``test_criteria.py`` compares the two bit for bit.
 
 Spectra: breadth-first search for the connected components of a matrix's
 nonzero pattern, and the full-matrix LAPACK solve.  The package solves one
@@ -53,12 +55,13 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
 from torustrace import harmonic
 from torustrace.besov import BesovParams, besov_norm, block_index, coefficient_norm
+from torustrace.criteria import certify_shell_sums
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
@@ -316,6 +319,26 @@ def tt1_shells(points, a, r, d_exp, xi_exp, lambda_cap) -> tuple[list[float], li
         if j <= max_complete:
             shells.setdefault(j, []).append(term)
     return [float(j) for j in sorted(shells)], [math.fsum(shells[j]) for j in sorted(shells)]
+
+
+def bracket_convolution_witness(n: int, w2: float, k: int):
+    """(labels, partial sums, tail, certified) of the t2 convolution witness, point
+    by point: each value (<.>^{w2} * <.>^{-2k})(xi), xi in the box of radius R
+    (64 in dim 1, 8 in dim 2), summed over the window |eta|_inf <= 2R by one
+    ``math.fsum``, binned into its bracket shell one point at a time, and only the
+    shells wholly inside |xi| <= R kept."""
+    base = 64 if n == 1 else 8
+    window = FrequencyLattice(n, 2 * base)
+    u = window.brackets() ** w2
+    shells: dict[int, list[float]] = {}
+    for xi in FrequencyLattice(n, base).points:
+        shifted = np.sqrt(1.0 + np.sum((xi[None, :] - window.points) ** 2, axis=1))
+        j = (int(xi @ xi + 1).bit_length() - 1) // 2  # 4^j <= |xi|^2 + 1 < 4^(j+1)
+        if 4 ** (j + 1) <= 1 + base**2:
+            shells.setdefault(j, []).append(math.fsum(u * shifted ** (-2.0 * k)))
+    sums = [math.fsum(shells[j]) for j in sorted(shells)]
+    certified, tail, _ = certify_shell_sums(sums)
+    return [float(j) for j in sorted(shells)], list(accumulate(sums)), tail, certified
 
 
 # ---------------------------------------------------------------------------

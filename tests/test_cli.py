@@ -664,6 +664,30 @@ class TestWeightOverflow:
         assert "Traceback" not in err and f"lower {flag}" in err
 
 
+class TestLebesgueExponentRange:
+    """A block whose |f|^p sums to 0 or inf in float64 is normed relative to its
+    sup: at p = 1e10 each block norm lies within a factor n^{-1/p} of the sup
+    that --p inf reports, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("argv, column", [
+        (["besov-norm", "--stock", "8", "--w", "1", "--q", "2", "--radius", "8"], "lp_norm"),
+        (["approx-demo", "--stock", "8", "--w", "1", "--q", "2", "--n-values", "1,2,4"],
+         "besov_error"),
+    ], ids=["besov-norm", "approx-demo"])
+    def test_large_p_reads_near_the_sup(self, capsys, argv, column):
+        rows = {}
+        for p in ("1e10", "inf"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, argv + ["--p", p])
+            assert code == 0 and err == ""
+            body = json.loads(out)["body"]
+            rows[p] = [row[column] for row in body.get("blocks", body.get("table"))]
+        assert len(rows["1e10"]) == len(rows["inf"])
+        for got, sup in zip(rows["1e10"], rows["inf"]):
+            assert sup * (1.0 - 1e-8) <= got <= sup * (1.0 + 1e-12)
+
+
 class TestBlockWeightEchoOnly:
     """|xi| and <xi> bin every dim 1 and dim 2 lattice alike, so ``--block-weight
     bracket`` changes only the header line that echoes it."""
@@ -727,6 +751,25 @@ class TestCliContract:
         ])
         assert code == 2
         assert "json" in err
+
+    def test_csv_refusal_pinned(self, capsys):
+        code, out, err = run(capsys, ["trace", "--symbol", "bessel", "--m", "-4", "--radius", "4",
+                                      "--format", "csv"])
+        assert (code, out, err) == (2, "", "error: trace has no CSV schema; use --format json\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--symbol", "bessel", "--m", "-4", "--radius", "4"],
+        ["besov-norm", "--character", "4", "--w", "1", "--p", "2", "--q", "2", "--radius", "8",
+         "--format", "csv"],
+    ], ids=["json", "csv"])
+    def test_output_into_missing_directory_pinned(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        target = "missing/report.out"
+        code, out, err = run(capsys, argv + ["--output", target])
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot write {target}: [Errno 2] No such file or directory: "
+                       f"'{target}'; pick a writable path\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_determinism(self, capsys):
         argv = ["trace", "--symbol", "modulated", "--c", "2", "--m", "-4",

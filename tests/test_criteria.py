@@ -3,13 +3,14 @@ series certificates, and the canonical quasi-norm bound."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torustrace.besov import BesovParams
 from torustrace.criteria import (
     Clause,
     _lattice_power_sums,
+    _truncated_bracket_convolution,
     check_t1,
     check_t2,
     check_tt1,
@@ -22,6 +23,7 @@ from torustrace.harmonic import FrequencyLattice, min_grid_size, random_bandlimi
 from torustrace.sums import fsum
 from torustrace.symbols import BracketPower, bessel_symbol, modulated_symbol
 
+import oracles
 from oracles import apply_symbol, nuclear_decomposition, reconstruct
 
 
@@ -178,6 +180,21 @@ class TestCheckT2:
         assert v.satisfied
         assert not v.witness.certified
         assert "not certified" in v.witness.note
+
+
+class TestConvolutionWitness:
+    """The broadcast convolution witness equals the per-point loop bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2]), k=st.integers(1, 3), gap=st.floats(1e-6, 40.0))
+    @example(n=1, k=1, gap=0.5)  # w2 = -1: the borderline, uncertified case
+    @example(n=1, k=2, gap=1.0)  # w2 = -1.5: certified
+    @example(n=2, k=2, gap=1.0)
+    def test_matches_the_per_point_oracle(self, n, k, gap):
+        w2 = -n / 2.0 - gap  # the nuclear set's w2 < -n/2
+        w = _truncated_bracket_convolution(n, w2, k)
+        want = oracles.bracket_convolution_witness(n, w2, k)
+        assert (w.labels, w.partial_sums, w.tail_estimate, w.certified) == want
 
 
 class TestCheckTT1:

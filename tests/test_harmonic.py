@@ -175,6 +175,20 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize("value, p", [(2.0, 1e10), (0.5, 1e10), (1e-200, 2.0), (1e200, 2.0)])
+    def test_sum_out_of_float64_range_normed_at_the_sup(self, value, p):
+        # |f|^p overflows or underflows; relative to the sup every term is 1
+        f = PeriodicFunction(1, 8, np.full(8, value))
+        with np.errstate(all="raise"):
+            assert lp_norm(f, p) == value
+
+    def test_sum_out_of_float64_range_keeps_the_grid_norm(self):
+        # 0.5^p underflows at p = 1200 for every point; the grid norm is
+        # sup (mean (|f|/sup)^p)^{1/p} = 0.5 (1/4)^{1/p}
+        f = PeriodicFunction(1, 8, np.array([0.5, 0.25, 0.0, 0.5, 0.1, 0.0, 0.3, 0.2]))
+        assert lp_norm(f, 1200.0) == pytest.approx(0.5 * 0.25 ** (1 / 1200.0), rel=1e-15)
+        assert lp_norm(PeriodicFunction(1, 8, np.zeros(8)), 1e10) == 0.0
+
     @settings(max_examples=25, deadline=None)
     @given(
         scale_re=st.floats(-10, 10, allow_nan=False),

@@ -80,17 +80,6 @@ class TestDifferenceOp:
         with pytest.raises(ValueError, match="margin exhausted"):
             difference_op(a, 5)
 
-    def test_sampled_zero_extension_opt_in(self):
-        lat = FrequencyLattice(1, 3)
-        a = sample_symbol(bessel_symbol(0.0), min_grid_size(3), lat)  # constant 1
-        d = difference_op(a, 1, zero_extend=True)
-        assert d.lattice.radius == 3  # no shrinkage
-        interior = [d.lattice.index_of(k) for k in range(-3, 3)]
-        assert np.abs(d.table[:, interior]).max() < 1e-14
-        # the edge column reads the missing neighbour as zero: 0 - 1 = -1
-        edge = d.lattice.index_of(3)
-        assert np.abs(d.table[:, edge] + 1.0).max() < 1e-14
-
     def test_sampled_matches_catalog(self):
         lat = FrequencyLattice(1, 6)
         cat = difference_op(bessel_symbol(-2.0), 2)
