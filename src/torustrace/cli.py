@@ -510,9 +510,11 @@ def _run_nuclearity(args) -> tuple[dict, dict, str | None]:
 
 
 def _dual(args, half_integers: bool = True):
-    """The dual slice the flags ask for, refused (exit 2) above the size budget."""
+    """The dual slice the flags ask for, one row per distinct lambda (every CLI
+    series term depends on lambda alone), refused (exit 2) above the size budget."""
     try:
-        return enumerate_dual(args.group, args.cutoff, dim=args.dim, half_integers=half_integers)
+        return enumerate_dual(args.group, args.cutoff, dim=args.dim, half_integers=half_integers,
+                              radial=True)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -523,7 +525,7 @@ def _run_heat_trace(args) -> tuple[dict, dict, str | None]:
     dual = _dual(args, half_integers=not args.integer_spins)
     terms = heat_terms(dual, args.t)
     body = {"group": args.group, "dim": args.dim, "t": args.t, "cutoff": args.cutoff,
-            "value": fsum(terms)}
+            "value": fsum(terms, dual.mult)}
     return body, series_diagnostics(dual, terms), None
 
 
@@ -533,7 +535,7 @@ def _run_bessel_trace(args) -> tuple[dict, dict, str | None]:
     dual = _dual(args, half_integers=not args.integer_spins)
     divergent = args.alpha <= dual.group_dimension
     terms = bessel_terms(dual, args.alpha)
-    value = fsum(terms)
+    value = fsum(terms, dual.mult)
     if args.tail_correct:
         try:
             value += bessel_tail(dual, args.alpha)
@@ -682,7 +684,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("nuclearity", "run a sufficient-condition checker"):
         p.add_argument("--theorem", choices=["t1", "t2", "tt1"], required=True)
         p.add_argument("--case", type=int, choices=[1, 2, 3, 4])
-        p.add_argument("--n", type=int)
+        p.add_argument("--n", type=int, choices=[1, 2])
         p.add_argument("--r", type=FINITE)
         p.add_argument("--alpha", type=FINITE)
         p.add_argument("--p1", type=FINITE)

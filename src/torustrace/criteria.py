@@ -166,14 +166,16 @@ def _power_series_witness(n: int, exponent: float) -> SeriesWitness:
 
 
 def _shell_witness(
-    series: str, shells: np.ndarray, terms: np.ndarray, lambda_cap: float, note: str = ""
+    series: str, shells: np.ndarray, terms: np.ndarray, lambda_cap: float, note: str = "",
+    weights: np.ndarray | None = None,
 ) -> tuple[SeriesWitness, float]:
     """Geometric shell-ratio witness and its worst recent ratio.  Only the bracket
     shells j wholly inside a truncation complete up to lambda_cap
     (4^{j+1} <= 1 + lambda_cap) are summed, since a clipped shell could fake
-    decay; ``note`` is attached when the sums are not certified."""
+    decay; each term counts ``weights`` times (default once); ``note`` is
+    attached when the sums are not certified."""
     keep = shells < block_index(math.floor(lambda_cap) + 1)
-    labels, sums = block_sums(shells[keep], terms[keep])
+    labels, sums = block_sums(shells[keep], terms[keep], None if weights is None else weights[keep])
     certified, tail, worst = certify_shell_sums(sums)
     witness = SeriesWitness(
         series=series,
@@ -438,7 +440,7 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
     )
     witness, worst = _shell_witness(
         f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
-        dual.shells, terms, dual.lambda_cap,
+        dual.shells, terms, dual.lambda_cap, weights=dual.mult,
     )
     monitor = Clause(f"series tail monitor: worst recent shell ratio <= {SHELL_RATIO_LIMIT:g}",
                      worst, "<=", SHELL_RATIO_LIMIT)

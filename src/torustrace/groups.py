@@ -7,10 +7,15 @@ carries dimension 1 and Laplacian eigenvalue |xi|^2, so the group bracket
 by l in {0, 1/2, 1, 3/2, ...} with dimension 2l + 1 and eigenvalue l(l + 1);
 ``half_integers=False`` restricts to the integer-spin subset.
 
-A ``GroupDual`` holds arrays ``labels`` (N x k), ``d`` and ``lam``, sorted by
-(lambda, label); series are whole-array expressions over them.  A symbol
-callable receives the whole dual and returns an (N,) array of scalar-times-
-identity values (or, for ``criteria.check_tt1``, also N d x d matrices).
+A ``GroupDual`` holds arrays ``labels`` (N x k), ``d``, ``lam`` and ``mult``,
+sorted by (lambda, label); series are whole-array expressions over them, each
+row's term counted ``mult`` times.  ``enumerate_dual`` gives one row per dual
+point (``mult`` all ones).  With ``radial=True`` the torus slice has one row per
+distinct lambda = n, weighted by the number r(n) of box points with |xi|^2 = n,
+and no labels: a series whose terms depend on lambda alone has the same exactly
+rounded sums over it.  A symbol callable receives the whole dual and returns an
+(N,) array of scalar-times-identity values (or, for ``criteria.check_tt1``,
+also N d x d matrices).
 """
 
 from __future__ import annotations
@@ -46,9 +51,11 @@ class DivergenceWarning(UserWarning):
 class GroupDual:
     group: str
     cutoff: float
-    labels: np.ndarray  # (N, k): torus xi (int64, k = dim), su2 (l,) (float64, k = 1)
+    dim: int  # torus lattice dimension (1 on su2)
+    labels: np.ndarray | None  # (N, k): torus xi (int64, k = dim), su2 (l,) (float64, k = 1); radial: None
     d: np.ndarray  # (N,) int64 representation dimension
     lam: np.ndarray  # (N,) float64 Laplacian eigenvalue
+    mult: np.ndarray  # (N,) int64 number of dual points the row stands for
 
     def __len__(self) -> int:
         return self.lam.shape[0]
@@ -69,7 +76,7 @@ class GroupDual:
     def group_dimension(self) -> int:
         if self.group == "su2":
             return 3
-        return self.labels.shape[1]
+        return self.dim
 
     @property
     def lambda_cap(self) -> float:
@@ -94,13 +101,14 @@ def dual_size(group: str, cutoff: float, dim: int = 1, half_integers: bool = Tru
 
 
 def enumerate_dual(
-    group: str, cutoff, dim: int = 1, half_integers: bool = True
+    group: str, cutoff, dim: int = 1, half_integers: bool = True, radial: bool = False
 ) -> GroupDual:
     """Finite slice of the unitary dual, sorted by Laplacian eigenvalue, ties by label.
 
-    torus: lattice points |xi|_inf <= cutoff, d = 1, lambda = |xi|^2.
+    torus: lattice points |xi|_inf <= cutoff, d = 1, lambda = |xi|^2; with
+           ``radial`` one unlabelled row per distinct lambda, ``mult`` = r(lambda).
     su2:   l = 0, 1/2, ..., cutoff (integers only when half_integers=False),
-           d = 2l + 1, lambda = l(l + 1).
+           d = 2l + 1, lambda = l(l + 1); already one row per lambda.
     A slice above DUAL_SIZE_LIMIT points is refused before anything is allocated.
     """
     if group not in GROUPS:
@@ -113,6 +121,9 @@ def enumerate_dual(
             f"the {group} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
             "lower the cutoff"
         )
+    if group == "torus" and radial:
+        lam, mult = _radial_torus(dim, math.floor(cutoff))
+        return GroupDual(group, cutoff, dim, None, np.ones(lam.shape[0], dtype=np.int64), lam, mult)
     if group == "torus":
         labels = box_points(dim, math.floor(cutoff))
         lam = np.sum(labels * labels, axis=1).astype(np.float64)
@@ -122,15 +133,35 @@ def enumerate_dual(
         d = np.ones(lam.shape[0], dtype=np.int64)
     else:
         # lambda grows with l, so counting order is already sorted
+        dim = 1
         l = np.arange(size) * (0.5 if half_integers else 1.0)
         labels, d, lam = l[:, None], (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0)
-    return GroupDual(group, cutoff, labels, d, lam)
+    return GroupDual(group, cutoff, dim, labels, d, lam, np.ones(lam.shape[0], dtype=np.int64))
+
+
+def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct n = |xi|^2 over the box |xi|_inf <= radius, ascending, with the
+    number r(n) of box points on each.  Each quarter-box point (a_1, .., a_dim),
+    a_i >= 0, stands for the 2^(number of a_i > 0) sign choices; one bincount
+    of the sums of squares adds those up.  In dim 1 the squares are distinct
+    already (and a bincount would need radius^2 bins)."""
+    square = np.arange(radius + 1, dtype=np.int64) ** 2
+    signs = np.where(square > 0, 2, 1)
+    if dim == 1:
+        return square.astype(np.float64), signs
+    keys, weights = square, signs
+    for _ in range(dim - 1):
+        keys = np.add.outer(keys, square).ravel()
+        weights = np.outer(weights, signs).ravel()
+    r = np.bincount(keys, weights)  # integers below DUAL_SIZE_LIMIT, exact in float64
+    n = np.flatnonzero(r)
+    return n.astype(np.float64), r[n].astype(np.int64)
 
 
 def series_diagnostics(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> dict:
     """Geometric shell-ratio monitor over dyadic bracket shells; a series known
     to be ``divergent`` is never reported as converged, whatever its shells show."""
-    _, shell_sums = block_sums(dual.shells, np.abs(np.asarray(terms)))
+    _, shell_sums = block_sums(dual.shells, np.abs(np.asarray(terms)), dual.mult)
     ratios = shell_ratios(shell_sums)
     if fsum(shell_sums) == 0.0 and not divergent:
         return {"shell_sums": shell_sums, "tail_estimate": 0.0, "converged": True}
@@ -151,7 +182,7 @@ def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
 
 def heat_trace(dual: GroupDual, t: float) -> float:
     """sum over the dual of d^2 exp(-t lambda)."""
-    return fsum(heat_terms(dual, t))
+    return fsum(heat_terms(dual, t), dual.mult)
 
 
 def bessel_terms(dual: GroupDual, alpha: float) -> np.ndarray:
@@ -197,7 +228,7 @@ def bessel_trace(dual: GroupDual, alpha: float, tail_correction: bool = False) -
             DivergenceWarning,
             stacklevel=2,
         )
-    value = fsum(bessel_terms(dual, alpha))
+    value = fsum(bessel_terms(dual, alpha), dual.mult)
     if tail_correction:
         value += bessel_tail(dual, alpha)
     return value
@@ -205,7 +236,7 @@ def bessel_trace(dual: GroupDual, alpha: float, tail_correction: bool = False) -
 
 def multiplier_trace(dual: GroupDual, a) -> complex:
     """sum d_xi Tr[a(xi)] for scalar-times-identity symbols: sum d^2 a(xi)."""
-    return fsum_complex(dual.d * dual.d * np.asarray(a(dual), dtype=np.complex128))
+    return fsum_complex(dual.d * dual.d * np.asarray(a(dual), dtype=np.complex128), dual.mult)
 
 
 def partial_sum_convergence(

@@ -29,15 +29,23 @@ as ``math.fsum`` at a fraction of its per-term cost:
   zero is +0.0 from both: ``math.fsum`` keeps no zero partials, so even an
   all -0.0 input sums to +0.0 (``tests/test_exact_sums.py`` pins this).
 
+Integer weights w >= 1 stand for repeated terms: value x with weight w sums
+as w copies of x.  The kernel multiplies ``hi`` and ``lo`` by w, which is
+exact below 2^53, so a term puts at most one part, below 2^27 w, in any bin,
+and every bin sum stays an exact integer below 2^53 while sum(w) < 2^26.  A
+weighted sum then has the bits of ``math.fsum`` over ``np.repeat(values, w)``.
+In what follows n is the number of terms, counted with their weights.
+
 Memory: the terms go through in chunks of ``CHUNK``, with about 36 bytes of
 temporaries per term (about 1 MB a chunk), plus 2125 x 8 bytes of bins per
-group.  The terms go to ``math.fsum`` itself, so that its values and its
-exceptions are kept, when there are fewer than ``CROSSOVER`` of them; when
-any is inf or nan; when max|x| >= 2^(1023 - n.bit_length()) for n terms
-(``math.fsum`` raises an order-dependent OverflowError on some finite sums
-near the top of the range, and a bin could overflow); when there are 2^26 or
-more; and when there are more than ``MAX_GROUPS`` groups.  Lists, generators
-and other arrays always go to ``math.fsum``.
+group.  The terms go to ``math.fsum`` itself (repeated by their weights), so
+that its values and its exceptions are kept, when there are fewer than
+``CROSSOVER`` of them; when any is inf or nan; when max|x| >=
+2^(1023 - n.bit_length()) (``math.fsum`` raises an order-dependent
+OverflowError on some finite sums near the top of the range, and a bin could
+overflow); when there are 2^26 or more; and when there are more than
+``MAX_GROUPS`` groups.  Lists, generators and other arrays always go to
+``math.fsum``.
 """
 
 from __future__ import annotations
@@ -60,49 +68,61 @@ _OFFSET = 1074  # frexp exponents of nonzero doubles lie in [-1073, 1024]
 _BINS = _OFFSET + 1025 + 26  # bin k holds scale 2^(k - 1127), k in [1, 2124]
 
 
-def fsum(values) -> float:
+def fsum(values, weights=None) -> float:
     """Exactly rounded sum of real terms: ``fsum_by``'s one-group case for a 1-D
-    float64 ndarray of ``CROSSOVER`` terms or more, ``math.fsum`` for anything else."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.ndim == 1 and values.size >= CROSSOVER):
-        return fsum_by(None, values)[0]
+    float64 ndarray of ``CROSSOVER`` terms or more or for weighted terms,
+    ``math.fsum`` for anything else."""
+    if weights is not None or (isinstance(values, np.ndarray) and values.dtype == np.float64
+                               and values.ndim == 1 and values.size >= CROSSOVER):
+        return fsum_by(None, values, weights)[0]
     return math.fsum(values)
 
 
-def fsum_complex(values) -> complex:
+def fsum_complex(values, weights=None) -> complex:
     """Exactly rounded sum of complex terms (componentwise fsum)."""
     arr = np.asarray(values)
     if arr.size == 0:
         return 0j
     if np.iscomplexobj(arr):
-        return complex(fsum(arr.real), fsum(arr.imag))
-    return complex(fsum(arr.astype(np.float64)), 0.0)
+        return complex(fsum(arr.real, weights), fsum(arr.imag, weights))
+    return complex(fsum(arr.astype(np.float64), weights), 0.0)
 
 
-def fsum_by(groups, values) -> list[float]:
+def fsum_by(groups, values, weights=None) -> list[float]:
     """Exactly rounded sum of each group of float64 ``values``, equal bit for bit to
     ``math.fsum`` over that group's terms.  ``groups`` holds a nonnegative integer
     per term of a 1-D ``values``, and the sums of groups 0 .. max(groups) come back
     (an empty group sums to 0.0).  With ``groups`` None each row of a 2-D
-    ``values`` is a group, and a 1-D ``values`` is one group."""
+    ``values`` is a group, and a 1-D ``values`` is one group.  ``weights``, of
+    ``values``' shape, gives each term a positive integer multiplicity."""
     values = np.asarray(values, dtype=np.float64)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.int64)
+        if weights.shape != values.shape:
+            raise ValueError(f"weights of shape {weights.shape} for values of shape {values.shape}")
+        if weights.size and weights.min() < 1:
+            raise ValueError("weights must be positive integers")
     if groups is None:
         values = np.atleast_2d(values)
         size, row_length = values.shape
+        if weights is not None:
+            weights = weights.reshape(values.shape)
     else:
         groups = np.asarray(groups, dtype=np.intp)
         size = int(groups.max()) + 1 if groups.size else 0
-    n = values.size
+    n = values.size if weights is None else int(weights.sum())
     if n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS:
-        return _fsum_slices(groups, values, size)
+        return _fsum_slices(groups, values, size, weights)
     limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
     if not (values.max() < limit and -values.min() < limit):  # nan fails both
-        return _fsum_slices(groups, values, size)
+        return _fsum_slices(groups, values, size, weights)
     values = values.reshape(-1)
+    if weights is not None:
+        weights = weights.reshape(-1).astype(np.float64)  # exact: each weight is below 2^26
     bins = np.zeros((size, _BINS))  # bins[g, k]: group g's integer sum at scale 2^(k - 1127)
     low, high = _BINS, 0  # the bins any chunk touched
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
+    for start in range(0, values.size, CHUNK):
+        stop = min(start + CHUNK, values.size)
         frac, key = np.frexp(values[start:stop])
         first = int(key.min())
         width = int(key.max()) - first + 1
@@ -115,6 +135,9 @@ def fsum_by(groups, values) -> list[float]:
         hi = np.trunc(frac)
         frac -= hi
         frac *= 2.0**26
+        if weights is not None:  # products below 2^53, exact
+            hi *= weights[start:stop]
+            frac *= weights[start:stop]
         # hi 2^(e-27) lands in bin e + 1100, lo 2^(e-53) = lo 2^((e-26)-27) in bin e + 1074
         window = bins[:, first + _OFFSET:first + _OFFSET + width + 26]
         window[:, 26:] += np.bincount(key, hi, minlength=size * width).reshape(size, width)
@@ -128,11 +151,16 @@ def fsum_by(groups, values) -> list[float]:
     return [math.fsum(exact[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _fsum_slices(groups, values: np.ndarray, size: int) -> list[float]:
-    """``math.fsum`` over each group's terms in turn: each row of ``values`` when
-    ``groups`` is None, else the contiguous slices of a stable sort by group."""
+def _fsum_slices(groups, values: np.ndarray, size: int, weights) -> list[float]:
+    """``math.fsum`` over each group's terms in turn, each term repeated by its
+    weight: each row of ``values`` when ``groups`` is None, else the contiguous
+    slices of a stable sort by group."""
     if groups is None:
-        return [math.fsum(row) for row in values]
+        if weights is None:
+            return [math.fsum(row) for row in values]
+        return [math.fsum(np.repeat(row, w)) for row, w in zip(values, weights)]
+    if weights is not None:
+        groups, values = np.repeat(groups, weights), np.repeat(values, weights)
     order = np.argsort(groups, kind="stable")
     cuts = np.searchsorted(groups[order], np.arange(size + 1)).tolist()
     values = values[order]

@@ -332,9 +332,13 @@ class SampledSymbol(Symbol):
             or self.lattice != other.lattice
         ):
             raise ValueError("can only add sampled symbols on identical grid and lattice")
+        # S^m1_{rho1,delta1} + S^m2_{rho2,delta2} lies in S^max(m)_{min(rho),max(delta)}
+        orders = (self.claimed_order, other.claimed_order)
         return SampledSymbol(
             self.dim, self.grid_size, self.lattice, self.table + other.table,
-            claimed_order=self.claimed_order,
+            claimed_order=None if None in orders else max(orders),
+            claimed_rho=min(self.claimed_rho, other.claimed_rho),
+            claimed_delta=max(self.claimed_delta, other.claimed_delta),
         )
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -361,6 +362,15 @@ class TestNuclearityCommand:
         ])
         assert code == 2 and "--r" in err
 
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    def test_lattice_dim_outside_choices_exit_2(self, capsys, theorem):
+        code, out, err = run(capsys, [
+            "nuclearity", "--theorem", theorem, "--n", "3", "--r", "1", "--alpha", "0.5",
+            "--p1", "2", "--k", "1", "--delta", "0", "--m", "-4", "--w2", "0",
+        ])
+        assert code == 2 and out == ""
+        assert "argument --n: invalid choice" in err and "choose from 1, 2" in err
+
 
 class TestDualTraceCommands:
     def test_heat_torus(self, capsys):
@@ -421,6 +431,26 @@ class TestDualTraceCommands:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert "lower the cutoff" in err and "Traceback" not in err
+
+    def test_budget_edge_refused_before_any_allocation(self, capsys, monkeypatch):
+        # (2 * 1582 + 1)^2 = 10,017,225 points: the first dim-2 cutoff above the budget
+        import torustrace.groups as groups
+
+        def trip(*args, **kwargs):
+            raise AssertionError("a dual builder ran")
+
+        monkeypatch.setattr(groups, "_radial_torus", trip)
+        monkeypatch.setattr(groups, "box_points", trip)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["heat-trace", "--group", "torus", "--dim", "2",
+                                          "--t", "0.01", "--cutoff", "1582"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "lower the cutoff" in err and "Traceback" not in err
+        assert peak < 1 << 20  # a quarter box alone would be 20 MB
 
     def test_bessel_require_convergent_exit_3(self, capsys):
         code, _, err = run(capsys, [

@@ -4,9 +4,15 @@ Enumeration (labels, order, d, lambda) must match exactly.  Series values,
 dyadic shell sums and tt1 partial sums must match to 1e-15 relative: numpy's
 ``exp``/``pow`` may differ from libm's by an ulp per term, and every sum is
 exactly rounded, so a sum of positive terms moves by at most about one ulp.
+
+The radial torus slice (one row per distinct lambda, weighted by its
+multiplicity) must give the per-point slice's results bit for bit: its terms
+are the same floats, each repeated r(lambda) times.
 """
 
 import math
+import struct
+from dataclasses import asdict
 from itertools import accumulate
 
 import numpy as np
@@ -15,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from torustrace.besov import block_index
 from torustrace.criteria import check_tt1
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
@@ -24,6 +31,7 @@ from torustrace.groups import (
     enumerate_dual,
     heat_terms,
     heat_trace,
+    multiplier_trace,
     series_diagnostics,
 )
 
@@ -128,6 +136,82 @@ def test_symbol_of_wrong_length_rejected():
     for a in (lambda dual: np.ones(1), lambda dual: [np.eye(2)] * (len(dual) - 1)):
         with pytest.raises(ValueError, match="one value or matrix per dual point"):
             check_tt1(dual, a, 1.0, 2.0, 2.0, 3)
+
+
+radial_duals = st.tuples(st.integers(0, 160).map(lambda k: k / 4.0), st.sampled_from([1, 2]))
+
+
+def bits(value) -> str:
+    """Exact text of a report value: floats by their bytes, so -0.0 and nan count."""
+    if isinstance(value, float):
+        return struct.pack("<d", value).hex()
+    if isinstance(value, complex):
+        return bits(value.real) + "+" + bits(value.imag) + "j"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{bits(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(bits(v) for v in value) + "]"
+    return repr(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_duals)
+@example((0.0, 1))
+@example((0.0, 2))
+@example((40.0, 2))
+def test_radial_slice_counts_every_point(spec):
+    cutoff, dim = spec
+    radial = enumerate_dual("torus", cutoff, dim=dim, radial=True)
+    dual = enumerate_dual("torus", cutoff, dim=dim)
+    n, r = np.unique(dual.lam, return_counts=True)
+    assert radial.labels is None and radial.group_dimension == dim
+    assert radial.lam.tolist() == n.tolist() and radial.mult.tolist() == r.tolist()
+    assert radial.d.tolist() == [1] * len(n) and int(radial.mult.sum()) == dual_size("torus", cutoff, dim)
+    assert radial.lambda_cap == dual.lambda_cap
+    assert radial.shells.tolist() == block_index(n.astype(np.int64) + 1).tolist()
+    assert radial.bracket.tolist() == np.sqrt(1.0 + n).tolist()
+
+
+@pytest.mark.filterwarnings("ignore::torustrace.groups.DivergenceWarning")
+@settings(max_examples=80, deadline=None)
+@given(radial_duals, st.floats(1e-4, 3.0), st.sampled_from(["convergent", "divergent"]),
+       st.floats(0.0, 1.0))
+@example((40.0, 2), 1e-4, "divergent", 1.0)
+@example((40.0, 1), 0.01, "convergent", 0.0)
+@example((0.0, 2), 1.0, "divergent", 0.5)
+def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
+    cutoff, dim = spec
+    radial = enumerate_dual("torus", cutoff, dim=dim, radial=True)
+    dual = enumerate_dual("torus", cutoff, dim=dim)
+    # alpha <= dim diverges; the convergent draws lie in (dim, dim + 3]
+    alpha = dim * u if kind == "divergent" else dim + 3.0 * u + 1e-3
+    divergent = kind == "divergent"
+    assert bits(heat_trace(radial, t)) == bits(heat_trace(dual, t))
+    assert bits(bessel_trace(radial, alpha)) == bits(bessel_trace(dual, alpha))
+    for terms in (heat_terms, lambda d, _: bessel_terms(d, alpha)):
+        for flag in (False, divergent):
+            want = series_diagnostics(dual, terms(dual, t), divergent=flag)
+            got = series_diagnostics(radial, terms(radial, t), divergent=flag)
+            assert bits(got) == bits(want)
+    symbol = lambda d: np.exp(1j * d.lam) * d.bracket ** -alpha  # noqa: E731
+    assert bits(multiplier_trace(radial, symbol)) == bits(multiplier_trace(dual, symbol))
+
+
+@settings(max_examples=80, deadline=None)
+@given(radial_duals, st.sampled_from(sorted(TT1_CASES)), st.sampled_from([1.0, 0.5]),
+       st.sampled_from(["bracket", "heat"]), st.floats(-6.0, -0.5), st.floats(1e-4, 1.0))
+@example((40.0, 2), 1, 1.0, "bracket", -4.0, 0.01)
+@example((40.0, 2), 4, 0.5, "heat", -4.0, 1e-4)
+def test_radial_tt1_verdict_matches_the_per_point_path_bit_for_bit(spec, case, r, kind, m, t):
+    cutoff, dim = spec
+    radial = enumerate_dual("torus", cutoff, dim=dim, radial=True)
+    dual = enumerate_dual("torus", cutoff, dim=dim)
+    p, q = TT1_CASES[case]
+    # the CLI's catalog multipliers: bracket^m and exp(-t lambda)
+    symbol = (lambda d: d.bracket**m) if kind == "bracket" else (lambda d: np.exp(-t * d.lam))
+    got = check_tt1(radial, symbol, r, p, q, case)
+    want = check_tt1(dual, symbol, r, p, q, case)
+    assert bits(asdict(got)) == bits(asdict(want))
 
 
 @pytest.mark.parametrize(

@@ -170,3 +170,89 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
         assert [bits(v) for v in report["shell_sums"]] == [bits(v) for v in want[name]]
     assert len(dual) == 200001
     assert not [size for size in passed if size >= CROSSOVER]
+
+
+
+class TestWeights:
+    """A term of weight w sums as w copies: ``math.fsum(np.repeat(values, w))``."""
+
+    @staticmethod
+    def want(groups, x, w):
+        rx = np.repeat(x, w)
+        if groups is None:
+            return outcome(math.fsum, rx)
+        rg = np.repeat(groups, w)
+        out = [outcome(math.fsum, rx[rg == g]) for g in range(groups.max() + 1)] if groups.size else []
+        for o in out:  # the first failing group's exception, as fsum_by raises it
+            if isinstance(o, tuple):
+                return o
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from((1, 7, 300, CROSSOVER - 1, CROSSOVER, CHUNK + 1)), st.sampled_from(KINDS),
+           st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 4, 100, 5000)), st.integers(1, 9))
+    def test_weighted_sums_match_repeated_terms(self, n, kind, seed, top, group_count):
+        rng = np.random.default_rng(seed)
+        x = terms(kind, n, rng)
+        w = rng.integers(1, max(1, min(top, 100_000 // n)) + 1, n)  # at most 10^5 repeated terms
+        assert outcome(fsum, x, w) == self.want(None, x, w)
+        groups = 2 * rng.integers(0, group_count, n)
+        assert outcome(fsum_by, groups, x, w) == self.want(groups, x, w)
+
+    @pytest.mark.parametrize("total", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1])
+    @pytest.mark.parametrize("group_count", [1, sums.MAX_GROUPS, sums.MAX_GROUPS + 1])
+    def test_counts_across_crossover_and_max_groups(self, total, group_count):
+        # fewer distinct terms than CROSSOVER, standing for about CROSSOVER terms
+        rng = np.random.default_rng(total + group_count)
+        n = max(2 * group_count, 8)
+        w = np.ones(n, dtype=np.int64)
+        w[0] = total - n + 1
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
+        groups = np.arange(n) % group_count
+        assert outcome(fsum_by, groups, x, w) == self.want(groups, x, w)
+
+    def test_weighted_kernel_runs_without_the_fallback(self, monkeypatch):
+        # 300 distinct finite terms standing for about 10^5: no expansion to math.fsum
+        rng = np.random.default_rng(11)
+        x, w = terms("wide", 300, rng), rng.integers(1, 700, 300)
+        want = self.want(None, x, w)
+        monkeypatch.setattr(sums, "_fsum_slices", lambda *args: pytest.fail("fell back"))
+        assert outcome(fsum, x, w) == want
+
+    @pytest.mark.parametrize("head", [[math.inf, 1.0], [-math.inf], [math.inf, -math.inf]])
+    def test_infinities(self, head):
+        x = np.zeros(400)
+        x[: len(head)] = head
+        w = np.arange(1, 401)
+        assert outcome(fsum, x, w) == self.want(None, x, w)
+
+    def test_all_negative_zero_and_nan(self):
+        w = np.arange(1, 401)
+        x = np.full(400, -0.0)
+        assert outcome(fsum, x, w) == self.want(None, x, w) == bits(0.0)
+        x[7] = math.nan
+        assert math.isnan(fsum(x, w)) and math.isnan(math.fsum(np.repeat(x, w)))
+
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0, 1.5])
+    def test_terms_near_the_overflow_limit(self, scale):
+        # every term is scale 2^1024 / sum(w): 0.25 lies under the kernel's limit, 0.5
+        # sums to 2^1023 on the fallback, 1 and 1.5 overflow (OverflowError); with
+        # alternating signs the same terms cancel
+        w = np.full(2 * CROSSOVER, 3, dtype=np.int64)
+        x = np.full(w.size, math.ldexp(scale / int(w.sum()), 1024))
+        assert outcome(fsum, x, w) == self.want(None, x, w)
+        x[::2] *= -1.0
+        assert outcome(fsum, x, w) == self.want(None, x, w) == bits(0.0)
+
+    def test_complex_weights_pass_through(self):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(500) + 1j * rng.standard_normal(500) * 1e-200
+        w = rng.integers(1, 20, 500)
+        want = complex(math.fsum(np.repeat(z.real, w)), math.fsum(np.repeat(z.imag, w)))
+        assert bits(fsum_complex(z, w).real) == bits(want.real)
+        assert bits(fsum_complex(z, w).imag) == bits(want.imag)
+
+    @pytest.mark.parametrize("w", [[1, 0, 2], [1, -1, 2], [1, 2]])
+    def test_non_positive_or_misshapen_weights_refused(self, w):
+        with pytest.raises(ValueError, match="weights"):
+            fsum_by(None, np.ones(3), np.array(w))

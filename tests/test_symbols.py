@@ -256,3 +256,20 @@ class TestSampledRepresentation:
         assert a.claimed_order == -2.0
         d = difference_op(a, 1)
         assert d.claimed_order == -3.0  # order m - rho |alpha| with rho = 1
+
+    @pytest.mark.parametrize("first, second, want", [
+        ((-2.0, 1.0, 0.0), (-3.0, 0.5, 0.5), (-2.0, 0.5, 0.5)),
+        ((-3.0, 0.5, 0.5), (-2.0, 1.0, 0.0), (-2.0, 0.5, 0.5)),
+        ((-2.0, 0.75, 0.25), (None, 1.0, 0.0), (None, 0.75, 0.25)),
+        ((None, 1.0, 0.0), (-2.0, 0.75, 0.25), (None, 0.75, 0.25)),
+    ])
+    def test_sum_claims_the_wider_class(self, first, second, want):
+        # S^m1_{rho1,delta1} + S^m2_{rho2,delta2} lies in S^max(m)_{min(rho),max(delta)}
+        lat = FrequencyLattice(1, 4)
+        grid = min_grid_size(4)
+        table = tabulate(bessel_symbol(-2.0), lat, grid)
+        a, b = (SampledSymbol(1, grid, lat, table, claimed_order=m, claimed_rho=rho,
+                              claimed_delta=delta) for m, rho, delta in (first, second))
+        total = a + b
+        assert (total.claimed_order, total.claimed_rho, total.claimed_delta) == want
+        np.testing.assert_array_equal(total.table, 2.0 * table)
