@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -32,7 +33,7 @@ from .groups import (
     enumerate_dual,
     heat_terms,
     partial_sum_convergence,
-    series_diagnostics,
+    summed_series,
 )
 from .harmonic import (
     FourierCoefficients,
@@ -46,7 +47,7 @@ from .harmonic import (
 from .io import load_periodic_function, load_sampled_symbol
 from .quantize import (EIGEN_SIDE_LIMIT, TRACE_IDENTITY_TOL, EigensolverError, eigenvalues,
                        operator_matrix)
-from .sums import fsum, fsum_complex
+from .sums import fsum_complex
 from .symbols import (
     BracketPower,
     GaussianDecay,
@@ -123,7 +124,7 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def render_csv(header: str, rows: list[list]) -> str:
+def render_csv(header: str, rows: Iterable[list]) -> str:
     lines = [header]
     for row in rows:
         cells = []
@@ -343,8 +344,12 @@ def _require_side(dim: int, radius: int, flag: str = "--radius") -> None:
 # Subcommand bodies
 # ---------------------------------------------------------------------------
 
+# A handler returns (body, diagnostics, CSV table or None).  The table is a header
+# and lazy rows, rendered by main only under --format csv.
+CsvTable = tuple[str, Iterable[list]]
 
-def _run_trace(args) -> tuple[dict, dict, str | None]:
+
+def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
     _require(args.radius >= 0, "--radius must be >= 0")
     _require_side(a.dim, args.radius)
@@ -378,7 +383,7 @@ def _run_trace(args) -> tuple[dict, dict, str | None]:
     return body, diagnostics, None
 
 
-def _run_lidskii(args) -> tuple[dict, dict, str | None]:
+def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
     radii = _parse_int_list(args.radii, "--radii")
     _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
@@ -396,13 +401,13 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
         raise NumericalFailure(
             "nuclear-trace increments do not shrink geometrically across the radii"
         )
-    csv_text = render_csv(
+    csv_table = (
         "N,nuclear_re,nuclear_im,spectral_re,spectral_im,abs_diff",
-        [
+        (
             [rec.radius, rec.nuclear.real, rec.nuclear.imag, rec.spectral.real,
              rec.spectral.imag, rec.abs_diff]
             for rec in report.history
-        ],
+        ),
     )
     diagnostics = {
         "increment_rule": f"converged when each increment <= {SHELL_RATIO_LIMIT:g} x previous",
@@ -410,10 +415,10 @@ def _run_lidskii(args) -> tuple[dict, dict, str | None]:
         "finite compression; summability of the full operator is what the "
         "nuclearity checkers certify",
     }
-    return body, diagnostics, csv_text
+    return body, diagnostics, csv_table
 
 
-def _run_besov_norm(args) -> tuple[dict, dict, str | None]:
+def _run_besov_norm(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.radius is not None, "pass --radius N for the analysis lattice")
     f = build_function(args, analysis_radius=args.radius)
     lattice = FrequencyLattice(f.dim, args.radius)
@@ -430,11 +435,10 @@ def _run_besov_norm(args) -> tuple[dict, dict, str | None]:
         "norm": norm,
         "blocks": [{"m": m, "lp_norm": v} for m, v in blocks],
     }
-    csv_text = render_csv("m,block_lp_norm", [[m, v] for m, v in blocks])
-    return body, {}, csv_text
+    return body, {}, ("m,block_lp_norm", ([m, v] for m, v in blocks))
 
 
-def _run_check_class(args) -> tuple[dict, dict, str | None]:
+def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
     _require(args.radius is not None and args.radius >= 8, "--radius must be >= 8 for the fit")
     # the fit's lattice, on the dual series' size scale, refused before it is built
@@ -480,7 +484,7 @@ def _run_check_class(args) -> tuple[dict, dict, str | None]:
     return body, diagnostics, None
 
 
-def _run_nuclearity(args) -> tuple[dict, dict, str | None]:
+def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
     if args.theorem in ("t1", "t2"):
         for flag in ("n", "r", "alpha", "p1", "k", "delta", "m", "w2"):
             _require(getattr(args, flag) is not None, f"--theorem {args.theorem} needs --{flag}")
@@ -519,29 +523,27 @@ def _dual(args, half_integers: bool = True):
         raise ValidationError(str(exc)) from exc
 
 
-def _run_heat_trace(args) -> tuple[dict, dict, str | None]:
+def _run_heat_trace(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.t is not None and args.t > 0, "--t must be > 0")
     _require(args.cutoff is not None and args.cutoff >= 0, "--cutoff must be >= 0")
     dual = _dual(args, half_integers=not args.integer_spins)
-    terms = heat_terms(dual, args.t)
+    value, diag = summed_series(dual, heat_terms(dual, args.t))
     body = {"group": args.group, "dim": args.dim, "t": args.t, "cutoff": args.cutoff,
-            "value": fsum(terms, dual.mult)}
-    return body, series_diagnostics(dual, terms), None
+            "value": value}
+    return body, diag, None
 
 
-def _run_bessel_trace(args) -> tuple[dict, dict, str | None]:
+def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.alpha is not None, "pass --alpha EXPONENT")
     _require(args.cutoff is not None and args.cutoff >= 0, "--cutoff must be >= 0")
     dual = _dual(args, half_integers=not args.integer_spins)
     divergent = args.alpha <= dual.group_dimension
-    terms = bessel_terms(dual, args.alpha)
-    value = fsum(terms, dual.mult)
+    value, diag = summed_series(dual, bessel_terms(dual, args.alpha), divergent=divergent)
     if args.tail_correct:
         try:
             value += bessel_tail(dual, args.alpha)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    diag = series_diagnostics(dual, terms, divergent=divergent)
     diag["divergent"] = divergent
     body = {
         "group": args.group,
@@ -558,7 +560,7 @@ def _run_bessel_trace(args) -> tuple[dict, dict, str | None]:
     return body, diag, None
 
 
-def _run_approx_demo(args) -> tuple[dict, dict, str | None]:
+def _run_approx_demo(args) -> tuple[dict, dict, CsvTable | None]:
     try:
         n_values = [FINITE(tok) for tok in args.n_values.split(",") if tok.strip()]
     except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -581,11 +583,11 @@ def _run_approx_demo(args) -> tuple[dict, dict, str | None]:
         "q": args.q,
         "table": [{"N": n, "besov_error": e} for n, e in rows],
     }
-    csv_text = render_csv("N,besov_error", [[n, e] for n, e in rows])
-    return body, {"cutoff": "frequencies with bracket <= N are kept"}, csv_text
+    csv_table = ("N,besov_error", ([n, e] for n, e in rows))
+    return body, {"cutoff": "frequencies with bracket <= N are kept"}, csv_table
 
 
-def _run_spectrum(args) -> tuple[dict, dict, str | None]:
+def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
     _require(args.radius is not None and args.radius >= 0, "pass --radius N >= 0")
     _require_side(a.dim, args.radius)
@@ -605,10 +607,8 @@ def _run_spectrum(args) -> tuple[dict, dict, str | None]:
         "eigenvalues": [complex(v) for v in eigs],
         "trace": matrix.trace(),
     }
-    csv_text = render_csv(
-        "index,re,im", [[i, v.real, v.imag] for i, v in enumerate(eigs)]
-    )
-    return body, {"max_residual": residual_max, "order": "descending |lambda|, ties by argument"}, csv_text
+    csv_table = ("index,re,im", ([i, v.real, v.imag] for i, v in enumerate(eigs)))
+    return body, {"max_residual": residual_max, "order": "descending |lambda|, ties by argument"}, csv_table
 
 
 HANDLERS = {
@@ -753,11 +753,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        body, diagnostics, csv_text = HANDLERS[args.command](args)
+        body, diagnostics, csv_table = HANDLERS[args.command](args)
         if args.format == "csv":
-            if csv_text is None:
+            if csv_table is None:
                 raise ValidationError(f"{args.command} has no CSV schema; use --format json")
-            text = csv_text
+            text = render_csv(*csv_table)
         else:
             header = make_header(getattr(args, "block_weight", None))
             text = render_json({"header": header, "body": body, "diagnostics": diagnostics}) + "\n"

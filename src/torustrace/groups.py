@@ -20,6 +20,7 @@ also N d x d matrices).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .harmonic import (
     forward_transform,
     max_alias_free_radius,
 )
-from .sums import fsum, fsum_complex
+from .sums import fsum, fsum_by, fsum_complex
 
 GROUPS = ("torus", "su2")
 # Largest dual enumerate_dual builds; about 0.3 GB of labels, d and lam on dim 2.
@@ -162,6 +163,22 @@ def series_diagnostics(dual: GroupDual, terms: np.ndarray, divergent: bool = Fal
     """Geometric shell-ratio monitor over dyadic bracket shells; a series known
     to be ``divergent`` is never reported as converged, whatever its shells show."""
     _, shell_sums = block_sums(dual.shells, np.abs(np.asarray(terms)), dual.mult)
+    return _shell_monitor(shell_sums, divergent)
+
+
+def summed_series(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> tuple[float, dict]:
+    """(``fsum(terms, dual.mult)``, ``series_diagnostics(dual, terms, divergent)``),
+    bit for bit.  With no negative term |term| = term, so one binned pass over the
+    shells gives both: the value is the exact total of the shell bins."""
+    terms = np.asarray(terms, dtype=np.float64)
+    if (terms < 0).any():
+        return fsum(terms, dual.mult), series_diagnostics(dual, terms, divergent)
+    shells = dual.shells
+    sums, value = fsum_by(shells, terms, dual.mult, total=True)
+    return value, _shell_monitor([sums[j] for j in np.flatnonzero(np.bincount(shells))], divergent)
+
+
+def _shell_monitor(shell_sums: list[float], divergent: bool) -> dict:
     ratios = shell_ratios(shell_sums)
     if fsum(shell_sums) == 0.0 and not divergent:
         return {"shell_sums": shell_sums, "tail_estimate": 0.0, "converged": True}
@@ -177,7 +194,8 @@ def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
     """Terms d^2 exp(-t lambda) of the heat series, one per dual point."""
     if not t > 0:
         raise ValueError(f"heat trace needs t > 0, got {t}")
-    return dual.d * dual.d * np.exp(-t * dual.lam)
+    with np.errstate(over="ignore"):  # t lambda beyond the float range is -inf, whose exp is 0
+        return dual.d * dual.d * np.exp(-t * dual.lam)
 
 
 def heat_trace(dual: GroupDual, t: float) -> float:
@@ -204,12 +222,18 @@ def bessel_tail(dual: GroupDual, alpha: float) -> float:
     if alpha <= 1:
         raise ValueError("tail correction needs a convergent series (alpha > 1)")
     upper = (1.0 / (float(int(dual.cutoff)) + 0.5)) ** 0.25
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = _gauss_legendre_64()
     v = 0.5 * upper * (nodes + 1.0)
     scale = 0.5 * upper
     u = v**4
     integrand = 4.0 * v ** (4.0 * alpha - 5.0) * (1.0 + u * u) ** (-alpha / 2.0)
     return 2.0 * float(scale * fsum(weights * integrand))
+
+
+@functools.cache
+def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Legendre rule on [-1, 1], built on first use (an eigensolve)."""
+    return np.polynomial.legendre.leggauss(64)
 
 
 def bessel_trace(dual: GroupDual, alpha: float, tail_correction: bool = False) -> float:

@@ -35,6 +35,13 @@ exact below 2^53, so a term puts at most one part, below 2^27 w, in any bin,
 and every bin sum stays an exact integer below 2^53 while sum(w) < 2^26.  A
 weighted sum then has the bits of ``math.fsum`` over ``np.repeat(values, w)``.
 In what follows n is the number of terms, counted with their weights.
+Weights that are all 1 are dropped, so the kernel skips the products.
+
+One call can give a series' value and its group sums (``total=True``), as for
+a dual series and its dyadic shell sums.  The bins of every group are exact
+floats whose exact sum is the sum of all the terms, so one ``math.fsum`` over
+all groups' bins together is the correctly rounded total: the bits of
+``fsum(values, weights)``, from the same binned pass as the group sums.
 
 Memory: the terms go through in chunks of ``CHUNK``, with about 36 bytes of
 temporaries per term (about 1 MB a chunk), plus 2125 x 8 bytes of bins per
@@ -44,8 +51,10 @@ that its values and its exceptions are kept, when there are fewer than
 2^(1023 - n.bit_length()) (``math.fsum`` raises an order-dependent
 OverflowError on some finite sums near the top of the range, and a bin could
 overflow); when there are 2^26 or more; and when there are more than
-``MAX_GROUPS`` groups.  Lists, generators and other arrays always go to
-``math.fsum``.
+``MAX_GROUPS`` groups.  On that path a total is ``math.fsum`` over all the
+terms in order, taken before the group sums, so it raises what
+``fsum(values, weights)`` raises.  Lists, generators and other arrays always
+go to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -88,13 +97,16 @@ def fsum_complex(values, weights=None) -> complex:
     return complex(fsum(arr.astype(np.float64), weights), 0.0)
 
 
-def fsum_by(groups, values, weights=None) -> list[float]:
+def fsum_by(groups, values, weights=None, total: bool = False):
     """Exactly rounded sum of each group of float64 ``values``, equal bit for bit to
     ``math.fsum`` over that group's terms.  ``groups`` holds a nonnegative integer
     per term of a 1-D ``values``, and the sums of groups 0 .. max(groups) come back
     (an empty group sums to 0.0).  With ``groups`` None each row of a 2-D
     ``values`` is a group, and a 1-D ``values`` is one group.  ``weights``, of
-    ``values``' shape, gives each term a positive integer multiplicity."""
+    ``values``' shape, gives each term a positive integer multiplicity; weights
+    that are all 1 are no weights.  With ``total`` the result is (group sums,
+    sum of all terms), the latter with the bits and exceptions of
+    ``fsum(values, weights)``, raised before any group's."""
     values = np.asarray(values, dtype=np.float64)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
@@ -102,6 +114,8 @@ def fsum_by(groups, values, weights=None) -> list[float]:
             raise ValueError(f"weights of shape {weights.shape} for values of shape {values.shape}")
         if weights.size and weights.min() < 1:
             raise ValueError("weights must be positive integers")
+        if weights.size and weights.max() == 1:
+            weights = None
     if groups is None:
         values = np.atleast_2d(values)
         size, row_length = values.shape
@@ -111,10 +125,13 @@ def fsum_by(groups, values, weights=None) -> list[float]:
         groups = np.asarray(groups, dtype=np.intp)
         size = int(groups.max()) + 1 if groups.size else 0
     n = values.size if weights is None else int(weights.sum())
-    if n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS:
-        return _fsum_slices(groups, values, size, weights)
     limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
-    if not (values.max() < limit and -values.min() < limit):  # nan fails both
+    if (n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS
+            or not (values.max() < limit and -values.min() < limit)):  # nan fails both
+        if total:
+            flat = values.reshape(-1)
+            whole = math.fsum(flat if weights is None else np.repeat(flat, weights.reshape(-1)))
+            return _fsum_slices(groups, values, size, weights), whole
         return _fsum_slices(groups, values, size, weights)
     values = values.reshape(-1)
     if weights is not None:
@@ -148,7 +165,8 @@ def fsum_by(groups, values, weights=None) -> list[float]:
     scale = np.broadcast_to(np.arange(low, high) - (_OFFSET + 53), window.shape)
     exact = np.ldexp(window[nonzero], scale[nonzero]).tolist()
     cuts = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
-    return [math.fsum(exact[a:b]) for a, b in zip(cuts, cuts[1:])]
+    sums = [math.fsum(exact[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return (sums, math.fsum(exact)) if total else sums
 
 
 def _fsum_slices(groups, values: np.ndarray, size: int, weights) -> list[float]:

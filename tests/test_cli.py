@@ -420,6 +420,17 @@ class TestDualTraceCommands:
         assert doc["body"]["value"] == "inf"
         assert doc["diagnostics"]["divergent"] is True
 
+    def test_underflowing_terms_reported_quietly(self, capsys):
+        # t lambda leaves the float range from lambda 1.8e8 on: those terms are 0, and
+        # numpy's overflow warning stays off stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [
+                "heat-trace", "--group", "torus", "--dim", "1", "--t", "1e300", "--cutoff", "100000",
+            ])
+        assert code == 0 and err == ""
+        assert json.loads(out)["body"]["value"] == 1
+
     @pytest.mark.parametrize("argv", [
         ["heat-trace", "--group", "torus", "--dim", "2", "--t", "1", "--cutoff", "2000"],
         ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "1e9"],
@@ -781,6 +792,20 @@ class TestCliContract:
         ])
         assert code == 2
         assert "json" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--symbol", "bessel", "--m", "-4", "--radius", "4"],
+        ["lidskii", "--symbol", "modulated", "--c", "2", "--m", "-4", "--radii", "2,4"],
+        ["besov-norm", "--character", "4", "--w", "1", "--p", "2", "--q", "2", "--radius", "8"],
+        ["approx-demo", "--stock", "8", "--w", "0", "--p", "2", "--q", "2", "--n-values", "1,2"],
+    ], ids=["spectrum", "lidskii", "besov-norm", "approx-demo"])
+    def test_csv_rendered_only_when_asked(self, capsys, monkeypatch, argv):
+        import torustrace.cli as cli
+
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0 and out.count("\n") >= 3
+        monkeypatch.setattr(cli, "render_csv", lambda *a: pytest.fail("CSV rendered for JSON"))
+        run_json(capsys, argv)
 
     def test_csv_refusal_pinned(self, capsys):
         code, out, err = run(capsys, ["trace", "--symbol", "bessel", "--m", "-4", "--radius", "4",

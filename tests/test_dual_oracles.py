@@ -33,7 +33,9 @@ from torustrace.groups import (
     heat_trace,
     multiplier_trace,
     series_diagnostics,
+    summed_series,
 )
+from torustrace.sums import fsum
 
 RTOL = 1e-15
 
@@ -212,6 +214,56 @@ def test_radial_tt1_verdict_matches_the_per_point_path_bit_for_bit(spec, case, r
     got = check_tt1(radial, symbol, r, p, q, case)
     want = check_tt1(dual, symbol, r, p, q, case)
     assert bits(asdict(got)) == bits(asdict(want))
+
+
+# the CLI's slices: radial torus in dims 1 and 2, and SU(2); large enough that the
+# weighted term counts cross sums.CROSSOVER
+series_duals = st.one_of(
+    st.tuples(st.just("torus"), st.integers(0, 700), st.just(1), st.just(True)),
+    st.tuples(st.just("torus"), st.integers(0, 40), st.just(2), st.just(True)),
+    st.tuples(st.just("su2"), st.integers(0, 1200).map(lambda k: k / 2.0), st.just(1), st.booleans()),
+)
+# heat t and Bessel alpha, including terms that overflow to inf (alpha -300), sums that
+# overflow from finite terms (alpha -280 near the top of the dual) and terms that
+# underflow to 0 (t 1e300)
+series_kinds = st.one_of(
+    st.tuples(st.just("heat"), st.one_of(st.floats(1e-5, 3.0), st.just(1e300))),
+    st.tuples(st.just("bessel"), st.one_of(st.floats(-300.0, 6.0), st.sampled_from([-300.0, -280.0, 1000.0]))),
+    st.tuples(st.just("signed"), st.floats(0.5, 4.0)),
+)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::torustrace.groups.DivergenceWarning")
+@settings(max_examples=120, deadline=None)
+@given(series_duals, series_kinds)
+@example(("torus", 100000, 1, True), ("bessel", 2.0))
+@example(("torus", 600, 1, True), ("bessel", -300.0))
+@example(("torus", 40, 2, True), ("bessel", -280.0))
+@example(("torus", 40, 2, True), ("heat", 1e300))
+@example(("su2", 600.0, 1, True), ("heat", 1e300))
+@example(("su2", 600.0, 1, False), ("bessel", -300.0))
+@example(("torus", 0, 1, True), ("heat", 1.0))
+def test_summed_series_matches_the_two_calls_bit_for_bit(spec, kind):
+    group, cutoff, dim, half = spec
+    dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half, radial=True)
+    name, u = kind
+    if name == "heat":
+        terms = heat_terms(dual, u)
+    elif name == "bessel":
+        terms = bessel_terms(dual, u)
+    else:  # terms of both signs: the value and the shell sums of |term| are two reductions
+        terms = np.cos(dual.lam) * bessel_terms(dual, u)
+    for divergent in (False, True):
+        want = outcome(lambda: (fsum(terms, dual.mult), series_diagnostics(dual, terms, divergent)))
+        got = outcome(summed_series, dual, terms, divergent)
+        assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize(

@@ -256,3 +256,77 @@ class TestWeights:
     def test_non_positive_or_misshapen_weights_refused(self, w):
         with pytest.raises(ValueError, match="weights"):
             fsum_by(None, np.ones(3), np.array(w))
+
+    @pytest.mark.parametrize("n", [7, CROSSOVER - 1, CROSSOVER, CHUNK + 1])
+    @pytest.mark.parametrize("kind", ["wide", "cancel", "negative-zero"])
+    def test_unit_weights_are_no_weights(self, monkeypatch, n, kind):
+        # SU(2) and per-point duals pass weights that are all 1: math.fsum's bits, and
+        # neither the kernel nor the fallback sees the weights
+        rng = np.random.default_rng(n)
+        x, w = terms(kind, n, rng), np.ones(n, dtype=np.int64)
+        groups = rng.integers(0, 3, n)
+        assert outcome(fsum, x, w) == outcome(math.fsum, x)
+        assert outcome(fsum_by, groups, x, w) == [bits(math.fsum(x[groups == g])) for g in range(3)]
+        seen = []
+        real = sums._fsum_slices
+        monkeypatch.setattr(sums, "_fsum_slices", lambda *a: seen.append(a[3]) or real(*a))
+        fsum_by(groups, x, w)
+        assert seen == ([None] if n < CROSSOVER else [])
+
+
+class TestTotal:
+    """``fsum_by(groups, values, weights, total=True)`` is (``fsum_by(groups, values,
+    weights)``, ``fsum(values, weights)``) bit for bit from one call; an exception is
+    the total's when ``fsum`` raises, else the group sums'."""
+
+    @staticmethod
+    def want(groups, x, w):
+        total = outcome(fsum, x, w)
+        if isinstance(total, tuple):
+            return total
+        by = outcome(fsum_by, groups, x, w)
+        return by if isinstance(by, tuple) else (by, total)
+
+    @staticmethod
+    def got(groups, x, w):
+        try:
+            by, total = fsum_by(groups, x, w, total=True)
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+        return [bits(v) for v in by], bits(total)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((0, 1, 300, CROSSOVER - 1, CROSSOVER, CHUNK + 1)),
+           st.sampled_from(KINDS + ("specials", "near-overflow")), st.integers(0, 2**32 - 1),
+           st.sampled_from((1, 3, sums.MAX_GROUPS, sums.MAX_GROUPS + 1)),
+           st.sampled_from((None, 1, 3, 50)))
+    def test_total_and_group_sums_from_one_call(self, n, kind, seed, group_count, top):
+        rng = np.random.default_rng(seed)
+        if kind == "specials":  # inf, -inf and nan among normal terms
+            x = terms("normal", n, rng)
+            x[rng.integers(0, max(n, 1), min(n, 3))] = rng.choice([math.inf, -math.inf, math.nan], min(n, 3))
+        elif kind == "near-overflow":  # n max|x| near 2^1024: some sums overflow, most do not
+            top_exponent = min(1024 - n.bit_length() + int(rng.integers(-3, 3)), 1023)
+            x = rng.choice([-1.0, 1.0, 1.0], n) * np.ldexp(rng.random(n), top_exponent)
+        else:
+            x = terms(kind, n, rng)
+        w = None if top is None else rng.integers(1, top + 1, n)
+        groups = rng.integers(0, group_count, n)
+        if n:
+            groups[0] = group_count - 1  # max(groups) + 1 is the group count, on each side of MAX_GROUPS
+        assert self.got(groups, x, w) == self.want(groups, x, w)
+
+    def test_kernel_total_is_the_bins_total(self, monkeypatch):
+        # finite terms above the crossover: group sums and total from one binned pass
+        rng = np.random.default_rng(9)
+        x, w = terms("wide", CHUNK + 1, rng), rng.integers(1, 4, CHUNK + 1)
+        groups = rng.integers(0, 17, x.size)
+        want = self.want(groups, x, w)
+        monkeypatch.setattr(sums, "_fsum_slices", lambda *args: pytest.fail("fell back"))
+        assert self.got(groups, x, w) == want
+
+    def test_rows_as_groups(self):
+        x = terms("cancel", 3 * CROSSOVER, np.random.default_rng(2)).reshape(3, -1)
+        by, total = fsum_by(None, x, total=True)
+        assert [bits(v) for v in by] == [bits(math.fsum(row)) for row in x]
+        assert bits(total) == bits(math.fsum(x.ravel()))
