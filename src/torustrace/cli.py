@@ -45,8 +45,8 @@ from .harmonic import (
     min_grid_size,
 )
 from .io import load_periodic_function, load_sampled_symbol
-from .quantize import (EIGEN_SIDE_LIMIT, TRACE_IDENTITY_TOL, EigensolverError, eigenvalues,
-                       operator_matrix)
+from .quantize import (EIGEN_SIDE_LIMIT, TRACE_IDENTITY_TOL, CompressedOperator, EigensolverError,
+                       eigenvalues)
 from .sums import fsum_complex
 from .symbols import (
     BracketPower,
@@ -354,9 +354,9 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.radius >= 0, "--radius must be >= 0")
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
-    matrix = operator_matrix(a, lattice)
-    nuc = matrix.trace()  # nuclear_trace's zero row: the diagonal, in the same order
-    eigs = eigenvalues(matrix)
+    op = CompressedOperator(a, lattice, lattice)
+    nuc = op.trace()  # nuclear_trace's zero row
+    eigs = eigenvalues(op)
     spec = fsum_complex(eigs)
     body = {
         "radius": args.radius,
@@ -510,6 +510,9 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
             verdict = check_tt1(dual, symbol_fn, args.r, args.p, args.q, args.case)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+        except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
+            flag = "raise --t" if args.symbol == "heat" else "lower --m"
+            raise ValidationError(f"the series terms sum beyond float64; {flag} or lower --cutoff") from exc
     return asdict(verdict), {"strictness": "strict inequalities checked strictly"}, None
 
 
@@ -538,7 +541,10 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.cutoff is not None and args.cutoff >= 0, "--cutoff must be >= 0")
     dual = _dual(args, half_integers=not args.integer_spins)
     divergent = args.alpha <= dual.group_dimension
-    value, diag = summed_series(dual, bessel_terms(dual, args.alpha), divergent=divergent)
+    try:
+        value, diag = summed_series(dual, bessel_terms(dual, args.alpha), divergent=divergent)
+    except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
+        raise ValidationError("the series terms sum beyond float64; raise --alpha or lower --cutoff") from exc
     if args.tail_correct:
         try:
             value += bessel_tail(dual, args.alpha)
@@ -592,20 +598,20 @@ def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.radius is not None and args.radius >= 0, "pass --radius N >= 0")
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
-    matrix = operator_matrix(a, lattice)
-    eigs, residuals = eigenvalues(matrix, with_residuals=True)
+    op = CompressedOperator(a, lattice, lattice)
+    eigs, residuals = eigenvalues(op, with_residuals=True)
     residual_max = float(residuals.max()) if eigs.size else 0.0
     if args.matrix_csv:  # one f-string a row; .17g spells nan/inf/-inf as render_csv does
         rows = [
             f"{i},{j},{v.real:.17g},{v.imag:.17g}\n"
-            for i, row in enumerate(matrix.entries.tolist())
+            for i, row in enumerate(op.entries.tolist())
             for j, v in enumerate(row)
         ]
         emit("eta_index,xi_index,re,im\n" + "".join(rows), args.matrix_csv)
     body = {
         "radius": args.radius,
         "eigenvalues": [complex(v) for v in eigs],
-        "trace": matrix.trace(),
+        "trace": op.trace(),
     }
     csv_table = ("index,re,im", ([i, v.real, v.imag] for i, v in enumerate(eigs)))
     return body, {"max_residual": residual_max, "order": "descending |lambda|, ties by argument"}, csv_table

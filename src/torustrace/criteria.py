@@ -433,11 +433,12 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
     else:
         d_exp = 1.0 + r * (0.5 - 1.0 / p)
         xi_exp = 0.0
-    terms = (
-        dual.bracket**xi_exp
-        * _tt1_lr_powers(a(dual), dual.d, r)
-        * dual.d.astype(np.float64) ** d_exp
-    )
+    with np.errstate(over="ignore"):  # a term beyond the float range is reported as inf
+        terms = (
+            dual.bracket**xi_exp
+            * _tt1_lr_powers(a(dual), dual.d, r)
+            * dual.d.astype(np.float64) ** d_exp
+        )
     witness, worst = _shell_witness(
         f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
         dual.shells, terms, dual.lambda_cap, weights=dual.mult,

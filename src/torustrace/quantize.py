@@ -1,23 +1,21 @@
 """Quantization of symbols on the torus.
 
 T_a f(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi) sends the character e_xi to
-sum_eta hat{a}(eta - xi, xi) e_eta.  ``compression`` scatters those entries
-for eta in a row lattice and xi in a column lattice from the symbol's
-x-Fourier support (defined in ``symbols.x_fourier_support``); column xi holds
-the coefficients of the rank-one factor H_xi = e_xi a(., xi).  Its square
-case ``operator_matrix`` is T_a compressed to the truncated character basis,
-so its trace and spectrum are exactly those of P_N T_a P_N, and at a smaller
-radius it is a sub-block.
+sum_eta hat{a}(eta - xi, xi) e_eta.  ``CompressedOperator`` holds T_a
+compressed to a row lattice (eta) and a column lattice (xi) as the S x L table
+of the symbol's x-Fourier support (``symbols.x_fourier_support``); column xi
+holds the coefficients of the rank-one factor H_xi = e_xi a(., xi).  Over one
+lattice it has exactly the trace and spectrum of P_N T_a P_N.
 
-``eigenvalues`` solves A one connected component of its nonzero pattern at a
-time.  hat{a}(eta - xi, xi) vanishes off the symbol's x-Fourier support, so a
-multiplier gives 1 x 1 blocks and (c + cos 2 pi x1) g(xi) one block per line
-along x1; a sampled symbol is usually a single block, solved unpermuted.
+``eigenvalues`` solves it one connected component of its nonzero pattern at a
+time, each block gathered from the table: a multiplier gives 1 x 1 blocks,
+(c + cos 2 pi x1) g(xi) one block per line along x1, and a sampled symbol
+usually a single block, solved unpermuted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,66 +32,69 @@ class EigensolverError(RuntimeError):
     pass
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense compression of T_a to the character basis of a lattice."""
+class CompressedOperator:
+    """T_a compressed to the character bases of ``rows`` (eta) and ``columns``
+    (xi) as its x-Fourier support table; only ``entries`` is rows x columns.
 
-    lattice: FrequencyLattice
-    entries: np.ndarray
+    Entry (eta, xi) is hat{a}(eta - xi, xi): row k of ``table`` when eta - xi is
+    support point k, else the appended zero row.  ``slot`` maps each radix key
+    of the difference box, key(eta - xi) = key(eta) - key(xi) + key(0), to it.
+    """
 
-    def __post_init__(self):
-        side = len(self.lattice)
-        self.entries = np.asarray(self.entries, dtype=np.complex128)
-        if self.entries.shape != (side, side):
+    def __init__(self, a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice):
+        if not a.dim == rows.dim == columns.dim:
             raise ValueError(
-                f"entries shape {self.entries.shape}, expected ({side}, {side})"
-            )
+                f"dimension mismatch: symbol dim {a.dim}, lattice dims {rows.dim}, {columns.dim}")
+        self.rows, self.columns, self.shape = rows, columns, (len(rows), len(columns))
+        span = rows.radius + columns.radius
+        self.support = x_fourier_support(a, span)
+        table = x_fourier_table(a, self.support, columns)  # (S, L)
+        self.table = np.concatenate([table, np.zeros((1, len(columns)), dtype=table.dtype)])
+        radix = (2 * span + 1) ** np.arange(a.dim - 1, -1, -1)
+        self._zero_key = span * int(radix.sum())
+        self.slot = np.full((2 * span + 1) ** a.dim, len(self.support))
+        self.slot[self.support @ radix + self._zero_key] = np.arange(len(self.support))
+        self._row_keys = rows.points @ radix + self._zero_key
+        self._column_keys = columns.points @ radix
 
-    @property
-    def side(self) -> int:
-        return self.entries.shape[0]
+    def __getitem__(self, index) -> np.ndarray:
+        """Entries (eta_i, xi_j) for a pair (i, j) of broadcastable index arrays."""
+        i, j = index
+        return self.table[self.slot[self._row_keys[i] - self._column_keys[j]], j]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense (rows x columns) matrix, one gather."""
+        return self[np.arange(len(self.rows))[:, None], np.arange(len(self.columns))]
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.nonzero`` of ``entries`` up to order: (xi + d, xi) for each nonzero
+        table entry (d, xi) with xi + d in the row box, one axis at a time."""
+        inside, row = self.table[:-1] != 0, 0
+        for d, xi in zip(self.support.T, self.columns.points.T):
+            eta = d[:, None] + xi
+            inside &= np.abs(eta) <= self.rows.radius
+            row = row * (2 * self.rows.radius + 1) + eta + self.rows.radius
+        k, j = np.nonzero(inside)
+        return row[k, j], j
+
+    def diagonal(self) -> np.ndarray:
+        """hat{a}(0, xi) over the columns: the table row of d = 0."""
+        return self.table[self.slot[self._zero_key]]
 
     def trace(self) -> complex:
-        return fsum_complex(np.diag(self.entries))
+        return fsum_complex(self.diagonal())
 
 
 def compression(a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice) -> np.ndarray:
-    """hat{a}(eta - xi, xi) for eta in ``rows`` and xi in ``columns``, one scatter.
-
-    Column xi holds the x-Fourier coefficients of H_xi = e_xi a(., xi) on the
-    row lattice.  Only the differences d = eta - xi on the symbol's x-Fourier
-    support (``symbols.x_fourier_support``) are evaluated; their table is
-    scattered into a zero result, entry (d, xi) to row xi + d when that lies
-    in the row box.  The in-box test and the row offsets are built one axis
-    at a time, so no index as large as the result is held.
-    """
-    if not a.dim == rows.dim == columns.dim:
-        raise ValueError(
-            f"dimension mismatch: symbol dim {a.dim}, lattice dims {rows.dim}, {columns.dim}"
-        )
-    support = x_fourier_support(a, rows.radius + columns.radius)
-    table = x_fourier_table(a, support, columns)  # (len(support), len(columns))
-    side, size = 2 * rows.radius + 1, len(rows) * len(columns)
-    shift = np.zeros((len(support), 1), dtype=np.int64)  # row offset of d
-    base = np.zeros(len(columns), dtype=np.int64)  # row of xi
-    outside = np.zeros(table.shape, dtype=bool)
-    for d, xi in zip(support.T, columns.points.T):
-        outside |= np.abs(d[:, None] + xi) > rows.radius
-        shift = shift * side + d[:, None]
-        base = base * side + xi + rows.radius
-    # flat position of (xi + d, xi) in the result; pairs off the row box go to one
-    # spare slot past its end
-    flat = shift * len(columns) + (base * len(columns) + np.arange(len(columns)))
-    flat[outside] = size
-    result = np.zeros(size + 1, dtype=np.complex128)
-    result[flat] = table
-    return result[:size].reshape(len(rows), len(columns))
+    """hat{a}(eta - xi, xi) for eta in ``rows`` and xi in ``columns``, dense; column
+    xi holds the x-Fourier coefficients of H_xi on the row lattice."""
+    return CompressedOperator(a, rows, columns).entries
 
 
-def operator_matrix(a: Symbol, lattice: FrequencyLattice) -> OperatorMatrix:
-    """A[eta, xi] = hat{a}(eta - xi, xi) over the lattice ordering: the square
-    ``compression``."""
-    return OperatorMatrix(lattice, compression(a, lattice, lattice))
+def operator_matrix(a: Symbol, lattice: FrequencyLattice) -> CompressedOperator:
+    """A[eta, xi] = hat{a}(eta - xi, xi) over the lattice ordering, dense in ``entries``."""
+    return CompressedOperator(a, lattice, lattice)
 
 
 def canonical_eigen_order(eigs: np.ndarray) -> np.ndarray:
@@ -101,65 +102,55 @@ def canonical_eigen_order(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(eigs), -np.abs(eigs)))
 
 
-def connected_components(matrix) -> np.ndarray:
-    """Component label of each index of a square matrix: the smallest index
-    joined to it through nonzero entries A[i, j] or A[j, i].
-
-    Min-label hooking with pointer jumping on the dense symmetrised pattern:
-    each sweep gives every index the smallest label among its neighbours (one
-    argmax over the pattern with columns in label order), hooks the old labels'
-    roots to it, and jumps pointers to the roots; a few sweeps suffice.
-    """
-    A = np.asarray(matrix)
-    n = A.shape[0]
-    if n == 0:
-        return np.arange(0)
-    pattern = A != 0
-    pattern |= pattern.T
-    np.fill_diagonal(pattern, True)
-    labels = np.arange(n)
+def component_labels(side: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label of each of ``side`` indices: the smallest index joined to it by the
+    undirected edges (u[e], v[e]).  Min-label hooking with pointer jumping: each
+    sweep drops the edges inside one tree, hooks the larger root of every other
+    edge to the smallest root it meets and jumps every pointer to its root;
+    pointers only go down, so a root is its tree's smallest index."""
+    labels = np.arange(side)
     while True:
-        order = np.argsort(labels, kind="stable")
-        smallest = labels[order[np.argmax(pattern[:, order], axis=1)]]
-        hooked = smallest.copy()
-        np.minimum.at(hooked, labels, smallest)
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
+        lu, lv = labels[u], labels[v]
+        across = lu != lv
+        if not across.any():
             return labels
-        labels = hooked
+        u, v, lu, lv = u[across], v[across], lu[across], lv[across]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
 
 
 def eigenvalues(matrix, with_residuals: bool = False):
-    """All eigenvalues of a dense complex matrix in canonical order.
+    """All eigenvalues of a square ``CompressedOperator`` or dense complex matrix,
+    in canonical order.
 
     The matrix is split into the connected components of its symmetrised
-    nonzero pattern, which is exact: a symmetric permutation makes it block
-    diagonal, so its spectrum is the union of the blocks' spectra.  Components
-    of equal size are stacked and solved by one batched LAPACK call (zgeev:
-    balancing, Hessenberg, shifted QR); a one-component matrix is solved
-    unpermuted.  The eigenvalue sum must match the matrix trace to within
-    ``TRACE_IDENTITY_TOL * (1 + |trace|)``.  With ``with_residuals`` the
-    eigenvectors are computed too, every pair is checked against
-    ``||A v - lambda v|| <= EIGEN_RESIDUAL_TOL * ||A||_2`` (``||A||_2`` is the
-    largest block norm), and the residual norms are returned alongside the
-    eigenvalues, in the same order.  Either check failing raises
+    nonzero pattern (``component_labels`` over its ``nonzero()`` pairs), which
+    is exact: a symmetric permutation makes it block diagonal.  Each block is
+    gathered by itself; components of equal size are stacked and solved by one
+    batched LAPACK call (zgeev: balancing, Hessenberg, shifted QR).  The
+    eigenvalue sum must match the matrix trace to within ``TRACE_IDENTITY_TOL *
+    (1 + |trace|)``.  With ``with_residuals`` the eigenvectors are computed too,
+    every pair is checked against ``||A v - lambda v|| <= EIGEN_RESIDUAL_TOL *
+    ||A||_2`` (the largest block norm), and the residual norms are returned
+    alongside the eigenvalues, in the same order.  Either check failing raises
     EigensolverError.
     """
-    A = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    A = matrix if isinstance(matrix, CompressedOperator) else np.asarray(matrix)
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if A.shape[0] > EIGEN_SIDE_LIMIT:
-        raise ValueError(
-            f"matrix side {A.shape[0]} exceeds the desk-scale guard {EIGEN_SIDE_LIMIT}"
-        )
-    A = A.astype(np.complex128, copy=False)
-    labels = connected_components(A)
-    sizes = np.bincount(labels, minlength=A.shape[0])[labels]
+    side = A.shape[0]
+    if side > EIGEN_SIDE_LIMIT:
+        raise ValueError(f"matrix side {side} exceeds the desk-scale guard {EIGEN_SIDE_LIMIT}")
+    if not isinstance(A, CompressedOperator):
+        A = A.astype(np.complex128, copy=False)
+    labels = component_labels(side, *A.nonzero())
+    sizes = np.bincount(labels, minlength=side)[labels]
     # indices grouped by component size, then component, ascending within one
     perm = np.lexsort((labels, sizes))
-    eigs = np.empty(A.shape[0], dtype=np.complex128)
-    residuals = np.empty(A.shape[0]) if with_residuals else None
+    eigs = np.empty(side, dtype=np.complex128)
+    residuals = np.empty(side) if with_residuals else None
     norm_a = 0.0
     start = 0
     try:
@@ -191,12 +182,10 @@ def eigenvalues(matrix, with_residuals: bool = False):
                 f"eigenpair {i} residual {residuals[i]:.3e} exceeds "
                 f"{EIGEN_RESIDUAL_TOL:.1e} * ||A|| = {EIGEN_RESIDUAL_TOL * norm_a:.3e}"
             )
-    trace = fsum_complex(np.diag(A))
+    trace = fsum_complex(A.diagonal())
     esum = fsum_complex(eigs)
     if abs(esum - trace) > TRACE_IDENTITY_TOL * (1.0 + abs(trace)):
-        raise EigensolverError(
-            f"eigenvalue sum {esum} disagrees with matrix trace {trace}"
-        )
+        raise EigensolverError(f"eigenvalue sum {esum} disagrees with matrix trace {trace}")
     if with_residuals:
         return eigs, residuals
     return eigs

@@ -10,8 +10,9 @@ Two representations coexist:
 
 ``x_fourier_support`` is where the x-Fourier support is defined: the eta at
 which hat{a}(eta, .) can be nonzero.  Every consumer of x-Fourier data (the
-decay constant here, ``quantize.compression`` and through it the matrix and
-the quasi-norm certificate) evaluates ``x_fourier_table`` on those rows only.
+decay constant here, ``quantize.CompressedOperator`` and through it every
+matrix, spectrum and trace, and the quasi-norm certificate) evaluates
+``x_fourier_table`` on those rows only.
 
 Forward differences are used throughout:
 ``(D_j a)(x, xi) = a(x, xi + e_j) - a(x, xi)``.

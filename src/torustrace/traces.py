@@ -4,9 +4,9 @@ At every truncation radius the compression satisfies the trace identity
 exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).  Growing
 the radius and watching the nuclear-trace increments gives an empirical tail;
 non-summable symbols are not rejected, their divergence is surfaced in the
-per-radius history.  ``lidskii_compare`` reads every radius from a nested
-sub-block of one compression at the largest radius; a sampled table answers
-any radius up to its own.  The integral-test tail bound is
+per-radius history.  ``lidskii_compare`` reads every radius from its own
+x-Fourier support table (``quantize.CompressedOperator``); a sampled table
+answers any radius up to its own.  The integral-test tail bound is
 ``criteria.power_tail_bound`` times the envelope.
 """
 
@@ -18,9 +18,9 @@ import numpy as np
 
 from .criteria import SHELL_RATIO_LIMIT, power_tail_bound
 from .harmonic import FrequencyLattice
-from .quantize import OperatorMatrix, eigenvalues, operator_matrix
+from .quantize import CompressedOperator, eigenvalues
 from .sums import fsum_complex
-from .symbols import Symbol, x_fourier_table
+from .symbols import Symbol
 
 
 @dataclass
@@ -43,17 +43,15 @@ class TraceReport:
 
 def nuclear_trace(a: Symbol, lattice: FrequencyLattice) -> complex:
     """sum_xi hat{a}(0, xi): a function of the symbol and the lattice only
-    (no function-space parameters enter)."""
-    zero = np.zeros((1, lattice.dim), dtype=np.int64)
-    row = x_fourier_table(a, zero, lattice)[0]
-    return fsum_complex(row)
+    (no function-space parameters enter), the support table's row of d = 0."""
+    return CompressedOperator(a, lattice, lattice).trace()
 
 
 def spectral_trace(
     a: Symbol, lattice: FrequencyLattice
 ) -> tuple[complex, np.ndarray]:
     """Eigenvalues of the compression and their sum, canonical order."""
-    eigs = eigenvalues(operator_matrix(a, lattice))
+    eigs = eigenvalues(CompressedOperator(a, lattice, lattice))
     return fsum_complex(eigs), eigs
 
 
@@ -72,8 +70,9 @@ def _increments_converged(increments: list[float]) -> bool | None:
 def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     """Nuclear and spectral traces across increasing radii.
 
-    The compression is built once, at the largest radius; the compression at
-    each radius is its sub-block on the nested lattice.  Successive
+    Each radius reads its compression's blocks and trace from its own support
+    table, built largest radius first, so a sampled table too small for it is
+    refused before any solve.  Successive
     nuclear-trace increments serve as the empirical truncation tail; a history
     whose increments fail to shrink geometrically is flagged as non-convergent
     rather than rejected.
@@ -83,14 +82,14 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
         raise ValueError("need at least one radius")
     if any(b <= s for s, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
-    outer = operator_matrix(a, FrequencyLattice(a.dim, radii[-1]))
-    history: list[RadiusRecord] = []
-    for radius in radii:
+    operators: list[CompressedOperator] = []
+    for radius in reversed(radii):
         lattice = FrequencyLattice(a.dim, radius)
-        idx = outer.lattice.indices_of(lattice.points)
-        block = OperatorMatrix(lattice, outer.entries[np.ix_(idx, idx)])
-        nuc = block.trace()
-        spec = fsum_complex(eigenvalues(block))
+        operators.insert(0, CompressedOperator(a, lattice, lattice))
+    history: list[RadiusRecord] = []
+    for radius, op in zip(radii, operators):
+        nuc = op.trace()
+        spec = fsum_complex(eigenvalues(op))
         history.append(RadiusRecord(radius, nuc, spec, abs(nuc - spec)))
     increments = [
         abs(nxt.nuclear - cur.nuclear) for cur, nxt in zip(history, history[1:])

@@ -2,7 +2,9 @@
 
 ``quantize.eigenvalues`` splits a matrix into the connected components of its
 symmetrised nonzero pattern and solves equal-sized blocks in one batched LAPACK
-call.  Component labels must equal a breadth-first search exactly; eigenvalue
+call.  Component labels of the edge-list search (``component_labels``, over
+``np.nonzero`` of a dense matrix or the support table's nonzero entries of a
+``CompressedOperator``) must equal a breadth-first search exactly; eigenvalue
 multisets of catalog matrices must match the full-matrix solve within
 1e-10 ||A||_2, paired by nearest match; on random block matrices, which can
 have defective eigenvalues, the block solve must be the spectrum up to a
@@ -12,6 +14,7 @@ residual checks must still fire.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,20 +25,26 @@ import oracles
 from torustrace.cli import main
 from torustrace.harmonic import FrequencyLattice, min_grid_size
 from torustrace.quantize import (
+    CompressedOperator,
     EigensolverError,
     canonical_eigen_order,
-    connected_components,
+    component_labels,
+    compression,
     eigenvalues,
     operator_matrix,
 )
+from torustrace.sums import fsum_complex
 from torustrace.symbols import (
     BracketPower,
+    GaussianDecay,
     SampledSymbol,
     bessel_symbol,
     character_symbol,
+    heat_symbol,
     modulated_symbol,
     sample_symbol,
 )
+from torustrace.traces import nuclear_trace
 
 KINDS = ("dense", "sparse", "shift", "diagonal")
 block_lists = st.lists(
@@ -101,11 +110,22 @@ def assert_spectrum_of(eigs: np.ndarray, A: np.ndarray) -> None:
         assert gap <= side * k * 1e-10 * norm**k, (k, gap)
 
 
+CATALOG = [
+    (modulated_symbol(2.0, BracketPower(-4.0), dim=2), FrequencyLattice(2, 3)),
+    (character_symbol(2), FrequencyLattice(2, 2)),
+    (character_symbol(), FrequencyLattice(1, 3)),
+    (bessel_symbol(-2.0, 2), FrequencyLattice(2, 2)),
+]
+
+
 def catalog_matrices():
-    yield operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), FrequencyLattice(2, 3))
-    yield operator_matrix(character_symbol(2), FrequencyLattice(2, 2))
-    yield operator_matrix(character_symbol(), FrequencyLattice(1, 3))
-    yield operator_matrix(bessel_symbol(-2.0, 2), FrequencyLattice(2, 2))
+    for a, lattice in CATALOG:
+        yield operator_matrix(a, lattice)
+
+
+def table_labels(a, lattice: FrequencyLattice) -> np.ndarray:
+    """Component labels of the compression from its support table's edges."""
+    return component_labels(len(lattice), *CompressedOperator(a, lattice, lattice).nonzero())
 
 
 class TestComponents:
@@ -117,18 +137,19 @@ class TestComponents:
     @example([(6, "shift"), (2, "shift")], 3)
     def test_labels_equal_bfs(self, blocks, seed):
         A = permuted_block_diagonal(blocks, seed)
-        assert np.array_equal(connected_components(A), oracles.connected_components(A))
+        assert np.array_equal(component_labels(len(A), *np.nonzero(A)), oracles.connected_components(A))
 
     def test_catalog_matrices(self):
-        for mat in catalog_matrices():
-            labels = connected_components(mat.entries)
-            assert np.array_equal(labels, oracles.connected_components(mat.entries))
+        for a, lattice in CATALOG:
+            dense = operator_matrix(a, lattice).entries
+            want = oracles.connected_components(dense)
+            assert np.array_equal(table_labels(a, lattice), want)
+            assert np.array_equal(component_labels(len(dense), *np.nonzero(dense)), want)
 
     def test_modulated_rows_are_components(self):
         # (c + cos 2 pi x1) g(xi) couples xi to xi +- e1 only: one component per xi2
         lat = FrequencyLattice(2, 3)
-        mat = operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), lat)
-        labels = connected_components(mat.entries)
+        labels = table_labels(modulated_symbol(2.0, BracketPower(-4.0), dim=2), lat)
         assert len(set(labels.tolist())) == 7
         for label in set(labels.tolist()):
             assert len(set(lat.points[labels == label, 1].tolist())) == 1
@@ -177,8 +198,9 @@ class TestBlockSpectrum:
         lat = FrequencyLattice(2, 2)
         grid = min_grid_size(2)
         table = rng.standard_normal((grid**2, len(lat))) + 1j * rng.standard_normal((grid**2, len(lat)))
-        mat = operator_matrix(SampledSymbol(2, grid, lat, table), lat)
-        assert not np.any(connected_components(mat.entries))
+        a = SampledSymbol(2, grid, lat, table)
+        mat = operator_matrix(a, lat)
+        assert not np.any(table_labels(a, lat))
         assert np.array_equal(eigenvalues(mat), oracles.dense_eigenvalues(mat.entries))
 
     def test_exact_zeros_of_a_sampled_symbol_split_it(self):
@@ -186,11 +208,85 @@ class TestBlockSpectrum:
         lat = FrequencyLattice(2, 2)
         a = sample_symbol(modulated_symbol(2.0, BracketPower(-2.0), dim=2), min_grid_size(2), lat)
         mat = operator_matrix(a, lat)
-        labels = connected_components(mat.entries)
+        labels = table_labels(a, lat)
         assert np.array_equal(labels, oracles.connected_components(mat.entries))
         assert len(set(labels.tolist())) > 1
         tol = 1e-10 * two_norm(mat.entries)
         assert_same_multiset(eigenvalues(mat), oracles.dense_eigenvalues(mat.entries), tol)
+
+
+SYMBOLS = {
+    "bessel": lambda dim: bessel_symbol(-3.0, dim),
+    "heat": lambda dim: heat_symbol(0.1, dim),
+    "bracket": lambda dim: modulated_symbol(2.0, BracketPower(-4.0), dim),
+    "gaussian": lambda dim: modulated_symbol(0.5, GaussianDecay(0.1), dim),
+    "character": lambda dim: character_symbol(dim),  # no zero row: trace 0
+}
+
+
+def sampled(kind: str, dim: int, radius: int, grid: int, seed: int) -> SampledSymbol:
+    """A table on the lattice of ``radius``: the FFT of a real even x-factor, whose
+    exact zeros split the compression, or random complex samples."""
+    lattice = FrequencyLattice(dim, radius)
+    if kind == "zeros":
+        return sample_symbol(modulated_symbol(2.0, BracketPower(-2.0), dim), grid, lattice)
+    rng = np.random.default_rng(seed)
+    shape = (grid**dim, len(lattice))
+    return SampledSymbol(dim, grid, lattice, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@st.composite
+def symbols_and_radii(draw):
+    """(name, symbol, radius, row radius >= radius) in dims 1 and 2; a sampled
+    table is read at its own radius or below, its window M//2 above or below 2N."""
+    dim = draw(st.sampled_from([1, 2]))
+    top = 8 if dim == 1 else 3
+    name = draw(st.sampled_from(sorted(SYMBOLS) + ["zeros", "random"]))
+    if name in SYMBOLS:
+        a, table_radius = SYMBOLS[name](dim), top
+    else:
+        table_radius = draw(st.integers(min_value=0, max_value=top))
+        grid = draw(st.sampled_from([3, 4, 7, min_grid_size(table_radius)]))
+        a = sampled(name, dim, table_radius, grid, draw(seeds))
+    radius = draw(st.integers(min_value=0, max_value=table_radius))
+    return name, a, radius, radius + draw(st.integers(min_value=0, max_value=3))
+
+
+class TestSupportTable:
+    """The support-table path against the dense oracles, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(symbols_and_radii())
+    @example(("character", character_symbol(2), 3, 3))
+    @example(("zeros", sampled("zeros", 2, 2, min_grid_size(2), 0), 2, 4))
+    def test_table_path_equals_dense_oracle(self, case):
+        name, a, radius, row_radius = case
+        lattice, rows = FrequencyLattice(a.dim, radius), FrequencyLattice(a.dim, row_radius)
+        dense = oracles.dense_compression(a, lattice, lattice)
+        assert np.array_equal(compression(a, lattice, lattice), dense)
+        assert np.array_equal(compression(a, rows, lattice), oracles.dense_compression(a, rows, lattice))
+        op = CompressedOperator(a, lattice, lattice)
+        assert np.array_equal(table_labels(a, lattice), oracles.connected_components(dense))
+        got, residuals = eigenvalues(op, with_residuals=True)
+        want, want_residuals = eigenvalues(dense, with_residuals=True)
+        assert np.array_equal(got, want) and np.array_equal(residuals, want_residuals)
+        assert np.array_equal(eigenvalues(op), eigenvalues(dense))
+        trace = op.trace()
+        assert repr(trace) == repr(fsum_complex(np.diag(dense))) == repr(nuclear_trace(a, lattice))
+        if name == "character":
+            assert trace == 0
+
+    def test_side_limit_trace_allocates_no_dense_matrix(self, capsys):
+        # side 3969: a dense compression alone is 252 MB
+        tracemalloc.start()
+        try:
+            code = main(["trace", "--symbol", "modulated", "--c", "2", "--m", "-4", "--dim", "2",
+                         "--radius", "31", "--certify-w", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 3969**2  # under one byte per dense entry
 
 
 def counting(monkeypatch, name: str, corrupt=None) -> list:

@@ -431,6 +431,34 @@ class TestDualTraceCommands:
         assert code == 0 and err == ""
         assert json.loads(out)["body"]["value"] == 1
 
+    @pytest.mark.parametrize("argv, remedy", [
+        (["bessel-trace", "--group", "torus", "--dim", "2", "--alpha", "-280", "--cutoff", "40"], "raise --alpha"),
+        (["bessel-trace", "--group", "torus", "--dim", "2", "--alpha", "-250", "--cutoff", "40"], "raise --alpha"),
+        (["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "torus", "--dim", "2", "--cutoff",
+          "40", "--r", "1", "--p", "2", "--q", "2", "--symbol", "bessel", "--m", "280"], "lower --m"),
+        (["nuclearity", "--theorem", "tt1", "--case", "4", "--group", "torus", "--dim", "2", "--cutoff",
+          "40", "--r", "1", "--p", "2", "--q", "2", "--symbol", "bessel", "--m", "280"], "lower --m"),
+        (["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "torus", "--dim", "2", "--cutoff",
+          "40", "--r", "1", "--p", "2", "--q", "2", "--symbol", "heat", "--t", "-17.7"], "raise --t"),
+    ], ids=["bessel-280", "bessel-250", "tt1-case3", "tt1-case4", "tt1-heat"])
+    def test_sum_beyond_float64_exit_2(self, capsys, argv, remedy):
+        # finite terms whose exactly rounded sum leaves float64: math.fsum raises
+        # 'intermediate overflow in fsum', which is refused with a remedy
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert remedy in err and "Traceback" not in err
+
+    def test_overflowing_tt1_terms_reported_quietly(self, capsys):
+        # d |a|^r leaves the float range: those terms are inf, without numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [
+                "nuclearity", "--theorem", "tt1", "--case", "3", "--group", "su2", "--cutoff", "40",
+                "--r", "1", "--p", "2", "--q", "2", "--symbol", "bessel", "--m", "250",
+            ])
+        assert code == 0 and err == ""
+        assert json.loads(out)["body"]["satisfied"] is False
+
     @pytest.mark.parametrize("argv", [
         ["heat-trace", "--group", "torus", "--dim", "2", "--t", "1", "--cutoff", "2000"],
         ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "1e9"],
@@ -559,7 +587,7 @@ class TestMatrixSideGuard:
         def trip(*args, **kwargs):
             raise self.Reached
 
-        for name in ("FrequencyLattice", "operator_matrix", "lidskii_compare"):
+        for name in ("FrequencyLattice", "CompressedOperator", "lidskii_compare"):
             monkeypatch.setattr(cli, name, trip)
 
     @pytest.mark.parametrize("argv, remedy", [
@@ -646,8 +674,8 @@ class TestSpectrumCommand:
             modulated_symbol(2.0, BracketPower(-4.0), 2), FrequencyLattice(2, 2)
         )
         rows = []
-        for i in range(matrix.side):
-            for j in range(matrix.side):
+        for i in range(len(matrix.entries)):
+            for j in range(len(matrix.entries)):
                 entry = matrix.entries[i, j]
                 rows.append([i, j, entry.real, entry.imag])
         expected = render_csv("eta_index,xi_index,re,im", rows)

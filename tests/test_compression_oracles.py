@@ -4,8 +4,8 @@
 factors H_xi = e_xi a(., xi) from columns of ``quantize.compression``; the
 oracle in ``oracles`` samples every H_xi and forward-transforms it.  The two
 sum the same norms of coefficients that differ only by FFT rounding, so they
-agree to 1e-13 relative.  ``traces.lidskii_compare`` slices one compression;
-its records must equal the per-radius traces exactly, and for a sampled table
+agree to 1e-13 relative.  ``traces.lidskii_compare`` reads each radius from
+its own support table; its records must equal the per-radius traces exactly, and for a sampled table
 they must match the quadrature and whole-matrix oracles.  A sampled table
 answers every radius up to its own: the compression at a smaller radius is
 the sub-block of the table-radius compression, bit for bit.

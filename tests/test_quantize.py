@@ -170,7 +170,7 @@ class TestEigenvalues:
     def test_similarity_invariance(self, rng):
         lat = FrequencyLattice(1, 5)
         mat = operator_matrix(modulated_symbol(2.0, BracketPower(-3.0)), lat)
-        phases = np.exp(2j * np.pi * rng.random(mat.side))
+        phases = np.exp(2j * np.pi * rng.random(len(mat.entries)))
         d = np.diag(phases)
         conj = d @ mat.entries @ np.conj(d).T
         e1 = eigenvalues(mat)
