@@ -329,6 +329,12 @@ def _overflow_remedy(w: float, flags: str) -> str:
     return f"the weighted dyadic block norms at w = {w:g} overflow float64; lower {flags}"
 
 
+def _symbol_overflow(args, exc: OverflowError) -> ValidationError:
+    """Refusal of a symbol whose x-Fourier table, or a sum over it, leaves float64."""
+    remedy = "rescale the --symbol-file values" if args.symbol_file else "lower --m or --c, or raise --t"
+    return ValidationError(f"{exc}; {remedy}")
+
+
 def _require_side(dim: int, radius: int, flag: str = "--radius") -> None:
     """Refuse a compression too large to eigensolve before anything is allocated;
     the remedy names the command's own radius ``flag``."""
@@ -354,10 +360,13 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.radius >= 0, "--radius must be >= 0")
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
-    op = CompressedOperator(a, lattice, lattice)
-    nuc = op.trace()  # nuclear_trace's zero row
-    eigs = eigenvalues(op)
-    spec = fsum_complex(eigs)
+    try:
+        op = CompressedOperator(a, lattice, lattice)
+        nuc = op.trace()  # nuclear_trace's zero row
+        eigs = eigenvalues(op)
+        spec = fsum_complex(eigs)
+    except OverflowError as exc:
+        raise _symbol_overflow(args, exc) from exc
     body = {
         "radius": args.radius,
         "nuclear_trace": nuc,
@@ -388,7 +397,10 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
     radii = _parse_int_list(args.radii, "--radii")
     _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
     _require_side(a.dim, max(radii), "--radii")
-    report = lidskii_compare(a, radii)
+    try:
+        report = lidskii_compare(a, radii)
+    except OverflowError as exc:
+        raise _symbol_overflow(args, exc) from exc
     body = {
         "radii": radii,
         "history": [asdict(rec) for rec in report.history],
@@ -598,8 +610,12 @@ def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.radius is not None and args.radius >= 0, "pass --radius N >= 0")
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
-    op = CompressedOperator(a, lattice, lattice)
-    eigs, residuals = eigenvalues(op, with_residuals=True)
+    try:
+        op = CompressedOperator(a, lattice, lattice)
+        eigs, residuals = eigenvalues(op, with_residuals=True)
+        trace = op.trace()
+    except OverflowError as exc:
+        raise _symbol_overflow(args, exc) from exc
     residual_max = float(residuals.max()) if eigs.size else 0.0
     if args.matrix_csv:  # one f-string a row; .17g spells nan/inf/-inf as render_csv does
         rows = [
@@ -611,7 +627,7 @@ def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     body = {
         "radius": args.radius,
         "eigenvalues": [complex(v) for v in eigs],
-        "trace": op.trace(),
+        "trace": trace,
     }
     csv_table = ("index,re,im", ([i, v.real, v.imag] for i, v in enumerate(eigs)))
     return body, {"max_residual": residual_max, "order": "descending |lambda|, ties by argument"}, csv_table

@@ -39,6 +39,8 @@ class CompressedOperator:
     Entry (eta, xi) is hat{a}(eta - xi, xi): row k of ``table`` when eta - xi is
     support point k, else the appended zero row.  ``slot`` maps each radix key
     of the difference box, key(eta - xi) = key(eta) - key(xi) + key(0), to it.
+    A table with an inf or nan entry (a symbol that overflows float64) is
+    refused with OverflowError; no eigensolver could use it.
     """
 
     def __init__(self, a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice):
@@ -48,7 +50,12 @@ class CompressedOperator:
         self.rows, self.columns, self.shape = rows, columns, (len(rows), len(columns))
         span = rows.radius + columns.radius
         self.support = x_fourier_support(a, span)
-        table = x_fourier_table(a, self.support, columns)  # (S, L)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            table = x_fourier_table(a, self.support, columns)  # (S, L)
+        if not np.isfinite(table).all():
+            raise OverflowError(
+                f"the symbol's x-Fourier table hat{{a}}(eta, xi) for |xi|_inf <= {columns.radius} "
+                "is not finite in float64")
         self.table = np.concatenate([table, np.zeros((1, len(columns)), dtype=table.dtype)])
         radix = (2 * span + 1) ** np.arange(a.dim - 1, -1, -1)
         self._zero_key = span * int(radix.sum())

@@ -71,8 +71,8 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     """Nuclear and spectral traces across increasing radii.
 
     Each radius reads its compression's blocks and trace from its own support
-    table, built largest radius first, so a sampled table too small for it is
-    refused before any solve.  Successive
+    table, built largest radius first, so a sampled table too small for it, or
+    a table that is not finite, is refused before any solve.  Successive
     nuclear-trace increments serve as the empirical truncation tail; a history
     whose increments fail to shrink geometrically is flagged as non-convergent
     rather than rejected.

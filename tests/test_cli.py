@@ -464,6 +464,11 @@ class TestDualTraceCommands:
         ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "1e9"],
         ["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "torus", "--cutoff",
          "1e7", "--r", "1", "--p", "2", "--q", "2", "--m", "-4"],
+        # the su2 count floors 2 * cutoff, inf at these: an OverflowError traceback once
+        ["heat-trace", "--group", "su2", "--t", "1", "--cutoff", "1e308"],
+        ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "1e308"],
+        ["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "su2", "--cutoff",
+         "1e308", "--r", "1", "--p", "2", "--q", "2"],
     ])
     def test_dual_above_size_budget_exit_2(self, capsys, argv):
         # sizes above the budget only: the dual is refused before it is built
@@ -687,6 +692,46 @@ class TestSpectrumCommand:
             "--format", "csv",
         ])
         assert out.splitlines()[0] == "index,re,im"
+
+
+class TestSymbolTableOverflow:
+    """A symbol whose x-Fourier table leaves float64 is refused (exit 2, a remedy
+    naming its flags) before the eigensolver runs.  These exited 3 with "QR
+    iteration did not converge: Array must not contain infs or NaNs" after numpy
+    RuntimeWarnings."""
+
+    @pytest.fixture
+    def no_eigensolver(self, monkeypatch):
+        def trip(*args, **kwargs):
+            raise AssertionError("the eigensolver ran")
+
+        monkeypatch.setattr(np.linalg, "eig", trip)
+        monkeypatch.setattr(np.linalg, "eigvals", trip)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--symbol", "bessel", "--m", "300", "--dim", "2", "--radius", "12"],
+        ["spectrum", "--symbol", "modulated", "--m", "40", "--c", "1e308", "--radius", "3"],
+        ["trace", "--symbol", "modulated", "--m", "40", "--c", "1e308", "--radius", "3"],
+        ["lidskii", "--symbol", "bessel", "--m", "300", "--dim", "2", "--radii", "4,8"],
+        ["spectrum", "--symbol", "modulated", "--g", "gaussian", "--t", "-1000", "--radius", "3"],
+    ], ids=["bessel-spectrum", "modulated-spectrum", "modulated-trace", "bessel-lidskii",
+            "gaussian-spectrum"])
+    def test_refused_with_remedy(self, capsys, no_eigensolver, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "not finite in float64" in err and "lower --m or --c, or raise --t" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    def test_non_finite_symbol_file_names_the_file(self, capsys, tmp_path, no_eigensolver):
+        a = sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4))
+        a.table[0, 0] = np.nan
+        path = tmp_path / "a.json"
+        save_sampled_symbol(a, str(path))
+        code, out, err = run(capsys, ["spectrum", "--symbol-file", str(path), "--radius", "4"])
+        assert code == 2 and out == ""
+        assert "not finite in float64" in err and "--symbol-file" in err
 
 
 class TestNonFiniteFlags:

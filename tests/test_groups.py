@@ -1,13 +1,19 @@
 """Dual enumeration, closed-form trace series, and truncation convergence."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torustrace
 from torustrace.besov import BesovParams
 from torustrace.groups import (
     DivergenceWarning,
+    _gauss_legendre_64,
     bessel_trace,
     enumerate_dual,
     heat_trace,
@@ -123,6 +129,51 @@ class TestBesselTrace:
         dual = enumerate_dual("su2", 10)
         with pytest.raises(ValueError, match="torus"):
             bessel_trace(dual, 4.0, tail_correction=True)
+
+
+class TestGaussLegendre64:
+    """The Golub-Welsch rule behind ``bessel_tail``, against the monomials it must
+    integrate exactly and against numpy's ``leggauss``."""
+
+    def test_even_powers(self):
+        x, w = _gauss_legendre_64()
+        for k in range(64):
+            exact = 2.0 / (2 * k + 1)
+            assert abs(fsum(w * x ** (2 * k)) - exact) <= 5e-14 * exact, k
+
+    def test_odd_powers(self):
+        x, w = _gauss_legendre_64()
+        for k in range(64):
+            assert abs(fsum(w * x ** (2 * k + 1))) <= 1e-17, k
+
+    def test_weights_sum_to_two_and_rule_is_symmetric(self):
+        x, w = _gauss_legendre_64()
+        assert x.shape == w.shape == (64,)
+        assert abs(float(np.sum(w)) - 2.0) <= 1e-15
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+
+    def test_agrees_with_leggauss(self):
+        x, w = _gauss_legendre_64()
+        x_ref, w_ref = np.polynomial.legendre.leggauss(64)
+        assert np.all(np.abs(x - x_ref) <= 2 * np.spacing(np.abs(x_ref)))
+        assert np.all(np.abs(w - w_ref) <= 2e-12 * w_ref)
+
+    def test_tail_correction_imports_no_numpy_polynomial(self):
+        # numpy 2 imports numpy.polynomial lazily; building the rule must not pull it in
+        code = (
+            "import sys\n"
+            "from torustrace.cli import main\n"
+            "code = main(['bessel-trace', '--group', 'torus', '--dim', '1', '--alpha', '2',\n"
+            "             '--cutoff', '10', '--tail-correct'])\n"
+            "assert code == 0, code\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        src = str(Path(torustrace.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestMultiplierTrace:
