@@ -50,8 +50,7 @@ class CompressedOperator:
         self.rows, self.columns, self.shape = rows, columns, (len(rows), len(columns))
         span = rows.radius + columns.radius
         self.support = x_fourier_support(a, span)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            table = x_fourier_table(a, self.support, columns)  # (S, L)
+        table = x_fourier_table(a, self.support, columns)  # (S, L)
         if not np.isfinite(table).all():
             raise OverflowError(
                 f"the symbol's x-Fourier table hat{{a}}(eta, xi) for |xi|_inf <= {columns.radius} "

@@ -490,16 +490,19 @@ def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> n
     columns are taken from the table and only those are transformed.  Eta
     outside the alias-free window |eta|_inf <= M//2 is outside the admissible
     difference range and reported as 0.  Rows off ``x_fourier_support`` are 0,
-    so callers ask for those rows only.
+    so callers ask for those rows only.  A catalog entry beyond float64 reads
+    inf or nan, without numpy's warning; ``quantize.CompressedOperator``
+    refuses such a table.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
     if isinstance(a, SeparableSymbol):
         # only rows eta = (k, 0, ...) with k in the x-factor's support are nonzero
         out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
-        g = a.xifactor.values(lattice.points)
         on_axis = np.all(etas[:, 1:] == 0, axis=1)
-        for k, coef in a.xfactor.fourier().items():
-            out[on_axis & (etas[:, 0] == k)] = coef * g
+        with np.errstate(over="ignore", invalid="ignore"):  # entries beyond float64 read inf or nan
+            g = a.xifactor.values(lattice.points)
+            for k, coef in a.xfactor.fourier().items():
+                out[on_axis & (etas[:, 0] == k)] = coef * g
         return out
     if isinstance(a, SampledSymbol):
         if lattice.dim != a.dim or lattice.radius > a.lattice.radius:
