@@ -331,7 +331,7 @@ def _overflow_remedy(w: float, flags: str) -> str:
 
 def _symbol_overflow(args, exc: OverflowError) -> ValidationError:
     """Refusal of a symbol whose x-Fourier table, or a sum over it, leaves float64."""
-    remedy = "rescale the --symbol-file values" if args.symbol_file else "lower --m or --c, or raise --t"
+    remedy = "check the values in --symbol-file" if args.symbol_file else "lower --m or --c, or raise --t"
     return ValidationError(f"{exc}; {remedy}")
 
 
