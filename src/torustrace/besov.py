@@ -8,8 +8,8 @@ package.  Lattice callers pass |xi|^2; the bracket shells of a dual series
 (``groups``) and of the series certificates (``criteria``) pass
 floor(lambda) + 1, the bracket <xi>^2 rounded down.  On a torus lattice of
 dim 1 or 2 the two keys bin alike: they differ in block only where
-|xi|^2 = 4^m - 1 = 3 mod 4, which no sum of two squares is.  So the CLI's
-``--block-weight`` choice is echoed in the report header and changes no number.
+|xi|^2 = 4^m - 1 = 3 mod 4, which no sum of two squares is, so grouping a
+lattice by |xi| or by <xi> gives the same blocks and the same numbers.
 
 Every dyadic norm goes through ``block_norms``: a function's block L^p norms
 from its coefficients, all blocks synthesized by one inverse FFT.

@@ -61,7 +61,7 @@ from .symbols import (
 )
 from .traces import lidskii_compare, tail_estimate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 NORMALIZATION_NOTE = (
     "period-1 torus characters exp(i 2 pi <x, xi>); torus lambda = |xi|^2; "
     "su2 lambda = l(l+1), d = 2l+1"
@@ -137,17 +137,14 @@ def render_csv(header: str, rows: Iterable[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def make_header(block_weight: str | None = None) -> dict:
-    stamp = None
+def make_header() -> dict:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    stamp = None if epoch is None else datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
     return {
         "tool": "torustrace",
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "normalization": NORMALIZATION_NOTE,
-        "block_weight": block_weight,
         "timestamp": stamp,
     }
 
@@ -168,23 +165,43 @@ def emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _float_flag(allow_inf: bool):
-    """argparse type for float flags: NaN is refused, and so is +-inf unless
-    the flag's range includes it (Lebesgue exponents p, q in [1, inf])."""
+def _number(convert=float, low: float | None = None, strict: bool = False, allow_inf: bool = False):
+    """argparse type that declares a number flag's range beside the flag: NaN is
+    refused, +-inf unless the range includes it (Lebesgue exponents p, q in
+    [1, inf]), and values below ``low`` (or at it, when ``strict``)."""
+    kind = "an integer" if convert is int else "a number or inf" if allow_inf else "a finite number"
+    allowed = kind if low is None else f"{kind} {'>' if strict else '>='} {low:g}"
 
-    def parse(text: str) -> float:
-        value = float(text)
-        if math.isnan(value) or (math.isinf(value) and not allow_inf):
-            allowed = "a number or inf" if allow_inf else "a finite number"
+    def parse(text: str):
+        value = convert(text)  # an int can be too large for math.isnan, but is finite
+        non_finite = convert is float and (math.isnan(value) or (math.isinf(value) and not allow_inf))
+        if non_finite or (low is not None and (value <= low if strict else value < low)):
             raise argparse.ArgumentTypeError(f"{text!r} is not {allowed}; pass {allowed}")
         return value
 
-    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid float value"
     return parse
 
 
-FINITE = _float_flag(allow_inf=False)
-FINITE_OR_INF = _float_flag(allow_inf=True)
+def _number_list(item, what: str):
+    """argparse type for a nonempty comma-separated list of ``item`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [item(tok) for tok in text.split(",") if tok.strip()]
+        except (ValueError, argparse.ArgumentTypeError):
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a comma-separated list of {what}; pass {what}, comma separated"
+            )
+        return values
+
+    return parse
+
+
+FINITE = _number()
+FINITE_OR_INF = _number(allow_inf=True)
 
 
 def _add_symbol_flags(sub: argparse.ArgumentParser) -> None:
@@ -205,6 +222,17 @@ def _add_symbol_flags(sub: argparse.ArgumentParser) -> None:
         help="frequency factor of the modulated family",
     )
     sub.add_argument("--dim", type=int, default=1, choices=[1, 2])
+
+
+def _add_function_flags(sub: argparse.ArgumentParser) -> None:
+    """The input function and norm of the dyadic commands (``build_function``)."""
+    sub.add_argument("--input", help="periodic-function JSON file")
+    sub.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
+    sub.add_argument("--stock", type=_number(int, low=0), help="use the stock family truncated at K")
+    sub.add_argument("--grid", type=int, help="grid size override")
+    sub.add_argument("--w", type=FINITE, required=True)
+    sub.add_argument("--p", type=FINITE_OR_INF, required=True)
+    sub.add_argument("--q", type=FINITE_OR_INF, required=True)
 
 
 def build_symbol(args) -> Symbol:
@@ -253,7 +281,7 @@ def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | Non
     """Refuse a dyadic-norm run above DUAL_SIZE_LIMIT points before anything is
     built: its analysis lattice, and its block synthesis, which holds one copy of
     the grid per dyadic block of that lattice (``besov.block_norms``)."""
-    radius = max_alias_free_radius(grid) if analysis_radius is None else max(analysis_radius, 0)
+    radius = max_alias_free_radius(grid) if analysis_radius is None else analysis_radius
     sources = (("--input grid", args.input), ("--stock", args.stock),
                ("--character", args.character), ("--grid", args.grid), ("--radius", analysis_radius))
     flags = [flag for flag, value in sources if value is not None]
@@ -301,21 +329,11 @@ def build_function(args, analysis_radius: int | None = None) -> PeriodicFunction
     return _stock_function(args.stock, grid)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"{flag} wants a comma-separated integer list, got {text!r}") from exc
-
-
-def _parse_multi_index(text: str, dim: int, flag: str) -> tuple[int, ...]:
-    vals = _parse_int_list(text, flag)
+def _multi_index(vals: list[int], dim: int, flag: str) -> tuple[int, ...]:
     if len(vals) == 1 and dim == 2:
         vals = vals + [0]
-    if len(vals) != dim or any(v < 0 for v in vals):
-        raise ValidationError(
-            f"{flag} must be {dim} nonnegative integers for dim={dim}, got {text!r}"
-        )
+    _require(len(vals) == dim,
+             f"{flag} must be {dim} nonnegative integers for dim={dim}, got {','.join(map(str, vals))!r}")
     return tuple(vals)
 
 
@@ -357,7 +375,6 @@ CsvTable = tuple[str, Iterable[list]]
 
 def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
-    _require(args.radius >= 0, "--radius must be >= 0")
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
@@ -394,15 +411,13 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
 
 def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
-    radii = _parse_int_list(args.radii, "--radii")
-    _require(bool(radii), "--radii needs at least one radius, e.g. --radii 4,8,16")
-    _require_side(a.dim, max(radii), "--radii")
+    _require_side(a.dim, max(args.radii), "--radii")
     try:
-        report = lidskii_compare(a, radii)
+        report = lidskii_compare(a, args.radii)
     except OverflowError as exc:
         raise _symbol_overflow(args, exc) from exc
     body = {
-        "radii": radii,
+        "radii": args.radii,
         "history": [asdict(rec) for rec in report.history],
         "nuclear_trace": report.nuclear_trace,
         "spectral_trace": report.spectral_trace,
@@ -431,7 +446,6 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_besov_norm(args) -> tuple[dict, dict, CsvTable | None]:
-    _require(args.radius is not None, "pass --radius N for the analysis lattice")
     f = build_function(args, analysis_radius=args.radius)
     lattice = FrequencyLattice(f.dim, args.radius)
     params = BesovParams(args.w, args.p, args.q)
@@ -452,7 +466,6 @@ def _run_besov_norm(args) -> tuple[dict, dict, CsvTable | None]:
 
 def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
-    _require(args.radius is not None and args.radius >= 8, "--radius must be >= 8 for the fit")
     # the fit's lattice, on the dual series' size scale, refused before it is built
     points = (2 * args.radius + 1) ** a.dim
     _require(
@@ -461,8 +474,8 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
         f"{DUAL_SIZE_LIMIT}; lower --radius",
     )
     lattice = FrequencyLattice(a.dim, args.radius)
-    alpha = _parse_multi_index(args.alpha_idx, a.dim, "--alpha-idx")
-    beta = _parse_multi_index(args.beta_idx, a.dim, "--beta-idx")
+    alpha = _multi_index(args.alpha_idx, a.dim, "--alpha-idx")
+    beta = _multi_index(args.beta_idx, a.dim, "--beta-idx")
     try:
         m_hat, c_hat = estimate_order(a, alpha, beta, lattice)
     except OverflowError as exc:
@@ -539,8 +552,6 @@ def _dual(args, half_integers: bool = True):
 
 
 def _run_heat_trace(args) -> tuple[dict, dict, CsvTable | None]:
-    _require(args.t is not None and args.t > 0, "--t must be > 0")
-    _require(args.cutoff is not None and args.cutoff >= 0, "--cutoff must be >= 0")
     dual = _dual(args, half_integers=not args.integer_spins)
     value, diag = summed_series(dual, heat_terms(dual, args.t))
     body = {"group": args.group, "dim": args.dim, "t": args.t, "cutoff": args.cutoff,
@@ -549,8 +560,6 @@ def _run_heat_trace(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
-    _require(args.alpha is not None, "pass --alpha EXPONENT")
-    _require(args.cutoff is not None and args.cutoff >= 0, "--cutoff must be >= 0")
     dual = _dual(args, half_integers=not args.integer_spins)
     divergent = args.alpha <= dual.group_dimension
     try:
@@ -579,20 +588,11 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_approx_demo(args) -> tuple[dict, dict, CsvTable | None]:
-    try:
-        n_values = [FINITE(tok) for tok in args.n_values.split(",") if tok.strip()]
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValidationError(
-            f"--n-values wants a comma-separated list of finite numbers, got {args.n_values!r}"
-        ) from exc
-    _require(bool(n_values), "--n-values needs a comma-separated list, e.g. 1,2,4,8")
     f = build_function(args, analysis_radius=args.radius)
-    lattice = None
-    if args.radius is not None:
-        lattice = FrequencyLattice(f.dim, args.radius)
+    lattice = None if args.radius is None else FrequencyLattice(f.dim, args.radius)
     params = BesovParams(args.w, args.p, args.q)
     try:
-        rows = partial_sum_convergence(f, params, n_values, lattice)
+        rows = partial_sum_convergence(f, params, args.n_values, lattice)
     except OverflowError as exc:
         raise ValidationError(_overflow_remedy(args.w, "--w or --q")) from exc
     body = {
@@ -607,7 +607,6 @@ def _run_approx_demo(args) -> tuple[dict, dict, CsvTable | None]:
 
 def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args)
-    _require(args.radius is not None and args.radius >= 0, "pass --radius N >= 0")
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
@@ -669,9 +668,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     def add(name: str, help: str):
         return sub.add_parser(name, help=help) if command in (None, name) else None
 
+    natural = _number(int, low=0)
+    naturals = _number_list(natural, "integers >= 0")
+    cutoff = _number(low=0)
+
     if p := add("trace", "nuclear and spectral trace at one radius"):
         _add_symbol_flags(p)
-        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--radius", type=natural, required=True)
         p.add_argument("--order-hint", type=FINITE, dest="order_hint",
                        help="power-law order for the truncation tail bound")
         p.add_argument("--certify-w", type=FINITE, dest="certify_w",
@@ -679,25 +682,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if p := add("lidskii", "trace identity across increasing radii"):
         _add_symbol_flags(p)
-        p.add_argument("--radii", required=True, help="comma-separated increasing radii")
+        p.add_argument("--radii", type=naturals, required=True,
+                       help="comma-separated increasing radii")
         p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
 
     if p := add("besov-norm", "dyadic-block norm of a sampled function"):
-        p.add_argument("--input", help="periodic-function JSON file")
-        p.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
-        p.add_argument("--stock", type=int, help="use the stock family truncated at K")
-        p.add_argument("--grid", type=int, help="grid size override")
-        p.add_argument("--w", type=FINITE, required=True)
-        p.add_argument("--p", type=FINITE_OR_INF, required=True)
-        p.add_argument("--q", type=FINITE_OR_INF, required=True)
-        p.add_argument("--radius", type=int, required=True)
+        _add_function_flags(p)
+        p.add_argument("--radius", type=natural, required=True)
 
     if p := add("check-class", "empirical symbol order and Fourier decay"):
         _add_symbol_flags(p)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--alpha-idx", default="0", dest="alpha_idx",
+        p.add_argument("--radius", type=_number(int, low=8), required=True)
+        p.add_argument("--alpha-idx", type=naturals, default="0", dest="alpha_idx",
                        help="difference multi-index, comma separated")
-        p.add_argument("--beta-idx", default="0", dest="beta_idx",
+        p.add_argument("--beta-idx", type=naturals, default="0", dest="beta_idx",
                        help="x-derivative multi-index, comma separated")
         p.add_argument("--decay-k", type=int, dest="decay_k")
         p.add_argument("--decay-m", type=FINITE, dest="decay_m")
@@ -720,49 +718,41 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--q", type=FINITE_OR_INF)
         p.add_argument("--group", choices=["torus", "su2"], default="torus")
         p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-        p.add_argument("--cutoff", type=FINITE)
+        p.add_argument("--cutoff", type=cutoff)
         p.add_argument("--symbol", choices=["bessel", "heat"], default="bessel")
         p.add_argument("--t", type=FINITE)
 
     if p := add("heat-trace", "sum d^2 exp(-t lambda) over a dual"):
         p.add_argument("--group", choices=["torus", "su2"], required=True)
         p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-        p.add_argument("--t", type=FINITE, required=True)
-        p.add_argument("--cutoff", type=FINITE, required=True)
+        p.add_argument("--t", type=_number(low=0, strict=True), required=True)
+        p.add_argument("--cutoff", type=cutoff, required=True)
         p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
 
     if p := add("bessel-trace", "sum d^2 bracket^(-alpha) over a dual"):
         p.add_argument("--group", choices=["torus", "su2"], required=True)
         p.add_argument("--dim", type=int, default=1, choices=[1, 2])
         p.add_argument("--alpha", type=FINITE, required=True)
-        p.add_argument("--cutoff", type=FINITE, required=True)
+        p.add_argument("--cutoff", type=cutoff, required=True)
         p.add_argument("--tail-correct", action="store_true", dest="tail_correct")
         p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
         p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
 
     if p := add("approx-demo", "partial-sum convergence in a dyadic norm"):
-        p.add_argument("--input")
-        p.add_argument("--character", type=int)
-        p.add_argument("--stock", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--w", type=FINITE, required=True)
-        p.add_argument("--p", type=FINITE_OR_INF, required=True)
-        p.add_argument("--q", type=FINITE_OR_INF, required=True)
-        p.add_argument("--n-values", required=True, dest="n_values")
-        p.add_argument("--radius", type=int)
+        _add_function_flags(p)
+        p.add_argument("--n-values", type=_number_list(FINITE, "finite numbers"), required=True,
+                       dest="n_values")
+        p.add_argument("--radius", type=natural)
 
     if p := add("spectrum", "eigenvalues of the compressed operator"):
         _add_symbol_flags(p)
-        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--radius", type=natural, required=True)
         p.add_argument("--matrix-csv", dest="matrix_csv",
                        help="also export the matrix as eta,xi,re,im CSV")
 
     for p in sub.choices.values():  # flags common to every subcommand, after its own
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
-        # echoed in the header; |xi| and <xi> bin every dim 1 and 2 lattice alike (``besov``)
-        p.add_argument("--block-weight", choices=["abs", "bracket"], default="abs",
-                       dest="block_weight")
     return parser
 
 
@@ -781,8 +771,7 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{args.command} has no CSV schema; use --format json")
             text = render_csv(*csv_table)
         else:
-            header = make_header(getattr(args, "block_weight", None))
-            text = render_json({"header": header, "body": body, "diagnostics": diagnostics}) + "\n"
+            text = render_json({"header": make_header(), "body": body, "diagnostics": diagnostics}) + "\n"
         emit(text, args.output)
     except (ValidationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -149,9 +149,6 @@ class PeriodicFunction:
         self._check_compatible(other)
         return PeriodicFunction(self.dim, self.grid_size, self.values - other.values)
 
-    def scaled(self, c: complex) -> "PeriodicFunction":
-        return PeriodicFunction(self.dim, self.grid_size, c * self.values)
-
     def _check_compatible(self, other: "PeriodicFunction") -> None:
         if self.dim != other.dim or self.grid_size != other.grid_size:
             raise ValueError("functions live on different grids")
@@ -225,11 +222,3 @@ def lp_norms(rows: np.ndarray, p: float) -> list[float]:
         if total in (0.0, math.inf) and 0.0 < (sup := float(mags[i].max())) < math.inf:
             norms[i] = sup * lp_norms(mags[i:i + 1] / sup, p)[0]  # a term of 1: in range
     return norms
-
-
-def random_bandlimited(
-    lattice: FrequencyLattice, grid_size: int, rng: np.random.Generator
-) -> PeriodicFunction:
-    """Random trigonometric polynomial supported on the lattice (test helper)."""
-    coeffs = rng.standard_normal(len(lattice)) + 1j * rng.standard_normal(len(lattice))
-    return inverse_transform(FourierCoefficients(lattice, coeffs), grid_size)

@@ -278,14 +278,6 @@ class SeparableSymbol(Symbol):
     def x_bandwidth(self):
         return self.xfactor.bandwidth()
 
-    def x_fourier(self, eta, xi: np.ndarray) -> np.ndarray:
-        """Exact hat{a}(eta, xi) for all xi; eta is a single integer vector."""
-        eta = np.atleast_1d(np.asarray(eta, dtype=np.int64))
-        coeffs = self.xfactor.fourier()
-        if all(c == 0 for c in eta[1:]) and int(eta[0]) in coeffs:
-            return coeffs[int(eta[0])] * self.xifactor.values(xi)
-        return np.zeros(np.asarray(xi).shape[0], dtype=np.complex128)
-
 
 class SampledSymbol(Symbol):
     """Symbol given as a complex table over grid x lattice (x-major order)."""
@@ -362,12 +354,14 @@ def heat_symbol(t: float, dim: int = 1) -> SeparableSymbol:
 
 def modulated_symbol(c: float, g: XiFactor, dim: int = 1,
                      order: float | None = None) -> SeparableSymbol:
-    """(c + cos 2 pi x_1) * g(xi); order is g's order."""
+    """(c + cos 2 pi x_1) * g(xi); order is g's order.  A Gaussian exp(-t |xi|^2)
+    has order -inf for t > 0 and 0 at t = 0 (g = 1); for t < 0 it grows faster
+    than any power, so no order is claimed."""
     if order is None:
         if isinstance(g, BracketPower):
             order = g.m
         elif isinstance(g, GaussianDecay):
-            order = NEG_INFINITY_ORDER
+            order = NEG_INFINITY_ORDER if g.t > 0 else 0.0 if g.t == 0 else None
         elif isinstance(g, UnitXi):
             order = 0.0
     return SeparableSymbol(CosineOffset(c), g, dim, claimed_order=order)

@@ -35,7 +35,6 @@ class RadiusRecord:
 class TraceReport:
     nuclear_trace: complex
     spectral_trace: complex | None
-    truncation_radius: int
     tail_estimate: float | None
     history: list[RadiusRecord] = field(default_factory=list)
     history_converged: bool | None = None
@@ -98,7 +97,6 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     return TraceReport(
         nuclear_trace=history[-1].nuclear,
         spectral_trace=history[-1].spectral,
-        truncation_radius=radii[-1],
         tail_estimate=tail,
         history=history,
         history_converged=_increments_converged(increments),

@@ -47,6 +47,10 @@ and the coefficient-map embedding ratio ||fhat||_{l^beta} / ||f||_B.  The
 tests of ``test_quantize.py``, ``test_symbols.py`` and ``test_criteria.py``
 hold the compressed matrix to the first two, and ``test_besov.py`` the dyadic
 norm to the third.
+
+Test inputs and exact references the package does not use: a random
+band-limited function, a scalar multiple of a function, and a separable
+symbol's exact coefficients hat{a}(eta, xi) from its factors' closed forms.
 """
 
 from __future__ import annotations
@@ -83,6 +87,27 @@ from torustrace.symbols import (
 def _grid(dim: int, grid_size: int) -> np.ndarray:
     idx = np.array(list(product(range(grid_size), repeat=dim)), dtype=np.float64)
     return idx / grid_size
+
+
+def random_bandlimited(
+    lattice: FrequencyLattice, grid_size: int, rng: np.random.Generator
+) -> PeriodicFunction:
+    """Random trigonometric polynomial supported on the lattice."""
+    coeffs = rng.standard_normal(len(lattice)) + 1j * rng.standard_normal(len(lattice))
+    return harmonic.inverse_transform(FourierCoefficients(lattice, coeffs), grid_size)
+
+
+def scaled(f: PeriodicFunction, c: complex) -> PeriodicFunction:
+    return PeriodicFunction(f.dim, f.grid_size, c * f.values)
+
+
+def x_fourier(a: SeparableSymbol, eta, xi: np.ndarray) -> np.ndarray:
+    """Exact hat{a}(eta, xi) for all xi; eta is a single integer vector."""
+    eta = np.atleast_1d(np.asarray(eta, dtype=np.int64))
+    coeffs = a.xfactor.fourier()
+    if all(c == 0 for c in eta[1:]) and int(eta[0]) in coeffs:
+        return coeffs[int(eta[0])] * a.xifactor.values(xi)
+    return np.zeros(np.asarray(xi).shape[0], dtype=np.complex128)
 
 
 def _exact_column_sums(terms: np.ndarray) -> np.ndarray:
@@ -155,7 +180,7 @@ def catalog_x_fourier_table(a, etas: np.ndarray, lattice: FrequencyLattice) -> n
     etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
     out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
     for r, eta in enumerate(etas):
-        out[r] = a.x_fourier(eta, lattice.points)
+        out[r] = x_fourier(a, eta, lattice.points)
     return out
 
 
@@ -474,7 +499,7 @@ def symbol_fourier(a, eta, xi) -> complex:
     eta = np.atleast_1d(np.asarray(eta, dtype=np.int64))
     xi = np.atleast_1d(np.asarray(xi, dtype=np.int64))
     if isinstance(a, SeparableSymbol):
-        return complex(a.x_fourier(eta, xi.reshape(1, -1))[0])
+        return complex(x_fourier(a, eta, xi.reshape(1, -1))[0])
     phases = np.exp(-1j * TWO_PI * (_grid(a.dim, a.grid_size) @ eta.astype(np.float64)))
     terms = phases * a.table[:, a.lattice.index_of(xi)]
     return complex(math.fsum(terms.real), math.fsum(terms.imag)) / (a.grid_size**a.dim)

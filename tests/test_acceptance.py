@@ -21,7 +21,6 @@ from torustrace.harmonic import (
     inverse_transform,
     lp_norm,
     min_grid_size,
-    random_bandlimited,
 )
 from torustrace.quantize import eigenvalues, operator_matrix
 from torustrace.sums import fsum, fsum_complex
@@ -34,6 +33,7 @@ from torustrace.symbols import (
 )
 from torustrace.traces import lidskii_compare
 
+from oracles import random_bandlimited
 from test_criteria import HAND_TABLE
 
 

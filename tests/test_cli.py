@@ -37,8 +37,7 @@ def run_json(capsys, argv):
     doc = json.loads(out)
     assert set(doc) == {"header", "body", "diagnostics"}
     header = doc["header"]
-    for key in ("tool", "version", "schema_version", "normalization", "block_weight",
-                "timestamp"):
+    for key in ("tool", "version", "schema_version", "normalization", "timestamp"):
         assert key in header
     return doc
 
@@ -159,10 +158,9 @@ class TestBesovCommand:
     def test_bracket_block_weight_flag(self, capsys):
         doc = run_json(capsys, [
             "besov-norm", "--character", "1", "--w", "1", "--p", "2", "--q", "2",
-            "--radius", "4", "--block-weight", "bracket",
+            "--radius", "4",
         ])
-        assert doc["header"]["block_weight"] == "bracket"
-        # <1> = sqrt 2 in [1, 2) -> block 0 -> weight 1
+        # |1| = 1 and <1> = sqrt 2 both lie in [1, 2) -> block 0 -> weight 1
         assert doc["body"]["norm"] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -210,6 +208,17 @@ class TestCheckClassCommand:
                 "--radius", "16", "--decay-k", "400", "--decay-m", "-4",
             ])
         assert doc["body"]["decay_constant"]["C_est"] == pytest.approx(0.5 * math.sqrt(2.0) ** 800)
+
+    @pytest.mark.parametrize("t, claimed", [("0.01", "-inf"), ("0", 0), ("-0.01", None)])
+    def test_modulated_gaussian_claimed_order(self, capsys, t, claimed):
+        # a growing Gaussian (t < 0) once claimed order -inf beside a positive m_hat
+        doc = run_json(capsys, ["check-class", "--symbol", "modulated", "--g", "gaussian",
+                                "--t", t, "--radius", "8"])
+        body = doc["body"]
+        assert body["claimed_order"] == claimed
+        assert ("expected_slope" in body) == (claimed == 0)
+        if claimed is None:
+            assert body["m_hat"] > 0
 
     @pytest.mark.parametrize("flags", [["--m", "800", "--alpha-idx", "1"], ["--m", "800"]])
     def test_overflowing_order_fit_is_refused(self, capsys, flags):
@@ -760,6 +769,59 @@ class TestNonFiniteFlags:
         assert doc["body"]["norm"] == pytest.approx(4.0)
 
 
+class TestRangeRefusedAtParser:
+    """A flag's range is declared in its argparse type: a value outside it exits 2
+    with the subcommand's usage and the flag's name before any handler runs, as
+    the removed ``--block-weight`` does with the top-level usage."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--symbol", "bessel", "--m", "-4", "--radius", "-1"], "--radius"),
+        (["spectrum", "--symbol", "bessel", "--m", "-4", "--radius", "-1"], "--radius"),
+        (["check-class", "--symbol", "bessel", "--m", "-4", "--radius", "3"], "--radius"),
+        (["heat-trace", "--group", "torus", "--t", "0", "--cutoff", "3"], "--t"),
+        (["heat-trace", "--group", "torus", "--t", "1", "--cutoff", "-3"], "--cutoff"),
+        (["bessel-trace", "--group", "torus", "--alpha", "2", "--cutoff", "-3"], "--cutoff"),
+        (["nuclearity", "--theorem", "tt1", "--case", "3", "--cutoff", "-1", "--r", "1",
+          "--p", "2", "--q", "2", "--m", "-4"], "--cutoff"),
+        (["besov-norm", "--stock", "-3", "--w", "1", "--p", "2", "--q", "2", "--radius", "8"], "--stock"),
+        (["besov-norm", "--character", "4", "--w", "1", "--p", "2", "--q", "2", "--radius", "-1"],
+         "--radius"),
+        (["approx-demo", "--stock", "-3", "--w", "1", "--p", "2", "--q", "2", "--n-values", "1"],
+         "--stock"),
+        (["approx-demo", "--stock", "8", "--w", "1", "--p", "2", "--q", "2", "--n-values", "1",
+          "--radius", "-1"], "--radius"),
+        (["lidskii", "--symbol", "bessel", "--m", "-4", "--radii", ","], "--radii"),
+        (["lidskii", "--symbol", "bessel", "--m", "-4", "--radii", "4,-8"], "--radii"),
+        (["approx-demo", "--stock", "8", "--w", "0", "--p", "2", "--q", "2", "--n-values", "1,two"],
+         "--n-values"),
+        (["check-class", "--symbol", "bessel", "--m", "-4", "--radius", "16", "--alpha-idx", "x"],
+         "--alpha-idx"),
+        (["check-class", "--symbol", "bessel", "--m", "-4", "--radius", "16", "--beta-idx", "-1"],
+         "--beta-idx"),
+        (["besov-norm", "--character", "4", "--w", "1", "--p", "2", "--q", "2", "--radius", "8",
+          "--block-weight", "abs"], "--block-weight"),
+    ], ids=["trace-radius", "spectrum-radius", "check-class-radius", "heat-t", "heat-cutoff",
+            "bessel-cutoff", "tt1-cutoff", "besov-stock", "besov-radius", "approx-stock",
+            "approx-radius", "empty-radii", "negative-radii", "n-values", "alpha-idx", "beta-idx",
+            "block-weight"])
+    def test_exit_2_with_usage_before_the_handler(self, capsys, monkeypatch, argv, flag):
+        import torustrace.cli as cli
+
+        command = argv[0]
+        monkeypatch.setitem(cli.HANDLERS, command, lambda args: pytest.fail("a handler ran"))
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        usage = "usage: torustrace [-h]" if flag == "--block-weight" else f"usage: torustrace {command} "
+        assert err.startswith(usage)
+        assert flag in err.splitlines()[-1] and "Traceback" not in err
+
+    def test_integer_beyond_float64_reaches_the_size_guard(self, capsys):
+        # an int of 400 digits is in range; converting it to a float would overflow
+        code, out, err = run(capsys, ["trace", "--symbol", "bessel", "--m", "-4", "--radius", "9" * 400])
+        assert code == 2 and out == ""
+        assert err.startswith("error: radius 9999") and "lower --radius" in err
+
+
 class TestWeightOverflow:
     """A dyadic weight 2^{m w}, or its q-th power, beyond float64 is refused
     (exit 2) with the flag to lower, not raised as an OverflowError."""
@@ -800,44 +862,6 @@ class TestLebesgueExponentRange:
         assert len(rows["1e10"]) == len(rows["inf"])
         for got, sup in zip(rows["1e10"], rows["inf"]):
             assert sup * (1.0 - 1e-8) <= got <= sup * (1.0 + 1e-12)
-
-
-class TestBlockWeightEchoOnly:
-    """|xi| and <xi> bin every dim 1 and dim 2 lattice alike, so ``--block-weight
-    bracket`` changes only the header line that echoes it."""
-
-    @pytest.fixture
-    def function_2d(self, tmp_path):
-        lattice = FrequencyLattice(2, 6)
-        rng = np.random.default_rng(11)
-        coeffs = rng.standard_normal(len(lattice)) + 1j * rng.standard_normal(len(lattice))
-        path = str(tmp_path / "f2.json")
-        save_periodic_function(inverse_transform(FourierCoefficients(lattice, coeffs), 26), path)
-        return path
-
-    @pytest.mark.parametrize("argv", [
-        ["besov-norm", "--stock", "40", "--w", "0.5", "--p", "3", "--q", "1", "--radius", "40"],
-        ["approx-demo", "--stock", "30", "--w", "1", "--p", "2", "--q", "2",
-         "--n-values", "1,3,7,15,31"],
-        ["trace", "--symbol", "modulated", "--m", "-4", "--dim", "1", "--radius", "20",
-         "--certify-w", "1"],
-        ["besov-norm", "--input", None, "--w", "1", "--p", "2", "--q", "2", "--radius", "6"],
-        ["approx-demo", "--input", None, "--w", "0.5", "--p", "3", "--q", "inf",
-         "--n-values", "1,2,4,8"],
-        ["trace", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "8",
-         "--certify-w", "1"],
-    ], ids=["besov-norm-1d", "approx-demo-1d", "trace-1d", "besov-norm-2d", "approx-demo-2d",
-            "trace-2d"])
-    def test_stdout_identical_apart_from_header(self, capsys, function_2d, argv):
-        argv = [function_2d if v is None else v for v in argv]
-        outputs = []
-        for weight in ("abs", "bracket"):
-            code, out, err = run(capsys, argv + ["--block-weight", weight])
-            assert code == 0, err
-            outputs.append(out.splitlines())
-        differing = [(a, b) for a, b in zip(*outputs) if a != b]
-        assert len(outputs[0]) == len(outputs[1])
-        assert differing == [('    "block_weight": "abs",', '    "block_weight": "bracket",')]
 
 
 class TestCliContract:

@@ -86,7 +86,7 @@ def test_rectangular_compression_matches_per_entry_coefficients(name, dim, row_r
     columns = FrequencyLattice(dim, column_radius)
     got = compression(a, rows, columns)
     want = np.array(
-        [[a.x_fourier(eta - xi, xi[None, :])[0] for xi in columns.points] for eta in rows.points]
+        [[oracles.x_fourier(a, eta - xi, xi[None, :])[0] for xi in columns.points] for eta in rows.points]
     )
     assert got.shape == (len(rows), len(columns))
     assert np.array_equal(got, want)

@@ -19,12 +19,12 @@ from torustrace.criteria import (
     nuclear_quasinorm_bound,
 )
 from torustrace.groups import enumerate_dual
-from torustrace.harmonic import FrequencyLattice, min_grid_size, random_bandlimited
+from torustrace.harmonic import FrequencyLattice, min_grid_size
 from torustrace.sums import fsum
 from torustrace.symbols import BracketPower, bessel_symbol, modulated_symbol
 
 import oracles
-from oracles import apply_symbol, nuclear_decomposition, reconstruct
+from oracles import apply_symbol, nuclear_decomposition, random_bandlimited, reconstruct
 
 
 class TestEpsilon:

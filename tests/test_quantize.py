@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torustrace.harmonic import FrequencyLattice, forward_transform, min_grid_size, random_bandlimited
+from torustrace.harmonic import FrequencyLattice, forward_transform, min_grid_size
 from torustrace.quantize import canonical_eigen_order, eigenvalues, operator_matrix
 from torustrace.sums import fsum, fsum_complex
 from torustrace.symbols import (
@@ -15,7 +15,7 @@ from torustrace.symbols import (
 )
 
 from conftest import bandlimited, character
-from oracles import BandlimitWarning, apply_symbol, symbol_fourier
+from oracles import BandlimitWarning, apply_symbol, random_bandlimited, symbol_fourier
 
 
 class TestApply:

@@ -173,6 +173,15 @@ class TestEstimateOrder:
         with pytest.raises(ValueError, match="radius"):
             estimate_order(bessel_symbol(-2.0), 0, 0, FrequencyLattice(1, 4))
 
+    @pytest.mark.parametrize("t, claimed, slope", [(0.01, -math.inf, -1), (0.0, 0.0, 0), (-0.01, None, 1)])
+    def test_modulated_gaussian_claims_its_order(self, t, claimed, slope):
+        # exp(-t |xi|^2) decays faster than any power for t > 0, is 1 at t = 0 and
+        # grows faster than any power for t < 0, where no order is claimed
+        a = modulated_symbol(2.0, GaussianDecay(t))
+        assert a.claimed_order == claimed
+        m_hat, _ = estimate_order(a, 0, 0, FrequencyLattice(1, 8))
+        assert np.sign(m_hat) == slope
+
 
 class TestSymbolFourier:
     def test_x_independent_supported_at_zero(self):
