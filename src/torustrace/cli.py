@@ -229,7 +229,7 @@ def _add_function_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="periodic-function JSON file")
     sub.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
     sub.add_argument("--stock", type=_number(int, low=0), help="use the stock family truncated at K")
-    sub.add_argument("--grid", type=int, help="grid size override")
+    sub.add_argument("--grid", type=_number(int, low=1), help="grid size override")
     sub.add_argument("--w", type=FINITE, required=True)
     sub.add_argument("--p", type=FINITE_OR_INF, required=True)
     sub.add_argument("--q", type=FINITE_OR_INF, required=True)
@@ -318,7 +318,7 @@ def build_function(args, analysis_radius: int | None = None) -> PeriodicFunction
         return f
     content = abs(args.character) if args.character is not None else args.stock
     needed = min_grid_size(max(content, 1, analysis_radius or 0))
-    grid = args.grid or needed
+    grid = needed if args.grid is None else args.grid
     if grid < needed:
         raise ValidationError(
             f"--grid {grid} is below the anti-aliasing margin {needed}; raise it"

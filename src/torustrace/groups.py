@@ -312,6 +312,8 @@ def partial_sum_convergence(
     rows: list[tuple[float, float]] = []
     for n_cut in n_values:
         n_cut = float(n_cut)
-        residual = FourierCoefficients(lattice, np.where(1.0 + sq > n_cut * n_cut, c.coeffs, 0.0))
+        # drop <xi> > N; comparing squares alone would keep xi = 0 at N = -1
+        dropped = (n_cut < 0) | (1.0 + sq > n_cut * n_cut)
+        residual = FourierCoefficients(lattice, np.where(dropped, c.coeffs, 0.0))
         rows.append((n_cut, coefficient_norm(residual, besov, f.grid_size)))
     return rows

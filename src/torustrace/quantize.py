@@ -10,7 +10,9 @@ lattice it has exactly the trace and spectrum of P_N T_a P_N.
 ``eigenvalues`` solves it one connected component of its nonzero pattern at a
 time, each block gathered from the table: a multiplier gives 1 x 1 blocks,
 (c + cos 2 pi x1) g(xi) one block per line along x1, and a sampled symbol
-usually a single block, solved unpermuted.
+usually a single block, solved unpermuted.  Real blocks (the modulated, Bessel
+and heat catalog symbols) go to the real solver, and ||A||_2 is computed only
+when its lower bound max |a_ij| cannot clear the residuals.
 """
 
 from __future__ import annotations
@@ -135,12 +137,16 @@ def eigenvalues(matrix, with_residuals: bool = False):
     nonzero pattern (``component_labels`` over its ``nonzero()`` pairs), which
     is exact: a symmetric permutation makes it block diagonal.  Each block is
     gathered by itself; components of equal size are stacked and solved by one
-    batched LAPACK call (zgeev: balancing, Hessenberg, shifted QR).  The
+    batched LAPACK call (balancing, Hessenberg, shifted QR): dgeev on the real
+    parts when none of them has a nonzero (or nan) imaginary part, so conjugate
+    pairs are exact and real eigenvalues have imaginary part 0, else zgeev.  The
     eigenvalue sum must match the matrix trace to within ``TRACE_IDENTITY_TOL *
     (1 + |trace|)``.  With ``with_residuals`` the eigenvectors are computed too,
     every pair is checked against ``||A v - lambda v|| <= EIGEN_RESIDUAL_TOL *
     ||A||_2`` (the largest block norm), and the residual norms are returned
-    alongside the eigenvalues, in the same order.  Either check failing raises
+    alongside the eigenvalues, in the same order.  The block 2-norms (an SVD
+    each) are computed only when the largest entry magnitude, a lower bound on
+    ||A||_2, cannot clear every residual.  Either check failing raises
     EigensolverError.
     """
     A = matrix if isinstance(matrix, CompressedOperator) else np.asarray(matrix)
@@ -155,26 +161,35 @@ def eigenvalues(matrix, with_residuals: bool = False):
     sizes = np.bincount(labels, minlength=side)[labels]
     # indices grouped by component size, then component, ascending within one
     perm = np.lexsort((labels, sizes))
+    splits = np.split(perm, np.cumsum(np.bincount(sizes))[:-1])
+    groups = [idx.reshape(-1, size) for size, idx in enumerate(splits) if idx.size]
+
+    def gather(idx):
+        blocks = A[idx[:, :, None], idx[:, None, :]]
+        return blocks if blocks.imag.any() else blocks.real
+
     eigs = np.empty(side, dtype=np.complex128)
     residuals = np.empty(side) if with_residuals else None
-    norm_a = 0.0
+    norm_a = 0.0  # the largest |a_ij|, a lower bound on ||A||_2
     start = 0
     try:
-        for size, count in enumerate(np.bincount(sizes)):
-            if not count:
-                continue
-            stop = start + int(count)
-            idx = perm[start:stop].reshape(-1, size)
-            blocks = A[idx[:, :, None], idx[:, None, :]]
+        for idx in groups:
+            stop = start + idx.size
+            blocks = gather(idx)
             if with_residuals:
                 vals, vecs = np.linalg.eig(blocks)
-                res = np.linalg.norm(blocks @ vecs - vecs * vals[:, None, :], axis=1)
-                residuals[start:stop] = res.ravel()
-                norm_a = max(norm_a, float(np.linalg.norm(blocks, 2, axis=(1, 2)).max()))
+                r = blocks @ vecs - vecs * vals[:, None, :]
+                # each column scaled by a power of two (exact), so its squares cannot overflow
+                k = np.exp2(np.frexp(np.abs(r).max(axis=1, keepdims=True))[1])
+                residuals[start:stop] = (k * np.linalg.norm(r / k, axis=1, keepdims=True)).ravel()
+                norm_a = max(norm_a, float(np.abs(blocks).max()))
             else:
                 vals = np.linalg.eigvals(blocks)
             eigs[start:stop] = vals.ravel()
             start = stop
+        if with_residuals and np.any(residuals > EIGEN_RESIDUAL_TOL * max(norm_a, 1e-300)):
+            # the bound cannot certify them all: judge every pair against ||A||_2
+            norm_a = max(float(np.linalg.norm(gather(idx), 2, axis=(1, 2)).max()) for idx in groups)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration did not converge: {exc}") from exc
     order = canonical_eigen_order(eigs)

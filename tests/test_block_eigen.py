@@ -9,12 +9,17 @@ multisets of catalog matrices must match the full-matrix solve within
 1e-10 ||A||_2, paired by nearest match; on random block matrices, which can
 have defective eigenvalues, the block solve must be the spectrum up to a
 backward error of 1e-10 ||A||_2 (``assert_spectrum_of``); a one-component
-matrix must give the full-matrix result bit for bit.  The eigen-sum and
-residual checks must still fire.
+matrix must give the full-matrix result bit for bit.  A group of blocks with no
+nonzero imaginary part goes to the real solver, and its eigenvalues must match
+the complex full-matrix solve within 1e-12 ||A||_2.  The residuals are judged
+against ||A||_2 only when the bound max |a_ij| cannot clear them, and stay
+finite for entries near 1e200.  The eigen-sum and residual checks must still
+fire, at that scale too.
 """
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from torustrace import quantize
 from torustrace.cli import main
 from torustrace.harmonic import FrequencyLattice, min_grid_size
 from torustrace.quantize import (
@@ -289,14 +295,14 @@ class TestSupportTable:
         assert peak < 3969**2  # under one byte per dense entry
 
 
-def counting(monkeypatch, name: str, corrupt=None) -> list:
-    """Replace np.linalg.<name> by a wrapper that records each batch shape and
-    optionally corrupts the result."""
+def counting(monkeypatch, name: str, corrupt=None, record=np.shape) -> list:
+    """Replace np.linalg.<name> by a wrapper that records each batch (its shape,
+    or ``record`` of it) and optionally corrupts the result."""
     real = getattr(np.linalg, name)
     calls = []
 
     def wrapper(a):
-        calls.append(np.shape(a))
+        calls.append(record(a))
         out = real(a)
         return corrupt(out) if corrupt else out
 
@@ -361,3 +367,118 @@ class TestChecksSurvive:
         assert eig_calls == [(7, 7, 7)] and eigvals_calls == []
         residual = json.loads(out)["diagnostics"]["max_residual"]
         assert 0.0 <= residual <= 1e-9
+
+
+def two_norm_calls(monkeypatch) -> list:
+    """Record the shape of every np.linalg.norm(x, 2, ...) call."""
+    real = np.linalg.norm
+    calls = []
+
+    def wrapper(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return real(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", wrapper)
+    return calls
+
+
+# sparse blocks are left out: they can be defective, and a defective eigenvalue
+# moves by about sqrt(eps) ||A|| between two backward-stable solves
+real_block_lists = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=6), st.sampled_from(("dense", "shift", "diagonal"))),
+    min_size=1, max_size=7,
+)
+
+
+class TestRealBlocks:
+    @settings(max_examples=120, deadline=None)
+    @given(real_block_lists, seeds)
+    @example([(6, "shift"), (2, "shift"), (1, "diagonal")], 3)
+    @example([(2, "dense")] * 6, 4)
+    def test_real_solve_matches_complex_oracle(self, blocks, seed):
+        A = permuted_block_diagonal(blocks, seed).real.astype(np.complex128)
+        norm = two_norm(A)
+        got = eigenvalues(A)
+        assert_same_multiset(got, oracles.dense_eigenvalues(A), 1e-12 * norm)
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+        with_res, residuals = eigenvalues(A, with_residuals=True)
+        assert_same_multiset(with_res, got, 1e-12 * norm)
+        assert np.all(residuals <= 1e-9 * max(norm, 1e-300))
+        trace = fsum_complex(np.diag(A))
+        assert abs(fsum_complex(got) - trace) <= 1e-9 * (1.0 + abs(trace))
+
+    def test_one_complex_block_keeps_its_group_complex(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A = np.zeros((8, 8), dtype=np.complex128)
+        A[:3, :3] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        A[3:6, 3:6] = rng.standard_normal((3, 3))
+        A[6:, 6:] = rng.standard_normal((2, 2))
+        dtypes = counting(monkeypatch, "eigvals", record=lambda a: a.dtype)
+        got = eigenvalues(A)
+        assert dtypes == [np.float64, np.complex128]
+        assert_same_multiset(got, oracles.dense_eigenvalues(A), 1e-10 * two_norm(A))
+
+    def test_negative_zero_imaginary_part_is_real(self, monkeypatch):
+        A = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
+        A.imag = -0.0
+        dtypes = counting(monkeypatch, "eigvals", record=lambda a: a.dtype)
+        assert np.array_equal(eigenvalues(A), [-1j, 1j])
+        assert dtypes == [np.float64]
+
+    def test_nan_imaginary_part_stays_complex(self, monkeypatch):
+        A = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
+        A[1, 2] = 1.0 + 1j * np.nan
+        dtypes = counting(monkeypatch, "eigvals", record=lambda a: a.dtype)
+        with pytest.raises(EigensolverError):
+            eigenvalues(A)
+        assert dtypes == [np.float64, np.complex128]
+
+
+class TestTwoNormOnlyWhenNeeded:
+    def test_not_computed_for_well_conditioned_blocks(self, monkeypatch):
+        catalog = operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), FrequencyLattice(2, 3))
+        dense = permuted_block_diagonal([(4, "dense"), (2, "dense"), (1, "dense")], 9)
+        calls = two_norm_calls(monkeypatch)
+        for A in (catalog, dense):
+            eigenvalues(A, with_residuals=True)
+        assert calls == []
+
+    def test_computed_when_the_entry_bound_cannot_certify(self, monkeypatch):
+        # the all-ones block: max |a_ij| = 1, ||A||_2 = 16
+        A = np.ones((16, 16), dtype=np.complex128)
+        want, residuals = eigenvalues(A, with_residuals=True)
+        worst = residuals.max()
+        assert worst > 0
+        calls = two_norm_calls(monkeypatch)
+        monkeypatch.setattr(quantize, "EIGEN_RESIDUAL_TOL", worst / 8)  # TOL < worst <= 16 TOL
+        got, got_residuals = eigenvalues(A, with_residuals=True)
+        assert calls == [(1, 16, 16)]
+        assert np.array_equal(got, want) and np.array_equal(got_residuals, residuals)
+        tol = worst / 32  # 16 TOL < worst: the exact norm fails it too, and the message names it
+        monkeypatch.setattr(quantize, "EIGEN_RESIDUAL_TOL", tol)
+        with pytest.raises(EigensolverError, match=f"\\* \\|\\|A\\|\\| = {tol * 16:.3e}"):
+            eigenvalues(A, with_residuals=True)
+        assert calls == [(1, 16, 16)] * 2
+
+
+def huge_block(is_complex: bool) -> np.ndarray:
+    """A dense 5 x 5 block with entries near 1e200, whose squares overflow float64."""
+    rng = np.random.default_rng(13)
+    B = rng.standard_normal((5, 5)) + (1j * rng.standard_normal((5, 5)) if is_complex else 0)
+    return 1e200 * B.astype(np.complex128)
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+class TestHugeEntries:
+    def test_residuals_stay_finite(self, is_complex):
+        A = huge_block(is_complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, residuals = eigenvalues(A, with_residuals=True)
+        assert np.isfinite(residuals).all() and residuals.max() <= 1e-9 * two_norm(A)
+
+    def test_a_bad_pair_is_refused(self, monkeypatch, is_complex):
+        counting(monkeypatch, "eig", corrupt_first_vector)
+        with pytest.raises(EigensolverError, match="residual"):
+            eigenvalues(huge_block(is_complex), with_residuals=True)

@@ -586,6 +586,14 @@ class TestApproxDemoNValues:
         assert code == 2 and out == ""
         assert "finite numbers" in err and "Traceback" not in err
 
+    def test_negative_cutoff_keeps_nothing(self, capsys):
+        # a negative first entry needs '=': argparse reads '-1,0' as an option string
+        code, out, err = run(capsys, ["approx-demo", "--stock", "8", "--w", "0", "--p", "2",
+                                      "--q", "2", "--n-values=-1,0"])
+        assert code == 0, err
+        assert json.loads(out)["body"]["table"] == [{"N": -1, "besov_error": 1.269887116348329},
+                                                    {"N": 0, "besov_error": 1.269887116348329}]
+
 
 class TestMatrixSideGuard:
     """Sides above EIGEN_SIDE_LIMIT are refused from the flags alone: the lattice,
@@ -800,10 +808,14 @@ class TestRangeRefusedAtParser:
          "--beta-idx"),
         (["besov-norm", "--character", "4", "--w", "1", "--p", "2", "--q", "2", "--radius", "8",
           "--block-weight", "abs"], "--block-weight"),
+        (["besov-norm", "--character", "4", "--grid", "0", "--w", "1", "--p", "2", "--q", "2",
+          "--radius", "8"], "--grid"),
+        (["approx-demo", "--stock", "8", "--grid", "-5", "--w", "0", "--p", "2", "--q", "2",
+          "--n-values", "1"], "--grid"),
     ], ids=["trace-radius", "spectrum-radius", "check-class-radius", "heat-t", "heat-cutoff",
             "bessel-cutoff", "tt1-cutoff", "besov-stock", "besov-radius", "approx-stock",
             "approx-radius", "empty-radii", "negative-radii", "n-values", "alpha-idx", "beta-idx",
-            "block-weight"])
+            "block-weight", "grid-zero", "grid-negative"])
     def test_exit_2_with_usage_before_the_handler(self, capsys, monkeypatch, argv, flag):
         import torustrace.cli as cli
 
@@ -814,6 +826,12 @@ class TestRangeRefusedAtParser:
         usage = "usage: torustrace [-h]" if flag == "--block-weight" else f"usage: torustrace {command} "
         assert err.startswith(usage)
         assert flag in err.splitlines()[-1] and "Traceback" not in err
+
+    def test_grid_below_the_margin_reaches_the_handler(self, capsys):
+        code, out, err = run(capsys, ["approx-demo", "--stock", "8", "--grid", "3", "--w", "0",
+                                      "--p", "2", "--q", "2", "--n-values", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --grid 3 is below the anti-aliasing margin")
 
     def test_integer_beyond_float64_reaches_the_size_guard(self, capsys):
         # an int of 400 digits is in range; converting it to a float would overflow

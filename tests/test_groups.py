@@ -253,3 +253,9 @@ class TestPartialSumConvergence:
         assert errs[:-1] == sorted(errs[:-1], reverse=True)
         assert errs[-1] <= 1e-12  # <8> = sqrt(65) <= 9
         assert errs[-2] > 1e-12  # ... but > 8
+
+    def test_negative_cutoff_keeps_nothing(self):
+        # <xi> >= 1 > N, though 1 + |0|^2 <= N^2 at N = -1: S_N f = 0, as at N = 0
+        f, lat = bandlimited({0: 1.0, 2: 0.5}, radius=4)
+        rows = partial_sum_convergence(f, BesovParams(0, 2, 2), [-1, -2.5, 0], lat)
+        assert rows[0][1] == rows[1][1] == rows[2][1] > 1.0
