@@ -51,6 +51,7 @@ from .sums import fsum_complex
 from .symbols import (
     BracketPower,
     GaussianDecay,
+    SampledSymbol,
     Symbol,
     bessel_symbol,
     character_symbol,
@@ -465,6 +466,11 @@ def _run_besov_norm(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
+    if args.decay_k is None:
+        for flag, value in (("--decay-m", args.decay_m), ("--decay-delta", args.decay_delta)):
+            _require(value is None, f"{flag} also needs --decay-k K")
+    else:
+        _require(args.decay_m is not None, "--decay-k also needs --decay-m ORDER")
     a = build_symbol(args)
     # the fit's lattice, on the dual series' size scale, refused before it is built
     points = (2 * args.radius + 1) ** a.dim
@@ -493,7 +499,6 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
         )
     diagnostics: dict = {"fit": "shell-sup log-log least squares, brackets < 2 excluded"}
     if args.decay_k is not None:
-        _require(args.decay_m is not None, "--decay-k also needs --decay-m ORDER")
         delta = args.decay_delta if args.decay_delta is not None else 0.0
         c_est = fourier_decay_constant(a, args.decay_k, args.decay_m, delta, lattice)
         body["decay_constant"] = {
@@ -502,7 +507,7 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
             "delta": delta,
             "C_est": c_est,
         }
-        if a.x_bandwidth() is None:
+        if isinstance(a, SampledSymbol):
             diagnostics["decay_note"] = (
                 "sampled symbol: smoothness in x not verifiable, conclusion-only run"
             )
@@ -543,7 +548,13 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
 
 def _dual(args, half_integers: bool = True):
     """The dual slice the flags ask for, one row per distinct lambda (every CLI
-    series term depends on lambda alone), refused (exit 2) above the size budget."""
+    series term depends on lambda alone), refused (exit 2) above the size budget or
+    when a flag asks for what the group does not have."""
+    _require(args.group == "torus" or args.dim == 1,
+             f"--dim {args.dim} counts torus factors; the su2 dual is indexed by spin alone, "
+             "so drop --dim")
+    _require(args.group == "su2" or half_integers,
+             "--integer-spins restricts the su2 spins; drop it for --group torus")
     try:
         return enumerate_dual(args.group, args.cutoff, dim=args.dim, half_integers=half_integers,
                               radial=True)
@@ -697,7 +708,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="difference multi-index, comma separated")
         p.add_argument("--beta-idx", type=naturals, default="0", dest="beta_idx",
                        help="x-derivative multi-index, comma separated")
-        p.add_argument("--decay-k", type=int, dest="decay_k")
+        p.add_argument("--decay-k", type=_number(int, low=1), dest="decay_k")
         p.add_argument("--decay-m", type=FINITE, dest="decay_m")
         p.add_argument("--decay-delta", type=FINITE, dest="decay_delta")
 

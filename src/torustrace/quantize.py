@@ -100,11 +100,6 @@ def compression(a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice) ->
     return CompressedOperator(a, rows, columns).entries
 
 
-def operator_matrix(a: Symbol, lattice: FrequencyLattice) -> CompressedOperator:
-    """A[eta, xi] = hat{a}(eta - xi, xi) over the lattice ordering, dense in ``entries``."""
-    return CompressedOperator(a, lattice, lattice)
-
-
 def canonical_eigen_order(eigs: np.ndarray) -> np.ndarray:
     """Permutation sorting eigenvalues by descending |lambda|, ties by argument."""
     return np.lexsort((np.angle(eigs), -np.abs(eigs)))

@@ -3,7 +3,11 @@
 Two representations coexist:
 
 * catalog symbols — separable closed forms ``u(x) * g(xi)`` whose difference
-  quotients, x-derivatives and x-Fourier coefficients are all exact,
+  quotients, x-derivatives and x-Fourier coefficients are all exact.  The
+  x-factor u is a ``TrigPolynomial``, held as its Fourier coefficients
+  {k: c_k}; its values, derivatives and x-Fourier rows are read from them, and
+  its sup norm is sum |c_k|, exact for every catalog factor (1, c + cos 2 pi
+  x_1, a character, and their derivatives) and an upper bound in general,
 * sampled symbols — a complex table over grid x lattice; differences shrink
   the lattice, x-derivatives are spectral, x-Fourier coefficients come from
   the rectangle rule, evaluated by FFT over the x axes.
@@ -20,7 +24,6 @@ Forward differences are used throughout:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -45,121 +48,34 @@ def _as_multi_index(alpha, dim: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# x-factors: the x_1-dependent part of a separable symbol.  Each knows its
-# exact derivatives, Fourier coefficients, sup norm and bandwidth.
+# x-factors: the x_1-dependent part of a separable symbol, held as its Fourier
+# coefficients; values, derivatives and sup norm follow from them.
 # ---------------------------------------------------------------------------
 
 
-class XFactor:
+@dataclass(frozen=True)
+class TrigPolynomial:
+    """u(x) = sum_k c_k exp(i 2 pi k x_1), held as ``coeffs`` = {k: c_k}."""
+
+    coeffs: dict[int, complex]
+
     def values(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        total = np.zeros(x.shape[0], dtype=np.complex128)
+        for k, c in self.coeffs.items():
+            total += c * np.exp(1j * TWO_PI * k * x[:, 0])
+        return total
 
-    def derivative(self, order: int) -> "XFactor":
-        raise NotImplementedError
-
-    def fourier(self) -> dict[int, complex]:
-        """Exact x-Fourier coefficients {eta_1: coefficient}."""
-        raise NotImplementedError
+    def derivative(self, order: int) -> "TrigPolynomial":
+        if order == 0:
+            return self
+        unit = 1j ** (order % 4)  # i^order, exact at any order
+        return TrigPolynomial(
+            {k: c * unit * (TWO_PI * k) ** order for k, c in self.coeffs.items() if k != 0}
+        )
 
     def sup_abs(self) -> float:
-        raise NotImplementedError
-
-    def bandwidth(self) -> int:
-        return max((abs(k) for k in self.fourier()), default=0)
-
-
-class UnitX(XFactor):
-    def values(self, x):
-        return np.ones(x.shape[0], dtype=np.complex128)
-
-    def derivative(self, order):
-        return self if order == 0 else ZeroX()
-
-    def fourier(self):
-        return {0: 1.0 + 0j}
-
-    def sup_abs(self):
-        return 1.0
-
-
-class ZeroX(XFactor):
-    def values(self, x):
-        return np.zeros(x.shape[0], dtype=np.complex128)
-
-    def derivative(self, order):
-        return self
-
-    def fourier(self):
-        return {}
-
-    def sup_abs(self):
-        return 0.0
-
-
-@dataclass
-class CosineOffset(XFactor):
-    """c + cos(2 pi x_1)."""
-
-    c: float
-
-    def values(self, x):
-        return (self.c + np.cos(TWO_PI * x[:, 0])).astype(np.complex128)
-
-    def derivative(self, order):
-        if order == 0:
-            return self
-        return TrigShift((TWO_PI) ** order, order * math.pi / 2.0)
-
-    def fourier(self):
-        return {0: complex(self.c), 1: 0.5 + 0j, -1: 0.5 + 0j}
-
-    def sup_abs(self):
-        return max(abs(self.c + 1.0), abs(self.c - 1.0))
-
-
-@dataclass
-class TrigShift(XFactor):
-    """amp * cos(2 pi x_1 + phase); closed under differentiation."""
-
-    amp: float
-    phase: float
-
-    def values(self, x):
-        return (self.amp * np.cos(TWO_PI * x[:, 0] + self.phase)).astype(np.complex128)
-
-    def derivative(self, order):
-        if order == 0:
-            return self
-        return TrigShift(self.amp * (TWO_PI) ** order, self.phase + order * math.pi / 2.0)
-
-    def fourier(self):
-        half = 0.5 * self.amp
-        return {1: half * cmath.exp(1j * self.phase), -1: half * cmath.exp(-1j * self.phase)}
-
-    def sup_abs(self):
-        return abs(self.amp)
-
-
-@dataclass
-class CharacterX(XFactor):
-    """scale * exp(i 2 pi k x_1)."""
-
-    k: int = 1
-    scale: complex = 1.0 + 0j
-
-    def values(self, x):
-        return self.scale * np.exp(1j * TWO_PI * self.k * x[:, 0])
-
-    def derivative(self, order):
-        if order == 0:
-            return self
-        return CharacterX(self.k, self.scale * (1j * TWO_PI * self.k) ** order)
-
-    def fourier(self):
-        return {self.k: complex(self.scale)}
-
-    def sup_abs(self):
-        return abs(self.scale)
+        """sum |c_k|: exact for every catalog factor, an upper bound in general."""
+        return math.fsum(abs(c) for c in self.coeffs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +87,6 @@ class CharacterX(XFactor):
 class XiFactor:
     def values(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-class UnitXi(XiFactor):
-    def values(self, xi):
-        return np.ones(xi.shape[0], dtype=np.complex128)
 
 
 @dataclass
@@ -243,17 +154,13 @@ class Symbol:
     def x_sup_abs(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def x_bandwidth(self) -> int | None:
-        """Largest |eta_1| carrying x-frequency content; None when unknown."""
-        raise NotImplementedError
-
 
 class SeparableSymbol(Symbol):
     """a(x, xi) = u(x) g(xi) with exact closed-form factors."""
 
     def __init__(
         self,
-        xfactor: XFactor,
+        xfactor: TrigPolynomial,
         xifactor: XiFactor,
         dim: int = 1,
         claimed_order: float | None = 0.0,
@@ -274,9 +181,6 @@ class SeparableSymbol(Symbol):
 
     def x_sup_abs(self, xi):
         return self.xfactor.sup_abs() * np.abs(self.xifactor.values(xi))
-
-    def x_bandwidth(self):
-        return self.xfactor.bandwidth()
 
 
 class SampledSymbol(Symbol):
@@ -315,9 +219,6 @@ class SampledSymbol(Symbol):
     def x_sup_abs(self, xi):
         return np.abs(self.table[:, self.lattice.indices_of(xi)]).max(axis=0)
 
-    def x_bandwidth(self):
-        return None
-
     def __add__(self, other: "SampledSymbol") -> "SampledSymbol":
         if (
             not isinstance(other, SampledSymbol)
@@ -342,14 +243,15 @@ class SampledSymbol(Symbol):
 
 def bessel_symbol(m: float, dim: int = 1) -> SeparableSymbol:
     """Multiplier <xi>^m (m = -s gives the inverse Bessel potential of order s)."""
-    return SeparableSymbol(UnitX(), BracketPower(m), dim, claimed_order=m)
+    return SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), BracketPower(m), dim, claimed_order=m)
 
 
 def heat_symbol(t: float, dim: int = 1) -> SeparableSymbol:
     """Multiplier exp(-t |xi|^2); decays faster than any power."""
     if t <= 0:
         raise ValueError(f"heat symbol needs t > 0, got {t}")
-    return SeparableSymbol(UnitX(), GaussianDecay(t), dim, claimed_order=NEG_INFINITY_ORDER)
+    return SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), GaussianDecay(t), dim,
+                           claimed_order=NEG_INFINITY_ORDER)
 
 
 def modulated_symbol(c: float, g: XiFactor, dim: int = 1,
@@ -362,19 +264,19 @@ def modulated_symbol(c: float, g: XiFactor, dim: int = 1,
             order = g.m
         elif isinstance(g, GaussianDecay):
             order = NEG_INFINITY_ORDER if g.t > 0 else 0.0 if g.t == 0 else None
-        elif isinstance(g, UnitXi):
-            order = 0.0
-    return SeparableSymbol(CosineOffset(c), g, dim, claimed_order=order)
+    u = TrigPolynomial({0: complex(c), 1: 0.5 + 0j, -1: 0.5 + 0j})
+    return SeparableSymbol(u, g, dim, claimed_order=order)
 
 
 def character_symbol(dim: int = 1, k: int = 1) -> SeparableSymbol:
     """exp(i 2 pi k x_1): pointwise modulation, frequency-independent."""
-    return SeparableSymbol(CharacterX(k), UnitXi(), dim, claimed_order=0.0)
+    return SeparableSymbol(TrigPolynomial({k: 1.0 + 0j}), BracketPower(0.0), dim,
+                           claimed_order=0.0)
 
 
 def multiplier_symbol(g: XiFactor, dim: int = 1, order: float | None = None) -> SeparableSymbol:
     """x-independent symbol g(xi)."""
-    return SeparableSymbol(UnitX(), g, dim, claimed_order=order)
+    return SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), g, dim, claimed_order=order)
 
 
 def sample_symbol(a: Symbol, grid_size: int, lattice: FrequencyLattice) -> SampledSymbol:
@@ -428,10 +330,8 @@ def x_derivative(a: Symbol, beta) -> Symbol:
     for sampled ones (band-limited assumption on the table)."""
     beta = _as_multi_index(beta, a.dim)
     if isinstance(a, SeparableSymbol):
-        if any(b > 0 for b in beta[1:]):
-            xf: XFactor = ZeroX()  # catalog x-factors depend on x_1 only
-        else:
-            xf = a.xfactor.derivative(beta[0])
+        # catalog x-factors depend on x_1 only
+        xf = TrigPolynomial({}) if any(beta[1:]) else a.xfactor.derivative(beta[0])
         claims = _claims(a, a.claimed_delta * sum(beta))
         return SeparableSymbol(xf, a.xifactor, a.dim, **claims)
     if isinstance(a, SampledSymbol):
@@ -467,7 +367,7 @@ def x_fourier_support(a: Symbol, radius: int | None = None) -> np.ndarray:
     min(radius, M//2), the window ``x_fourier_table`` reports.
     """
     if isinstance(a, SeparableSymbol):
-        keys = sorted(k for k in a.xfactor.fourier() if radius is None or abs(k) <= radius)
+        keys = sorted(k for k in a.xfactor.coeffs if radius is None or abs(k) <= radius)
         support = np.zeros((len(keys), a.dim), dtype=np.int64)
         support[:, 0] = keys
         return support
@@ -495,7 +395,7 @@ def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> n
         on_axis = np.all(etas[:, 1:] == 0, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):  # entries beyond float64 read inf or nan
             g = a.xifactor.values(lattice.points)
-            for k, coef in a.xfactor.fourier().items():
+            for k, coef in a.xfactor.coeffs.items():
                 out[on_axis & (etas[:, 0] == k)] = coef * g
         return out
     if isinstance(a, SampledSymbol):

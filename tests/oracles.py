@@ -104,7 +104,7 @@ def scaled(f: PeriodicFunction, c: complex) -> PeriodicFunction:
 def x_fourier(a: SeparableSymbol, eta, xi: np.ndarray) -> np.ndarray:
     """Exact hat{a}(eta, xi) for all xi; eta is a single integer vector."""
     eta = np.atleast_1d(np.asarray(eta, dtype=np.int64))
-    coeffs = a.xfactor.fourier()
+    coeffs = a.xfactor.coeffs
     if all(c == 0 for c in eta[1:]) and int(eta[0]) in coeffs:
         return coeffs[int(eta[0])] * a.xifactor.values(xi)
     return np.zeros(np.asarray(xi).shape[0], dtype=np.complex128)
@@ -435,8 +435,10 @@ def reconstruct(dec: NuclearDecomposition, f: PeriodicFunction) -> PeriodicFunct
 
 def quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice) -> float:
     """sum_xi ||H_xi||_B^r for a catalog symbol, each H_xi sampled on the margin grid
-    of radius N + bandwidth and normed through its forward transform."""
-    norm_lattice = FrequencyLattice(lattice.dim, lattice.radius + a.x_bandwidth())
+    of radius N + b (b the x-factor's largest |k|) and normed through its forward
+    transform."""
+    bandwidth = max((abs(k) for k in a.xfactor.coeffs), default=0)
+    norm_lattice = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
     grid = min_grid_size(norm_lattice.radius)
     return math.fsum(
         besov_norm(rank_one_factor(a, xi, grid), besov, norm_lattice) ** r

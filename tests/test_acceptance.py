@@ -22,7 +22,7 @@ from torustrace.harmonic import (
     lp_norm,
     min_grid_size,
 )
-from torustrace.quantize import eigenvalues, operator_matrix
+from torustrace.quantize import CompressedOperator, eigenvalues
 from torustrace.sums import fsum, fsum_complex
 from torustrace.symbols import (
     BracketPower,
@@ -94,7 +94,8 @@ def test_criterion_04_lidskii_compressions():
     shrink = incs[0] / incs[1]
     residual_ok = True
     for radius in (4, 8, 16):
-        mat = operator_matrix(a, FrequencyLattice(1, radius))
+        lattice = FrequencyLattice(1, radius)
+        mat = CompressedOperator(a, lattice, lattice)
         res = eigenvalues(mat, with_residuals=True)[1]
         residual_ok &= res.max() <= 1e-9 * np.linalg.norm(mat.entries, 2)
     ok = diffs_ok and shrink >= 6.0 and residual_ok
@@ -105,7 +106,7 @@ def test_criterion_04_lidskii_compressions():
 def test_criterion_05_multiplier_spectrum_identity():
     lat = FrequencyLattice(1, 8)
     a = bessel_symbol(-4.0)
-    mat = operator_matrix(a, lat)
+    mat = CompressedOperator(a, lat, lat)
     eigs = eigenvalues(mat)
     expect = np.sort_complex(lat.brackets() ** -4.0 + 0j)
     multiset_ok = np.abs(np.sort_complex(eigs) - expect).max() <= 1e-12

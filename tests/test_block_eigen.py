@@ -37,7 +37,6 @@ from torustrace.quantize import (
     component_labels,
     compression,
     eigenvalues,
-    operator_matrix,
 )
 from torustrace.sums import fsum_complex
 from torustrace.symbols import (
@@ -126,7 +125,7 @@ CATALOG = [
 
 def catalog_matrices():
     for a, lattice in CATALOG:
-        yield operator_matrix(a, lattice)
+        yield CompressedOperator(a, lattice, lattice)
 
 
 def table_labels(a, lattice: FrequencyLattice) -> np.ndarray:
@@ -147,7 +146,7 @@ class TestComponents:
 
     def test_catalog_matrices(self):
         for a, lattice in CATALOG:
-            dense = operator_matrix(a, lattice).entries
+            dense = CompressedOperator(a, lattice, lattice).entries
             want = oracles.connected_components(dense)
             assert np.array_equal(table_labels(a, lattice), want)
             assert np.array_equal(component_labels(len(dense), *np.nonzero(dense)), want)
@@ -188,7 +187,8 @@ class TestBlockSpectrum:
             assert_same_multiset(eigenvalues(mat), oracles.dense_eigenvalues(mat.entries), tol)
 
     def test_character_shift_is_nilpotent(self):
-        mat = operator_matrix(character_symbol(2), FrequencyLattice(2, 2))
+        lat = FrequencyLattice(2, 2)
+        mat = CompressedOperator(character_symbol(2), lat, lat)
         assert np.abs(eigenvalues(mat)).max() == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -205,7 +205,7 @@ class TestBlockSpectrum:
         grid = min_grid_size(2)
         table = rng.standard_normal((grid**2, len(lat))) + 1j * rng.standard_normal((grid**2, len(lat)))
         a = SampledSymbol(2, grid, lat, table)
-        mat = operator_matrix(a, lat)
+        mat = CompressedOperator(a, lat, lat)
         assert not np.any(table_labels(a, lat))
         assert np.array_equal(eigenvalues(mat), oracles.dense_eigenvalues(mat.entries))
 
@@ -213,7 +213,7 @@ class TestBlockSpectrum:
         # the FFT of a real even x-factor has exact zeros; splitting on them is exact
         lat = FrequencyLattice(2, 2)
         a = sample_symbol(modulated_symbol(2.0, BracketPower(-2.0), dim=2), min_grid_size(2), lat)
-        mat = operator_matrix(a, lat)
+        mat = CompressedOperator(a, lat, lat)
         labels = table_labels(a, lat)
         assert np.array_equal(labels, oracles.connected_components(mat.entries))
         assert len(set(labels.tolist())) > 1
@@ -325,7 +325,8 @@ def shift_first_value(vals):
 
 class TestChecksSurvive:
     def matrix(self):
-        return operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), FrequencyLattice(2, 2))
+        lat = FrequencyLattice(2, 2)
+        return CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0), dim=2), lat, lat)
 
     def test_corrupted_eigenpair_raises(self, monkeypatch):
         counting(monkeypatch, "eig", corrupt_first_vector)
@@ -437,7 +438,8 @@ class TestRealBlocks:
 
 class TestTwoNormOnlyWhenNeeded:
     def test_not_computed_for_well_conditioned_blocks(self, monkeypatch):
-        catalog = operator_matrix(modulated_symbol(2.0, BracketPower(-4.0), dim=2), FrequencyLattice(2, 3))
+        lat = FrequencyLattice(2, 3)
+        catalog = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0), dim=2), lat, lat)
         dense = permuted_block_diagonal([(4, "dense"), (2, "dense"), (1, "dense")], 9)
         calls = two_norm_calls(monkeypatch)
         for A in (catalog, dense):

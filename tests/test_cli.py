@@ -186,6 +186,16 @@ class TestCheckClassCommand:
         ])
         assert code == 2 and "--decay-m" in err
 
+    @pytest.mark.parametrize("flags", [["--decay-m", "-4"], ["--decay-delta", "0.5"],
+                                       ["--decay-m", "-4", "--decay-delta", "0.5"]])
+    def test_decay_weights_without_decay_k_exit_2(self, capsys, flags):
+        # they were ignored: the run exited 0 with no decay constant
+        code, out, err = run(capsys, [
+            "check-class", "--symbol", "bessel", "--m", "-4", "--radius", "16", *flags,
+        ])
+        assert code == 2 and out == ""
+        assert err == f"error: {flags[0]} also needs --decay-k K\n"
+
     def test_overflowing_decay_weights_are_refused(self, capsys):
         # the dense eta x xi table read nan here (0 x inf on its zero rows) and
         # numpy wrote RuntimeWarnings; the support rows give inf, which is refused
@@ -505,6 +515,31 @@ class TestDualTraceCommands:
         assert "lower the cutoff" in err and "Traceback" not in err
         assert peak < 1 << 20  # a quarter box alone would be 20 MB
 
+    @pytest.mark.parametrize("argv, remedy", [
+        (["heat-trace", "--group", "su2", "--dim", "2", "--t", "1", "--cutoff", "20"], "drop --dim"),
+        (["bessel-trace", "--group", "su2", "--dim", "2", "--alpha", "4", "--cutoff", "20"],
+         "drop --dim"),
+        (["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "su2", "--dim", "2",
+          "--cutoff", "200", "--r", "1", "--p", "2", "--q", "2", "--m", "-4"], "drop --dim"),
+        (["heat-trace", "--group", "torus", "--t", "1", "--cutoff", "6", "--integer-spins"],
+         "drop it for --group torus"),
+        (["bessel-trace", "--group", "torus", "--alpha", "2", "--cutoff", "6", "--integer-spins"],
+         "drop it for --group torus"),
+    ], ids=["heat-su2-dim", "bessel-su2-dim", "tt1-su2-dim", "heat-torus-spins", "bessel-torus-spins"])
+    def test_flag_the_group_ignores_exit_2(self, capsys, monkeypatch, argv, remedy):
+        # the flag was ignored (exit 0), and su2 reports echoed "dim": 2
+        import torustrace.cli as cli
+
+        monkeypatch.setattr(cli, "enumerate_dual", lambda *a, **k: pytest.fail("the dual was built"))
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and remedy in err
+
+    def test_su2_default_dim_runs(self, capsys):
+        doc = run_json(capsys, ["heat-trace", "--group", "su2", "--dim", "1", "--t", "1",
+                                "--cutoff", "20"])
+        assert doc["body"]["dim"] == 1
+
     def test_bessel_require_convergent_exit_3(self, capsys):
         code, _, err = run(capsys, [
             "bessel-trace", "--group", "su2", "--alpha", "3", "--cutoff", "30",
@@ -683,7 +718,7 @@ class TestSpectrumCommand:
 
     def test_matrix_export_bytes_match_entrywise_rendering(self, capsys, tmp_path):
         from torustrace.cli import render_csv
-        from torustrace.quantize import operator_matrix
+        from torustrace.quantize import CompressedOperator
         from torustrace.symbols import BracketPower, modulated_symbol
 
         path = tmp_path / "matrix.csv"
@@ -692,9 +727,8 @@ class TestSpectrumCommand:
             "--matrix-csv", str(path),
         ])
         assert code == 0, err
-        matrix = operator_matrix(
-            modulated_symbol(2.0, BracketPower(-4.0), 2), FrequencyLattice(2, 2)
-        )
+        lat = FrequencyLattice(2, 2)
+        matrix = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0), 2), lat, lat)
         rows = []
         for i in range(len(matrix.entries)):
             for j in range(len(matrix.entries)):
@@ -812,10 +846,12 @@ class TestRangeRefusedAtParser:
           "--radius", "8"], "--grid"),
         (["approx-demo", "--stock", "8", "--grid", "-5", "--w", "0", "--p", "2", "--q", "2",
           "--n-values", "1"], "--grid"),
+        (["check-class", "--symbol", "bessel", "--m", "-4", "--radius", "16", "--decay-k", "0",
+          "--decay-m", "-4"], "--decay-k"),
     ], ids=["trace-radius", "spectrum-radius", "check-class-radius", "heat-t", "heat-cutoff",
             "bessel-cutoff", "tt1-cutoff", "besov-stock", "besov-radius", "approx-stock",
             "approx-radius", "empty-radii", "negative-radii", "n-values", "alpha-idx", "beta-idx",
-            "block-weight", "grid-zero", "grid-negative"])
+            "block-weight", "grid-zero", "grid-negative", "decay-k-zero"])
     def test_exit_2_with_usage_before_the_handler(self, capsys, monkeypatch, argv, flag):
         import torustrace.cli as cli
 

@@ -25,7 +25,7 @@ from torustrace.cli import main
 from torustrace.criteria import nuclear_quasinorm_bound
 from torustrace.harmonic import FrequencyLattice
 from torustrace.io import save_sampled_symbol
-from torustrace.quantize import compression, operator_matrix
+from torustrace.quantize import CompressedOperator, compression
 from torustrace.symbols import (
     BracketPower,
     GaussianDecay,
@@ -151,11 +151,11 @@ def test_sampled_matrix_below_table_radius_is_a_sub_block(dim, grid, radius):
     rng = np.random.default_rng(7)
     lattice = FrequencyLattice(dim, radius)
     a = SampledSymbol(dim, grid, lattice, rng.standard_normal((grid**dim, len(lattice))) + 0j)
-    full = operator_matrix(a, lattice).entries
+    full = CompressedOperator(a, lattice, lattice).entries
     for r in range(radius + 1):
         smaller = FrequencyLattice(dim, r)
         idx = lattice.indices_of(smaller.points)
-        assert np.array_equal(operator_matrix(a, smaller).entries, full[np.ix_(idx, idx)])
+        assert np.array_equal(CompressedOperator(a, smaller, smaller).entries, full[np.ix_(idx, idx)])
 
 
 @pytest.mark.parametrize("dim, grid, radius, below", [(1, 32, 16, 5), (2, 12, 4, 2), (2, 12, 4, 0)])

@@ -24,7 +24,7 @@ from torustrace.symbols import (
     GaussianDecay,
     SampledSymbol,
     SeparableSymbol,
-    UnitX,
+    TrigPolynomial,
     XiFactor,
     bessel_symbol,
     character_symbol,
@@ -201,7 +201,7 @@ def test_order_fit_matches_dict_oracle_with_ties(dim, radius, levels, alpha, see
     rng = np.random.default_rng(seed)
     table_radius = radius + alpha
     table = rng.choice(np.asarray(levels), size=(2 * table_radius + 1,) * dim)
-    a = SeparableSymbol(UnitX(), TableXi(table, table_radius), dim)
+    a = SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), TableXi(table, table_radius), dim)
     lattice = FrequencyLattice(dim, radius)
     alpha_idx = (alpha,) + (0,) * (dim - 1)
     got = estimate_order(a, alpha_idx, 0, lattice)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from torustrace.harmonic import FrequencyLattice, min_grid_size
+from torustrace.harmonic import TWO_PI, FrequencyLattice, min_grid_size
 from torustrace.sums import fsum_complex
 from torustrace.symbols import (
     BracketPower,
@@ -21,6 +23,8 @@ from torustrace.symbols import (
     multiplier_symbol,
     sample_symbol,
     x_derivative,
+    x_fourier_support,
+    x_fourier_table,
 )
 
 from oracles import symbol_fourier
@@ -139,6 +143,37 @@ class TestXDerivative:
         cat = x_derivative(modulated_symbol(2.0, BracketPower(-1.0)), 1)
         expect = tabulate(cat, lat, grid)
         assert np.abs(d.table - expect).max() < 1e-10
+
+
+class TestTrigPolynomial:
+    """A catalog x-factor is its Fourier coefficients: the sup norm sum |c_k| and
+    the derivative supports, pinned bit for bit."""
+
+    @given(c=st.floats(allow_nan=False, allow_infinity=False))
+    def test_modulated_sup_is_the_cosine_offset_sup(self, c):
+        got = modulated_symbol(c, BracketPower(-4.0)).xfactor.sup_abs()
+        assert got == max(abs(c + 1.0), abs(c - 1.0))
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    @pytest.mark.parametrize("a", [modulated_symbol(2.0, BracketPower(-4.0)),
+                                   character_symbol(k=1), character_symbol(k=-1)],
+                             ids=["modulated", "character", "character-minus"])
+    def test_derivative_sup_is_the_exact_power(self, a, b):
+        assert x_derivative(a, b).xfactor.sup_abs() == TWO_PI**b
+
+    @pytest.mark.parametrize("b", range(1, 5))
+    def test_derivative_supports(self, b):
+        for a in (bessel_symbol(-4.0), heat_symbol(0.1), character_symbol(k=0)):
+            assert x_fourier_support(x_derivative(a, b)).size == 0
+        modulated = x_derivative(modulated_symbol(2.0, BracketPower(-4.0), dim=2), (b, 0))
+        assert x_fourier_support(modulated).tolist() == [[-1, 0], [1, 0]]
+
+    def test_modulated_zero_offset_keeps_its_zero_row(self):
+        a = modulated_symbol(0.0, BracketPower(-4.0))
+        support = x_fourier_support(a)
+        assert support.tolist() == [[-1], [0], [1]]
+        table = x_fourier_table(a, support, FrequencyLattice(1, 3))
+        assert not table[1].any() and table[[0, 2]].all()
 
 
 class TestEstimateOrder:
