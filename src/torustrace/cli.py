@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, block_index, block_norms, weighted_norm
-from .criteria import SHELL_RATIO_LIMIT, check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
+from .criteria import (SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, check_t1, check_t2, check_tt1,
+                       nuclear_quasinorm_bound)
 from .groups import (
     DUAL_SIZE_LIMIT,
     bessel_tail,
@@ -215,14 +216,13 @@ def _add_symbol_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--symbol-file", help="sampled-symbol JSON file")
     sub.add_argument("--m", type=FINITE, help="bracket-power exponent (signed: -4 decays)")
     sub.add_argument("--t", type=FINITE, help="heat/gaussian time parameter")
-    sub.add_argument("--c", type=FINITE, default=2.0, help="modulation offset (default 2)")
+    sub.add_argument("--c", type=FINITE, help="modulation offset (default 2)")
     sub.add_argument(
         "--g",
         choices=["bracket", "gaussian"],
-        default="bracket",
         help="frequency factor of the modulated family",
     )
-    sub.add_argument("--dim", type=int, default=1, choices=[1, 2])
+    sub.add_argument("--dim", type=int, choices=[1, 2])
 
 
 def _add_function_flags(sub: argparse.ArgumentParser) -> None:
@@ -240,19 +240,24 @@ def build_symbol(args) -> Symbol:
     if args.symbol_file:
         if args.symbol:
             raise ValidationError("give either --symbol or --symbol-file, not both")
-        return load_sampled_symbol(args.symbol_file)
+        for flag in ("m", "t", "c", "g"):  # catalog flags: a table has no use for them
+            _require(getattr(args, flag) is None, f"--symbol-file reads a table, not --{flag}; drop --{flag}")
+        a = load_sampled_symbol(args.symbol_file)
+        _require(args.dim in (None, a.dim), f"--symbol-file holds a dim {a.dim} table; drop --dim")
+        return a
     if not args.symbol:
         raise ValidationError("missing symbol: pass --symbol FAMILY or --symbol-file PATH")
+    dim = 1 if args.dim is None else args.dim
     if args.symbol == "bessel":
         if args.m is None:
             raise ValidationError("bessel symbol needs --m EXPONENT")
-        return bessel_symbol(args.m, args.dim)
+        return bessel_symbol(args.m, dim)
     if args.symbol == "heat":
         if args.t is None:
             raise ValidationError("heat symbol needs --t TIME > 0")
-        return heat_symbol(args.t, args.dim)
+        return heat_symbol(args.t, dim)
     if args.symbol == "modulated":
-        if args.g == "bracket":
+        if args.g in (None, "bracket"):
             if args.m is None:
                 raise ValidationError("modulated bracket symbol needs --m EXPONENT")
             g = BracketPower(args.m)
@@ -260,8 +265,8 @@ def build_symbol(args) -> Symbol:
             if args.t is None:
                 raise ValidationError("modulated gaussian symbol needs --t TIME > 0")
             g = GaussianDecay(args.t)
-        return modulated_symbol(args.c, g, args.dim)
-    return character_symbol(args.dim)
+        return modulated_symbol(2.0 if args.c is None else args.c, g, dim)
+    return character_symbol(dim)
 
 
 def _stock_function(k_max: int, grid_size: int) -> PeriodicFunction:
@@ -438,7 +443,8 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
         ),
     )
     diagnostics = {
-        "increment_rule": f"converged when each increment <= {SHELL_RATIO_LIMIT:g} x previous",
+        "increment_rule": f"converged when each of the last {SHELL_RATIO_COUNT} increment ratios "
+        f"(all, when fewer) is <= {SHELL_RATIO_LIMIT:g}",
         "note": "nuclear/spectral agreement at every radius is a property of the "
         "finite compression; summability of the full operator is what the "
         "nuclearity checkers certify",
@@ -515,18 +521,26 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
+    if args.theorem == "tt1":  # the bracket multiplier (the default) reads --m, the heat one --t
+        reader = f"--theorem tt1 with --symbol {args.symbol or 'bessel'}"
+        unread = ("n", "alpha", "p1", "k", "delta", "w2", "p2", "q2", "m" if args.symbol == "heat" else "t")
+    else:
+        reader = f"--theorem {args.theorem}"
+        unread = ("case", "p", "q", "group", "dim", "cutoff", "symbol", "t")
+    for flag in unread:
+        _require(getattr(args, flag) is None, f"{reader} does not read --{flag}; drop --{flag}")
     if args.theorem in ("t1", "t2"):
-        for flag in ("n", "r", "alpha", "p1", "k", "delta", "m", "w2"):
+        needed = ("n", "r", "alpha", "p1", "k", "delta", "m", "w2")
+        for flag in needed:
             _require(getattr(args, flag) is not None, f"--theorem {args.theorem} needs --{flag}")
-        checker = check_t1 if args.theorem == "t1" else check_t2
-        verdict = checker(
-            n=args.n, r=args.r, alpha=args.alpha, p1=args.p1, k=args.k,
-            delta=args.delta, m=args.m, w2=args.w2, p2=args.p2, q2=args.q2,
-        )
+        checker = check_t1 if args.theorem == "t1" else check_t2  # unset --p2, --q2: its default 2
+        verdict = checker(**{flag: getattr(args, flag) for flag in needed + ("p2", "q2")
+                             if getattr(args, flag) is not None})
     else:
         _require(args.case is not None, "--theorem tt1 needs --case 1|2|3|4")
         for flag in ("r", "p", "q", "cutoff"):
             _require(getattr(args, flag) is not None, f"--theorem tt1 needs --{flag}")
+        args.group, args.dim = args.group or "torus", args.dim or 1
         dual = _dual(args)
         if args.symbol == "heat":
             _require(args.t is not None, "tt1 heat multiplier needs --t TIME")
@@ -723,14 +737,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--delta", type=FINITE)
         p.add_argument("--m", type=FINITE)
         p.add_argument("--w2", type=FINITE)
-        p.add_argument("--p2", type=FINITE_OR_INF, default=2.0)
-        p.add_argument("--q2", type=FINITE_OR_INF, default=2.0)
+        p.add_argument("--p2", type=FINITE_OR_INF)
+        p.add_argument("--q2", type=FINITE_OR_INF)
         p.add_argument("--p", type=FINITE_OR_INF)
         p.add_argument("--q", type=FINITE_OR_INF)
-        p.add_argument("--group", choices=["torus", "su2"], default="torus")
-        p.add_argument("--dim", type=int, default=1, choices=[1, 2])
+        p.add_argument("--group", choices=["torus", "su2"])
+        p.add_argument("--dim", type=int, choices=[1, 2])
         p.add_argument("--cutoff", type=cutoff)
-        p.add_argument("--symbol", choices=["bessel", "heat"], default="bessel")
+        p.add_argument("--symbol", choices=["bessel", "heat"])
         p.add_argument("--t", type=FINITE)
 
     if p := add("heat-trace", "sum d^2 exp(-t lambda) over a dual"):

@@ -8,8 +8,8 @@ block's L^2 norm the l^2 norm of its coefficients: the bound reads the
 support table once and sums |hat{a}|^2 per (block, column), with no
 compression and no synthesis.  For p != 2 a block's grid L^p norm is a
 quadrature that depends on the grid, so the bound norms the columns of the
-compression (``quantize``) with ``besov``'s coefficient-level norm on the
-margin grid, as ``besov-norm`` norms a function.
+dense compression (``quantize.CompressedOperator.entries``) with ``besov``'s
+coefficient-level norm on the margin grid, as ``besov-norm`` norms a function.
 
 Three checkers are exposed:
 
@@ -22,9 +22,10 @@ Three checkers are exposed:
   (p, q)-dependent series over the dual must converge.
 
 Strict inequalities are checked strictly; a failure at equality is reported as
-such.  Series convergence is certified numerically: geometric decay of dyadic
-shell sums (ratio <= 0.9 over the last 4 shells) or an integral-test bound for
-pure power-law terms, and the rule used is reported with the verdict.
+such.  Series convergence is certified numerically: an integral-test bound for
+pure power-law terms, or ``certify_shell_sums``, the one geometric-ratio rule
+(ratio <= 0.9 over the last 4 shells), which ``groups`` and ``traces`` call too;
+the rule used is reported with the verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .besov import BesovParams, block_index, block_sums, coefficient_norm, weighted_norm
 from .harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
-from .quantize import compression
+from .quantize import CompressedOperator
 from .sums import fsum, fsum_by
 from .symbols import Symbol, x_fourier_support, x_fourier_table
 
@@ -189,26 +190,21 @@ def _shell_witness(
     return witness, worst
 
 
-def shell_ratios(shell_sums: list[float]) -> list[float]:
-    """Consecutive shell-sum ratios; 0/0 reads 0 and x/0 reads inf."""
-    pairs = zip(shell_sums, shell_sums[1:])
-    return [cur / prev if prev else (math.inf if cur else 0.0) for prev, cur in pairs]
-
-
-def certify_shell_sums(shell_sums: list[float]) -> tuple[bool, float, float]:
-    """Geometric-ratio certificate on dyadic shell sums.
-
-    Returns (certified, tail_estimate, worst_recent_ratio).  Certified means
-    the last SHELL_RATIO_COUNT consecutive ratios all sit at or below
-    SHELL_RATIO_LIMIT; the tail is then bounded by the geometric remainder.
+def certify_shell_sums(shell_sums: list[float], min_ratios=SHELL_RATIO_COUNT) -> tuple[bool, float, float]:
+    """The one geometric-ratio rule, on dyadic shell sums or ``lidskii``'s
+    nuclear-trace increments: (certified, tail_estimate, worst_recent_ratio).
+    Empty or all-zero sums are certified with tail 0.  Ratios read 0/0 as 0 and
+    x/0 as inf, and fewer than ``min_ratios`` ratios certify nothing.  Otherwise
+    the worst of the last SHELL_RATIO_COUNT (of all, when fewer) certifies iff
+    <= SHELL_RATIO_LIMIT; the tail is then the geometric remainder, else inf.
     """
     if not shell_sums or fsum(shell_sums) == 0.0:
         return True, 0.0, 0.0
-    ratios = shell_ratios(shell_sums)
-    if len(ratios) < SHELL_RATIO_COUNT:
+    pairs = zip(shell_sums, shell_sums[1:])
+    ratios = [cur / prev if prev else (math.inf if cur else 0.0) for prev, cur in pairs]
+    if len(ratios) < min_ratios:
         return False, math.inf, math.inf
-    recent = ratios[-SHELL_RATIO_COUNT:]
-    worst = max(recent)
+    worst = max(ratios[-SHELL_RATIO_COUNT:])
     if worst <= SHELL_RATIO_LIMIT:  # < 1, so the geometric remainder is finite
         return True, shell_sums[-1] * worst / (1.0 - worst), worst
     return False, math.inf, worst
@@ -500,7 +496,7 @@ def nuclear_quasinorm_bound(
     radius = lattice.radius + int(np.abs(support).max(initial=0))  # N + b
     if besov.p != 2.0:
         rows = FrequencyLattice(lattice.dim, radius)
-        columns = compression(a, rows, lattice)
+        columns = CompressedOperator(a, rows, lattice).entries
         return float(fsum(
             coefficient_norm(FourierCoefficients(rows, h), besov, min_grid_size(radius)) ** r
             for h in columns.T

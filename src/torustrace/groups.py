@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovParams, block_index, block_sums, coefficient_norm
-from .criteria import SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, shell_ratios
+from .criteria import certify_shell_sums
 from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -161,10 +161,14 @@ def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def series_diagnostics(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> dict:
-    """Geometric shell-ratio monitor over dyadic bracket shells; a series known
-    to be ``divergent`` is never reported as converged, whatever its shells show."""
+    """``criteria.certify_shell_sums`` over the dyadic bracket shells of |term|, the
+    clipped trailing shell included; a series known to be ``divergent`` is never
+    reported as converged (tail inf), whatever its shells show."""
     _, shell_sums = block_sums(dual.shells, np.abs(np.asarray(terms)), dual.mult)
-    return _shell_monitor(shell_sums, divergent)
+    # 2 ratios suffice: the heat series at cutoff 6 has 3 shells (test_heat_torus)
+    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)
+    return {"shell_sums": shell_sums, "tail_estimate": math.inf if divergent else tail,
+            "converged": converged and not divergent}
 
 
 def summed_series(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> tuple[float, dict]:
@@ -176,19 +180,10 @@ def summed_series(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -
         return fsum(terms, dual.mult), series_diagnostics(dual, terms, divergent)
     shells = dual.shells
     sums, value = fsum_by(shells, terms, dual.mult, total=True)
-    return value, _shell_monitor([sums[j] for j in np.flatnonzero(np.bincount(shells))], divergent)
-
-
-def _shell_monitor(shell_sums: list[float], divergent: bool) -> dict:
-    ratios = shell_ratios(shell_sums)
-    if fsum(shell_sums) == 0.0 and not divergent:
-        return {"shell_sums": shell_sums, "tail_estimate": 0.0, "converged": True}
-    if divergent or not ratios:
-        return {"shell_sums": shell_sums, "tail_estimate": math.inf, "converged": False}
-    rho = max(ratios[-SHELL_RATIO_COUNT:])  # over all ratios when there are fewer
-    converged = rho <= SHELL_RATIO_LIMIT and len(ratios) >= 2
-    tail = shell_sums[-1] * rho / (1.0 - rho) if rho < 1.0 else math.inf
-    return {"shell_sums": shell_sums, "tail_estimate": tail, "converged": converged}
+    shell_sums = [sums[j] for j in np.flatnonzero(np.bincount(shells))]
+    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)  # as series_diagnostics
+    return value, {"shell_sums": shell_sums, "tail_estimate": math.inf if divergent else tail,
+                   "converged": converged and not divergent}
 
 
 def heat_terms(dual: GroupDual, t: float) -> np.ndarray:

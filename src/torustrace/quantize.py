@@ -94,12 +94,6 @@ class CompressedOperator:
         return fsum_complex(self.diagonal())
 
 
-def compression(a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice) -> np.ndarray:
-    """hat{a}(eta - xi, xi) for eta in ``rows`` and xi in ``columns``, dense; column
-    xi holds the x-Fourier coefficients of H_xi on the row lattice."""
-    return CompressedOperator(a, rows, columns).entries
-
-
 def canonical_eigen_order(eigs: np.ndarray) -> np.ndarray:
     """Permutation sorting eigenvalues by descending |lambda|, ties by argument."""
     return np.lexsort((np.angle(eigs), -np.abs(eigs)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import SHELL_RATIO_LIMIT, power_tail_bound
+from .criteria import certify_shell_sums, power_tail_bound
 from .harmonic import FrequencyLattice
 from .quantize import CompressedOperator, eigenvalues
 from .sums import fsum_complex
@@ -54,27 +54,16 @@ def spectral_trace(
     return fsum_complex(eigs), eigs
 
 
-def _increments_converged(increments: list[float]) -> bool | None:
-    if len(increments) < 2:
-        return None
-    for prev, cur in zip(increments, increments[1:]):
-        if prev == 0.0:
-            if cur > 0.0:
-                return False
-        elif cur > SHELL_RATIO_LIMIT * prev:
-            return False
-    return True
-
-
 def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     """Nuclear and spectral traces across increasing radii.
 
     Each radius reads its compression's blocks and trace from its own support
     table, built largest radius first, so a sampled table too small for it, or
     a table that is not finite, is refused before any solve.  Successive
-    nuclear-trace increments serve as the empirical truncation tail; a history
-    whose increments fail to shrink geometrically is flagged as non-convergent
-    rather than rejected.
+    nuclear-trace increments serve as the empirical truncation tail, and
+    ``criteria.certify_shell_sums`` reads them as shell sums: a history whose
+    last increments fail to shrink geometrically is flagged as non-convergent
+    rather than rejected, and one with fewer than 2 increments gets no verdict.
     """
     radii = [int(r) for r in radii]
     if not radii:
@@ -99,7 +88,8 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
         spectral_trace=history[-1].spectral,
         tail_estimate=tail,
         history=history,
-        history_converged=_increments_converged(increments),
+        # one ratio suffices: the 3-radius histories of the tests give no more
+        history_converged=None if len(increments) < 2 else certify_shell_sums(increments, min_ratios=1)[0],
     )
 
 

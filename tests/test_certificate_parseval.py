@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 import torustrace
-from torustrace import criteria, quantize, symbols
+from torustrace import quantize, symbols
 from torustrace.besov import BesovParams
 from torustrace.cli import main
 from torustrace.criteria import nuclear_quasinorm_bound
@@ -92,8 +92,8 @@ def test_p2_certificate_builds_no_compression_and_no_synthesis(monkeypatch, samp
     def trip(*args, **kwargs):
         raise AssertionError("the p = 2 certificate must not reach this")
 
-    monkeypatch.setattr(quantize, "compression", trip)
-    monkeypatch.setattr(criteria, "compression", trip)
+    # the dense compression is CompressedOperator.entries, whoever builds it
+    monkeypatch.setattr(quantize.CompressedOperator, "entries", property(trip))
     monkeypatch.setattr(np.fft, "ifftn", trip)
     got = nuclear_quasinorm_bound(a, 1.0, params, lattice)
     assert abs(got - want) <= 2 * math.ulp(want)

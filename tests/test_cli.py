@@ -119,6 +119,15 @@ class TestLidskiiCommand:
         assert "numerical failure" in err
 
 
+class TestLidskiiIncrementRule:
+    def test_verdict_reads_the_last_four_ratios(self, capsys):
+        doc = run_json(capsys, ["lidskii", "--symbol", "heat", "--t", "0.1",
+                                "--radii", "1,2,4,8,16,32,64,128"])
+        assert doc["body"]["history_converged"] is True
+        assert doc["diagnostics"]["increment_rule"] == (
+            "converged when each of the last 4 increment ratios (all, when fewer) is <= 0.9")
+
+
 class TestBesovCommand:
     def test_character_norm(self, capsys):
         doc = run_json(capsys, [
@@ -391,6 +400,68 @@ class TestNuclearityCommand:
         assert "argument --n: invalid choice" in err and "choose from 1, 2" in err
 
 
+T1_ARGV = ["--n", "1", "--r", "1", "--alpha", "0.5", "--p1", "2", "--k", "1", "--delta", "0",
+           "--m", "-4", "--w2", "0"]
+TT1_ARGV = ["nuclearity", "--theorem", "tt1", "--case", "3", "--cutoff", "20", "--r", "1",
+            "--p", "2", "--q", "2"]
+
+
+class TestNuclearityFlagFamilies:
+    """Each theorem family refuses the flags only the other reads, before any dual is built."""
+
+    @pytest.fixture
+    def tripwires(self, monkeypatch):
+        import torustrace.cli as cli
+
+        def trip(*args, **kwargs):
+            pytest.fail("the run went past the flag check")
+
+        for name in ("enumerate_dual", "check_t1", "check_t2", "check_tt1"):
+            monkeypatch.setattr(cli, name, trip)
+
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    @pytest.mark.parametrize("extra", [
+        ["--case", "3"], ["--p", "2"], ["--q", "2"], ["--group", "su2"], ["--group", "torus"],
+        ["--dim", "1"], ["--cutoff", "5"], ["--symbol", "heat"], ["--symbol", "bessel"],
+        ["--t", "1"],
+    ], ids=lambda extra: extra[0][2:] + "-" + extra[1])
+    def test_t_family_refuses_tt1_flags(self, capsys, tripwires, theorem, extra):
+        code, out, err = run(capsys, ["nuclearity", "--theorem", theorem, *T1_ARGV, *extra])
+        assert code == 2 and out == ""
+        assert err == f"error: --theorem {theorem} does not read {extra[0]}; drop {extra[0]}\n"
+
+    @pytest.mark.parametrize("symbol, extra", [
+        (["--m", "-4"], ["--n", "2"]),
+        (["--m", "-4"], ["--alpha", "9"]),
+        (["--m", "-4"], ["--p1", "2"]),
+        (["--m", "-4"], ["--k", "3"]),
+        (["--m", "-4"], ["--delta", "0"]),
+        (["--m", "-4"], ["--w2", "1"]),
+        (["--m", "-4"], ["--p2", "2"]),
+        (["--m", "-4"], ["--q2", "2"]),
+        (["--m", "-4"], ["--t", "1"]),
+        (["--symbol", "bessel", "--m", "-4"], ["--t", "1"]),
+        (["--symbol", "heat", "--t", "0.1"], ["--m", "-4"]),
+        (["--symbol", "heat", "--t", "0.1"], ["--k", "3"]),
+    ], ids=lambda flags: "-".join(flags).replace("--", ""))
+    def test_tt1_refuses_t_family_flags(self, capsys, tripwires, symbol, extra):
+        code, out, err = run(capsys, [*TT1_ARGV, *symbol, *extra])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --theorem tt1 with --symbol ")
+        assert err.endswith(f" does not read {extra[0]}; drop {extra[0]}\n")
+
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    def test_t_family_defaults_p2_q2_to_2(self, capsys, theorem):
+        want = run_json(capsys, ["nuclearity", "--theorem", theorem, *T1_ARGV, "--p2", "2", "--q2", "2"])
+        assert run_json(capsys, ["nuclearity", "--theorem", theorem, *T1_ARGV]) == want
+
+    @pytest.mark.parametrize("symbol", [["--m", "-4"], ["--symbol", "heat", "--t", "0.1"]])
+    def test_tt1_defaults_to_the_dim_1_torus_and_bessel(self, capsys, symbol):
+        explicit = ["--group", "torus", "--dim", "1"] + (["--symbol", "bessel"] if "--m" in symbol else [])
+        want = run_json(capsys, [*TT1_ARGV, *explicit, *symbol])
+        assert run_json(capsys, [*TT1_ARGV, *symbol]) == want
+
+
 class TestDualTraceCommands:
     def test_heat_torus(self, capsys):
         doc = run_json(capsys, [
@@ -426,6 +497,17 @@ class TestDualTraceCommands:
             "--cutoff", "4",
         ])
         assert doc["diagnostics"]["divergent"] is True
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["tail_estimate"] == "inf"
+
+    @pytest.mark.parametrize("argv", [
+        ["heat-trace", "--group", "torus", "--dim", "1", "--t", "1", "--cutoff", "3"],
+        ["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "2", "--cutoff", "2"],
+        ["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "1.1", "--cutoff", "1000"],
+    ], ids=["heat-1-ratio", "bessel-1-ratio", "bessel-slow"])
+    def test_unconverged_series_reports_no_finite_tail(self, capsys, argv):
+        # the geometric remainder is a bound only when the ratios are certified
+        doc = run_json(capsys, argv)
         assert doc["diagnostics"]["converged"] is False
         assert doc["diagnostics"]["tail_estimate"] == "inf"
 
@@ -1036,6 +1118,33 @@ class TestDataFiles:
         ])
         oracle = sum((1.0 + k * k) ** -2.0 for k in range(-4, 5))
         assert doc["body"]["nuclear_trace"][0] == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("command", [["trace", "--radius", "4"], ["spectrum", "--radius", "4"],
+                                         ["lidskii", "--radii", "2,4"], ["check-class", "--radius", "8"]])
+    @pytest.mark.parametrize("extra", [["--m", "3"], ["--t", "1"], ["--c", "5"], ["--g", "gaussian"],
+                                       ["--g", "bracket"], ["--dim", "2"]],
+                             ids=lambda extra: extra[0][2:] + "-" + extra[1])
+    def test_symbol_file_refuses_catalog_flags(self, capsys, tmp_path, monkeypatch, command, extra):
+        import torustrace.cli as cli
+
+        monkeypatch.setattr(cli, "CompressedOperator", lambda *a: pytest.fail("an operator was built"))
+        monkeypatch.setattr(cli, "estimate_order", lambda *a: pytest.fail("an order was fitted"))
+        path = tmp_path / "a.json"
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
+                            str(path))
+        code, out, err = run(capsys, [command[0], "--symbol-file", str(path), *command[1:], *extra])
+        assert code == 2 and out == ""
+        if extra[0] == "--dim":
+            assert err == "error: --symbol-file holds a dim 1 table; drop --dim\n"
+        else:
+            assert err == f"error: --symbol-file reads a table, not {extra[0]}; drop {extra[0]}\n"
+
+    def test_symbol_file_accepts_its_own_dim(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
+                            str(path))
+        want = run_json(capsys, ["trace", "--symbol-file", str(path), "--radius", "4"])
+        assert run_json(capsys, ["trace", "--symbol-file", str(path), "--radius", "4", "--dim", "1"]) == want
 
     def test_symbol_file_radius_mismatch_exit_2(self, capsys, tmp_path):
         lat = FrequencyLattice(1, 4)

@@ -1,7 +1,7 @@
 """The compression as the one source of H_xi and of every Lidskii radius.
 
 ``criteria.nuclear_quasinorm_bound`` reads the coefficients of the rank-one
-factors H_xi = e_xi a(., xi) from columns of ``quantize.compression``; the
+factors H_xi = e_xi a(., xi) from columns of ``CompressedOperator.entries``; the
 oracle in ``oracles`` samples every H_xi and forward-transforms it.  The two
 sum the same norms of coefficients that differ only by FFT rounding, so they
 agree to 1e-13 relative.  ``traces.lidskii_compare`` reads each radius from
@@ -25,7 +25,7 @@ from torustrace.cli import main
 from torustrace.criteria import nuclear_quasinorm_bound
 from torustrace.harmonic import FrequencyLattice
 from torustrace.io import save_sampled_symbol
-from torustrace.quantize import CompressedOperator, compression
+from torustrace.quantize import CompressedOperator
 from torustrace.symbols import (
     BracketPower,
     GaussianDecay,
@@ -84,7 +84,7 @@ def test_rectangular_compression_matches_per_entry_coefficients(name, dim, row_r
     a = CATALOG[name](dim)
     rows = FrequencyLattice(dim, row_radius)
     columns = FrequencyLattice(dim, column_radius)
-    got = compression(a, rows, columns)
+    got = CompressedOperator(a, rows, columns).entries
     want = np.array(
         [[oracles.x_fourier(a, eta - xi, xi[None, :])[0] for xi in columns.points] for eta in rows.points]
     )

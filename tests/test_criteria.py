@@ -1,6 +1,8 @@
 """Nuclearity checkers: clause evaluation against hand-computed verdicts,
 series certificates, and the canonical quasi-norm bound."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from torustrace.criteria import (
     check_t2,
     check_tt1,
     _tt1_lr_powers,
+    certify_shell_sums,
     epsilon,
     nuclear_quasinorm_bound,
 )
@@ -195,6 +198,45 @@ class TestConvolutionWitness:
         w = _truncated_bracket_convolution(n, w2, k)
         want = oracles.bracket_convolution_witness(n, w2, k)
         assert (w.labels, w.partial_sums, w.tail_estimate, w.certified) == want
+
+
+INF = math.inf
+
+
+class TestCertifyShellSums:
+    """The one geometric-ratio rule, case by case: (sums, min_ratios) -> (certified, tail, worst)."""
+
+    @pytest.mark.parametrize("sums, min_ratios, want", [
+        ([], 4, (True, 0.0, 0.0)),
+        ([0.0, 0.0, 0.0], 4, (True, 0.0, 0.0)),
+        ([0.0], 1, (True, 0.0, 0.0)),
+        # 0/0 reads 0: a series that stops is certified with tail 0
+        ([1.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0], 4, (True, 0.0, 0.0)),
+        # x/0 reads inf, within the last 4 ratios
+        ([1.0, 0.5, 0.0, 0.25, 0.125], 4, (False, INF, INF)),
+        # min_ratios - 1 ratios certify nothing, however fast they decay
+        ([1.0, 0.5, 0.25, 0.125], 4, (False, INF, INF)),
+        ([1.0, 0.5, 0.25, 0.125], 3, (True, 0.125, 0.5)),
+        ([1.0, 0.5], 2, (False, INF, INF)),
+        ([1.0, 0.5], 1, (True, 0.5, 0.5)),
+        # a ratio of exactly 0.9 is certified, the next float above it is not
+        ([1.0, 0.9], 1, (True, 0.9 * 0.9 / (1.0 - 0.9), 0.9)),
+        ([1.0, math.nextafter(0.9, 1.0)], 1, (False, INF, math.nextafter(0.9, 1.0))),
+        # a ratio above 0.9 before the last 4 does not count
+        ([1.0, 2.0, 1.0, 0.5, 0.25, 0.125], 4, (True, 0.125, 0.5)),
+        ([1.0, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625], 4, (True, 0.0625, 0.5)),
+        # one ratio above 0.9 among the last 4 decides, even between fast ones
+        ([1.0, 0.5, 0.25, 0.24, 0.12, 0.06], 4, (False, INF, 0.24 / 0.25)),
+        # fewer than 4 ratios: the worst of all of them
+        ([1.0, 0.95, 0.1], 2, (False, INF, 0.95)),
+        ([1.0, 0.5, 0.125], 2, (True, 0.125 * 0.5 / 0.5, 0.5)),
+    ])
+    def test_table(self, sums, min_ratios, want):
+        assert certify_shell_sums(sums, min_ratios=min_ratios) == want
+
+    def test_default_needs_four_ratios(self):
+        assert certify_shell_sums([1.0, 0.5, 0.25, 0.125]) == (False, INF, INF)
+        assert certify_shell_sums([1.0, 0.5, 0.25, 0.125, 0.0625]) == (True, 0.0625, 0.5)
 
 
 class TestCheckTT1:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.harmonic import FrequencyLattice
-from torustrace.quantize import compression
+from torustrace.quantize import CompressedOperator
 from torustrace.symbols import (
     BracketPower,
     GaussianDecay,
@@ -117,10 +117,10 @@ def test_compression_matches_dense_gather(drawn, row_radius, column_radius):
         column_radius = min(column_radius, table_radius)
     rows = FrequencyLattice(a.dim, row_radius)
     columns = FrequencyLattice(a.dim, column_radius)
-    got = compression(a, rows, columns)
+    got = CompressedOperator(a, rows, columns).entries
     assert got.shape == (len(rows), len(columns)) and got.flags.c_contiguous
     assert np.array_equal(got, oracles.dense_compression(a, rows, columns))
-    square = compression(a, columns, columns)
+    square = CompressedOperator(a, columns, columns).entries
     assert np.array_equal(square, oracles.dense_compression(a, columns, columns))
 
 
@@ -130,7 +130,8 @@ def test_certificate_shape_reaches_the_window_edge(dim, grid):
     # past the window, and eta = +-M/2 for even M
     a = _sampled(dim, 3, grid, 5)
     rows, columns = FrequencyLattice(dim, 3 + grid // 2), FrequencyLattice(dim, 3)
-    assert np.array_equal(compression(a, rows, columns), oracles.dense_compression(a, rows, columns))
+    assert np.array_equal(CompressedOperator(a, rows, columns).entries,
+                          oracles.dense_compression(a, rows, columns))
 
 
 @settings(max_examples=80, deadline=None)

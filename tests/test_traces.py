@@ -110,6 +110,25 @@ class TestLidskiiCompare:
         with pytest.raises(ValueError, match="increasing"):
             lidskii_compare(bessel_symbol(-4.0), [4, 4, 8])
 
+    def test_only_the_last_four_ratios_count(self):
+        # increment ratios 0.908, 0.195, 0.003, 8e-10, 0, 0: the one above 0.9 is the
+        # first, outside the last 4, and the exact zeros from radius 32 on read 0/0 = 0
+        report = lidskii_compare(heat_symbol(0.1), [1, 2, 4, 8, 16, 32, 64, 128])
+        incs = [abs(b.nuclear - a.nuclear) for a, b in zip(report.history, report.history[1:])]
+        assert incs[1] > 0.9 * incs[0] and incs[-2:] == [0.0, 0.0]
+        assert report.history_converged is True
+
+    def test_a_recent_slow_increment_is_not_converged(self):
+        # <xi>^-1.2: increment ratios 0.999, 0.929, 0.897 (tending to 2^-0.2 ~ 0.87); the
+        # last is below 0.9, but the worst of the last 4 is not
+        report = lidskii_compare(bessel_symbol(-1.2), [2, 4, 8, 16, 32])
+        incs = [abs(b.nuclear - a.nuclear) for a, b in zip(report.history, report.history[1:])]
+        assert incs[-1] <= 0.9 * incs[-2] and incs[1] > 0.9 * incs[0]
+        assert report.history_converged is False
+
+    def test_two_radii_give_no_verdict(self):
+        assert lidskii_compare(bessel_symbol(-4.0), [4, 8]).history_converged is None
+
 
 class TestTailEstimate:
     def test_power_law_bracket(self):
