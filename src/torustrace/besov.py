@@ -13,8 +13,8 @@ lattice by |xi| or by <xi> gives the same blocks and the same numbers.
 
 Every dyadic norm goes through ``block_norms``: a function's block L^p norms
 from its coefficients, all blocks synthesized by one inverse FFT.
-``coefficient_norm`` weights that table; ``besov_norm``, the ``besov-norm``
-table, the partial-sum errors and the quasi-norm certificate all start from
+``coefficient_norm`` weights that table; the ``besov-norm`` table, the
+partial-sum errors and the quasi-norm certificate all start from
 coefficients.
 """
 
@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import (
-    FourierCoefficients,
-    FrequencyLattice,
-    PeriodicFunction,
-    _require_margin,
-    forward_transform,
-    lp_norms,
-)
+from .harmonic import FourierCoefficients, _require_margin, lp_norms
 from .sums import fsum, fsum_by
 
 
@@ -99,7 +92,3 @@ def coefficient_norm(c: FourierCoefficients, params: BesovParams, grid_size: int
     synthesized on a ``grid_size`` grid for its L^p norm."""
     return weighted_norm(block_norms(c, params.p, grid_size), params)
 
-
-def besov_norm(f: PeriodicFunction, params: BesovParams, lattice: FrequencyLattice) -> float:
-    """(sum_m 2^{mwq} ||block_m f||_{L^p}^q)^{1/q}; q = inf takes the sup over m."""
-    return coefficient_norm(forward_transform(f, lattice), params, f.grid_size)

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict
@@ -385,7 +386,7 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
         op = CompressedOperator(a, lattice, lattice)
-        nuc = op.trace()  # nuclear_trace's zero row
+        nuc = op.trace()  # the support table's zero row: sum_xi hat{a}(0, xi)
         eigs = eigenvalues(op)
         spec = fsum_complex(eigs)
     except OverflowError as exc:
@@ -691,7 +692,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add(name: str, help: str):
-        return sub.add_parser(name, help=help) if command in (None, name) else None
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        # no option string starts with "-" and a digit, so "-1,0" and "-1e1" are values
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        return p
 
     natural = _number(int, low=0)
     naturals = _number_list(natural, "integers >= 0")

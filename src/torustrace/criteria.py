@@ -31,6 +31,7 @@ the rule used is reported with the verdict.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -44,6 +45,8 @@ from .symbols import Symbol, x_fourier_support, x_fourier_table
 
 SHELL_RATIO_LIMIT = 0.9
 SHELL_RATIO_COUNT = 4
+RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+             "==": operator.eq, "int": lambda lhs, _: float(lhs).is_integer()}
 
 
 # ---------------------------------------------------------------------------
@@ -57,23 +60,11 @@ class Clause:
 
     description: str
     lhs: float
-    relation: str  # "<", "<=", ">", ">=", "==", "int"
+    relation: str  # a key of RELATIONS
     rhs: float
 
     def holds(self) -> bool:
-        if self.relation == "<":
-            return self.lhs < self.rhs
-        if self.relation == "<=":
-            return self.lhs <= self.rhs
-        if self.relation == ">":
-            return self.lhs > self.rhs
-        if self.relation == ">=":
-            return self.lhs >= self.rhs
-        if self.relation == "==":
-            return self.lhs == self.rhs
-        if self.relation == "int":
-            return float(self.lhs).is_integer()
-        raise ValueError(f"unknown relation {self.relation!r}")
+        return RELATIONS[self.relation](self.lhs, self.rhs)
 
     def render(self) -> str:
         note = ""

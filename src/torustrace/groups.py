@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +36,11 @@ from .harmonic import (
     forward_transform,
     max_alias_free_radius,
 )
-from .sums import fsum, fsum_by, fsum_complex
+from .sums import fsum, fsum_by
 
 GROUPS = ("torus", "su2")
 # Largest dual enumerate_dual builds; about 0.3 GB of labels, d and lam on dim 2.
 DUAL_SIZE_LIMIT = 10**7
-
-
-class DivergenceWarning(UserWarning):
-    """The requested series diverges; the partial sum is still reported."""
 
 
 @dataclass
@@ -194,11 +189,6 @@ def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
         return dual.d * dual.d * np.exp(-t * dual.lam)
 
 
-def heat_trace(dual: GroupDual, t: float) -> float:
-    """sum over the dual of d^2 exp(-t lambda)."""
-    return fsum(heat_terms(dual, t), dual.mult)
-
-
 def bessel_terms(dual: GroupDual, alpha: float) -> np.ndarray:
     """Terms d^2 <xi>^{-alpha} of the Bessel series, one per dual point."""
     with np.errstate(over="ignore"):  # a term beyond the float range is reported as inf
@@ -257,33 +247,6 @@ def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     dp = legendre(x)[1]
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
-
-
-def bessel_trace(dual: GroupDual, alpha: float, tail_correction: bool = False) -> float:
-    """sum over the dual of d^2 <xi>^{-alpha}.
-
-    Convergent only for alpha above the group dimension; below that a
-    DivergenceWarning is raised and the raw partial sum is still returned.
-    ``tail_correction`` (torus, dim 1) adds ``bessel_tail`` so modest cutoffs
-    reach closed-form accuracy.
-    """
-    n = dual.group_dimension
-    if alpha <= n:
-        warnings.warn(
-            f"bessel series with alpha = {alpha} diverges on a dual of dimension {n}; "
-            "reporting the raw partial sum",
-            DivergenceWarning,
-            stacklevel=2,
-        )
-    value = fsum(bessel_terms(dual, alpha), dual.mult)
-    if tail_correction:
-        value += bessel_tail(dual, alpha)
-    return value
-
-
-def multiplier_trace(dual: GroupDual, a) -> complex:
-    """sum d_xi Tr[a(xi)] for scalar-times-identity symbols: sum d^2 a(xi)."""
-    return fsum_complex(dual.d * dual.d * np.asarray(a(dual), dtype=np.complex128), dual.mult)
 
 
 def partial_sum_convergence(

@@ -101,10 +101,6 @@ class FrequencyLattice:
             raise KeyError(f"{tuple(key.tolist())} is not a point of a dim-{self.dim} lattice")
         return int(self.indices_of(key)[0])
 
-    def __contains__(self, point) -> bool:
-        key = np.atleast_1d(np.asarray(point, dtype=np.int64))
-        return key.shape == (self.dim,) and bool(np.abs(key).max() <= self.radius)
-
     def squared_norms(self) -> np.ndarray:
         """|xi|^2 per point, exact integers."""
         return np.sum(self.points.astype(np.int64) ** 2, axis=1)
@@ -201,13 +197,9 @@ def inverse_transform(c: FourierCoefficients, grid_size: int) -> PeriodicFunctio
     return PeriodicFunction(dim, grid_size, np.fft.ifftn(cube, norm="forward").reshape(-1))
 
 
-def lp_norm(f: PeriodicFunction, p: float) -> float:
-    """Rectangle-rule L^p norm on the probability-measure torus; p = inf is the grid sup."""
-    return lp_norms(f.values[None, :], p)[0]
-
-
 def lp_norms(rows: np.ndarray, p: float) -> list[float]:
-    """``lp_norm`` of each row of grid values, the rows reduced by one ``fsum_by``.
+    """Rectangle-rule L^p norm on the probability-measure torus of each row of grid
+    values (p = inf: the grid sup), the rows reduced by one ``fsum_by``.
     A row whose sum of |f|^p leaves float64 (0 or inf) while its sup is nonzero and
     finite is normed relative to its sup, as sup ||f / sup||_p."""
     if p != math.inf and p < 1:

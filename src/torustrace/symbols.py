@@ -274,11 +274,6 @@ def character_symbol(dim: int = 1, k: int = 1) -> SeparableSymbol:
                            claimed_order=0.0)
 
 
-def multiplier_symbol(g: XiFactor, dim: int = 1, order: float | None = None) -> SeparableSymbol:
-    """x-independent symbol g(xi)."""
-    return SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), g, dim, claimed_order=order)
-
-
 def sample_symbol(a: Symbol, grid_size: int, lattice: FrequencyLattice) -> SampledSymbol:
     """Tabulate any symbol into the sampled representation."""
     table = a.values(grid_points(a.dim, grid_size), lattice.points)

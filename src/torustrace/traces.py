@@ -40,20 +40,6 @@ class TraceReport:
     history_converged: bool | None = None
 
 
-def nuclear_trace(a: Symbol, lattice: FrequencyLattice) -> complex:
-    """sum_xi hat{a}(0, xi): a function of the symbol and the lattice only
-    (no function-space parameters enter), the support table's row of d = 0."""
-    return CompressedOperator(a, lattice, lattice).trace()
-
-
-def spectral_trace(
-    a: Symbol, lattice: FrequencyLattice
-) -> tuple[complex, np.ndarray]:
-    """Eigenvalues of the compression and their sum, canonical order."""
-    eigs = eigenvalues(CompressedOperator(a, lattice, lattice))
-    return fsum_complex(eigs), eigs
-
-
 def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     """Nuclear and spectral traces across increasing radii.
 

@@ -64,7 +64,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from torustrace import harmonic
-from torustrace.besov import BesovParams, besov_norm, block_index, coefficient_norm
+from torustrace.besov import BesovParams, block_index, coefficient_norm
 from torustrace.criteria import certify_shell_sums
 from torustrace.harmonic import (
     TWO_PI,
@@ -151,14 +151,15 @@ def dyadic_blocks(c: FourierCoefficients, grid_size: int) -> list[tuple[int, np.
 
 def partial_sum_errors(f: PeriodicFunction, besov, n_values, lattice: FrequencyLattice) -> list[tuple[float, float]]:
     """(N, ||f - S_N f||_B): each residual synthesized on f's grid, then normed by
-    ``besov_norm`` through its own forward transform."""
+    ``coefficient_norm`` through its own forward transform."""
     c = harmonic.forward_transform(f, lattice)
     sq = lattice.squared_norms().astype(np.float64)
     rows = []
     for n_cut in map(float, n_values):
         residual = FourierCoefficients(lattice, np.where(1.0 + sq > n_cut * n_cut, c.coeffs, 0))
         g = harmonic.inverse_transform(residual, f.grid_size)
-        rows.append((n_cut, besov_norm(g, besov, lattice)))
+        norm = coefficient_norm(harmonic.forward_transform(g, lattice), besov, f.grid_size)
+        rows.append((n_cut, norm))
     return rows
 
 
@@ -440,9 +441,10 @@ def quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice) -> float:
     bandwidth = max((abs(k) for k in a.xfactor.coeffs), default=0)
     norm_lattice = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
     grid = min_grid_size(norm_lattice.radius)
+    factors = (rank_one_factor(a, xi, grid) for xi in lattice.points)
     return math.fsum(
-        besov_norm(rank_one_factor(a, xi, grid), besov, norm_lattice) ** r
-        for xi in lattice.points
+        coefficient_norm(harmonic.forward_transform(h, norm_lattice), besov, grid) ** r
+        for h in factors
     )
 
 

@@ -35,7 +35,6 @@ from torustrace.symbols import (
     modulated_symbol,
     sample_symbol,
 )
-from torustrace.traces import nuclear_trace
 
 CATALOG = {
     "bessel": lambda dim: bessel_symbol(-3.0, dim),
@@ -127,6 +126,6 @@ def test_trace_transforms_a_sampled_table_at_most_twice(monkeypatch, tmp_path, c
     code = main(["trace", "--symbol-file", str(path), "--radius", "4", "--certify-w", "1"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and 1 <= len(calls) <= 2
-    # the trace read from the matrix diagonal keeps nuclear_trace's bits
-    want = nuclear_trace(a, lattice)
+    # the trace read from the matrix diagonal keeps the support table's bits
+    want = quantize.CompressedOperator(a, lattice, lattice).trace()
     assert doc["body"]["nuclear_trace"] == [want.real, want.imag]

@@ -57,15 +57,11 @@ class TestTraceCommand:
 
     def test_positive_exponent_end_to_end(self, capsys):
         # growing multiplier: still a valid compression trace at every radius
-        from torustrace.harmonic import FrequencyLattice
-        from torustrace.symbols import bessel_symbol
-        from torustrace.traces import nuclear_trace
-
         doc = run_json(capsys, [
             "trace", "--symbol", "bessel", "--m", "4", "--dim", "1", "--radius", "16",
         ])
-        oracle = nuclear_trace(bessel_symbol(4.0), FrequencyLattice(1, 16))
-        assert doc["body"]["nuclear_trace"][0] == pytest.approx(oracle.real, rel=1e-12)
+        oracle = math.fsum((1.0 + k * k) ** 2.0 for k in range(-16, 17))  # sum <xi>^4
+        assert doc["body"]["nuclear_trace"][0] == pytest.approx(oracle, rel=1e-12)
 
     def test_order_hint_tail(self, capsys):
         doc = run_json(capsys, [
@@ -486,10 +482,12 @@ class TestDualTraceCommands:
         assert doc["diagnostics"]["divergent"] is False
 
     def test_bessel_divergence_flag(self, capsys):
-        doc = run_json(capsys, [
-            "bessel-trace", "--group", "su2", "--alpha", "3", "--cutoff", "30",
-        ])
-        assert doc["diagnostics"]["divergent"] is True
+        # the su2 series converges exactly for alpha above the group dimension 3
+        for alpha, divergent in (("3", True), ("4", False)):
+            doc = run_json(capsys, [
+                "bessel-trace", "--group", "su2", "--alpha", alpha, "--cutoff", "30",
+            ])
+            assert doc["diagnostics"]["divergent"] is divergent
 
     def test_divergent_series_never_converged(self, capsys):
         doc = run_json(capsys, [
@@ -704,7 +702,6 @@ class TestApproxDemoNValues:
         assert "finite numbers" in err and "Traceback" not in err
 
     def test_negative_cutoff_keeps_nothing(self, capsys):
-        # a negative first entry needs '=': argparse reads '-1,0' as an option string
         code, out, err = run(capsys, ["approx-demo", "--stock", "8", "--w", "0", "--p", "2",
                                       "--q", "2", "--n-values=-1,0"])
         assert code == 0, err
@@ -1017,6 +1014,17 @@ class TestCliContract:
         code, _, _ = run(capsys, ["trace", "--symbol", "bessel", "--m", "-4",
                                   "--radius", "4", "--no-such-flag"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["approx-demo", "--stock", "8", "--w", "0", "--p", "2", "--q", "2"], "--n-values", "-1,0"),
+        (["trace", "--symbol", "bessel", "--radius", "4"], "--m", "-1e1"),
+    ], ids=["n-values-list", "m-exponent"])
+    def test_negative_value_after_its_flag(self, capsys, argv, flag, value):
+        # argparse alone takes only -12 and -1.5 for numbers and stops "-1,0" and
+        # "-1e1" with "expected one argument"
+        joined = run(capsys, argv + [f"{flag}={value}"])
+        assert joined[0] == 0, joined[2]
+        assert run(capsys, argv + [flag, value]) == joined
 
     def test_csv_unsupported_command_exit_2(self, capsys):
         code, _, err = run(capsys, [

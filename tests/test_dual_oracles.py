@@ -26,12 +26,9 @@ from torustrace.criteria import check_tt1
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
     bessel_terms,
-    bessel_trace,
     dual_size,
     enumerate_dual,
     heat_terms,
-    heat_trace,
-    multiplier_trace,
     series_diagnostics,
     summed_series,
 )
@@ -81,20 +78,19 @@ def test_enumeration_matches_oracle_exactly(spec):
     assert dual.bracket.tolist() == [p.bracket for p in points]
 
 
-@pytest.mark.filterwarnings("ignore::torustrace.groups.DivergenceWarning")
 @settings(max_examples=80, deadline=None)
 @given(duals, st.floats(0.05, 3.0), st.floats(0.5, 6.0))
 @example(("torus", 0.0, 1, True), 1.0, 2.0)
 @example(("su2", 0.25, 1, True), 1.0, 4.0)
 def test_series_and_shell_sums_match_oracle(spec, t, alpha):
     dual, points = both(spec)
-    for value, terms, want in (
-        (heat_trace(dual, t), heat_terms(dual, t), oracles.heat_terms(points, t)),
-        (bessel_trace(dual, alpha), bessel_terms(dual, alpha), oracles.bessel_terms(points, alpha)),
+    for terms, want in (
+        (heat_terms(dual, t), oracles.heat_terms(points, t)),
+        (bessel_terms(dual, alpha), oracles.bessel_terms(points, alpha)),
     ):
+        value, diag = summed_series(dual, terms)
         assert_close([value], [math.fsum(want)])
-        shell_sums = series_diagnostics(dual, terms)["shell_sums"]
-        assert_close(shell_sums, oracles.dual_shell_sums(points, want))
+        assert_close(diag["shell_sums"], oracles.dual_shell_sums(points, want))
 
 
 def _symbols(kind: str, m: float):
@@ -174,7 +170,6 @@ def test_radial_slice_counts_every_point(spec):
     assert radial.bracket.tolist() == np.sqrt(1.0 + n).tolist()
 
 
-@pytest.mark.filterwarnings("ignore::torustrace.groups.DivergenceWarning")
 @settings(max_examples=80, deadline=None)
 @given(radial_duals, st.floats(1e-4, 3.0), st.sampled_from(["convergent", "divergent"]),
        st.floats(0.0, 1.0))
@@ -188,15 +183,13 @@ def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
     # alpha <= dim diverges; the convergent draws lie in (dim, dim + 3]
     alpha = dim * u if kind == "divergent" else dim + 3.0 * u + 1e-3
     divergent = kind == "divergent"
-    assert bits(heat_trace(radial, t)) == bits(heat_trace(dual, t))
-    assert bits(bessel_trace(radial, alpha)) == bits(bessel_trace(dual, alpha))
-    for terms in (heat_terms, lambda d, _: bessel_terms(d, alpha)):
+    signed = lambda d, _: np.cos(d.lam) * d.bracket ** -alpha  # noqa: E731
+    for terms in (heat_terms, lambda d, _: bessel_terms(d, alpha), signed):
         for flag in (False, divergent):
-            want = series_diagnostics(dual, terms(dual, t), divergent=flag)
-            got = series_diagnostics(radial, terms(radial, t), divergent=flag)
-            assert bits(got) == bits(want)
-    symbol = lambda d: np.exp(1j * d.lam) * d.bracket ** -alpha  # noqa: E731
-    assert bits(multiplier_trace(radial, symbol)) == bits(multiplier_trace(dual, symbol))
+            for series in (series_diagnostics, summed_series):
+                want = series(dual, terms(dual, t), divergent=flag)
+                got = series(radial, terms(radial, t), divergent=flag)
+                assert bits(got) == bits(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -240,7 +233,6 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@pytest.mark.filterwarnings("ignore::torustrace.groups.DivergenceWarning")
 @settings(max_examples=120, deadline=None)
 @given(series_duals, series_kinds)
 @example(("torus", 100000, 1, True), ("bessel", 2.0))

@@ -12,24 +12,32 @@ import pytest
 import torustrace
 from torustrace.besov import BesovParams
 from torustrace.groups import (
-    DivergenceWarning,
     _gauss_legendre_64,
-    bessel_trace,
+    bessel_tail,
+    bessel_terms,
     enumerate_dual,
-    heat_trace,
-    multiplier_trace,
+    heat_terms,
     partial_sum_convergence,
+    summed_series,
 )
 from torustrace.harmonic import FrequencyLattice
+from torustrace.quantize import CompressedOperator
 from torustrace.sums import fsum
 from torustrace.symbols import bessel_symbol, heat_symbol
-from torustrace.traces import nuclear_trace
 
 from conftest import bandlimited
 
 TORUS_THETA_T1 = 1.7726372048266521  # oracle: direct summation at cutoff 20
 SU2_HEAT_T1 = 4.5517515889374893  # oracle: direct summation at l_max = 60
 PI_COTH_PI = math.pi / math.tanh(math.pi)
+
+
+def heat_sum(dual, t):
+    return summed_series(dual, heat_terms(dual, t))[0]
+
+
+def bessel_sum(dual, alpha):
+    return summed_series(dual, bessel_terms(dual, alpha))[0]
 
 
 class TestEnumerateDual:
@@ -71,64 +79,51 @@ class TestEnumerateDual:
 class TestHeatTrace:
     def test_torus_reference_value(self):
         dual = enumerate_dual("torus", 6, dim=1)
-        assert heat_trace(dual, 1.0) == pytest.approx(TORUS_THETA_T1, abs=1e-12)
+        assert heat_sum(dual, 1.0) == pytest.approx(TORUS_THETA_T1, abs=1e-12)
 
     def test_torus_independent_resummation(self):
         # oracle computed at a larger cutoff; tail below 1e-21
         wide = enumerate_dual("torus", 20, dim=1)
         narrow = enumerate_dual("torus", 6, dim=1)
-        assert heat_trace(narrow, 1.0) == pytest.approx(heat_trace(wide, 1.0), abs=1e-15)
+        assert heat_sum(narrow, 1.0) == pytest.approx(heat_sum(wide, 1.0), abs=1e-15)
 
     def test_su2_reference_value(self):
         dual = enumerate_dual("su2", 20)
         wide = enumerate_dual("su2", 60)
-        assert heat_trace(dual, 1.0) == pytest.approx(SU2_HEAT_T1, abs=1e-9)
-        assert heat_trace(dual, 1.0) == pytest.approx(heat_trace(wide, 1.0), abs=1e-6)
+        assert heat_sum(dual, 1.0) == pytest.approx(SU2_HEAT_T1, abs=1e-9)
+        assert heat_sum(dual, 1.0) == pytest.approx(heat_sum(wide, 1.0), abs=1e-6)
 
     def test_strictly_decreasing_in_t(self):
         dual = enumerate_dual("su2", 10)
         ts = [0.25, 0.5, 1.0, 2.0, 5.0]
-        vals = [heat_trace(dual, t) for t in ts]
+        vals = [heat_sum(dual, t) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_long_time_limit_is_one(self):
         for dual in (enumerate_dual("torus", 8, dim=1), enumerate_dual("su2", 10)):
-            assert heat_trace(dual, 50.0) == pytest.approx(1.0, abs=1e-12)
+            assert heat_sum(dual, 50.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_validated(self):
         dual = enumerate_dual("torus", 4, dim=1)
         with pytest.raises(ValueError):
-            heat_trace(dual, 0.0)
+            heat_sum(dual, 0.0)
 
 
 class TestBesselTrace:
     def test_closed_form_with_tail_correction(self):
         dual = enumerate_dual("torus", 100000, dim=1)
-        got = bessel_trace(dual, 2.0, tail_correction=True)
+        got = bessel_sum(dual, 2.0) + bessel_tail(dual, 2.0)
         assert got == pytest.approx(PI_COTH_PI, abs=1e-8)
 
     def test_partial_sum_stability_alpha4(self):
         d100 = enumerate_dual("torus", 100, dim=1)
         d200 = enumerate_dual("torus", 200, dim=1)
-        assert abs(bessel_trace(d100, 4.0) - bessel_trace(d200, 4.0)) <= 1e-5
-
-    def test_su2_alpha3_divergence_flag(self):
-        dual = enumerate_dual("su2", 30)
-        with pytest.warns(DivergenceWarning):
-            bessel_trace(dual, 3.0)
-
-    def test_convergent_run_has_no_flag(self):
-        dual = enumerate_dual("su2", 30)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DivergenceWarning)
-            bessel_trace(dual, 4.0)
+        assert abs(bessel_sum(d100, 4.0) - bessel_sum(d200, 4.0)) <= 1e-5
 
     def test_tail_correction_needs_torus_1d(self):
         dual = enumerate_dual("su2", 10)
         with pytest.raises(ValueError, match="torus"):
-            bessel_trace(dual, 4.0, tail_correction=True)
+            bessel_tail(dual, 4.0)
 
 
 class TestGaussLegendre64:
@@ -183,28 +178,27 @@ class TestGaussLegendre64:
 class TestMultiplierTrace:
     def test_heat_symbol_chases_definition(self):
         dual = enumerate_dual("su2", 15)
-        got = multiplier_trace(dual, lambda dual: np.exp(-1.0 * dual.lam))
-        assert got.real == pytest.approx(heat_trace(dual, 1.0), abs=1e-12)
-        assert got.imag == 0.0
+        got = summed_series(dual, dual.d * dual.d * np.exp(-1.0 * dual.lam))[0]
+        assert got == pytest.approx(heat_sum(dual, 1.0), abs=1e-12)
 
     def test_bessel_symbol_chases_definition(self):
         dual = enumerate_dual("torus", 50, dim=1)
-        got = multiplier_trace(dual, lambda dual: dual.bracket**-4.0)
-        assert got.real == pytest.approx(bessel_trace(dual, 4.0), abs=1e-12)
+        got = summed_series(dual, dual.d * dual.d * dual.bracket**-4.0)[0]
+        assert got == pytest.approx(bessel_sum(dual, 4.0), abs=1e-12)
 
     def test_cross_module_against_nuclear_trace(self):
         # same multiplier, summed over the dual and over the lattice
         dual = enumerate_dual("torus", 16, dim=1)
         lat = FrequencyLattice(1, 16)
-        via_dual = multiplier_trace(dual, lambda dual: dual.bracket**-4.0)
-        via_lattice = nuclear_trace(bessel_symbol(-4.0), lat)
+        via_dual = summed_series(dual, dual.bracket**-4.0)[0]
+        via_lattice = CompressedOperator(bessel_symbol(-4.0), lat, lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-12
 
     def test_gaussian_cross_module(self):
         dual = enumerate_dual("torus", 6, dim=1)
         lat = FrequencyLattice(1, 6)
-        via_dual = multiplier_trace(dual, lambda dual: np.exp(-dual.lam))
-        via_lattice = nuclear_trace(heat_symbol(1.0), lat)
+        via_dual = summed_series(dual, np.exp(-dual.lam))[0]
+        via_lattice = CompressedOperator(heat_symbol(1.0), lat, lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-14
 
 

@@ -11,7 +11,6 @@ from torustrace.symbols import (
     bessel_symbol,
     character_symbol,
     modulated_symbol,
-    multiplier_symbol,
 )
 
 from conftest import bandlimited, character

@@ -124,7 +124,6 @@ def test_lattice_index_arithmetic(dim, radius):
     assert np.array_equal(lat.indices_of(lat.points), np.arange(len(lat)))
     assert all(lat.index_of(p) == i for i, p in enumerate(lat.points))
     outside = (radius + 1,) + (0,) * (dim - 1)
-    assert outside not in lat
     with pytest.raises(KeyError, match="outside"):
         lat.index_of(outside)
     with pytest.raises(KeyError, match="outside"):

@@ -13,6 +13,8 @@ from torustrace.symbols import (
     BracketPower,
     GaussianDecay,
     SampledSymbol,
+    SeparableSymbol,
+    TrigPolynomial,
     bessel_symbol,
     character_symbol,
     difference_op,
@@ -20,7 +22,6 @@ from torustrace.symbols import (
     fourier_decay_constant,
     heat_symbol,
     modulated_symbol,
-    multiplier_symbol,
     sample_symbol,
     x_derivative,
     x_fourier_support,
@@ -34,6 +35,11 @@ def tabulate(symbol, lattice, grid_size=None):
     grid_size = grid_size or min_grid_size(lattice.radius)
     x = np.array([[i / grid_size] for i in range(grid_size)])
     return symbol.values(x, lattice.points)
+
+
+def multiplier(g):
+    """The x-independent symbol g(xi), no order claimed."""
+    return SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), g, claimed_order=None)
 
 
 class LinearXi(BracketPower):
@@ -56,7 +62,7 @@ class QuadraticXi(BracketPower):
 
 class TestDifferenceOp:
     def test_linear_first_difference_is_one(self):
-        a = multiplier_symbol(LinearXi())
+        a = multiplier(LinearXi())
         d = difference_op(a, 1)
         lat = FrequencyLattice(1, 5)
         vals = tabulate(d, lat)
@@ -71,7 +77,7 @@ class TestDifferenceOp:
 
     def test_second_difference_of_square_is_two(self):
         # (xi+2)^2 - 2(xi+1)^2 + xi^2 = 2 for every xi
-        a = multiplier_symbol(QuadraticXi())
+        a = multiplier(QuadraticXi())
         lat = FrequencyLattice(1, 5)
         vals = tabulate(difference_op(a, 2), lat)
         assert np.abs(vals - 2.0).max() < 1e-12
@@ -200,7 +206,7 @@ class TestEstimateOrder:
 
     def test_all_zero_sentinel(self):
         lat = FrequencyLattice(1, 16)
-        m_hat, c_hat = estimate_order(multiplier_symbol(BracketPower(0.0)), 1, 0, lat)
+        m_hat, c_hat = estimate_order(multiplier(BracketPower(0.0)), 1, 0, lat)
         # first difference of the constant 1 is identically zero
         assert m_hat == -math.inf and c_hat == 0.0
 
