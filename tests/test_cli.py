@@ -1,5 +1,7 @@
 """End-to-end CLI coverage: every subcommand, exit codes, schemas, determinism."""
 
+import argparse
+import gc
 import importlib
 import json
 import math
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torustrace.cli import main
+from torustrace.cli import HANDLERS, build_parser, main
 from torustrace.harmonic import FourierCoefficients, FrequencyLattice, inverse_transform, min_grid_size
 from torustrace.io import (
     load_periodic_function,
@@ -893,7 +895,7 @@ class TestNonFiniteFlags:
 class TestRangeRefusedAtParser:
     """A flag's range is declared in its argparse type: a value outside it exits 2
     with the subcommand's usage and the flag's name before any handler runs, as
-    the removed ``--block-weight`` does with the top-level usage."""
+    the removed ``--block-weight`` does."""
 
     @pytest.mark.parametrize("argv, flag", [
         (["trace", "--symbol", "bessel", "--m", "-4", "--radius", "-1"], "--radius"),
@@ -938,8 +940,7 @@ class TestRangeRefusedAtParser:
         monkeypatch.setitem(cli.HANDLERS, command, lambda args: pytest.fail("a handler ran"))
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
-        usage = "usage: torustrace [-h]" if flag == "--block-weight" else f"usage: torustrace {command} "
-        assert err.startswith(usage)
+        assert err.startswith(f"usage: torustrace {command} ")
         assert flag in err.splitlines()[-1] and "Traceback" not in err
 
     def test_grid_below_the_margin_reaches_the_handler(self, capsys):
@@ -1005,15 +1006,41 @@ class TestCliContract:
         entrypoint = getattr(importlib.import_module(module), func)
         monkeypatch.setattr(sys, "argv", ["torustrace", "besov-norm", "--character", "4", "--w", "1",
                                           "--p", "2", "--q", "2", "--radius", "8"])
+        # record the freeze instead of freezing pytest's own heap
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
         with pytest.raises(SystemExit) as exc:
             entrypoint()
         assert exc.value.code == 0
+        assert len(freezes) == 1
         assert json.loads(capsys.readouterr().out)["body"]["norm"] == pytest.approx(4.0, abs=1e-10)
 
-    def test_unknown_flag_exit_2(self, capsys):
-        code, _, _ = run(capsys, ["trace", "--symbol", "bessel", "--m", "-4",
-                                  "--radius", "4", "--no-such-flag"])
-        assert code == 2
+    def test_unknown_flag_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        code, out, err = run(capsys, ["trace", "--symbol", "bessel", "--m", "-4",
+                                      "--radius", "4", "--no-such-flag"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: torustrace trace [-h] [--symbol {bessel,heat,modulated,character}]\n"
+            "                        [--symbol-file SYMBOL_FILE] [--m M] [--t T] [--c C]\n"
+            "                        [--g {bracket,gaussian}] [--dim {1,2}] --radius RADIUS\n"
+            "                        [--order-hint ORDER_HINT] [--certify-w CERTIFY_W]\n"
+            "                        [--format {json,csv}] [--output OUTPUT]\n"
+            "torustrace trace: error: unrecognized arguments: --no-such-flag\n"
+        )
+
+    @pytest.mark.parametrize("command", list(HANDLERS))
+    def test_unknown_flag_reported_with_the_command_usage(self, capsys, command):
+        (sub,) = [a for a in build_parser(command)._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[command]
+        # a valid value for each required flag, so that parsing reaches the leftover tokens
+        required = [tok for a in parser._actions if a.required
+                    for tok in (a.option_strings[0], str((a.choices or ["8"])[0]))]
+        code, out, err = run(capsys, [command, *required, "--no-such-flag", "x"])
+        assert (code, out) == (2, "")
+        assert err == (parser.format_usage()
+                       + f"torustrace {command}: error: unrecognized arguments: --no-such-flag x\n")
 
     @pytest.mark.parametrize("argv, flag, value", [
         (["approx-demo", "--stock", "8", "--w", "0", "--p", "2", "--q", "2"], "--n-values", "-1,0"),
