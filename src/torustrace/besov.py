@@ -51,13 +51,14 @@ def block_index(key):
     return np.maximum(np.frexp(np.asarray(key, dtype=np.int64))[1] - 1, 0) // 2
 
 
-def block_sums(blocks: np.ndarray, terms: np.ndarray, weights=None) -> tuple[list[int], list[float]]:
-    """(block indices present, exactly rounded sum of ``terms`` over each), ascending;
-    ``weights`` counts each term that many times (``sums.fsum_by``)."""
+def block_sums(blocks: np.ndarray, terms: np.ndarray, weights=None) -> tuple[list[int], list[float], float]:
+    """(block indices present, exactly rounded sum of ``terms`` over each, ascending;
+    exactly rounded sum of all the terms), from one ``sums.fsum_by`` pass;
+    ``weights`` counts each term that many times."""
     blocks = np.asarray(blocks, dtype=np.intp)
     present = np.flatnonzero(np.bincount(blocks)).tolist()
-    sums = fsum_by(blocks, np.asarray(terms, dtype=np.float64), weights)
-    return present, [sums[m] for m in present]
+    sums, total = fsum_by(blocks, np.asarray(terms, dtype=np.float64), weights, total=True)
+    return present, [sums[m] for m in present], total
 
 
 def block_norms(c: FourierCoefficients, p: float, grid_size: int) -> list[tuple[int, float]]:

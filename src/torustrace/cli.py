@@ -233,9 +233,10 @@ def _add_function_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
     sub.add_argument("--stock", type=_number(int, low=0), help="use the stock family truncated at K")
     sub.add_argument("--grid", type=_number(int, low=1), help="grid size override")
+    lebesgue = _number(low=1, allow_inf=True)  # the Banach range of BesovParams
     sub.add_argument("--w", type=FINITE, required=True)
-    sub.add_argument("--p", type=FINITE_OR_INF, required=True)
-    sub.add_argument("--q", type=FINITE_OR_INF, required=True)
+    sub.add_argument("--p", type=lebesgue, required=True)
+    sub.add_argument("--q", type=lebesgue, required=True)
 
 
 def build_symbol(args) -> Symbol:
@@ -572,8 +573,7 @@ def _dual(args, half_integers: bool = True):
     _require(args.group == "su2" or half_integers,
              "--integer-spins restricts the su2 spins; drop it for --group torus")
     try:
-        return enumerate_dual(args.group, args.cutoff, dim=args.dim, half_integers=half_integers,
-                              radial=True)
+        return enumerate_dual(args.group, args.cutoff, dim=args.dim, half_integers=half_integers)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -587,6 +587,13 @@ def _run_heat_trace(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
+    if args.tail_correct:  # refused, or computed, before the dual is built
+        _require(args.group == "torus" and args.dim == 1,
+                 "tail correction is implemented for the torus with dim = 1; drop --tail-correct")
+        try:
+            tail = bessel_tail(args.cutoff, args.alpha)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
     dual = _dual(args, half_integers=not args.integer_spins)
     divergent = args.alpha <= dual.group_dimension
     try:
@@ -594,10 +601,7 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
     except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
         raise ValidationError("the series terms sum beyond float64; raise --alpha or lower --cutoff") from exc
     if args.tail_correct:
-        try:
-            value += bessel_tail(dual, args.alpha)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        value += tail
     diag["divergent"] = divergent
     body = {
         "group": args.group,

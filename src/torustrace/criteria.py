@@ -167,7 +167,7 @@ def _shell_witness(
     decay; each term counts ``weights`` times (default once); ``note`` is
     attached when the sums are not certified."""
     keep = shells < block_index(math.floor(lambda_cap) + 1)
-    labels, sums = block_sums(shells[keep], terms[keep], None if weights is None else weights[keep])
+    labels, sums, _ = block_sums(shells[keep], terms[keep], None if weights is None else weights[keep])
     certified, tail, worst = certify_shell_sums(sums)
     witness = SeriesWitness(
         series=series,

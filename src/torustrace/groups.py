@@ -7,15 +7,15 @@ carries dimension 1 and Laplacian eigenvalue |xi|^2, so the group bracket
 by l in {0, 1/2, 1, 3/2, ...} with dimension 2l + 1 and eigenvalue l(l + 1);
 ``half_integers=False`` restricts to the integer-spin subset.
 
-A ``GroupDual`` holds arrays ``labels`` (N x k), ``d``, ``lam`` and ``mult``,
-sorted by (lambda, label); series are whole-array expressions over them, each
-row's term counted ``mult`` times.  ``enumerate_dual`` gives one row per dual
-point (``mult`` all ones).  With ``radial=True`` the torus slice has one row per
-distinct lambda = n, weighted by the number r(n) of box points with |xi|^2 = n,
-and no labels: a series whose terms depend on lambda alone has the same exactly
-rounded sums over it.  A symbol callable receives the whole dual and returns an
-(N,) array of scalar-times-identity values (or, for ``criteria.check_tt1``,
-also N d x d matrices).
+A ``GroupDual`` holds arrays ``d``, ``lam`` and ``mult``, one row per distinct
+eigenvalue, sorted by lambda; series are whole-array expressions over them, each
+row's term counted ``mult`` times.  The torus slice has one row per distinct
+lambda = n, weighted by the number r(n) of box points with |xi|^2 = n; the SU(2)
+slice has one row per spin (``mult`` all ones).  Every series the package sums
+depends on lambda and d alone, so its exactly rounded sums are those of the
+per-point slice.  A symbol callable receives the whole dual and returns an (N,)
+array of scalar-times-identity values (or, for ``criteria.check_tt1``, also N
+d x d matrices).
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
-    box_points,
     forward_transform,
     max_alias_free_radius,
 )
-from .sums import fsum, fsum_by
+from .sums import fsum
 
 GROUPS = ("torus", "su2")
-# Largest dual enumerate_dual builds; about 0.3 GB of labels, d and lam on dim 2.
+# Largest dual enumerate_dual admits, counted in dual points (``dual_size``).
 DUAL_SIZE_LIMIT = 10**7
 
 
@@ -48,7 +47,6 @@ class GroupDual:
     group: str
     cutoff: float
     dim: int  # torus lattice dimension (1 on su2)
-    labels: np.ndarray | None  # (N, k): torus xi (int64, k = dim), su2 (l,) (float64, k = 1); radial: None
     d: np.ndarray  # (N,) int64 representation dimension
     lam: np.ndarray  # (N,) float64 Laplacian eigenvalue
     mult: np.ndarray  # (N,) int64 number of dual points the row stands for
@@ -97,15 +95,14 @@ def dual_size(group: str, cutoff: float, dim: int = 1, half_integers: bool = Tru
     return math.floor(2 * cutoff if half_integers else cutoff) + 1
 
 
-def enumerate_dual(
-    group: str, cutoff, dim: int = 1, half_integers: bool = True, radial: bool = False
-) -> GroupDual:
-    """Finite slice of the unitary dual, sorted by Laplacian eigenvalue, ties by label.
+def enumerate_dual(group: str, cutoff, dim: int = 1, half_integers: bool = True) -> GroupDual:
+    """Finite slice of the unitary dual, one row per distinct Laplacian eigenvalue,
+    ascending.
 
-    torus: lattice points |xi|_inf <= cutoff, d = 1, lambda = |xi|^2; with
-           ``radial`` one unlabelled row per distinct lambda, ``mult`` = r(lambda).
+    torus: lattice points |xi|_inf <= cutoff, d = 1, lambda = |xi|^2, ``mult`` =
+           r(lambda), the number of them on each lambda.
     su2:   l = 0, 1/2, ..., cutoff (integers only when half_integers=False),
-           d = 2l + 1, lambda = l(l + 1); already one row per lambda.
+           d = 2l + 1, lambda = l(l + 1), ``mult`` = 1.
     A slice above DUAL_SIZE_LIMIT points is refused before anything is allocated.
     """
     if group not in GROUPS:
@@ -118,22 +115,13 @@ def enumerate_dual(
             f"the {group} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
             "lower the cutoff"
         )
-    if group == "torus" and radial:
-        lam, mult = _radial_torus(dim, math.floor(cutoff))
-        return GroupDual(group, cutoff, dim, None, np.ones(lam.shape[0], dtype=np.int64), lam, mult)
     if group == "torus":
-        labels = box_points(dim, math.floor(cutoff))
-        lam = np.sum(labels * labels, axis=1).astype(np.float64)
-        # the box is in label order already, so a stable sort on lambda breaks ties by label
-        order = np.argsort(lam, kind="stable")
-        labels, lam = labels[order], lam[order]
-        d = np.ones(lam.shape[0], dtype=np.int64)
-    else:
-        # lambda grows with l, so counting order is already sorted
-        dim = 1
-        l = np.arange(size) * (0.5 if half_integers else 1.0)
-        labels, d, lam = l[:, None], (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0)
-    return GroupDual(group, cutoff, dim, labels, d, lam, np.ones(lam.shape[0], dtype=np.int64))
+        lam, mult = _radial_torus(dim, math.floor(cutoff))
+        return GroupDual(group, cutoff, dim, np.ones(lam.shape[0], dtype=np.int64), lam, mult)
+    # lambda grows with l, so counting order is already sorted
+    l = np.arange(size) * (0.5 if half_integers else 1.0)
+    return GroupDual(group, cutoff, 1, (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0),
+                     np.ones(size, dtype=np.int64))
 
 
 def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,34 +143,24 @@ def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return n.astype(np.float64), r[n].astype(np.int64)
 
 
-def series_diagnostics(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> dict:
-    """``criteria.certify_shell_sums`` over the dyadic bracket shells of |term|, the
-    clipped trailing shell included; a series known to be ``divergent`` is never
-    reported as converged (tail inf), whatever its shells show."""
-    _, shell_sums = block_sums(dual.shells, np.abs(np.asarray(terms)), dual.mult)
-    # 2 ratios suffice: the heat series at cutoff 6 has 3 shells (test_heat_torus)
-    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)
-    return {"shell_sums": shell_sums, "tail_estimate": math.inf if divergent else tail,
-            "converged": converged and not divergent}
-
-
 def summed_series(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> tuple[float, dict]:
-    """(``fsum(terms, dual.mult)``, ``series_diagnostics(dual, terms, divergent)``),
-    bit for bit.  With no negative term |term| = term, so one binned pass over the
-    shells gives both: the value is the exact total of the shell bins."""
+    """(exactly rounded sum of the nonnegative ``terms``, each counted ``dual.mult``
+    times; diagnostics).  The diagnostics are ``criteria.certify_shell_sums`` over
+    the dyadic bracket shell sums, the clipped trailing shell included; a series
+    known to be ``divergent`` is never reported as converged (tail inf), whatever
+    its shells show.  One binned pass gives the shell sums and the value."""
     terms = np.asarray(terms, dtype=np.float64)
     if (terms < 0).any():
-        return fsum(terms, dual.mult), series_diagnostics(dual, terms, divergent)
-    shells = dual.shells
-    sums, value = fsum_by(shells, terms, dual.mult, total=True)
-    shell_sums = [sums[j] for j in np.flatnonzero(np.bincount(shells))]
-    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)  # as series_diagnostics
+        raise ValueError("a dual series sums nonnegative terms")
+    _, shell_sums, value = block_sums(dual.shells, terms, dual.mult)
+    # 2 ratios suffice: the heat series at cutoff 6 has 3 shells (test_heat_torus)
+    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)
     return value, {"shell_sums": shell_sums, "tail_estimate": math.inf if divergent else tail,
                    "converged": converged and not divergent}
 
 
 def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
-    """Terms d^2 exp(-t lambda) of the heat series, one per dual point."""
+    """Terms d^2 exp(-t lambda) of the heat series, one per dual row."""
     if not t > 0:
         raise ValueError(f"heat trace needs t > 0, got {t}")
     with np.errstate(over="ignore"):  # t lambda beyond the float range is -inf, whose exp is 0
@@ -190,14 +168,15 @@ def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
 
 
 def bessel_terms(dual: GroupDual, alpha: float) -> np.ndarray:
-    """Terms d^2 <xi>^{-alpha} of the Bessel series, one per dual point."""
+    """Terms d^2 <xi>^{-alpha} of the Bessel series, one per dual row."""
     with np.errstate(over="ignore"):  # a term beyond the float range is reported as inf
         return dual.d * dual.d * (1.0 + dual.lam) ** (-alpha / 2.0)
 
 
-def bessel_tail(dual: GroupDual, alpha: float) -> float:
-    """Midpoint integral of the Bessel terms a torus dim-1 slice of radius R
-    omits: 2 int_{R + 1/2}^{inf} (1 + t^2)^{-alpha/2} dt, alpha > 1.
+def bessel_tail(cutoff: float, alpha: float) -> float:
+    """Midpoint integral of the Bessel terms a torus dim-1 slice of radius
+    R = floor(cutoff) omits: 2 int_{R + 1/2}^{inf} (1 + t^2)^{-alpha/2} dt,
+    alpha > 1.
 
     Substituting t = 1/u then u = v^4 removes both the infinite limit and the
     endpoint singularity, after which the smooth integrand is summed by the
@@ -205,11 +184,9 @@ def bessel_tail(dual: GroupDual, alpha: float) -> float:
     0 to 1e5 the result is within 1.3e-15 relative of a 40-digit quadrature of
     the same integral.
     """
-    if dual.group != "torus" or dual.group_dimension != 1:
-        raise ValueError("tail correction is implemented for the torus with dim = 1")
     if alpha <= 1:
         raise ValueError("tail correction needs a convergent series (alpha > 1)")
-    upper = (1.0 / (float(int(dual.cutoff)) + 0.5)) ** 0.25
+    upper = (1.0 / (float(int(cutoff)) + 0.5)) ** 0.25
     nodes, weights = _gauss_legendre_64()
     v = 0.5 * upper * (nodes + 1.0)
     scale = 0.5 * upper

@@ -17,7 +17,7 @@ the exactly rounded scalar reductions (``sums``), depends on summation order
 in the last bits.  Partial syntheses (one dyadic block at a time) live in
 ``besov.block_norms``, which runs all blocks through one batched inverse FFT.
 ``box_points`` is the one enumeration of an integer max-norm box: the lattice
-and the torus dual (``groups``) both build their points with it.  The
+and the sampled x-Fourier support (``symbols``) both build their points with it.  The
 Japanese bracket <xi> = (1 + |xi|^2)^{1/2} of every lattice point is
 ``FrequencyLattice.brackets``.
 """
@@ -136,18 +136,6 @@ class PeriodicFunction:
                 f"{self.grid_size ** self.dim}"
             )
         self.values = vals
-
-    def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
-        self._check_compatible(other)
-        return PeriodicFunction(self.dim, self.grid_size, self.values + other.values)
-
-    def __sub__(self, other: "PeriodicFunction") -> "PeriodicFunction":
-        self._check_compatible(other)
-        return PeriodicFunction(self.dim, self.grid_size, self.values - other.values)
-
-    def _check_compatible(self, other: "PeriodicFunction") -> None:
-        if self.dim != other.dim or self.grid_size != other.grid_size:
-            raise ValueError("functions live on different grids")
 
 
 @dataclass

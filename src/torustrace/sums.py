@@ -41,7 +41,7 @@ One call can give a series' value and its group sums (``total=True``), as for
 a dual series and its dyadic shell sums.  The bins of every group are exact
 floats whose exact sum is the sum of all the terms, so one ``math.fsum`` over
 all groups' bins together is the correctly rounded total: the bits of
-``fsum(values, weights)``, from the same binned pass as the group sums.
+``math.fsum`` over all the terms, from the same binned pass as the group sums.
 
 Memory: the terms go through in chunks of ``CHUNK``, with about 36 bytes of
 temporaries per term (about 1 MB a chunk), plus 2125 x 8 bytes of bins per
@@ -52,9 +52,8 @@ that its values and its exceptions are kept, when there are fewer than
 OverflowError on some finite sums near the top of the range, and a bin could
 overflow); when there are 2^26 or more; and when there are more than
 ``MAX_GROUPS`` groups.  On that path a total is ``math.fsum`` over all the
-terms in order, taken before the group sums, so it raises what
-``fsum(values, weights)`` raises.  Lists, generators and other arrays always
-go to ``math.fsum``.
+terms in order, taken before the group sums, so its exceptions come first.
+Lists, generators and other arrays always go to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -77,24 +76,24 @@ _OFFSET = 1074  # frexp exponents of nonzero doubles lie in [-1073, 1024]
 _BINS = _OFFSET + 1025 + 26  # bin k holds scale 2^(k - 1127), k in [1, 2124]
 
 
-def fsum(values, weights=None) -> float:
+def fsum(values) -> float:
     """Exactly rounded sum of real terms: ``fsum_by``'s one-group case for a 1-D
-    float64 ndarray of ``CROSSOVER`` terms or more or for weighted terms,
-    ``math.fsum`` for anything else."""
-    if weights is not None or (isinstance(values, np.ndarray) and values.dtype == np.float64
-                               and values.ndim == 1 and values.size >= CROSSOVER):
-        return fsum_by(None, values, weights)[0]
+    float64 ndarray of ``CROSSOVER`` terms or more, ``math.fsum`` for anything
+    else."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.ndim == 1 and values.size >= CROSSOVER):
+        return fsum_by(None, values)[0]
     return math.fsum(values)
 
 
-def fsum_complex(values, weights=None) -> complex:
+def fsum_complex(values) -> complex:
     """Exactly rounded sum of complex terms (componentwise fsum)."""
     arr = np.asarray(values)
     if arr.size == 0:
         return 0j
     if np.iscomplexobj(arr):
-        return complex(fsum(arr.real, weights), fsum(arr.imag, weights))
-    return complex(fsum(arr.astype(np.float64), weights), 0.0)
+        return complex(fsum(arr.real), fsum(arr.imag))
+    return complex(fsum(arr.astype(np.float64)), 0.0)
 
 
 def fsum_by(groups, values, weights=None, total: bool = False):
@@ -105,8 +104,8 @@ def fsum_by(groups, values, weights=None, total: bool = False):
     ``values`` is a group, and a 1-D ``values`` is one group.  ``weights``, of
     ``values``' shape, gives each term a positive integer multiplicity; weights
     that are all 1 are no weights.  With ``total`` the result is (group sums,
-    sum of all terms), the latter with the bits and exceptions of
-    ``fsum(values, weights)``, raised before any group's."""
+    sum of all terms), the latter with the bits and exceptions of ``math.fsum``
+    over all the terms, each repeated by its weight, raised before any group's."""
     values = np.asarray(values, dtype=np.float64)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)

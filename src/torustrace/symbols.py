@@ -219,22 +219,6 @@ class SampledSymbol(Symbol):
     def x_sup_abs(self, xi):
         return np.abs(self.table[:, self.lattice.indices_of(xi)]).max(axis=0)
 
-    def __add__(self, other: "SampledSymbol") -> "SampledSymbol":
-        if (
-            not isinstance(other, SampledSymbol)
-            or self.grid_size != other.grid_size
-            or self.lattice != other.lattice
-        ):
-            raise ValueError("can only add sampled symbols on identical grid and lattice")
-        # S^m1_{rho1,delta1} + S^m2_{rho2,delta2} lies in S^max(m)_{min(rho),max(delta)}
-        orders = (self.claimed_order, other.claimed_order)
-        return SampledSymbol(
-            self.dim, self.grid_size, self.lattice, self.table + other.table,
-            claimed_order=None if None in orders else max(orders),
-            claimed_rho=min(self.claimed_rho, other.claimed_rho),
-            claimed_delta=max(self.claimed_delta, other.claimed_delta),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Catalog constructors
@@ -254,23 +238,22 @@ def heat_symbol(t: float, dim: int = 1) -> SeparableSymbol:
                            claimed_order=NEG_INFINITY_ORDER)
 
 
-def modulated_symbol(c: float, g: XiFactor, dim: int = 1,
-                     order: float | None = None) -> SeparableSymbol:
-    """(c + cos 2 pi x_1) * g(xi); order is g's order.  A Gaussian exp(-t |xi|^2)
+def modulated_symbol(c: float, g: XiFactor, dim: int = 1) -> SeparableSymbol:
+    """(c + cos 2 pi x_1) * g(xi), claiming g's order.  A Gaussian exp(-t |xi|^2)
     has order -inf for t > 0 and 0 at t = 0 (g = 1); for t < 0 it grows faster
     than any power, so no order is claimed."""
-    if order is None:
-        if isinstance(g, BracketPower):
-            order = g.m
-        elif isinstance(g, GaussianDecay):
-            order = NEG_INFINITY_ORDER if g.t > 0 else 0.0 if g.t == 0 else None
+    order = None
+    if isinstance(g, BracketPower):
+        order = g.m
+    elif isinstance(g, GaussianDecay):
+        order = NEG_INFINITY_ORDER if g.t > 0 else 0.0 if g.t == 0 else None
     u = TrigPolynomial({0: complex(c), 1: 0.5 + 0j, -1: 0.5 + 0j})
     return SeparableSymbol(u, g, dim, claimed_order=order)
 
 
-def character_symbol(dim: int = 1, k: int = 1) -> SeparableSymbol:
-    """exp(i 2 pi k x_1): pointwise modulation, frequency-independent."""
-    return SeparableSymbol(TrigPolynomial({k: 1.0 + 0j}), BracketPower(0.0), dim,
+def character_symbol(dim: int = 1) -> SeparableSymbol:
+    """exp(i 2 pi x_1): pointwise modulation, frequency-independent."""
+    return SeparableSymbol(TrigPolynomial({1: 1.0 + 0j}), BracketPower(0.0), dim,
                            claimed_order=0.0)
 
 

@@ -75,8 +75,10 @@ from torustrace.harmonic import (
     min_grid_size,
 )
 from torustrace.symbols import (
+    BracketPower,
     SampledSymbol,
     SeparableSymbol,
+    TrigPolynomial,
     difference_op,
     x_derivative,
     x_fourier_support,
@@ -99,6 +101,12 @@ def random_bandlimited(
 
 def scaled(f: PeriodicFunction, c: complex) -> PeriodicFunction:
     return PeriodicFunction(f.dim, f.grid_size, c * f.values)
+
+
+def character(dim: int, k: int) -> SeparableSymbol:
+    """exp(i 2 pi k x_1), frequency-independent: ``symbols.character_symbol`` (k = 1)
+    at any k."""
+    return SeparableSymbol(TrigPolynomial({k: 1.0 + 0j}), BracketPower(0.0), dim, claimed_order=0.0)
 
 
 def x_fourier(a: SeparableSymbol, eta, xi: np.ndarray) -> np.ndarray:

@@ -585,7 +585,6 @@ class TestDualTraceCommands:
             raise AssertionError("a dual builder ran")
 
         monkeypatch.setattr(groups, "_radial_torus", trip)
-        monkeypatch.setattr(groups, "box_points", trip)
         tracemalloc.start()
         try:
             code, out, err = run(capsys, ["heat-trace", "--group", "torus", "--dim", "2",
@@ -607,7 +606,10 @@ class TestDualTraceCommands:
          "drop it for --group torus"),
         (["bessel-trace", "--group", "torus", "--alpha", "2", "--cutoff", "6", "--integer-spins"],
          "drop it for --group torus"),
-    ], ids=["heat-su2-dim", "bessel-su2-dim", "tt1-su2-dim", "heat-torus-spins", "bessel-torus-spins"])
+        (["bessel-trace", "--group", "torus", "--alpha", "1", "--cutoff", "6", "--tail-correct"],
+         "(alpha > 1)"),
+    ], ids=["heat-su2-dim", "bessel-su2-dim", "tt1-su2-dim", "heat-torus-spins", "bessel-torus-spins",
+            "bessel-divergent-tail"])
     def test_flag_the_group_ignores_exit_2(self, capsys, monkeypatch, argv, remedy):
         # the flag was ignored (exit 0), and su2 reports echoed "dim": 2
         import torustrace.cli as cli
@@ -929,10 +931,15 @@ class TestRangeRefusedAtParser:
           "--n-values", "1"], "--grid"),
         (["check-class", "--symbol", "bessel", "--m", "-4", "--radius", "16", "--decay-k", "0",
           "--decay-m", "-4"], "--decay-k"),
+        (["besov-norm", "--stock", "8", "--w", "1", "--p", "0.5", "--q", "2", "--radius", "8"], "--p"),
+        (["besov-norm", "--stock", "8", "--w", "1", "--p", "2", "--q", "0.5", "--radius", "8"], "--q"),
+        (["approx-demo", "--stock", "8", "--w", "1", "--p", "0.5", "--q", "2", "--n-values", "1"], "--p"),
+        (["approx-demo", "--stock", "8", "--w", "1", "--p", "2", "--q", "0.5", "--n-values", "1"], "--q"),
     ], ids=["trace-radius", "spectrum-radius", "check-class-radius", "heat-t", "heat-cutoff",
             "bessel-cutoff", "tt1-cutoff", "besov-stock", "besov-radius", "approx-stock",
             "approx-radius", "empty-radii", "negative-radii", "n-values", "alpha-idx", "beta-idx",
-            "block-weight", "grid-zero", "grid-negative", "decay-k-zero"])
+            "block-weight", "grid-zero", "grid-negative", "decay-k-zero", "besov-p", "besov-q",
+            "approx-p", "approx-q"])
     def test_exit_2_with_usage_before_the_handler(self, capsys, monkeypatch, argv, flag):
         import torustrace.cli as cli
 

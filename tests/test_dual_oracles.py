@@ -1,13 +1,14 @@
 """Array-backed dual data and series against the per-point oracles in ``oracles``.
 
-Enumeration (labels, order, d, lambda) must match exactly.  Series values,
-dyadic shell sums and tt1 partial sums must match to 1e-15 relative: numpy's
-``exp``/``pow`` may differ from libm's by an ulp per term, and every sum is
-exactly rounded, so a sum of positive terms moves by at most about one ulp.
+Enumeration (order, d, lambda, each row repeated by its multiplicity) must
+match exactly.  Series values, dyadic shell sums and tt1 partial sums must
+match to 1e-15 relative: numpy's ``exp``/``pow`` may differ from libm's by an
+ulp per term, and every sum is exactly rounded, so a sum of positive terms
+moves by at most about one ulp.
 
-The radial torus slice (one row per distinct lambda, weighted by its
-multiplicity) must give the per-point slice's results bit for bit: its terms
-are the same floats, each repeated r(lambda) times.
+The torus slice has one row per distinct lambda, weighted by its multiplicity.
+It must give the results of the per-point slice (``per_point``, every row
+repeated r(lambda) times) bit for bit: its terms are the same floats.
 """
 
 import math
@@ -22,17 +23,16 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.besov import block_index
-from torustrace.criteria import check_tt1
+from torustrace.criteria import certify_shell_sums, check_tt1
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
+    GroupDual,
     bessel_terms,
     dual_size,
     enumerate_dual,
     heat_terms,
-    series_diagnostics,
     summed_series,
 )
-from torustrace.sums import fsum
 
 RTOL = 1e-15
 
@@ -54,6 +54,12 @@ def assert_close(got, want):
         assert abs(g - w) <= RTOL * abs(w), (g, w)
 
 
+def per_point(dual: GroupDual) -> GroupDual:
+    """The slice with one row per dual point: every row repeated ``mult`` times."""
+    return GroupDual(dual.group, dual.cutoff, dual.dim, np.repeat(dual.d, dual.mult),
+                     np.repeat(dual.lam, dual.mult), np.ones(int(dual.mult.sum()), dtype=np.int64))
+
+
 def both(spec):
     group, cutoff, dim, half = spec
     return (
@@ -71,11 +77,12 @@ def both(spec):
 @example(("su2", 2.5, 1, False))
 def test_enumeration_matches_oracle_exactly(spec):
     dual, points = both(spec)
-    assert len(dual) == len(points) == dual_size(*spec)
-    assert [tuple(x.item() for x in row) for row in dual.labels] == [p.label for p in points]
-    assert dual.d.tolist() == [p.d for p in points]
-    assert dual.lam.tolist() == [p.lam for p in points]
-    assert dual.bracket.tolist() == [p.bracket for p in points]
+    assert int(dual.mult.sum()) == len(points) == dual_size(*spec)
+    assert np.all(np.diff(dual.lam) > 0)  # one row per distinct lambda, ascending
+    flat = per_point(dual)
+    assert flat.d.tolist() == [p.d for p in points]
+    assert flat.lam.tolist() == [p.lam for p in points]
+    assert flat.bracket.tolist() == [p.bracket for p in points]
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,13 +166,11 @@ def bits(value) -> str:
 @example((40.0, 2))
 def test_radial_slice_counts_every_point(spec):
     cutoff, dim = spec
-    radial = enumerate_dual("torus", cutoff, dim=dim, radial=True)
-    dual = enumerate_dual("torus", cutoff, dim=dim)
-    n, r = np.unique(dual.lam, return_counts=True)
-    assert radial.labels is None and radial.group_dimension == dim
+    radial = enumerate_dual("torus", cutoff, dim=dim)
+    n, r = np.unique([p.lam for p in oracles.enumerate_dual("torus", cutoff, dim=dim)], return_counts=True)
+    assert radial.group_dimension == dim
     assert radial.lam.tolist() == n.tolist() and radial.mult.tolist() == r.tolist()
     assert radial.d.tolist() == [1] * len(n) and int(radial.mult.sum()) == dual_size("torus", cutoff, dim)
-    assert radial.lambda_cap == dual.lambda_cap
     assert radial.shells.tolist() == block_index(n.astype(np.int64) + 1).tolist()
     assert radial.bracket.tolist() == np.sqrt(1.0 + n).tolist()
 
@@ -178,18 +183,16 @@ def test_radial_slice_counts_every_point(spec):
 @example((0.0, 2), 1.0, "divergent", 0.5)
 def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
     cutoff, dim = spec
-    radial = enumerate_dual("torus", cutoff, dim=dim, radial=True)
-    dual = enumerate_dual("torus", cutoff, dim=dim)
+    radial = enumerate_dual("torus", cutoff, dim=dim)
+    dual = per_point(radial)
     # alpha <= dim diverges; the convergent draws lie in (dim, dim + 3]
     alpha = dim * u if kind == "divergent" else dim + 3.0 * u + 1e-3
     divergent = kind == "divergent"
-    signed = lambda d, _: np.cos(d.lam) * d.bracket ** -alpha  # noqa: E731
-    for terms in (heat_terms, lambda d, _: bessel_terms(d, alpha), signed):
+    for terms in (heat_terms, lambda d, _: bessel_terms(d, alpha)):
         for flag in (False, divergent):
-            for series in (series_diagnostics, summed_series):
-                want = series(dual, terms(dual, t), divergent=flag)
-                got = series(radial, terms(radial, t), divergent=flag)
-                assert bits(got) == bits(want)
+            want = summed_series(dual, terms(dual, t), divergent=flag)
+            got = summed_series(radial, terms(radial, t), divergent=flag)
+            assert bits(got) == bits(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,8 +202,8 @@ def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
 @example((40.0, 2), 4, 0.5, "heat", -4.0, 1e-4)
 def test_radial_tt1_verdict_matches_the_per_point_path_bit_for_bit(spec, case, r, kind, m, t):
     cutoff, dim = spec
-    radial = enumerate_dual("torus", cutoff, dim=dim, radial=True)
-    dual = enumerate_dual("torus", cutoff, dim=dim)
+    radial = enumerate_dual("torus", cutoff, dim=dim)
+    dual = per_point(radial)
     p, q = TT1_CASES[case]
     # the CLI's catalog multipliers: bracket^m and exp(-t lambda)
     symbol = (lambda d: d.bracket**m) if kind == "bracket" else (lambda d: np.exp(-t * d.lam))
@@ -222,7 +225,6 @@ series_duals = st.one_of(
 series_kinds = st.one_of(
     st.tuples(st.just("heat"), st.one_of(st.floats(1e-5, 3.0), st.just(1e300))),
     st.tuples(st.just("bessel"), st.one_of(st.floats(-300.0, 6.0), st.sampled_from([-300.0, -280.0, 1000.0]))),
-    st.tuples(st.just("signed"), st.floats(0.5, 4.0)),
 )
 
 
@@ -231,6 +233,17 @@ def outcome(fn, *args):
         return fn(*args)
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
+
+
+def series_by_math_fsum(dual: GroupDual, terms: np.ndarray, divergent: bool):
+    """``summed_series`` from ``math.fsum`` over the terms repeated by their
+    multiplicities, whole and per dyadic bracket shell, the total first."""
+    flat, shells = np.repeat(terms, dual.mult), np.repeat(dual.shells, dual.mult)
+    value = math.fsum(flat)
+    shell_sums = [math.fsum(flat[shells == j]) for j in np.unique(shells)]
+    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)
+    return value, {"shell_sums": shell_sums, "tail_estimate": math.inf if divergent else tail,
+                   "converged": converged and not divergent}
 
 
 @settings(max_examples=120, deadline=None)
@@ -243,17 +256,14 @@ def outcome(fn, *args):
 @example(("su2", 600.0, 1, False), ("bessel", -300.0))
 @example(("torus", 0, 1, True), ("heat", 1.0))
 def test_summed_series_matches_the_two_calls_bit_for_bit(spec, kind):
+    """``summed_series`` has the bits, or the exception, of two ``math.fsum`` calls
+    over the repeated terms: the whole series first, then each dyadic shell."""
     group, cutoff, dim, half = spec
-    dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half, radial=True)
+    dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
     name, u = kind
-    if name == "heat":
-        terms = heat_terms(dual, u)
-    elif name == "bessel":
-        terms = bessel_terms(dual, u)
-    else:  # terms of both signs: the value and the shell sums of |term| are two reductions
-        terms = np.cos(dual.lam) * bessel_terms(dual, u)
+    terms = heat_terms(dual, u) if name == "heat" else bessel_terms(dual, u)
     for divergent in (False, True):
-        want = outcome(lambda: (fsum(terms, dual.mult), series_diagnostics(dual, terms, divergent)))
+        want = outcome(series_by_math_fsum, dual, terms, divergent)
         got = outcome(summed_series, dual, terms, divergent)
         assert bits(got) == bits(want)
 

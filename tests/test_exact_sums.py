@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torustrace.sums as sums
-from torustrace.groups import bessel_terms, enumerate_dual, heat_terms, series_diagnostics
+from torustrace.groups import bessel_terms, enumerate_dual, heat_terms, summed_series
 from torustrace.sums import CHUNK, CROSSOVER, fsum, fsum_by, fsum_complex
 
 SIZES = (0, 1, 7, CROSSOVER - 1, CROSSOVER, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
@@ -23,6 +23,11 @@ KINDS = ("normal", "subnormal", "wide", "cancel", "negative-zero", "signed-zeros
 
 def bits(x) -> bytes:
     return struct.pack("<d", x)
+
+
+def weighted_fsum(x, w):
+    """The one-group weighted sum: ``fsum_by``'s first group."""
+    return fsum_by(None, x, w)[0]
 
 
 def outcome(fn, *args):
@@ -154,7 +159,8 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
     """Tripwire: the shell sums of a 200001-point dual go through the bins."""
     dual = enumerate_dual("torus", 100000, dim=1)
     series = {"bessel": bessel_terms(dual, 2.0), "heat": heat_terms(dual, 1e-6)}
-    want = {name: [math.fsum(t[dual.shells == j]) for j in np.unique(dual.shells)]
+    shells = np.repeat(dual.shells, dual.mult)
+    want = {name: [math.fsum(np.repeat(t, dual.mult)[shells == j]) for j in np.unique(shells)]
             for name, t in series.items()}
     passed = []
     real_fsum = math.fsum
@@ -166,9 +172,9 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
 
     monkeypatch.setattr(math, "fsum", spy)
     for name, t in series.items():
-        report = series_diagnostics(dual, t)
+        report = summed_series(dual, t)[1]
         assert [bits(v) for v in report["shell_sums"]] == [bits(v) for v in want[name]]
-    assert len(dual) == 200001
+    assert int(dual.mult.sum()) == 200001
     assert not [size for size in passed if size >= CROSSOVER]
 
 
@@ -195,7 +201,7 @@ class TestWeights:
         rng = np.random.default_rng(seed)
         x = terms(kind, n, rng)
         w = rng.integers(1, max(1, min(top, 100_000 // n)) + 1, n)  # at most 10^5 repeated terms
-        assert outcome(fsum, x, w) == self.want(None, x, w)
+        assert outcome(weighted_fsum, x, w) == self.want(None, x, w)
         groups = 2 * rng.integers(0, group_count, n)
         assert outcome(fsum_by, groups, x, w) == self.want(groups, x, w)
 
@@ -217,21 +223,21 @@ class TestWeights:
         x, w = terms("wide", 300, rng), rng.integers(1, 700, 300)
         want = self.want(None, x, w)
         monkeypatch.setattr(sums, "_fsum_slices", lambda *args: pytest.fail("fell back"))
-        assert outcome(fsum, x, w) == want
+        assert outcome(weighted_fsum, x, w) == want
 
     @pytest.mark.parametrize("head", [[math.inf, 1.0], [-math.inf], [math.inf, -math.inf]])
     def test_infinities(self, head):
         x = np.zeros(400)
         x[: len(head)] = head
         w = np.arange(1, 401)
-        assert outcome(fsum, x, w) == self.want(None, x, w)
+        assert outcome(weighted_fsum, x, w) == self.want(None, x, w)
 
     def test_all_negative_zero_and_nan(self):
         w = np.arange(1, 401)
         x = np.full(400, -0.0)
-        assert outcome(fsum, x, w) == self.want(None, x, w) == bits(0.0)
+        assert outcome(weighted_fsum, x, w) == self.want(None, x, w) == bits(0.0)
         x[7] = math.nan
-        assert math.isnan(fsum(x, w)) and math.isnan(math.fsum(np.repeat(x, w)))
+        assert math.isnan(weighted_fsum(x, w)) and math.isnan(math.fsum(np.repeat(x, w)))
 
     @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0, 1.5])
     def test_terms_near_the_overflow_limit(self, scale):
@@ -240,17 +246,9 @@ class TestWeights:
         # alternating signs the same terms cancel
         w = np.full(2 * CROSSOVER, 3, dtype=np.int64)
         x = np.full(w.size, math.ldexp(scale / int(w.sum()), 1024))
-        assert outcome(fsum, x, w) == self.want(None, x, w)
+        assert outcome(weighted_fsum, x, w) == self.want(None, x, w)
         x[::2] *= -1.0
-        assert outcome(fsum, x, w) == self.want(None, x, w) == bits(0.0)
-
-    def test_complex_weights_pass_through(self):
-        rng = np.random.default_rng(5)
-        z = rng.standard_normal(500) + 1j * rng.standard_normal(500) * 1e-200
-        w = rng.integers(1, 20, 500)
-        want = complex(math.fsum(np.repeat(z.real, w)), math.fsum(np.repeat(z.imag, w)))
-        assert bits(fsum_complex(z, w).real) == bits(want.real)
-        assert bits(fsum_complex(z, w).imag) == bits(want.imag)
+        assert outcome(weighted_fsum, x, w) == self.want(None, x, w) == bits(0.0)
 
     @pytest.mark.parametrize("w", [[1, 0, 2], [1, -1, 2], [1, 2]])
     def test_non_positive_or_misshapen_weights_refused(self, w):
@@ -265,7 +263,7 @@ class TestWeights:
         rng = np.random.default_rng(n)
         x, w = terms(kind, n, rng), np.ones(n, dtype=np.int64)
         groups = rng.integers(0, 3, n)
-        assert outcome(fsum, x, w) == outcome(math.fsum, x)
+        assert outcome(weighted_fsum, x, w) == outcome(math.fsum, x)
         assert outcome(fsum_by, groups, x, w) == [bits(math.fsum(x[groups == g])) for g in range(3)]
         seen = []
         real = sums._fsum_slices
@@ -276,12 +274,12 @@ class TestWeights:
 
 class TestTotal:
     """``fsum_by(groups, values, weights, total=True)`` is (``fsum_by(groups, values,
-    weights)``, ``fsum(values, weights)``) bit for bit from one call; an exception is
-    the total's when ``fsum`` raises, else the group sums'."""
+    weights)``, ``fsum_by(None, values, weights)[0]``) bit for bit from one call; an
+    exception is the total's when the one-group sum raises, else the group sums'."""
 
     @staticmethod
     def want(groups, x, w):
-        total = outcome(fsum, x, w)
+        total = outcome(weighted_fsum, x, w)
         if isinstance(total, tuple):
             return total
         by = outcome(fsum_by, groups, x, w)

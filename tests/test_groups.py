@@ -43,37 +43,36 @@ def bessel_sum(dual, alpha):
 class TestEnumerateDual:
     def test_torus_n1(self):
         dual = enumerate_dual("torus", 2, dim=1)
-        assert len(dual) == 5
+        assert len(dual) == 3
         assert all(d == 1 for d in dual.d)
-        assert sorted(dual.lam) == [0.0, 1.0, 1.0, 4.0, 4.0]
-        assert dual.lam[0] == 0.0  # sorted by eigenvalue
-        # eigenvalue ties broken by label
-        assert [tuple(label) for label in dual.labels] == [(0,), (-1,), (1,), (-2,), (2,)]
+        # one row per distinct eigenvalue, ascending, with its number of lattice points
+        assert dual.lam.tolist() == [0.0, 1.0, 4.0]
+        assert dual.mult.tolist() == [1, 2, 2]
 
     def test_su2_small(self):
         dual = enumerate_dual("su2", 1)
-        got = [(label[0], d, lam) for label, d, lam in zip(dual.labels, dual.d, dual.lam)]
-        assert got == [(0, 1, 0.0), (0.5, 2, 0.75), (1, 3, 2.0)]
+        got = [(d, lam, mult) for d, lam, mult in zip(dual.d, dual.lam, dual.mult)]
+        assert got == [(1, 0.0, 1), (2, 0.75, 1), (3, 2.0, 1)]
 
     def test_torus_n2(self):
         dual = enumerate_dual("torus", 1, dim=2)
-        lams = sorted(dual.lam)
-        assert lams == [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+        assert dual.lam.tolist() == [0.0, 1.0, 2.0]
+        assert dual.mult.tolist() == [1, 4, 4]
 
     def test_su2_fractional_cutoff_stops_at_cutoff(self):
         # l = 1 > 0.75 is left out, as for the integer-spin subset
         dual = enumerate_dual("su2", 0.75)
-        assert dual.labels[:, 0].tolist() == [0.0, 0.5]
+        assert dual.d.tolist() == [1, 2]
 
     def test_su2_integer_spins(self):
         dual = enumerate_dual("su2", 3, half_integers=False)
-        assert [label[0] for label in dual.labels] == [0, 1, 2, 3]
+        assert dual.d.tolist() == [1, 3, 5, 7]
 
     def test_bracket_consistent_with_lattice(self):
         dual = enumerate_dual("torus", 5, dim=1)
-        for label, bracket in zip(dual.labels, dual.bracket):
-            k = label[0]
-            assert bracket == pytest.approx(math.sqrt(1 + k * k), abs=1e-15)
+        brackets, counts = np.unique(FrequencyLattice(1, 5).brackets(), return_counts=True)
+        assert dual.bracket.tolist() == pytest.approx(brackets.tolist(), abs=1e-15)
+        assert dual.mult.tolist() == counts.tolist()
 
 
 class TestHeatTrace:
@@ -112,7 +111,7 @@ class TestHeatTrace:
 class TestBesselTrace:
     def test_closed_form_with_tail_correction(self):
         dual = enumerate_dual("torus", 100000, dim=1)
-        got = bessel_sum(dual, 2.0) + bessel_tail(dual, 2.0)
+        got = bessel_sum(dual, 2.0) + bessel_tail(100000, 2.0)
         assert got == pytest.approx(PI_COTH_PI, abs=1e-8)
 
     def test_partial_sum_stability_alpha4(self):
@@ -120,10 +119,21 @@ class TestBesselTrace:
         d200 = enumerate_dual("torus", 200, dim=1)
         assert abs(bessel_sum(d100, 4.0) - bessel_sum(d200, 4.0)) <= 1e-5
 
-    def test_tail_correction_needs_torus_1d(self):
-        dual = enumerate_dual("su2", 10)
-        with pytest.raises(ValueError, match="torus"):
-            bessel_tail(dual, 4.0)
+    def test_tail_correction_needs_torus_1d(self, capsys, monkeypatch):
+        # the command refuses it before the dual is built; bessel_tail reads no group
+        import torustrace.cli as cli
+
+        monkeypatch.setattr(cli, "enumerate_dual", lambda *a, **k: pytest.fail("the dual was built"))
+        for group in (["--group", "su2"], ["--group", "torus", "--dim", "2"]):
+            code = cli.main(["bessel-trace", *group, "--alpha", "4", "--cutoff", "20", "--tail-correct"])
+            assert code == 2 and capsys.readouterr().err == (
+                "error: tail correction is implemented for the torus with dim = 1; drop --tail-correct\n")
+
+
+def test_summed_series_refuses_negative_terms():
+    dual = enumerate_dual("torus", 4, dim=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        summed_series(dual, np.cos(dual.lam))
 
 
 class TestGaussLegendre64:

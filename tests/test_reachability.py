@@ -1,18 +1,39 @@
-"""Every public top-level function and class of the package is used by the package.
+"""Every public top-level function and class of the package is used by the package,
+and every defaulted parameter of one is passed more than one value by it.
 
 A definition that only the tests call pins code no ``torustrace`` command runs,
-so the tests would check a wrapper instead of the path the CLI takes.
+so the tests would check a wrapper instead of the path the CLI takes.  A
+parameter the package always leaves at one value is the same: a branch only
+the tests take.
 """
 
 import ast
+from itertools import takewhile
 from pathlib import Path
 
 import torustrace
 
-# library API that writes the file formats the CLI reads
-KEEP = ("io.save_periodic_function", "io.save_sampled_symbol", "symbols.sample_symbol")
+LIBRARY_API = "library API that writes the file formats the CLI reads"
+UNSET_FLAG = "reached through checker(**flags), which omits an unset --p2/--q2 so the default 2 applies"
+# name, or name(parameter), -> why it stays although src never uses it, or never varies it
+KEEP = {
+    "io.save_periodic_function": LIBRARY_API,
+    "io.save_sampled_symbol": LIBRARY_API,
+    "symbols.sample_symbol": LIBRARY_API,
+    "cli.main(argv)": "the console script passes no argv (sys.argv); tests and in-process callers pass one",
+    "criteria.check_t1(p2)": UNSET_FLAG,
+    "criteria.check_t1(q2)": UNSET_FLAG,
+    "criteria.check_t2(p2)": UNSET_FLAG,
+    "criteria.check_t2(q2)": UNSET_FLAG,
+}
 
 PUBLIC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+VARIES = "<varies>"
+
+
+def package_trees() -> dict[str, ast.Module]:
+    package = Path(torustrace.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
 
 
 def references(tree: ast.Module):
@@ -39,8 +60,7 @@ def test_every_public_definition_is_used_in_src():
     a method, a dict key spelled as an attribute) counts as used: such a
     function escapes this check.
     """
-    package = Path(torustrace.__file__).resolve().parent
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    trees = package_trees()
     used: dict[str, set[int]] = {}
     for tree in trees.values():
         for name, stmt in references(tree):
@@ -53,3 +73,81 @@ def test_every_public_definition_is_used_in_src():
         and not used.get(stmt.name, set()) - {id(stmt)}
     ]
     assert [name for name in unused if name not in KEEP] == []
+
+
+def value_of(node: ast.expr):
+    """A literal's value (its text when unhashable), else VARIES."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return VARIES
+    try:
+        hash(value)
+    except TypeError:
+        return ast.dump(node)
+    return value
+
+
+def callables(trees: dict[str, ast.Module]) -> dict[str, tuple[str, list[str], dict[str, object]]]:
+    """name -> (module.name, parameter names in order, {defaulted parameter: its
+    default}) for each public top-level function, and for each public class with
+    an explicit ``__init__`` (its parameters after ``self``).  A default that is
+    not a literal (a module constant) is keyed by its text."""
+    found = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, PUBLIC_DEFS) or stmt.name.startswith("_"):
+                continue
+            fn, skip = stmt, 0
+            if isinstance(stmt, ast.ClassDef):
+                inits = [s for s in stmt.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"]
+                if not inits:
+                    continue
+                fn, skip = inits[0], 1
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+            names = positional + [a.arg for a in args.kwonlyargs]
+            defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            keyed = {}
+            for name, node in defaults.items():
+                value = value_of(node)
+                keyed[name] = ast.dump(node) if value is VARIES else value
+            found[stmt.name] = (f"{module}.{stmt.name}", names, keyed)
+    return found
+
+
+def test_every_defaulted_parameter_takes_two_values_in_src():
+    """Across the calls ``src`` makes by name (``f(...)``, ``Class(...)``), each
+    defaulted parameter of a public function or explicit ``__init__`` must take at
+    least two values.  An omitted argument counts as the default; a non-literal
+    argument, or any argument under a ``*``/``**`` splat, counts as varying.
+
+    A function passed around as a value and called through another name (a
+    ``checker = check_t1`` alias) is not seen; its parameters read as never
+    varied and need a ``KEEP`` entry.
+    """
+    trees = package_trees()
+    defs = callables(trees)
+    seen: dict[str, set] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs):
+                continue
+            qualified, names, defaults = defs[node.func.id]
+            splat = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            given = dict(zip(names, takewhile(lambda a: not isinstance(a, ast.Starred), node.args)))
+            given.update((k.arg, k.value) for k in node.keywords if k.arg is not None)
+            for name, default in defaults.items():
+                if name in given:
+                    value = value_of(given[name])
+                else:
+                    value = VARIES if splat else default
+                seen.setdefault(f"{qualified}({name})", set()).add(value)
+    fixed = [
+        f"{qualified}({name})"
+        for qualified, _, defaults in defs.values()
+        for name in defaults
+        if len(values := seen.get(f"{qualified}({name})", set())) < 2 and VARIES not in values
+    ]
+    assert [name for name in fixed if name not in KEEP] == []

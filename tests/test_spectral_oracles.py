@@ -27,7 +27,6 @@ from torustrace.symbols import (
     GaussianDecay,
     SampledSymbol,
     bessel_symbol,
-    character_symbol,
     difference_op,
     heat_symbol,
     modulated_symbol,
@@ -90,7 +89,7 @@ CATALOG = [
     lambda dim: heat_symbol(0.3, dim),
     lambda dim: modulated_symbol(2.0, BracketPower(-4.0), dim),
     lambda dim: modulated_symbol(0.0, GaussianDecay(0.2), dim),
-    lambda dim: character_symbol(dim, 2),
+    lambda dim: oracles.character(dim, 2),
     lambda dim: difference_op(modulated_symbol(2.0, BracketPower(-3.0), dim), 1),
     lambda dim: x_derivative(modulated_symbol(0.5, BracketPower(-2.0), dim), 3),
     lambda dim: x_derivative(bessel_symbol(-2.0, dim), 1),

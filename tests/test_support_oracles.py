@@ -27,7 +27,6 @@ from torustrace.symbols import (
     TrigPolynomial,
     XiFactor,
     bessel_symbol,
-    character_symbol,
     difference_op,
     estimate_order,
     fourier_decay_constant,
@@ -43,8 +42,8 @@ CATALOG = [
     lambda dim: heat_symbol(0.1, dim),
     lambda dim: modulated_symbol(2.0, BracketPower(-4.0), dim),
     lambda dim: modulated_symbol(0.0, GaussianDecay(0.2), dim),
-    lambda dim: character_symbol(dim, 2),
-    lambda dim: character_symbol(dim, -3),
+    lambda dim: oracles.character(dim, 2),
+    lambda dim: oracles.character(dim, -3),
     lambda dim: x_derivative(modulated_symbol(0.5, BracketPower(-2.0), dim), 1),
     lambda dim: x_derivative(bessel_symbol(-2.0, dim), 1),  # zero x-factor: empty support
     lambda dim: difference_op(modulated_symbol(2.0, BracketPower(-3.0), dim), 1),
@@ -79,8 +78,8 @@ def test_separable_support_is_the_on_axis_keys():
     a = modulated_symbol(2.0, BracketPower(-4.0), 2)
     assert np.array_equal(x_fourier_support(a, 5), [[-1, 0], [0, 0], [1, 0]])
     assert np.array_equal(x_fourier_support(a, 0), [[0, 0]])
-    assert np.array_equal(x_fourier_support(character_symbol(1, -3), 2), np.zeros((0, 1)))
-    assert np.array_equal(x_fourier_support(character_symbol(1, -3)), [[-3]])
+    assert np.array_equal(x_fourier_support(oracles.character(1, -3), 2), np.zeros((0, 1)))
+    assert np.array_equal(x_fourier_support(oracles.character(1, -3)), [[-3]])
     assert x_fourier_support(x_derivative(bessel_symbol(-2.0, 2), 1), 4).shape == (0, 2)
 
 

@@ -28,7 +28,7 @@ from torustrace.symbols import (
     x_fourier_table,
 )
 
-from oracles import symbol_fourier
+from oracles import character, symbol_fourier
 
 
 def tabulate(symbol, lattice, grid_size=None):
@@ -162,14 +162,14 @@ class TestTrigPolynomial:
 
     @pytest.mark.parametrize("b", range(1, 9))
     @pytest.mark.parametrize("a", [modulated_symbol(2.0, BracketPower(-4.0)),
-                                   character_symbol(k=1), character_symbol(k=-1)],
+                                   character_symbol(), character(1, -1)],
                              ids=["modulated", "character", "character-minus"])
     def test_derivative_sup_is_the_exact_power(self, a, b):
         assert x_derivative(a, b).xfactor.sup_abs() == TWO_PI**b
 
     @pytest.mark.parametrize("b", range(1, 5))
     def test_derivative_supports(self, b):
-        for a in (bessel_symbol(-4.0), heat_symbol(0.1), character_symbol(k=0)):
+        for a in (bessel_symbol(-4.0), heat_symbol(0.1), character(1, 0)):
             assert x_fourier_support(x_derivative(a, b)).size == 0
         modulated = x_derivative(modulated_symbol(2.0, BracketPower(-4.0), dim=2), (b, 0))
         assert x_fourier_support(modulated).tolist() == [[-1, 0], [1, 0]]
@@ -306,20 +306,3 @@ class TestSampledRepresentation:
         assert a.claimed_order == -2.0
         d = difference_op(a, 1)
         assert d.claimed_order == -3.0  # order m - rho |alpha| with rho = 1
-
-    @pytest.mark.parametrize("first, second, want", [
-        ((-2.0, 1.0, 0.0), (-3.0, 0.5, 0.5), (-2.0, 0.5, 0.5)),
-        ((-3.0, 0.5, 0.5), (-2.0, 1.0, 0.0), (-2.0, 0.5, 0.5)),
-        ((-2.0, 0.75, 0.25), (None, 1.0, 0.0), (None, 0.75, 0.25)),
-        ((None, 1.0, 0.0), (-2.0, 0.75, 0.25), (None, 0.75, 0.25)),
-    ])
-    def test_sum_claims_the_wider_class(self, first, second, want):
-        # S^m1_{rho1,delta1} + S^m2_{rho2,delta2} lies in S^max(m)_{min(rho),max(delta)}
-        lat = FrequencyLattice(1, 4)
-        grid = min_grid_size(4)
-        table = tabulate(bessel_symbol(-2.0), lat, grid)
-        a, b = (SampledSymbol(1, grid, lat, table, claimed_order=m, claimed_rho=rho,
-                              claimed_delta=delta) for m, rho, delta in (first, second))
-        total = a + b
-        assert (total.claimed_order, total.claimed_rho, total.claimed_delta) == want
-        np.testing.assert_array_equal(total.table, 2.0 * table)
