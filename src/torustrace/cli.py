@@ -356,10 +356,9 @@ def _overflow_remedy(w: float, flags: str) -> str:
     return f"the weighted dyadic block norms at w = {w:g} overflow float64; lower {flags}"
 
 
-def _symbol_overflow(args, exc: OverflowError) -> ValidationError:
-    """Refusal of a symbol whose x-Fourier table, or a sum over it, leaves float64."""
-    remedy = "check the values in --symbol-file" if args.symbol_file else "lower --m or --c, or raise --t"
-    return ValidationError(f"{exc}; {remedy}")
+def _symbol_remedy(args) -> str:
+    """Remedy for a symbol whose x-Fourier table, or a sum over it, leaves float64."""
+    return "check the values in --symbol-file" if args.symbol_file else "lower --m or --c, or raise --t"
 
 
 def _require_side(dim: int, radius: int, flag: str = "--radius") -> None:
@@ -387,12 +386,12 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
-        op = CompressedOperator(a, lattice, lattice)
+        op = CompressedOperator(a, lattice)
         nuc = op.trace()  # the support table's zero row: sum_xi hat{a}(0, xi)
         eigs = eigenvalues(op)
         spec = fsum_complex(eigs)
     except OverflowError as exc:
-        raise _symbol_overflow(args, exc) from exc
+        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
     body = {
         "radius": args.radius,
         "nuclear_trace": nuc,
@@ -402,12 +401,16 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     }
     diagnostics: dict = {"trace_identity_tolerance": TRACE_IDENTITY_TOL}
     if args.order_hint is not None:
-        diagnostics["tail_estimate"] = tail_estimate(a, lattice, args.order_hint)
+        try:
+            diagnostics["tail_estimate"] = tail_estimate(a, lattice, args.order_hint)
+        except OverflowError as exc:
+            raise ValidationError(f"{exc}; pass an --order-hint nearer the symbol's order") from exc
     if args.certify_w is not None:
         try:
-            bound = nuclear_quasinorm_bound(a, 1.0, BesovParams(args.certify_w, 2.0, 2.0), lattice)
+            bound = nuclear_quasinorm_bound(a, 1.0, args.certify_w, lattice)
         except OverflowError as exc:
-            raise ValidationError(_overflow_remedy(args.certify_w, "--certify-w")) from exc
+            remedy = _overflow_remedy(args.certify_w, f"--certify-w, or {_symbol_remedy(args)}")
+            raise ValidationError(remedy) from exc
         diagnostics["quasinorm_certificate"] = {
             "w": args.certify_w,
             "p": 2.0,
@@ -424,7 +427,7 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
     try:
         report = lidskii_compare(a, args.radii)
     except OverflowError as exc:
-        raise _symbol_overflow(args, exc) from exc
+        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
     body = {
         "radii": args.radii,
         "history": [asdict(rec) for rec in report.history],
@@ -641,11 +644,11 @@ def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
-        op = CompressedOperator(a, lattice, lattice)
+        op = CompressedOperator(a, lattice)
         eigs, residuals = eigenvalues(op, with_residuals=True)
         trace = op.trace()
     except OverflowError as exc:
-        raise _symbol_overflow(args, exc) from exc
+        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
     residual_max = float(residuals.max()) if eigs.size else 0.0
     if args.matrix_csv:  # one f-string a row; .17g spells nan/inf/-inf as render_csv does
         rows = [

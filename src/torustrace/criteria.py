@@ -3,13 +3,9 @@ quasi-norm bound coming from the canonical rank-one decomposition
 T_a f = sum_xi fhat(xi) H_xi with H_xi(x) = e^{i2pi<x,xi>} a(x, xi).  The
 coefficients of H_xi are hat{a}(d, xi) at eta = xi + d for d on the symbol's
 x-Fourier support (``symbols.x_fourier_support``), so the bound never samples
-H_xi.  At p = 2, the certificate the CLI reports, Parseval makes a dyadic
-block's L^2 norm the l^2 norm of its coefficients: the bound reads the
-support table once and sums |hat{a}|^2 per (block, column), with no
-compression and no synthesis.  For p != 2 a block's grid L^p norm is a
-quadrature that depends on the grid, so the bound norms the columns of the
-dense compression (``quantize.CompressedOperator.entries``) with ``besov``'s
-coefficient-level norm on the margin grid, as ``besov-norm`` norms a function.
+H_xi.  The bound is in B^w_{2,2}, where Parseval makes a dyadic block's L^2
+norm the l^2 norm of its coefficients: it reads the support table once and
+sums |hat{a}|^2 per (block, column), with no compression and no synthesis.
 
 Three checkers are exposed:
 
@@ -37,9 +33,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .besov import BesovParams, block_index, block_sums, coefficient_norm, weighted_norm
-from .harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
-from .quantize import CompressedOperator
+from .besov import BesovParams, block_index, block_sums, weighted_norm
+from .harmonic import FrequencyLattice
 from .sums import fsum, fsum_by
 from .symbols import Symbol, x_fourier_support, x_fourier_table
 
@@ -454,28 +449,21 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
 # ---------------------------------------------------------------------------
 
 
-def nuclear_quasinorm_bound(
-    a: Symbol,
-    r: float,
-    besov: BesovParams,
-    lattice: FrequencyLattice,
-) -> float:
-    """sum_xi ||H_xi||_{B}^r for the canonical decomposition.
+def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLattice) -> float:
+    """sum_xi ||H_xi||_{B^w_{2,2}}^r for the canonical decomposition.
 
     H_xi = e_xi a(., xi) has coefficients hat{a}(d, xi) at eta = xi + d for d
     on the symbol's x-Fourier support (``x_fourier_support``), so they lie in
     |eta|_inf <= N + b with b the support's largest |d|_inf: the x-factor's
     bandwidth, or for a sampled table its window M//2.
 
-    For p = 2 Parseval gives each block's L^2 norm as the l^2 norm of its
-    coefficients, which is what the grid synthesis on a margin-safe grid
-    computes up to rounding.  So the support table (S x L) is read once, the
-    block of each eta = xi + d found by ``block_index``, and |hat a|^2 summed
-    into a (blocks x L) table of per-(block, column) energies; each column is
-    weighted by ``weighted_norm``.  For p != 2 a block's grid L^p norm is a
-    quadrature that depends on the grid, so those columns of the compression
-    with rows out to N + b are synthesized on the min_grid_size(N + b) grid,
-    as ``besov-norm`` does.
+    Parseval gives each block's L^2 norm as the l^2 norm of its coefficients,
+    which is what a grid synthesis on a margin-safe grid computes up to
+    rounding.  So the support table (S x L) is read once, the block of each
+    eta = xi + d found by ``block_index``, and |hat a|^2 summed into a
+    (blocks x L) table of per-(block, column) energies; each column is
+    weighted by ``weighted_norm``.  An energy beyond float64 raises
+    OverflowError.
 
     Stability of this sum across growing radii is the numerical nuclearity
     certificate; raised to 1/r it upper-bounds the r-quasi-norm up to the
@@ -485,24 +473,21 @@ def nuclear_quasinorm_bound(
         raise ValueError(f"r must lie in (0, 1], got {r}")
     support = x_fourier_support(a)
     radius = lattice.radius + int(np.abs(support).max(initial=0))  # N + b
-    if besov.p != 2.0:
-        rows = FrequencyLattice(lattice.dim, radius)
-        columns = CompressedOperator(a, rows, lattice).entries
-        return float(fsum(
-            coefficient_norm(FourierCoefficients(rows, h), besov, min_grid_size(radius)) ** r
-            for h in columns.T
-        ))
     table = x_fourier_table(a, support, lattice)  # (S, L): H_xi's coefficient at xi + d
     squared = sum((d[:, None] + xi) ** 2 for d, xi in zip(support.T, lattice.points.T))
     # every block of the row box |eta|_inf <= N + b is nonempty, so each column
     # reports all of them, as block_norms does on that lattice
     count = int(block_index(lattice.dim * radius**2)) + 1
     size = len(lattice)
-    energy = np.bincount(
-        (block_index(squared) * size + np.arange(size)).ravel(),
-        weights=(table.real**2 + table.imag**2).ravel(),
-        minlength=count * size,
-    ).reshape(count, size)
+    with np.errstate(over="ignore"):  # refused below
+        energy = np.bincount(
+            (block_index(squared) * size + np.arange(size)).ravel(),
+            weights=(table.real**2 + table.imag**2).ravel(),
+            minlength=count * size,
+        ).reshape(count, size)
+    if not np.isfinite(energy).all():
+        raise OverflowError("the certificate's block energies sum |hat{a}(d, xi)|^2 beyond float64")
+    besov = BesovParams(w, 2.0, 2.0)
     return float(fsum(
         weighted_norm(list(enumerate(norms)), besov) ** r
         for norms in np.sqrt(energy).T.tolist()

@@ -1,11 +1,10 @@
 """Quantization of symbols on the torus.
 
 T_a f(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi) sends the character e_xi to
-sum_eta hat{a}(eta - xi, xi) e_eta.  ``CompressedOperator`` holds T_a
-compressed to a row lattice (eta) and a column lattice (xi) as the S x L table
-of the symbol's x-Fourier support (``symbols.x_fourier_support``); column xi
-holds the coefficients of the rank-one factor H_xi = e_xi a(., xi).  Over one
-lattice it has exactly the trace and spectrum of P_N T_a P_N.
+sum_eta hat{a}(eta - xi, xi) e_eta.  ``CompressedOperator`` holds P_N T_a P_N,
+T_a compressed to the lattice |xi|_inf <= N, as the S x L table of the symbol's
+x-Fourier support (``symbols.x_fourier_support``) in the difference box
+|eta - xi|_inf <= 2N.
 
 ``eigenvalues`` solves it one connected component of its nonzero pattern at a
 time, each block gathered from the table: a multiplier gives 1 x 1 blocks,
@@ -35,8 +34,8 @@ class EigensolverError(RuntimeError):
 
 
 class CompressedOperator:
-    """T_a compressed to the character bases of ``rows`` (eta) and ``columns``
-    (xi) as its x-Fourier support table; only ``entries`` is rows x columns.
+    """T_a compressed to the character basis of ``lattice`` as its x-Fourier
+    support table; only ``entries`` is L x L.
 
     Entry (eta, xi) is hat{a}(eta - xi, xi): row k of ``table`` when eta - xi is
     support point k, else the appended zero row.  ``slot`` maps each radix key
@@ -45,49 +44,47 @@ class CompressedOperator:
     refused with OverflowError; no eigensolver could use it.
     """
 
-    def __init__(self, a: Symbol, rows: FrequencyLattice, columns: FrequencyLattice):
-        if not a.dim == rows.dim == columns.dim:
-            raise ValueError(
-                f"dimension mismatch: symbol dim {a.dim}, lattice dims {rows.dim}, {columns.dim}")
-        self.rows, self.columns, self.shape = rows, columns, (len(rows), len(columns))
-        span = rows.radius + columns.radius
+    def __init__(self, a: Symbol, lattice: FrequencyLattice):
+        if a.dim != lattice.dim:
+            raise ValueError(f"dimension mismatch: symbol dim {a.dim}, lattice dim {lattice.dim}")
+        self.lattice, self.shape = lattice, (len(lattice), len(lattice))
+        span = 2 * lattice.radius
         self.support = x_fourier_support(a, span)
-        table = x_fourier_table(a, self.support, columns)  # (S, L)
+        table = x_fourier_table(a, self.support, lattice)  # (S, L)
         if not np.isfinite(table).all():
             raise OverflowError(
-                f"the symbol's x-Fourier table hat{{a}}(eta, xi) for |xi|_inf <= {columns.radius} "
+                f"the symbol's x-Fourier table hat{{a}}(eta, xi) for |xi|_inf <= {lattice.radius} "
                 "is not finite in float64")
-        self.table = np.concatenate([table, np.zeros((1, len(columns)), dtype=table.dtype)])
+        self.table = np.concatenate([table, np.zeros((1, len(lattice)), dtype=table.dtype)])
         radix = (2 * span + 1) ** np.arange(a.dim - 1, -1, -1)
         self._zero_key = span * int(radix.sum())
         self.slot = np.full((2 * span + 1) ** a.dim, len(self.support))
         self.slot[self.support @ radix + self._zero_key] = np.arange(len(self.support))
-        self._row_keys = rows.points @ radix + self._zero_key
-        self._column_keys = columns.points @ radix
+        self._keys = lattice.points @ radix
 
     def __getitem__(self, index) -> np.ndarray:
         """Entries (eta_i, xi_j) for a pair (i, j) of broadcastable index arrays."""
         i, j = index
-        return self.table[self.slot[self._row_keys[i] - self._column_keys[j]], j]
+        return self.table[self.slot[self._keys[i] - self._keys[j] + self._zero_key], j]
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense (rows x columns) matrix, one gather."""
-        return self[np.arange(len(self.rows))[:, None], np.arange(len(self.columns))]
+        """The dense (L x L) matrix, one gather."""
+        return self[np.arange(len(self.lattice))[:, None], np.arange(len(self.lattice))]
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """``np.nonzero`` of ``entries`` up to order: (xi + d, xi) for each nonzero
-        table entry (d, xi) with xi + d in the row box, one axis at a time."""
-        inside, row = self.table[:-1] != 0, 0
-        for d, xi in zip(self.support.T, self.columns.points.T):
+        table entry (d, xi) with xi + d in the box, one axis at a time."""
+        inside, row, radius = self.table[:-1] != 0, 0, self.lattice.radius
+        for d, xi in zip(self.support.T, self.lattice.points.T):
             eta = d[:, None] + xi
-            inside &= np.abs(eta) <= self.rows.radius
-            row = row * (2 * self.rows.radius + 1) + eta + self.rows.radius
+            inside &= np.abs(eta) <= radius
+            row = row * (2 * radius + 1) + eta + radius
         k, j = np.nonzero(inside)
         return row[k, j], j
 
     def diagonal(self) -> np.ndarray:
-        """hat{a}(0, xi) over the columns: the table row of d = 0."""
+        """hat{a}(0, xi) over the lattice: the table row of d = 0."""
         return self.table[self.slot[self._zero_key]]
 
     def trace(self) -> complex:
@@ -119,7 +116,7 @@ def component_labels(side: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(matrix, with_residuals: bool = False):
-    """All eigenvalues of a square ``CompressedOperator`` or dense complex matrix,
+    """All eigenvalues of a ``CompressedOperator`` or square dense complex matrix,
     in canonical order.
 
     The matrix is split into the connected components of its symmetrised

@@ -59,7 +59,7 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     operators: list[CompressedOperator] = []
     for radius in reversed(radii):
         lattice = FrequencyLattice(a.dim, radius)
-        operators.insert(0, CompressedOperator(a, lattice, lattice))
+        operators.insert(0, CompressedOperator(a, lattice))
     history: list[RadiusRecord] = []
     for radius, op in zip(radii, operators):
         nuc = op.trace()
@@ -84,6 +84,7 @@ def tail_estimate(a: Symbol, lattice: FrequencyLattice, order_hint: float) -> fl
 
     The envelope constant is calibrated on the outermost lattice shell, so the
     bound is tight exactly when the symbol really follows C <xi>^{order_hint}.
+    A bound that is not finite in float64 raises OverflowError.
     """
     n = lattice.dim
     if not order_hint < -n:
@@ -97,5 +98,9 @@ def tail_estimate(a: Symbol, lattice: FrequencyLattice, order_hint: float) -> fl
     pts = lattice.points[boundary]
     sups = np.asarray(a.x_sup_abs(pts), dtype=np.float64)
     brackets = lattice.brackets()[boundary]
-    envelope = float((sups * brackets ** (-order_hint)).max()) if pts.size else 0.0
-    return envelope * power_tail_bound(n, order_hint, radius)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        envelope = float((sups * brackets ** (-order_hint)).max()) if pts.size else 0.0
+    bound = envelope * power_tail_bound(n, order_hint, radius)
+    if not np.isfinite(bound):
+        raise OverflowError(f"the envelope C <xi>^{order_hint:g} of the outermost shell leaves float64")
+    return bound

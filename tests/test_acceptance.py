@@ -98,7 +98,7 @@ def test_criterion_04_lidskii_compressions():
     residual_ok = True
     for radius in (4, 8, 16):
         lattice = FrequencyLattice(1, radius)
-        mat = CompressedOperator(a, lattice, lattice)
+        mat = CompressedOperator(a, lattice)
         res = eigenvalues(mat, with_residuals=True)[1]
         residual_ok &= res.max() <= 1e-9 * np.linalg.norm(mat.entries, 2)
     ok = diffs_ok and shrink >= 6.0 and residual_ok
@@ -109,7 +109,7 @@ def test_criterion_04_lidskii_compressions():
 def test_criterion_05_multiplier_spectrum_identity():
     lat = FrequencyLattice(1, 8)
     a = bessel_symbol(-4.0)
-    mat = CompressedOperator(a, lat, lat)
+    mat = CompressedOperator(a, lat)
     eigs = eigenvalues(mat)
     expect = np.sort_complex(lat.brackets() ** -4.0 + 0j)
     multiset_ok = np.abs(np.sort_complex(eigs) - expect).max() <= 1e-12
@@ -197,7 +197,7 @@ def test_criterion_10_order_recovery():
 def test_criterion_11_quasinorm_and_w_independence(capsys):
     lat = FrequencyLattice(1, 16)
     a = bessel_symbol(-4.0)
-    bound = nuclear_quasinorm_bound(a, 1.0, BesovParams(0, 2, 2), lat)
+    bound = nuclear_quasinorm_bound(a, 1.0, 0.0, lat)
     closed = fsum((1.0 + k * k) ** -2.0 for k in range(-16, 17))
     closed_ok = abs(bound - closed) <= 1e-10
     lines = []

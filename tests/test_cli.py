@@ -811,7 +811,7 @@ class TestSpectrumCommand:
         ])
         assert code == 0, err
         lat = FrequencyLattice(2, 2)
-        matrix = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0), 2), lat, lat)
+        matrix = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0), 2), lat)
         rows = []
         for i in range(len(matrix.entries)):
             for j in range(len(matrix.entries)):
@@ -965,20 +965,36 @@ class TestRangeRefusedAtParser:
 
 class TestWeightOverflow:
     """A dyadic weight 2^{m w}, or its q-th power, beyond float64 is refused
-    (exit 2) with the flag to lower, not raised as an OverflowError."""
+    (exit 2) with the flag to lower, not raised as an OverflowError; so is a
+    certificate whose block energies leave float64 (the symbol's flags, too),
+    and a tail envelope C <xi>^{order hint} that does (the flag to move), with
+    no numpy RuntimeWarning."""
 
-    @pytest.mark.parametrize("argv, flag", [
+    symbol_flags = "lower --certify-w, or lower --m or --c, or raise --t"
+
+    @pytest.mark.parametrize("argv, remedy", [
         (["trace", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "4",
-          "--certify-w", "400"], "--certify-w"),
+          "--certify-w", "400"], "lower --certify-w"),
         (["besov-norm", "--character", "4", "--w", "1000", "--p", "2", "--q", "2",
-          "--radius", "8"], "--w"),
+          "--radius", "8"], "lower --w"),
         (["approx-demo", "--stock", "8", "--w", "400", "--p", "2", "--q", "2",
-          "--n-values", "1"], "--w"),
-    ], ids=["trace", "besov-norm", "approx-demo"])
-    def test_exit_2_names_the_flag(self, capsys, argv, flag):
-        code, out, err = run(capsys, argv)
+          "--n-values", "1"], "lower --w"),
+        (["trace", "--symbol", "modulated", "--c", "1e200", "--m", "-4", "--radius", "4",
+          "--certify-w", "1"], symbol_flags),
+        (["trace", "--symbol", "bessel", "--m", "150", "--dim", "2", "--radius", "8",
+          "--certify-w", "1"], symbol_flags),
+        (["trace", "--symbol", "modulated", "--c", "1e160", "--m", "-4", "--radius", "4",
+          "--certify-w", "-300"], symbol_flags),
+        (["trace", "--symbol", "bessel", "--m", "-4", "--radius", "4", "--order-hint", "-1000"],
+         "pass an --order-hint nearer the symbol's order"),
+    ], ids=["trace", "besov-norm", "approx-demo", "certificate-c", "certificate-m",
+            "certificate-negative-w", "order-hint"])
+    def test_exit_2_names_the_flag(self, capsys, argv, remedy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
-        assert "Traceback" not in err and f"lower {flag}" in err
+        assert "Traceback" not in err and remedy in err
 
 
 class TestLebesgueExponentRange:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torustrace.besov import BesovParams
 from torustrace.criteria import (
     Clause,
     _lattice_power_sums,
@@ -319,25 +318,24 @@ class TestQuasinormBound:
 
         lat = FrequencyLattice(1, 8)
         z = SampledSymbol(1, min_grid_size(8), lat, np.zeros((min_grid_size(8), len(lat))))
-        assert nuclear_quasinorm_bound(z, 1.0, BesovParams(0, 2, 2), lat) == 0.0
+        assert nuclear_quasinorm_bound(z, 1.0, 0.0, lat) == 0.0
 
     def test_multiplier_closed_form_w0(self):
         lat = FrequencyLattice(1, 16)
-        b = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, BesovParams(0, 2, 2), lat)
+        b = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, 0.0, lat)
         oracle = fsum((1.0 + k * k) ** -2.0 for k in range(-16, 17))
         assert abs(b - oracle) <= 1e-10
         assert b == pytest.approx(1.6135264632816448, abs=1e-12)
 
     def test_multiplier_increment_small(self):
-        p = BesovParams(0, 2, 2)
-        b16 = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, p, FrequencyLattice(1, 16))
-        b32 = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, p, FrequencyLattice(1, 32))
+        b16 = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, 0.0, FrequencyLattice(1, 16))
+        b32 = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, 0.0, FrequencyLattice(1, 32))
         assert 0 < b32 - b16 < 1e-3
 
     def test_multiplier_weighted_blocks(self):
         # with w = 1 each character picks up its dyadic factor 2^{m_xi}
         lat = FrequencyLattice(1, 16)
-        b = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, BesovParams(1, 2, 2), lat)
+        b = nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.0, 1.0, lat)
 
         def block(k):
             if k == 0:
@@ -350,22 +348,19 @@ class TestQuasinormBound:
 
     def test_modulated_stability(self):
         a = modulated_symbol(2.0, BracketPower(-4.0))
-        p = BesovParams(0, 2, 2)
-        b16 = nuclear_quasinorm_bound(a, 1.0, p, FrequencyLattice(1, 16))
-        b32 = nuclear_quasinorm_bound(a, 1.0, p, FrequencyLattice(1, 32))
+        b16 = nuclear_quasinorm_bound(a, 1.0, 0.0, FrequencyLattice(1, 16))
+        b32 = nuclear_quasinorm_bound(a, 1.0, 0.0, FrequencyLattice(1, 32))
         assert abs(b32 - b16) <= 0.01 * b16
 
     def test_r_power_multiplier(self):
         lat = FrequencyLattice(1, 12)
-        b = nuclear_quasinorm_bound(bessel_symbol(-4.0), 0.5, BesovParams(0, 2, 2), lat)
+        b = nuclear_quasinorm_bound(bessel_symbol(-4.0), 0.5, 0.0, lat)
         oracle = fsum(((1.0 + k * k) ** -2.0) ** 0.5 for k in range(-12, 13))
         assert abs(b - oracle) <= 1e-10
 
     def test_r_validated(self):
         with pytest.raises(ValueError):
-            nuclear_quasinorm_bound(
-                bessel_symbol(-4.0), 1.5, BesovParams(0, 2, 2), FrequencyLattice(1, 4)
-            )
+            nuclear_quasinorm_bound(bessel_symbol(-4.0), 1.5, 0.0, FrequencyLattice(1, 4))
 
 
 HAND_TABLE = [

@@ -201,14 +201,14 @@ class TestMultiplierTrace:
         dual = enumerate_dual("torus", 16, dim=1)
         lat = FrequencyLattice(1, 16)
         via_dual = summed_series(dual, dual.bracket**-4.0)[0]
-        via_lattice = CompressedOperator(bessel_symbol(-4.0), lat, lat).trace()
+        via_lattice = CompressedOperator(bessel_symbol(-4.0), lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-12
 
     def test_gaussian_cross_module(self):
         dual = enumerate_dual("torus", 6, dim=1)
         lat = FrequencyLattice(1, 6)
         via_dual = summed_series(dual, np.exp(-dual.lam))[0]
-        via_lattice = CompressedOperator(heat_symbol(1.0), lat, lat).trace()
+        via_lattice = CompressedOperator(heat_symbol(1.0), lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-14
 
 

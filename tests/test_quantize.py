@@ -59,7 +59,7 @@ class TestApply:
 class TestOperatorMatrix:
     def test_multiplier_is_diagonal(self):
         lat = FrequencyLattice(1, 4)
-        mat = CompressedOperator(bessel_symbol(-4.0), lat, lat)
+        mat = CompressedOperator(bessel_symbol(-4.0), lat)
         off = mat.entries - np.diag(np.diag(mat.entries))
         assert np.abs(off).max() == 0.0
         expect = lat.brackets() ** -4.0
@@ -68,7 +68,7 @@ class TestOperatorMatrix:
     def test_modulated_tridiagonal_structure(self):
         g = BracketPower(-4.0)
         lat = FrequencyLattice(1, 4)
-        mat = CompressedOperator(modulated_symbol(2.0, g), lat, lat)
+        mat = CompressedOperator(modulated_symbol(2.0, g), lat)
         gv = g.values(lat.points)
         for j, xi in enumerate(lat.points[:, 0]):
             for i, eta in enumerate(lat.points[:, 0]):
@@ -83,7 +83,7 @@ class TestOperatorMatrix:
 
     def test_trace_equals_zero_mode_sum(self):
         lat = FrequencyLattice(1, 4)
-        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0)), lat, lat)
+        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0)), lat)
         oracle = fsum(2.0 * (1.0 + k * k) ** -2.0 for k in range(-4, 5))
         assert mat.trace() == pytest.approx(oracle, abs=1e-14)
         assert mat.trace().real == pytest.approx(3.2138408304498269, abs=1e-12)
@@ -91,7 +91,7 @@ class TestOperatorMatrix:
     def test_consistency_with_apply(self, rng):
         lat = FrequencyLattice(1, 4)
         a = modulated_symbol(2.0, BracketPower(-2.0))
-        mat = CompressedOperator(a, lat, lat)
+        mat = CompressedOperator(a, lat)
         for _ in range(20):
             f = random_bandlimited(lat, min_grid_size(4), rng)
             lhs = forward_transform(apply_symbol(a, f, lat), lat).coeffs
@@ -101,7 +101,7 @@ class TestOperatorMatrix:
     def test_consistency_with_apply_2d(self, rng):
         lat = FrequencyLattice(2, 2)
         a = modulated_symbol(2.0, BracketPower(-2.0), dim=2)
-        mat = CompressedOperator(a, lat, lat)
+        mat = CompressedOperator(a, lat)
         f = random_bandlimited(lat, min_grid_size(2), rng)
         lhs = forward_transform(apply_symbol(a, f, lat), lat).coeffs
         rhs = mat.entries @ forward_transform(f, lat).coeffs
@@ -112,12 +112,12 @@ class TestOperatorMatrix:
 
         lat = FrequencyLattice(2, 2)
         a = modulated_symbol(2.0, BracketPower(-1.5), dim=2)
-        mat = CompressedOperator(a, lat, lat)
+        mat = CompressedOperator(a, lat)
         for i, eta in enumerate(lat.points):
             for j, xi in enumerate(lat.points):
                 expect = symbol_fourier(a, eta - xi, xi)
                 assert mat.entries[i, j] == pytest.approx(expect, abs=1e-14)
-        sampled = CompressedOperator(sample_symbol(a, min_grid_size(2), lat), lat, lat)
+        sampled = CompressedOperator(sample_symbol(a, min_grid_size(2), lat), lat)
         assert np.abs(sampled.entries - mat.entries).max() < 1e-13
 
 
@@ -147,28 +147,28 @@ class TestEigenvalues:
 
     def test_residuals_within_tolerance(self):
         lat = FrequencyLattice(1, 8)
-        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0)), lat, lat)
+        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0)), lat)
         res = eigenvalues(mat, with_residuals=True)[1]
         norm = np.linalg.norm(mat.entries, 2)
         assert res.max() <= 1e-9 * norm
 
     def test_eigen_sum_matches_trace(self):
         lat = FrequencyLattice(1, 6)
-        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0)), lat, lat)
+        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-4.0)), lat)
         eigs = eigenvalues(mat)
         assert abs(fsum_complex(eigs) - mat.trace()) <= 1e-9 * (1 + abs(mat.trace()))
 
     def test_multiplier_diagonalization_multiset(self):
         lat = FrequencyLattice(1, 6)
         a = bessel_symbol(-4.0)
-        eigs = eigenvalues(CompressedOperator(a, lat, lat))
+        eigs = eigenvalues(CompressedOperator(a, lat))
         expect = np.sort_complex(lat.brackets() ** -4.0 + 0j)
         got = np.sort_complex(eigs)
         assert np.abs(got - expect).max() <= 1e-12
 
     def test_similarity_invariance(self, rng):
         lat = FrequencyLattice(1, 5)
-        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-3.0)), lat, lat)
+        mat = CompressedOperator(modulated_symbol(2.0, BracketPower(-3.0)), lat)
         phases = np.exp(2j * np.pi * rng.random(len(mat.entries)))
         d = np.diag(phases)
         conj = d @ mat.entries @ np.conj(d).T
@@ -183,7 +183,7 @@ class TestEigenvalues:
     def test_nilpotent_shift_matrix(self):
         # character symbol compresses to a shift; spectrum is {0}, trace 0
         lat = FrequencyLattice(1, 3)
-        mat = CompressedOperator(character_symbol(), lat, lat)
+        mat = CompressedOperator(character_symbol(), lat)
         assert mat.trace() == 0
         eigs = eigenvalues(mat)
         assert np.abs(eigs).max() < 1e-8

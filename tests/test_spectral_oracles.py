@@ -104,7 +104,7 @@ def test_catalog_matrix_bit_identical(dim, radius, k):
     diffs = FrequencyLattice(dim, 2 * radius).points
     table = oracles.catalog_x_fourier_table(a, diffs, lat)
     assert np.array_equal(x_fourier_table(a, diffs, lat), table)
-    assert np.array_equal(CompressedOperator(a, lat, lat).entries, oracles.operator_matrix(table, lat))
+    assert np.array_equal(CompressedOperator(a, lat).entries, oracles.operator_matrix(table, lat))
 
 
 @pytest.mark.parametrize("dim,radius,grid", [(1, 3, 14), (1, 3, 9), (2, 2, 10), (2, 2, 7)])
@@ -114,7 +114,7 @@ def test_sampled_matrix(dim, radius, grid):
     a = SampledSymbol(dim, grid, lat, table)
     diffs = FrequencyLattice(dim, 2 * radius).points
     want = oracles.operator_matrix(oracles.sampled_x_fourier_table(a, diffs), lat)
-    _close(CompressedOperator(a, lat, lat).entries, want)
+    _close(CompressedOperator(a, lat).entries, want)
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 0), (1, 5), (2, 3)])

@@ -107,30 +107,32 @@ def test_table_vanishes_off_the_support(drawn, radius):
 
 
 @settings(max_examples=120, deadline=None)
-@given(drawn=symbols(), row_radius=st.integers(0, 9), column_radius=st.integers(0, 4))
-def test_compression_matches_dense_gather(drawn, row_radius, column_radius):
-    # square, wider rows (the certificate's shape) and narrower rows; a sampled
-    # table answers every column lattice up to its own radius
+@given(drawn=symbols(), radius=st.integers(0, 4))
+def test_compression_matches_dense_gather(drawn, radius):
+    # a sampled table answers every lattice up to its own radius
     a, table_radius = drawn
     if table_radius is not None:
-        column_radius = min(column_radius, table_radius)
-    rows = FrequencyLattice(a.dim, row_radius)
-    columns = FrequencyLattice(a.dim, column_radius)
-    got = CompressedOperator(a, rows, columns).entries
-    assert got.shape == (len(rows), len(columns)) and got.flags.c_contiguous
-    assert np.array_equal(got, oracles.dense_compression(a, rows, columns))
-    square = CompressedOperator(a, columns, columns).entries
-    assert np.array_equal(square, oracles.dense_compression(a, columns, columns))
+        radius = min(radius, table_radius)
+    lattice = FrequencyLattice(a.dim, radius)
+    got = CompressedOperator(a, lattice).entries
+    assert got.shape == (len(lattice), len(lattice)) and got.flags.c_contiguous
+    assert np.array_equal(got, oracles.dense_compression(a, lattice, lattice))
 
 
 @pytest.mark.parametrize("dim, grid", [(1, 8), (1, 9), (2, 6), (2, 7)])
 def test_certificate_shape_reaches_the_window_edge(dim, grid):
-    # rows N + M//2 as the certificate builds them: differences up to N + M//2 + N,
-    # past the window, and eta = +-M/2 for even M
+    # H_xi's coefficients at rows xi + d out to N + M//2, as the certificate reads
+    # them from the support table: differences past the window, and eta = +-M/2
+    # for even M, scattered into the dense columns with rows N + M//2
     a = _sampled(dim, 3, grid, 5)
-    rows, columns = FrequencyLattice(dim, 3 + grid // 2), FrequencyLattice(dim, 3)
-    assert np.array_equal(CompressedOperator(a, rows, columns).entries,
-                          oracles.dense_compression(a, rows, columns))
+    columns = FrequencyLattice(dim, 3)
+    support = x_fourier_support(a)
+    rows = FrequencyLattice(dim, 3 + int(np.abs(support).max()))
+    table = x_fourier_table(a, support, columns)
+    dense = np.zeros((len(rows), len(columns)), dtype=table.dtype)
+    for d, coefficients in zip(support, table):
+        dense[rows.indices_of(d + columns.points), np.arange(len(columns))] = coefficients
+    assert np.array_equal(dense, oracles.dense_compression(a, rows, columns))
 
 
 @settings(max_examples=80, deadline=None)
