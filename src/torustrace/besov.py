@@ -13,9 +13,11 @@ lattice by |xi| or by <xi> gives the same blocks and the same numbers.
 
 Every dyadic norm goes through ``block_norms``: a function's block L^p norms
 from its coefficients, all blocks synthesized by one inverse FFT.
-``coefficient_norm`` weights that table; the ``besov-norm`` table, the
-partial-sum errors and the quasi-norm certificate all start from
-coefficients.
+``coefficient_norm`` weights that table, and ``partial_sum_convergence``
+norms the residuals of the truncations S_N f with it (the approximation
+demonstration).  The ``besov-norm`` table, the partial-sum errors and the
+quasi-norm certificate all start from coefficients; only a sampled input
+file is transformed to get them.
 """
 
 from __future__ import annotations
@@ -93,3 +95,24 @@ def coefficient_norm(c: FourierCoefficients, params: BesovParams, grid_size: int
     synthesized on a ``grid_size`` grid for its L^p norm."""
     return weighted_norm(block_norms(c, params.p, grid_size), params)
 
+
+def partial_sum_convergence(
+    c: FourierCoefficients, besov: BesovParams, n_values, grid_size: int
+) -> list[tuple[float, float]]:
+    """Dyadic-norm error of the bracket-cutoff partial sums S_N f of the function
+    with coefficients ``c``, each residual's blocks synthesized on a ``grid_size`` grid.
+
+    S_N keeps the frequencies with <xi> <= N, the finite-rank truncations whose
+    strong convergence underlies the approximation property.  For a
+    trigonometric polynomial of degree D the error vanishes once N >= <D>.
+    The residual f - S_N f is ``c`` with the kept coefficients zeroed.
+    """
+    sq = c.lattice.squared_norms().astype(np.float64)
+    rows: list[tuple[float, float]] = []
+    for n_cut in n_values:
+        n_cut = float(n_cut)
+        # drop <xi> > N; comparing squares alone would keep xi = 0 at N = -1
+        dropped = (n_cut < 0) | (1.0 + sq > n_cut * n_cut)
+        residual = FourierCoefficients(c.lattice, np.where(dropped, c.coeffs, 0.0))
+        rows.append((n_cut, coefficient_norm(residual, besov, grid_size)))
+    return rows

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .besov import BesovParams, block_index, block_norms, weighted_norm
+from .besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norm
 from .criteria import (SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, check_t1, check_t2, check_tt1,
                        nuclear_quasinorm_bound)
 from .groups import (
@@ -35,15 +35,12 @@ from .groups import (
     bessel_terms,
     enumerate_dual,
     heat_terms,
-    partial_sum_convergence,
     summed_series,
 )
 from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
-    PeriodicFunction,
     forward_transform,
-    inverse_transform,
     max_alias_free_radius,
     min_grid_size,
 )
@@ -228,7 +225,7 @@ def _add_symbol_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_function_flags(sub: argparse.ArgumentParser) -> None:
-    """The input function and norm of the dyadic commands (``build_function``)."""
+    """The input function and norm of the dyadic commands (``build_coefficients``)."""
     sub.add_argument("--input", help="periodic-function JSON file")
     sub.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
     sub.add_argument("--stock", type=_number(int, low=0), help="use the stock family truncated at K")
@@ -272,20 +269,6 @@ def build_symbol(args) -> Symbol:
     return character_symbol(dim)
 
 
-def _stock_function(k_max: int, grid_size: int) -> PeriodicFunction:
-    """sum_{|xi| <= K} <xi>^{-2} e^{i 2 pi x xi} on a margin-safe grid."""
-    lattice = FrequencyLattice(1, k_max)
-    coeffs = lattice.brackets() ** -2.0
-    return inverse_transform(FourierCoefficients(lattice, coeffs), grid_size)
-
-
-def _character_function(k: int, grid_size: int) -> PeriodicFunction:
-    lattice = FrequencyLattice(1, abs(k) if k != 0 else 1)
-    coeffs = np.zeros(len(lattice), dtype=np.complex128)
-    coeffs[lattice.index_of((k,))] = 1.0
-    return inverse_transform(FourierCoefficients(lattice, coeffs), grid_size)
-
-
 def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | None) -> None:
     """Refuse a dyadic-norm run above DUAL_SIZE_LIMIT points before anything is
     built: its analysis lattice, and its block synthesis, which holds one copy of
@@ -310,32 +293,42 @@ def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | Non
     )
 
 
-def build_function(args, analysis_radius: int | None = None) -> PeriodicFunction:
-    """The input function of ``besov-norm``/``approx-demo``, refused (exit 2) when
-    its sizes exceed the dyadic-norm budget."""
+def build_coefficients(args, radius: int | None) -> tuple[FourierCoefficients, int]:
+    """The input of ``besov-norm``/``approx-demo`` as coefficients on its analysis
+    lattice (``radius``, or the grid's largest alias-free one when None), and the
+    grid its blocks are synthesized on; refused (exit 2) when its sizes exceed the
+    dyadic-norm budget.  Only an ``--input`` file goes through a transform: the
+    catalog inputs are written onto the lattice as they are defined."""
     sources = [args.input is not None, args.character is not None, args.stock is not None]
     if sum(sources) != 1:
         raise ValidationError(
             "give exactly one input: --input FILE, --character K, or --stock K"
         )
     if args.input is not None:
+        _require(args.grid is None, "--input carries its own grid; drop --grid")
         try:
             f = load_periodic_function(args.input)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"malformed function file: {exc}") from exc
-        _require_dyadic_budget(args, f.dim, f.grid_size, analysis_radius)
-        return f
-    content = abs(args.character) if args.character is not None else args.stock
-    needed = min_grid_size(max(content, 1, analysis_radius or 0))
-    grid = needed if args.grid is None else args.grid
-    if grid < needed:
-        raise ValidationError(
-            f"--grid {grid} is below the anti-aliasing margin {needed}; raise it"
-        )
-    _require_dyadic_budget(args, 1, grid, analysis_radius)
-    if args.character is not None:
-        return _character_function(args.character, grid)
-    return _stock_function(args.stock, grid)
+        dim, grid = f.dim, f.grid_size
+    else:
+        content = abs(args.character) if args.character is not None else args.stock
+        needed = min_grid_size(max(content, 1, radius or 0))
+        dim, grid = 1, needed if args.grid is None else args.grid
+        if grid < needed:
+            raise ValidationError(
+                f"--grid {grid} is below the anti-aliasing margin {needed}; raise it"
+            )
+    _require_dyadic_budget(args, dim, grid, radius)
+    lattice = FrequencyLattice(dim, max_alias_free_radius(grid) if radius is None else radius)
+    if args.input is not None:
+        return forward_transform(f, lattice), grid
+    k = lattice.points[:, 0]
+    if args.character is not None:  # e^{i 2 pi K x}
+        coeffs = k == args.character
+    else:  # the stock family sum_{|k| <= K} <k>^{-2} e^{i 2 pi k x}
+        coeffs = np.where(np.abs(k) <= args.stock, lattice.brackets() ** -2.0, 0.0)
+    return FourierCoefficients(lattice, coeffs), grid
 
 
 def _multi_index(vals: list[int], dim: int, flag: str) -> tuple[int, ...]:
@@ -388,17 +381,9 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     try:
         op = CompressedOperator(a, lattice)
         nuc = op.trace()  # the support table's zero row: sum_xi hat{a}(0, xi)
-        eigs = eigenvalues(op)
-        spec = fsum_complex(eigs)
     except OverflowError as exc:
         raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
-    body = {
-        "radius": args.radius,
-        "nuclear_trace": nuc,
-        "spectral_trace": spec,
-        "abs_difference": abs(nuc - spec),
-        "eigenvalue_count": int(eigs.size),
-    }
+    # the diagnostics' refusals come before the eigensolver, the run's costliest step
     diagnostics: dict = {"trace_identity_tolerance": TRACE_IDENTITY_TOL}
     if args.order_hint is not None:
         try:
@@ -418,6 +403,18 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
             "r": 1.0,
             "bound": bound,
         }
+    try:
+        eigs = eigenvalues(op)
+        spec = fsum_complex(eigs)
+    except OverflowError as exc:
+        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
+    body = {
+        "radius": args.radius,
+        "nuclear_trace": nuc,
+        "spectral_trace": spec,
+        "abs_difference": abs(nuc - spec),
+        "eigenvalue_count": int(eigs.size),
+    }
     return body, diagnostics, None
 
 
@@ -459,10 +456,9 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_besov_norm(args) -> tuple[dict, dict, CsvTable | None]:
-    f = build_function(args, analysis_radius=args.radius)
-    lattice = FrequencyLattice(f.dim, args.radius)
+    c, grid = build_coefficients(args, args.radius)
     params = BesovParams(args.w, args.p, args.q)
-    blocks = block_norms(forward_transform(f, lattice), args.p, f.grid_size)
+    blocks = block_norms(c, args.p, grid)
     try:
         norm = weighted_norm(blocks, params)
     except OverflowError as exc:
@@ -622,11 +618,10 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_approx_demo(args) -> tuple[dict, dict, CsvTable | None]:
-    f = build_function(args, analysis_radius=args.radius)
-    lattice = None if args.radius is None else FrequencyLattice(f.dim, args.radius)
+    c, grid = build_coefficients(args, args.radius)
     params = BesovParams(args.w, args.p, args.q)
     try:
-        rows = partial_sum_convergence(f, params, args.n_values, lattice)
+        rows = partial_sum_convergence(c, params, args.n_values, grid)
     except OverflowError as exc:
         raise ValidationError(_overflow_remedy(args.w, "--w or --q")) from exc
     body = {

@@ -1,5 +1,4 @@
-"""Unitary-dual data for the torus and SU(2), closed-form trace series, and
-the truncated-synthesis approximation demonstration.
+"""Unitary-dual data for the torus and SU(2) and closed-form trace series.
 
 Normalization (stated in every report header): the torus dual point xi in Z^n
 carries dimension 1 and Laplacian eigenvalue |xi|^2, so the group bracket
@@ -26,15 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovParams, block_index, block_sums, coefficient_norm
+from .besov import block_index, block_sums
 from .criteria import certify_shell_sums
-from .harmonic import (
-    FourierCoefficients,
-    FrequencyLattice,
-    PeriodicFunction,
-    forward_transform,
-    max_alias_free_radius,
-)
 from .sums import fsum
 
 GROUPS = ("torus", "su2")
@@ -224,31 +216,3 @@ def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     dp = legendre(x)[1]
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
-
-
-def partial_sum_convergence(
-    f: PeriodicFunction,
-    besov: BesovParams,
-    n_values,
-    lattice: FrequencyLattice | None = None,
-) -> list[tuple[float, float]]:
-    """Dyadic-norm error of the bracket-cutoff partial sums S_N f.
-
-    S_N keeps the frequencies with <xi> <= N, the finite-rank truncations whose
-    strong convergence underlies the approximation property.  For a
-    trigonometric polynomial of degree D the error vanishes once N >= <D>.
-    The residual f - S_N f is normed from f's coefficients with the kept ones
-    zeroed: one transform for all N.
-    """
-    if lattice is None:
-        lattice = FrequencyLattice(f.dim, max_alias_free_radius(f.grid_size))
-    c = forward_transform(f, lattice)
-    sq = lattice.squared_norms().astype(np.float64)
-    rows: list[tuple[float, float]] = []
-    for n_cut in n_values:
-        n_cut = float(n_cut)
-        # drop <xi> > N; comparing squares alone would keep xi = 0 at N = -1
-        dropped = (n_cut < 0) | (1.0 + sq > n_cut * n_cut)
-        residual = FourierCoefficients(lattice, np.where(dropped, c.coeffs, 0.0))
-        rows.append((n_cut, coefficient_norm(residual, besov, f.grid_size)))
-    return rows

@@ -10,12 +10,12 @@ Conventions fixed here and used by the whole package:
 * integrals are rectangle-rule averages, exact on band-limited integrands
   under the anti-aliasing margin ``M >= 2(2N+1)``.
 
-Transforms run as one FFT on the ``M^dim`` grid cube, with lattice point
-``xi`` stored at cube index ``xi mod M``; the margin keeps wrapped indices
+The forward transform is one FFT on the ``M^dim`` grid cube, lattice point
+``xi`` read at cube index ``xi mod M``; the margin keeps wrapped indices
 distinct.  FFT output is byte-identical across runs of one build but, unlike
 the exactly rounded scalar reductions (``sums``), depends on summation order
-in the last bits.  Partial syntheses (one dyadic block at a time) live in
-``besov.block_norms``, which runs all blocks through one batched inverse FFT.
+in the last bits.  The one synthesis is ``besov.block_norms``: every dyadic
+block of a coefficient vector through one batched inverse FFT.
 ``box_points`` is the one enumeration of an integer max-norm box: the lattice
 and the sampled x-Fourier support (``symbols``) both build their points with it.  The
 Japanese bracket <xi> = (1 + |xi|^2)^{1/2} of every lattice point is
@@ -173,16 +173,6 @@ def forward_transform(f: PeriodicFunction, lattice: FrequencyLattice) -> Fourier
     _require_margin(f.grid_size, lattice.radius, "forward_transform")
     cube = np.fft.fftn(f.values.reshape((f.grid_size,) * f.dim), norm="forward")
     return FourierCoefficients(lattice, cube[tuple((lattice.points % f.grid_size).T)])
-
-
-def inverse_transform(c: FourierCoefficients, grid_size: int) -> PeriodicFunction:
-    """Synthesis f(x_i) = sum_xi e^{i2pi<x_i, xi>} c[xi] on an M-point grid, by one
-    inverse FFT of the cube holding c[xi] at ``xi mod M``."""
-    _require_margin(grid_size, c.lattice.radius, "inverse_transform")
-    dim = c.lattice.dim
-    cube = np.zeros((grid_size,) * dim, dtype=np.complex128)
-    cube[tuple((c.lattice.points % grid_size).T)] = c.coeffs
-    return PeriodicFunction(dim, grid_size, np.fft.ifftn(cube, norm="forward").reshape(-1))
 
 
 def lp_norms(rows: np.ndarray, p: float) -> list[float]:

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from torustrace.harmonic import (
-    FourierCoefficients,
-    FrequencyLattice,
-    inverse_transform,
-    min_grid_size,
-)
+from torustrace.harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
+
+from oracles import synthesize
 
 
 @pytest.fixture
@@ -15,13 +12,13 @@ def rng():
 
 
 def character(k: int, radius: int | None = None, grid_size: int | None = None):
-    """e^{i 2 pi k x} synthesized through the package's own inverse transform."""
+    """e^{i 2 pi k x} synthesized on a grid (``oracles.synthesize``)."""
     radius = radius if radius is not None else max(abs(k), 1)
     lattice = FrequencyLattice(1, radius)
     coeffs = np.zeros(len(lattice), dtype=complex)
     coeffs[lattice.index_of((k,))] = 1.0
     grid = grid_size or min_grid_size(radius)
-    return inverse_transform(FourierCoefficients(lattice, coeffs), grid), lattice
+    return synthesize(FourierCoefficients(lattice, coeffs), grid), lattice
 
 
 def bandlimited(coeff_map: dict[int, complex], radius: int, grid_size: int | None = None):
@@ -31,4 +28,4 @@ def bandlimited(coeff_map: dict[int, complex], radius: int, grid_size: int | Non
     for k, v in coeff_map.items():
         coeffs[lattice.index_of((k,))] = v
     grid = grid_size or min_grid_size(radius)
-    return inverse_transform(FourierCoefficients(lattice, coeffs), grid), lattice
+    return synthesize(FourierCoefficients(lattice, coeffs), grid), lattice

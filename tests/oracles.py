@@ -48,8 +48,9 @@ tests of ``test_quantize.py``, ``test_symbols.py`` and ``test_criteria.py``
 hold the compressed matrix to the first two, and ``test_besov.py`` the dyadic
 norm to the third.
 
-Test inputs and exact references the package does not use: a random
-band-limited function, a scalar multiple of a function, and a separable
+Test inputs and exact references the package does not use: the synthesis
+of a coefficient vector on a grid by one inverse FFT, a random band-limited
+function, a scalar multiple of a function, and a separable
 symbol's exact coefficients hat{a}(eta, xi) from its factors' closed forms.
 """
 
@@ -91,12 +92,22 @@ def _grid(dim: int, grid_size: int) -> np.ndarray:
     return idx / grid_size
 
 
+def synthesize(c: FourierCoefficients, grid_size: int) -> PeriodicFunction:
+    """f(x_i) = sum_xi e^{i2pi<x_i, xi>} c[xi] on an M-point grid, by one inverse
+    FFT of the cube holding c[xi] at ``xi mod M`` (the margin keeps them apart)."""
+    harmonic._require_margin(grid_size, c.lattice.radius, "synthesize")
+    dim = c.lattice.dim
+    cube = np.zeros((grid_size,) * dim, dtype=np.complex128)
+    cube[tuple((c.lattice.points % grid_size).T)] = c.coeffs
+    return PeriodicFunction(dim, grid_size, np.fft.ifftn(cube, norm="forward").reshape(-1))
+
+
 def random_bandlimited(
     lattice: FrequencyLattice, grid_size: int, rng: np.random.Generator
 ) -> PeriodicFunction:
     """Random trigonometric polynomial supported on the lattice."""
     coeffs = rng.standard_normal(len(lattice)) + 1j * rng.standard_normal(len(lattice))
-    return harmonic.inverse_transform(FourierCoefficients(lattice, coeffs), grid_size)
+    return synthesize(FourierCoefficients(lattice, coeffs), grid_size)
 
 
 def scaled(f: PeriodicFunction, c: complex) -> PeriodicFunction:
@@ -153,7 +164,7 @@ def dyadic_blocks(c: FourierCoefficients, grid_size: int) -> list[tuple[int, np.
     out = []
     for m in sorted(set(blocks.tolist())):
         inside = FourierCoefficients(lattice, np.where(blocks == m, c.coeffs, 0))
-        out.append((m, lattice.points[blocks == m], harmonic.inverse_transform(inside, grid_size)))
+        out.append((m, lattice.points[blocks == m], synthesize(inside, grid_size)))
     return out
 
 
@@ -165,7 +176,7 @@ def partial_sum_errors(f: PeriodicFunction, besov, n_values, lattice: FrequencyL
     rows = []
     for n_cut in map(float, n_values):
         residual = FourierCoefficients(lattice, np.where(1.0 + sq > n_cut * n_cut, c.coeffs, 0))
-        g = harmonic.inverse_transform(residual, f.grid_size)
+        g = synthesize(residual, f.grid_size)
         norm = coefficient_norm(harmonic.forward_transform(g, lattice), besov, f.grid_size)
         rows.append((n_cut, norm))
     return rows
@@ -490,7 +501,7 @@ def apply_symbol(a, f: PeriodicFunction, lattice: FrequencyLattice) -> PeriodicF
     if isinstance(a, SampledSymbol) and (a.grid_size != f.grid_size or a.lattice != lattice):
         raise ValueError("grid/lattice mismatch between sampled symbol and arguments")
     c = harmonic.forward_transform(f, lattice)
-    recon = harmonic.inverse_transform(c, f.grid_size)
+    recon = synthesize(c, f.grid_size)
     excess = float(np.abs(f.values - recon.values).max())
     if excess > 1e-10 * (1.0 + float(np.abs(f.values).max())):
         warnings.warn(

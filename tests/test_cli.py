@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from torustrace.cli import HANDLERS, build_parser, main
-from torustrace.harmonic import FourierCoefficients, FrequencyLattice, inverse_transform, min_grid_size
+from torustrace.harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
 from torustrace.io import (
     load_periodic_function,
     load_sampled_symbol,
@@ -25,6 +25,7 @@ from torustrace.io import (
 from torustrace.symbols import bessel_symbol, sample_symbol
 
 from conftest import bandlimited
+from oracles import synthesize
 
 
 def run(capsys, argv):
@@ -132,7 +133,11 @@ class TestBesovCommand:
             "besov-norm", "--character", "4", "--w", "1", "--p", "2", "--q", "2",
             "--radius", "8",
         ])
-        assert doc["body"]["norm"] == pytest.approx(4.0, abs=1e-10)
+        # the coefficients are written onto the lattice, not synthesized and
+        # transformed back, so the blocks without frequency 4 hold exact zeros
+        blocks = {b["m"]: b["lp_norm"] for b in doc["body"]["blocks"]}
+        assert blocks[0] == blocks[1] == blocks[3] == 0.0
+        assert abs(doc["body"]["norm"] - 4.0) <= math.ulp(4.0)
 
     def test_block_csv(self, capsys):
         code, out, _ = run(capsys, [
@@ -296,8 +301,7 @@ class TestDyadicNormBudget:
         def trip(*args, **kwargs):
             raise self.Reached
 
-        for name in ("FrequencyLattice", "inverse_transform", "forward_transform",
-                     "partial_sum_convergence"):
+        for name in ("FrequencyLattice", "forward_transform", "block_norms", "partial_sum_convergence"):
             monkeypatch.setattr(cli, name, trip)
 
     @pytest.fixture
@@ -307,7 +311,7 @@ class TestDyadicNormBudget:
             lattice = FrequencyLattice(dim, 1)
             coeffs = np.zeros(len(lattice), dtype=complex)
             coeffs[0] = 1.0
-            f = inverse_transform(FourierCoefficients(lattice, coeffs), 6)
+            f = synthesize(FourierCoefficients(lattice, coeffs), 6)
             paths[dim] = str(tmp_path / f"f{dim}.json")
             save_periodic_function(f, paths[dim])
         return paths
@@ -608,14 +612,22 @@ class TestDualTraceCommands:
          "drop it for --group torus"),
         (["bessel-trace", "--group", "torus", "--alpha", "1", "--cutoff", "6", "--tail-correct"],
          "(alpha > 1)"),
+        (["besov-norm", "--input", "FILE", "--grid", "1", "--w", "1", "--p", "2", "--q", "2",
+          "--radius", "2"], "--input carries its own grid; drop --grid"),
+        (["approx-demo", "--input", "FILE", "--grid", "64", "--w", "0", "--p", "2", "--q", "2",
+          "--n-values", "1"], "--input carries its own grid; drop --grid"),
     ], ids=["heat-su2-dim", "bessel-su2-dim", "tt1-su2-dim", "heat-torus-spins", "bessel-torus-spins",
-            "bessel-divergent-tail"])
-    def test_flag_the_group_ignores_exit_2(self, capsys, monkeypatch, argv, remedy):
-        # the flag was ignored (exit 0), and su2 reports echoed "dim": 2
+            "bessel-divergent-tail", "besov-input-grid", "approx-input-grid"])
+    def test_flag_the_group_ignores_exit_2(self, capsys, monkeypatch, tmp_path, argv, remedy):
+        # the flag was ignored (exit 0), and su2 reports echoed "dim": 2; a function
+        # file's run gave the same bytes with --grid as without it
         import torustrace.cli as cli
 
         monkeypatch.setattr(cli, "enumerate_dual", lambda *a, **k: pytest.fail("the dual was built"))
-        code, out, err = run(capsys, argv)
+        monkeypatch.setattr(cli, "forward_transform", lambda *a: pytest.fail("the file was transformed"))
+        path = tmp_path / "f.json"
+        save_periodic_function(bandlimited({1: 1.0}, radius=2)[0], str(path))
+        code, out, err = run(capsys, [str(path) if v == "FILE" else v for v in argv])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and remedy in err
 
@@ -989,7 +1001,11 @@ class TestWeightOverflow:
          "pass an --order-hint nearer the symbol's order"),
     ], ids=["trace", "besov-norm", "approx-demo", "certificate-c", "certificate-m",
             "certificate-negative-w", "order-hint"])
-    def test_exit_2_names_the_flag(self, capsys, argv, remedy):
+    def test_exit_2_names_the_flag(self, capsys, monkeypatch, argv, remedy):
+        import torustrace.cli as cli
+
+        # every refusal comes before the eigensolver, the costliest step of a trace
+        monkeypatch.setattr(cli, "eigenvalues", lambda *a, **k: pytest.fail("the eigensolver ran"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, argv)

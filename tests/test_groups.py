@@ -10,17 +10,16 @@ import numpy as np
 import pytest
 
 import torustrace
-from torustrace.besov import BesovParams
+from torustrace.besov import BesovParams, partial_sum_convergence
 from torustrace.groups import (
     _gauss_legendre_64,
     bessel_tail,
     bessel_terms,
     enumerate_dual,
     heat_terms,
-    partial_sum_convergence,
     summed_series,
 )
-from torustrace.harmonic import FrequencyLattice
+from torustrace.harmonic import FrequencyLattice, forward_transform
 from torustrace.quantize import CompressedOperator
 from torustrace.sums import fsum
 from torustrace.symbols import bessel_symbol, heat_symbol
@@ -232,26 +231,30 @@ class TestWeylGrowth:
 class TestPartialSumConvergence:
     def test_bandlimited_reproduced(self):
         f, lat = bandlimited({3: 1.0}, radius=4)
-        rows = partial_sum_convergence(f, BesovParams(0, 2, 2), [4, 5], lat)
+        rows = partial_sum_convergence(forward_transform(f, lat), BesovParams(0, 2, 2), [4, 5],
+                                       f.grid_size)
         for n_cut, err in rows:
             assert err <= 1e-12  # <3> = sqrt(10) <= 4
 
     def test_bracket_cutoff_boundary(self):
         # <3> = sqrt(10) > 3: the N = 3 partial sum misses the top frequency
         f, lat = bandlimited({3: 1.0}, radius=4)
-        rows = dict(partial_sum_convergence(f, BesovParams(0, 2, 2), [3, 4], lat))
+        rows = dict(partial_sum_convergence(forward_transform(f, lat), BesovParams(0, 2, 2), [3, 4],
+                                            f.grid_size))
         assert rows[3.0] > 0.5
         assert rows[4.0] <= 1e-12
 
     def test_constant(self):
         f, lat = bandlimited({0: 1.0}, radius=2)
-        rows = partial_sum_convergence(f, BesovParams(1, 2, 2), [1, 2], lat)
+        rows = partial_sum_convergence(forward_transform(f, lat), BesovParams(1, 2, 2), [1, 2],
+                                       f.grid_size)
         assert all(err <= 1e-12 for _, err in rows)
 
     def test_decreasing_error_column(self):
         coeffs = {k: (1.0 + k * k) ** -1.0 for k in range(-8, 9)}
         f, lat = bandlimited(coeffs, radius=8)
-        rows = partial_sum_convergence(f, BesovParams(0, 2, 2), [1, 2, 4, 8, 9], lat)
+        rows = partial_sum_convergence(forward_transform(f, lat), BesovParams(0, 2, 2), [1, 2, 4, 8, 9],
+                                       f.grid_size)
         errs = [err for _, err in rows]
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
         assert errs[:-1] == sorted(errs[:-1], reverse=True)
@@ -261,5 +264,6 @@ class TestPartialSumConvergence:
     def test_negative_cutoff_keeps_nothing(self):
         # <xi> >= 1 > N, though 1 + |0|^2 <= N^2 at N = -1: S_N f = 0, as at N = 0
         f, lat = bandlimited({0: 1.0, 2: 0.5}, radius=4)
-        rows = partial_sum_convergence(f, BesovParams(0, 2, 2), [-1, -2.5, 0], lat)
+        rows = partial_sum_convergence(forward_transform(f, lat), BesovParams(0, 2, 2), [-1, -2.5, 0],
+                                       f.grid_size)
         assert rows[0][1] == rows[1][1] == rows[2][1] > 1.0

@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.harmonic import (
-    FourierCoefficients,
     FrequencyLattice,
     PeriodicFunction,
     forward_transform,
-    inverse_transform,
     min_grid_size,
 )
 from torustrace.quantize import CompressedOperator
@@ -57,16 +55,6 @@ def test_forward_transform(shape, extra, seed):
     grid = min_grid_size(radius) + extra  # extra odd gives an odd grid
     f = PeriodicFunction(dim, grid, _complex(np.random.default_rng(seed), grid**dim))
     _close(forward_transform(f, lat).coeffs, oracles.forward_transform(f, lat).coeffs)
-
-
-@settings(max_examples=30, deadline=None)
-@given(shape=shapes, extra=st.integers(0, 3), seed=st.integers(0, 2**31))
-def test_inverse_transform(shape, extra, seed):
-    dim, radius = shape
-    lat = FrequencyLattice(dim, radius)
-    grid = min_grid_size(radius) + extra
-    c = FourierCoefficients(lat, _complex(np.random.default_rng(seed), len(lat)))
-    _close(inverse_transform(c, grid).values, oracles.inverse_transform(c, grid).values)
 
 
 @settings(max_examples=25, deadline=None)
