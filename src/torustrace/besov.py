@@ -23,7 +23,6 @@ file is transformed to get them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +30,17 @@ from .harmonic import FourierCoefficients, _require_margin, lp_norms
 from .sums import fsum, fsum_by
 
 
-@dataclass(frozen=True)
 class BesovParams:
     """Weight w and Lebesgue exponents of a dyadic-block norm (Banach range)."""
 
-    w: float
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValueError(f"p must lie in [1, inf], got {self.p}")
-        if not (self.q >= 1.0):
-            raise ValueError(f"q must lie in [1, inf], got {self.q}")
+    def __init__(self, w: float, p: float, q: float):
+        if not (p >= 1.0):
+            raise ValueError(f"p must lie in [1, inf], got {p}")
+        if not (q >= 1.0):
+            raise ValueError(f"q must lie in [1, inf], got {q}")
+        self.w = w
+        self.p = p
+        self.q = q
 
 
 def block_index(key):

@@ -20,15 +20,14 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norm
-from .criteria import (SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, check_t1, check_t2, check_tt1,
-                       nuclear_quasinorm_bound)
+from .criteria import (SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, CriterionVerdict, check_t1, check_t2,
+                       check_tt1, nuclear_quasinorm_bound)
 from .groups import (
     DUAL_SIZE_LIMIT,
     bessel_tail,
@@ -298,7 +297,8 @@ def build_coefficients(args, radius: int | None) -> tuple[FourierCoefficients, i
     lattice (``radius``, or the grid's largest alias-free one when None), and the
     grid its blocks are synthesized on; refused (exit 2) when its sizes exceed the
     dyadic-norm budget.  Only an ``--input`` file goes through a transform: the
-    catalog inputs are written onto the lattice as they are defined."""
+    catalog inputs are written onto the lattice as they are defined, and their
+    grid is sized from the lattice alone (a K above ``radius`` is cut off)."""
     sources = [args.input is not None, args.character is not None, args.stock is not None]
     if sum(sources) != 1:
         raise ValidationError(
@@ -313,7 +313,7 @@ def build_coefficients(args, radius: int | None) -> tuple[FourierCoefficients, i
         dim, grid = f.dim, f.grid_size
     else:
         content = abs(args.character) if args.character is not None else args.stock
-        needed = min_grid_size(max(content, 1, radius or 0))
+        needed = min_grid_size(max(content if radius is None else radius, 1))
         dim, grid = 1, needed if args.grid is None else args.grid
         if grid < needed:
             raise ValidationError(
@@ -427,7 +427,8 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
         raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
     body = {
         "radii": args.radii,
-        "history": [asdict(rec) for rec in report.history],
+        "history": [{"radius": rec.radius, "nuclear": rec.nuclear, "spectral": rec.spectral,
+                     "abs_diff": rec.abs_diff} for rec in report.history],
         "nuclear_trace": report.nuclear_trace,
         "spectral_trace": report.spectral_trace,
         "tail_estimate": report.tail_estimate,
@@ -559,7 +560,19 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
             flag = "raise --t" if args.symbol == "heat" else "lower --m"
             raise ValidationError(f"the series terms sum beyond float64; {flag} or lower --cutoff") from exc
-    return asdict(verdict), {"strictness": "strict inequalities checked strictly"}, None
+    return verdict_body(verdict), {"strictness": "strict inequalities checked strictly"}, None
+
+
+def verdict_body(verdict: CriterionVerdict) -> dict:
+    """The ``nuclearity`` report body: the verdict's fields in order, each violated
+    clause and the witness as an object of its own fields."""
+    w = verdict.witness
+    clauses = [{"description": c.description, "lhs": c.lhs, "relation": c.relation, "rhs": c.rhs}
+               for c in verdict.violated_clauses]
+    witness = {"series": w.series, "labels": w.labels, "partial_sums": w.partial_sums,
+               "tail_estimate": w.tail_estimate, "certified": w.certified, "rule": w.rule, "note": w.note}
+    return {"satisfied": verdict.satisfied, "derived_params": verdict.derived_params,
+            "violated_clauses": clauses, "witness": witness}
 
 
 def _dual(args, half_integers: bool = True):

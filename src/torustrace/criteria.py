@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -49,14 +48,14 @@ RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operat
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Clause:
     """One inequality of a criterion with both sides evaluated."""
 
-    description: str
-    lhs: float
-    relation: str  # a key of RELATIONS
-    rhs: float
+    def __init__(self, description: str, lhs: float, relation: str, rhs: float):
+        self.description = description
+        self.lhs = lhs
+        self.relation = relation  # a key of RELATIONS
+        self.rhs = rhs
 
     def holds(self) -> bool:
         return RELATIONS[self.relation](self.lhs, self.rhs)
@@ -68,27 +67,29 @@ class Clause:
         return f"{self.description}: {self.lhs:.9g} {self.relation} {self.rhs:.9g} is false{note}"
 
 
-@dataclass
 class SeriesWitness:
     """Partial sums of the governing series plus the certification verdict."""
 
-    series: str
-    labels: list[float]
-    partial_sums: list[float]
-    tail_estimate: float
-    certified: bool
-    rule: str
-    note: str = ""
+    def __init__(self, series: str, labels: list[float], partial_sums: list[float],
+                 tail_estimate: float, certified: bool, rule: str, note: str = ""):
+        self.series = series
+        self.labels = labels
+        self.partial_sums = partial_sums
+        self.tail_estimate = tail_estimate
+        self.certified = certified
+        self.rule = rule
+        self.note = note
 
 
-@dataclass
 class CriterionVerdict:
-    """A checker's verdict; its ``dataclasses.asdict`` is the report body, fields in order."""
+    """A checker's verdict; ``cli.verdict_body`` is its report body, fields in order."""
 
-    satisfied: bool
-    derived_params: dict[str, float | str]
-    violated_clauses: list[Clause] = field(default_factory=list)
-    witness: SeriesWitness | None = None
+    def __init__(self, satisfied: bool, derived_params: dict[str, float | str],
+                 violated_clauses: list[Clause], witness: SeriesWitness):
+        self.satisfied = satisfied
+        self.derived_params = derived_params
+        self.violated_clauses = violated_clauses
+        self.witness = witness
 
 
 def _failures(clauses: list[Clause]) -> list[Clause]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +33,14 @@ GROUPS = ("torus", "su2")
 DUAL_SIZE_LIMIT = 10**7
 
 
-@dataclass
 class GroupDual:
-    group: str
-    cutoff: float
-    dim: int  # torus lattice dimension (1 on su2)
-    d: np.ndarray  # (N,) int64 representation dimension
-    lam: np.ndarray  # (N,) float64 Laplacian eigenvalue
-    mult: np.ndarray  # (N,) int64 number of dual points the row stands for
+    def __init__(self, group: str, cutoff: float, dim: int, d: np.ndarray, lam: np.ndarray, mult: np.ndarray):
+        self.group = group
+        self.cutoff = cutoff
+        self.dim = dim  # torus lattice dimension (1 on su2)
+        self.d = d  # (N,) int64 representation dimension
+        self.lam = lam  # (N,) float64 Laplacian eigenvalue
+        self.mult = mult  # (N,) int64 number of dual points the row stands for
 
     def __len__(self) -> int:
         return self.lam.shape[0]

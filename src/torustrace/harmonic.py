@@ -25,7 +25,6 @@ Japanese bracket <xi> = (1 + |xi|^2)^{1/2} of every lattice point is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,41 +115,32 @@ def grid_points(dim: int, grid_size: int) -> np.ndarray:
     return idx.astype(np.float64) / grid_size
 
 
-@dataclass
 class PeriodicFunction:
     """Complex samples of f on the uniform grid x_i = i/M, lexicographic order."""
 
-    dim: int
-    grid_size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.grid_size < 1:
+    def __init__(self, dim: int, grid_size: int, values: np.ndarray):
+        if dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        if grid_size < 1:
             raise ValueError("grid_size must be positive")
-        vals = np.asarray(self.values, dtype=np.complex128).reshape(-1)
-        if vals.size != self.grid_size**self.dim:
+        vals = np.asarray(values, dtype=np.complex128).reshape(-1)
+        if vals.size != grid_size**dim:
             raise ValueError(
-                f"values has length {vals.size}, expected grid_size^dim = "
-                f"{self.grid_size ** self.dim}"
+                f"values has length {vals.size}, expected grid_size^dim = {grid_size ** dim}"
             )
+        self.dim = dim
+        self.grid_size = grid_size
         self.values = vals
 
 
-@dataclass
 class FourierCoefficients:
     """Coefficients aligned to the canonical ordering of a FrequencyLattice."""
 
-    lattice: FrequencyLattice
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
-        if arr.size != len(self.lattice):
-            raise ValueError(
-                f"{arr.size} coefficients for a lattice of {len(self.lattice)} points"
-            )
+    def __init__(self, lattice: FrequencyLattice, coeffs: np.ndarray):
+        arr = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+        if arr.size != len(lattice):
+            raise ValueError(f"{arr.size} coefficients for a lattice of {len(lattice)} points")
+        self.lattice = lattice
         self.coeffs = arr
 
 

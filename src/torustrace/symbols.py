@@ -25,7 +25,6 @@ Forward differences are used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -53,11 +52,11 @@ def _as_multi_index(alpha, dim: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TrigPolynomial:
     """u(x) = sum_k c_k exp(i 2 pi k x_1), held as ``coeffs`` = {k: c_k}."""
 
-    coeffs: dict[int, complex]
+    def __init__(self, coeffs: dict[int, complex]):
+        self.coeffs = coeffs
 
     def values(self, x: np.ndarray) -> np.ndarray:
         total = np.zeros(x.shape[0], dtype=np.complex128)
@@ -89,34 +88,34 @@ class XiFactor:
         raise NotImplementedError
 
 
-@dataclass
 class BracketPower(XiFactor):
     """<xi>^m."""
 
-    m: float
+    def __init__(self, m: float):
+        self.m = m
 
     def values(self, xi):
         sq = np.sum(np.asarray(xi, dtype=np.float64) ** 2, axis=1)
         return ((1.0 + sq) ** (self.m / 2.0)).astype(np.complex128)
 
 
-@dataclass
 class GaussianDecay(XiFactor):
     """exp(-t |xi|^2)."""
 
-    t: float
+    def __init__(self, t: float):
+        self.t = t
 
     def values(self, xi):
         sq = np.sum(np.asarray(xi, dtype=np.float64) ** 2, axis=1)
         return np.exp(-self.t * sq).astype(np.complex128)
 
 
-@dataclass
 class DifferencedXi(XiFactor):
     """Iterated forward difference of a base factor, by binomial expansion."""
 
-    base: XiFactor
-    alpha: tuple[int, ...]
+    def __init__(self, base: XiFactor, alpha: tuple[int, ...]):
+        self.base = base
+        self.alpha = alpha
 
     def values(self, xi):
         xi = np.asarray(xi, dtype=np.int64)

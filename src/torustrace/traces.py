@@ -12,8 +12,6 @@ answers any radius up to its own.  The integral-test tail bound is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .criteria import certify_shell_sums, power_tail_bound
@@ -23,21 +21,22 @@ from .sums import fsum_complex
 from .symbols import Symbol
 
 
-@dataclass
 class RadiusRecord:
-    radius: int
-    nuclear: complex
-    spectral: complex
-    abs_diff: float
+    def __init__(self, radius: int, nuclear: complex, spectral: complex, abs_diff: float):
+        self.radius = radius
+        self.nuclear = nuclear
+        self.spectral = spectral
+        self.abs_diff = abs_diff
 
 
-@dataclass
 class TraceReport:
-    nuclear_trace: complex
-    spectral_trace: complex | None
-    tail_estimate: float | None
-    history: list[RadiusRecord] = field(default_factory=list)
-    history_converged: bool | None = None
+    def __init__(self, nuclear_trace: complex, spectral_trace: complex, tail_estimate: float | None,
+                 history: list[RadiusRecord], history_converged: bool | None):
+        self.nuclear_trace = nuclear_trace
+        self.spectral_trace = spectral_trace
+        self.tail_estimate = tail_estimate
+        self.history = history
+        self.history_converged = history_converged
 
 
 def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:

@@ -175,6 +175,20 @@ class TestBesovCommand:
         # |1| = 1 and <1> = sqrt 2 both lie in [1, 2) -> block 0 -> weight 1
         assert doc["body"]["norm"] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("p", ["1", "2", "3", "inf"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stock_above_radius_is_sized_from_the_radius(self, capsys, p, fmt):
+        # on the lattice of radius 8 --stock K >= 8 is --stock 8: the same coefficients,
+        # so the same grid and the same bytes, however large K is
+        def report(stock):
+            code, out, err = run(capsys, ["besov-norm", "--stock", stock, "--w", "1", "--p", p,
+                                          "--q", "2", "--radius", "8", "--format", fmt])
+            assert code == 0, err
+            return out
+
+        want = report("8")
+        assert [report(k) for k in ("9", "1000", "200000")] == [want] * 3
+
 
 class TestCheckClassCommand:
     def test_order_fit(self, capsys):
@@ -319,7 +333,7 @@ class TestDyadicNormBudget:
     NORM = ["--w", "1", "--p", "2", "--q", "2"]
 
     @pytest.mark.parametrize("argv, remedy", [
-        (["besov-norm", "--stock", "1000000000", *NORM, "--radius", "8"], "lower --stock or --radius"),
+        (["besov-norm", "--stock", "4", *NORM, "--radius", "3000000"], "lower --stock or --radius"),
         (["approx-demo", "--stock", "1000000000", *NORM, "--n-values", "1,2"], "lower --stock"),
         (["besov-norm", "--character", "4", "--grid", "2500001", *NORM, "--radius", "8"],
          "lower --character, --grid or --radius"),
@@ -341,9 +355,11 @@ class TestDyadicNormBudget:
         ["approx-demo", "--stock", "4", "--grid", "2500000", *NORM, "--radius", "8", "--n-values", "1"],
         ["besov-norm", "--input", 1, *NORM, "--radius", "4999999"],
         ["approx-demo", "--input", 2, *NORM, "--n-values", "1"],
-    ], ids=[f"argv{i}" for i in range(4)])
+        ["besov-norm", "--stock", "1000000000", *NORM, "--radius", "8"],
+    ], ids=[f"argv{i}" for i in range(5)])
     def test_largest_sizes_within_budget_pass(self, tripwires, function_files, argv):
-        # 4 dyadic blocks of radius 8 on 2500000 grid points are exactly the budget
+        # 4 dyadic blocks of radius 8 on 2500000 grid points are exactly the budget;
+        # a --stock K above --radius is sized from the radius alone
         argv = [function_files[v] if isinstance(v, int) else v for v in argv]
         with pytest.raises(self.Reached):
             main(argv)

@@ -13,7 +13,6 @@ repeated r(lambda) times) bit for bit: its terms are the same floats.
 
 import math
 import struct
-from dataclasses import asdict
 from itertools import accumulate
 
 import numpy as np
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.besov import block_index
+from torustrace.cli import verdict_body
 from torustrace.criteria import certify_shell_sums, check_tt1
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
@@ -209,7 +209,7 @@ def test_radial_tt1_verdict_matches_the_per_point_path_bit_for_bit(spec, case, r
     symbol = (lambda d: d.bracket**m) if kind == "bracket" else (lambda d: np.exp(-t * d.lam))
     got = check_tt1(radial, symbol, r, p, q, case)
     want = check_tt1(dual, symbol, r, p, q, case)
-    assert bits(asdict(got)) == bits(asdict(want))
+    assert bits(verdict_body(got)) == bits(verdict_body(want))
 
 
 # the CLI's slices: radial torus in dims 1 and 2, and SU(2); large enough that the
