@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norm
-from .criteria import (SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, CriterionVerdict, check_t1, check_t2,
-                       check_tt1, nuclear_quasinorm_bound)
+from .criteria import (SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, check_t1, check_t2, check_tt1,
+                       nuclear_quasinorm_bound)
 from .groups import (
     DUAL_SIZE_LIMIT,
     bessel_tail,
@@ -271,10 +271,13 @@ def build_symbol(args) -> Symbol:
 def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | None) -> None:
     """Refuse a dyadic-norm run above DUAL_SIZE_LIMIT points before anything is
     built: its analysis lattice, and its block synthesis, which holds one copy of
-    the grid per dyadic block of that lattice (``besov.block_norms``)."""
+    the grid per dyadic block of that lattice (``besov.block_norms``).  The remedy
+    names the flags that set those sizes: a catalog K sizes the grid only when
+    neither --grid nor --radius is given."""
     radius = max_alias_free_radius(grid) if analysis_radius is None else analysis_radius
-    sources = (("--input grid", args.input), ("--stock", args.stock),
-               ("--character", args.character), ("--grid", args.grid), ("--radius", analysis_radius))
+    sources = (("--input grid", args.input), ("--grid", args.grid), ("--radius", analysis_radius))
+    if args.grid is None and analysis_radius is None:
+        sources += (("--stock", args.stock), ("--character", args.character))
     flags = [flag for flag, value in sources if value is not None]
     remedy = "lower " + ", ".join(flags[:-1]) + (" or " if len(flags) > 1 else "") + flags[-1]
     lattice = (2 * radius + 1) ** dim
@@ -425,25 +428,17 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
         report = lidskii_compare(a, args.radii)
     except OverflowError as exc:
         raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
-    body = {
-        "radii": args.radii,
-        "history": [{"radius": rec.radius, "nuclear": rec.nuclear, "spectral": rec.spectral,
-                     "abs_diff": rec.abs_diff} for rec in report.history],
-        "nuclear_trace": report.nuclear_trace,
-        "spectral_trace": report.spectral_trace,
-        "tail_estimate": report.tail_estimate,
-        "history_converged": report.history_converged,
-    }
-    if args.require_convergent and report.history_converged is False:
+    body = {"radii": args.radii, **report}
+    if args.require_convergent and report["history_converged"] is False:
         raise NumericalFailure(
             "nuclear-trace increments do not shrink geometrically across the radii"
         )
     csv_table = (
         "N,nuclear_re,nuclear_im,spectral_re,spectral_im,abs_diff",
         (
-            [rec.radius, rec.nuclear.real, rec.nuclear.imag, rec.spectral.real,
-             rec.spectral.imag, rec.abs_diff]
-            for rec in report.history
+            [row["radius"], row["nuclear"].real, row["nuclear"].imag, row["spectral"].real,
+             row["spectral"].imag, row["abs_diff"]]
+            for row in report["history"]
         ),
     )
     diagnostics = {
@@ -560,19 +555,7 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
             flag = "raise --t" if args.symbol == "heat" else "lower --m"
             raise ValidationError(f"the series terms sum beyond float64; {flag} or lower --cutoff") from exc
-    return verdict_body(verdict), {"strictness": "strict inequalities checked strictly"}, None
-
-
-def verdict_body(verdict: CriterionVerdict) -> dict:
-    """The ``nuclearity`` report body: the verdict's fields in order, each violated
-    clause and the witness as an object of its own fields."""
-    w = verdict.witness
-    clauses = [{"description": c.description, "lhs": c.lhs, "relation": c.relation, "rhs": c.rhs}
-               for c in verdict.violated_clauses]
-    witness = {"series": w.series, "labels": w.labels, "partial_sums": w.partial_sums,
-               "tail_estimate": w.tail_estimate, "certified": w.certified, "rule": w.rule, "note": w.note}
-    return {"satisfied": verdict.satisfied, "derived_params": verdict.derived_params,
-            "violated_clauses": clauses, "witness": witness}
+    return verdict, {"strictness": "strict inequalities checked strictly"}, None
 
 
 def _dual(args, half_integers: bool = True):

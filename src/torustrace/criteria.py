@@ -67,33 +67,17 @@ class Clause:
         return f"{self.description}: {self.lhs:.9g} {self.relation} {self.rhs:.9g} is false{note}"
 
 
-class SeriesWitness:
-    """Partial sums of the governing series plus the certification verdict."""
-
-    def __init__(self, series: str, labels: list[float], partial_sums: list[float],
-                 tail_estimate: float, certified: bool, rule: str, note: str = ""):
-        self.series = series
-        self.labels = labels
-        self.partial_sums = partial_sums
-        self.tail_estimate = tail_estimate
-        self.certified = certified
-        self.rule = rule
-        self.note = note
-
-
-class CriterionVerdict:
-    """A checker's verdict; ``cli.verdict_body`` is its report body, fields in order."""
-
-    def __init__(self, satisfied: bool, derived_params: dict[str, float | str],
-                 violated_clauses: list[Clause], witness: SeriesWitness):
-        self.satisfied = satisfied
-        self.derived_params = derived_params
-        self.violated_clauses = violated_clauses
-        self.witness = witness
-
-
 def _failures(clauses: list[Clause]) -> list[Clause]:
     return [c for c in clauses if not c.holds()]
+
+
+def _verdict(satisfied: bool, derived_params: dict, violated: list[Clause], witness: dict) -> dict:
+    """A checker's verdict, the ``nuclearity`` report body: each violated clause
+    as an object of its sides."""
+    clauses = [{"description": c.description, "lhs": c.lhs, "relation": c.relation, "rhs": c.rhs}
+               for c in violated]
+    return {"satisfied": satisfied, "derived_params": derived_params,
+            "violated_clauses": clauses, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +125,23 @@ def power_tail_bound(n: int, exponent: float, radius: int) -> float:
     return 8.0 * radius ** (exponent + 2) / (-exponent - 2)
 
 
-def _power_series_witness(n: int, exponent: float) -> SeriesWitness:
+def _power_series_witness(n: int, exponent: float) -> dict:
     radii = [4, 8, 16, 32, 64] if n == 1 else [2, 4, 8, 16]
-    return SeriesWitness(
-        series=f"sum <xi>^({exponent:.6g}) over Z^{n}",
-        labels=[float(r) for r in radii],
-        partial_sums=_lattice_power_sums(n, exponent, radii),
-        tail_estimate=power_tail_bound(n, exponent, radii[-1]),
-        certified=exponent < -n,
-        rule="integral-test(power-law)",
-    )
+    return {
+        "series": f"sum <xi>^({exponent:.6g}) over Z^{n}",
+        "labels": [float(r) for r in radii],
+        "partial_sums": _lattice_power_sums(n, exponent, radii),
+        "tail_estimate": power_tail_bound(n, exponent, radii[-1]),
+        "certified": exponent < -n,
+        "rule": "integral-test(power-law)",
+        "note": "",
+    }
 
 
 def _shell_witness(
     series: str, shells: np.ndarray, terms: np.ndarray, lambda_cap: float, note: str = "",
     weights: np.ndarray | None = None,
-) -> tuple[SeriesWitness, float]:
+) -> tuple[dict, float]:
     """Geometric shell-ratio witness and its worst recent ratio.  Only the bracket
     shells j wholly inside a truncation complete up to lambda_cap
     (4^{j+1} <= 1 + lambda_cap) are summed, since a clipped shell could fake
@@ -165,16 +150,15 @@ def _shell_witness(
     keep = shells < block_index(math.floor(lambda_cap) + 1)
     labels, sums, _ = block_sums(shells[keep], terms[keep], None if weights is None else weights[keep])
     certified, tail, worst = certify_shell_sums(sums)
-    witness = SeriesWitness(
-        series=series,
-        labels=[float(j) for j in labels],
-        partial_sums=list(accumulate(sums)),
-        tail_estimate=tail,
-        certified=certified,
-        rule="geometric-shell-ratio",
-        note="" if certified else note,
-    )
-    return witness, worst
+    return {
+        "series": series,
+        "labels": [float(j) for j in labels],
+        "partial_sums": list(accumulate(sums)),
+        "tail_estimate": tail,
+        "certified": certified,
+        "rule": "geometric-shell-ratio",
+        "note": "" if certified else note,
+    }, worst
 
 
 def certify_shell_sums(shell_sums: list[float], min_ratios=SHELL_RATIO_COUNT) -> tuple[bool, float, float]:
@@ -242,7 +226,7 @@ def check_t1(
     w2: float,
     p2: float = 2.0,
     q2: float = 2.0,
-) -> CriterionVerdict:
+) -> dict:
     """Order criterion with nonnegative target weight.
 
     Requires 0 <= w2 < 2k - n and m < -n/r - w2 - delta(2k); the governing
@@ -261,15 +245,10 @@ def check_t1(
     exponent = r * (w2 + m + delta * 2.0 * k)
     derived = _derived_source_params(n, alpha, p1)
     derived["series_exponent"] = exponent
-    return CriterionVerdict(
-        satisfied=not failures,
-        derived_params=derived,
-        violated_clauses=failures,
-        witness=_power_series_witness(n, exponent),
-    )
+    return _verdict(not failures, derived, failures, _power_series_witness(n, exponent))
 
 
-def _truncated_bracket_convolution(n: int, w2: float, k: int) -> SeriesWitness:
+def _truncated_bracket_convolution(n: int, w2: float, k: int) -> dict:
     """Witness for sum_xi (<.>^{w2} * <.>^{-2k})(xi) over the box |xi|_inf <= R
     (R = 64 in dim 1, 8 in dim 2), each convolution value summed over the window
     |.|_inf <= 2R: one (lattice x window) array, each row exactly rounded."""
@@ -300,7 +279,7 @@ def check_t2(
     w2: float,
     p2: float = 2.0,
     q2: float = 2.0,
-) -> CriterionVerdict:
+) -> dict:
     """Negative-target-weight criterion; two alternative clause sets.
 
     Nuclear set: w2 < -n/2, m <= -delta(2k), k > n/4.  r-nuclear set: w2 <= 0,
@@ -339,12 +318,8 @@ def check_t2(
         witness = _truncated_bracket_convolution(n, w2, k)
     else:
         witness = _power_series_witness(n, exponent)
-    return CriterionVerdict(
-        satisfied=satisfied,
-        derived_params=derived,
-        violated_clauses=[] if satisfied else shared_fail + nuclear_fail + r_nuclear_fail,
-        witness=witness,
-    )
+    return _verdict(satisfied, derived, [] if satisfied else shared_fail + nuclear_fail + r_nuclear_fail,
+                    witness)
 
 
 def _tt1_case_clauses(case: int, p: float, q: float) -> list[Clause]:
@@ -385,7 +360,7 @@ def _tt1_lr_powers(values, d: np.ndarray, r: float) -> np.ndarray:
     return np.array([fsum(np.abs(np.asarray(m)).ravel() ** r) for m in values])
 
 
-def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerdict:
+def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> dict:
     """Multiplier criterion over a compact-group dual.
 
     ``a`` maps the whole dual to its N values: an (N,) array (scalar *
@@ -437,12 +412,8 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> CriterionVerd
         derived["epsilon_p"] = _epsilon_ext(p)
     if case == 1:
         derived["epsilon_q_conjugate"] = _epsilon_ext(q / (q - 1.0))
-    return CriterionVerdict(
-        satisfied=witness.certified,
-        derived_params=derived,
-        violated_clauses=[] if witness.certified else [monitor],
-        witness=witness,
-    )
+    certified = witness["certified"]
+    return _verdict(certified, derived, [] if certified else [monitor], witness)
 
 
 # ---------------------------------------------------------------------------

@@ -21,26 +21,9 @@ from .sums import fsum_complex
 from .symbols import Symbol
 
 
-class RadiusRecord:
-    def __init__(self, radius: int, nuclear: complex, spectral: complex, abs_diff: float):
-        self.radius = radius
-        self.nuclear = nuclear
-        self.spectral = spectral
-        self.abs_diff = abs_diff
-
-
-class TraceReport:
-    def __init__(self, nuclear_trace: complex, spectral_trace: complex, tail_estimate: float | None,
-                 history: list[RadiusRecord], history_converged: bool | None):
-        self.nuclear_trace = nuclear_trace
-        self.spectral_trace = spectral_trace
-        self.tail_estimate = tail_estimate
-        self.history = history
-        self.history_converged = history_converged
-
-
-def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
-    """Nuclear and spectral traces across increasing radii.
+def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
+    """Nuclear and spectral traces across increasing radii: the ``lidskii``
+    report body without its radii, one history row per radius.
 
     Each radius reads its compression's blocks and trace from its own support
     table, built largest radius first, so a sampled table too small for it, or
@@ -59,23 +42,22 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> TraceReport:
     for radius in reversed(radii):
         lattice = FrequencyLattice(a.dim, radius)
         operators.insert(0, CompressedOperator(a, lattice))
-    history: list[RadiusRecord] = []
+    history = []
     for radius, op in zip(radii, operators):
         nuc = op.trace()
         spec = fsum_complex(eigenvalues(op))
-        history.append(RadiusRecord(radius, nuc, spec, abs(nuc - spec)))
+        history.append({"radius": radius, "nuclear": nuc, "spectral": spec, "abs_diff": abs(nuc - spec)})
     increments = [
-        abs(nxt.nuclear - cur.nuclear) for cur, nxt in zip(history, history[1:])
+        abs(nxt["nuclear"] - cur["nuclear"]) for cur, nxt in zip(history, history[1:])
     ]
-    tail = increments[-1] if increments else None
-    return TraceReport(
-        nuclear_trace=history[-1].nuclear,
-        spectral_trace=history[-1].spectral,
-        tail_estimate=tail,
-        history=history,
+    return {
+        "history": history,
+        "nuclear_trace": history[-1]["nuclear"],
+        "spectral_trace": history[-1]["spectral"],
+        "tail_estimate": increments[-1] if increments else None,
         # one ratio suffices: the 3-radius histories of the tests give no more
-        history_converged=None if len(increments) < 2 else certify_shell_sums(increments, min_ratios=1)[0],
-    )
+        "history_converged": None if len(increments) < 2 else certify_shell_sums(increments, min_ratios=1)[0],
+    }
 
 
 def tail_estimate(a: Symbol, lattice: FrequencyLattice, order_hint: float) -> float:

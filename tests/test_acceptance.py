@@ -13,7 +13,7 @@ import pytest
 
 from torustrace.besov import BesovParams, coefficient_norm, partial_sum_convergence
 from torustrace.cli import main
-from torustrace.criteria import check_t1, nuclear_quasinorm_bound
+from torustrace.criteria import Clause, check_t1, nuclear_quasinorm_bound
 from torustrace.harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -90,8 +90,8 @@ def test_criterion_03_su2_heat_trace(capsys):
 def test_criterion_04_lidskii_compressions():
     a = modulated_symbol(2.0, BracketPower(-4.0))
     rep = lidskii_compare(a, [4, 8, 16])
-    diffs_ok = all(rec.abs_diff <= 1e-8 for rec in rep.history)
-    incs = [abs(b.nuclear - q.nuclear) for q, b in zip(rep.history, rep.history[1:])]
+    diffs_ok = all(rec["abs_diff"] <= 1e-8 for rec in rep["history"])
+    incs = [abs(b["nuclear"] - q["nuclear"]) for q, b in zip(rep["history"], rep["history"][1:])]
     shrink = incs[0] / incs[1]
     residual_ok = True
     for radius in (4, 8, 16):
@@ -160,11 +160,11 @@ def test_criterion_07_approximation_demo(rng):
 
 
 def test_criterion_08_checker_table():
-    results = [(label, make().satisfied, expected) for label, make, expected in HAND_TABLE]
+    results = [(label, make()["satisfied"], expected) for label, make, expected in HAND_TABLE]
     bad = [label for label, got, expected in results if got is not expected]
     boundary = check_t1(n=1, r=0.5, alpha=0.5, p1=2.0, k=2, delta=1.0, m=-7.0, w2=1.0)
     equality_named = any(
-        c.lhs == c.rhs and "equality" in c.render() for c in boundary.violated_clauses
+        c["lhs"] == c["rhs"] and "equality" in Clause(**c).render() for c in boundary["violated_clauses"]
     )
     ok = len(results) >= 12 and not bad and equality_named
     report(8, ok, f"{len(results)} hand-evaluated tuples reproduced exactly "

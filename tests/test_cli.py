@@ -333,13 +333,13 @@ class TestDyadicNormBudget:
     NORM = ["--w", "1", "--p", "2", "--q", "2"]
 
     @pytest.mark.parametrize("argv, remedy", [
-        (["besov-norm", "--stock", "4", *NORM, "--radius", "3000000"], "lower --stock or --radius"),
+        (["besov-norm", "--stock", "4", *NORM, "--radius", "3000000"], "lower --radius"),
         (["approx-demo", "--stock", "1000000000", *NORM, "--n-values", "1,2"], "lower --stock"),
         (["besov-norm", "--character", "4", "--grid", "2500001", *NORM, "--radius", "8"],
-         "lower --character, --grid or --radius"),
+         "lower --grid or --radius"),
         (["approx-demo", "--character", "4", "--grid", "2500001", *NORM, "--radius", "8",
-          "--n-values", "1"], "lower --character, --grid or --radius"),
-        (["besov-norm", "--character", "4", *NORM, "--radius", "3000000"], "lower --character or --radius"),
+          "--n-values", "1"], "lower --grid or --radius"),
+        (["besov-norm", "--character", "4", *NORM, "--radius", "3000000"], "lower --radius"),
         (["besov-norm", "--input", 1, *NORM, "--radius", "5000000"], "lower --input grid or --radius"),
         (["approx-demo", "--input", 2, *NORM, "--radius", "1581", "--n-values", "1"],
          "lower --input grid or --radius"),

@@ -85,12 +85,12 @@ def test_lidskii_records_equal_per_radius_traces(name, dim, radii):
     a = CATALOG[name](dim)
     radii = sorted(radii)
     report = lidskii_compare(a, radii)
-    for rec, radius in zip(report.history, radii):
+    for rec, radius in zip(report["history"], radii):
         lattice = FrequencyLattice(dim, radius)
-        assert rec.radius == radius
+        assert rec["radius"] == radius
         op = CompressedOperator(a, lattice)
-        assert rec.nuclear == op.trace()
-        assert rec.spectral == fsum_complex(eigenvalues(op))
+        assert rec["nuclear"] == op.trace()
+        assert rec["spectral"] == fsum_complex(eigenvalues(op))
 
 
 def _oracle_traces(a: SampledSymbol, radius: int) -> tuple[complex, complex]:

@@ -89,19 +89,19 @@ class TestLrSeminorm:
 
 
 def _verdict(v):
-    return "satisfied" if v.satisfied else "violated"
+    return "satisfied" if v["satisfied"] else "violated"
 
 
 class TestCheckT1:
     def test_reference_satisfied(self):
         v = check_t1(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=-4.0, w2=0.0,
                      p2=2.0, q2=2.0)
-        assert v.satisfied
-        assert v.derived_params["q1"] == pytest.approx(1.0)
-        assert v.derived_params["w1"] == pytest.approx(0.5)
-        assert v.witness.certified
+        assert v["satisfied"]
+        assert v["derived_params"]["q1"] == pytest.approx(1.0)
+        assert v["derived_params"]["w1"] == pytest.approx(0.5)
+        assert v["witness"]["certified"]
         # governing series here is sum <xi>^{-4}, known partial sums
-        assert v.witness.partial_sums[-1] == pytest.approx(
+        assert v["witness"]["partial_sums"][-1] == pytest.approx(
             fsum((1.0 + k * k) ** -2.0 for k in range(-64, 65)), abs=1e-14
         )
 
@@ -113,27 +113,27 @@ class TestCheckT1:
 
     def test_order_clause_fails_at_equality(self):
         v = check_t1(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=-1.0, w2=0.0)
-        assert not v.satisfied
-        assert len(v.violated_clauses) == 1
-        clause = v.violated_clauses[0]
-        assert clause.lhs == clause.rhs == -1.0
-        assert "fails at equality" in clause.render()
+        assert not v["satisfied"]
+        assert len(v["violated_clauses"]) == 1
+        clause = v["violated_clauses"][0]
+        assert clause["lhs"] == clause["rhs"] == -1.0
+        assert "fails at equality" in Clause(**clause).render()
 
     def test_strict_boundary_second_family(self):
         v = check_t1(n=1, r=0.5, alpha=0.5, p1=2.0, k=2, delta=1.0, m=-7.0, w2=1.0)
-        assert not v.satisfied
-        [clause] = v.violated_clauses
-        assert clause.lhs == -7.0 and clause.rhs == -7.0
+        assert not v["satisfied"]
+        [clause] = v["violated_clauses"]
+        assert clause["lhs"] == -7.0 and clause["rhs"] == -7.0
 
     def test_monotone_in_m(self):
         base = dict(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, w2=0.0)
-        assert check_t1(m=-1.5, **base).satisfied
+        assert check_t1(m=-1.5, **base)["satisfied"]
         for m in (-2.0, -3.0, -10.0):
-            assert check_t1(m=m, **base).satisfied
+            assert check_t1(m=m, **base)["satisfied"]
 
     def test_range_violations_itemized(self):
         v = check_t1(n=1, r=1.0, alpha=0.7, p1=3.0, k=0, delta=0.0, m=-4.0, w2=-1.0)
-        descriptions = {c.description for c in v.violated_clauses}
+        descriptions = {c["description"] for c in v["violated_clauses"]}
         assert "alpha <= 1/2" in descriptions
         assert "p1 <= 2" in descriptions
         assert "k > n/2" in descriptions
@@ -149,39 +149,39 @@ class TestCheckT1:
 class TestCheckT2:
     def test_nuclear_set_satisfied(self):
         v = check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-1.0)
-        assert v.satisfied
-        assert v.derived_params["clause_set"] == "nuclear"
+        assert v["satisfied"]
+        assert v["derived_params"]["clause_set"] == "nuclear"
 
     def test_r_nuclear_set_satisfied(self):
         v = check_t2(n=1, r=0.5, alpha=0.5, p1=2.0, k=1, delta=0.0, m=-3.0, w2=0.0)
-        assert v.satisfied
-        assert v.derived_params["clause_set"] == "r-nuclear"
+        assert v["satisfied"]
+        assert v["derived_params"]["clause_set"] == "r-nuclear"
 
     def test_violated_both_sets(self):
         v = check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-0.4)
-        assert not v.satisfied
-        descriptions = {c.description for c in v.violated_clauses}
+        assert not v["satisfied"]
+        descriptions = {c["description"] for c in v["violated_clauses"]}
         assert "nuclear set: w2 < -n/2" in descriptions
 
     def test_boundary_at_minus_half(self):
         v = check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-0.5)
-        assert not v.satisfied
-        boundary = [c for c in v.violated_clauses if c.description == "nuclear set: w2 < -n/2"]
-        assert boundary and boundary[0].lhs == boundary[0].rhs == -0.5
+        assert not v["satisfied"]
+        boundary = [c for c in v["violated_clauses"] if c["description"] == "nuclear set: w2 < -n/2"]
+        assert boundary and boundary[0]["lhs"] == boundary[0]["rhs"] == -0.5
 
     def test_convolution_witness_summable_case(self):
         # w2 < -n makes the governing series genuinely summable
         v = check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=2, delta=0.0, m=0.0, w2=-1.5)
-        assert v.satisfied
-        assert v.witness.certified
-        assert v.witness.rule == "geometric-shell-ratio"
+        assert v["satisfied"]
+        assert v["witness"]["certified"]
+        assert v["witness"]["rule"] == "geometric-shell-ratio"
 
     def test_convolution_witness_flags_borderline(self):
         # clauses hold but the series carries no numerical certificate
         v = check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-1.0)
-        assert v.satisfied
-        assert not v.witness.certified
-        assert "not certified" in v.witness.note
+        assert v["satisfied"]
+        assert not v["witness"]["certified"]
+        assert "not certified" in v["witness"]["note"]
 
 
 class TestConvolutionWitness:
@@ -196,7 +196,7 @@ class TestConvolutionWitness:
         w2 = -n / 2.0 - gap  # the nuclear set's w2 < -n/2
         w = _truncated_bracket_convolution(n, w2, k)
         want = oracles.bracket_convolution_witness(n, w2, k)
-        assert (w.labels, w.partial_sums, w.tail_estimate, w.certified) == want
+        assert (w["labels"], w["partial_sums"], w["tail_estimate"], w["certified"]) == want
 
 
 INF = math.inf
@@ -242,21 +242,21 @@ class TestCheckTT1:
     def test_torus_case3_satisfied(self):
         dual = enumerate_dual("torus", 512, dim=1)
         v = check_tt1(dual, lambda dual: dual.bracket**-3.0, 1.0, 2.0, 2.0, 3)
-        assert v.satisfied
-        assert v.witness.certified
+        assert v["satisfied"]
+        assert v["witness"]["certified"]
 
     def test_su2_case3_satisfied(self):
         dual = enumerate_dual("su2", 200)
         v = check_tt1(dual, lambda dual: dual.bracket**-4.0, 1.0, 2.0, 2.0, 3)
-        assert v.satisfied
+        assert v["satisfied"]
 
     def test_su2_case3_violated(self):
         dual = enumerate_dual("su2", 200)
         v = check_tt1(dual, lambda dual: dual.bracket**-2.0, 1.0, 2.0, 2.0, 3)
-        assert not v.satisfied
-        [clause] = v.violated_clauses
-        assert clause.lhs > 0.9  # observed shell ratio, both sides evaluated
-        assert clause.rhs == 0.9
+        assert not v["satisfied"]
+        [clause] = v["violated_clauses"]
+        assert clause["lhs"] > 0.9  # observed shell ratio, both sides evaluated
+        assert clause["rhs"] == 0.9
 
     def test_case_ranges_raise(self):
         dual = enumerate_dual("torus", 16, dim=1)
@@ -277,7 +277,7 @@ class TestCheckTT1:
             2.0,
             3,
         )
-        assert v.satisfied
+        assert v["satisfied"]
 
 
 class TestNuclearDecomposition:
@@ -413,4 +413,4 @@ HAND_TABLE = [
 
 @pytest.mark.parametrize("label,make,expected", HAND_TABLE, ids=[r[0] for r in HAND_TABLE])
 def test_hand_evaluated_table(label, make, expected):
-    assert make().satisfied is expected
+    assert make()["satisfied"] is expected

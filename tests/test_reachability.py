@@ -56,7 +56,7 @@ def test_every_public_definition_is_used_in_src():
     its own definition, as a name, an attribute or an import.
 
     Names are matched as bare strings, so a definition that shares its name with
-    anything else the package uses (a record attribute read as ``report.<name>``,
+    anything else the package uses (an attribute read as ``dual.<name>``,
     a method, a dict key spelled as an attribute) counts as used: such a
     function escapes this check.
     """

@@ -1,10 +1,12 @@
-"""Report bodies built field by field keep the exact bytes of the pinned reports.
+"""The checkers' verdicts and the Lidskii history keep the exact bytes of the pinned reports.
 
 ``tests/golden`` holds the stdout of each command below, as the package printed
-it when these bodies were still the generic record-to-dict conversion of their
-records: the ``nuclearity`` verdicts (README's t1 and tt1 commands, and a t2 set
-that fails four clauses) and the ``lidskii`` history rows.  Each body must
-render to those bytes, field order and every float's 17 digits included.
+it when these bodies were still built from record classes: the ``nuclearity``
+verdicts (README's t1, t2 and tt1 commands; a t2 set that fails four clauses; a
+dim-2 torus tt1 whose shells carry multiplicities; an SU(2) tt1 that fails the
+series monitor) and the ``lidskii`` histories (a converged 8-radius heat run, a
+two-radius run with a null verdict, JSON and CSV).  Each report must render to
+those bytes, field order and every float's 17 digits included.
 """
 
 from pathlib import Path
@@ -21,7 +23,16 @@ COMMANDS = {
                           "--m -1 --w2 0.5",
     "nuclearity-tt1.json": "nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 "
                            "--q 2 --symbol bessel --m -4",
+    "nuclearity-t2-readme.json": "nuclearity --theorem t2 --alpha 0.5 --p1 2 --delta 0 --n 1 --r 1 --k 1 "
+                                 "--m 0 --w2 -1",
+    "nuclearity-tt1-torus-dim2.json": "nuclearity --theorem tt1 --case 1 --group torus --dim 2 --cutoff 60 "
+                                      "--r 1 --p 1.5 --q 2 --symbol bessel --m -4",
+    "nuclearity-tt1-monitor.json": "nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 "
+                                   "--q 2 --m -3.1",
     "lidskii.json": "lidskii --symbol modulated --c 2 --m -4 --radii 4,8,16 --format json",
+    "lidskii-heat.json": "lidskii --symbol heat --t 0.1 --radii 1,2,4,8,16,32,64,128",
+    "lidskii-bessel.json": "lidskii --symbol bessel --m -4 --radii 4,8",
+    "lidskii-modulated.csv": "lidskii --symbol modulated --c 2 --m -4 --radii 4,8,16 --format csv",
 }
 
 
