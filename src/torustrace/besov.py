@@ -79,12 +79,15 @@ def block_norms(c: FourierCoefficients, p: float, grid_size: int) -> list[tuple[
 
 
 def weighted_norm(table: list[tuple[int, float]], params: BesovParams) -> float:
-    """(sum_m 2^{mwq} n_m^q)^{1/q} of a ``block_norms`` table; q = inf takes the sup over m."""
+    """(sum_m 2^{mwq} n_m^q)^{1/q} of a ``block_norms`` table; q = inf takes the sup over m.
+    Where a q-th power could overflow, the terms are scaled by a power of two (exact at q = 2)."""
     weighted = [(2.0 ** (m * params.w)) * norm for m, norm in table]
     if params.q == math.inf:
         return max(weighted, default=0.0)
-    total = fsum(t**params.q for t in weighted)
-    return float(total ** (1.0 / params.q))
+    exponent = math.frexp(max(weighted, default=0.0))[1]
+    shift = exponent - 1 if exponent * params.q > 1000 else 0
+    total = fsum(math.ldexp(t, -shift) ** params.q for t in weighted)
+    return math.ldexp(total ** (1.0 / params.q), shift)
 
 
 def coefficient_norm(c: FourierCoefficients, params: BesovParams, grid_size: int) -> float:

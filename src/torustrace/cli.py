@@ -7,13 +7,13 @@ field order is fixed, so identical inputs produce byte-identical output.  The
 header timestamp honours SOURCE_DATE_EPOCH and is null otherwise.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (eigensolver
-breakdown, or a divergence flag under --require-convergent).
+breakdown, or a divergence flag under --require-convergent), 1 when stdout is
+closed before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -822,16 +822,22 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     """The ``torustrace`` console script and ``python -m torustrace.cli``.
 
-    A command is one short process, and the objects numpy and this package
-    create at import (about 22 thousand containers) outlive it.  Freezing
-    them moves them to the permanent generation, so neither a full collection
-    during the run nor the collection at interpreter exit walks them again;
-    that exit walk was most of the time from the end of import to the end of
-    the process.  ``main`` does not freeze: callers that run it in-process
-    keep their heap as it was.
+    Once ``main`` returns, the report is written and every file it opened is
+    closed, so the process flushes stdout and stderr and leaves by
+    ``os._exit``: no module teardown, exit-time collection or BLAS thread
+    shutdown.  A reader gone from stdout (``| head``) gets one error line and
+    exit 1; any other exception escaping ``main`` gives a traceback and exit 1.
+    ``main`` does none of this, so in-process callers keep their process.
     """
-    gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError as exc:
+        sys.stderr.write(f"error: cannot write the report to stdout: {exc}\n")
+        sys.stderr.flush()
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -434,8 +434,9 @@ def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLat
     rounding.  So the support table (S x L) is read once, the block of each
     eta = xi + d found by ``block_index``, and |hat a|^2 summed into a
     (blocks x L) table of per-(block, column) energies; each column is
-    weighted by ``weighted_norm``.  An energy beyond float64 raises
-    OverflowError.
+    weighted by ``weighted_norm``.  Each column is scaled by a power of two
+    before squaring (exact), so only a weight 2^{mw} or a bound beyond float64
+    raises OverflowError.
 
     Stability of this sum across growing radii is the numerical nuclearity
     certificate; raised to 1/r it upper-bounds the r-quasi-norm up to the
@@ -446,21 +447,23 @@ def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLat
     support = x_fourier_support(a)
     radius = lattice.radius + int(np.abs(support).max(initial=0))  # N + b
     table = x_fourier_table(a, support, lattice)  # (S, L): H_xi's coefficient at xi + d
+    peak = np.abs(table).max(axis=0, initial=0.0)
+    scale = np.exp2(np.frexp(peak)[1] - 1.0)  # each column's largest |hat a| in [1, 2)
+    table = table / scale
     squared = sum((d[:, None] + xi) ** 2 for d, xi in zip(support.T, lattice.points.T))
     # every block of the row box |eta|_inf <= N + b is nonempty, so each column
     # reports all of them, as block_norms does on that lattice
     count = int(block_index(lattice.dim * radius**2)) + 1
     size = len(lattice)
+    energy = np.bincount(
+        (block_index(squared) * size + np.arange(size)).ravel(),
+        weights=(table.real**2 + table.imag**2).ravel(),
+        minlength=count * size,
+    ).reshape(count, size)
     with np.errstate(over="ignore"):  # refused below
-        energy = np.bincount(
-            (block_index(squared) * size + np.arange(size)).ravel(),
-            weights=(table.real**2 + table.imag**2).ravel(),
-            minlength=count * size,
-        ).reshape(count, size)
-    if not np.isfinite(energy).all():
-        raise OverflowError("the certificate's block energies sum |hat{a}(d, xi)|^2 beyond float64")
+        norms = scale * np.sqrt(energy)
     besov = BesovParams(w, 2.0, 2.0)
-    return float(fsum(
-        weighted_norm(list(enumerate(norms)), besov) ** r
-        for norms in np.sqrt(energy).T.tolist()
-    ))
+    bound = fsum(weighted_norm(list(enumerate(col)), besov) ** r for col in norms.T.tolist())
+    if not math.isfinite(bound):  # an inf block norm makes it inf or nan
+        raise OverflowError("the certificate's block norms of |hat{a}(d, xi)| leave float64")
+    return float(bound)

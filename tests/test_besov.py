@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.besov import (BesovParams, block_index, block_norms, coefficient_norm,
-                              partial_sum_convergence)
+                              partial_sum_convergence, weighted_norm)
 from torustrace.harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -272,3 +272,24 @@ class TestFourierEmbeddingRatio:
         zero = PeriodicFunction(1, min_grid_size(2), np.zeros(min_grid_size(2)))
         with pytest.raises(ValueError, match="nonzero"):
             fourier_embedding_ratio(zero, 2.0, 0.5, lat)
+
+
+@pytest.mark.parametrize("shift", [0, 300, 511, 600, 1000])
+def test_weighted_norm_keeps_terms_whose_squares_overflow(shift):
+    # 2^{0 w} 3 s and 2^{1 w} 2 s at w = 1: the norm is 5 s, exactly
+    table = [(0, math.ldexp(3.0, shift)), (1, math.ldexp(2.0, shift))]
+    assert weighted_norm(table, BesovParams(1.0, 2.0, 2.0)) == math.ldexp(5.0, shift)
+
+
+def test_weighted_norm_scaled_q_power_matches_logs():
+    table = [(0, 1e250), (1, 3e249), (2, 1e-300)]
+    params = BesovParams(0.5, 2.0, 3.0)
+    log_terms = [math.log(n) + m * params.w * math.log(2.0) for m, n in table]
+    top = max(log_terms)
+    want = top + math.log(math.fsum(math.exp(3.0 * (t - top)) for t in log_terms)) / 3.0
+    assert math.log(weighted_norm(table, params)) == pytest.approx(want, rel=1e-14)
+
+
+def test_weighted_norm_beyond_float64_is_refused():
+    with pytest.raises(OverflowError):
+        weighted_norm([(0, 1.9 * 2.0**1023), (1, 2.0**1022)], BesovParams(1.0, 2.0, 2.0))

@@ -72,6 +72,26 @@ def test_certificate_matches_dense_synthesis(source, sampled, grid, dim, radius,
     assert abs(got - want) <= 2 * math.ulp(want)
 
 
+@pytest.mark.parametrize("w", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("source", ["random", "modulated-bracket"])
+def test_certificate_is_homogeneous_past_the_square_root_of_float64(source, dim, w):
+    # |hat a|^2 of the table times 2^520 leaves float64; scaling each column by a
+    # power of two before squaring keeps every step exact, so the bound scales too
+    lattice = FrequencyLattice(dim, 4)
+    a = _symbol(source, dim, lattice, 8)
+    big = SampledSymbol(dim, a.grid_size, lattice, a.table * 2.0**520)
+    want = nuclear_quasinorm_bound(a, 1.0, w, lattice)
+    assert nuclear_quasinorm_bound(big, 1.0, w, lattice) == math.ldexp(want, 520)
+
+
+def test_certificate_beyond_float64_is_refused():
+    lattice = FrequencyLattice(1, 4)
+    a = _symbol("random", 1, lattice, 8)
+    with pytest.raises(OverflowError):
+        nuclear_quasinorm_bound(SampledSymbol(1, 8, lattice, a.table * 2.0**1020), 1.0, 1.0, lattice)
+
+
 @pytest.mark.parametrize("sampled", [False, True])
 def test_p2_certificate_builds_no_compression_and_no_synthesis(monkeypatch, sampled):
     lattice = FrequencyLattice(2, 3)

@@ -1,10 +1,10 @@
 """End-to-end CLI coverage: every subcommand, exit codes, schemas, determinism."""
 
 import argparse
-import gc
 import importlib
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -992,31 +992,22 @@ class TestRangeRefusedAtParser:
 
 
 class TestWeightOverflow:
-    """A dyadic weight 2^{m w}, or its q-th power, beyond float64 is refused
-    (exit 2) with the flag to lower, not raised as an OverflowError; so is a
-    certificate whose block energies leave float64 (the symbol's flags, too),
-    and a tail envelope C <xi>^{order hint} that does (the flag to move), with
-    no numpy RuntimeWarning."""
-
-    symbol_flags = "lower --certify-w, or lower --m or --c, or raise --t"
+    """A dyadic weight 2^{m w} beyond float64 is refused (exit 2) with the flag
+    to lower, not raised as an OverflowError; so is a tail envelope
+    C <xi>^{order hint} that leaves float64 (the flag to move), with no numpy
+    RuntimeWarning."""
 
     @pytest.mark.parametrize("argv, remedy", [
+        # blocks m <= 2 on this row box, so 2^{2 w} leaves float64 from w = 512 on
         (["trace", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "4",
-          "--certify-w", "400"], "lower --certify-w"),
+          "--certify-w", "600"], "lower --certify-w"),
         (["besov-norm", "--character", "4", "--w", "1000", "--p", "2", "--q", "2",
           "--radius", "8"], "lower --w"),
         (["approx-demo", "--stock", "8", "--w", "400", "--p", "2", "--q", "2",
           "--n-values", "1"], "lower --w"),
-        (["trace", "--symbol", "modulated", "--c", "1e200", "--m", "-4", "--radius", "4",
-          "--certify-w", "1"], symbol_flags),
-        (["trace", "--symbol", "bessel", "--m", "150", "--dim", "2", "--radius", "8",
-          "--certify-w", "1"], symbol_flags),
-        (["trace", "--symbol", "modulated", "--c", "1e160", "--m", "-4", "--radius", "4",
-          "--certify-w", "-300"], symbol_flags),
         (["trace", "--symbol", "bessel", "--m", "-4", "--radius", "4", "--order-hint", "-1000"],
          "pass an --order-hint nearer the symbol's order"),
-    ], ids=["trace", "besov-norm", "approx-demo", "certificate-c", "certificate-m",
-            "certificate-negative-w", "order-hint"])
+    ], ids=["trace", "besov-norm", "approx-demo", "order-hint"])
     def test_exit_2_names_the_flag(self, capsys, monkeypatch, argv, remedy):
         import torustrace.cli as cli
 
@@ -1027,6 +1018,36 @@ class TestWeightOverflow:
             code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert "Traceback" not in err and remedy in err
+
+
+class TestCertificateRange:
+    """A certificate whose block energies |hat a|^2 leave float64 while its
+    bound does not is reported: each column is scaled by a power of two before
+    squaring.  Once --c dominates the cosine of (c + cos 2 pi x_1) <xi>^m, the
+    bound grows in proportion to c, so it is checked against --c 1e100, whose
+    energies stay inside float64."""
+
+    modulated = ["trace", "--symbol", "modulated", "--m", "-4", "--radius", "4"]
+
+    @pytest.mark.parametrize("argv, c", [
+        (modulated + ["--c", "1e200", "--certify-w", "1"], 1e200),
+        (["trace", "--symbol", "bessel", "--m", "150", "--dim", "2", "--radius", "8",
+          "--certify-w", "1"], None),
+        (modulated + ["--c", "1e160", "--certify-w", "-300"], 1e160),
+        (["trace", "--symbol", "modulated", "--m", "-4", "--dim", "2", "--radius", "4",
+          "--certify-w", "400"], None),
+    ], ids=["certificate-c", "certificate-m", "certificate-negative-w", "certify-w-400"])
+    def test_finite_bound_is_reported(self, capsys, argv, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        bound = json.loads(out)["diagnostics"]["quasinorm_certificate"]["bound"]
+        assert isinstance(bound, float) and 1e100 < bound < math.inf
+        if c is not None:
+            ref = run_json(capsys, [*argv[:-4], "--c", "1e100", *argv[-2:]])
+            ref_bound = ref["diagnostics"]["quasinorm_certificate"]["bound"]
+            assert bound == pytest.approx(c / 1e100 * ref_bound, rel=1e-14)
 
 
 class TestLebesgueExponentRange:
@@ -1061,13 +1082,11 @@ class TestCliContract:
         entrypoint = getattr(importlib.import_module(module), func)
         monkeypatch.setattr(sys, "argv", ["torustrace", "besov-norm", "--character", "4", "--w", "1",
                                           "--p", "2", "--q", "2", "--radius", "8"])
-        # record the freeze instead of freezing pytest's own heap
-        freezes = []
-        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
+        # raise the exit code instead of leaving pytest's own process
+        monkeypatch.setattr(os, "_exit", lambda code: sys.exit(code))
         with pytest.raises(SystemExit) as exc:
             entrypoint()
         assert exc.value.code == 0
-        assert len(freezes) == 1
         assert json.loads(capsys.readouterr().out)["body"]["norm"] == pytest.approx(4.0, abs=1e-10)
 
     def test_unknown_flag_exit_2(self, capsys, monkeypatch):
