@@ -13,7 +13,6 @@ closed before the report is written.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -21,6 +20,7 @@ import re
 import sys
 from collections.abc import Iterable
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -166,9 +166,12 @@ def emit(text: str, output: str | None) -> None:
 
 
 def _number(convert=float, low: float | None = None, strict: bool = False, allow_inf: bool = False):
-    """argparse type that declares a number flag's range beside the flag: NaN is
+    """Flag type that declares a number flag's range beside the flag: NaN is
     refused, +-inf unless the range includes it (Lebesgue exponents p, q in
-    [1, inf]), and values below ``low`` (or at it, when ``strict``)."""
+    [1, inf]), and values below ``low`` (or at it, when ``strict``).  A value
+    out of range raises argparse's ``ArgumentTypeError``, whose message argparse
+    prints; argparse is imported on that branch alone, so ``read_argv`` checks
+    an in-range value without it."""
     kind = "an integer" if convert is int else "a number or inf" if allow_inf else "a finite number"
     allowed = kind if low is None else f"{kind} {'>' if strict else '>='} {low:g}"
 
@@ -176,6 +179,8 @@ def _number(convert=float, low: float | None = None, strict: bool = False, allow
         value = convert(text)  # an int can be too large for math.isnan, but is finite
         non_finite = convert is float and (math.isnan(value) or (math.isinf(value) and not allow_inf))
         if non_finite or (low is not None and (value <= low if strict else value < low)):
+            import argparse
+
             raise argparse.ArgumentTypeError(f"{text!r} is not {allowed}; pass {allowed}")
         return value
 
@@ -184,55 +189,22 @@ def _number(convert=float, low: float | None = None, strict: bool = False, allow
 
 
 def _number_list(item, what: str):
-    """argparse type for a nonempty comma-separated list of ``item`` values."""
+    """Flag type for a nonempty comma-separated list of ``item`` values."""
 
     def parse(text: str) -> list:
         try:
             values = [item(tok) for tok in text.split(",") if tok.strip()]
-        except (ValueError, argparse.ArgumentTypeError):
+        except Exception:  # a token int()/float() refuses, or the item's ArgumentTypeError
             values = []
         if not values:
+            import argparse
+
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a comma-separated list of {what}; pass {what}, comma separated"
             )
         return values
 
     return parse
-
-
-FINITE = _number()
-FINITE_OR_INF = _number(allow_inf=True)
-
-
-def _add_symbol_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--symbol",
-        choices=["bessel", "heat", "modulated", "character"],
-        help="catalog family: bessel(<xi>^m), heat(e^{-t|xi|^2}), "
-        "modulated((c+cos 2 pi x1) g(xi)), character(e^{i 2 pi x1})",
-    )
-    sub.add_argument("--symbol-file", help="sampled-symbol JSON file")
-    sub.add_argument("--m", type=FINITE, help="bracket-power exponent (signed: -4 decays)")
-    sub.add_argument("--t", type=FINITE, help="heat/gaussian time parameter")
-    sub.add_argument("--c", type=FINITE, help="modulation offset (default 2)")
-    sub.add_argument(
-        "--g",
-        choices=["bracket", "gaussian"],
-        help="frequency factor of the modulated family",
-    )
-    sub.add_argument("--dim", type=int, choices=[1, 2])
-
-
-def _add_function_flags(sub: argparse.ArgumentParser) -> None:
-    """The input function and norm of the dyadic commands (``build_coefficients``)."""
-    sub.add_argument("--input", help="periodic-function JSON file")
-    sub.add_argument("--character", type=int, help="use e^{i 2 pi K x} instead of a file")
-    sub.add_argument("--stock", type=_number(int, low=0), help="use the stock family truncated at K")
-    sub.add_argument("--grid", type=_number(int, low=1), help="grid size override")
-    lebesgue = _number(low=1, allow_inf=True)  # the Banach range of BesovParams
-    sub.add_argument("--w", type=FINITE, required=True)
-    sub.add_argument("--p", type=lebesgue, required=True)
-    sub.add_argument("--q", type=lebesgue, required=True)
 
 
 def build_symbol(args) -> Symbol:
@@ -674,133 +646,213 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: every subcommand, or only ``command``'s subparser.
+FINITE = _number()
+FINITE_OR_INF = _number(allow_inf=True)
+NATURAL = _number(int, low=0)
+NATURALS = _number_list(NATURAL, "integers >= 0")
+CUTOFF = _number(low=0)
+LEBESGUE = _number(low=1, allow_inf=True)  # the Banach range of BesovParams
+DIM = {"type": int, "choices": [1, 2]}
+STORE_TRUE = {"action": "store_true"}
+# no option string starts with "-" and a digit, so "-1,0" and "-1e1" are values
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
-    Each ``add_argument`` builds a help formatter (terminal size, gettext
-    lookups), so the whole parser costs more than many commands' numerics;
-    ``main`` builds only the subcommand it runs.  The top-level usage names
-    every command either way, so help, usage and errors do not depend on it.
+# Each command's flags, once: the add_argument keywords of its subparser, which
+# read_argv also reads.  The dest of --flag-name is flag_name, as argparse derives it.
+SYMBOL_FLAGS = {
+    "--symbol": {"choices": ["bessel", "heat", "modulated", "character"],
+                 "help": "catalog family: bessel(<xi>^m), heat(e^{-t|xi|^2}), "
+                 "modulated((c+cos 2 pi x1) g(xi)), character(e^{i 2 pi x1})"},
+    "--symbol-file": {"help": "sampled-symbol JSON file"},
+    "--m": {"type": FINITE, "help": "bracket-power exponent (signed: -4 decays)"},
+    "--t": {"type": FINITE, "help": "heat/gaussian time parameter"},
+    "--c": {"type": FINITE, "help": "modulation offset (default 2)"},
+    "--g": {"choices": ["bracket", "gaussian"], "help": "frequency factor of the modulated family"},
+    "--dim": DIM,
+}
+FUNCTION_FLAGS = {  # the input function and norm of the dyadic commands (build_coefficients)
+    "--input": {"help": "periodic-function JSON file"},
+    "--character": {"type": int, "help": "use e^{i 2 pi K x} instead of a file"},
+    "--stock": {"type": NATURAL, "help": "use the stock family truncated at K"},
+    "--grid": {"type": _number(int, low=1), "help": "grid size override"},
+    "--w": {"type": FINITE, "required": True},
+    "--p": {"type": LEBESGUE, "required": True},
+    "--q": {"type": LEBESGUE, "required": True},
+}
+SERIES_FLAGS = {  # heat-trace and bessel-trace
+    "--group": {"choices": ["torus", "su2"], "required": True},
+    "--dim": {**DIM, "default": 1},
+}
+COMMANDS = {  # name: (help line, flags); --format and --output follow every command's own
+    "trace": ("nuclear and spectral trace at one radius", {
+        **SYMBOL_FLAGS,
+        "--radius": {"type": NATURAL, "required": True},
+        "--order-hint": {"type": FINITE, "help": "power-law order for the truncation tail bound"},
+        "--certify-w": {"type": FINITE, "help": "also report the quasi-norm certificate at this weight"},
+    }),
+    "lidskii": ("trace identity across increasing radii", {
+        **SYMBOL_FLAGS,
+        "--radii": {"type": NATURALS, "required": True, "help": "comma-separated increasing radii"},
+        "--require-convergent": STORE_TRUE,
+    }),
+    "besov-norm": ("dyadic-block norm of a sampled function", {
+        **FUNCTION_FLAGS,
+        "--radius": {"type": NATURAL, "required": True},
+    }),
+    "check-class": ("empirical symbol order and Fourier decay", {
+        **SYMBOL_FLAGS,
+        "--radius": {"type": _number(int, low=8), "required": True},
+        "--alpha-idx": {"type": NATURALS, "default": "0", "help": "difference multi-index, comma separated"},
+        "--beta-idx": {"type": NATURALS, "default": "0", "help": "x-derivative multi-index, comma separated"},
+        "--decay-k": {"type": _number(int, low=1)},
+        "--decay-m": {"type": FINITE},
+        "--decay-delta": {"type": FINITE},
+    }),
+    "nuclearity": ("run a sufficient-condition checker", {
+        "--theorem": {"choices": ["t1", "t2", "tt1"], "required": True},
+        "--case": {"type": int, "choices": [1, 2, 3, 4]},
+        "--n": DIM,
+        "--r": {"type": FINITE},
+        "--alpha": {"type": FINITE},
+        "--p1": {"type": FINITE},
+        "--k": {"type": int},
+        "--delta": {"type": FINITE},
+        "--m": {"type": FINITE},
+        "--w2": {"type": FINITE},
+        "--p2": {"type": FINITE_OR_INF},
+        "--q2": {"type": FINITE_OR_INF},
+        "--p": {"type": FINITE_OR_INF},
+        "--q": {"type": FINITE_OR_INF},
+        "--group": {"choices": ["torus", "su2"]},
+        "--dim": DIM,
+        "--cutoff": {"type": CUTOFF},
+        "--symbol": {"choices": ["bessel", "heat"]},
+        "--t": {"type": FINITE},
+    }),
+    "heat-trace": ("sum d^2 exp(-t lambda) over a dual", {
+        **SERIES_FLAGS,
+        "--t": {"type": _number(low=0, strict=True), "required": True},
+        "--cutoff": {"type": CUTOFF, "required": True},
+        "--integer-spins": STORE_TRUE,
+    }),
+    "bessel-trace": ("sum d^2 bracket^(-alpha) over a dual", {
+        **SERIES_FLAGS,
+        "--alpha": {"type": FINITE, "required": True},
+        "--cutoff": {"type": CUTOFF, "required": True},
+        "--tail-correct": STORE_TRUE,
+        "--require-convergent": STORE_TRUE,
+        "--integer-spins": STORE_TRUE,
+    }),
+    "approx-demo": ("partial-sum convergence in a dyadic norm", {
+        **FUNCTION_FLAGS,
+        "--n-values": {"type": _number_list(FINITE, "finite numbers"), "required": True},
+        "--radius": {"type": NATURAL},
+    }),
+    "spectrum": ("eigenvalues of the compressed operator", {
+        **SYMBOL_FLAGS,
+        "--radius": {"type": NATURAL, "required": True},
+        "--matrix-csv": {"help": "also export the matrix as eta,xi,re,im CSV"},
+    }),
+}
+OUTPUT_FLAGS = {
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+    "--output": {"help": "write the report here instead of stdout"},
+}
+FLAGS = {name: {**flags, **OUTPUT_FLAGS} for name, (_, flags) in COMMANDS.items()}
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain command line, read without argparse;
+    None for any other line, which ``build_parser()`` then parses or refuses.
+
+    Plain: a command, then only its flags, each spelled in full as ``--flag
+    value`` or ``--flag=value`` (a ``store_true`` flag bare); a separate value
+    starts with "-" only as a number (``NEGATIVE_NUMBER``) and no value is "--";
+    each value passes its flag's type and choices; every required flag is given.
+    An absent flag takes its default (a str default through the flag's type, as
+    argparse does), and the last repeat of a flag wins."""
+    if not argv or argv[0] not in FLAGS:
+        return None
+    flags, given, tokens = FLAGS[argv[0]], {}, iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None or ("action" in spec and equals):  # the one action is store_true
+            return None
+        if "action" in spec:
+            given[flag] = True
+            continue
+        if not equals:
+            value = next(tokens, "--")  # a flag without its value is refused, as "--" is
+            if value.startswith("-") and not NEGATIVE_NUMBER.match(value):
+                return None
+        if value == "--":
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except Exception:  # argparse reports the value with the usage
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0])
+    for flag, spec in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default", False if "action" in spec else None)
+            if isinstance(value, str):
+                value = spec.get("type", str)(value)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
+def build_parser():
+    """The ``argparse.ArgumentParser`` of every command, built from ``FLAGS``.
+
+    ``main`` uses it only for the lines ``read_argv`` declines: help, usage and
+    errors (no command, a typo, a bad value, a missing flag), and the spellings
+    the reader does not take, such as abbreviations.  Argparse is imported here,
+    so a well-formed command line never imports it nor builds a parser.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="torustrace",
         description="Toroidal operator calculus: traces, dyadic norms, nuclearity checks",
     )
-    # an explicit metavar would rename the missing-command error, so only a partial parser sets it
-    metavar = None if command is None else "{" + ",".join(HANDLERS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name: str, help: str):
-        if command not in (None, name):
-            return None
-        p = sub.add_parser(name, help=help)
-        # no option string starts with "-" and a digit, so "-1,0" and "-1e1" are values
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
-        return p
-
-    natural = _number(int, low=0)
-    naturals = _number_list(natural, "integers >= 0")
-    cutoff = _number(low=0)
-
-    if p := add("trace", "nuclear and spectral trace at one radius"):
-        _add_symbol_flags(p)
-        p.add_argument("--radius", type=natural, required=True)
-        p.add_argument("--order-hint", type=FINITE, dest="order_hint",
-                       help="power-law order for the truncation tail bound")
-        p.add_argument("--certify-w", type=FINITE, dest="certify_w",
-                       help="also report the quasi-norm certificate at this weight")
-
-    if p := add("lidskii", "trace identity across increasing radii"):
-        _add_symbol_flags(p)
-        p.add_argument("--radii", type=naturals, required=True,
-                       help="comma-separated increasing radii")
-        p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
-
-    if p := add("besov-norm", "dyadic-block norm of a sampled function"):
-        _add_function_flags(p)
-        p.add_argument("--radius", type=natural, required=True)
-
-    if p := add("check-class", "empirical symbol order and Fourier decay"):
-        _add_symbol_flags(p)
-        p.add_argument("--radius", type=_number(int, low=8), required=True)
-        p.add_argument("--alpha-idx", type=naturals, default="0", dest="alpha_idx",
-                       help="difference multi-index, comma separated")
-        p.add_argument("--beta-idx", type=naturals, default="0", dest="beta_idx",
-                       help="x-derivative multi-index, comma separated")
-        p.add_argument("--decay-k", type=_number(int, low=1), dest="decay_k")
-        p.add_argument("--decay-m", type=FINITE, dest="decay_m")
-        p.add_argument("--decay-delta", type=FINITE, dest="decay_delta")
-
-    if p := add("nuclearity", "run a sufficient-condition checker"):
-        p.add_argument("--theorem", choices=["t1", "t2", "tt1"], required=True)
-        p.add_argument("--case", type=int, choices=[1, 2, 3, 4])
-        p.add_argument("--n", type=int, choices=[1, 2])
-        p.add_argument("--r", type=FINITE)
-        p.add_argument("--alpha", type=FINITE)
-        p.add_argument("--p1", type=FINITE)
-        p.add_argument("--k", type=int)
-        p.add_argument("--delta", type=FINITE)
-        p.add_argument("--m", type=FINITE)
-        p.add_argument("--w2", type=FINITE)
-        p.add_argument("--p2", type=FINITE_OR_INF)
-        p.add_argument("--q2", type=FINITE_OR_INF)
-        p.add_argument("--p", type=FINITE_OR_INF)
-        p.add_argument("--q", type=FINITE_OR_INF)
-        p.add_argument("--group", choices=["torus", "su2"])
-        p.add_argument("--dim", type=int, choices=[1, 2])
-        p.add_argument("--cutoff", type=cutoff)
-        p.add_argument("--symbol", choices=["bessel", "heat"])
-        p.add_argument("--t", type=FINITE)
-
-    if p := add("heat-trace", "sum d^2 exp(-t lambda) over a dual"):
-        p.add_argument("--group", choices=["torus", "su2"], required=True)
-        p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-        p.add_argument("--t", type=_number(low=0, strict=True), required=True)
-        p.add_argument("--cutoff", type=cutoff, required=True)
-        p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
-
-    if p := add("bessel-trace", "sum d^2 bracket^(-alpha) over a dual"):
-        p.add_argument("--group", choices=["torus", "su2"], required=True)
-        p.add_argument("--dim", type=int, default=1, choices=[1, 2])
-        p.add_argument("--alpha", type=FINITE, required=True)
-        p.add_argument("--cutoff", type=cutoff, required=True)
-        p.add_argument("--tail-correct", action="store_true", dest="tail_correct")
-        p.add_argument("--require-convergent", action="store_true", dest="require_convergent")
-        p.add_argument("--integer-spins", action="store_true", dest="integer_spins")
-
-    if p := add("approx-demo", "partial-sum convergence in a dyadic norm"):
-        _add_function_flags(p)
-        p.add_argument("--n-values", type=_number_list(FINITE, "finite numbers"), required=True,
-                       dest="n_values")
-        p.add_argument("--radius", type=natural)
-
-    if p := add("spectrum", "eigenvalues of the compressed operator"):
-        _add_symbol_flags(p)
-        p.add_argument("--radius", type=natural, required=True)
-        p.add_argument("--matrix-csv", dest="matrix_csv",
-                       help="also export the matrix as eta,xi,re,im CSV")
-
-    for p in sub.choices.values():  # flags common to every subcommand, after its own
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--output", help="write the report here instead of stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = NEGATIVE_NUMBER
+        for flag, kwargs in FLAGS[name].items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; only its subparser is built (all of them for help or a typo)."""
+    """Run one command.  ``read_argv`` reads a well-formed command line; any
+    other goes to ``build_parser()``, which parses it, or prints help, or
+    refuses it with the usage and exit 2 (a flag the command lacks with the
+    command's own usage)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in HANDLERS else None
-    parser = build_parser(command)
-    try:
-        if command is None:
-            args = parser.parse_args(argv)
-        else:  # a flag the command lacks is reported with the command's usage
-            args, extras = parser.parse_known_args(argv)
-            if extras:
-                (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-                sub.choices[command].error(f"unrecognized arguments: {' '.join(extras)}")
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    args = read_argv(argv)
+    if args is None:
+        import argparse
+
+        parser = build_parser()
+        try:
+            if not argv or argv[0] not in HANDLERS:
+                args = parser.parse_args(argv)
+            else:
+                args, extras = parser.parse_known_args(argv)
+                if extras:
+                    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+                    sub.choices[argv[0]].error(f"unrecognized arguments: {' '.join(extras)}")
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
     try:
         body, diagnostics, csv_table = HANDLERS[args.command](args)
         if args.format == "csv":

@@ -293,3 +293,14 @@ def test_weighted_norm_scaled_q_power_matches_logs():
 def test_weighted_norm_beyond_float64_is_refused():
     with pytest.raises(OverflowError):
         weighted_norm([(0, 1.9 * 2.0**1023), (1, 2.0**1022)], BesovParams(1.0, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("q", [2000.0, 1e10, 1e300])
+def test_weighted_norm_large_finite_q_lies_at_the_sup(q):
+    # normed relative to the largest term, so a q-th power of it beyond float64 is
+    # not refused: sup <= norm <= n^{1/q} sup, as the stock family's blocks at
+    # --w 0 --q 1e10 report the --q inf norm
+    table = [(0, 1.2247448713915889), (1, 0.5), (2, 0.25), (3, 1e-3)]
+    params = BesovParams(0.0, 2.0, q)
+    assert weighted_norm(table, params) == pytest.approx(1.2247448713915889, rel=4.0 ** (1.0 / q) - 1.0)
+    assert weighted_norm(table, params) >= weighted_norm(table, BesovParams(0.0, 2.0, math.inf))

@@ -1105,7 +1105,7 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command", list(HANDLERS))
     def test_unknown_flag_reported_with_the_command_usage(self, capsys, command):
-        (sub,) = [a for a in build_parser(command)._actions
+        (sub,) = [a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
         parser = sub.choices[command]
         # a valid value for each required flag, so that parsing reaches the leftover tokens
