@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norm
-from .criteria import (SHELL_RATIO_COUNT, SHELL_RATIO_LIMIT, check_t1, check_t2, check_tt1,
-                       nuclear_quasinorm_bound)
+from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
     DUAL_SIZE_LIMIT,
     bessel_tail,
@@ -240,6 +239,17 @@ def build_symbol(args) -> Symbol:
     return character_symbol(dim)
 
 
+def _require_lattice(dim: int, radius: int, remedy: str) -> None:
+    """Refuse a frequency lattice above DUAL_SIZE_LIMIT points, the dual series'
+    size scale, before it is built."""
+    points = (2 * radius + 1) ** dim
+    _require(
+        points <= DUAL_SIZE_LIMIT,
+        f"radius {radius} in dim {dim} gives a lattice of {points} points, above "
+        f"{DUAL_SIZE_LIMIT}; {remedy}",
+    )
+
+
 def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | None) -> None:
     """Refuse a dyadic-norm run above DUAL_SIZE_LIMIT points before anything is
     built: its analysis lattice, and its block synthesis, which holds one copy of
@@ -252,12 +262,7 @@ def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | Non
         sources += (("--stock", args.stock), ("--character", args.character))
     flags = [flag for flag, value in sources if value is not None]
     remedy = "lower " + ", ".join(flags[:-1]) + (" or " if len(flags) > 1 else "") + flags[-1]
-    lattice = (2 * radius + 1) ** dim
-    _require(
-        lattice <= DUAL_SIZE_LIMIT,
-        f"radius {radius} in dim {dim} gives a lattice of {lattice} points, above "
-        f"{DUAL_SIZE_LIMIT}; {remedy}",
-    )
+    _require_lattice(dim, radius, remedy)
     blocks = int(block_index(dim * radius**2)) + 1
     points = blocks * grid**dim
     _require(
@@ -401,10 +406,16 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
     except OverflowError as exc:
         raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
     body = {"radii": args.radii, **report}
-    if args.require_convergent and report["history_converged"] is False:
-        raise NumericalFailure(
-            "nuclear-trace increments do not shrink geometrically across the radii"
-        )
+    diagnostics = {
+        "note": "nuclear/spectral agreement at every radius is a property of the "
+        "finite compression; summability of the full operator is what the "
+        "nuclearity checkers certify",
+    }
+    if not report["history_converged"]:
+        diagnostics["tail_note"] = ("a sampled symbol has no decay envelope past its table"
+                                    if args.symbol_file else "the symbol's frequency factor is not summable")
+        if args.require_convergent:
+            raise NumericalFailure(f"the nuclear-trace tail is not certified: {diagnostics['tail_note']}")
     csv_table = (
         "N,nuclear_re,nuclear_im,spectral_re,spectral_im,abs_diff",
         (
@@ -413,13 +424,6 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
             for row in report["history"]
         ),
     )
-    diagnostics = {
-        "increment_rule": f"converged when each of the last {SHELL_RATIO_COUNT} increment ratios "
-        f"(all, when fewer) is <= {SHELL_RATIO_LIMIT:g}",
-        "note": "nuclear/spectral agreement at every radius is a property of the "
-        "finite compression; summability of the full operator is what the "
-        "nuclearity checkers certify",
-    }
     return body, diagnostics, csv_table
 
 
@@ -448,13 +452,7 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
     else:
         _require(args.decay_m is not None, "--decay-k also needs --decay-m ORDER")
     a = build_symbol(args)
-    # the fit's lattice, on the dual series' size scale, refused before it is built
-    points = (2 * args.radius + 1) ** a.dim
-    _require(
-        points <= DUAL_SIZE_LIMIT,
-        f"radius {args.radius} in dim {a.dim} gives a lattice of {points} points, above "
-        f"{DUAL_SIZE_LIMIT}; lower --radius",
-    )
+    _require_lattice(a.dim, args.radius, "lower --radius")  # the fit's lattice
     lattice = FrequencyLattice(a.dim, args.radius)
     alpha = _multi_index(args.alpha_idx, a.dim, "--alpha-idx")
     beta = _multi_index(args.beta_idx, a.dim, "--beta-idx")
@@ -514,14 +512,10 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         dual = _dual(args)
         if args.symbol == "heat":
             _require(args.t is not None, "tt1 heat multiplier needs --t TIME")
-            t = args.t
-            symbol_fn = lambda dual: np.exp(-t * dual.lam)  # noqa: E731
         else:
             _require(args.m is not None, "tt1 bracket multiplier needs --m EXPONENT")
-            m = args.m
-            symbol_fn = lambda dual: dual.bracket**m  # noqa: E731
         try:
-            verdict = check_tt1(dual, symbol_fn, args.r, args.p, args.q, args.case)
+            verdict = check_tt1(dual, args.r, args.p, args.q, args.case, m=args.m, t=args.t)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
@@ -547,7 +541,7 @@ def _dual(args, half_integers: bool = True):
 
 def _run_heat_trace(args) -> tuple[dict, dict, CsvTable | None]:
     dual = _dual(args, half_integers=not args.integer_spins)
-    value, diag = summed_series(dual, heat_terms(dual, args.t))
+    value, diag = summed_series(dual, heat_terms(dual, args.t), (2.0, 0.0, args.t))
     body = {"group": args.group, "dim": args.dim, "t": args.t, "cutoff": args.cutoff,
             "value": value}
     return body, diag, None
@@ -562,14 +556,13 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     dual = _dual(args, half_integers=not args.integer_spins)
-    divergent = args.alpha <= dual.group_dimension
     try:
-        value, diag = summed_series(dual, bessel_terms(dual, args.alpha), divergent=divergent)
+        value, diag = summed_series(dual, bessel_terms(dual, args.alpha), (2.0, -args.alpha, 0.0))
     except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
         raise ValidationError("the series terms sum beyond float64; raise --alpha or lower --cutoff") from exc
     if args.tail_correct:
         value += tail
-    diag["divergent"] = divergent
+    diag["divergent"] = not diag["converged"]  # alpha at most the group's dimension
     body = {
         "group": args.group,
         "dim": args.dim,
@@ -578,7 +571,7 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
         "tail_corrected": bool(args.tail_correct),
         "value": value,
     }
-    if divergent and args.require_convergent:
+    if diag["divergent"] and args.require_convergent:
         raise NumericalFailure(
             f"alpha = {args.alpha} diverges on a dual of dimension {dual.group_dimension}"
         )
@@ -819,7 +812,14 @@ def build_parser():
     """
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            """Write help, usage and errors as a report is written: argparse drops
+            the OSError of a reader gone from the pipe, this raises it."""
+            if message:
+                (file or sys.stderr).write(message)
+
+    parser = Parser(
         prog="torustrace",
         description="Toroidal operator calculus: traces, dyadic norms, nuclearity checks",
     )
@@ -835,8 +835,8 @@ def build_parser():
 def main(argv=None) -> int:
     """Run one command.  ``read_argv`` reads a well-formed command line; any
     other goes to ``build_parser()``, which parses it, or prints help, or
-    refuses it with the usage and exit 2 (a flag the command lacks with the
-    command's own usage)."""
+    refuses it with the usage and exit 2 (a flag the command lacks, or one whose
+    value is "--", with the command's own usage)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = read_argv(argv)
     if args is None:
@@ -848,9 +848,13 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv)
             else:
                 args, extras = parser.parse_known_args(argv)
+                (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
                 if extras:
-                    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
                     sub.choices[argv[0]].error(f"unrecognized arguments: {' '.join(extras)}")
+                # argparse reads the value of --flag=-- as an empty list
+                for flag in FLAGS[argv[0]]:
+                    if getattr(args, flag[2:].replace("-", "_")) == []:
+                        sub.choices[argv[0]].error(f"argument {flag}: expected one argument")
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
     try:

@@ -18,16 +18,18 @@ Three checkers are exposed:
   (p, q)-dependent series over the dual must converge.
 
 Strict inequalities are checked strictly; a failure at equality is reported as
-such.  Series convergence is certified numerically: an integral-test bound for
-pure power-law terms, or ``certify_shell_sums``, the one geometric-ratio rule
-(ratio <= 0.9 over the last 4 shells), which ``groups`` and ``traces`` call too;
-the rule used is reported with the verdict.
+such.  Every series tail of the package is ``dual_tail_bound``: an upper bound
+on sum d^a <xi>^b e^{-s lambda} over the dual points past a slice, the integral
+test in closed form, inf exactly when the series is not summable.  A witness
+is certified when its tail is finite, and names its envelope as its rule:
+``integral-test(power-law)`` (s = 0) or ``integral-test(gaussian)`` (s > 0).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from itertools import accumulate
 
 import numpy as np
@@ -37,8 +39,6 @@ from .harmonic import FrequencyLattice
 from .sums import fsum, fsum_by
 from .symbols import Symbol, x_fourier_support, x_fourier_table
 
-SHELL_RATIO_LIMIT = 0.9
-SHELL_RATIO_COUNT = 4
 RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
              "==": operator.eq, "int": lambda lhs, _: float(lhs).is_integer()}
 
@@ -115,70 +115,80 @@ def _lattice_power_sums(n: int, exponent: float, radii: list[int]) -> list[float
     return [fsum(terms[sup <= radius]) for radius in radii]
 
 
-def power_tail_bound(n: int, exponent: float, radius: int) -> float:
-    """Integral-test bound on sum_{|xi|_inf > R} <xi>^exponent (finite iff exponent < -n)."""
-    if exponent >= -n:
+def dual_tail_bound(group: str, dim: int, cutoff: float, a: float, b: float, s: float) -> float:
+    """Upper bound on sum d^a <xi>^b e^{-s lambda} over the dual points past a
+    slice: |xi|_inf > floor(cutoff) on the torus Z^dim (d = 1, lambda = |xi|^2),
+    l > cutoff on SU(2) (d = 2l + 1, lambda = (d^2 - 1)/4).  inf exactly when the
+    series is not summable, or when the bound leaves float64.
+
+    The points past the slice fall into groups x > X = edge: a torus max-norm
+    shell (at most 2^{2 dim - 1} x^{dim - 1} points, lambda >= x^2, <xi>^2 <=
+    (dim + 1) x^2), or d = x on SU(2) (x/2 < <xi> <= x).  A group sums to at most
+    h(x) = w x^q (x/rho)^b e^{-sigma (x^2 - tau)}, which decreases past peak =
+    sqrt(p/(2 sigma)), p = q + b.  The groups X < x <= start = max(X + 1,
+    ceil(peak)) are bounded by the largest, the rest by the integral of h from
+    start: w rho^{-b} start^{p+1}/(-p - 1) when s = 0, else, by the concavity of
+    log x and Abramowitz & Stegun 7.1.13, h(start)/(sqrt(sigma) (z + sqrt(z^2 +
+    4/pi))), z = sqrt(sigma) start - max(p, 0)/(2 sqrt(sigma) start).  A torus
+    power law, whose envelope x^b meets its terms at the edge, takes start =
+    max(X, 1): the integral from the edge itself.
+    """
+    if group == "su2":
+        edge, first, q, sigma, tau = math.floor(2 * cutoff) + 1, 1, a, s / 4.0, 1.0
+        weight, rho = 1.0, 2.0 if b < 0 else 1.0
+    else:
+        edge, first, q, sigma, tau = math.floor(cutoff), int(s != 0), dim - 1, s, 0.0
+        weight, rho = 2.0 ** (2 * dim - 1), 1.0 if b <= 0 else (dim + 1.0) ** -0.5
+    p = q + b
+    if s < 0 or (s == 0 and p >= -1):
         return math.inf
-    if n == 1:
-        return 2.0 * radius ** (exponent + 1) / (-exponent - 1)
-    # max-norm shell s holds 8s points and <xi> >= s on it
-    return 8.0 * radius ** (exponent + 2) / (-exponent - 2)
+    try:  # a bound beyond float64, or a point beyond it, reads inf
+        peak = math.sqrt(p / (2.0 * sigma)) if s > 0 and p > 0 else 0.0
+        start = max(edge + first, math.ceil(peak), 1)
+
+        def h(x):
+            return weight * math.exp(q * math.log(x) + b * math.log(x / rho) - sigma * (x * x - tau))
+
+        head = (start - edge) * h(max(peak, edge + 1)) if start > edge else 0.0
+        if s == 0:
+            power = start ** (p + 1) if rho == 1 else (start / rho) ** b * start ** (q + 1)
+            return head + weight * power / (-p - 1)
+        root = math.sqrt(sigma)
+        z = root * start - max(p, 0.0) / (2.0 * root * start)
+        return head + h(start) / (root * (z + math.sqrt(z * z + 4.0 / math.pi)))
+    except OverflowError:
+        return math.inf
+
+
+def _witness(series: str, labels, partial_sums: list[float], tail: float, gaussian: bool,
+             note: str = "") -> dict:
+    """A series witness: certified exactly when its tail is a finite bound; ``note``
+    is attached when it is not."""
+    return {"series": series, "labels": [float(j) for j in labels], "partial_sums": partial_sums,
+            "tail_estimate": tail, "certified": math.isfinite(tail),
+            "rule": f"integral-test({'gaussian' if gaussian else 'power-law'})",
+            "note": "" if math.isfinite(tail) else note}
 
 
 def _power_series_witness(n: int, exponent: float) -> dict:
     radii = [4, 8, 16, 32, 64] if n == 1 else [2, 4, 8, 16]
-    return {
-        "series": f"sum <xi>^({exponent:.6g}) over Z^{n}",
-        "labels": [float(r) for r in radii],
-        "partial_sums": _lattice_power_sums(n, exponent, radii),
-        "tail_estimate": power_tail_bound(n, exponent, radii[-1]),
-        "certified": exponent < -n,
-        "rule": "integral-test(power-law)",
-        "note": "",
-    }
+    return _witness(f"sum <xi>^({exponent:.6g}) over Z^{n}", radii, _lattice_power_sums(n, exponent, radii),
+                    dual_tail_bound("torus", n, radii[-1], 0.0, exponent, 0.0), False)
 
 
 def _shell_witness(
-    series: str, shells: np.ndarray, terms: np.ndarray, lambda_cap: float, note: str = "",
-    weights: np.ndarray | None = None,
-) -> tuple[dict, float]:
-    """Geometric shell-ratio witness and its worst recent ratio.  Only the bracket
-    shells j wholly inside a truncation complete up to lambda_cap
-    (4^{j+1} <= 1 + lambda_cap) are summed, since a clipped shell could fake
-    decay; each term counts ``weights`` times (default once); ``note`` is
-    attached when the sums are not certified."""
-    keep = shells < block_index(math.floor(lambda_cap) + 1)
-    labels, sums, _ = block_sums(shells[keep], terms[keep], None if weights is None else weights[keep])
-    certified, tail, worst = certify_shell_sums(sums)
-    return {
-        "series": series,
-        "labels": [float(j) for j in labels],
-        "partial_sums": list(accumulate(sums)),
-        "tail_estimate": tail,
-        "certified": certified,
-        "rule": "geometric-shell-ratio",
-        "note": "" if certified else note,
-    }, worst
-
-
-def certify_shell_sums(shell_sums: list[float], min_ratios=SHELL_RATIO_COUNT) -> tuple[bool, float, float]:
-    """The one geometric-ratio rule, on dyadic shell sums or ``lidskii``'s
-    nuclear-trace increments: (certified, tail_estimate, worst_recent_ratio).
-    Empty or all-zero sums are certified with tail 0.  Ratios read 0/0 as 0 and
-    x/0 as inf, and fewer than ``min_ratios`` ratios certify nothing.  Otherwise
-    the worst of the last SHELL_RATIO_COUNT (of all, when fewer) certifies iff
-    <= SHELL_RATIO_LIMIT; the tail is then the geometric remainder, else inf.
-    """
-    if not shell_sums or fsum(shell_sums) == 0.0:
-        return True, 0.0, 0.0
-    pairs = zip(shell_sums, shell_sums[1:])
-    ratios = [cur / prev if prev else (math.inf if cur else 0.0) for prev, cur in pairs]
-    if len(ratios) < min_ratios:
-        return False, math.inf, math.inf
-    worst = max(ratios[-SHELL_RATIO_COUNT:])
-    if worst <= SHELL_RATIO_LIMIT:  # < 1, so the geometric remainder is finite
-        return True, shell_sums[-1] * worst / (1.0 - worst), worst
-    return False, math.inf, worst
+    series: str, shells: np.ndarray, terms: np.ndarray, lambda_cap: float, beyond: float,
+    gaussian: bool, note: str = "", weights: np.ndarray | None = None,
+) -> dict:
+    """Witness of a series over a truncation complete up to lambda_cap: partial
+    sums over the bracket shells j wholly inside it (4^{j+1} <= 1 + lambda_cap),
+    and as tail the exact sums of the other shells plus ``beyond``, the bound past
+    the truncation.  Each term counts ``weights`` times (default once).  One
+    binned pass sums every shell."""
+    labels, sums, _ = block_sums(shells, terms, weights)
+    complete = bisect_left(labels, int(block_index(math.floor(lambda_cap) + 1)))
+    return _witness(series, labels[:complete], list(accumulate(sums[:complete])),
+                    fsum(sums[complete:] + [beyond]), gaussian, note)
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +259,29 @@ def check_t1(
 
 
 def _truncated_bracket_convolution(n: int, w2: float, k: int) -> dict:
-    """Witness for sum_xi (<.>^{w2} * <.>^{-2k})(xi) over the box |xi|_inf <= R
-    (R = 64 in dim 1, 8 in dim 2), each convolution value summed over the window
-    |.|_inf <= 2R: one (lattice x window) array, each row exactly rounded."""
+    """Witness for sum_xi (f * g)(xi), f = <.>^{w2} and g = <.>^{-2k}, over the box
+    |xi|_inf <= R (R = 64 in dim 1, 8 in dim 2), each convolution value summed over
+    the window |eta|_inf <= 2R: one (lattice x window) array, each row exactly
+    rounded.  A pair (eta, xi - eta) left out has |xi|_inf > R or |eta|_inf > 2R,
+    so |eta|_inf > R/2 or |xi - eta|_inf > R/2: the tail beyond the box is at most
+    T_f(R/2) S_g + S_f T_g(R/2), T the power tails past a radius and S the whole
+    sums (the window's sum plus the tail past 2R)."""
     base = 64 if n == 1 else 8
     window = FrequencyLattice(n, 2 * base)
     lat = FrequencyLattice(n, base)
     squared = sum((xi[:, None] - eta) ** 2 for xi, eta in zip(lat.points.T, window.points.T))
     shifted = np.sqrt(1.0 + squared)
     conv = np.array(fsum_by(None, window.brackets() ** w2 * shifted ** (-2.0 * k)))
-    witness, _ = _shell_witness(
+    tf, tg = (dual_tail_bound("torus", n, base / 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
+    sf, sg = (fsum(window.brackets() ** b) + dual_tail_bound("torus", n, 2 * base, 0.0, b, 0.0)
+              for b in (w2, -2.0 * k))
+    beyond = tf * sg + sf * tg if math.isfinite(sf + sg) else math.inf  # no 0 * inf
+    return _shell_witness(
         f"sum_xi (<.>^({w2:.6g}) * <.>^({-2.0 * k:.6g}))(xi) over Z^{n}",
-        block_index(lat.squared_norms() + 1), conv, float(base) ** 2,
-        note="shell sums of the convolution series do not decay geometrically; "
-        "the clause verdict above follows the stated inequalities, but the "
-        "series bound is not certified numerically at this truncation",
+        block_index(lat.squared_norms() + 1), conv, float(base) ** 2, beyond, False,
+        note="sum <xi>^w2 or sum <xi>^-2k over Z^n diverges, and with it the convolution "
+        "series; the clause verdict above follows the stated inequalities",
     )
-    return witness
 
 
 def check_t2(
@@ -322,54 +338,35 @@ def check_t2(
                     witness)
 
 
+TT1_CASE_RANGES = {1: ("p > 1", "p < q", "q < inf"), 2: ("q == 1", "p >= 1", "p < inf"),
+                   3: ("p == q", "p > 1", "p <= 2"), 4: ("q == 2", "p >= 2", "p < inf")}
+
+
 def _tt1_case_clauses(case: int, p: float, q: float) -> list[Clause]:
-    if case == 1:
-        return [
-            Clause("case 1: p > 1", p, ">", 1.0),
-            Clause("case 1: p < q", p, "<", q),
-            Clause("case 1: q < inf", q, "<", math.inf),
-        ]
-    if case == 2:
-        return [
-            Clause("case 2: q == 1", q, "==", 1.0),
-            Clause("case 2: p >= 1", p, ">=", 1.0),
-            Clause("case 2: p < inf", p, "<", math.inf),
-        ]
-    if case == 3:
-        return [
-            Clause("case 3: p == q", p, "==", q),
-            Clause("case 3: p > 1", p, ">", 1.0),
-            Clause("case 3: p <= 2", p, "<=", 2.0),
-        ]
-    if case == 4:
-        return [
-            Clause("case 4: q == 2", q, "==", 2.0),
-            Clause("case 4: p >= 2", p, ">=", 2.0),
-            Clause("case 4: p < inf", p, "<", math.inf),
-        ]
-    raise ValueError(f"case must be 1, 2, 3 or 4, got {case}")
+    """The (p, q) range of a tt1 case, one clause per ``TT1_CASE_RANGES`` entry."""
+    if case not in TT1_CASE_RANGES:
+        raise ValueError(f"case must be 1, 2, 3 or 4, got {case}")
+    sides = {"p": p, "q": q}
+    return [Clause(f"case {case}: {lhs} {relation} {rhs}", sides[lhs], relation,
+                   sides[rhs] if rhs in sides else float(rhs))
+            for lhs, relation, rhs in map(str.split, TT1_CASE_RANGES[case])]
 
 
-def _tt1_lr_powers(values, d: np.ndarray, r: float) -> np.ndarray:
-    """||a(xi)||_{l^r}^r per point: d |a|^r for an (N,) array of scalar * identity
-    values, entrywise sums for a sequence of N matrices."""
-    if len(values) != len(d):
-        raise ValueError(f"a symbol must give one value or matrix per dual point ({len(d)})")
-    if isinstance(values, np.ndarray) and values.ndim == 1:
-        return d * np.abs(values) ** r
-    return np.array([fsum(np.abs(np.asarray(m)).ravel() ** r) for m in values])
+def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = None,
+              t: float | None = None) -> dict:
+    """Multiplier criterion over a compact-group dual, for the multiplier <xi>^m
+    or e^{-t lambda} (one of ``m``, ``t``), scalar times identity at every point.
 
-
-def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> dict:
-    """Multiplier criterion over a compact-group dual.
-
-    ``a`` maps the whole dual to its N values: an (N,) array (scalar *
-    identity per point) or a sequence of N d x d matrices.  The selected
-    case's series is summed over the dual truncation and certified by the
-    geometric shell-ratio monitor.
+    The selected case's series sum d |a|^r d^{d_exp} <xi>^{xi_exp} is
+    sum d^{1 + d_exp} <xi>^b e^{-s lambda} with b = xi_exp + r m, s = r t; it is
+    summable, and the verdict satisfied, exactly when s > 0, or s = 0 and b < -n
+    on the torus Z^n, 1 + d_exp + b < -1 on SU(2) (<xi> ~ d/2).  The witness
+    sums the truncation's complete shells; its tail is ``_shell_witness``'s.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must lie in (0, 1], got {r}")
+    if (m is None) == (t is None):
+        raise ValueError("give one of the multiplier's exponent m and its time t")
     range_clauses = _tt1_case_clauses(case, p, q)
     range_fail = _failures(range_clauses)
     if range_fail:
@@ -392,28 +389,27 @@ def check_tt1(dual, a, r: float, p: float, q: float, case: int) -> dict:
         d_exp = 1.0 + r * (0.5 - 1.0 / p)
         xi_exp = 0.0
     with np.errstate(over="ignore"):  # a term beyond the float range is reported as inf
-        terms = (
-            dual.bracket**xi_exp
-            * _tt1_lr_powers(a(dual), dual.d, r)
-            * dual.d.astype(np.float64) ** d_exp
-        )
-    witness, worst = _shell_witness(
+        values = dual.bracket**m if t is None else np.exp(-t * dual.lam)
+        terms = dual.bracket**xi_exp * (dual.d * np.abs(values) ** r) * dual.d.astype(np.float64) ** d_exp
+    b, s = xi_exp + (0.0 if m is None else r * m), 0.0 if t is None else r * t
+    if t is not None:
+        summable = Clause("summable: r t > 0", s, ">", 0.0)
+    elif dual.group == "su2":
+        summable = Clause("summable: 1 + dimension_exponent + bracket_exponent + r m < -1",
+                          1.0 + d_exp + b, "<", -1.0)
+    else:
+        summable = Clause("summable: bracket_exponent + r m < -n", b, "<", -float(n))
+    beyond = dual_tail_bound(dual.group, dual.dim, dual.cutoff, 1.0 + d_exp, b, s)
+    witness = _shell_witness(
         f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
-        dual.shells, terms, dual.lambda_cap, weights=dual.mult,
-    )
-    monitor = Clause(f"series tail monitor: worst recent shell ratio <= {SHELL_RATIO_LIMIT:g}",
-                     worst, "<=", SHELL_RATIO_LIMIT)
-    derived: dict[str, float | str] = {
-        "case": float(case),
-        "dimension_exponent": d_exp,
-        "bracket_exponent": xi_exp,
-    }
+        dual.shells, terms, dual.lambda_cap, beyond, s > 0,
+        "the series is summable, but its tail bound leaves float64" if summable.holds() else "", dual.mult)
+    derived: dict = {"case": float(case), "dimension_exponent": d_exp, "bracket_exponent": xi_exp}
     if case in (1, 2):
         derived["epsilon_p"] = _epsilon_ext(p)
     if case == 1:
         derived["epsilon_q_conjugate"] = _epsilon_ext(q / (q - 1.0))
-    certified = witness["certified"]
-    return _verdict(certified, derived, [] if certified else [monitor], witness)
+    return _verdict(summable.holds(), derived, _failures([summable]), witness)
 
 
 # ---------------------------------------------------------------------------

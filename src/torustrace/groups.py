@@ -12,9 +12,8 @@ row's term counted ``mult`` times.  The torus slice has one row per distinct
 lambda = n, weighted by the number r(n) of box points with |xi|^2 = n; the SU(2)
 slice has one row per spin (``mult`` all ones).  Every series the package sums
 depends on lambda and d alone, so its exactly rounded sums are those of the
-per-point slice.  A symbol callable receives the whole dual and returns an (N,)
-array of scalar-times-identity values (or, for ``criteria.check_tt1``, also N
-d x d matrices).
+per-point slice.  A series' tail past the slice is ``criteria.dual_tail_bound``
+of its terms' envelope d^a <xi>^b e^{-s lambda}.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 import numpy as np
 
 from .besov import block_index, block_sums
-from .criteria import certify_shell_sums
+from .criteria import dual_tail_bound
 from .sums import fsum
 
 GROUPS = ("torus", "su2")
@@ -134,20 +133,19 @@ def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return n.astype(np.float64), r[n].astype(np.int64)
 
 
-def summed_series(dual: GroupDual, terms: np.ndarray, divergent: bool = False) -> tuple[float, dict]:
+def summed_series(dual: GroupDual, terms: np.ndarray, envelope: tuple) -> tuple[float, dict]:
     """(exactly rounded sum of the nonnegative ``terms``, each counted ``dual.mult``
-    times; diagnostics).  The diagnostics are ``criteria.certify_shell_sums`` over
-    the dyadic bracket shell sums, the clipped trailing shell included; a series
-    known to be ``divergent`` is never reported as converged (tail inf), whatever
-    its shells show.  One binned pass gives the shell sums and the value."""
+    times; diagnostics).  The terms are d^a <xi>^b e^{-s lambda}, ``envelope`` =
+    (a, b, s).  The diagnostics are the dyadic bracket shell sums, the clipped
+    trailing shell included, from the binned pass that gives the value; the tail
+    past the slice, ``criteria.dual_tail_bound``; and ``converged``, true exactly
+    when that tail is finite."""
     terms = np.asarray(terms, dtype=np.float64)
     if (terms < 0).any():
         raise ValueError("a dual series sums nonnegative terms")
     _, shell_sums, value = block_sums(dual.shells, terms, dual.mult)
-    # 2 ratios suffice: the heat series at cutoff 6 has 3 shells (test_heat_torus)
-    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)
-    return value, {"shell_sums": shell_sums, "tail_estimate": math.inf if divergent else tail,
-                   "converged": converged and not divergent}
+    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope)
+    return value, {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
 
 
 def heat_terms(dual: GroupDual, t: float) -> np.ndarray:

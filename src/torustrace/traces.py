@@ -1,24 +1,25 @@
 """Nuclear and spectral traces of truncated toroidal operators.
 
 At every truncation radius the compression satisfies the trace identity
-exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).  Growing
-the radius and watching the nuclear-trace increments gives an empirical tail;
-non-summable symbols are not rejected, their divergence is surfaced in the
-per-radius history.  ``lidskii_compare`` reads every radius from its own
-x-Fourier support table (``quantize.CompressedOperator``); a sampled table
-answers any radius up to its own.  The integral-test tail bound is
-``criteria.power_tail_bound`` times the envelope.
+exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).
+``lidskii_compare`` reads every radius from its own x-Fourier support table
+(``quantize.CompressedOperator``); a sampled table answers any radius up to its
+own.  Non-summable symbols are not rejected: their nuclear-trace tail is
+reported as inf.  Both tails here, that one and ``tail_estimate``, are
+``criteria.dual_tail_bound`` times a constant.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .criteria import certify_shell_sums, power_tail_bound
+from .criteria import dual_tail_bound
 from .harmonic import FrequencyLattice
 from .quantize import CompressedOperator, eigenvalues
 from .sums import fsum_complex
-from .symbols import Symbol
+from .symbols import BracketPower, GaussianDecay, Symbol
 
 
 def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
@@ -27,11 +28,12 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
 
     Each radius reads its compression's blocks and trace from its own support
     table, built largest radius first, so a sampled table too small for it, or
-    a table that is not finite, is refused before any solve.  Successive
-    nuclear-trace increments serve as the empirical truncation tail, and
-    ``criteria.certify_shell_sums`` reads them as shell sums: a history whose
-    last increments fail to shrink geometrically is flagged as non-convergent
-    rather than rejected, and one with fewer than 2 increments gets no verdict.
+    a table that is not finite, is refused before any solve.  The tail is that
+    of the nuclear trace past the largest radius R: for a catalog symbol
+    u(x) g(xi) it is hat{u}(0) sum_{|xi|_inf > R} g(xi), at most |hat{u}(0)|
+    times ``criteria.dual_tail_bound`` of g (0 when hat{u}(0) = 0).  A sampled
+    symbol has no such envelope: its tail is inf.  ``history_converged`` is true
+    exactly when the tail is finite.
     """
     radii = [int(r) for r in radii]
     if not radii:
@@ -47,16 +49,17 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
         nuc = op.trace()
         spec = fsum_complex(eigenvalues(op))
         history.append({"radius": radius, "nuclear": nuc, "spectral": spec, "abs_diff": abs(nuc - spec)})
-    increments = [
-        abs(nxt["nuclear"] - cur["nuclear"]) for cur, nxt in zip(history, history[1:])
-    ]
+    g, tail = getattr(a, "xifactor", None), math.inf
+    if isinstance(g, (BracketPower, GaussianDecay)):
+        mean = abs(a.xfactor.coeffs.get(0, 0.0))
+        b, s = (g.m, 0.0) if isinstance(g, BracketPower) else (0.0, g.t)
+        tail = 0.0 if mean == 0 else mean * dual_tail_bound("torus", a.dim, radii[-1], 0.0, b, s)
     return {
         "history": history,
         "nuclear_trace": history[-1]["nuclear"],
         "spectral_trace": history[-1]["spectral"],
-        "tail_estimate": increments[-1] if increments else None,
-        # one ratio suffices: the 3-radius histories of the tests give no more
-        "history_converged": None if len(increments) < 2 else certify_shell_sums(increments, min_ratios=1)[0],
+        "tail_estimate": tail,
+        "history_converged": math.isfinite(tail),
     }
 
 
@@ -73,15 +76,13 @@ def tail_estimate(a: Symbol, lattice: FrequencyLattice, order_hint: float) -> fl
             f"order_hint {order_hint} is not summable in dimension {n}; need < {-n}"
         )
     radius = lattice.radius
-    if radius < 1:
-        raise ValueError("tail_estimate needs lattice radius >= 1")
     boundary = np.abs(lattice.points).max(axis=1) == radius
     pts = lattice.points[boundary]
     sups = np.asarray(a.x_sup_abs(pts), dtype=np.float64)
     brackets = lattice.brackets()[boundary]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         envelope = float((sups * brackets ** (-order_hint)).max()) if pts.size else 0.0
-    bound = envelope * power_tail_bound(n, order_hint, radius)
+    bound = envelope * dual_tail_bound("torus", n, radius, 0.0, order_hint, 0.0)
     if not np.isfinite(bound):
         raise OverflowError(f"the envelope C <xi>^{order_hint:g} of the outermost shell leaves float64")
     return bound

@@ -66,7 +66,7 @@ import numpy as np
 
 from torustrace import harmonic
 from torustrace.besov import BesovParams, block_index, coefficient_norm
-from torustrace.criteria import certify_shell_sums
+from torustrace.criteria import dual_tail_bound
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
@@ -348,18 +348,13 @@ def dual_shell_sums(points: list[DualPoint], terms) -> list[float]:
 def tt1_shells(points, a, r, d_exp, xi_exp, lambda_cap) -> tuple[list[float], list[float]]:
     """(shell labels, shell sums) of the tt1 series <xi>^xi_exp ||a(xi)||_r^r d^d_exp
     over the dyadic bracket shells lying wholly below 1 + lambda_cap; ``a`` maps a
-    DualPoint to a scalar (scalar * identity) or a d x d matrix."""
+    DualPoint to its scalar value (scalar * identity)."""
     max_complete = -1
     while 4.0 ** (max_complete + 2) <= 1.0 + lambda_cap:
         max_complete += 1
     shells: dict[int, list[float]] = {}
     for point in points:
-        value = a(point)
-        if np.ndim(value) == 0:
-            lr = point.d * abs(complex(value)) ** r
-        else:
-            lr = math.fsum(np.abs(np.asarray(value)).ravel().astype(np.float64) ** r)
-        term = point.bracket**xi_exp * lr * float(point.d) ** d_exp
+        term = point.bracket**xi_exp * (point.d * abs(a(point)) ** r) * float(point.d) ** d_exp
         j = _shell(point)
         if j <= max_complete:
             shells.setdefault(j, []).append(term)
@@ -371,7 +366,9 @@ def bracket_convolution_witness(n: int, w2: float, k: int):
     by point: each value (<.>^{w2} * <.>^{-2k})(xi), xi in the box of radius R
     (64 in dim 1, 8 in dim 2), summed over the window |eta|_inf <= 2R by one
     ``math.fsum``, binned into its bracket shell one point at a time, and only the
-    shells wholly inside |xi| <= R kept."""
+    shells wholly inside |xi| <= R kept.  The tail is the other shells' sums plus
+    T_f(R/2) S_g + S_f T_g(R/2) (f = <.>^{w2}, g = <.>^{-2k}), with the power tails
+    T of ``dual_tail_bound`` and the whole sums S the window's plus T(2R)."""
     base = 64 if n == 1 else 8
     window = FrequencyLattice(n, 2 * base)
     u = window.brackets() ** w2
@@ -379,11 +376,15 @@ def bracket_convolution_witness(n: int, w2: float, k: int):
     for xi in FrequencyLattice(n, base).points:
         shifted = np.sqrt(1.0 + np.sum((xi[None, :] - window.points) ** 2, axis=1))
         j = (int(xi @ xi + 1).bit_length() - 1) // 2  # 4^j <= |xi|^2 + 1 < 4^(j+1)
-        if 4 ** (j + 1) <= 1 + base**2:
-            shells.setdefault(j, []).append(math.fsum(u * shifted ** (-2.0 * k)))
-    sums = [math.fsum(shells[j]) for j in sorted(shells)]
-    certified, tail, _ = certify_shell_sums(sums)
-    return [float(j) for j in sorted(shells)], list(accumulate(sums)), tail, certified
+        shells.setdefault(j, []).append(math.fsum(u * shifted ** (-2.0 * k)))
+    complete = [j for j in sorted(shells) if 4 ** (j + 1) <= 1 + base**2]
+    sums = [math.fsum(shells[j]) for j in complete]
+    clipped = [math.fsum(shells[j]) for j in sorted(shells) if j not in complete]
+    tf, tg = (dual_tail_bound("torus", n, base // 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
+    sf, sg = (math.fsum(window.brackets() ** b) + dual_tail_bound("torus", n, 2 * base, 0.0, b, 0.0)
+              for b in (w2, -2.0 * k))
+    tail = math.inf if math.isinf(sf + sg) else math.fsum(clipped + [tf * sg + sf * tg])
+    return [float(j) for j in complete], list(accumulate(sums)), tail, math.isfinite(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dyadic blocks, Besov norms, and the coefficient-map embedding (an oracle)."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from torustrace.besov import (BesovParams, block_index, block_norms, coefficient_norm,
                               partial_sum_convergence, weighted_norm)
+from torustrace.cli import main
 from torustrace.harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -304,3 +306,22 @@ def test_weighted_norm_large_finite_q_lies_at_the_sup(q):
     params = BesovParams(0.0, 2.0, q)
     assert weighted_norm(table, params) == pytest.approx(1.2247448713915889, rel=4.0 ** (1.0 / q) - 1.0)
     assert weighted_norm(table, params) >= weighted_norm(table, BesovParams(0.0, 2.0, math.inf))
+
+
+@pytest.mark.parametrize("q", ["2", "1e10", "inf"])
+def test_besov_norm_keeps_a_term_whose_q_th_power_underflows(capsys, q):
+    # the one block norm 2^{2 (-1)} = 0.25: its 1e10-th power underflows, so the norm
+    # is taken relative to it, and every q reports 0.25 exactly
+    argv = ["besov-norm", "--character", "4", "--w", "-1", "--p", "2", "--q", q, "--radius", "8"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["body"]["norm"] == 0.25
+
+
+@pytest.mark.parametrize("q", [2.0, 1e10])
+def test_weighted_norm_scales_with_a_table_below_2_to_the_minus_500(q):
+    # squares of 2^-600-sized terms leave the normal range, so the tiny table is
+    # normed relative to its largest term: exactly 2^-600 times the norm
+    table = [(0, 1.2247448713915889), (1, 0.5), (2, 0.25), (3, 1e-3)]
+    params = BesovParams(1.0, 2.0, q)
+    tiny = [(m, math.ldexp(v, -600)) for m, v in table]
+    assert weighted_norm(tiny, params) == math.ldexp(weighted_norm(table, params), -600) > 0.0

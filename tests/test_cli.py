@@ -118,13 +118,31 @@ class TestLidskiiCommand:
         assert "numerical failure" in err
 
 
-class TestLidskiiIncrementRule:
-    def test_verdict_reads_the_last_four_ratios(self, capsys):
-        doc = run_json(capsys, ["lidskii", "--symbol", "heat", "--t", "0.1",
-                                "--radii", "1,2,4,8,16,32,64,128"])
+class TestLidskiiTail:
+    def test_slow_power_law_tail_is_proved(self, capsys):
+        # the nuclear trace's tail past radius 17 is 2 sum_{k > 17} <k>^-1.5 = 0.9556...;
+        # the last increment, 0.028, is no bound on it
+        doc = run_json(capsys, ["lidskii", "--symbol", "bessel", "--m", "-1.5", "--dim", "1",
+                                "--radii", "4,8,16,17"])
         assert doc["body"]["history_converged"] is True
-        assert doc["diagnostics"]["increment_rule"] == (
-            "converged when each of the last 4 increment ratios (all, when fewer) is <= 0.9")
+        assert 0.956 <= doc["body"]["tail_estimate"] <= 1.1 * 0.9556
+        assert "increment_rule" not in doc["diagnostics"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--symbol", "bessel", "--m", "-1", "--radii", "2,4"],
+        ["--symbol-file", "FILE", "--radii", "2,4"],
+    ], ids=["divergent", "sampled"])
+    def test_require_convergent_exits_3_without_a_proved_tail(self, capsys, tmp_path, argv):
+        path = tmp_path / "sym.json"
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
+                            str(path))
+        argv = ["lidskii", *[str(path) if v == "FILE" else v for v in argv]]
+        doc = run_json(capsys, argv)
+        assert doc["body"]["tail_estimate"] == "inf" and doc["body"]["history_converged"] is False
+        code, out, err = run(capsys, [*argv, "--require-convergent"])
+        assert code == 3 and out == ""
+        note = doc["diagnostics"]["tail_note"]
+        assert err == f"numerical failure: the nuclear-trace tail is not certified: {note}\n"
 
 
 class TestBesovCommand:
@@ -293,6 +311,18 @@ class TestCheckClassLatticeBudget:
         assert code == 2 and out == ""
         assert "lower --radius" in err and "10000000" in err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["check-class", "--symbol", "bessel", "--m", "-4", "--dim", "2", "--radius", "2000"],
+         "error: radius 2000 in dim 2 gives a lattice of 16008001 points, above 10000000; "
+         "lower --radius\n"),
+        (["besov-norm", "--stock", "8", "--w", "1", "--p", "2", "--q", "2", "--radius", "5000000"],
+         "error: radius 5000000 in dim 1 gives a lattice of 10000001 points, above 10000000; "
+         "lower --radius\n"),
+    ], ids=["check-class", "besov-norm"])
+    def test_one_lattice_guard_for_the_fit_and_the_dyadic_norms(self, capsys, tripwire, argv, err):
+        # the two commands share cli._require_lattice; only the remedy may differ
+        assert run(capsys, argv) == (2, "", err)
+
     @pytest.mark.parametrize("dim, radius", [(1, 4_999_999), (2, 1580)])
     def test_largest_lattice_within_budget_passes(self, tripwire, dim, radius):
         with pytest.raises(self.Reached):
@@ -393,6 +423,18 @@ class TestNuclearityCommand:
             "--symbol", "bessel", "--m", "-3",
         ])
         assert doc["body"]["satisfied"] is True
+
+    @pytest.mark.parametrize("m, satisfied", [("-3.1", True), ("-3", False)])
+    def test_tt1_exponent_clause(self, capsys, m, satisfied):
+        # case 3 on SU(2) sums d^2 <xi>^m ~ 2^-m d^(2 + m): summable exactly for m < -3
+        body = run_json(capsys, ["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "su2",
+                                 "--cutoff", "200", "--r", "1", "--p", "2", "--q", "2", "--m", m])["body"]
+        assert body["satisfied"] is body["witness"]["certified"] is satisfied
+        if satisfied:
+            assert body["violated_clauses"] == [] and body["witness"]["tail_estimate"] < math.inf
+        else:
+            [clause] = body["violated_clauses"]
+            assert clause["lhs"] == clause["rhs"] == -1.0 and clause["relation"] == "<"
 
     def test_tt1_case_mismatch_exit_2(self, capsys):
         code, _, err = run(capsys, [
@@ -520,16 +562,29 @@ class TestDualTraceCommands:
         assert doc["diagnostics"]["converged"] is False
         assert doc["diagnostics"]["tail_estimate"] == "inf"
 
-    @pytest.mark.parametrize("argv", [
-        ["heat-trace", "--group", "torus", "--dim", "1", "--t", "1", "--cutoff", "3"],
-        ["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "2", "--cutoff", "2"],
-        ["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "1.1", "--cutoff", "1000"],
-    ], ids=["heat-1-ratio", "bessel-1-ratio", "bessel-slow"])
-    def test_unconverged_series_reports_no_finite_tail(self, capsys, argv):
-        # the geometric remainder is a bound only when the ratios are certified
+    @pytest.mark.parametrize("argv, true_tail", [
+        # Jacobi theta by Poisson summation: sum_k e^{-k^2} = sqrt(pi) sum_k e^{-pi^2 k^2}
+        (["heat-trace", "--group", "torus", "--dim", "1", "--t", "1", "--cutoff", "3"],
+         math.sqrt(math.pi) * math.fsum(math.exp(-math.pi**2 * k * k) for k in range(-3, 4))
+         - math.fsum(math.exp(-k * k) for k in range(-3, 4))),
+        # sum_k 1/(1 + k^2) = pi coth pi
+        (["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "2", "--cutoff", "2"],
+         math.pi / math.tanh(math.pi) - 2.4),
+        # the brute-force partial tail out to 2 10^6
+        (["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "1.1", "--cutoff", "1000"],
+         2 * math.fsum((1.0 + np.arange(1001, 2 * 10**6 + 1, dtype=np.float64) ** 2) ** -0.55)),
+    ], ids=["heat-cutoff-3", "bessel-cutoff-2", "bessel-slow"])
+    def test_convergent_series_reports_a_proved_tail(self, capsys, argv, true_tail):
         doc = run_json(capsys, argv)
-        assert doc["diagnostics"]["converged"] is False
-        assert doc["diagnostics"]["tail_estimate"] == "inf"
+        assert doc["diagnostics"]["converged"] is True
+        assert true_tail <= doc["diagnostics"]["tail_estimate"] < math.inf
+
+    def test_slow_bessel_tail_is_proved(self, capsys):
+        # 2 sum_{k > 520} <k>^-1.2 = 2.8623...; the shell ratios once read 0.0664
+        doc = run_json(capsys, ["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", "1.2",
+                                "--cutoff", "520"])
+        assert doc["diagnostics"]["converged"] is True
+        assert 2.86 <= doc["diagnostics"]["tail_estimate"] <= 1.1 * 2.8623
 
     def test_overflowing_terms_reported_as_inf(self, capsys):
         code, out, err = run(capsys, [

@@ -15,8 +15,6 @@ from torustrace.criteria import (
     check_t1,
     check_t2,
     check_tt1,
-    _tt1_lr_powers,
-    certify_shell_sums,
     epsilon,
     nuclear_quasinorm_bound,
 )
@@ -53,39 +51,6 @@ class TestEpsilon:
     def test_non_increasing(self, t1, t2):
         lo, hi = sorted((t1, t2))
         assert epsilon(lo) >= epsilon(hi)
-
-
-def lr_seminorm(a: np.ndarray, r: float) -> float:
-    # the entrywise l^r seminorm of one matrix value, from the r-th powers tt1 sums
-    a = np.asarray(a)
-    return float(_tt1_lr_powers([a], np.array([a.shape[0]]), r)[0] ** (1.0 / r))
-
-
-class TestLrSeminorm:
-    def test_zero_matrix(self):
-        assert lr_seminorm(np.zeros((3, 3)), 0.5) == 0.0
-
-    @pytest.mark.parametrize("d,r", [(2, 1.0), (3, 0.5), (4, 0.25)])
-    def test_identity(self, d, r):
-        assert lr_seminorm(np.eye(d), r) == pytest.approx(d ** (1.0 / r), rel=1e-14)
-        # a scalar value stands for value * identity: the same seminorm
-        assert _tt1_lr_powers(np.ones(1), np.array([d]), r)[0] == pytest.approx(d, rel=1e-14)
-
-    def test_all_ones_half(self):
-        assert lr_seminorm(np.ones((2, 2)), 0.5) == pytest.approx(16.0, rel=1e-14)
-
-    def test_r_validated(self):
-        dual = enumerate_dual("su2", 2.0)
-        with pytest.raises(ValueError, match="r must lie"):
-            check_tt1(dual, lambda dual: [np.ones((int(d), int(d))) for d in dual.d], 1.5, 2.0, 2.0, 3)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**31), r=st.floats(0.1, 0.95))
-    def test_l1_dominated_inside_unit_disk(self, seed, r):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-        a /= np.abs(a).max() + 1e-9
-        assert lr_seminorm(a, 1.0) <= lr_seminorm(a, r) + 1e-12
 
 
 def _verdict(v):
@@ -174,14 +139,15 @@ class TestCheckT2:
         v = check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=2, delta=0.0, m=0.0, w2=-1.5)
         assert v["satisfied"]
         assert v["witness"]["certified"]
-        assert v["witness"]["rule"] == "geometric-shell-ratio"
+        assert v["witness"]["rule"] == "integral-test(power-law)"
 
     def test_convolution_witness_flags_borderline(self):
-        # clauses hold but the series carries no numerical certificate
+        # clauses hold but the series diverges: sum <xi>^-1 over Z does
         v = check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-1.0)
         assert v["satisfied"]
         assert not v["witness"]["certified"]
-        assert "not certified" in v["witness"]["note"]
+        assert v["witness"]["tail_estimate"] == math.inf
+        assert "diverges" in v["witness"]["note"]
 
 
 class TestConvolutionWitness:
@@ -199,85 +165,49 @@ class TestConvolutionWitness:
         assert (w["labels"], w["partial_sums"], w["tail_estimate"], w["certified"]) == want
 
 
-INF = math.inf
-
-
-class TestCertifyShellSums:
-    """The one geometric-ratio rule, case by case: (sums, min_ratios) -> (certified, tail, worst)."""
-
-    @pytest.mark.parametrize("sums, min_ratios, want", [
-        ([], 4, (True, 0.0, 0.0)),
-        ([0.0, 0.0, 0.0], 4, (True, 0.0, 0.0)),
-        ([0.0], 1, (True, 0.0, 0.0)),
-        # 0/0 reads 0: a series that stops is certified with tail 0
-        ([1.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0], 4, (True, 0.0, 0.0)),
-        # x/0 reads inf, within the last 4 ratios
-        ([1.0, 0.5, 0.0, 0.25, 0.125], 4, (False, INF, INF)),
-        # min_ratios - 1 ratios certify nothing, however fast they decay
-        ([1.0, 0.5, 0.25, 0.125], 4, (False, INF, INF)),
-        ([1.0, 0.5, 0.25, 0.125], 3, (True, 0.125, 0.5)),
-        ([1.0, 0.5], 2, (False, INF, INF)),
-        ([1.0, 0.5], 1, (True, 0.5, 0.5)),
-        # a ratio of exactly 0.9 is certified, the next float above it is not
-        ([1.0, 0.9], 1, (True, 0.9 * 0.9 / (1.0 - 0.9), 0.9)),
-        ([1.0, math.nextafter(0.9, 1.0)], 1, (False, INF, math.nextafter(0.9, 1.0))),
-        # a ratio above 0.9 before the last 4 does not count
-        ([1.0, 2.0, 1.0, 0.5, 0.25, 0.125], 4, (True, 0.125, 0.5)),
-        ([1.0, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625], 4, (True, 0.0625, 0.5)),
-        # one ratio above 0.9 among the last 4 decides, even between fast ones
-        ([1.0, 0.5, 0.25, 0.24, 0.12, 0.06], 4, (False, INF, 0.24 / 0.25)),
-        # fewer than 4 ratios: the worst of all of them
-        ([1.0, 0.95, 0.1], 2, (False, INF, 0.95)),
-        ([1.0, 0.5, 0.125], 2, (True, 0.125 * 0.5 / 0.5, 0.5)),
-    ])
-    def test_table(self, sums, min_ratios, want):
-        assert certify_shell_sums(sums, min_ratios=min_ratios) == want
-
-    def test_default_needs_four_ratios(self):
-        assert certify_shell_sums([1.0, 0.5, 0.25, 0.125]) == (False, INF, INF)
-        assert certify_shell_sums([1.0, 0.5, 0.25, 0.125, 0.0625]) == (True, 0.0625, 0.5)
-
-
 class TestCheckTT1:
     def test_torus_case3_satisfied(self):
         dual = enumerate_dual("torus", 512, dim=1)
-        v = check_tt1(dual, lambda dual: dual.bracket**-3.0, 1.0, 2.0, 2.0, 3)
+        v = check_tt1(dual, 1.0, 2.0, 2.0, 3, m=-3.0)
         assert v["satisfied"]
         assert v["witness"]["certified"]
 
     def test_su2_case3_satisfied(self):
         dual = enumerate_dual("su2", 200)
-        v = check_tt1(dual, lambda dual: dual.bracket**-4.0, 1.0, 2.0, 2.0, 3)
+        v = check_tt1(dual, 1.0, 2.0, 2.0, 3, m=-4.0)
         assert v["satisfied"]
 
     def test_su2_case3_violated(self):
         dual = enumerate_dual("su2", 200)
-        v = check_tt1(dual, lambda dual: dual.bracket**-2.0, 1.0, 2.0, 2.0, 3)
+        v = check_tt1(dual, 1.0, 2.0, 2.0, 3, m=-2.0)
         assert not v["satisfied"]
         [clause] = v["violated_clauses"]
-        assert clause["lhs"] > 0.9  # observed shell ratio, both sides evaluated
-        assert clause["rhs"] == 0.9
+        # d^2 <xi>^-2 ~ 4 d^0: the exponent clause, both sides evaluated
+        assert (clause["lhs"], clause["relation"], clause["rhs"]) == (0.0, "<", -1.0)
+        assert v["witness"]["tail_estimate"] == math.inf
 
     def test_case_ranges_raise(self):
         dual = enumerate_dual("torus", 16, dim=1)
         with pytest.raises(ValueError, match="case 3"):
-            check_tt1(dual, lambda dual: np.ones(len(dual)), 1.0, 3.0, 3.0, 3)
+            check_tt1(dual, 1.0, 3.0, 3.0, 3, m=0.0)
         with pytest.raises(ValueError, match="case 4"):
-            check_tt1(dual, lambda dual: np.ones(len(dual)), 1.0, 4.0, 3.0, 4)
+            check_tt1(dual, 1.0, 4.0, 3.0, 4, m=0.0)
         with pytest.raises(ValueError, match="case"):
-            check_tt1(dual, lambda dual: np.ones(len(dual)), 1.0, 2.0, 2.0, 5)
+            check_tt1(dual, 1.0, 2.0, 2.0, 5, m=0.0)
 
-    def test_matrix_symbol_accepted(self):
-        dual = enumerate_dual("su2", 100)
-        v = check_tt1(
-            dual,
-            lambda dual: [b**-4.0 * np.eye(d) for b, d in zip(dual.bracket, dual.d)],
-            1.0,
-            2.0,
-            2.0,
-            3,
-        )
-        assert v["satisfied"]
+    def test_summable_beyond_float64_is_satisfied_but_not_certified(self):
+        # sum d^2 e^{-1e-300 (d^2 - 1)/4} is about 1e451: summable, its bound not a float64
+        v = check_tt1(enumerate_dual("su2", 20), 1.0, 2.0, 2.0, 4, t=1e-300)
+        assert v["satisfied"] and v["violated_clauses"] == []
+        assert not v["witness"]["certified"] and "leaves float64" in v["witness"]["note"]
+
+    def test_r_and_multiplier_validated(self):
+        dual = enumerate_dual("su2", 2.0)
+        with pytest.raises(ValueError, match="r must lie"):
+            check_tt1(dual, 1.5, 2.0, 2.0, 3, m=-4.0)
+        for kwargs in ({}, {"m": -4.0, "t": 1.0}):
+            with pytest.raises(ValueError, match="one of the multiplier's exponent m and its time t"):
+                check_tt1(dual, 1.0, 2.0, 2.0, 3, **kwargs)
 
 
 class TestNuclearDecomposition:
@@ -385,29 +315,21 @@ HAND_TABLE = [
     ("t2 w2 equality boundary",
      lambda: check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-0.5), False),
     ("tt1 case 3 torus satisfied",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda dual: dual.bracket**-3.0, 1.0, 2.0, 2.0, 3), True),
+     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 2.0, 2.0, 3, m=-3.0), True),
     ("tt1 case 3 su2 satisfied",
-     lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda dual: dual.bracket**-4.0, 1.0, 2.0, 2.0, 3), True),
+     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 2.0, 2.0, 3, m=-4.0), True),
     ("tt1 case 3 su2 violated",
-     lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda dual: dual.bracket**-2.0, 1.0, 2.0, 2.0, 3), False),
+     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 2.0, 2.0, 3, m=-2.0), False),
     ("tt1 case 1 torus satisfied",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda dual: dual.bracket**-4.0, 1.0, 1.5, 3.0, 1), True),
+     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 1.5, 3.0, 1, m=-4.0), True),
     ("tt1 case 1 su2 satisfied",
-     lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda dual: dual.bracket**-6.0, 1.0, 1.5, 3.0, 1), True),
+     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 1.5, 3.0, 1, m=-6.0), True),
     ("tt1 case 2 torus satisfied",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda dual: dual.bracket**-3.0, 1.0, 2.0, 1.0, 2), True),
+     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 2.0, 1.0, 2, m=-3.0), True),
     ("tt1 case 2 torus violated",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1),
-                       lambda dual: dual.bracket**-1.0, 1.0, 2.0, 1.0, 2), False),
+     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 2.0, 1.0, 2, m=-1.0), False),
     ("tt1 case 4 su2 satisfied",
-     lambda: check_tt1(enumerate_dual("su2", 200),
-                       lambda dual: dual.bracket**-5.0, 1.0, 4.0, 2.0, 4), True),
+     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 4.0, 2.0, 4, m=-5.0), True),
 ]
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.besov import block_index
-from torustrace.criteria import certify_shell_sums, check_tt1
+from torustrace.criteria import check_tt1, dual_tail_bound
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
     GroupDual,
@@ -90,41 +90,34 @@ def test_enumeration_matches_oracle_exactly(spec):
 @example(("su2", 0.25, 1, True), 1.0, 4.0)
 def test_series_and_shell_sums_match_oracle(spec, t, alpha):
     dual, points = both(spec)
-    for terms, want in (
-        (heat_terms(dual, t), oracles.heat_terms(points, t)),
-        (bessel_terms(dual, alpha), oracles.bessel_terms(points, alpha)),
+    for terms, envelope, want in (
+        (heat_terms(dual, t), (2.0, 0.0, t), oracles.heat_terms(points, t)),
+        (bessel_terms(dual, alpha), (2.0, -alpha, 0.0), oracles.bessel_terms(points, alpha)),
     ):
-        value, diag = summed_series(dual, terms)
+        value, diag = summed_series(dual, terms, envelope)
         assert_close([value], [math.fsum(want)])
         assert_close(diag["shell_sums"], oracles.dual_shell_sums(points, want))
 
 
-def _symbols(kind: str, m: float):
-    """(array-backed symbol, per-point oracle symbol) pairs of the same multiplier."""
-    if kind == "scalar":
-        return (lambda dual: dual.bracket**m), (lambda p: p.bracket**m)
-    if kind == "complex":
-        return (lambda dual: np.exp(1j * dual.lam) * dual.bracket**m,
-                lambda p: complex(math.cos(p.lam), math.sin(p.lam)) * p.bracket**m)
-
-    def matrix(b, d):
-        return b**m * (np.eye(d) + 0.5j * np.triu(np.ones((d, d)), 1))
-
-    return (lambda dual: [matrix(b, d) for b, d in zip(dual.bracket, dual.d)],
-            lambda p: matrix(p.bracket, p.d))
+def _multiplier(kind: str, u: float):
+    """(check_tt1's multiplier keyword, the per-point oracle of its value): the
+    bracket power <xi>^u or the heat multiplier e^{-u lambda}."""
+    if kind == "bracket":
+        return {"m": u}, lambda p: p.bracket**u
+    return {"t": u}, lambda p: math.exp(-u * p.lam)
 
 
 @settings(max_examples=80, deadline=None)
 @given(duals, st.sampled_from(sorted(TT1_CASES)), st.sampled_from([1.0, 0.5]),
-       st.sampled_from(["scalar", "complex", "matrix"]), st.floats(-6.0, -1.0))
-@example(("torus", 0.0, 1, True), 3, 1.0, "matrix", -4.0)
-@example(("su2", 6.0, 1, True), 4, 1.0, "matrix", -4.0)
-@example(("su2", 5.75, 1, False), 1, 0.5, "scalar", -3.0)
+       st.sampled_from(["bracket", "heat"]), st.floats(-6.0, -1.0))
+@example(("torus", 0.0, 1, True), 3, 1.0, "bracket", -4.0)
+@example(("su2", 6.0, 1, True), 4, 1.0, "heat", -4.0)
+@example(("su2", 5.75, 1, False), 1, 0.5, "bracket", -3.0)
 def test_tt1_partial_sums_match_oracle(spec, case, r, kind, m):
     dual, points = both(spec)
     p, q = TT1_CASES[case]
-    a_dual, a_point = _symbols(kind, m)
-    verdict = check_tt1(dual, a_dual, r, p, q, case)
+    multiplier, a_point = _multiplier(kind, m if kind == "bracket" else -m / 4.0)  # heat t in [1/4, 3/2]
+    verdict = check_tt1(dual, r, p, q, case, **multiplier)
     labels, shell_sums = oracles.tt1_shells(
         points, a_point, r,
         verdict["derived_params"]["dimension_exponent"],
@@ -133,13 +126,6 @@ def test_tt1_partial_sums_match_oracle(spec, case, r, kind, m):
     )
     assert verdict["witness"]["labels"] == labels
     assert_close(verdict["witness"]["partial_sums"], list(accumulate(shell_sums)))
-
-
-def test_symbol_of_wrong_length_rejected():
-    dual = enumerate_dual("su2", 10)
-    for a in (lambda dual: np.ones(1), lambda dual: [np.eye(2)] * (len(dual) - 1)):
-        with pytest.raises(ValueError, match="one value or matrix per dual point"):
-            check_tt1(dual, a, 1.0, 2.0, 2.0, 3)
 
 
 radial_duals = st.tuples(st.integers(0, 160).map(lambda k: k / 4.0), st.sampled_from([1, 2]))
@@ -186,12 +172,11 @@ def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
     dual = per_point(radial)
     # alpha <= dim diverges; the convergent draws lie in (dim, dim + 3]
     alpha = dim * u if kind == "divergent" else dim + 3.0 * u + 1e-3
-    divergent = kind == "divergent"
-    for terms in (heat_terms, lambda d, _: bessel_terms(d, alpha)):
-        for flag in (False, divergent):
-            want = summed_series(dual, terms(dual, t), divergent=flag)
-            got = summed_series(radial, terms(radial, t), divergent=flag)
-            assert bits(got) == bits(want)
+    for terms, envelope in ((heat_terms, (2.0, 0.0, t)),
+                            (lambda d, _: bessel_terms(d, alpha), (2.0, -alpha, 0.0))):
+        want = summed_series(dual, terms(dual, t), envelope)
+        got = summed_series(radial, terms(radial, t), envelope)
+        assert bits(got) == bits(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -205,9 +190,9 @@ def test_radial_tt1_verdict_matches_the_per_point_path_bit_for_bit(spec, case, r
     dual = per_point(radial)
     p, q = TT1_CASES[case]
     # the CLI's catalog multipliers: bracket^m and exp(-t lambda)
-    symbol = (lambda d: d.bracket**m) if kind == "bracket" else (lambda d: np.exp(-t * d.lam))
-    got = check_tt1(radial, symbol, r, p, q, case)
-    want = check_tt1(dual, symbol, r, p, q, case)
+    multiplier = {"m": m} if kind == "bracket" else {"t": t}
+    got = check_tt1(radial, r, p, q, case, **multiplier)
+    want = check_tt1(dual, r, p, q, case, **multiplier)
     assert bits(got) == bits(want)
 
 
@@ -234,15 +219,14 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def series_by_math_fsum(dual: GroupDual, terms: np.ndarray, divergent: bool):
+def series_by_math_fsum(dual: GroupDual, terms: np.ndarray, envelope: tuple):
     """``summed_series`` from ``math.fsum`` over the terms repeated by their
     multiplicities, whole and per dyadic bracket shell, the total first."""
     flat, shells = np.repeat(terms, dual.mult), np.repeat(dual.shells, dual.mult)
     value = math.fsum(flat)
     shell_sums = [math.fsum(flat[shells == j]) for j in np.unique(shells)]
-    converged, tail, _ = certify_shell_sums(shell_sums, min_ratios=2)
-    return value, {"shell_sums": shell_sums, "tail_estimate": math.inf if divergent else tail,
-                   "converged": converged and not divergent}
+    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope)
+    return value, {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
 
 
 @settings(max_examples=120, deadline=None)
@@ -260,11 +244,11 @@ def test_summed_series_matches_the_two_calls_bit_for_bit(spec, kind):
     group, cutoff, dim, half = spec
     dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
     name, u = kind
-    terms = heat_terms(dual, u) if name == "heat" else bessel_terms(dual, u)
-    for divergent in (False, True):
-        want = outcome(series_by_math_fsum, dual, terms, divergent)
-        got = outcome(summed_series, dual, terms, divergent)
-        assert bits(got) == bits(want)
+    terms, envelope = (heat_terms(dual, u), (2.0, 0.0, u)) if name == "heat" else \
+        (bessel_terms(dual, u), (2.0, -u, 0.0))
+    want = outcome(series_by_math_fsum, dual, terms, envelope)
+    got = outcome(summed_series, dual, terms, envelope)
+    assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize(

@@ -102,7 +102,9 @@ class TestExitPath:
     ["heat-trace", "--group", "torus", "--dim", "1", "--t", "1", "--cutoff", "6"],
     # a report of about 115 KB, more than any pipe buffer
     ["spectrum", "--symbol", "modulated", "--c", "2", "--m", "-4", "--dim", "2", "--radius", "31"],
-], ids=["small", "large"])
+    # argparse's help, which argparse itself writes without raising the OSError
+    ["--help"],
+], ids=["small", "large", "help"])
 def test_closed_stdout_is_one_error_line(argv, unbuffered, tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child writes

@@ -159,6 +159,7 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
     """Tripwire: the shell sums of a 200001-point dual go through the bins."""
     dual = enumerate_dual("torus", 100000, dim=1)
     series = {"bessel": bessel_terms(dual, 2.0), "heat": heat_terms(dual, 1e-6)}
+    envelopes = {"bessel": (2.0, -2.0, 0.0), "heat": (2.0, 0.0, 1e-6)}
     shells = np.repeat(dual.shells, dual.mult)
     want = {name: [math.fsum(np.repeat(t, dual.mult)[shells == j]) for j in np.unique(shells)]
             for name, t in series.items()}
@@ -172,7 +173,7 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
 
     monkeypatch.setattr(math, "fsum", spy)
     for name, t in series.items():
-        report = summed_series(dual, t)[1]
+        report = summed_series(dual, t, envelopes[name])[1]
         assert [bits(v) for v in report["shell_sums"]] == [bits(v) for v in want[name]]
     assert int(dual.mult.sum()) == 200001
     assert not [size for size in passed if size >= CROSSOVER]

@@ -32,11 +32,11 @@ PI_COTH_PI = math.pi / math.tanh(math.pi)
 
 
 def heat_sum(dual, t):
-    return summed_series(dual, heat_terms(dual, t))[0]
+    return summed_series(dual, heat_terms(dual, t), (2.0, 0.0, t))[0]
 
 
 def bessel_sum(dual, alpha):
-    return summed_series(dual, bessel_terms(dual, alpha))[0]
+    return summed_series(dual, bessel_terms(dual, alpha), (2.0, -alpha, 0.0))[0]
 
 
 class TestEnumerateDual:
@@ -132,7 +132,7 @@ class TestBesselTrace:
 def test_summed_series_refuses_negative_terms():
     dual = enumerate_dual("torus", 4, dim=1)
     with pytest.raises(ValueError, match="nonnegative"):
-        summed_series(dual, np.cos(dual.lam))
+        summed_series(dual, np.cos(dual.lam), (0.0, 0.0, 0.0))
 
 
 class TestGaussLegendre64:
@@ -187,26 +187,26 @@ class TestGaussLegendre64:
 class TestMultiplierTrace:
     def test_heat_symbol_chases_definition(self):
         dual = enumerate_dual("su2", 15)
-        got = summed_series(dual, dual.d * dual.d * np.exp(-1.0 * dual.lam))[0]
+        got = summed_series(dual, dual.d * dual.d * np.exp(-1.0 * dual.lam), (2.0, 0.0, 1.0))[0]
         assert got == pytest.approx(heat_sum(dual, 1.0), abs=1e-12)
 
     def test_bessel_symbol_chases_definition(self):
         dual = enumerate_dual("torus", 50, dim=1)
-        got = summed_series(dual, dual.d * dual.d * dual.bracket**-4.0)[0]
+        got = summed_series(dual, dual.d * dual.d * dual.bracket**-4.0, (2.0, -4.0, 0.0))[0]
         assert got == pytest.approx(bessel_sum(dual, 4.0), abs=1e-12)
 
     def test_cross_module_against_nuclear_trace(self):
         # same multiplier, summed over the dual and over the lattice
         dual = enumerate_dual("torus", 16, dim=1)
         lat = FrequencyLattice(1, 16)
-        via_dual = summed_series(dual, dual.bracket**-4.0)[0]
+        via_dual = summed_series(dual, dual.bracket**-4.0, (0.0, -4.0, 0.0))[0]
         via_lattice = CompressedOperator(bessel_symbol(-4.0), lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-12
 
     def test_gaussian_cross_module(self):
         dual = enumerate_dual("torus", 6, dim=1)
         lat = FrequencyLattice(1, 6)
-        via_dual = summed_series(dual, np.exp(-dual.lam))[0]
+        via_dual = summed_series(dual, np.exp(-dual.lam), (0.0, 0.0, 1.0))[0]
         via_lattice = CompressedOperator(heat_symbol(1.0), lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-14
 

@@ -225,3 +225,15 @@ class TestSubparserTripwire:
     def test_unknown_first_token_registers_all(self, capsys, registered, argv):
         main(argv)
         assert registered == list(HANDLERS)
+
+
+@pytest.mark.parametrize("command, flag", [(name, flag) for name, flags in FLAGS.items()
+                                           for flag, spec in flags.items() if "action" not in spec])
+def test_a_flag_whose_value_is_the_separator_is_refused(capsys, command, flag):
+    # argparse reads --flag=-- as an empty list: once a TypeError traceback, or the
+    # flag ignored; now exit 2 with the command's usage
+    code = main([command, *REQUIRED[command], f"{flag}=--"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: torustrace {command} ")
+    assert err.endswith(f"torustrace {command}: error: argument {flag}: expected one argument\n")

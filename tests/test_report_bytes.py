@@ -3,10 +3,12 @@
 ``tests/golden`` holds the stdout of each command below, as the package printed
 it when these bodies were still built from record classes: the ``nuclearity``
 verdicts (README's t1, t2 and tt1 commands; a t2 set that fails four clauses; a
-dim-2 torus tt1 whose shells carry multiplicities; an SU(2) tt1 that fails the
-series monitor) and the ``lidskii`` histories (a converged 8-radius heat run, a
-two-radius run with a null verdict, JSON and CSV).  Each report must render to
-those bytes, field order and every float's 17 digits included.
+dim-2 torus tt1 whose shells carry multiplicities; an SU(2) tt1 just inside its
+exponent clause) and the ``lidskii`` histories (a converged 8-radius heat run, a
+two-radius run, JSON and CSV).  Each report must render to those bytes, field
+order and every float's 17 digits included.  The tails, verdicts and rules of
+these files were rewritten once, when the integral-test bound replaced the
+shell-ratio rule; every other byte was kept.
 """
 
 from pathlib import Path
