@@ -22,12 +22,10 @@ file is transformed to get them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .harmonic import FourierCoefficients, _require_margin, lp_norms
-from .sums import fsum, fsum_by
+from .sums import fsum_by, power_norms
 
 
 class BesovParams:
@@ -79,22 +77,10 @@ def block_norms(c: FourierCoefficients, p: float, grid_size: int) -> list[tuple[
 
 
 def weighted_norm(table: list[tuple[int, float]], params: BesovParams) -> float:
-    """(sum_m 2^{mwq} n_m^q)^{1/q} of a ``block_norms`` table; q = inf takes the sup over m.
-    Where the q-th power of the largest term could overflow or underflow, the terms
-    are normed relative to a scale near it: the power of two that puts it in [1, 2)
-    (exact, so the norm scales with its table), or for q > 1000, whose powers of
-    [1, 2) can overflow, the largest term itself.  A weight or a norm beyond float64
-    raises OverflowError."""
-    weighted = [(2.0 ** (m * params.w)) * norm for m, norm in table]
-    top = max(weighted, default=0.0)
-    if params.q == math.inf:
-        return top
-    mantissa, exponent = math.frexp(top)  # top^q lies in [2^{(exponent - 1) q}, 2^{exponent q})
-    if top == 0.0 or -1000 <= (exponent - 1) * params.q and exponent * params.q <= 1000:
-        return fsum(t**params.q for t in weighted) ** (1.0 / params.q)
-    unit = 1.0 if params.q <= 1000 else 2.0 * mantissa  # the scale is unit * 2^{exponent - 1}
-    relative = fsum((math.ldexp(t, 1 - exponent) / unit) ** params.q for t in weighted)
-    return math.ldexp(unit * relative ** (1.0 / params.q), exponent - 1)
+    """(sum_m 2^{mwq} n_m^q)^{1/q} of a ``block_norms`` table, ``sums.power_norms``
+    of its one row of weighted terms; q = inf takes the sup over m.  A weight or a
+    norm beyond float64 raises OverflowError."""
+    return power_norms([[(2.0 ** (m * params.w)) * norm for m, norm in table]], params.q)[0]
 
 
 def coefficient_norm(c: FourierCoefficients, params: BesovParams, grid_size: int) -> float:

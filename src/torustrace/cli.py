@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,8 +136,11 @@ def render_csv(header: str, rows: Iterable[list]) -> str:
 
 
 def make_header() -> dict:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = None if epoch is None else datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    stamp = epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if epoch is not None:  # datetime is imported only for this header
+        from datetime import datetime, timezone
+
+        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
     return {
         "tool": "torustrace",
         "version": __version__,

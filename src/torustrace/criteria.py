@@ -20,9 +20,10 @@ Three checkers are exposed:
 Strict inequalities are checked strictly; a failure at equality is reported as
 such.  Every series tail of the package is ``dual_tail_bound``: an upper bound
 on sum d^a <xi>^b e^{-s lambda} over the dual points past a slice, the integral
-test in closed form, inf exactly when the series is not summable.  A witness
-is certified when its tail is finite, and names its envelope as its rule:
-``integral-test(power-law)`` (s = 0) or ``integral-test(gaussian)`` (s > 0).
+test in closed form, inf exactly when the series is not summable or when the
+bound leaves float64.  A witness is certified when its tail is finite, and
+names its envelope as its rule: ``integral-test(power-law)`` (s = 0) or
+``integral-test(gaussian)`` (s > 0).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .besov import BesovParams, block_index, block_sums, weighted_norm
+from .besov import block_index, block_sums
 from .harmonic import FrequencyLattice
-from .sums import fsum, fsum_by
+from .sums import fsum, fsum_by, power_norms
 from .symbols import Symbol, x_fourier_support, x_fourier_table
 
 RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
@@ -115,47 +116,61 @@ def _lattice_power_sums(n: int, exponent: float, radii: list[int]) -> list[float
     return [fsum(terms[sup <= radius]) for radius in radii]
 
 
-def dual_tail_bound(group: str, dim: int, cutoff: float, a: float, b: float, s: float) -> float:
+UNBOUNDED_TAIL_NOTE = "the series is summable, but its tail bound leaves float64"
+
+
+def is_summable(group: str, dim: int, a: float, b: float, s: float) -> bool:
+    """Whether sum d^a <xi>^b e^{-s lambda} over the whole dual is finite: s > 0,
+    or s = 0 with b < -dim on the torus Z^dim, a + b < -1 on SU(2) (<xi> ~ d/2)."""
+    return s > 0 or s == 0 and (a if group == "su2" else dim - 1) + b < -1
+
+
+def dual_tail_bound(group: str, dim: int, cutoff: float, a: float, b: float, s: float,
+                    spin_step: float = 0.5) -> float:
     """Upper bound on sum d^a <xi>^b e^{-s lambda} over the dual points past a
     slice: |xi|_inf > floor(cutoff) on the torus Z^dim (d = 1, lambda = |xi|^2),
-    l > cutoff on SU(2) (d = 2l + 1, lambda = (d^2 - 1)/4).  inf exactly when the
-    series is not summable, or when the bound leaves float64.
+    l > cutoff on SU(2) (d = 2l + 1, lambda = (d^2 - 1)/4, l a multiple of
+    ``spin_step``).  inf exactly when the series is not summable, or when the
+    bound leaves float64.
 
     The points past the slice fall into groups x > X = edge: a torus max-norm
     shell (at most 2^{2 dim - 1} x^{dim - 1} points, lambda >= x^2, <xi>^2 <=
-    (dim + 1) x^2), or d = x on SU(2) (x/2 < <xi> <= x).  A group sums to at most
-    h(x) = w x^q (x/rho)^b e^{-sigma (x^2 - tau)}, which decreases past peak =
-    sqrt(p/(2 sigma)), p = q + b.  The groups X < x <= start = max(X + 1,
-    ceil(peak)) are bounded by the largest, the rest by the integral of h from
-    start: w rho^{-b} start^{p+1}/(-p - 1) when s = 0, else, by the concavity of
-    log x and Abramowitz & Stegun 7.1.13, h(start)/(sqrt(sigma) (z + sqrt(z^2 +
-    4/pi))), z = sqrt(sigma) start - max(p, 0)/(2 sqrt(sigma) start).  A torus
-    power law, whose envelope x^b meets its terms at the edge, takes start =
-    max(X, 1): the integral from the edge itself.
+    (dim + 1) x^2), or d = x on SU(2) (x/2 < <xi> <= x; odd x when spin_step = 1,
+    a step k = 2).  A group sums to at most h(x) = w x^q (x/rho)^b e^{-sigma (x^2
+    - tau)}, which decreases past peak = sqrt(p/(2 sigma)), p = q + b.  The groups
+    X < x <= start = max(X + 1, ceil(peak)) (odd when k = 2) are bounded by the
+    largest, the rest by 1/k times the integral of h from start: w rho^{-b}
+    start^{p+1}/(-p - 1) when s = 0, else, by the concavity of log x and
+    Abramowitz & Stegun 7.1.13, h(start)/(sqrt(sigma) (z + sqrt(z^2 + 4/pi))),
+    z = sqrt(sigma) start - max(p, 0)/(2 sqrt(sigma) start).  A torus power law,
+    whose envelope x^b meets its terms at the edge, takes start = max(X, 1): the
+    integral from the edge itself.
     """
     if group == "su2":
         edge, first, q, sigma, tau = math.floor(2 * cutoff) + 1, 1, a, s / 4.0, 1.0
-        weight, rho = 1.0, 2.0 if b < 0 else 1.0
+        weight, rho, step = 1.0, 2.0 if b < 0 else 1.0, round(2 * spin_step)
     else:
         edge, first, q, sigma, tau = math.floor(cutoff), int(s != 0), dim - 1, s, 0.0
-        weight, rho = 2.0 ** (2 * dim - 1), 1.0 if b <= 0 else (dim + 1.0) ** -0.5
-    p = q + b
-    if s < 0 or (s == 0 and p >= -1):
+        weight, rho, step = 2.0 ** (2 * dim - 1), 1.0 if b <= 0 else (dim + 1.0) ** -0.5, 1
+    if not is_summable(group, dim, a, b, s):
         return math.inf
+    p = q + b
     try:  # a bound beyond float64, or a point beyond it, reads inf
         peak = math.sqrt(p / (2.0 * sigma)) if s > 0 and p > 0 else 0.0
         start = max(edge + first, math.ceil(peak), 1)
+        start += (1 - start) % step  # k = 2: the odd d past the slice
 
         def h(x):
             return weight * math.exp(q * math.log(x) + b * math.log(x / rho) - sigma * (x * x - tau))
 
-        head = (start - edge) * h(max(peak, edge + 1)) if start > edge else 0.0
+        count = (start + step - 1) // step - (edge + step - 1) // step  # X < x <= start, x = 1 mod k
+        head = count * h(max(peak, edge + 1)) if count else 0.0
         if s == 0:
             power = start ** (p + 1) if rho == 1 else (start / rho) ** b * start ** (q + 1)
-            return head + weight * power / (-p - 1)
+            return head + weight * power / (-p - 1) / step
         root = math.sqrt(sigma)
         z = root * start - max(p, 0.0) / (2.0 * root * start)
-        return head + h(start) / (root * (z + math.sqrt(z * z + 4.0 / math.pi)))
+        return head + h(start) / (root * (z + math.sqrt(z * z + 4.0 / math.pi))) / step
     except OverflowError:
         return math.inf
 
@@ -399,11 +414,11 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
                           1.0 + d_exp + b, "<", -1.0)
     else:
         summable = Clause("summable: bracket_exponent + r m < -n", b, "<", -float(n))
-    beyond = dual_tail_bound(dual.group, dual.dim, dual.cutoff, 1.0 + d_exp, b, s)
+    beyond = dual_tail_bound(dual.group, dual.dim, dual.cutoff, 1.0 + d_exp, b, s, dual.spin_step)
     witness = _shell_witness(
         f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
         dual.shells, terms, dual.lambda_cap, beyond, s > 0,
-        "the series is summable, but its tail bound leaves float64" if summable.holds() else "", dual.mult)
+        UNBOUNDED_TAIL_NOTE if summable.holds() else "", dual.mult)
     derived: dict = {"case": float(case), "dimension_exponent": d_exp, "bracket_exponent": xi_exp}
     if case in (1, 2):
         derived["epsilon_p"] = _epsilon_ext(p)
@@ -429,10 +444,11 @@ def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLat
     which is what a grid synthesis on a margin-safe grid computes up to
     rounding.  So the support table (S x L) is read once, the block of each
     eta = xi + d found by ``block_index``, and |hat a|^2 summed into a
-    (blocks x L) table of per-(block, column) energies; each column is
-    weighted by ``weighted_norm``.  Each column is scaled by a power of two
-    before squaring (exact), so only a weight 2^{mw} or a bound beyond float64
-    raises OverflowError.
+    (blocks x L) table of per-(block, column) energies.  Each column is
+    scaled by a power of two before squaring (exact), so that its grouped sums
+    stay in range; its weighted block norms 2^{mw} n_m are then one row of
+    ``sums.power_norms`` at p = 2, all columns in one call.  Only a weight
+    2^{mw} or a bound beyond float64 raises OverflowError.
 
     Stability of this sum across growing radii is the numerical nuclearity
     certificate; raised to 1/r it upper-bounds the r-quasi-norm up to the
@@ -445,21 +461,20 @@ def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLat
     table = x_fourier_table(a, support, lattice)  # (S, L): H_xi's coefficient at xi + d
     peak = np.abs(table).max(axis=0, initial=0.0)
     scale = np.exp2(np.frexp(peak)[1] - 1.0)  # each column's largest |hat a| in [1, 2)
-    table = table / scale
     squared = sum((d[:, None] + xi) ** 2 for d, xi in zip(support.T, lattice.points.T))
     # every block of the row box |eta|_inf <= N + b is nonempty, so each column
     # reports all of them, as block_norms does on that lattice
     count = int(block_index(lattice.dim * radius**2)) + 1
     size = len(lattice)
+    # real divisions: numpy divides a complex by a subnormal scale through 1/scale, which overflows
     energy = np.bincount(
         (block_index(squared) * size + np.arange(size)).ravel(),
-        weights=(table.real**2 + table.imag**2).ravel(),
+        weights=((table.real / scale) ** 2 + (table.imag / scale) ** 2).ravel(),
         minlength=count * size,
     ).reshape(count, size)
     with np.errstate(over="ignore"):  # refused below
-        norms = scale * np.sqrt(energy)
-    besov = BesovParams(w, 2.0, 2.0)
-    bound = fsum(weighted_norm(list(enumerate(col)), besov) ** r for col in norms.T.tolist())
+        weighted = np.array([[2.0 ** (m * w)] for m in range(count)]) * (scale * np.sqrt(energy))
+    bound = fsum(norm**r for norm in power_norms(weighted.T, 2.0))
     if not math.isfinite(bound):  # an inf block norm makes it inf or nan
         raise OverflowError("the certificate's block norms of |hat{a}(d, xi)| leave float64")
     return float(bound)

@@ -4,7 +4,8 @@ Normalization (stated in every report header): the torus dual point xi in Z^n
 carries dimension 1 and Laplacian eigenvalue |xi|^2, so the group bracket
 (1 + lambda)^{1/2} coincides with the toroidal <xi>.  The SU(2) dual is indexed
 by l in {0, 1/2, 1, 3/2, ...} with dimension 2l + 1 and eigenvalue l(l + 1);
-``half_integers=False`` restricts to the integer-spin subset.
+``half_integers=False`` restricts to the integer-spin subset, and the dual's
+``spin_step`` (1/2 or 1) lets a tail count its odd d only.
 
 A ``GroupDual`` holds arrays ``d``, ``lam`` and ``mult``, one row per distinct
 eigenvalue, sorted by lambda; series are whole-array expressions over them, each
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .besov import block_index, block_sums
-from .criteria import dual_tail_bound
+from .criteria import UNBOUNDED_TAIL_NOTE, dual_tail_bound, is_summable
 from .sums import fsum
 
 GROUPS = ("torus", "su2")
@@ -33,13 +34,15 @@ DUAL_SIZE_LIMIT = 10**7
 
 
 class GroupDual:
-    def __init__(self, group: str, cutoff: float, dim: int, d: np.ndarray, lam: np.ndarray, mult: np.ndarray):
+    def __init__(self, group: str, cutoff: float, dim: int, d: np.ndarray, lam: np.ndarray, mult: np.ndarray,
+                 spin_step: float):
         self.group = group
         self.cutoff = cutoff
         self.dim = dim  # torus lattice dimension (1 on su2)
         self.d = d  # (N,) int64 representation dimension
         self.lam = lam  # (N,) float64 Laplacian eigenvalue
         self.mult = mult  # (N,) int64 number of dual points the row stands for
+        self.spin_step = spin_step  # su2: 1/2, or 1 over the integer spins; torus: 1
 
     def __len__(self) -> int:
         return self.lam.shape[0]
@@ -107,11 +110,12 @@ def enumerate_dual(group: str, cutoff, dim: int = 1, half_integers: bool = True)
         )
     if group == "torus":
         lam, mult = _radial_torus(dim, math.floor(cutoff))
-        return GroupDual(group, cutoff, dim, np.ones(lam.shape[0], dtype=np.int64), lam, mult)
+        return GroupDual(group, cutoff, dim, np.ones(lam.shape[0], dtype=np.int64), lam, mult, 1.0)
     # lambda grows with l, so counting order is already sorted
-    l = np.arange(size) * (0.5 if half_integers else 1.0)
+    step = 0.5 if half_integers else 1.0
+    l = np.arange(size) * step
     return GroupDual(group, cutoff, 1, (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0),
-                     np.ones(size, dtype=np.int64))
+                     np.ones(size, dtype=np.int64), step)
 
 
 def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,14 +142,18 @@ def summed_series(dual: GroupDual, terms: np.ndarray, envelope: tuple) -> tuple[
     times; diagnostics).  The terms are d^a <xi>^b e^{-s lambda}, ``envelope`` =
     (a, b, s).  The diagnostics are the dyadic bracket shell sums, the clipped
     trailing shell included, from the binned pass that gives the value; the tail
-    past the slice, ``criteria.dual_tail_bound``; and ``converged``, true exactly
-    when that tail is finite."""
+    past the slice, ``criteria.dual_tail_bound``; ``converged``, true exactly
+    when that tail is finite; and, only where the series is summable but the
+    bound leaves float64, a ``tail_note`` that says so."""
     terms = np.asarray(terms, dtype=np.float64)
     if (terms < 0).any():
         raise ValueError("a dual series sums nonnegative terms")
     _, shell_sums, value = block_sums(dual.shells, terms, dual.mult)
-    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope)
-    return value, {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
+    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope, dual.spin_step)
+    diagnostics = {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
+    if tail == math.inf and is_summable(dual.group, dual.dim, *envelope):
+        diagnostics["tail_note"] = UNBOUNDED_TAIL_NOTE
+    return value, diagnostics
 
 
 def heat_terms(dual: GroupDual, t: float) -> np.ndarray:

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .sums import fsum_by
+from .sums import power_norms
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,18 +167,7 @@ def forward_transform(f: PeriodicFunction, lattice: FrequencyLattice) -> Fourier
 
 def lp_norms(rows: np.ndarray, p: float) -> list[float]:
     """Rectangle-rule L^p norm on the probability-measure torus of each row of grid
-    values (p = inf: the grid sup), the rows reduced by one ``fsum_by``.
-    A row whose sum of |f|^p leaves float64 (0 or inf) while its sup is nonzero and
-    finite is normed relative to its sup, as sup ||f / sup||_p."""
+    values (p = inf: the grid sup): ``sums.power_norms`` over the grid size."""
     if p != math.inf and p < 1:
         raise ValueError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    mags = np.abs(rows)
-    if p == math.inf:
-        return [float(m) for m in mags.max(axis=1)]
-    with np.errstate(over="ignore", under="ignore"):
-        totals = fsum_by(None, mags.astype(np.float64) ** p)
-    norms = [float((total / rows.shape[1]) ** (1.0 / p)) for total in totals]
-    for i, total in enumerate(totals):
-        if total in (0.0, math.inf) and 0.0 < (sup := float(mags[i].max())) < math.inf:
-            norms[i] = sup * lp_norms(mags[i:i + 1] / sup, p)[0]  # a term of 1: in range
-    return norms
+    return power_norms(np.abs(rows), p, rows.shape[1])

@@ -54,6 +54,11 @@ overflow); when there are 2^26 or more; and when there are more than
 ``MAX_GROUPS`` groups.  On that path a total is ``math.fsum`` over all the
 terms in order, taken before the group sums, so its exceptions come first.
 Lists, generators and other arrays always go to ``math.fsum``.
+
+Every l^p norm of the package (``harmonic.lp_norms``, ``besov.weighted_norm``,
+the certificate's columns) is one ``power_norms`` call: a row sum per row, each
+row first scaled into range where its largest p-th power could leave float64
+(Blue's scaled norm).
 """
 
 from __future__ import annotations
@@ -168,13 +173,35 @@ def fsum_by(groups, values, weights=None, total: bool = False):
     return (sums, math.fsum(exact)) if total else sums
 
 
+def power_norms(rows, p: float, divisor: float = 1.0) -> list[float]:
+    """(sum_j x_j^p / divisor)^(1/p) of each row of nonnegative ``rows``, from one
+    exactly rounded ``fsum_by`` row sum; the row max at p = inf.  Where the largest
+    term's p-th power, in [2^((e - 1) p), 2^(e p)), could leave [2^-1000, 2^1000],
+    the row is normed relative to unit 2^(e - 1), unit 1 (exact: a p = 2 norm keeps
+    its bits) or, where [1, 2)^p can overflow (p > 1000), the largest term's
+    mantissa; ``math.ldexp`` puts it back, raising OverflowError beyond float64."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    top = rows.max(axis=1, initial=0.0)
+    if p == math.inf:
+        return top.tolist()
+    mantissa, exponent = np.frexp(top)
+    unit = 2.0 * mantissa if p > 1000 else np.ones_like(top)
+    with np.errstate(over="ignore", under="ignore"):  # a p of 1e300 times e; tiny scaled terms
+        scaled = (0.0 < top) & (top < math.inf) & (((exponent - 1) * p < -1000) | (exponent * p > 1000))
+        if scaled.any():
+            rows = rows / np.where(scaled, np.ldexp(unit, exponent - 1), 1.0)[:, None]
+        sums = fsum_by(None, rows**p)
+    return [math.ldexp(u * (s / divisor) ** (1.0 / p), e - 1) if shift else (s / divisor) ** (1.0 / p)
+            for s, shift, u, e in zip(sums, scaled.tolist(), unit.tolist(), exponent.tolist())]
+
+
 def _fsum_slices(groups, values: np.ndarray, size: int, weights) -> list[float]:
     """``math.fsum`` over each group's terms in turn, each term repeated by its
     weight: each row of ``values`` when ``groups`` is None, else the contiguous
     slices of a stable sort by group."""
     if groups is None:
         if weights is None:
-            return [math.fsum(row) for row in values]
+            return [math.fsum(row) for row in values.tolist()]
         return [math.fsum(np.repeat(row, w)) for row, w in zip(values, weights)]
     if weights is not None:
         groups, values = np.repeat(groups, weights), np.repeat(values, weights)

@@ -561,6 +561,21 @@ class TestDualTraceCommands:
         assert doc["diagnostics"]["divergent"] is True
         assert doc["diagnostics"]["converged"] is False
         assert doc["diagnostics"]["tail_estimate"] == "inf"
+        assert "tail_note" not in doc["diagnostics"]
+
+    def test_summable_series_whose_bound_leaves_float64_says_so(self, capsys):
+        # the tail past spin 20 of the su2 heat series at t = 1e-300 is about 1e451
+        doc = run_json(capsys, ["heat-trace", "--group", "su2", "--t", "1e-300", "--cutoff", "20"])
+        assert doc["diagnostics"]["converged"] is False
+        assert doc["diagnostics"]["tail_estimate"] == "inf"
+        assert doc["diagnostics"]["tail_note"] == "the series is summable, but its tail bound leaves float64"
+
+    def test_integer_spin_tail_counts_the_odd_d(self, capsys):
+        # d^2 <xi>^-alpha over the odd d past 40001: 0.0023233978 summed to d = 2 10^7,
+        # plus at least 1.8727e-05 past it, (1/2) int_{2 10^7 + 3}^inf 2^alpha x^(2 - alpha) dx
+        doc = run_json(capsys, ["bessel-trace", "--group", "su2", "--alpha", "3.777023", "--cutoff", "20000",
+                                "--integer-spins"])
+        assert 0.0023421246 <= doc["diagnostics"]["tail_estimate"] < 0.0023422
 
     @pytest.mark.parametrize("argv, true_tail", [
         # Jacobi theta by Poisson summation: sum_k e^{-k^2} = sqrt(pi) sum_k e^{-pi^2 k^2}
@@ -1104,6 +1119,19 @@ class TestCertificateRange:
             ref_bound = ref["diagnostics"]["quasinorm_certificate"]["bound"]
             assert bound == pytest.approx(c / 1e100 * ref_bound, rel=1e-14)
 
+    def test_subnormal_coefficients_are_scaled_in_range(self, capsys):
+        # e^{-0.3 |xi|^2} reaches the subnormal range near |xi| = 50; its columns are
+        # scaled by powers of two near 2^-1040 without a complex division overflowing,
+        # and the terms past radius 40 do not move the bound
+        argv = ["trace", "--symbol", "heat", "--t", "0.3", "--radius", "64", "--certify-w", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        bound = json.loads(out)["diagnostics"]["quasinorm_certificate"]["bound"]
+        ref = run_json(capsys, [*argv[:-3], "40", *argv[-2:]])["diagnostics"]["quasinorm_certificate"]["bound"]
+        assert bound == ref
+
 
 class TestLebesgueExponentRange:
     """A block whose |f|^p sums to 0 or inf in float64 is normed relative to its
@@ -1320,3 +1348,11 @@ class TestDataFiles:
         ])
         assert code == 2
         assert "radius 4" in err and "radius 8" in err
+
+
+def test_source_date_epoch_sets_the_header_timestamp(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    doc = run_json(capsys, ["heat-trace", "--group", "torus", "--dim", "1", "--t", "1", "--cutoff", "6"])
+    assert doc["header"]["timestamp"] == "1970-01-01T00:00:00+00:00"
+    monkeypatch.delenv("SOURCE_DATE_EPOCH")
+    assert run_json(capsys, ["heat-trace", "--group", "torus", "--t", "1", "--cutoff", "6"])["header"]["timestamp"] is None

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.besov import block_index
-from torustrace.criteria import check_tt1, dual_tail_bound
+from torustrace.criteria import UNBOUNDED_TAIL_NOTE, check_tt1, dual_tail_bound, is_summable
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
     GroupDual,
@@ -56,7 +56,8 @@ def assert_close(got, want):
 def per_point(dual: GroupDual) -> GroupDual:
     """The slice with one row per dual point: every row repeated ``mult`` times."""
     return GroupDual(dual.group, dual.cutoff, dual.dim, np.repeat(dual.d, dual.mult),
-                     np.repeat(dual.lam, dual.mult), np.ones(int(dual.mult.sum()), dtype=np.int64))
+                     np.repeat(dual.lam, dual.mult), np.ones(int(dual.mult.sum()), dtype=np.int64),
+                     dual.spin_step)
 
 
 def both(spec):
@@ -225,8 +226,11 @@ def series_by_math_fsum(dual: GroupDual, terms: np.ndarray, envelope: tuple):
     flat, shells = np.repeat(terms, dual.mult), np.repeat(dual.shells, dual.mult)
     value = math.fsum(flat)
     shell_sums = [math.fsum(flat[shells == j]) for j in np.unique(shells)]
-    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope)
-    return value, {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
+    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope, dual.spin_step)
+    diagnostics = {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
+    if tail == math.inf and is_summable(dual.group, dual.dim, *envelope):
+        diagnostics["tail_note"] = UNBOUNDED_TAIL_NOTE
+    return value, diagnostics
 
 
 @settings(max_examples=120, deadline=None)

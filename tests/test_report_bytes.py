@@ -1,13 +1,17 @@
-"""The checkers' verdicts and the Lidskii history keep the exact bytes of the pinned reports.
+"""The checkers' verdicts, the Lidskii history, the dyadic norms and the certificate keep
+the exact bytes of the pinned reports.
 
-``tests/golden`` holds the stdout of each command below, as the package printed
-it when these bodies were still built from record classes: the ``nuclearity``
+``tests/golden`` holds the stdout of each command below: the ``nuclearity``
 verdicts (README's t1, t2 and tt1 commands; a t2 set that fails four clauses; a
 dim-2 torus tt1 whose shells carry multiplicities; an SU(2) tt1 just inside its
 exponent clause) and the ``lidskii`` histories (a converged 8-radius heat run, a
-two-radius run, JSON and CSV).  Each report must render to those bytes, field
+two-radius run, JSON and CSV), as the package printed them when these bodies
+were still built from record classes; and two ``besov-norm`` tables (p = 2 and
+p = 3), an ``approx-demo`` error table and a ``trace`` with its quasi-norm
+certificate, as the package printed them before the l^p norms went through one
+reduction (``sums.power_norms``).  Each report must render to those bytes, field
 order and every float's 17 digits included.  The tails, verdicts and rules of
-these files were rewritten once, when the integral-test bound replaced the
+the first files were rewritten once, when the integral-test bound replaced the
 shell-ratio rule; every other byte was kept.
 """
 
@@ -35,6 +39,10 @@ COMMANDS = {
     "lidskii-heat.json": "lidskii --symbol heat --t 0.1 --radii 1,2,4,8,16,32,64,128",
     "lidskii-bessel.json": "lidskii --symbol bessel --m -4 --radii 4,8",
     "lidskii-modulated.csv": "lidskii --symbol modulated --c 2 --m -4 --radii 4,8,16 --format csv",
+    "besov-norm-p2.json": "besov-norm --stock 8 --w 1 --p 2 --q 2 --radius 8",
+    "besov-norm-p3.json": "besov-norm --stock 8 --w 1 --p 3 --q 2 --radius 8",
+    "approx-demo.json": "approx-demo --stock 8 --w 0 --p 2 --q 2 --n-values 1,2,4,8,9",
+    "trace-certificate.json": "trace --symbol modulated --c 2 --m -4 --dim 2 --radius 12 --certify-w 1",
 }
 
 

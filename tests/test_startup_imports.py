@@ -3,10 +3,12 @@
 Every command is one short process that pays the package import, so the
 package defines its records as plain classes: ``@dataclass`` generates and
 ``exec``-compiles their methods at every import, and importing ``dataclasses``
-(which imports ``copy``, ``inspect`` and more) costs on top of that.  A
-well-formed command line is read without argparse, which imports ``gettext``
-(and, at its first message lookup, ``locale``), so neither the import nor such
-a command imports any of the three; help, usage and errors still go to argparse.
+(which imports ``copy``, ``inspect`` and more) costs on top of that.  ``datetime``
+is imported only inside the function that renders a ``SOURCE_DATE_EPOCH``
+timestamp.  A well-formed command line is read without argparse, which imports
+``gettext`` (and, at its first message lookup, ``locale``), so neither the
+import nor such a command imports any of the three; help, usage and errors
+still go to argparse.
 """
 
 import ast
@@ -21,7 +23,7 @@ import torustrace
 from test_reachability import package_trees
 
 SRC = str(Path(torustrace.__file__).resolve().parents[1])
-SLOW_MODULES = {"dataclasses", "copy"}
+SLOW_MODULES = {"dataclasses", "copy", "datetime"}
 ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
            COLUMNS="80")  # argparse wraps usage to the terminal width
@@ -40,6 +42,14 @@ def imported_modules(tree: ast.Module) -> set[str]:
 
 def test_no_module_imports_dataclasses():
     importers = [module for module, tree in package_trees().items() if "dataclasses" in imported_modules(tree)]
+    assert importers == []
+
+
+def test_datetime_is_imported_only_for_the_timestamp():
+    # numpy imports datetime itself, so the import check below cannot see this one
+    importers = [module for module, tree in package_trees().items()
+                 if any(isinstance(node, (ast.Import, ast.ImportFrom)) and "datetime" in imported_modules(node)
+                        for node in tree.body)]
     assert importers == []
 
 

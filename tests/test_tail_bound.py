@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torustrace.criteria import dual_tail_bound
+from torustrace.criteria import dual_tail_bound, is_summable
 from torustrace.groups import enumerate_dual
 
 FAR = 2 * 10**6
@@ -96,6 +96,24 @@ def test_power_law_on_su2(a, b, cutoff):
     assert partial <= dual_tail_bound("su2", 1, cutoff, a, b, 0.0) < math.inf
 
 
+@pytest.mark.parametrize("kind, u", [("bessel", 3.5), ("bessel", 4.0), ("bessel", 8.0),
+                                     ("heat", 0.001), ("heat", 0.01), ("heat", 0.1), ("heat", 1.0)])
+@pytest.mark.parametrize("cutoff", [0, 3, 20.5, 200])
+def test_integer_spins_count_the_odd_d_only(kind, u, cutoff):
+    # d = 2l + 1 over the integer spins l > cutoff, out to l = 10^6 (where the heat
+    # terms are 0): a lower bound on the tail the bound must stay above
+    d = 2.0 * np.arange(math.floor(cutoff) + 1, 10**6 + 1) + 1.0
+    envelope = (2.0, -u, 0.0) if kind == "bessel" else (2.0, 0.0, u)
+    terms = d * d * ((np.sqrt(d * d + 3.0) / 2.0) ** -u if kind == "bessel" else np.exp(-u * (d * d - 1.0) / 4.0))
+    bound = dual_tail_bound("su2", 1, cutoff, *envelope, 1.0)
+    assert math.fsum(terms) <= bound < math.inf
+    every_d = dual_tail_bound("su2", 1, cutoff, *envelope, 0.5)
+    assert bound < every_d or every_d == 0.0
+    # about half the bound over every d, where the integral outweighs the first term
+    if (kind == "bessel" and cutoff >= 200) or (kind == "heat" and u <= 0.01 and cutoff <= 20):
+        assert bound == pytest.approx(every_d / 2, rel=0.02)
+
+
 @pytest.mark.parametrize("group, dim", [("torus", 1), ("torus", 2), ("su2", 1)])
 @pytest.mark.parametrize("s", [-0.5, -1e-300, 0.0, 1e-3, 1.0])
 @pytest.mark.parametrize("cutoff", [0, 0.5, 7])
@@ -105,7 +123,7 @@ def test_inf_exactly_when_the_exponent_clause_fails(group, dim, s, cutoff):
         for b in (-6.0, -3.0, -2.0 - 1e-9, -2.0, -1.5, -1.0, -0.5, 0.0, 1.5):
             summable = s > 0 or (s == 0 and (a + b < -1 if group == "su2" else b < -dim))
             bound = dual_tail_bound(group, dim, cutoff, a, b, s)
-            assert (bound < math.inf) is summable, (a, b)
+            assert (bound < math.inf) is summable is is_summable(group, dim, a, b, s), (a, b)
             assert bound >= 0.0
 
 
