@@ -554,7 +554,7 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
         _require(args.group == "torus" and args.dim == 1,
                  "tail correction is implemented for the torus with dim = 1; drop --tail-correct")
         try:
-            tail = bessel_tail(args.cutoff, args.alpha)
+            tail, tail_bound = bessel_tail(args.cutoff, args.alpha)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     dual = _dual(args, half_integers=not args.integer_spins)
@@ -562,8 +562,9 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
         value, diag = summed_series(dual, bessel_terms(dual, args.alpha), (2.0, -args.alpha, 0.0))
     except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
         raise ValidationError("the series terms sum beyond float64; raise --alpha or lower --cutoff") from exc
-    if args.tail_correct:
+    if args.tail_correct:  # the bound also takes the value's rounding: its terms', its sum's, this addition's
         value += tail
+        diag["tail_estimate"] = math.nextafter(tail_bound + 2.0 * math.ulp(value), math.inf)
     diag["divergent"] = not diag["converged"]  # alpha at most the group's dimension
     body = {
         "group": args.group,

@@ -165,9 +165,11 @@ def eigenvalues(matrix, with_residuals: bool = False):
             if with_residuals:
                 vals, vecs = np.linalg.eig(blocks)
                 r = blocks @ vecs - vecs * vals[:, None, :]
-                # each column scaled by a power of two (exact), so its squares cannot overflow
+                # each column scaled by a power of two (exact), so its squares cannot overflow;
+                # each part on its own, since a complex r / k multiplies by 1/k, inf for a subnormal k
                 k = np.exp2(np.frexp(np.abs(r).max(axis=1, keepdims=True))[1])
-                residuals[start:stop] = (k * np.linalg.norm(r / k, axis=1, keepdims=True)).ravel()
+                squares = (r.real / k) ** 2 + (r.imag / k) ** 2
+                residuals[start:stop] = (k * np.sqrt(squares.sum(axis=1, keepdims=True))).ravel()
                 norm_a = max(norm_a, float(np.abs(blocks).max()))
             else:
                 vals = np.linalg.eigvals(blocks)

@@ -9,6 +9,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +545,26 @@ class TestDualTraceCommands:
         ])
         assert doc["body"]["value"] == pytest.approx(math.pi / math.tanh(math.pi), abs=1e-8)
         assert doc["diagnostics"]["divergent"] is False
+
+    # sum over Z of <k>^-alpha (pi coth pi at alpha 2) from the Hurwitz-zeta expansion
+    # of its tail, at the decimal alpha: the double nearest 1.0001 moves it by 2e-9,
+    # the one nearest 1.1 by 2e-14, each far inside the bounds below
+    BESSEL_SERIES = {"1.0001": "20001.38993196163172769", "1.1": "21.35771385188294934699",
+                     "1.2": "11.32799056334978079753", "1.5": "5.251219224201036877792",
+                     "2": "3.153348094937162348268", "4": "1.613673950845817387836"}
+
+    @pytest.mark.parametrize("cutoff", ["0", "1", "10", "520", "1000"])
+    @pytest.mark.parametrize("alpha", list(BESSEL_SERIES))
+    def test_tail_corrected_value_is_within_its_bound(self, capsys, alpha, cutoff):
+        # the series lies in [value - tail_estimate, value + tail_estimate] (a quadrature
+        # once left alpha 1.1, cutoff 1000 at 21.1635), and that bound is tighter than the
+        # uncorrected tail's, which it once repeated
+        argv = ["bessel-trace", "--group", "torus", "--dim", "1", "--alpha", alpha, "--cutoff", cutoff]
+        doc = run_json(capsys, [*argv, "--tail-correct"])
+        value, bound = Decimal(doc["body"]["value"]), Decimal(doc["diagnostics"]["tail_estimate"])
+        assert abs(value - Decimal(self.BESSEL_SERIES[alpha])) <= bound
+        assert bound < Decimal(run_json(capsys, argv)["diagnostics"]["tail_estimate"])
+        assert doc["diagnostics"]["converged"] is True
 
     def test_bessel_divergence_flag(self, capsys):
         # the su2 series converges exactly for alpha above the group dimension 3

@@ -166,3 +166,16 @@ def test_output_file_process_equals_main(command, tmp_path, monkeypatch, capsys)
     spawned, called = in_both(argv, tmp_path, monkeypatch, capsys)
     assert (spawned / "report.json").read_bytes() == (called / "report.json").read_bytes()
     assert (spawned / "report.json").stat().st_size > 0
+
+
+def test_refused_eigenpair_is_one_stderr_line(tmp_path):
+    # dgeev's eigenvector for a block of this operator has subnormal entries, so its
+    # residual column is scaled by a subnormal power of two; the pair's residual is
+    # |lambda|, refused with exit 3.  numpy's RuntimeWarnings, which pytest would
+    # capture in-process, once wrote two more lines here.
+    argv = ["spectrum", "--symbol", "modulated", "--g", "gaussian", "--t", "0.3", "--c", "2", "--radius", "64"]
+    proc = subprocess.run(entry_argv("module", *argv), capture_output=True, text=True, env=child_env(),
+                          cwd=tmp_path, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("numerical failure: eigenpair 0 residual 2.412e+00 exceeds "
+                           "1.0e-09 * ||A|| = 2.423e-09\n")

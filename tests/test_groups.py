@@ -12,7 +12,7 @@ import pytest
 import torustrace
 from torustrace.besov import BesovParams, partial_sum_convergence
 from torustrace.groups import (
-    _gauss_legendre_64,
+    _bessel_integral,
     bessel_tail,
     bessel_terms,
     enumerate_dual,
@@ -110,8 +110,10 @@ class TestHeatTrace:
 class TestBesselTrace:
     def test_closed_form_with_tail_correction(self):
         dual = enumerate_dual("torus", 100000, dim=1)
-        got = bessel_sum(dual, 2.0) + bessel_tail(100000, 2.0)
-        assert got == pytest.approx(PI_COTH_PI, abs=1e-8)
+        correction, bound = bessel_tail(100000, 2.0)
+        got = bessel_sum(dual, 2.0) + correction
+        assert got == pytest.approx(PI_COTH_PI, abs=1e-14)
+        assert 0 < bound < 1e-15
 
     def test_partial_sum_stability_alpha4(self):
         d100 = enumerate_dual("torus", 100, dim=1)
@@ -135,37 +137,41 @@ def test_summed_series_refuses_negative_terms():
         summed_series(dual, np.cos(dual.lam), (0.0, 0.0, 0.0))
 
 
+class TestBesselIntegral:
+    """``groups._bessel_integral``, int_x^inf (1 + t^2)^{-alpha/2} dt, against the
+    elementary closed forms at alpha 2, 3 and 4, each written without
+    cancellation: with theta = atan(1/x), pi/2 - atan x = theta, 1 - x/sqrt(1 + x^2)
+    = 1/(h (h + x)) with h = sqrt(1 + x^2), and (pi/2 - atan x)/2 - x/(2 (1 + x^2))
+    = (phi - sin phi)/4 with phi = 2 theta, by its Taylor series."""
+
+    @staticmethod
+    def phi_minus_sin(phi):
+        terms, term, k = [], phi, 1
+        while term > 1e-40 * phi**3:
+            term *= phi * phi / ((2 * k) * (2 * k + 1))
+            terms.append(term if k % 2 else -term)
+            k += 1
+        return math.fsum(terms)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 10.5, 520.5, 100000.5])
+    def test_elementary_closed_forms(self, x):
+        h = math.hypot(1.0, x)
+        for alpha, exact in ((2.0, math.atan(1.0 / x)), (3.0, 1.0 / (h * (h + x))),
+                             (4.0, self.phi_minus_sin(2.0 * math.atan(1.0 / x)) / 4.0)):
+            assert abs(_bessel_integral(x, alpha) - exact) <= 1e-15 * exact, alpha
+
+    def test_beyond_the_square_of_float64(self):
+        # x^2 leaves float64 but the integral, about x^(1 - alpha)/(alpha - 1), does not
+        assert _bessel_integral(1e200, 1.5) == pytest.approx(2e-100, rel=1e-15)
+
+
 class TestGaussLegendre64:
-    """The Golub-Welsch rule behind ``bessel_tail``, against the monomials it must
-    integrate exactly and against numpy's ``leggauss``."""
-
-    def test_even_powers(self):
-        x, w = _gauss_legendre_64()
-        for k in range(64):
-            exact = 2.0 / (2 * k + 1)
-            assert abs(fsum(w * x ** (2 * k)) - exact) <= 5e-14 * exact, k
-
-    def test_odd_powers(self):
-        x, w = _gauss_legendre_64()
-        for k in range(64):
-            assert abs(fsum(w * x ** (2 * k + 1))) <= 1e-17, k
-
-    def test_weights_sum_to_two_and_rule_is_symmetric(self):
-        x, w = _gauss_legendre_64()
-        assert x.shape == w.shape == (64,)
-        assert abs(float(np.sum(w)) - 2.0) <= 1e-15
-        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-        assert np.all(np.diff(x) > 0) and np.all(w > 0)
-
-    def test_agrees_with_leggauss(self):
-        x, w = _gauss_legendre_64()
-        x_ref, w_ref = np.polynomial.legendre.leggauss(64)
-        assert np.all(np.abs(x - x_ref) <= 2 * np.spacing(np.abs(x_ref)))
-        assert np.all(np.abs(w - w_ref) <= 2e-12 * w_ref)
+    """The tail correction was once a 64-point Golub-Welsch rule built with numpy;
+    its closed form (``_bessel_integral``) takes ``math`` alone."""
 
     def test_tail_correction_imports_no_numpy_polynomial(self):
         # numpy 2 imports numpy.polynomial lazily (numpy 1.x eagerly, with numpy
-        # itself); building the rule must not pull it in
+        # itself); the tail correction must not pull it in
         code = (
             "import sys\n"
             "import numpy\n"
