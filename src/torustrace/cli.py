@@ -29,9 +29,7 @@ from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
 from .groups import (
     DUAL_SIZE_LIMIT,
     bessel_tail,
-    bessel_terms,
     enumerate_dual,
-    heat_terms,
     summed_series,
 )
 from .harmonic import (
@@ -543,7 +541,7 @@ def _dual(args, half_integers: bool = True):
 
 def _run_heat_trace(args) -> tuple[dict, dict, CsvTable | None]:
     dual = _dual(args, half_integers=not args.integer_spins)
-    value, diag = summed_series(dual, heat_terms(dual, args.t), (2.0, 0.0, args.t))
+    value, diag = summed_series(dual, (2.0, 0.0, args.t))
     body = {"group": args.group, "dim": args.dim, "t": args.t, "cutoff": args.cutoff,
             "value": value}
     return body, diag, None
@@ -559,7 +557,7 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
             raise ValidationError(str(exc)) from exc
     dual = _dual(args, half_integers=not args.integer_spins)
     try:
-        value, diag = summed_series(dual, bessel_terms(dual, args.alpha), (2.0, -args.alpha, 0.0))
+        value, diag = summed_series(dual, (2.0, -args.alpha, 0.0))
     except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
         raise ValidationError("the series terms sum beyond float64; raise --alpha or lower --cutoff") from exc
     if args.tail_correct:  # the bound also takes the value's rounding: its terms', its sum's, this addition's

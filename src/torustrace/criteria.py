@@ -21,9 +21,10 @@ Strict inequalities are checked strictly; a failure at equality is reported as
 such.  Every series tail of the package is ``dual_tail_bound``: an upper bound
 on sum d^a <xi>^b e^{-s lambda} over the dual points past a slice, the integral
 test in closed form, inf exactly when the series is not summable or when the
-bound leaves float64.  A witness is certified when its tail is finite, and
-names its envelope as its rule: ``integral-test(power-law)`` (s = 0) or
-``integral-test(gaussian)`` (s > 0).
+bound leaves float64; ``check_tt1`` sums ``GroupDual.terms`` of the envelope it
+bounds.  A witness is certified when its tail is finite, and names its envelope
+as its rule: ``integral-test(power-law)`` (s = 0) or ``integral-test(gaussian)``
+(s > 0).
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def dual_tail_bound(group: str, dim: int, cutoff: float, a: float, b: float, s: 
     a step k = 2).  A group sums to at most h(x) = w x^q (x/rho)^b e^{-sigma (x^2
     - tau)}, which decreases past peak = sqrt(p/(2 sigma)), p = q + b.  The groups
     X < x <= start = max(X + 1, ceil(peak)) (odd when k = 2) are bounded by the
-    largest, the rest by 1/k times the integral of h from start: w rho^{-b}
+    largest, h at the larger of peak and x_1, the first of them (X + 2 for odd X
+    when k = 2), the rest by 1/k times the integral of h from start: w rho^{-b}
     start^{p+1}/(-p - 1) when s = 0, else, by the concavity of log x and
     Abramowitz & Stegun 7.1.13, h(start)/(sqrt(sigma) (z + sqrt(z^2 + 4/pi))),
     z = sqrt(sigma) start - max(p, 0)/(2 sqrt(sigma) start).  A torus power law,
@@ -164,7 +166,7 @@ def dual_tail_bound(group: str, dim: int, cutoff: float, a: float, b: float, s: 
             return weight * math.exp(q * math.log(x) + b * math.log(x / rho) - sigma * (x * x - tau))
 
         count = (start + step - 1) // step - (edge + step - 1) // step  # X < x <= start, x = 1 mod k
-        head = count * h(max(peak, edge + 1)) if count else 0.0
+        head = count * h(max(peak, edge + 1 + (-edge) % step)) if count else 0.0
         if s == 0:
             power = start ** (p + 1) if rho == 1 else (start / rho) ** b * start ** (q + 1)
             return head + weight * power / (-p - 1) / step
@@ -373,10 +375,11 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
     or e^{-t lambda} (one of ``m``, ``t``), scalar times identity at every point.
 
     The selected case's series sum d |a|^r d^{d_exp} <xi>^{xi_exp} is
-    sum d^{1 + d_exp} <xi>^b e^{-s lambda} with b = xi_exp + r m, s = r t; it is
-    summable, and the verdict satisfied, exactly when s > 0, or s = 0 and b < -n
-    on the torus Z^n, 1 + d_exp + b < -1 on SU(2) (<xi> ~ d/2).  The witness
-    sums the truncation's complete shells; its tail is ``_shell_witness``'s.
+    sum d^{1 + d_exp} <xi>^b e^{-s lambda}, b = xi_exp + r m, s = r t, with terms
+    ``dual.terms(1 + d_exp, b, s)``; it is summable, and the verdict satisfied,
+    exactly when s > 0, or s = 0 and b < -n on the torus Z^n, 1 + d_exp + b < -1
+    on SU(2) (<xi> ~ d/2).  The witness sums the truncation's complete shells;
+    its tail is ``_shell_witness``'s.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must lie in (0, 1], got {r}")
@@ -403,9 +406,6 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
     else:
         d_exp = 1.0 + r * (0.5 - 1.0 / p)
         xi_exp = 0.0
-    with np.errstate(over="ignore"):  # a term beyond the float range is reported as inf
-        values = dual.bracket**m if t is None else np.exp(-t * dual.lam)
-        terms = dual.bracket**xi_exp * (dual.d * np.abs(values) ** r) * dual.d.astype(np.float64) ** d_exp
     b, s = xi_exp + (0.0 if m is None else r * m), 0.0 if t is None else r * t
     if t is not None:
         summable = Clause("summable: r t > 0", s, ">", 0.0)
@@ -417,7 +417,7 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
     beyond = dual_tail_bound(dual.group, dual.dim, dual.cutoff, 1.0 + d_exp, b, s, dual.spin_step)
     witness = _shell_witness(
         f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
-        dual.shells, terms, dual.lambda_cap, beyond, s > 0,
+        dual.shells, dual.terms(1.0 + d_exp, b, s), dual.lambda_cap, beyond, s > 0,
         UNBOUNDED_TAIL_NOTE if summable.holds() else "", dual.mult)
     derived: dict = {"case": float(case), "dimension_exponent": d_exp, "bracket_exponent": xi_exp}
     if case in (1, 2):

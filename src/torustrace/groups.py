@@ -8,14 +8,14 @@ by l in {0, 1/2, 1, 3/2, ...} with dimension 2l + 1 and eigenvalue l(l + 1);
 ``spin_step`` (1/2 or 1) lets a tail count its odd d only.
 
 A ``GroupDual`` holds arrays ``d``, ``lam`` and ``mult``, one row per distinct
-eigenvalue, sorted by lambda; series are whole-array expressions over them, each
-row's term counted ``mult`` times.  The torus slice has one row per distinct
-lambda = n, weighted by the number r(n) of box points with |xi|^2 = n; the SU(2)
-slice has one row per spin (``mult`` all ones).  Every series the package sums
-depends on lambda and d alone, so its exactly rounded sums are those of the
-per-point slice.  A series' tail past the slice is ``criteria.dual_tail_bound``
-of its terms' envelope d^a <xi>^b e^{-s lambda}; ``bessel_tail`` gives the dim-1
-torus Bessel series the midpoint integral of its tail in closed form, with a bound on its error.
+eigenvalue, sorted by lambda, each row's term counted ``mult`` times.  The torus
+slice has one row per distinct lambda = n, weighted by the number r(n) of box
+points with |xi|^2 = n; the SU(2) slice has one row per spin (``mult`` all ones).
+A series is its envelope (a, b, s): ``GroupDual.terms`` gives its terms d^a <xi>^b
+e^{-s lambda}, which depend on lambda and d alone, so their exactly rounded sums
+are those of the per-point slice; ``summed_series`` sums them and bounds the tail
+by ``criteria.dual_tail_bound`` of the same envelope.  ``bessel_tail`` gives the
+dim-1 torus Bessel series the midpoint integral of its tail in closed form, with a bound on its error.
 """
 
 from __future__ import annotations
@@ -46,9 +46,18 @@ class GroupDual:
     def __len__(self) -> int:
         return self.lam.shape[0]
 
-    @property
-    def bracket(self) -> np.ndarray:
-        return np.sqrt(1.0 + self.lam)
+    def terms(self, a: float, b: float, s: float) -> np.ndarray:
+        """Terms d^a <xi>^b e^{-s lambda} of a dual series, one per row, with <xi>^b
+        one power (1 + lambda)^{b/2}; a factor that is 1 (d on the torus, b = 0,
+        s = 0) is not computed.  Past the float range a term is inf, e^{-s lambda} 0."""
+        with np.errstate(over="ignore"):
+            on_d = a != 0 and self.group == "su2"
+            terms = self.d.astype(np.float64) ** a if on_d else np.ones(len(self))
+            if b != 0:
+                terms *= (1.0 + self.lam) ** (b / 2.0)
+            if s != 0:
+                terms *= np.exp(-s * self.lam)
+        return terms
 
     @property
     def shells(self) -> np.ndarray:
@@ -136,37 +145,20 @@ def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return n.astype(np.float64), r[n].astype(np.int64)
 
 
-def summed_series(dual: GroupDual, terms: np.ndarray, envelope: tuple) -> tuple[float, dict]:
-    """(exactly rounded sum of the nonnegative ``terms``, each counted ``dual.mult``
-    times; diagnostics).  The terms are d^a <xi>^b e^{-s lambda}, ``envelope`` =
-    (a, b, s).  The diagnostics are the dyadic bracket shell sums, the clipped
+def summed_series(dual: GroupDual, envelope: tuple) -> tuple[float, dict]:
+    """(exactly rounded sum of the terms ``dual.terms(*envelope)``, d^a <xi>^b
+    e^{-s lambda} for ``envelope`` = (a, b, s), each counted ``dual.mult`` times;
+    diagnostics).  The diagnostics are the dyadic bracket shell sums, the clipped
     trailing shell included, from the binned pass that gives the value; the tail
     past the slice, ``criteria.dual_tail_bound``; ``converged``, true exactly
     when that tail is finite; and, only where the series is summable but the
     bound leaves float64, a ``tail_note`` that says so."""
-    terms = np.asarray(terms, dtype=np.float64)
-    if (terms < 0).any():
-        raise ValueError("a dual series sums nonnegative terms")
-    _, shell_sums, value = block_sums(dual.shells, terms, dual.mult)
+    _, shell_sums, value = block_sums(dual.shells, dual.terms(*envelope), dual.mult)
     tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope, dual.spin_step)
     diagnostics = {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
     if tail == math.inf and is_summable(dual.group, dual.dim, *envelope):
         diagnostics["tail_note"] = UNBOUNDED_TAIL_NOTE
     return value, diagnostics
-
-
-def heat_terms(dual: GroupDual, t: float) -> np.ndarray:
-    """Terms d^2 exp(-t lambda) of the heat series, one per dual row."""
-    if not t > 0:
-        raise ValueError(f"heat trace needs t > 0, got {t}")
-    with np.errstate(over="ignore"):  # t lambda beyond the float range is -inf, whose exp is 0
-        return dual.d * dual.d * np.exp(-t * dual.lam)
-
-
-def bessel_terms(dual: GroupDual, alpha: float) -> np.ndarray:
-    """Terms d^2 <xi>^{-alpha} of the Bessel series, one per dual row."""
-    with np.errstate(over="ignore"):  # a term beyond the float range is reported as inf
-        return dual.d * dual.d * (1.0 + dual.lam) ** (-alpha / 2.0)
 
 
 def bessel_tail(cutoff: float, alpha: float) -> tuple[float, float]:

@@ -201,6 +201,15 @@ class TestCheckTT1:
         assert v["satisfied"] and v["violated_clauses"] == []
         assert not v["witness"]["certified"] and "leaves float64" in v["witness"]["note"]
 
+    def test_partial_sums_of_a_growing_multiplier_are_exactly_rounded(self):
+        # d^2 (1 + lambda)^200 summed over the first two shells: the terms are one power of
+        # (1 + lambda), not sqrt(1 + lambda) raised to m = 400, which multiplied its rounding
+        # error by 400.  The references are 40-digit sums.
+        v = check_tt1(enumerate_dual("su2", 200), 1.0, 2.0, 2.0, 3, m=400.0)
+        got = v["witness"]["partial_sums"][:2]
+        for g, want in zip(got, (2.390525899882872924049e+96, 3.012080270309639154734e+224)):
+            assert abs(g - want) <= 2e-16 * want
+
     def test_r_and_multiplier_validated(self):
         dual = enumerate_dual("su2", 2.0)
         with pytest.raises(ValueError, match="r must lie"):

@@ -26,10 +26,8 @@ from torustrace.criteria import UNBOUNDED_TAIL_NOTE, check_tt1, dual_tail_bound,
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
     GroupDual,
-    bessel_terms,
     dual_size,
     enumerate_dual,
-    heat_terms,
     summed_series,
 )
 
@@ -82,7 +80,7 @@ def test_enumeration_matches_oracle_exactly(spec):
     flat = per_point(dual)
     assert flat.d.tolist() == [p.d for p in points]
     assert flat.lam.tolist() == [p.lam for p in points]
-    assert flat.bracket.tolist() == [p.bracket for p in points]
+    assert np.sqrt(1.0 + flat.lam).tolist() == [p.bracket for p in points]
 
 
 @settings(max_examples=80, deadline=None)
@@ -91,11 +89,11 @@ def test_enumeration_matches_oracle_exactly(spec):
 @example(("su2", 0.25, 1, True), 1.0, 4.0)
 def test_series_and_shell_sums_match_oracle(spec, t, alpha):
     dual, points = both(spec)
-    for terms, envelope, want in (
-        (heat_terms(dual, t), (2.0, 0.0, t), oracles.heat_terms(points, t)),
-        (bessel_terms(dual, alpha), (2.0, -alpha, 0.0), oracles.bessel_terms(points, alpha)),
+    for envelope, want in (
+        ((2.0, 0.0, t), oracles.heat_terms(points, t)),
+        ((2.0, -alpha, 0.0), oracles.bessel_terms(points, alpha)),
     ):
-        value, diag = summed_series(dual, terms, envelope)
+        value, diag = summed_series(dual, envelope)
         assert_close([value], [math.fsum(want)])
         assert_close(diag["shell_sums"], oracles.dual_shell_sums(points, want))
 
@@ -158,7 +156,6 @@ def test_radial_slice_counts_every_point(spec):
     assert radial.lam.tolist() == n.tolist() and radial.mult.tolist() == r.tolist()
     assert radial.d.tolist() == [1] * len(n) and int(radial.mult.sum()) == dual_size("torus", cutoff, dim)
     assert radial.shells.tolist() == block_index(n.astype(np.int64) + 1).tolist()
-    assert radial.bracket.tolist() == np.sqrt(1.0 + n).tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -173,10 +170,9 @@ def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
     dual = per_point(radial)
     # alpha <= dim diverges; the convergent draws lie in (dim, dim + 3]
     alpha = dim * u if kind == "divergent" else dim + 3.0 * u + 1e-3
-    for terms, envelope in ((heat_terms, (2.0, 0.0, t)),
-                            (lambda d, _: bessel_terms(d, alpha), (2.0, -alpha, 0.0))):
-        want = summed_series(dual, terms(dual, t), envelope)
-        got = summed_series(radial, terms(radial, t), envelope)
+    for envelope in ((2.0, 0.0, t), (2.0, -alpha, 0.0)):
+        want = summed_series(dual, envelope)
+        got = summed_series(radial, envelope)
         assert bits(got) == bits(want)
 
 
@@ -220,10 +216,10 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def series_by_math_fsum(dual: GroupDual, terms: np.ndarray, envelope: tuple):
+def series_by_math_fsum(dual: GroupDual, envelope: tuple):
     """``summed_series`` from ``math.fsum`` over the terms repeated by their
     multiplicities, whole and per dyadic bracket shell, the total first."""
-    flat, shells = np.repeat(terms, dual.mult), np.repeat(dual.shells, dual.mult)
+    flat, shells = np.repeat(dual.terms(*envelope), dual.mult), np.repeat(dual.shells, dual.mult)
     value = math.fsum(flat)
     shell_sums = [math.fsum(flat[shells == j]) for j in np.unique(shells)]
     tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope, dual.spin_step)
@@ -231,6 +227,24 @@ def series_by_math_fsum(dual: GroupDual, terms: np.ndarray, envelope: tuple):
     if tail == math.inf and is_summable(dual.group, dual.dim, *envelope):
         diagnostics["tail_note"] = UNBOUNDED_TAIL_NOTE
     return value, diagnostics
+
+
+@settings(max_examples=120, deadline=None)
+@given(series_duals, st.one_of(st.floats(1e-8, 1e3), st.just(1e300)),
+       st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-700.0, 700.0])))
+@example(("torus", 40, 2, True), 1e300, -700.0)
+@example(("su2", 600.0, 1, False), 1e-8, 700.0)
+@example(("torus", 0, 1, True), 1.0, 0.0)
+def test_heat_and_bessel_terms_keep_the_bits_of_their_expressions(spec, t, alpha):
+    """``GroupDual.terms`` of the heat and Bessel envelopes has the bits of the
+    expressions the series once wrote out: d d e^{-t lambda} and d d (1 + lambda)^{-alpha/2}."""
+    group, cutoff, dim, half = spec
+    dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
+    with np.errstate(over="ignore"):
+        heat = dual.d * dual.d * np.exp(-t * dual.lam)
+        bessel = dual.d * dual.d * (1.0 + dual.lam) ** (-alpha / 2)
+    assert bits(dual.terms(2.0, 0.0, t).tolist()) == bits(heat.tolist())
+    assert bits(dual.terms(2.0, -alpha, 0.0).tolist()) == bits(bessel.tolist())
 
 
 @settings(max_examples=120, deadline=None)
@@ -248,10 +262,9 @@ def test_summed_series_matches_the_two_calls_bit_for_bit(spec, kind):
     group, cutoff, dim, half = spec
     dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
     name, u = kind
-    terms, envelope = (heat_terms(dual, u), (2.0, 0.0, u)) if name == "heat" else \
-        (bessel_terms(dual, u), (2.0, -u, 0.0))
-    want = outcome(series_by_math_fsum, dual, terms, envelope)
-    got = outcome(summed_series, dual, terms, envelope)
+    envelope = (2.0, 0.0, u) if name == "heat" else (2.0, -u, 0.0)
+    want = outcome(series_by_math_fsum, dual, envelope)
+    got = outcome(summed_series, dual, envelope)
     assert bits(got) == bits(want)
 
 

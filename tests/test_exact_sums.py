@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torustrace.sums as sums
-from torustrace.groups import bessel_terms, enumerate_dual, heat_terms, summed_series
+from torustrace.groups import enumerate_dual, summed_series
 from torustrace.sums import CHUNK, CROSSOVER, fsum, fsum_by, fsum_complex
 
 SIZES = (0, 1, 7, CROSSOVER - 1, CROSSOVER, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
@@ -158,11 +158,10 @@ class TestExceptionParity:
 def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monkeypatch):
     """Tripwire: the shell sums of a 200001-point dual go through the bins."""
     dual = enumerate_dual("torus", 100000, dim=1)
-    series = {"bessel": bessel_terms(dual, 2.0), "heat": heat_terms(dual, 1e-6)}
     envelopes = {"bessel": (2.0, -2.0, 0.0), "heat": (2.0, 0.0, 1e-6)}
     shells = np.repeat(dual.shells, dual.mult)
-    want = {name: [math.fsum(np.repeat(t, dual.mult)[shells == j]) for j in np.unique(shells)]
-            for name, t in series.items()}
+    want = {name: [math.fsum(np.repeat(dual.terms(*e), dual.mult)[shells == j]) for j in np.unique(shells)]
+            for name, e in envelopes.items()}
     passed = []
     real_fsum = math.fsum
 
@@ -172,8 +171,8 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
         return real_fsum(values)
 
     monkeypatch.setattr(math, "fsum", spy)
-    for name, t in series.items():
-        report = summed_series(dual, t, envelopes[name])[1]
+    for name, envelope in envelopes.items():
+        report = summed_series(dual, envelope)[1]
         assert [bits(v) for v in report["shell_sums"]] == [bits(v) for v in want[name]]
     assert int(dual.mult.sum()) == 200001
     assert not [size for size in passed if size >= CROSSOVER]

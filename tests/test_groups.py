@@ -14,9 +14,7 @@ from torustrace.besov import BesovParams, partial_sum_convergence
 from torustrace.groups import (
     _bessel_integral,
     bessel_tail,
-    bessel_terms,
     enumerate_dual,
-    heat_terms,
     summed_series,
 )
 from torustrace.harmonic import FrequencyLattice, forward_transform
@@ -32,11 +30,11 @@ PI_COTH_PI = math.pi / math.tanh(math.pi)
 
 
 def heat_sum(dual, t):
-    return summed_series(dual, heat_terms(dual, t), (2.0, 0.0, t))[0]
+    return summed_series(dual, (2.0, 0.0, t))[0]
 
 
 def bessel_sum(dual, alpha):
-    return summed_series(dual, bessel_terms(dual, alpha), (2.0, -alpha, 0.0))[0]
+    return summed_series(dual, (2.0, -alpha, 0.0))[0]
 
 
 class TestEnumerateDual:
@@ -70,7 +68,7 @@ class TestEnumerateDual:
     def test_bracket_consistent_with_lattice(self):
         dual = enumerate_dual("torus", 5, dim=1)
         brackets, counts = np.unique(FrequencyLattice(1, 5).brackets(), return_counts=True)
-        assert dual.bracket.tolist() == pytest.approx(brackets.tolist(), abs=1e-15)
+        assert np.sqrt(1.0 + dual.lam).tolist() == pytest.approx(brackets.tolist(), abs=1e-15)
         assert dual.mult.tolist() == counts.tolist()
 
 
@@ -101,10 +99,14 @@ class TestHeatTrace:
         for dual in (enumerate_dual("torus", 8, dim=1), enumerate_dual("su2", 10)):
             assert heat_sum(dual, 50.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_t_validated(self):
-        dual = enumerate_dual("torus", 4, dim=1)
-        with pytest.raises(ValueError):
-            heat_sum(dual, 0.0)
+    def test_t_validated(self, capsys):
+        # the command refuses t <= 0; the library sums any envelope, and t = 0 diverges
+        from torustrace.cli import main
+
+        for t in ("0", "-1"):
+            assert main(["heat-trace", "--group", "torus", "--t", t, "--cutoff", "4"]) == 2
+            assert "--t" in capsys.readouterr().err
+        assert summed_series(enumerate_dual("torus", 4, dim=1), (2.0, 0.0, 0.0))[1]["converged"] is False
 
 
 class TestBesselTrace:
@@ -129,12 +131,6 @@ class TestBesselTrace:
             code = cli.main(["bessel-trace", *group, "--alpha", "4", "--cutoff", "20", "--tail-correct"])
             assert code == 2 and capsys.readouterr().err == (
                 "error: tail correction is implemented for the torus with dim = 1; drop --tail-correct\n")
-
-
-def test_summed_series_refuses_negative_terms():
-    dual = enumerate_dual("torus", 4, dim=1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        summed_series(dual, np.cos(dual.lam), (0.0, 0.0, 0.0))
 
 
 class TestBesselIntegral:
@@ -193,26 +189,26 @@ class TestGaussLegendre64:
 class TestMultiplierTrace:
     def test_heat_symbol_chases_definition(self):
         dual = enumerate_dual("su2", 15)
-        got = summed_series(dual, dual.d * dual.d * np.exp(-1.0 * dual.lam), (2.0, 0.0, 1.0))[0]
+        got = fsum(dual.d * dual.d * np.exp(-1.0 * dual.lam))
         assert got == pytest.approx(heat_sum(dual, 1.0), abs=1e-12)
 
     def test_bessel_symbol_chases_definition(self):
         dual = enumerate_dual("torus", 50, dim=1)
-        got = summed_series(dual, dual.d * dual.d * dual.bracket**-4.0, (2.0, -4.0, 0.0))[0]
+        got = fsum(np.repeat(dual.d * dual.d * np.sqrt(1.0 + dual.lam) ** -4.0, dual.mult))
         assert got == pytest.approx(bessel_sum(dual, 4.0), abs=1e-12)
 
     def test_cross_module_against_nuclear_trace(self):
         # same multiplier, summed over the dual and over the lattice
         dual = enumerate_dual("torus", 16, dim=1)
         lat = FrequencyLattice(1, 16)
-        via_dual = summed_series(dual, dual.bracket**-4.0, (0.0, -4.0, 0.0))[0]
+        via_dual = summed_series(dual, (0.0, -4.0, 0.0))[0]
         via_lattice = CompressedOperator(bessel_symbol(-4.0), lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-12
 
     def test_gaussian_cross_module(self):
         dual = enumerate_dual("torus", 6, dim=1)
         lat = FrequencyLattice(1, 6)
-        via_dual = summed_series(dual, np.exp(-dual.lam), (0.0, 0.0, 1.0))[0]
+        via_dual = summed_series(dual, (0.0, 0.0, 1.0))[0]
         via_lattice = CompressedOperator(heat_symbol(1.0), lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-14
 

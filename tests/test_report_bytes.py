@@ -9,10 +9,14 @@ two-radius run, JSON and CSV), as the package printed them when these bodies
 were still built from record classes; and two ``besov-norm`` tables (p = 2 and
 p = 3), an ``approx-demo`` error table and a ``trace`` with its quasi-norm
 certificate, as the package printed them before the l^p norms went through one
-reduction (``sums.power_norms``).  Each report must render to those bytes, field
+reduction (``sums.power_norms``); and four ``heat-trace``/``bessel-trace`` series
+(SU(2), its integer spins, the tail-corrected circle), as the package printed them
+while each series still wrote out its own terms.  Each report must render to those bytes, field
 order and every float's 17 digits included.  The tails, verdicts and rules of
 the first files were rewritten once, when the integral-test bound replaced the
-shell-ratio rule; every other byte was kept.
+shell-ratio rule, and the two SU(2)-monitor and dim-2 torus tt1 partial sums once,
+when the tt1 terms became one power of (1 + lambda) (last digits, toward the exact
+sums); every other byte was kept.
 """
 
 from pathlib import Path
@@ -43,6 +47,11 @@ COMMANDS = {
     "besov-norm-p3.json": "besov-norm --stock 8 --w 1 --p 3 --q 2 --radius 8",
     "approx-demo.json": "approx-demo --stock 8 --w 0 --p 2 --q 2 --n-values 1,2,4,8,9",
     "trace-certificate.json": "trace --symbol modulated --c 2 --m -4 --dim 2 --radius 12 --certify-w 1",
+    "heat-trace-su2.json": "heat-trace --group su2 --t 1.0 --cutoff 20",
+    "heat-trace-su2-integer-spins.json": "heat-trace --group su2 --t 1 --cutoff 30 --integer-spins",
+    "bessel-trace-tail-correct.json": "bessel-trace --group torus --dim 1 --alpha 2 --cutoff 100000 "
+                                      "--tail-correct",
+    "bessel-trace-su2.json": "bessel-trace --group su2 --alpha 4 --cutoff 200",
 }
 
 

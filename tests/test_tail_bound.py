@@ -81,8 +81,8 @@ def test_power_law_on_the_circle(b, radius):
 def test_power_law_on_the_two_torus(b, radius):
     # the points with R < |xi|_inf <= 1000, one row per distinct |xi|^2
     total, inner = (enumerate_dual("torus", r, dim=2) for r in (1000, radius))
-    partial = (math.fsum(np.repeat(total.bracket ** b, total.mult))
-               - math.fsum(np.repeat(inner.bracket ** b, inner.mult)))
+    partial = (math.fsum(np.repeat(np.sqrt(1.0 + total.lam) ** b, total.mult))
+               - math.fsum(np.repeat(np.sqrt(1.0 + inner.lam) ** b, inner.mult)))
     assert partial <= dual_tail_bound("torus", 2, radius, 0.0, b, 0.0) < math.inf
 
 
@@ -112,6 +112,17 @@ def test_integer_spins_count_the_odd_d_only(kind, u, cutoff):
     # about half the bound over every d, where the integral outweighs the first term
     if (kind == "bessel" and cutoff >= 200) or (kind == "heat" and u <= 0.01 and cutoff <= 20):
         assert bound == pytest.approx(every_d / 2, rel=0.02)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("cutoff", [3, 20, 30])
+def test_integer_spin_heat_tail_is_within_half_again_of_the_odd_d_tail(t, cutoff):
+    # the head past the slice is bounded at the first odd d past it, not at the even
+    # d = floor(2 cutoff) + 2 the integer spins do not have (up to 1.6e9 times the tail)
+    d = np.arange(2 * cutoff + 3, 10**4, 2, dtype=np.float64)
+    tail = math.fsum(d * d * np.exp(-t * (d * d - 1.0) / 4.0))
+    if tail > 0:
+        assert tail <= dual_tail_bound("su2", 1, cutoff, 2.0, 0.0, t, 1.0) <= 1.5 * tail
 
 
 @pytest.mark.parametrize("group, dim", [("torus", 1), ("torus", 2), ("su2", 1)])
