@@ -4,9 +4,10 @@ Frequencies are grouped into blocks 2^m <= |xi| < 2^{m+1}; the origin joins
 block 0 so constants have nonzero norm.  Block membership is decided in exact
 integer arithmetic (4^m <= |xi|^2 < 4^{m+1}), so boundary frequencies never
 migrate with rounding.  ``block_index`` is the one dyadic binning of the
-package.  Lattice callers pass |xi|^2; the bracket shells of a dual series
-(``groups``) and of the series certificates (``criteria``) pass
-floor(lambda) + 1, the bracket <xi>^2 rounded down.  On a torus lattice of
+package.  Lattice callers pass |xi|^2; the series certificates (``criteria``)
+pass floor(lambda) + 1, the bracket <xi>^2 rounded down, and the bracket
+shells of a dual series (``GroupDual.shells``) are the same blocks of that
+key, cut from the dual's ascending lambda at 4^m - 1.  On a torus lattice of
 dim 1 or 2 the two keys bin alike: they differ in block only where
 |xi|^2 = 4^m - 1 = 3 mod 4, which no sum of two squares is, so grouping a
 lattice by |xi| or by <xi> gives the same blocks and the same numbers.
@@ -53,7 +54,9 @@ def block_sums(blocks: np.ndarray, terms: np.ndarray, weights=None) -> tuple[lis
     exactly rounded sum of all the terms), from one ``sums.fsum_by`` pass;
     ``weights`` counts each term that many times."""
     blocks = np.asarray(blocks, dtype=np.intp)
-    present = np.flatnonzero(np.bincount(blocks)).tolist()
+    seen = np.zeros(int(blocks.max()) + 1 if blocks.size else 0, dtype=bool)
+    seen[blocks] = True
+    present = np.flatnonzero(seen).tolist()
     sums, total = fsum_by(blocks, np.asarray(terms, dtype=np.float64), weights, total=True)
     return present, [sums[m] for m in present], total
 

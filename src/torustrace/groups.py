@@ -24,12 +24,14 @@ import math
 
 import numpy as np
 
-from .besov import block_index, block_sums
+from .besov import block_sums
 from .criteria import UNBOUNDED_TAIL_NOTE, dual_tail_bound, is_summable
 
 GROUPS = ("torus", "su2")
 # Largest dual enumerate_dual admits, counted in dual points (``dual_size``).
 DUAL_SIZE_LIMIT = 10**7
+# shell j of the ascending lambda lies between edges j and j + 1: 4^j - 1, -inf and inf at the ends
+_SHELL_EDGES = np.concatenate(([-math.inf], 4.0 ** np.arange(1, 27) - 1.0, [math.inf]))
 
 
 class GroupDual:
@@ -50,22 +52,30 @@ class GroupDual:
         """Terms d^a <xi>^b e^{-s lambda} of a dual series, one per row, with <xi>^b
         one power (1 + lambda)^{b/2}; a factor that is 1 (d on the torus, b = 0,
         s = 0) is not computed.  Past the float range a term is inf, e^{-s lambda} 0."""
+        terms = None
         with np.errstate(over="ignore"):
-            on_d = a != 0 and self.group == "su2"
-            terms = self.d.astype(np.float64) ** a if on_d else np.ones(len(self))
+            if a != 0 and self.group == "su2":
+                terms = self.d.astype(np.float64) ** a
             if b != 0:
-                terms *= (1.0 + self.lam) ** (b / 2.0)
+                bracket = (1.0 + self.lam) ** (b / 2.0)
+                terms = bracket if terms is None else np.multiply(terms, bracket, out=terms)
             if s != 0:
-                terms *= np.exp(-s * self.lam)
-        return terms
+                decay = np.exp(-s * self.lam)
+                terms = decay if terms is None else np.multiply(terms, decay, out=terms)
+        return np.ones(len(self)) if terms is None else terms
 
     @property
     def shells(self) -> np.ndarray:
-        """Dyadic bracket shell j of each point, 4^j <= floor(lambda) + 1 < 4^{j+1}.
+        """Dyadic bracket shell j of each row (not each dual point: a row stands for
+        ``mult`` points), 4^j <= floor(lambda) + 1 < 4^{j+1}.  As 4^j - 1 is an
+        integer, floor(lambda) + 1 >= 4^j exactly when lambda >= 4^j - 1, so the
+        shells are ``np.searchsorted`` cuts of the ascending lambda at the edges
+        4^j - 1, exact doubles for j <= 26 (``DUAL_SIZE_LIMIT`` keeps lambda below
+        4^23), not a binning of each row.
 
         On the SU(2) dual the spins l = 2^k - 1/2 have floor(lambda) = 4^k - 1,
         so the ``+ 1`` moves them up a shell."""
-        return block_index(np.floor(self.lam).astype(np.int64) + 1)
+        return np.repeat(np.arange(_SHELL_EDGES.size - 1), np.diff(np.searchsorted(self.lam, _SHELL_EDGES)))
 
     @property
     def group_dimension(self) -> int:
@@ -132,10 +142,11 @@ def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     a_i >= 0, stands for the 2^(number of a_i > 0) sign choices; one bincount
     of the sums of squares adds those up.  In dim 1 the squares are distinct
     already (and a bincount would need radius^2 bins)."""
+    signs = np.full(radius + 1, 2, dtype=np.int64)
+    signs[0] = 1
+    if dim == 1:  # squares below 2^53 are exact in float64
+        return np.arange(radius + 1, dtype=np.float64) ** 2, signs
     square = np.arange(radius + 1, dtype=np.int64) ** 2
-    signs = np.where(square > 0, 2, 1)
-    if dim == 1:
-        return square.astype(np.float64), signs
     keys, weights = square, signs
     for _ in range(dim - 1):
         keys = np.add.outer(keys, square).ravel()

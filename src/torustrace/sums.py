@@ -21,9 +21,18 @@ as ``math.fsum`` at a fraction of its per-term cost:
   ``hi`` 26 exponents down).  A term puts at most one part, below 2^27, in any
   bin, so with fewer than 2^26 terms every partial bin sum is an integer
   below 2^53 and each float addition is exact, in any order.
+- Where a chunk's keys (group and exponent) come in runs of 16 equal keys or
+  more on average, ``np.add.reduceat`` first adds up ``hi`` and ``lo`` over
+  each run, and the two bincounts add the run sums.  A run sum is a partial
+  bin sum, so it is exact too.  Every dual series has such runs: its rows
+  ascend in lambda and its terms are monotone or unimodal.  On sorted keys
+  ``np.bincount`` waits on its own stores: a chunk of 2^15 terms in long
+  runs bins in about 150 us directly and 30 us run-reduced.  A chunk of
+  shorter runs is binned directly, after one pass that counts its runs.
 - ``np.ldexp`` turns each nonzero bin into an exact float (a multiple of
   2^-1074 with at most 53 significant bits), and one ``math.fsum`` over those
-  (at most 2125 per group) rounds the exact sum of the group's terms.  That
+  (at most 2125 per group, largest scale first, so that it keeps few
+  partials) rounds the exact sum of the group's terms.  That
   call and ``math.fsum`` over the terms themselves return the correctly
   rounded value of the same exact number, so they are equal.  An exact sum of
   zero is +0.0 from both: ``math.fsum`` keeps no zero partials, so even an
@@ -37,14 +46,22 @@ weighted sum then has the bits of ``math.fsum`` over ``np.repeat(values, w)``.
 In what follows n is the number of terms, counted with their weights.
 Weights that are all 1 are dropped, so the kernel skips the products.
 
+Zeros of either sign add nothing to ``math.fsum``, which keeps no zero
+partials.  So when n >= ``CROSSOVER``, the exact zeros are dropped before the
+path is chosen, and n, ``CROSSOVER`` and the other rules below count nonzero
+terms.  A series whose terms underflow costs its nonzero terms only: the
+SU(2) heat series of tt1 at cutoff 2e4 and t = 0.0015 has 1,409 of 40,001.
+
 One call can give a series' value and its group sums (``total=True``), as for
 a dual series and its dyadic shell sums.  The bins of every group are exact
 floats whose exact sum is the sum of all the terms, so one ``math.fsum`` over
 all groups' bins together is the correctly rounded total: the bits of
 ``math.fsum`` over all the terms, from the same binned pass as the group sums.
 
-Memory: the terms go through in chunks of ``CHUNK``, with about 36 bytes of
-temporaries per term (about 1 MB a chunk), plus 2125 x 8 bytes of bins per
+Memory: where some terms are zero, a mask of 1 byte a term and copies of
+the nonzero terms, their groups and their weights, up to 32 bytes a term.
+Then the terms go through in chunks of ``CHUNK``, with about 38 bytes of
+temporaries per term (about 1.2 MB a chunk), plus 2125 x 8 bytes of bins per
 group.  The terms go to ``math.fsum`` itself (repeated by their weights), so
 that its values and its exceptions are kept, when there are fewer than
 ``CROSSOVER`` of them; when any is inf or nan; when max|x| >=
@@ -53,7 +70,8 @@ OverflowError on some finite sums near the top of the range, and a bin could
 overflow); when there are 2^26 or more; and when there are more than
 ``MAX_GROUPS`` groups.  On that path a total is ``math.fsum`` over all the
 terms in order, taken before the group sums, so its exceptions come first.
-Lists, generators and other arrays always go to ``math.fsum``.
+``fsum`` drops the zeros of a long 1-D ndarray itself; lists, generators and
+other arrays always go to ``math.fsum``.
 
 Every l^p norm of the package (``harmonic.lp_norms``, ``besov.weighted_norm``,
 the certificate's columns) is one ``power_norms`` call: a row sum per row, each
@@ -83,11 +101,14 @@ _BINS = _OFFSET + 1025 + 26  # bin k holds scale 2^(k - 1127), k in [1, 2124]
 
 def fsum(values) -> float:
     """Exactly rounded sum of real terms: ``fsum_by``'s one-group case for a 1-D
-    float64 ndarray of ``CROSSOVER`` terms or more, ``math.fsum`` for anything
-    else."""
+    float64 ndarray of ``CROSSOVER`` nonzero terms or more, ``math.fsum`` for
+    anything else.  Such an ndarray of ``CROSSOVER`` terms or more loses its
+    zeros first."""
     if (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.ndim == 1 and values.size >= CROSSOVER):
-        return fsum_by(None, values)[0]
+        values = values[values != 0]
+        if values.size >= CROSSOVER:
+            return fsum_by(None, values)[0]
     return math.fsum(values)
 
 
@@ -123,23 +144,32 @@ def fsum_by(groups, values, weights=None, total: bool = False):
     if groups is None:
         values = np.atleast_2d(values)
         size, row_length = values.shape
-        if weights is not None:
-            weights = weights.reshape(values.shape)
     else:
         groups = np.asarray(groups, dtype=np.intp)
         size = int(groups.max()) + 1 if groups.size else 0
+    values = values.reshape(-1)
+    if weights is not None:
+        weights = weights.reshape(-1)
     n = values.size if weights is None else int(weights.sum())
+    if n >= CROSSOVER:  # CROSSOVER counts nonzero terms; nan != 0, so only zeros go
+        nonzero = values != 0
+        if not nonzero.all():
+            kept = np.flatnonzero(nonzero)
+            values = values[kept]
+            groups = kept // row_length if groups is None else groups[kept]
+            weights = None if weights is None else weights[kept]
+            n = values.size if weights is None else int(weights.sum())
     limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
     if (n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS
             or not (values.max() < limit and -values.min() < limit)):  # nan fails both
-        if total:
-            flat = values.reshape(-1)
-            whole = math.fsum(flat if weights is None else np.repeat(flat, weights.reshape(-1)))
-            return _fsum_slices(groups, values, size, weights), whole
-        return _fsum_slices(groups, values, size, weights)
-    values = values.reshape(-1)
+        whole = math.fsum(values if weights is None else np.repeat(values, weights)) if total else None
+        if groups is None:  # no term was dropped, so the rows are whole
+            values = values.reshape(size, row_length)
+            weights = None if weights is None else weights.reshape(size, row_length)
+        sums = _fsum_slices(groups, values, size, weights)
+        return (sums, whole) if total else sums
     if weights is not None:
-        weights = weights.reshape(-1).astype(np.float64)  # exact: each weight is below 2^26
+        weights = weights.astype(np.float64)  # exact: each weight is below 2^26
     bins = np.zeros((size, _BINS))  # bins[g, k]: group g's integer sum at scale 2^(k - 1127)
     low, high = _BINS, 0  # the bins any chunk touched
     for start in range(0, values.size, CHUNK):
@@ -159,14 +189,17 @@ def fsum_by(groups, values, weights=None, total: bool = False):
         if weights is not None:  # products below 2^53, exact
             hi *= weights[start:stop]
             frac *= weights[start:stop]
+        key, hi, frac = _reduce_runs(key, hi, frac)
         # hi 2^(e-27) lands in bin e + 1100, lo 2^(e-53) = lo 2^((e-26)-27) in bin e + 1074
         window = bins[:, first + _OFFSET:first + _OFFSET + width + 26]
         window[:, 26:] += np.bincount(key, hi, minlength=size * width).reshape(size, width)
         window[:, :width] += np.bincount(key, frac, minlength=size * width).reshape(size, width)
         low, high = min(low, first + _OFFSET), max(high, first + _OFFSET + width + 26)
-    window = bins[:, low:high]
+    # largest scale first: math.fsum then keeps few partials (over a wide exponent
+    # range, ascending bins cost it about 6 times as much)
+    window = bins[:, low:high][:, ::-1]
     nonzero = window != 0
-    scale = np.broadcast_to(np.arange(low, high) - (_OFFSET + 53), window.shape)
+    scale = np.broadcast_to(np.arange(high - 1, low - 1, -1) - (_OFFSET + 53), window.shape)
     exact = np.ldexp(window[nonzero], scale[nonzero]).tolist()
     cuts = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
     sums = [math.fsum(exact[a:b]) for a, b in zip(cuts, cuts[1:])]
@@ -195,6 +228,20 @@ def power_norms(rows, p: float, divisor: float = 1.0) -> list[float]:
             for s, shift, u, e in zip(sums, scaled.tolist(), unit.tolist(), exponent.tolist())]
 
 
+def _reduce_runs(key: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """(key, hi, lo) with each run of equal ``key`` summed into its first term when
+    the runs average 16 terms or more, else as given.  ``np.bincount`` adds sorted
+    keys at about half its speed on scattered ones (each add waits for the last
+    store to its bin), and a dual series' keys are sorted: its rows ascend in
+    lambda and its terms are monotone or unimodal.  The sums are exact, being
+    partial bin sums."""
+    change = key[1:] != key[:-1]
+    if (np.count_nonzero(change) + 1) * 16 > key.size:
+        return key, hi, lo
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    return key[starts], np.add.reduceat(hi, starts), np.add.reduceat(lo, starts)
+
+
 def _fsum_slices(groups, values: np.ndarray, size: int, weights) -> list[float]:
     """``math.fsum`` over each group's terms in turn, each term repeated by its
     weight: each row of ``values`` when ``groups`` is None, else the contiguous
@@ -207,5 +254,5 @@ def _fsum_slices(groups, values: np.ndarray, size: int, weights) -> list[float]:
         groups, values = np.repeat(groups, weights), np.repeat(values, weights)
     order = np.argsort(groups, kind="stable")
     cuts = np.searchsorted(groups[order], np.arange(size + 1)).tolist()
-    values = values[order]
+    values = values[order].tolist()
     return [math.fsum(values[a:b]) for a, b in zip(cuts, cuts[1:])]

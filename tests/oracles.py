@@ -14,9 +14,11 @@ compares the two.
 Dual series: one ``DualPoint`` object per point of the unitary dual, walked
 point by point with ``math`` functions and per-point dyadic binning.  The
 package holds the dual as numpy arrays; ``test_dual_oracles.py`` compares the
-two.  The t2 convolution witness likewise, one window sum and one shell per
-lattice point; the package sums all rows of one (lattice x window) array, and
-``test_criteria.py`` compares the two bit for bit.
+two.  Its bracket shells likewise, floor(lambda) + 1 binned row by row against
+the package's cuts of the ascending lambda.  The t2 convolution witness
+likewise, one window sum and one shell per lattice point; the package sums all
+rows of one (lattice x window) array, and ``test_criteria.py`` compares the two
+bit for bit.
 
 Spectra: breadth-first search for the connected components of a matrix's
 nonzero pattern, and the full-matrix LAPACK solve.  The package solves one
@@ -335,6 +337,13 @@ def bessel_terms(points: list[DualPoint], alpha: float) -> list[float]:
 def _shell(p: DualPoint) -> int:
     key = int(math.floor(1.0 + p.lam))
     return 0 if key <= 0 else (key.bit_length() - 1) // 2
+
+
+def bracket_shells(lam: np.ndarray) -> np.ndarray:
+    """Dyadic bracket shell of each row, binned row by row: ``block_index`` of
+    floor(lambda) + 1 in exact integers.  ``GroupDual.shells`` cuts the ascending
+    lambda at the shell edges instead."""
+    return block_index(np.floor(lam).astype(np.int64) + 1)
 
 
 def dual_shell_sums(points: list[DualPoint], terms) -> list[float]:

@@ -74,6 +74,18 @@ class TestTraceCommand:
         ])
         assert 0 < doc["diagnostics"]["tail_estimate"] < 1e-3
 
+    def test_table_refuses_the_radius_before_the_order_hint_tail(self, capsys, tmp_path):
+        # the tail reads the table at the requested radius, outside a radius-4 table: the
+        # table's refusal must come first, exit 2 with its message and no traceback
+        path = tmp_path / "sym.json"
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
+                            str(path))
+        code, out, err = run(capsys, ["trace", "--symbol-file", str(path), "--radius", "6",
+                                      "--order-hint", "-4"])
+        assert code == 2 and out == ""
+        assert "does not hold the requested radius 6" in err
+        assert "Traceback" not in err and "KeyError" not in err
+
     def test_w_independence_byte_level(self, capsys):
         outs = []
         for w in ("0", "1", "2"):

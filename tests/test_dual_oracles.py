@@ -127,6 +127,40 @@ def test_tt1_partial_sums_match_oracle(spec, case, r, kind, m):
     assert_close(verdict["witness"]["partial_sums"], list(accumulate(shell_sums)))
 
 
+# (group, cutoff, dim, half_integers, rows kept): whole slices, 0- and 1-row slices,
+# and the spins l = 2^k - 1/2 (row 2^(k+1) - 1), whose lambda = 4^k - 1/4 puts
+# floor(lambda) + 1 = 4^k exactly on a shell edge
+@pytest.mark.parametrize("spec", [
+    ("torus", 1000.0, 1, True, slice(None)),
+    ("torus", 60.0, 2, True, slice(None)),
+    ("su2", 2000.0, 1, True, slice(None)),
+    ("su2", 2000.0, 1, False, slice(None)),
+    ("torus", 0.0, 1, True, slice(None)),
+    ("su2", 2000.0, 1, True, slice(0, 0)),
+    ("su2", 2000.0, 1, True, slice(0, 1)),
+    ("su2", 2000.0, 1, True, [2**6 - 1]),
+    ("su2", 2**11 - 0.5, 1, True, [2 ** (k + 1) - 1 for k in range(11)]),
+    ("su2", 2**11 - 0.5, 1, True, slice(None)),
+], ids=["torus-1", "torus-2", "su2", "su2-integer", "torus-origin", "0-row", "1-row", "1-row-edge",
+        "edge-spins", "su2-to-edge"])
+def test_shells_are_cuts_of_the_row_by_row_binning(spec):
+    group, cutoff, dim, half, rows = spec
+    whole = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
+    dual = GroupDual(group, cutoff, dim, whole.d[rows], whole.lam[rows], whole.mult[rows], whole.spin_step)
+    if isinstance(rows, list):  # spin l = (row + 1)/2 - 1/2 = 2^k - 1/2: floor(lambda) + 1 = 4^k
+        assert [math.floor(lam) + 1 for lam in dual.lam.tolist()] == [((row + 1) // 2) ** 2 for row in rows]
+    assert dual.shells.tolist() == oracles.bracket_shells(dual.lam).tolist()
+
+
+def test_shells_cut_exactly_at_the_edges():
+    # no dual row has lambda = 4^j - 1, so rows on, just below and just above each edge
+    edges = 4.0 ** np.arange(1, 27) - 1.0
+    lam = np.sort(np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]))
+    ones = np.ones(lam.size, dtype=np.int64)
+    dual = GroupDual("torus", 0.0, 1, ones, lam, ones, 1.0)
+    assert dual.shells.tolist() == oracles.bracket_shells(lam).tolist()
+
+
 radial_duals = st.tuples(st.integers(0, 160).map(lambda k: k / 4.0), st.sampled_from([1, 2]))
 
 

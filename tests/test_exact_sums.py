@@ -2,7 +2,9 @@
 
 Values are compared through ``struct.pack('<d')``, so the sign of a zero
 counts.  Sizes sit on both sides of ``CROSSOVER`` and of each chunk boundary,
-so the kernel, its chunk loop and the ``math.fsum`` fallback all run.
+so the kernel, its chunk loop and the ``math.fsum`` fallback all run.  The
+``sorted`` and ``zero-tail`` kinds are shaped like dual series, so the one-group
+and rows-as-groups sums take the run-reduced kernel and drop exact zeros.
 """
 
 import math
@@ -14,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torustrace.sums as sums
+from torustrace.criteria import check_tt1
 from torustrace.groups import enumerate_dual, summed_series
 from torustrace.sums import CHUNK, CROSSOVER, fsum, fsum_by, fsum_complex
 
 SIZES = (0, 1, 7, CROSSOVER - 1, CROSSOVER, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
-KINDS = ("normal", "subnormal", "wide", "cancel", "negative-zero", "signed-zeros", "integers")
+KINDS = ("normal", "subnormal", "wide", "cancel", "negative-zero", "signed-zeros", "integers", "sorted",
+         "zero-tail")
 
 
 def bits(x) -> bytes:
@@ -59,6 +63,13 @@ def terms(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, -0.0)
     if kind == "signed-zeros":
         return sign * 0.0
+    if kind == "sorted":  # monotone, one exponent per 5000 terms: runs straddle the CHUNK boundaries
+        mantissas = np.sort(1.0 + rng.random(n))[::-1]
+        return sign[:1] * np.ldexp(mantissas, int(rng.integers(-60, 60)) - np.arange(n) // 5000)
+    if kind == "zero-tail":  # decaying to subnormals, +0.0 where exp underflows, then -0.0
+        x = np.exp(-745.2 / (rng.uniform(0.3, 0.5) * max(n, 1)) * np.arange(n))
+        x[2 * n // 3:] = -0.0  # the last third of the rows as groups are all -0.0
+        return x
     # 53-bit integers at clustered exponents: long carries between bins
     return np.ldexp(rng.integers(-(2**53) + 1, 2**53, n).astype(np.float64), rng.integers(-40, -30, n))
 
@@ -179,6 +190,44 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
 
 
 
+def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkeypatch):
+    """The torus dim-1 cutoff-1e5 Bessel series bins every chunk run-reduced, and the
+    SU(2) cutoff-2e4 heat series of tt1 hands only its nonzero terms to the exact sum:
+    the kernel sees them and nothing else, and no ndarray of terms reaches math.fsum."""
+    runs = []
+    reduce_runs = sums._reduce_runs
+
+    def spy_runs(key, hi, lo):
+        reduced = reduce_runs(key, hi, lo)
+        runs.append((key.size, reduced[0].size))
+        return reduced
+
+    passed = []
+    real_fsum = math.fsum
+
+    def spy_fsum(values):
+        if isinstance(values, np.ndarray):
+            passed.append(values.size)
+        return real_fsum(values)
+
+    torus = enumerate_dual("torus", 100000, dim=1)
+    bessel = np.repeat(torus.terms(2.0, -2.0, 0.0), torus.mult)
+    su2 = enumerate_dual("su2", 20000)
+    heat = su2.terms(2.0, 0.0, 0.0015)  # case 4 at p = 2, r = 1: d^2 e^{-t lambda}
+    monkeypatch.setattr(sums, "_reduce_runs", spy_runs)
+    monkeypatch.setattr(math, "fsum", spy_fsum)
+    value = summed_series(torus, (2.0, -2.0, 0.0))[0]
+    assert sum(size for size, _ in runs) == len(torus) > 3 * CHUNK
+    assert all(reduced * 16 <= size for size, reduced in runs)
+    runs.clear()
+    verdict = check_tt1(su2, 1.0, 2.0, 2.0, 4, t=0.0015)
+    assert [size for size, _ in runs] == [np.count_nonzero(heat)] == [1409]
+    assert passed == []
+    monkeypatch.undo()
+    assert bits(value) == bits(math.fsum(bessel))
+    assert bits(verdict["witness"]["partial_sums"][-1]) == bits(61042.302096036867)
+
+
 class TestWeights:
     """A term of weight w sums as w copies: ``math.fsum(np.repeat(values, w))``."""
 
@@ -269,7 +318,8 @@ class TestWeights:
         real = sums._fsum_slices
         monkeypatch.setattr(sums, "_fsum_slices", lambda *a: seen.append(a[3]) or real(*a))
         fsum_by(groups, x, w)
-        assert seen == ([None] if n < CROSSOVER else [])
+        # zeros are dropped before the path is chosen: CROSSOVER counts nonzero terms
+        assert seen == ([None] if np.count_nonzero(x) < CROSSOVER else [])
 
 
 class TestTotal:
