@@ -286,10 +286,7 @@ def build_coefficients(args, radius: int | None) -> tuple[FourierCoefficients, i
         )
     if args.input is not None:
         _require(args.grid is None, "--input carries its own grid; drop --grid")
-        try:
-            f = load_periodic_function(args.input)
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"malformed function file: {exc}") from exc
+        f = load_periodic_function(args.input)
         dim, grid = f.dim, f.grid_size
     else:
         content = abs(args.character) if args.character is not None else args.stock

@@ -2,7 +2,9 @@
 
 Complex numbers are stored as [re, im] pairs.  Function files carry the grid
 in x-lexicographic order; symbol files are x-major, lattice-minor with the
-lattice in its canonical ordering.
+lattice in its canonical ordering, and may add ``claimed_*`` numbers (null
+reads as absent).  ``_read`` reads both formats and ``_write`` writes both; a
+defective file is one ValueError that names it.
 """
 
 from __future__ import annotations
@@ -15,73 +17,79 @@ from .harmonic import FrequencyLattice, PeriodicFunction
 from .symbols import SampledSymbol
 
 
-def _pairs_to_array(pairs, what: str) -> np.ndarray:
+def _integer(doc: dict, key: str, least: int, most: float = float("inf")) -> int:
+    value = doc[key]
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int or not least <= value <= most:
+        raise ValueError(f"{key!r} must be an integer in [{least}, {most}], not {json.dumps(value)[:40]}")
+    return value
+
+
+def _number(doc: dict, key: str) -> float:
+    if type(doc[key]) not in (int, float):
+        raise ValueError(f"{key!r} must be a number or null, not {json.dumps(doc[key])[:40]}")
+    return float(doc[key])
+
+
+def _read(path: str, kind: str):
+    """The ``kind`` ("function" or "symbol") file at ``path``: ``dim`` is checked first, then the
+    value count (grid_size (2 lattice_radius + 1))^dim, radius 0 for a function, then it is built."""
+    symbol = kind == "symbol"
+    fields = ("dim", "grid_size", "lattice_radius", "values") if symbol else ("dim", "grid_size", "values")
     try:
-        arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: values must be [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"{what}: values must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"must hold a JSON object with the fields {', '.join(fields)}")
+        for key in fields:
+            if key not in doc:
+                raise ValueError(f"is missing the {key!r} field")
+        dim, grid = _integer(doc, "dim", 1, 2), _integer(doc, "grid_size", 1)
+        radius = _integer(doc, "lattice_radius", 0) if symbol else 0
+        try:
+            pairs = np.asarray(doc["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            pairs = None
+        if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("'values' must be a list of [re, im] pairs")
+        claims = {key: _number(doc, key) for key in ("claimed_order", "claimed_rho", "claimed_delta")
+                  if symbol and doc.get(key) is not None}
+        expected = (grid * (2 * radius + 1)) ** dim
+        if len(pairs) != expected:
+            header = "(grid_size (2 lattice_radius + 1))^dim" if symbol else "grid_size^dim"
+            raise ValueError(f"{len(pairs)} values, expected {header} = {expected}")
+        values = pairs.view(np.complex128)[:, 0]  # the [re, im] bits as they are
+        if not symbol:
+            return PeriodicFunction(dim, grid, values)
+        lattice = FrequencyLattice(dim, radius)
+        return SampledSymbol(dim, grid, lattice, values.reshape(grid**dim, len(lattice)), **claims)
+    except (OSError, ValueError, OverflowError, RecursionError) as exc:
+        reason = f"cannot be read: {exc.strerror or exc}" if isinstance(exc, OSError) else exc
+        raise ValueError(f"{kind} file {path}: {reason}") from exc
 
 
-def _array_to_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=np.complex128)]
+def _write(path: str, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as JSON and a newline, its complex "values" as [re, im] pairs."""
+    values = np.ascontiguousarray(doc["values"], dtype=np.complex128).reshape(-1)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**doc, "values": values.view(np.float64).reshape(-1, 2).tolist()}, fh)
+        fh.write("\n")
 
 
 def load_periodic_function(path: str) -> PeriodicFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("dim", "grid_size", "values"):
-        if key not in doc:
-            raise ValueError(f"function file {path} is missing the {key!r} field")
-    values = _pairs_to_array(doc["values"], f"function file {path}")
-    return PeriodicFunction(int(doc["dim"]), int(doc["grid_size"]), values)
+    return _read(path, "function")
 
 
 def save_periodic_function(f: PeriodicFunction, path: str) -> None:
-    doc = {"dim": f.dim, "grid_size": f.grid_size, "values": _array_to_pairs(f.values)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write(path, {"dim": f.dim, "grid_size": f.grid_size, "values": f.values})
 
 
 def load_sampled_symbol(path: str) -> SampledSymbol:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("dim", "grid_size", "lattice_radius", "values"):
-        if key not in doc:
-            raise ValueError(f"symbol file {path} is missing the {key!r} field")
-    dim = int(doc["dim"])
-    grid_size = int(doc["grid_size"])
-    lattice = FrequencyLattice(dim, int(doc["lattice_radius"]))
-    flat = _pairs_to_array(doc["values"], f"symbol file {path}")
-    expected = grid_size**dim * len(lattice)
-    if flat.size != expected:
-        raise ValueError(
-            f"symbol file {path}: {flat.size} values, expected grid^dim * lattice = {expected}"
-        )
-    table = flat.reshape(grid_size**dim, len(lattice))
-    kwargs = {}
-    if "claimed_order" in doc and doc["claimed_order"] is not None:
-        kwargs["claimed_order"] = float(doc["claimed_order"])
-    if "claimed_rho" in doc:
-        kwargs["claimed_rho"] = float(doc["claimed_rho"])
-    if "claimed_delta" in doc:
-        kwargs["claimed_delta"] = float(doc["claimed_delta"])
-    return SampledSymbol(dim, grid_size, lattice, table, **kwargs)
+    return _read(path, "symbol")
 
 
 def save_sampled_symbol(a: SampledSymbol, path: str) -> None:
-    doc = {
-        "dim": a.dim,
-        "grid_size": a.grid_size,
-        "lattice_radius": a.lattice.radius,
-        "values": _array_to_pairs(a.table.reshape(-1)),
-        "claimed_order": a.claimed_order,
-        "claimed_rho": a.claimed_rho,
-        "claimed_delta": a.claimed_delta,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write(path, {"dim": a.dim, "grid_size": a.grid_size, "lattice_radius": a.lattice.radius,
+                  "values": a.table, "claimed_order": a.claimed_order, "claimed_rho": a.claimed_rho,
+                  "claimed_delta": a.claimed_delta})

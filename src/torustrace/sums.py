@@ -70,8 +70,8 @@ OverflowError on some finite sums near the top of the range, and a bin could
 overflow); when there are 2^26 or more; and when there are more than
 ``MAX_GROUPS`` groups.  On that path a total is ``math.fsum`` over all the
 terms in order, taken before the group sums, so its exceptions come first.
-``fsum`` drops the zeros of a long 1-D ndarray itself; lists, generators and
-other arrays always go to ``math.fsum``.
+``fsum`` hands a 1-D float64 ndarray of ``CROSSOVER`` terms or more to
+``fsum_by``; lists, generators and other arrays go to ``math.fsum``.
 
 Every l^p norm of the package (``harmonic.lp_norms``, ``besov.weighted_norm``,
 the certificate's columns) is one ``power_norms`` call: a row sum per row, each
@@ -101,25 +101,17 @@ _BINS = _OFFSET + 1025 + 26  # bin k holds scale 2^(k - 1127), k in [1, 2124]
 
 def fsum(values) -> float:
     """Exactly rounded sum of real terms: ``fsum_by``'s one-group case for a 1-D
-    float64 ndarray of ``CROSSOVER`` nonzero terms or more, ``math.fsum`` for
-    anything else.  Such an ndarray of ``CROSSOVER`` terms or more loses its
-    zeros first."""
+    float64 ndarray of ``CROSSOVER`` terms or more, ``math.fsum`` for anything else."""
     if (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.ndim == 1 and values.size >= CROSSOVER):
-        values = values[values != 0]
-        if values.size >= CROSSOVER:
-            return fsum_by(None, values)[0]
+        return fsum_by(None, values)[0]
     return math.fsum(values)
 
 
 def fsum_complex(values) -> complex:
     """Exactly rounded sum of complex terms (componentwise fsum)."""
     arr = np.asarray(values)
-    if arr.size == 0:
-        return 0j
-    if np.iscomplexobj(arr):
-        return complex(fsum(arr.real), fsum(arr.imag))
-    return complex(fsum(arr.astype(np.float64)), 0.0)
+    return complex(fsum(arr.real), fsum(arr.imag))
 
 
 def fsum_by(groups, values, weights=None, total: bool = False):

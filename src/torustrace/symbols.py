@@ -304,8 +304,10 @@ def difference_op(a: Symbol, alpha) -> Symbol:
 
 def x_derivative(a: Symbol, beta) -> Symbol:
     """Partial derivative d^beta/dx^beta; exact for catalog symbols, spectral
-    for sampled ones (band-limited assumption on the table)."""
+    for sampled ones (band-limited assumption on the table); beta = 0 gives ``a``."""
     beta = _as_multi_index(beta, a.dim)
+    if not any(beta):
+        return a
     if isinstance(a, SeparableSymbol):
         # catalog x-factors depend on x_1 only
         xf = TrigPolynomial({}) if any(beta[1:]) else a.xfactor.derivative(beta[0])

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from torustrace.cli import HANDLERS, build_parser, main
-from torustrace.harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
+from torustrace.harmonic import FourierCoefficients, FrequencyLattice, PeriodicFunction, min_grid_size
 from torustrace.io import (
     load_periodic_function,
     load_sampled_symbol,
     save_periodic_function,
     save_sampled_symbol,
 )
-from torustrace.symbols import bessel_symbol, sample_symbol
+from torustrace.symbols import SampledSymbol, bessel_symbol, sample_symbol
 
 from conftest import bandlimited
 from oracles import synthesize
@@ -1314,7 +1314,124 @@ class TestCliContract:
         json.loads(raw.decode())
 
 
+# Defective data files: each edits a well-formed file's JSON object (DELETE drops the
+# key), or is the file's raw content, or is a path with no file or a directory.
+DELETE = object()
+FILE_DEFECTS = {
+    "missing-path": "absent",
+    "directory": "directory",
+    "holds-7": b"7",
+    "invalid-json": b"{nope",
+    "not-utf-8": b"\xff\xfe",
+    "missing-field": {"values": DELETE},
+    "null-grid-size": {"grid_size": None},
+    "fractional-grid-size": {"grid_size": 8.5},
+    "zero-grid-size": {"grid_size": 0},
+    "string-dim": {"dim": "1"},
+    "bool-dim": {"dim": True},
+    "dim-3": {"dim": 3},
+    "dim-1e9": {"dim": 10**9},
+    "values-not-a-list": {"values": 5},
+    "bad-pairs": {"values": [[1.0]] * 162},
+    "ragged-pairs": {"values": [[1.0, 0.0], [1.0]]},
+    "string-pairs": {"values": [["re", "im"]]},
+    "value-count": {"grid_size": 17},
+}
+SYMBOL_DEFECTS = {
+    "negative-lattice-radius": {"lattice_radius": -1},
+    "lattice-radius-1e6": {"lattice_radius": 10**6},  # 162 values: refused before the lattice
+    "string-claim": {"claimed_rho": "one"},
+    "list-claim": {"claimed_order": [-4]},
+}
+DEFECT_COMMANDS = {
+    "trace": ("symbol", ["trace", "--symbol-file", "{}", "--radius", "4"]),
+    "spectrum": ("symbol", ["spectrum", "--symbol-file", "{}", "--radius", "4"]),
+    "besov-norm": ("function", ["besov-norm", "--input", "{}", "--w", "0", "--p", "2", "--q", "2",
+                                "--radius", "2"]),
+}
+
+
+def write_defective_file(tmp_path, kind: str, defect) -> str:
+    path = tmp_path / f"{kind}.json"
+    if kind == "symbol":
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
+                            str(path))
+    else:
+        save_periodic_function(bandlimited({1: 1.0}, radius=2)[0], str(path))
+    if defect == "absent":
+        path.unlink()
+    elif defect == "directory":
+        path.unlink()
+        path.mkdir()
+    elif isinstance(defect, bytes):
+        path.write_bytes(defect)
+    else:
+        doc = json.loads(path.read_text())
+        for key, value in defect.items():
+            if value is DELETE:
+                del doc[key]
+            else:
+                doc[key] = value
+        path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestDataFiles:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, defect", [
+        (command, defect) for command, (kind, _) in DEFECT_COMMANDS.items()
+        for defect in [*FILE_DEFECTS, *(SYMBOL_DEFECTS if kind == "symbol" else ())]])
+    def test_defective_file_exit_2_naming_it(self, capsys, tmp_path, monkeypatch, command, defect):
+        # one "error:" line that names the file, no report, no warning; and io never
+        # builds the lattice of a file it refuses
+        import torustrace.io as io
+
+        kind, argv = DEFECT_COMMANDS[command]
+        monkeypatch.setattr(io, "FrequencyLattice", lambda *a: pytest.fail("a lattice was built"))
+        path = write_defective_file(tmp_path, kind, {**FILE_DEFECTS, **SYMBOL_DEFECTS}[defect])
+        code, out, err = run(capsys, [arg.format(path) for arg in argv])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {kind} file {path}: ") and err.count("\n") == 1, err
+
+    def test_value_count_is_checked_before_the_lattice(self, capsys, tmp_path, monkeypatch):
+        import torustrace.io as io
+
+        built = []
+        monkeypatch.setattr(io, "FrequencyLattice", lambda *a: built.append(a) or FrequencyLattice(*a))
+        path = write_defective_file(tmp_path, "symbol", SYMBOL_DEFECTS["lattice-radius-1e6"])
+        code, _, err = run(capsys, ["trace", "--symbol-file", path, "--radius", "4"])
+        assert code == 2 and built == []
+        assert err == (f"error: symbol file {path}: 162 values, expected "
+                       "(grid_size (2 lattice_radius + 1))^dim = 36000018\n")
+        load_sampled_symbol(write_defective_file(tmp_path, "symbol", {}))
+        assert built == [(1, 4)]
+
+    @pytest.mark.parametrize("key", ["claimed_order", "claimed_rho", "claimed_delta"])
+    def test_null_claim_reads_as_absent(self, capsys, tmp_path, key):
+        argv = ["check-class", "--symbol-file", "{}", "--radius", "8", "--alpha-idx", "1", "--beta-idx", "1"]
+        outs = []
+        for defect in ({key: None}, {key: DELETE}):
+            path = write_defective_file(tmp_path, "symbol", defect)
+            code, out, err = run(capsys, [arg.format(path) for arg in argv])
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_save_then_load_keeps_the_bits(self, tmp_path):
+        # signed zeros, subnormals and the ends of the range, in both parts
+        pairs = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, -5e-324],
+                          [1.7976931348623157e308, -2.2250738585072014e-308], [math.pi, -math.e]])
+        values = pairs.view(np.complex128)[:, 0]
+        path = str(tmp_path / "f.json")
+        save_periodic_function(PeriodicFunction(1, 6, values), path)
+        assert load_periodic_function(path).values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+        a = SampledSymbol(1, 2, FrequencyLattice(1, 1), values.reshape(2, 3), claimed_order=-2.5,
+                          claimed_rho=0.5, claimed_delta=0.25)
+        save_sampled_symbol(a, path)
+        b = load_sampled_symbol(path)
+        assert b.table.view(np.uint64).tolist() == a.table.view(np.uint64).tolist()
+        assert (b.claimed_order, b.claimed_rho, b.claimed_delta) == (-2.5, 0.5, 0.25)
+
     def test_function_round_trip(self, tmp_path):
         f, _ = bandlimited({0: 1.0, 3: 2.0 - 1.0j}, radius=4)
         path = tmp_path / "f.json"

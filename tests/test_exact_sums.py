@@ -107,13 +107,15 @@ class TestMatchesMathFsum:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_kernel_runs_without_the_fallback(self, monkeypatch, kind):
-        def fallback(*args):
-            raise AssertionError("finite terms above the crossover reached math.fsum")
-
+        # zeros are dropped before the path is chosen: the terms reach math.fsum only
+        # when fewer than CROSSOVER of them are nonzero (all zeros here, or none)
         x = terms(kind, CHUNK + 1, np.random.default_rng(7))
         want = outcome(math.fsum, x)
-        monkeypatch.setattr(sums, "_fsum_slices", fallback)
+        seen = []
+        real = sums._fsum_slices
+        monkeypatch.setattr(sums, "_fsum_slices", lambda *a: seen.append(a) or real(*a))
         assert outcome(fsum, x) == want
+        assert len(seen) == (np.count_nonzero(x) < CROSSOVER)
 
     def test_empty_inputs(self):
         assert bits(fsum(np.array([]))) == bits(math.fsum([]))

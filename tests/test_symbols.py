@@ -150,6 +150,14 @@ class TestXDerivative:
         expect = tabulate(cat, lat, grid)
         assert np.abs(d.table - expect).max() < 1e-10
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_order_is_the_symbol_itself(self, dim):
+        # no FFT round trip for beta = 0: a sampled table keeps its bits
+        a = sample_symbol(modulated_symbol(2.0, BracketPower(-3.0), dim), 12, FrequencyLattice(dim, 2))
+        assert x_derivative(a, (0,) * dim) is a
+        catalog = modulated_symbol(2.0, BracketPower(-3.0), dim)
+        assert x_derivative(catalog, 0) is catalog
+
 
 class TestTrigPolynomial:
     """A catalog x-factor is its Fourier coefficients: the sup norm sum |c_k| and
