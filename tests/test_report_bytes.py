@@ -11,7 +11,10 @@ p = 3), an ``approx-demo`` error table and a ``trace`` with its quasi-norm
 certificate, as the package printed them before the l^p norms went through one
 reduction (``sums.power_norms``); and four ``heat-trace``/``bessel-trace`` series
 (SU(2), its integer spins, the tail-corrected circle), as the package printed them
-while each series still wrote out its own terms.  Each report must render to those bytes, field
+while each series still wrote out its own terms; and an SU(2) and a dim-2 torus tt1
+that each violate their summable clause, a divergent dim-2 torus ``bessel-trace`` and
+a dim-2 torus ``heat-trace``, as the package printed them while the series code still
+read the group from its name.  Each report must render to those bytes, field
 order and every float's 17 digits included.  The tails, verdicts and rules of
 the first files were rewritten once, when the integral-test bound replaced the
 shell-ratio rule, and the two SU(2)-monitor and dim-2 torus tt1 partial sums once,
@@ -52,6 +55,12 @@ COMMANDS = {
     "bessel-trace-tail-correct.json": "bessel-trace --group torus --dim 1 --alpha 2 --cutoff 100000 "
                                       "--tail-correct",
     "bessel-trace-su2.json": "bessel-trace --group su2 --alpha 4 --cutoff 200",
+    "nuclearity-tt1-su2-violated.json": "nuclearity --theorem tt1 --case 3 --group su2 --cutoff 50 --r 1 --p 2 "
+                                        "--q 2 --m -2",
+    "nuclearity-tt1-torus-dim2-violated.json": "nuclearity --theorem tt1 --case 1 --group torus --dim 2 "
+                                               "--cutoff 20 --r 1 --p 1.5 --q 2 --m -1",
+    "bessel-trace-torus-dim2-divergent.json": "bessel-trace --group torus --dim 2 --alpha 1.5 --cutoff 60",
+    "heat-trace-torus-dim2.json": "heat-trace --group torus --dim 2 --t 0.01 --cutoff 60",
 }
 
 
