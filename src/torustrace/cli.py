@@ -26,12 +26,7 @@ import numpy as np
 from . import __version__
 from .besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norm
 from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
-from .groups import (
-    DUAL_SIZE_LIMIT,
-    bessel_tail,
-    enumerate_dual,
-    summed_series,
-)
+from .groups import DUAL_SIZE_LIMIT, SU2, Torus, bessel_tail, enumerate_dual, summed_series
 from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -522,16 +517,17 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _dual(args, half_integers: bool = True):
-    """The dual slice the flags ask for, one row per distinct lambda (every CLI
-    series term depends on lambda alone), refused (exit 2) above the size budget or
-    when a flag asks for what the group does not have."""
+    """The dual slice the flags ask for, of the group record ``--group`` names, one row
+    per distinct lambda (every CLI series term depends on lambda alone), refused
+    (exit 2) above the size budget or when a flag asks for what the group does not have."""
     _require(args.group == "torus" or args.dim == 1,
              f"--dim {args.dim} counts torus factors; the su2 dual is indexed by spin alone, "
              "so drop --dim")
     _require(args.group == "su2" or half_integers,
              "--integer-spins restricts the su2 spins; drop it for --group torus")
+    group = {"torus": Torus(args.dim), "su2": SU2(half_integers)}[args.group]
     try:
-        return enumerate_dual(args.group, args.cutoff, dim=args.dim, half_integers=half_integers)
+        return enumerate_dual(group, args.cutoff)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -561,18 +557,10 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
         value += tail
         diag["tail_estimate"] = math.nextafter(tail_bound + 2.0 * math.ulp(value), math.inf)
     diag["divergent"] = not diag["converged"]  # alpha at most the group's dimension
-    body = {
-        "group": args.group,
-        "dim": args.dim,
-        "alpha": args.alpha,
-        "cutoff": args.cutoff,
-        "tail_corrected": bool(args.tail_correct),
-        "value": value,
-    }
+    body = {"group": args.group, "dim": args.dim, "alpha": args.alpha, "cutoff": args.cutoff,
+            "tail_corrected": bool(args.tail_correct), "value": value}
     if diag["divergent"] and args.require_convergent:
-        raise NumericalFailure(
-            f"alpha = {args.alpha} diverges on a dual of dimension {dual.group_dimension}"
-        )
+        raise NumericalFailure(f"alpha = {args.alpha} diverges on a dual of dimension {dual.group.dimension}")
     return body, diag, None
 
 

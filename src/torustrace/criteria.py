@@ -18,7 +18,7 @@ Three checkers are exposed:
   (p, q)-dependent series over the dual must converge.
 
 Strict inequalities are checked strictly; a failure at equality is reported as
-such.  Every series tail of the package is ``dual_tail_bound``: an upper bound
+such.  Every series tail of the package is ``groups.dual_tail_bound``: an upper bound
 on sum d^a <xi>^b e^{-s lambda} over the dual points past a slice, the integral
 test in closed form, inf exactly when the series is not summable or when the
 bound leaves float64; ``check_tt1`` sums ``GroupDual.terms`` of the envelope it
@@ -37,6 +37,7 @@ from itertools import accumulate
 import numpy as np
 
 from .besov import block_index, block_sums
+from .groups import UNBOUNDED_TAIL_NOTE, Torus, dual_tail_bound
 from .harmonic import FrequencyLattice
 from .sums import fsum, fsum_by, power_norms
 from .symbols import Symbol, x_fourier_support, x_fourier_table
@@ -117,66 +118,6 @@ def _lattice_power_sums(n: int, exponent: float, radii: list[int]) -> list[float
     return [fsum(terms[sup <= radius]) for radius in radii]
 
 
-UNBOUNDED_TAIL_NOTE = "the series is summable, but its tail bound leaves float64"
-
-
-def is_summable(group: str, dim: int, a: float, b: float, s: float) -> bool:
-    """Whether sum d^a <xi>^b e^{-s lambda} over the whole dual is finite: s > 0,
-    or s = 0 with b < -dim on the torus Z^dim, a + b < -1 on SU(2) (<xi> ~ d/2)."""
-    return s > 0 or s == 0 and (a if group == "su2" else dim - 1) + b < -1
-
-
-def dual_tail_bound(group: str, dim: int, cutoff: float, a: float, b: float, s: float,
-                    spin_step: float = 0.5) -> float:
-    """Upper bound on sum d^a <xi>^b e^{-s lambda} over the dual points past a
-    slice: |xi|_inf > floor(cutoff) on the torus Z^dim (d = 1, lambda = |xi|^2),
-    l > cutoff on SU(2) (d = 2l + 1, lambda = (d^2 - 1)/4, l a multiple of
-    ``spin_step``).  inf exactly when the series is not summable, or when the
-    bound leaves float64.
-
-    The points past the slice fall into groups x > X = edge: a torus max-norm
-    shell (at most 2^{2 dim - 1} x^{dim - 1} points, lambda >= x^2, <xi>^2 <=
-    (dim + 1) x^2), or d = x on SU(2) (x/2 < <xi> <= x; odd x when spin_step = 1,
-    a step k = 2).  A group sums to at most h(x) = w x^q (x/rho)^b e^{-sigma (x^2
-    - tau)}, which decreases past peak = sqrt(p/(2 sigma)), p = q + b.  The groups
-    X < x <= start = max(X + 1, ceil(peak)) (odd when k = 2) are bounded by the
-    largest, h at the larger of peak and x_1, the first of them (X + 2 for odd X
-    when k = 2), the rest by 1/k times the integral of h from start: w rho^{-b}
-    start^{p+1}/(-p - 1) when s = 0, else, by the concavity of log x and
-    Abramowitz & Stegun 7.1.13, h(start)/(sqrt(sigma) (z + sqrt(z^2 + 4/pi))),
-    z = sqrt(sigma) start - max(p, 0)/(2 sqrt(sigma) start).  A torus power law,
-    whose envelope x^b meets its terms at the edge, takes start = max(X, 1): the
-    integral from the edge itself.
-    """
-    if group == "su2":
-        edge, first, q, sigma, tau = math.floor(2 * cutoff) + 1, 1, a, s / 4.0, 1.0
-        weight, rho, step = 1.0, 2.0 if b < 0 else 1.0, round(2 * spin_step)
-    else:
-        edge, first, q, sigma, tau = math.floor(cutoff), int(s != 0), dim - 1, s, 0.0
-        weight, rho, step = 2.0 ** (2 * dim - 1), 1.0 if b <= 0 else (dim + 1.0) ** -0.5, 1
-    if not is_summable(group, dim, a, b, s):
-        return math.inf
-    p = q + b
-    try:  # a bound beyond float64, or a point beyond it, reads inf
-        peak = math.sqrt(p / (2.0 * sigma)) if s > 0 and p > 0 else 0.0
-        start = max(edge + first, math.ceil(peak), 1)
-        start += (1 - start) % step  # k = 2: the odd d past the slice
-
-        def h(x):
-            return weight * math.exp(q * math.log(x) + b * math.log(x / rho) - sigma * (x * x - tau))
-
-        count = (start + step - 1) // step - (edge + step - 1) // step  # X < x <= start, x = 1 mod k
-        head = count * h(max(peak, edge + 1 + (-edge) % step)) if count else 0.0
-        if s == 0:
-            power = start ** (p + 1) if rho == 1 else (start / rho) ** b * start ** (q + 1)
-            return head + weight * power / (-p - 1) / step
-        root = math.sqrt(sigma)
-        z = root * start - max(p, 0.0) / (2.0 * root * start)
-        return head + h(start) / (root * (z + math.sqrt(z * z + 4.0 / math.pi))) / step
-    except OverflowError:
-        return math.inf
-
-
 def _witness(series: str, labels, partial_sums: list[float], tail: float, gaussian: bool,
              note: str = "") -> dict:
     """A series witness: certified exactly when its tail is a finite bound; ``note``
@@ -190,7 +131,7 @@ def _witness(series: str, labels, partial_sums: list[float], tail: float, gaussi
 def _power_series_witness(n: int, exponent: float) -> dict:
     radii = [4, 8, 16, 32, 64] if n == 1 else [2, 4, 8, 16]
     return _witness(f"sum <xi>^({exponent:.6g}) over Z^{n}", radii, _lattice_power_sums(n, exponent, radii),
-                    dual_tail_bound("torus", n, radii[-1], 0.0, exponent, 0.0), False)
+                    dual_tail_bound(Torus(n), radii[-1], 0.0, exponent, 0.0), False)
 
 
 def _shell_witness(
@@ -289,8 +230,9 @@ def _truncated_bracket_convolution(n: int, w2: float, k: int) -> dict:
     squared = sum((xi[:, None] - eta) ** 2 for xi, eta in zip(lat.points.T, window.points.T))
     shifted = np.sqrt(1.0 + squared)
     conv = np.array(fsum_by(None, window.brackets() ** w2 * shifted ** (-2.0 * k)))
-    tf, tg = (dual_tail_bound("torus", n, base / 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
-    sf, sg = (fsum(window.brackets() ** b) + dual_tail_bound("torus", n, 2 * base, 0.0, b, 0.0)
+    torus = Torus(n)
+    tf, tg = (dual_tail_bound(torus, base / 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
+    sf, sg = (fsum(window.brackets() ** b) + dual_tail_bound(torus, 2 * base, 0.0, b, 0.0)
               for b in (w2, -2.0 * k))
     beyond = tf * sg + sf * tg if math.isfinite(sf + sg) else math.inf  # no 0 * inf
     return _shell_witness(
@@ -355,6 +297,8 @@ def check_t2(
                     witness)
 
 
+SUMMABLE_CLAUSES = ("summable: bracket_exponent + r m < -n",
+                    "summable: 1 + dimension_exponent + bracket_exponent + r m < -1")
 TT1_CASE_RANGES = {1: ("p > 1", "p < q", "q < inf"), 2: ("q == 1", "p >= 1", "p < inf"),
                    3: ("p == q", "p > 1", "p <= 2"), 4: ("q == 2", "p >= 2", "p < inf")}
 
@@ -392,7 +336,7 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
             "parameter range mismatch for case "
             f"{case}: " + "; ".join(c.render() for c in range_fail)
         )
-    n = dual.group_dimension
+    n = dual.group.dimension
     if case == 1:
         qc = q / (q - 1.0)
         d_exp = 1.0 + r * (1.0 - _epsilon_ext(p) - _epsilon_ext(qc))
@@ -407,17 +351,16 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
         d_exp = 1.0 + r * (0.5 - 1.0 / p)
         xi_exp = 0.0
     b, s = xi_exp + (0.0 if m is None else r * m), 0.0 if t is None else r * t
+    group, a = dual.group, 1.0 + d_exp
     if t is not None:
         summable = Clause("summable: r t > 0", s, ">", 0.0)
-    elif dual.group == "su2":
-        summable = Clause("summable: 1 + dimension_exponent + bracket_exponent + r m < -1",
-                          1.0 + d_exp + b, "<", -1.0)
-    else:
-        summable = Clause("summable: bracket_exponent + r m < -n", b, "<", -float(n))
-    beyond = dual_tail_bound(dual.group, dual.dim, dual.cutoff, 1.0 + d_exp, b, s, dual.spin_step)
+    else:  # groups.is_summable at s = 0, a d_power + b < -1 - count_power, described by d_power
+        summable = Clause(SUMMABLE_CLAUSES[group.d_power], a * group.d_power + b, "<",
+                          -1.0 - group.count_power)
     witness = _shell_witness(
         f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
-        dual.shells, dual.terms(1.0 + d_exp, b, s), dual.lambda_cap, beyond, s > 0,
+        dual.shells, dual.terms(a, b, s), group.lambda_cap(dual.cutoff),
+        dual_tail_bound(group, dual.cutoff, a, b, s), s > 0,
         UNBOUNDED_TAIL_NOTE if summable.holds() else "", dual.mult)
     derived: dict = {"case": float(case), "dimension_exponent": d_exp, "bracket_exponent": xi_exp}
     if case in (1, 2):

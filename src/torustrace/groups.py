@@ -1,21 +1,27 @@
-"""Unitary-dual data for the torus and SU(2) and closed-form trace series.
+"""Unitary duals of the torus and SU(2) as group records, and closed-form trace series.
+
+A group is one record, ``Torus(dim)`` or ``SU2(half_integers)``, that holds what the
+series code reads of it: its enumeration at a cutoff (``size``, ``rows`` (d, lam, mult)
+and ``lambda_cap``, the eigenvalue below which the slice is complete), its
+``dimension``, the exponents ``d_power`` and ``count_power`` of its summability rule
+(``is_summable``) and the other constants of its tail bound (``tail_constants``).
 
 Normalization (stated in every report header): the torus dual point xi in Z^n
 carries dimension 1 and Laplacian eigenvalue |xi|^2, so the group bracket
 (1 + lambda)^{1/2} coincides with the toroidal <xi>.  The SU(2) dual is indexed
 by l in {0, 1/2, 1, 3/2, ...} with dimension 2l + 1 and eigenvalue l(l + 1);
-``half_integers=False`` restricts to the integer-spin subset, and the dual's
-``spin_step`` (1/2 or 1) lets a tail count its odd d only.
+``half_integers=False`` restricts to the integer spins, whose d are ``step`` 2 apart.
 
-A ``GroupDual`` holds arrays ``d``, ``lam`` and ``mult``, one row per distinct
-eigenvalue, sorted by lambda, each row's term counted ``mult`` times.  The torus
-slice has one row per distinct lambda = n, weighted by the number r(n) of box
-points with |xi|^2 = n; the SU(2) slice has one row per spin (``mult`` all ones).
-A series is its envelope (a, b, s): ``GroupDual.terms`` gives its terms d^a <xi>^b
-e^{-s lambda}, which depend on lambda and d alone, so their exactly rounded sums
-are those of the per-point slice; ``summed_series`` sums them and bounds the tail
-by ``criteria.dual_tail_bound`` of the same envelope.  ``bessel_tail`` gives the
-dim-1 torus Bessel series the midpoint integral of its tail in closed form, with a bound on its error.
+A ``GroupDual`` holds its record, its cutoff and arrays ``d``, ``lam`` and ``mult``,
+one row per distinct eigenvalue, sorted by lambda, each row's term counted ``mult``
+times.  The torus slice has one row per distinct lambda = n, weighted by the number
+r(n) of box points with |xi|^2 = n; the SU(2) slice has one row per spin (``mult``
+all ones).  A series is its envelope (a, b, s): ``GroupDual.terms`` gives its terms
+d^a <xi>^b e^{-s lambda}, which depend on lambda and d alone, so their exactly
+rounded sums are those of the per-point slice; ``summed_series`` sums them and
+bounds the tail by ``dual_tail_bound`` of the same envelope.  ``bessel_tail`` gives
+the dim-1 torus Bessel series the midpoint integral of its tail in closed form,
+with a bound on its error.
 """
 
 from __future__ import annotations
@@ -25,36 +31,79 @@ import math
 import numpy as np
 
 from .besov import block_sums
-from .criteria import UNBOUNDED_TAIL_NOTE, dual_tail_bound, is_summable
 
-GROUPS = ("torus", "su2")
 # Largest dual enumerate_dual admits, counted in dual points (``dual_size``).
 DUAL_SIZE_LIMIT = 10**7
+UNBOUNDED_TAIL_NOTE = "the series is summable, but its tail bound leaves float64"
 # shell j of the ascending lambda lies between edges j and j + 1: 4^j - 1, -inf and inf at the ends
 _SHELL_EDGES = np.concatenate(([-math.inf], 4.0 ** np.arange(1, 27) - 1.0, [math.inf]))
 
 
+class Torus:
+    """The torus T^dim: xi in Z^dim with d = 1 and lambda = |xi|^2, sliced to the box
+    |xi|_inf <= floor(cutoff), one row per distinct lambda."""
+
+    name, d_power = "torus", 0
+
+    def __init__(self, dim: int):
+        self.dimension, self.count_power = dim, dim - 1
+
+    def size(self, cutoff: float) -> int:
+        return (2 * math.floor(cutoff) + 1) ** self.dimension
+
+    def rows(self, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lam, mult = _radial_torus(self.dimension, math.floor(cutoff))
+        return np.ones(lam.shape[0], dtype=np.int64), lam, mult
+
+    def lambda_cap(self, cutoff: float) -> float:
+        return float(int(cutoff)) ** 2  # Euclidean ball inside the max-norm box
+
+    def tail_constants(self, cutoff: float, b: float, s: float) -> tuple:
+        return (math.floor(cutoff), int(s != 0), s, 0.0, 2.0 ** (2 * self.dimension - 1),
+                1.0 if b <= 0 else (self.dimension + 1.0) ** -0.5, 1)
+
+
+class SU2:
+    """SU(2): spins l = 0, 1/2, 1, ... <= cutoff (the integers only unless ``half_integers``),
+    d = 2l + 1 and lambda = l(l + 1), one row per spin."""
+
+    name, dimension, d_power, count_power = "su2", 3, 1, 0
+
+    def __init__(self, half_integers: bool):
+        self.step = 1 if half_integers else 2  # between consecutive d
+
+    def size(self, cutoff: float) -> int:
+        return math.floor(2 * cutoff / self.step) + 1
+
+    def rows(self, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        size = self.size(cutoff)
+        l = np.arange(size) * (self.step / 2)  # lambda grows with l: counting order is sorted
+        return (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0), np.ones(size, dtype=np.int64)
+
+    def lambda_cap(self, cutoff: float) -> float:
+        return cutoff * (cutoff + 1.0)
+
+    def tail_constants(self, cutoff: float, b: float, s: float) -> tuple:
+        return (math.floor(2 * cutoff) + 1, 1, s / 4.0, 1.0, 1.0, 2.0 if b < 0 else 1.0, self.step)
+
+
 class GroupDual:
-    def __init__(self, group: str, cutoff: float, dim: int, d: np.ndarray, lam: np.ndarray, mult: np.ndarray,
-                 spin_step: float):
-        self.group = group
-        self.cutoff = cutoff
-        self.dim = dim  # torus lattice dimension (1 on su2)
+    def __init__(self, group: Torus | SU2, cutoff: float, d: np.ndarray, lam: np.ndarray, mult: np.ndarray):
+        self.group, self.cutoff = group, cutoff
         self.d = d  # (N,) int64 representation dimension
         self.lam = lam  # (N,) float64 Laplacian eigenvalue
         self.mult = mult  # (N,) int64 number of dual points the row stands for
-        self.spin_step = spin_step  # su2: 1/2, or 1 over the integer spins; torus: 1
 
     def __len__(self) -> int:
         return self.lam.shape[0]
 
     def terms(self, a: float, b: float, s: float) -> np.ndarray:
         """Terms d^a <xi>^b e^{-s lambda} of a dual series, one per row, with <xi>^b
-        one power (1 + lambda)^{b/2}; a factor that is 1 (d on the torus, b = 0,
-        s = 0) is not computed.  Past the float range a term is inf, e^{-s lambda} 0."""
+        one power (1 + lambda)^{b/2}; a factor that is 1 (d^a without ``d_power``,
+        b = 0, s = 0) is not computed.  Past the float range a term is inf, e^{-s lambda} 0."""
         terms = None
         with np.errstate(over="ignore"):
-            if a != 0 and self.group == "su2":
+            if a != 0 and self.group.d_power:
                 terms = self.d.astype(np.float64) ** a
             if b != 0:
                 bracket = (1.0 + self.lam) ** (b / 2.0)
@@ -77,63 +126,23 @@ class GroupDual:
         so the ``+ 1`` moves them up a shell."""
         return np.repeat(np.arange(_SHELL_EDGES.size - 1), np.diff(np.searchsorted(self.lam, _SHELL_EDGES)))
 
-    @property
-    def group_dimension(self) -> int:
-        if self.group == "su2":
-            return 3
-        return self.dim
 
-    @property
-    def lambda_cap(self) -> float:
-        """Largest eigenvalue below which the enumeration is complete.
-
-        Dyadic bracket shells entirely below this cap contain every dual point
-        they should; the trailing shell may be truncated and is excluded from
-        convergence certification.
-        """
-        if self.group == "su2":
-            return self.cutoff * (self.cutoff + 1.0)
-        return float(int(self.cutoff)) ** 2  # Euclidean ball inside the max-norm box
-
-
-def dual_size(group: str, cutoff: float, dim: int = 1, half_integers: bool = True):
+def dual_size(group: Torus | SU2, cutoff: float):
     """Number of points ``enumerate_dual`` builds, from its arguments alone; inf
     when the cutoff, or the doubled cutoff the count floors, is not finite."""
-    if not math.isfinite(2 * cutoff):
-        return math.inf
-    if group == "torus":
-        return (2 * math.floor(cutoff) + 1) ** dim
-    return math.floor(2 * cutoff if half_integers else cutoff) + 1
+    return group.size(cutoff) if math.isfinite(2 * cutoff) else math.inf
 
 
-def enumerate_dual(group: str, cutoff, dim: int = 1, half_integers: bool = True) -> GroupDual:
-    """Finite slice of the unitary dual, one row per distinct Laplacian eigenvalue,
-    ascending.
-
-    torus: lattice points |xi|_inf <= cutoff, d = 1, lambda = |xi|^2, ``mult`` =
-           r(lambda), the number of them on each lambda.
-    su2:   l = 0, 1/2, ..., cutoff (integers only when half_integers=False),
-           d = 2l + 1, lambda = l(l + 1), ``mult`` = 1.
-    A slice above DUAL_SIZE_LIMIT points is refused before anything is allocated.
-    """
-    if group not in GROUPS:
-        raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
+def enumerate_dual(group: Torus | SU2, cutoff) -> GroupDual:
+    """Finite slice of ``group``'s unitary dual, ``group.rows(cutoff)``: one row per
+    distinct Laplacian eigenvalue, ascending.  A slice above DUAL_SIZE_LIMIT points
+    is refused before anything is allocated."""
     if not cutoff >= 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    size = dual_size(group, cutoff, dim, half_integers)
-    if size > DUAL_SIZE_LIMIT:
-        raise ValueError(
-            f"the {group} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
-            "lower the cutoff"
-        )
-    if group == "torus":
-        lam, mult = _radial_torus(dim, math.floor(cutoff))
-        return GroupDual(group, cutoff, dim, np.ones(lam.shape[0], dtype=np.int64), lam, mult, 1.0)
-    # lambda grows with l, so counting order is already sorted
-    step = 0.5 if half_integers else 1.0
-    l = np.arange(size) * step
-    return GroupDual(group, cutoff, 1, (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0),
-                     np.ones(size, dtype=np.int64), step)
+    if dual_size(group, cutoff) > DUAL_SIZE_LIMIT:
+        raise ValueError(f"the {group.name} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
+                         "lower the cutoff")
+    return GroupDual(group, cutoff, *group.rows(cutoff))
 
 
 def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,18 +165,73 @@ def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return n.astype(np.float64), r[n].astype(np.int64)
 
 
+def is_summable(group: Torus | SU2, a: float, b: float, s: float) -> bool:
+    """Whether sum d^a <xi>^b e^{-s lambda} over the whole dual is finite: s > 0, or s = 0 and
+    q + b < -1, q = a d_power + count_power, as a group x of points (``dual_tail_bound``) has
+    d^a = x^(a d_power) and at most x^count_power of them: b < -dim on Z^dim, a + b < -1 on SU(2)."""
+    return s > 0 or s == 0 and a * group.d_power + group.count_power + b < -1
+
+
+def dual_tail_bound(group: Torus | SU2, cutoff: float, a: float, b: float, s: float) -> float:
+    """Upper bound on sum d^a <xi>^b e^{-s lambda} over the dual points of ``group``
+    past the slice at ``cutoff``: |xi|_inf > floor(cutoff) on the torus Z^dim (d = 1,
+    lambda = |xi|^2), l > cutoff on SU(2) (d = 2l + 1, lambda = (d^2 - 1)/4, l an
+    integer when ``step`` = 2).  inf exactly when the series is not summable, or
+    when the bound leaves float64.
+
+    The points past the slice fall into groups x > X = edge: a torus max-norm
+    shell (at most 2^{2 dim - 1} x^{dim - 1} points, lambda >= x^2, <xi>^2 <=
+    (dim + 1) x^2), or d = x on SU(2) (x/2 < <xi> <= x; odd x over the integer
+    spins, a step k = 2).  A group sums to at most h(x) = w x^q (x/rho)^b
+    e^{-sigma (x^2 - tau)}, q = a d_power + count_power, with X, w, rho, sigma,
+    tau and k from ``group.tail_constants``; h decreases past peak =
+    sqrt(p/(2 sigma)), p = q + b.  The groups X < x <= start = max(X + 1,
+    ceil(peak)) (odd when k = 2) are bounded by the largest, h at the larger of
+    peak and x_1, the first of them (X + 2 for odd X when k = 2), the rest by 1/k
+    times the integral of h from start: w rho^{-b} start^{p+1}/(-p - 1) when
+    s = 0, else, by the concavity of log x and Abramowitz & Stegun 7.1.13,
+    h(start)/(sqrt(sigma) (z + sqrt(z^2 + 4/pi))), z = sqrt(sigma) start -
+    max(p, 0)/(2 sqrt(sigma) start).  A torus power law, whose envelope x^b
+    meets its terms at the edge, takes start = max(X, 1): the integral from the
+    edge itself.
+    """
+    edge, first, sigma, tau, weight, rho, step = group.tail_constants(cutoff, b, s)
+    if not is_summable(group, a, b, s):
+        return math.inf
+    q = a * group.d_power + group.count_power
+    p = q + b
+    try:  # a bound beyond float64, or a point beyond it, reads inf
+        peak = math.sqrt(p / (2.0 * sigma)) if s > 0 and p > 0 else 0.0
+        start = max(edge + first, math.ceil(peak), 1)
+        start += (1 - start) % step  # k = 2: the odd d past the slice
+
+        def h(x):
+            return weight * math.exp(q * math.log(x) + b * math.log(x / rho) - sigma * (x * x - tau))
+
+        count = (start + step - 1) // step - (edge + step - 1) // step  # X < x <= start, x = 1 mod k
+        head = count * h(max(peak, edge + 1 + (-edge) % step)) if count else 0.0
+        if s == 0:
+            power = start ** (p + 1) if rho == 1 else (start / rho) ** b * start ** (q + 1)
+            return head + weight * power / (-p - 1) / step
+        root = math.sqrt(sigma)
+        z = root * start - max(p, 0.0) / (2.0 * root * start)
+        return head + h(start) / (root * (z + math.sqrt(z * z + 4.0 / math.pi))) / step
+    except OverflowError:
+        return math.inf
+
+
 def summed_series(dual: GroupDual, envelope: tuple) -> tuple[float, dict]:
     """(exactly rounded sum of the terms ``dual.terms(*envelope)``, d^a <xi>^b
     e^{-s lambda} for ``envelope`` = (a, b, s), each counted ``dual.mult`` times;
     diagnostics).  The diagnostics are the dyadic bracket shell sums, the clipped
     trailing shell included, from the binned pass that gives the value; the tail
-    past the slice, ``criteria.dual_tail_bound``; ``converged``, true exactly
+    past the slice, ``dual_tail_bound``; ``converged``, true exactly
     when that tail is finite; and, only where the series is summable but the
     bound leaves float64, a ``tail_note`` that says so."""
     _, shell_sums, value = block_sums(dual.shells, dual.terms(*envelope), dual.mult)
-    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope, dual.spin_step)
+    tail = dual_tail_bound(dual.group, dual.cutoff, *envelope)
     diagnostics = {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
-    if tail == math.inf and is_summable(dual.group, dual.dim, *envelope):
+    if tail == math.inf and is_summable(dual.group, *envelope):
         diagnostics["tail_note"] = UNBOUNDED_TAIL_NOTE
     return value, diagnostics
 
@@ -180,7 +244,7 @@ def bessel_tail(cutoff: float, alpha: float) -> tuple[float, float]:
     f is convex for t >= 1/sqrt(alpha + 1), so by Hermite-Hadamard the omitted sum lies in
     [2 int_{R + 1}^inf f + f(R + 1), 2 int_{R + 1/2}^inf f]; at R = 0 with alpha < 3, where
     f is concave near 1/2, the upper end is the larger of the correction and
-    ``criteria.dual_tail_bound``.  The bound is the bracket's width, widened by the
+    ``dual_tail_bound``.  The bound is the bracket's width, widened by the
     integrals' rounding and rounded up.
     """
     if alpha <= 1:
@@ -190,7 +254,7 @@ def bessel_tail(cutoff: float, alpha: float) -> tuple[float, float]:
     lower = 2.0 * _bessel_integral(radius + 1.0, alpha) + math.hypot(1.0, radius + 1.0) ** -alpha
     upper = correction
     if radius == 0 and alpha < 3:
-        upper = max(correction, dual_tail_bound("torus", 1, cutoff, 2.0, -alpha, 0.0))
+        upper = max(correction, dual_tail_bound(Torus(1), cutoff, 2.0, -alpha, 0.0))
     rounding = (alpha + 64.0) * 2.0**-52 * (upper + lower)  # measured: (alpha + 2)/3 ulps
     return correction, math.nextafter(math.fsum([upper, -lower, rounding]), math.inf)
 

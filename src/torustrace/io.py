@@ -3,8 +3,8 @@
 Complex numbers are stored as [re, im] pairs.  Function files carry the grid
 in x-lexicographic order; symbol files are x-major, lattice-minor with the
 lattice in its canonical ordering, and may add ``claimed_*`` numbers (null
-reads as absent).  ``_read`` reads both formats and ``_write`` writes both; a
-defective file is one ValueError that names it.
+reads as absent); every value is finite.  ``_read`` reads both formats and
+``_write`` writes both; a defective file is one ValueError that names it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ def _read(path: str, kind: str):
             pairs = None
         if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("'values' must be a list of [re, im] pairs")
+        if not np.isfinite(pairs).all():
+            flag = "--symbol-file" if symbol else "--input"
+            raise ValueError(f"a value is NaN or Infinity, not finite in float64; check the values in {flag}")
         claims = {key: _number(doc, key) for key in ("claimed_order", "claimed_rho", "claimed_delta")
                   if symbol and doc.get(key) is not None}
         expected = (grid * (2 * radius + 1)) ** dim

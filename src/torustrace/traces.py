@@ -6,7 +6,7 @@ exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).
 (``quantize.CompressedOperator``); a sampled table answers any radius up to its
 own.  Non-summable symbols are not rejected: their nuclear-trace tail is
 reported as inf.  Both tails here, that one and ``tail_estimate``, are
-``criteria.dual_tail_bound`` times a constant.
+``groups.dual_tail_bound`` times a constant.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .criteria import dual_tail_bound
+from .groups import Torus, dual_tail_bound
 from .harmonic import FrequencyLattice
 from .quantize import CompressedOperator, eigenvalues
 from .sums import fsum_complex
@@ -31,7 +31,7 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
     a table that is not finite, is refused before any solve.  The tail is that
     of the nuclear trace past the largest radius R: for a catalog symbol
     u(x) g(xi) it is hat{u}(0) sum_{|xi|_inf > R} g(xi), at most |hat{u}(0)|
-    times ``criteria.dual_tail_bound`` of g (0 when hat{u}(0) = 0).  A sampled
+    times ``groups.dual_tail_bound`` of g (0 when hat{u}(0) = 0).  A sampled
     symbol has no such envelope: its tail is inf.  ``history_converged`` is true
     exactly when the tail is finite.
     """
@@ -53,7 +53,7 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
     if isinstance(g, (BracketPower, GaussianDecay)):
         mean = abs(a.xfactor.coeffs.get(0, 0.0))
         b, s = (g.m, 0.0) if isinstance(g, BracketPower) else (0.0, g.t)
-        tail = 0.0 if mean == 0 else mean * dual_tail_bound("torus", a.dim, radii[-1], 0.0, b, s)
+        tail = 0.0 if mean == 0 else mean * dual_tail_bound(Torus(a.dim), radii[-1], 0.0, b, s)
     return {
         "history": history,
         "nuclear_trace": history[-1]["nuclear"],
@@ -82,7 +82,7 @@ def tail_estimate(a: Symbol, lattice: FrequencyLattice, order_hint: float) -> fl
     brackets = lattice.brackets()[boundary]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         envelope = float((sups * brackets ** (-order_hint)).max()) if pts.size else 0.0
-    bound = envelope * dual_tail_bound("torus", n, radius, 0.0, order_hint, 0.0)
+    bound = envelope * dual_tail_bound(Torus(n), radius, 0.0, order_hint, 0.0)
     if not np.isfinite(bound):
         raise OverflowError(f"the envelope C <xi>^{order_hint:g} of the outermost shell leaves float64")
     return bound

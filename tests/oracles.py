@@ -68,7 +68,7 @@ import numpy as np
 
 from torustrace import harmonic
 from torustrace.besov import BesovParams, block_index, coefficient_norm
-from torustrace.criteria import dual_tail_bound
+from torustrace.groups import Torus, dual_tail_bound
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
@@ -389,8 +389,8 @@ def bracket_convolution_witness(n: int, w2: float, k: int):
     complete = [j for j in sorted(shells) if 4 ** (j + 1) <= 1 + base**2]
     sums = [math.fsum(shells[j]) for j in complete]
     clipped = [math.fsum(shells[j]) for j in sorted(shells) if j not in complete]
-    tf, tg = (dual_tail_bound("torus", n, base // 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
-    sf, sg = (math.fsum(window.brackets() ** b) + dual_tail_bound("torus", n, 2 * base, 0.0, b, 0.0)
+    tf, tg = (dual_tail_bound(Torus(n), base // 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
+    sf, sg = (math.fsum(window.brackets() ** b) + dual_tail_bound(Torus(n), 2 * base, 0.0, b, 0.0)
               for b in (w2, -2.0 * k))
     tail = math.inf if math.isinf(sf + sg) else math.fsum(clipped + [tf * sg + sf * tg])
     return [float(j) for j in complete], list(accumulate(sums)), tail, math.isfinite(tail)

@@ -1315,7 +1315,8 @@ class TestCliContract:
 
 
 # Defective data files: each edits a well-formed file's JSON object (DELETE drops the
-# key), or is the file's raw content, or is a path with no file or a directory.
+# key, a function maps its value), or is the file's raw content, or is a path with no
+# file or a directory.
 DELETE = object()
 FILE_DEFECTS = {
     "missing-path": "absent",
@@ -1336,6 +1337,8 @@ FILE_DEFECTS = {
     "ragged-pairs": {"values": [[1.0, 0.0], [1.0]]},
     "string-pairs": {"values": [["re", "im"]]},
     "value-count": {"grid_size": 17},
+    "nan-value": {"values": lambda pairs: [[math.nan, 0.0]] + pairs[1:]},
+    "infinite-value": {"values": lambda pairs: pairs[:-1] + [[0.0, -math.inf]]},
 }
 SYMBOL_DEFECTS = {
     "negative-lattice-radius": {"lattice_radius": -1},
@@ -1371,7 +1374,7 @@ def write_defective_file(tmp_path, kind: str, defect) -> str:
             if value is DELETE:
                 del doc[key]
             else:
-                doc[key] = value
+                doc[key] = value(doc[key]) if callable(value) else value
         path.write_text(json.dumps(doc))
     return str(path)
 

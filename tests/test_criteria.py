@@ -18,7 +18,7 @@ from torustrace.criteria import (
     epsilon,
     nuclear_quasinorm_bound,
 )
-from torustrace.groups import enumerate_dual
+from torustrace.groups import SU2, Torus, enumerate_dual
 from torustrace.harmonic import FrequencyLattice, min_grid_size
 from torustrace.sums import fsum
 from torustrace.symbols import BracketPower, bessel_symbol, modulated_symbol
@@ -167,18 +167,18 @@ class TestConvolutionWitness:
 
 class TestCheckTT1:
     def test_torus_case3_satisfied(self):
-        dual = enumerate_dual("torus", 512, dim=1)
+        dual = enumerate_dual(Torus(1), 512)
         v = check_tt1(dual, 1.0, 2.0, 2.0, 3, m=-3.0)
         assert v["satisfied"]
         assert v["witness"]["certified"]
 
     def test_su2_case3_satisfied(self):
-        dual = enumerate_dual("su2", 200)
+        dual = enumerate_dual(SU2(True), 200)
         v = check_tt1(dual, 1.0, 2.0, 2.0, 3, m=-4.0)
         assert v["satisfied"]
 
     def test_su2_case3_violated(self):
-        dual = enumerate_dual("su2", 200)
+        dual = enumerate_dual(SU2(True), 200)
         v = check_tt1(dual, 1.0, 2.0, 2.0, 3, m=-2.0)
         assert not v["satisfied"]
         [clause] = v["violated_clauses"]
@@ -187,7 +187,7 @@ class TestCheckTT1:
         assert v["witness"]["tail_estimate"] == math.inf
 
     def test_case_ranges_raise(self):
-        dual = enumerate_dual("torus", 16, dim=1)
+        dual = enumerate_dual(Torus(1), 16)
         with pytest.raises(ValueError, match="case 3"):
             check_tt1(dual, 1.0, 3.0, 3.0, 3, m=0.0)
         with pytest.raises(ValueError, match="case 4"):
@@ -197,7 +197,7 @@ class TestCheckTT1:
 
     def test_summable_beyond_float64_is_satisfied_but_not_certified(self):
         # sum d^2 e^{-1e-300 (d^2 - 1)/4} is about 1e451: summable, its bound not a float64
-        v = check_tt1(enumerate_dual("su2", 20), 1.0, 2.0, 2.0, 4, t=1e-300)
+        v = check_tt1(enumerate_dual(SU2(True), 20), 1.0, 2.0, 2.0, 4, t=1e-300)
         assert v["satisfied"] and v["violated_clauses"] == []
         assert not v["witness"]["certified"] and "leaves float64" in v["witness"]["note"]
 
@@ -205,13 +205,13 @@ class TestCheckTT1:
         # d^2 (1 + lambda)^200 summed over the first two shells: the terms are one power of
         # (1 + lambda), not sqrt(1 + lambda) raised to m = 400, which multiplied its rounding
         # error by 400.  The references are 40-digit sums.
-        v = check_tt1(enumerate_dual("su2", 200), 1.0, 2.0, 2.0, 3, m=400.0)
+        v = check_tt1(enumerate_dual(SU2(True), 200), 1.0, 2.0, 2.0, 3, m=400.0)
         got = v["witness"]["partial_sums"][:2]
         for g, want in zip(got, (2.390525899882872924049e+96, 3.012080270309639154734e+224)):
             assert abs(g - want) <= 2e-16 * want
 
     def test_r_and_multiplier_validated(self):
-        dual = enumerate_dual("su2", 2.0)
+        dual = enumerate_dual(SU2(True), 2.0)
         with pytest.raises(ValueError, match="r must lie"):
             check_tt1(dual, 1.5, 2.0, 2.0, 3, m=-4.0)
         for kwargs in ({}, {"m": -4.0, "t": 1.0}):
@@ -324,21 +324,21 @@ HAND_TABLE = [
     ("t2 w2 equality boundary",
      lambda: check_t2(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=0.0, w2=-0.5), False),
     ("tt1 case 3 torus satisfied",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 2.0, 2.0, 3, m=-3.0), True),
+     lambda: check_tt1(enumerate_dual(Torus(1), 512), 1.0, 2.0, 2.0, 3, m=-3.0), True),
     ("tt1 case 3 su2 satisfied",
-     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 2.0, 2.0, 3, m=-4.0), True),
+     lambda: check_tt1(enumerate_dual(SU2(True), 200), 1.0, 2.0, 2.0, 3, m=-4.0), True),
     ("tt1 case 3 su2 violated",
-     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 2.0, 2.0, 3, m=-2.0), False),
+     lambda: check_tt1(enumerate_dual(SU2(True), 200), 1.0, 2.0, 2.0, 3, m=-2.0), False),
     ("tt1 case 1 torus satisfied",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 1.5, 3.0, 1, m=-4.0), True),
+     lambda: check_tt1(enumerate_dual(Torus(1), 512), 1.0, 1.5, 3.0, 1, m=-4.0), True),
     ("tt1 case 1 su2 satisfied",
-     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 1.5, 3.0, 1, m=-6.0), True),
+     lambda: check_tt1(enumerate_dual(SU2(True), 200), 1.0, 1.5, 3.0, 1, m=-6.0), True),
     ("tt1 case 2 torus satisfied",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 2.0, 1.0, 2, m=-3.0), True),
+     lambda: check_tt1(enumerate_dual(Torus(1), 512), 1.0, 2.0, 1.0, 2, m=-3.0), True),
     ("tt1 case 2 torus violated",
-     lambda: check_tt1(enumerate_dual("torus", 512, dim=1), 1.0, 2.0, 1.0, 2, m=-1.0), False),
+     lambda: check_tt1(enumerate_dual(Torus(1), 512), 1.0, 2.0, 1.0, 2, m=-1.0), False),
     ("tt1 case 4 su2 satisfied",
-     lambda: check_tt1(enumerate_dual("su2", 200), 1.0, 4.0, 2.0, 4, m=-5.0), True),
+     lambda: check_tt1(enumerate_dual(SU2(True), 200), 1.0, 4.0, 2.0, 4, m=-5.0), True),
 ]
 
 

@@ -22,12 +22,17 @@ from hypothesis import strategies as st
 
 import oracles
 from torustrace.besov import block_index
-from torustrace.criteria import UNBOUNDED_TAIL_NOTE, check_tt1, dual_tail_bound, is_summable
+from torustrace.criteria import check_tt1
 from torustrace.groups import (
     DUAL_SIZE_LIMIT,
+    SU2,
+    UNBOUNDED_TAIL_NOTE,
     GroupDual,
+    Torus,
     dual_size,
+    dual_tail_bound,
     enumerate_dual,
+    is_summable,
     summed_series,
 )
 
@@ -53,15 +58,19 @@ def assert_close(got, want):
 
 def per_point(dual: GroupDual) -> GroupDual:
     """The slice with one row per dual point: every row repeated ``mult`` times."""
-    return GroupDual(dual.group, dual.cutoff, dual.dim, np.repeat(dual.d, dual.mult),
-                     np.repeat(dual.lam, dual.mult), np.ones(int(dual.mult.sum()), dtype=np.int64),
-                     dual.spin_step)
+    return GroupDual(dual.group, dual.cutoff, np.repeat(dual.d, dual.mult),
+                     np.repeat(dual.lam, dual.mult), np.ones(int(dual.mult.sum()), dtype=np.int64))
+
+
+def record(group: str, dim: int, half: bool):
+    """The group record of a (group, cutoff, dim, half_integers) spec."""
+    return Torus(dim) if group == "torus" else SU2(half)
 
 
 def both(spec):
     group, cutoff, dim, half = spec
     return (
-        enumerate_dual(group, cutoff, dim=dim, half_integers=half),
+        enumerate_dual(record(group, dim, half), cutoff),
         oracles.enumerate_dual(group, cutoff, dim=dim, half_integers=half),
     )
 
@@ -75,7 +84,7 @@ def both(spec):
 @example(("su2", 2.5, 1, False))
 def test_enumeration_matches_oracle_exactly(spec):
     dual, points = both(spec)
-    assert int(dual.mult.sum()) == len(points) == dual_size(*spec)
+    assert int(dual.mult.sum()) == len(points) == dual_size(dual.group, dual.cutoff)
     assert np.all(np.diff(dual.lam) > 0)  # one row per distinct lambda, ascending
     flat = per_point(dual)
     assert flat.d.tolist() == [p.d for p in points]
@@ -121,7 +130,7 @@ def test_tt1_partial_sums_match_oracle(spec, case, r, kind, m):
         points, a_point, r,
         verdict["derived_params"]["dimension_exponent"],
         verdict["derived_params"]["bracket_exponent"],
-        dual.lambda_cap,
+        dual.group.lambda_cap(dual.cutoff),
     )
     assert verdict["witness"]["labels"] == labels
     assert_close(verdict["witness"]["partial_sums"], list(accumulate(shell_sums)))
@@ -145,8 +154,8 @@ def test_tt1_partial_sums_match_oracle(spec, case, r, kind, m):
         "edge-spins", "su2-to-edge"])
 def test_shells_are_cuts_of_the_row_by_row_binning(spec):
     group, cutoff, dim, half, rows = spec
-    whole = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
-    dual = GroupDual(group, cutoff, dim, whole.d[rows], whole.lam[rows], whole.mult[rows], whole.spin_step)
+    whole = enumerate_dual(record(group, dim, half), cutoff)
+    dual = GroupDual(whole.group, cutoff, whole.d[rows], whole.lam[rows], whole.mult[rows])
     if isinstance(rows, list):  # spin l = (row + 1)/2 - 1/2 = 2^k - 1/2: floor(lambda) + 1 = 4^k
         assert [math.floor(lam) + 1 for lam in dual.lam.tolist()] == [((row + 1) // 2) ** 2 for row in rows]
     assert dual.shells.tolist() == oracles.bracket_shells(dual.lam).tolist()
@@ -157,7 +166,7 @@ def test_shells_cut_exactly_at_the_edges():
     edges = 4.0 ** np.arange(1, 27) - 1.0
     lam = np.sort(np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]))
     ones = np.ones(lam.size, dtype=np.int64)
-    dual = GroupDual("torus", 0.0, 1, ones, lam, ones, 1.0)
+    dual = GroupDual(Torus(1), 0.0, ones, lam, ones)
     assert dual.shells.tolist() == oracles.bracket_shells(lam).tolist()
 
 
@@ -184,11 +193,11 @@ def bits(value) -> str:
 @example((40.0, 2))
 def test_radial_slice_counts_every_point(spec):
     cutoff, dim = spec
-    radial = enumerate_dual("torus", cutoff, dim=dim)
+    radial = enumerate_dual(Torus(dim), cutoff)
     n, r = np.unique([p.lam for p in oracles.enumerate_dual("torus", cutoff, dim=dim)], return_counts=True)
-    assert radial.group_dimension == dim
+    assert radial.group.dimension == dim
     assert radial.lam.tolist() == n.tolist() and radial.mult.tolist() == r.tolist()
-    assert radial.d.tolist() == [1] * len(n) and int(radial.mult.sum()) == dual_size("torus", cutoff, dim)
+    assert radial.d.tolist() == [1] * len(n) and int(radial.mult.sum()) == dual_size(Torus(dim), cutoff)
     assert radial.shells.tolist() == block_index(n.astype(np.int64) + 1).tolist()
 
 
@@ -200,7 +209,7 @@ def test_radial_slice_counts_every_point(spec):
 @example((0.0, 2), 1.0, "divergent", 0.5)
 def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
     cutoff, dim = spec
-    radial = enumerate_dual("torus", cutoff, dim=dim)
+    radial = enumerate_dual(Torus(dim), cutoff)
     dual = per_point(radial)
     # alpha <= dim diverges; the convergent draws lie in (dim, dim + 3]
     alpha = dim * u if kind == "divergent" else dim + 3.0 * u + 1e-3
@@ -217,7 +226,7 @@ def test_radial_series_match_the_per_point_path_bit_for_bit(spec, t, kind, u):
 @example((40.0, 2), 4, 0.5, "heat", -4.0, 1e-4)
 def test_radial_tt1_verdict_matches_the_per_point_path_bit_for_bit(spec, case, r, kind, m, t):
     cutoff, dim = spec
-    radial = enumerate_dual("torus", cutoff, dim=dim)
+    radial = enumerate_dual(Torus(dim), cutoff)
     dual = per_point(radial)
     p, q = TT1_CASES[case]
     # the CLI's catalog multipliers: bracket^m and exp(-t lambda)
@@ -256,9 +265,9 @@ def series_by_math_fsum(dual: GroupDual, envelope: tuple):
     flat, shells = np.repeat(dual.terms(*envelope), dual.mult), np.repeat(dual.shells, dual.mult)
     value = math.fsum(flat)
     shell_sums = [math.fsum(flat[shells == j]) for j in np.unique(shells)]
-    tail = dual_tail_bound(dual.group, dual.dim, dual.cutoff, *envelope, dual.spin_step)
+    tail = dual_tail_bound(dual.group, dual.cutoff, *envelope)
     diagnostics = {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
-    if tail == math.inf and is_summable(dual.group, dual.dim, *envelope):
+    if tail == math.inf and is_summable(dual.group, *envelope):
         diagnostics["tail_note"] = UNBOUNDED_TAIL_NOTE
     return value, diagnostics
 
@@ -273,7 +282,7 @@ def test_heat_and_bessel_terms_keep_the_bits_of_their_expressions(spec, t, alpha
     """``GroupDual.terms`` of the heat and Bessel envelopes has the bits of the
     expressions the series once wrote out: d d e^{-t lambda} and d d (1 + lambda)^{-alpha/2}."""
     group, cutoff, dim, half = spec
-    dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
+    dual = enumerate_dual(record(group, dim, half), cutoff)
     with np.errstate(over="ignore"):
         heat = dual.d * dual.d * np.exp(-t * dual.lam)
         bessel = dual.d * dual.d * (1.0 + dual.lam) ** (-alpha / 2)
@@ -294,7 +303,7 @@ def test_summed_series_matches_the_two_calls_bit_for_bit(spec, kind):
     """``summed_series`` has the bits, or the exception, of two ``math.fsum`` calls
     over the repeated terms: the whole series first, then each dyadic shell."""
     group, cutoff, dim, half = spec
-    dual = enumerate_dual(group, cutoff, dim=dim, half_integers=half)
+    dual = enumerate_dual(record(group, dim, half), cutoff)
     name, u = kind
     envelope = (2.0, 0.0, u) if name == "heat" else (2.0, -u, 0.0)
     want = outcome(series_by_math_fsum, dual, envelope)
@@ -315,6 +324,6 @@ def test_summed_series_matches_the_two_calls_bit_for_bit(spec, kind):
 )
 def test_dual_size_budget_refuses_before_allocating(group, cutoff, dim, half):
     # every size here is above the limit, so nothing is ever built
-    assert dual_size(group, cutoff, dim, half) > DUAL_SIZE_LIMIT
+    assert dual_size(record(group, dim, half), cutoff) > DUAL_SIZE_LIMIT
     with pytest.raises(ValueError, match="lower the cutoff"):
-        enumerate_dual(group, cutoff, dim=dim, half_integers=half)
+        enumerate_dual(record(group, dim, half), cutoff)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import torustrace.sums as sums
 from torustrace.criteria import check_tt1
-from torustrace.groups import enumerate_dual, summed_series
+from torustrace.groups import SU2, Torus, enumerate_dual, summed_series
 from torustrace.sums import CHUNK, CROSSOVER, fsum, fsum_by, fsum_complex
 
 SIZES = (0, 1, 7, CROSSOVER - 1, CROSSOVER, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
@@ -170,7 +170,7 @@ class TestExceptionParity:
 
 def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monkeypatch):
     """Tripwire: the shell sums of a 200001-point dual go through the bins."""
-    dual = enumerate_dual("torus", 100000, dim=1)
+    dual = enumerate_dual(Torus(1), 100000)
     envelopes = {"bessel": (2.0, -2.0, 0.0), "heat": (2.0, 0.0, 1e-6)}
     shells = np.repeat(dual.shells, dual.mult)
     want = {name: [math.fsum(np.repeat(dual.terms(*e), dual.mult)[shells == j]) for j in np.unique(shells)]
@@ -212,9 +212,9 @@ def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkey
             passed.append(values.size)
         return real_fsum(values)
 
-    torus = enumerate_dual("torus", 100000, dim=1)
+    torus = enumerate_dual(Torus(1), 100000)
     bessel = np.repeat(torus.terms(2.0, -2.0, 0.0), torus.mult)
-    su2 = enumerate_dual("su2", 20000)
+    su2 = enumerate_dual(SU2(True), 20000)
     heat = su2.terms(2.0, 0.0, 0.0015)  # case 4 at p = 2, r = 1: d^2 e^{-t lambda}
     monkeypatch.setattr(sums, "_reduce_runs", spy_runs)
     monkeypatch.setattr(math, "fsum", spy_fsum)

@@ -12,6 +12,8 @@ import pytest
 import torustrace
 from torustrace.besov import BesovParams, partial_sum_convergence
 from torustrace.groups import (
+    SU2,
+    Torus,
     _bessel_integral,
     bessel_tail,
     enumerate_dual,
@@ -39,7 +41,7 @@ def bessel_sum(dual, alpha):
 
 class TestEnumerateDual:
     def test_torus_n1(self):
-        dual = enumerate_dual("torus", 2, dim=1)
+        dual = enumerate_dual(Torus(1), 2)
         assert len(dual) == 3
         assert all(d == 1 for d in dual.d)
         # one row per distinct eigenvalue, ascending, with its number of lattice points
@@ -47,26 +49,26 @@ class TestEnumerateDual:
         assert dual.mult.tolist() == [1, 2, 2]
 
     def test_su2_small(self):
-        dual = enumerate_dual("su2", 1)
+        dual = enumerate_dual(SU2(True), 1)
         got = [(d, lam, mult) for d, lam, mult in zip(dual.d, dual.lam, dual.mult)]
         assert got == [(1, 0.0, 1), (2, 0.75, 1), (3, 2.0, 1)]
 
     def test_torus_n2(self):
-        dual = enumerate_dual("torus", 1, dim=2)
+        dual = enumerate_dual(Torus(2), 1)
         assert dual.lam.tolist() == [0.0, 1.0, 2.0]
         assert dual.mult.tolist() == [1, 4, 4]
 
     def test_su2_fractional_cutoff_stops_at_cutoff(self):
         # l = 1 > 0.75 is left out, as for the integer-spin subset
-        dual = enumerate_dual("su2", 0.75)
+        dual = enumerate_dual(SU2(True), 0.75)
         assert dual.d.tolist() == [1, 2]
 
     def test_su2_integer_spins(self):
-        dual = enumerate_dual("su2", 3, half_integers=False)
+        dual = enumerate_dual(SU2(False), 3)
         assert dual.d.tolist() == [1, 3, 5, 7]
 
     def test_bracket_consistent_with_lattice(self):
-        dual = enumerate_dual("torus", 5, dim=1)
+        dual = enumerate_dual(Torus(1), 5)
         brackets, counts = np.unique(FrequencyLattice(1, 5).brackets(), return_counts=True)
         assert np.sqrt(1.0 + dual.lam).tolist() == pytest.approx(brackets.tolist(), abs=1e-15)
         assert dual.mult.tolist() == counts.tolist()
@@ -74,29 +76,29 @@ class TestEnumerateDual:
 
 class TestHeatTrace:
     def test_torus_reference_value(self):
-        dual = enumerate_dual("torus", 6, dim=1)
+        dual = enumerate_dual(Torus(1), 6)
         assert heat_sum(dual, 1.0) == pytest.approx(TORUS_THETA_T1, abs=1e-12)
 
     def test_torus_independent_resummation(self):
         # oracle computed at a larger cutoff; tail below 1e-21
-        wide = enumerate_dual("torus", 20, dim=1)
-        narrow = enumerate_dual("torus", 6, dim=1)
+        wide = enumerate_dual(Torus(1), 20)
+        narrow = enumerate_dual(Torus(1), 6)
         assert heat_sum(narrow, 1.0) == pytest.approx(heat_sum(wide, 1.0), abs=1e-15)
 
     def test_su2_reference_value(self):
-        dual = enumerate_dual("su2", 20)
-        wide = enumerate_dual("su2", 60)
+        dual = enumerate_dual(SU2(True), 20)
+        wide = enumerate_dual(SU2(True), 60)
         assert heat_sum(dual, 1.0) == pytest.approx(SU2_HEAT_T1, abs=1e-9)
         assert heat_sum(dual, 1.0) == pytest.approx(heat_sum(wide, 1.0), abs=1e-6)
 
     def test_strictly_decreasing_in_t(self):
-        dual = enumerate_dual("su2", 10)
+        dual = enumerate_dual(SU2(True), 10)
         ts = [0.25, 0.5, 1.0, 2.0, 5.0]
         vals = [heat_sum(dual, t) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_long_time_limit_is_one(self):
-        for dual in (enumerate_dual("torus", 8, dim=1), enumerate_dual("su2", 10)):
+        for dual in (enumerate_dual(Torus(1), 8), enumerate_dual(SU2(True), 10)):
             assert heat_sum(dual, 50.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_validated(self, capsys):
@@ -106,20 +108,20 @@ class TestHeatTrace:
         for t in ("0", "-1"):
             assert main(["heat-trace", "--group", "torus", "--t", t, "--cutoff", "4"]) == 2
             assert "--t" in capsys.readouterr().err
-        assert summed_series(enumerate_dual("torus", 4, dim=1), (2.0, 0.0, 0.0))[1]["converged"] is False
+        assert summed_series(enumerate_dual(Torus(1), 4), (2.0, 0.0, 0.0))[1]["converged"] is False
 
 
 class TestBesselTrace:
     def test_closed_form_with_tail_correction(self):
-        dual = enumerate_dual("torus", 100000, dim=1)
+        dual = enumerate_dual(Torus(1), 100000)
         correction, bound = bessel_tail(100000, 2.0)
         got = bessel_sum(dual, 2.0) + correction
         assert got == pytest.approx(PI_COTH_PI, abs=1e-14)
         assert 0 < bound < 1e-15
 
     def test_partial_sum_stability_alpha4(self):
-        d100 = enumerate_dual("torus", 100, dim=1)
-        d200 = enumerate_dual("torus", 200, dim=1)
+        d100 = enumerate_dual(Torus(1), 100)
+        d200 = enumerate_dual(Torus(1), 200)
         assert abs(bessel_sum(d100, 4.0) - bessel_sum(d200, 4.0)) <= 1e-5
 
     def test_tail_correction_needs_torus_1d(self, capsys, monkeypatch):
@@ -188,25 +190,25 @@ class TestGaussLegendre64:
 
 class TestMultiplierTrace:
     def test_heat_symbol_chases_definition(self):
-        dual = enumerate_dual("su2", 15)
+        dual = enumerate_dual(SU2(True), 15)
         got = fsum(dual.d * dual.d * np.exp(-1.0 * dual.lam))
         assert got == pytest.approx(heat_sum(dual, 1.0), abs=1e-12)
 
     def test_bessel_symbol_chases_definition(self):
-        dual = enumerate_dual("torus", 50, dim=1)
+        dual = enumerate_dual(Torus(1), 50)
         got = fsum(np.repeat(dual.d * dual.d * np.sqrt(1.0 + dual.lam) ** -4.0, dual.mult))
         assert got == pytest.approx(bessel_sum(dual, 4.0), abs=1e-12)
 
     def test_cross_module_against_nuclear_trace(self):
         # same multiplier, summed over the dual and over the lattice
-        dual = enumerate_dual("torus", 16, dim=1)
+        dual = enumerate_dual(Torus(1), 16)
         lat = FrequencyLattice(1, 16)
         via_dual = summed_series(dual, (0.0, -4.0, 0.0))[0]
         via_lattice = CompressedOperator(bessel_symbol(-4.0), lat).trace()
         assert abs(via_dual - via_lattice) <= 1e-12
 
     def test_gaussian_cross_module(self):
-        dual = enumerate_dual("torus", 6, dim=1)
+        dual = enumerate_dual(Torus(1), 6)
         lat = FrequencyLattice(1, 6)
         via_dual = summed_series(dual, (0.0, 0.0, 1.0))[0]
         via_lattice = CompressedOperator(heat_symbol(1.0), lat).trace()
@@ -217,7 +219,7 @@ class TestWeylGrowth:
     def test_squared_dimension_sums(self):
         # sum over l = 0, 1/2, ..., L of (2l+1)^2 telescopes to a cubic closed form
         for twice_l_max in (4, 9, 20):
-            dual = enumerate_dual("su2", twice_l_max / 2.0)
+            dual = enumerate_dual(SU2(True), twice_l_max / 2.0)
             got = fsum(dual.d.astype(float) ** 2)
             j = twice_l_max + 1
             assert got == pytest.approx(j * (j + 1) * (2 * j + 1) / 6.0, abs=1e-9)
@@ -225,7 +227,7 @@ class TestWeylGrowth:
     def test_monotone_superlinear(self):
         sums = []
         for l_max in (5, 10, 20, 40):
-            dual = enumerate_dual("su2", l_max)
+            dual = enumerate_dual(SU2(True), l_max)
             sums.append(fsum(dual.d.astype(float) ** 2))
         assert all(b > 2 * a for a, b in zip(sums, sums[1:]))
 
