@@ -13,12 +13,12 @@ dim 1 or 2 the two keys bin alike: they differ in block only where
 lattice by |xi| or by <xi> gives the same blocks and the same numbers.
 
 Every dyadic norm goes through ``block_norms``: a function's block L^p norms
-from its coefficients, all blocks synthesized by one inverse FFT.
-``coefficient_norm`` weights that table, and ``partial_sum_convergence``
-norms the residuals of the truncations S_N f with it (the approximation
-demonstration).  The ``besov-norm`` table, the partial-sum errors and the
-quasi-norm certificate all start from coefficients; only a sampled input
-file is transformed to get them.
+from its coefficients, at p = 2 by Parseval with no synthesis, at other p all
+blocks synthesized by one inverse FFT.  ``coefficient_norm`` weights that
+table, and ``partial_sum_convergence`` norms the residuals of the truncations
+S_N f with it (the approximation demonstration).  The ``besov-norm`` table,
+the partial-sum errors and the quasi-norm certificate all start from
+coefficients; only a sampled input file is transformed to get them.
 """
 
 from __future__ import annotations
@@ -64,15 +64,19 @@ def block_sums(blocks: np.ndarray, terms: np.ndarray, weights=None) -> tuple[lis
 def block_norms(c: FourierCoefficients, p: float, grid_size: int) -> list[tuple[int, float]]:
     """(m, ||block_m||_{L^p}) for each dyadic block m of ``c``'s lattice, ascending.
 
-    Every block is scattered into one (blocks, M, ..) array at ``points % M``,
-    one inverse FFT runs over the grid axes, and ``lp_norms`` reduces the rows
-    together.  Memory: blocks x M^dim x 16 bytes, twice over for the FFT's
-    output.
+    p = 2 is Parseval: one ``power_norms`` row a block, over its coefficients'
+    real and imaginary parts.  Otherwise every block is scattered into one
+    (blocks, M, ..) array at ``points % M``, one inverse FFT runs over the grid
+    axes, and ``lp_norms`` reduces the rows together.  Memory: blocks x M^dim x
+    16 bytes, twice over for the FFT's output.
     """
     lattice = c.lattice
     _require_margin(grid_size, lattice.radius, "block_norms")
     blocks = block_index(lattice.squared_norms())
     present = np.flatnonzero(np.bincount(blocks))  # not np.unique: ~15 ms first call
+    if p == 2.0:
+        parts = np.abs(np.concatenate((c.coeffs.real, c.coeffs.imag)))
+        return list(zip(present.tolist(), power_norms(parts * (np.tile(blocks, 2) == present[:, None]), 2.0)))
     cube = np.zeros((len(present),) + (grid_size,) * lattice.dim, dtype=np.complex128)
     cube[(np.searchsorted(present, blocks), *(lattice.points % grid_size).T)] = c.coeffs
     pieces = np.fft.ifftn(cube, axes=tuple(range(1, lattice.dim + 1)), norm="forward")
@@ -87,8 +91,8 @@ def weighted_norm(table: list[tuple[int, float]], params: BesovParams) -> float:
 
 
 def coefficient_norm(c: FourierCoefficients, params: BesovParams, grid_size: int) -> float:
-    """The dyadic-block norm of the function with coefficients ``c``, each block
-    synthesized on a ``grid_size`` grid for its L^p norm."""
+    """The dyadic-block norm of the function with coefficients ``c``, each block's
+    L^p norm by ``block_norms`` (at p != 2 on a ``grid_size`` grid)."""
     return weighted_norm(block_norms(c, params.p, grid_size), params)
 
 
@@ -96,7 +100,7 @@ def partial_sum_convergence(
     c: FourierCoefficients, besov: BesovParams, n_values, grid_size: int
 ) -> list[tuple[float, float]]:
     """Dyadic-norm error of the bracket-cutoff partial sums S_N f of the function
-    with coefficients ``c``, each residual's blocks synthesized on a ``grid_size`` grid.
+    with coefficients ``c``, each residual normed by ``coefficient_norm``.
 
     S_N keeps the frequencies with <xi> <= N, the finite-rank truncations whose
     strong convergence underlies the approximation property.  For a

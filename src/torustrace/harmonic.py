@@ -14,8 +14,9 @@ The forward transform is one FFT on the ``M^dim`` grid cube, lattice point
 ``xi`` read at cube index ``xi mod M``; the margin keeps wrapped indices
 distinct.  FFT output is byte-identical across runs of one build but, unlike
 the exactly rounded scalar reductions (``sums``), depends on summation order
-in the last bits.  The one synthesis is ``besov.block_norms``: every dyadic
-block of a coefficient vector through one batched inverse FFT.
+in the last bits.  The one synthesis is ``besov.block_norms`` at p != 2: every
+dyadic block of a coefficient vector through one batched inverse FFT; at p = 2
+it norms each block by Parseval instead.
 ``box_points`` is the one enumeration of an integer max-norm box: the lattice
 and the sampled x-Fourier support (``symbols``) both build their points with it.  The
 Japanese bracket <xi> = (1 + |xi|^2)^{1/2} of every lattice point is

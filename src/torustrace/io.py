@@ -3,7 +3,8 @@
 Complex numbers are stored as [re, im] pairs.  Function files carry the grid
 in x-lexicographic order; symbol files are x-major, lattice-minor with the
 lattice in its canonical ordering, and may add ``claimed_*`` numbers (null
-reads as absent); every value is finite.  ``_read`` reads both formats and
+reads as absent); every value and claim is finite, but for a claimed_order
+of -Infinity (a smoothing symbol's).  ``_read`` reads both formats and
 ``_write`` writes both; a defective file is one ValueError that names it.
 """
 
@@ -27,9 +28,11 @@ def _integer(doc: dict, key: str, least: int, most: float = float("inf")) -> int
 
 
 def _number(doc: dict, key: str) -> float:
-    if type(doc[key]) not in (int, float):
-        raise ValueError(f"{key!r} must be a number or null, not {json.dumps(doc[key])[:40]}")
-    return float(doc[key])
+    value, smoothing = doc[key], key == "claimed_order"  # order -inf: symbols.NEG_INFINITY_ORDER
+    if type(value) not in (int, float) or not (np.isfinite(float(value)) or smoothing and value == -np.inf):
+        finite = "finite number or -Infinity" if smoothing else "finite number"
+        raise ValueError(f"{key!r} must be a {finite} or null, not {json.dumps(value)[:40]}")
+    return float(value)
 
 
 def _read(path: str, kind: str):

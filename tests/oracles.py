@@ -7,9 +7,10 @@ gathers; the tests in ``test_spectral_oracles.py`` compare the two.
 
 Dyadic blocks: one inverse FFT per block, each block's L^p norm reduced on
 its own, and the partial-sum errors by synthesizing each residual and
-transforming it again.  The package scatters all blocks into one batched
-inverse FFT and norms residuals from masked coefficients; ``test_besov.py``
-compares the two.
+transforming it again; at p = 2 also Parseval, each block's squared
+coefficient parts summed by ``math.fsum``.  The package norms p = 2 blocks by
+Parseval, at other p scatters all blocks into one batched inverse FFT, and
+norms residuals from masked coefficients; ``test_besov.py`` compares the two.
 
 Dual series: one ``DualPoint`` object per point of the unitary dual, walked
 point by point with ``math`` functions and per-point dyadic binning.  The
@@ -167,6 +168,23 @@ def dyadic_blocks(c: FourierCoefficients, grid_size: int) -> list[tuple[int, np.
     for m in sorted(set(blocks.tolist())):
         inside = FourierCoefficients(lattice, np.where(blocks == m, c.coeffs, 0))
         out.append((m, lattice.points[blocks == m], synthesize(inside, grid_size)))
+    return out
+
+
+def parseval_block_norms(c: FourierCoefficients) -> list[tuple[int, float]]:
+    """(m, ||block_m||_{L^2}) per dyadic block m by Parseval, ascending: the root of
+    the ``math.fsum`` of the squares of the block's real and imaginary parts.  A
+    block whose largest part x = f 2^e, 1/2 <= f < 1, has a square that may leave
+    [2^-1000, 2^1000] is summed relative to 2^(e - 1), as ``sums.power_norms``
+    sums it (exact: a power of two), and the root is ``** 0.5`` as there."""
+    blocks = block_index(c.lattice.squared_norms())
+    out = []
+    for m in sorted(set(blocks.tolist())):
+        parts = [abs(x) for z in c.coeffs[blocks == m].tolist() for x in (z.real, z.imag)]
+        e = math.frexp(max(parts))[1]
+        shift = e - 1 if max(parts) > 0 and ((e - 1) * 2 < -1000 or e * 2 > 1000) else 0
+        total = math.fsum(math.ldexp(x, -shift) * math.ldexp(x, -shift) for x in parts)
+        out.append((m, math.ldexp(total ** 0.5, shift)))
     return out
 
 

@@ -23,7 +23,7 @@ from torustrace.io import (
     save_periodic_function,
     save_sampled_symbol,
 )
-from torustrace.symbols import SampledSymbol, bessel_symbol, sample_symbol
+from torustrace.symbols import SampledSymbol, bessel_symbol, heat_symbol, sample_symbol
 
 from conftest import bandlimited
 from oracles import synthesize
@@ -790,8 +790,8 @@ class TestApproxDemoCommand:
 
 
 class TestDyadicCommandTransforms:
-    """One forward transform per command, and one inverse FFT per block table: the
-    FFT entry points are counted while a file input (no synthesis of its own) runs."""
+    """One forward transform per command, and at p != 2 one inverse FFT per block table:
+    the FFT entry points are counted while a file input (no synthesis of its own) runs."""
 
     @pytest.fixture
     def ffts(self, monkeypatch, path):  # after the input file is written
@@ -820,7 +820,15 @@ class TestDyadicCommandTransforms:
         assert ffts == {"fftn": 1, "ifftn": 1}
 
     def test_approx_demo_one_transform(self, capsys, ffts, path):
+        # p = 2 norms each block by Parseval, with no synthesis
         doc = run_json(capsys, ["approx-demo", "--input", path, "--w", "0", "--p", "2", "--q", "2",
+                                "--radius", "8", "--n-values", "1,2,4,8,9"])
+        assert len(doc["body"]["table"]) == 5
+        assert ffts == {"fftn": 1, "ifftn": 0}
+
+    def test_approx_demo_p3_one_synthesis_a_residual(self, capsys, ffts, path):
+        # p != 2 synthesizes every block of each residual, zeroed or not
+        doc = run_json(capsys, ["approx-demo", "--input", path, "--w", "0", "--p", "3", "--q", "2",
                                 "--radius", "8", "--n-values", "1,2,4,8,9"])
         assert len(doc["body"]["table"]) == 5
         assert ffts == {"fftn": 1, "ifftn": 5}
@@ -1345,10 +1353,15 @@ SYMBOL_DEFECTS = {
     "lattice-radius-1e6": {"lattice_radius": 10**6},  # 162 values: refused before the lattice
     "string-claim": {"claimed_rho": "one"},
     "list-claim": {"claimed_order": [-4]},
+    "nan-claim": {"claimed_order": math.nan},  # json writes NaN and Infinity, and reads them
+    "inf-claim": {"claimed_rho": math.inf},
+    "inf-order-claim": {"claimed_order": math.inf},  # only -inf, a smoothing symbol's order
+    "minus-inf-claim": {"claimed_delta": -math.inf},
 }
 DEFECT_COMMANDS = {
     "trace": ("symbol", ["trace", "--symbol-file", "{}", "--radius", "4"]),
     "spectrum": ("symbol", ["spectrum", "--symbol-file", "{}", "--radius", "4"]),
+    "check-class": ("symbol", ["check-class", "--symbol-file", "{}", "--radius", "8"]),
     "besov-norm": ("function", ["besov-norm", "--input", "{}", "--w", "0", "--p", "2", "--q", "2",
                                 "--radius", "2"]),
 }
@@ -1434,6 +1447,15 @@ class TestDataFiles:
         b = load_sampled_symbol(path)
         assert b.table.view(np.uint64).tolist() == a.table.view(np.uint64).tolist()
         assert (b.claimed_order, b.claimed_rho, b.claimed_delta) == (-2.5, 0.5, 0.25)
+
+    def test_smoothing_symbol_round_trip_claims_order_minus_inf(self, capsys, tmp_path):
+        # the heat symbol claims order -inf; its table is written with -Infinity and read back
+        path = str(tmp_path / "heat.json")
+        save_sampled_symbol(sample_symbol(heat_symbol(0.1), min_grid_size(8), FrequencyLattice(1, 8)), path)
+        assert "-Infinity" in Path(path).read_text()
+        assert load_sampled_symbol(path).claimed_order == -math.inf
+        doc = run_json(capsys, ["check-class", "--symbol-file", path, "--radius", "8"])
+        assert doc["body"]["claimed_order"] == "-inf"
 
     def test_function_round_trip(self, tmp_path):
         f, _ = bandlimited({0: 1.0, 3: 2.0 - 1.0j}, radius=4)

@@ -19,7 +19,9 @@ order and every float's 17 digits included.  The tails, verdicts and rules of
 the first files were rewritten once, when the integral-test bound replaced the
 shell-ratio rule, and the two SU(2)-monitor and dim-2 torus tt1 partial sums once,
 when the tt1 terms became one power of (1 + lambda) (last digits, toward the exact
-sums); every other byte was kept.
+sums), and the p = 2 table's block 2 and the approx-demo error at N = 4 once, when
+p = 2 block norms went to Parseval (last digit, to the correctly rounded values);
+every other byte was kept.
 """
 
 from pathlib import Path
