@@ -41,7 +41,6 @@ from .sums import fsum_complex
 from .symbols import (
     BracketPower,
     GaussianDecay,
-    SampledSymbol,
     Symbol,
     bessel_symbol,
     character_symbol,
@@ -473,7 +472,7 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
             "delta": delta,
             "C_est": c_est,
         }
-        if isinstance(a, SampledSymbol):
+        if args.symbol_file:
             diagnostics["decay_note"] = (
                 "sampled symbol: smoothness in x not verifiable, conclusion-only run"
             )

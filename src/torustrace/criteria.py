@@ -2,7 +2,7 @@
 quasi-norm bound coming from the canonical rank-one decomposition
 T_a f = sum_xi fhat(xi) H_xi with H_xi(x) = e^{i2pi<x,xi>} a(x, xi).  The
 coefficients of H_xi are hat{a}(d, xi) at eta = xi + d for d on the symbol's
-x-Fourier support (``symbols.x_fourier_support``), so the bound never samples
+x-Fourier support (``a.x_fourier_support``), so the bound never samples
 H_xi.  The bound is in B^w_{2,2}, where Parseval makes a dyadic block's L^2
 norm the l^2 norm of its coefficients: it reads the support table once and
 sums |hat{a}|^2 per (block, column), with no compression and no synthesis.
@@ -40,7 +40,7 @@ from .besov import block_index, block_sums
 from .groups import UNBOUNDED_TAIL_NOTE, Torus, dual_tail_bound
 from .harmonic import FrequencyLattice
 from .sums import fsum, fsum_by, power_norms
-from .symbols import Symbol, x_fourier_support, x_fourier_table
+from .symbols import Symbol
 
 RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
              "==": operator.eq, "int": lambda lhs, _: float(lhs).is_integer()}
@@ -379,7 +379,7 @@ def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLat
     """sum_xi ||H_xi||_{B^w_{2,2}}^r for the canonical decomposition.
 
     H_xi = e_xi a(., xi) has coefficients hat{a}(d, xi) at eta = xi + d for d
-    on the symbol's x-Fourier support (``x_fourier_support``), so they lie in
+    on the symbol's x-Fourier support (``a.x_fourier_support``), so they lie in
     |eta|_inf <= N + b with b the support's largest |d|_inf: the x-factor's
     bandwidth, or for a sampled table its window M//2.
 
@@ -399,9 +399,9 @@ def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLat
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    support = x_fourier_support(a)
+    support = a.x_fourier_support()
     radius = lattice.radius + int(np.abs(support).max(initial=0))  # N + b
-    table = x_fourier_table(a, support, lattice)  # (S, L): H_xi's coefficient at xi + d
+    table = a.x_fourier_table(support, lattice)  # (S, L): H_xi's coefficient at xi + d
     peak = np.abs(table).max(axis=0, initial=0.0)
     scale = np.exp2(np.frexp(peak)[1] - 1.0)  # each column's largest |hat a| in [1, 2)
     squared = sum((d[:, None] + xi) ** 2 for d, xi in zip(support.T, lattice.points.T))

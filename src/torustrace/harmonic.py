@@ -95,12 +95,6 @@ class FrequencyLattice:
             idx = idx * (2 * self.radius + 1) + pts[:, k] + self.radius
         return idx
 
-    def index_of(self, point) -> int:
-        key = np.atleast_1d(np.asarray(point, dtype=np.int64))
-        if key.shape != (self.dim,):
-            raise KeyError(f"{tuple(key.tolist())} is not a point of a dim-{self.dim} lattice")
-        return int(self.indices_of(key)[0])
-
     def squared_norms(self) -> np.ndarray:
         """|xi|^2 per point, exact integers."""
         return np.sum(self.points.astype(np.int64) ** 2, axis=1)

@@ -3,7 +3,7 @@
 T_a f(x) = sum_xi e^{i2pi<x,xi>} a(x,xi) fhat(xi) sends the character e_xi to
 sum_eta hat{a}(eta - xi, xi) e_eta.  ``CompressedOperator`` holds P_N T_a P_N,
 T_a compressed to the lattice |xi|_inf <= N, as the S x L table of the symbol's
-x-Fourier support (``symbols.x_fourier_support``) in the difference box
+x-Fourier support (``a.x_fourier_support``) in the difference box
 |eta - xi|_inf <= 2N.
 
 ``eigenvalues`` solves it one connected component of its nonzero pattern at a
@@ -22,7 +22,7 @@ import numpy as np
 
 from .harmonic import FrequencyLattice
 from .sums import fsum_complex
-from .symbols import Symbol, x_fourier_support, x_fourier_table
+from .symbols import Symbol
 
 EIGEN_SIDE_LIMIT = 4096
 TRACE_IDENTITY_TOL = 1e-9
@@ -49,8 +49,8 @@ class CompressedOperator:
             raise ValueError(f"dimension mismatch: symbol dim {a.dim}, lattice dim {lattice.dim}")
         self.lattice, self.shape = lattice, (len(lattice), len(lattice))
         span = 2 * lattice.radius
-        self.support = x_fourier_support(a, span)
-        table = x_fourier_table(a, self.support, lattice)  # (S, L)
+        self.support = a.x_fourier_support(span)
+        table = a.x_fourier_table(self.support, lattice)  # (S, L)
         if not np.isfinite(table).all():
             raise OverflowError(
                 f"the symbol's x-Fourier table hat{{a}}(eta, xi) for |xi|_inf <= {lattice.radius} "

@@ -12,11 +12,15 @@ Two representations coexist:
   the lattice, x-derivatives are spectral, x-Fourier coefficients come from
   the rectangle rule, evaluated by FFT over the x axes.
 
-``x_fourier_support`` is where the x-Fourier support is defined: the eta at
-which hat{a}(eta, .) can be nonzero.  Every consumer of x-Fourier data (the
-decay constant here, ``quantize.CompressedOperator`` and through it every
-matrix, spectrum and trace, and the quasi-norm certificate) evaluates
-``x_fourier_table`` on those rows only.
+Both answer the same calculus as methods (``difference``, ``x_derivative``,
+``x_fourier_support``, ``x_fourier_table``), so no module outside this one asks
+which kind a symbol is.  ``x_fourier_support`` is where the x-Fourier support
+is defined: the eta, up to a radius (none for None), at which hat{a}(eta, .)
+can be nonzero, as an (S, dim) int64 array in lexicographic order.  Every
+consumer of x-Fourier data (the decay constant here,
+``quantize.CompressedOperator`` and through it every matrix, spectrum and
+trace, and the quasi-norm certificate) evaluates ``x_fourier_table``, the table
+hat{a}(eta_r, xi_l) of shape (R, L), on those rows only.
 
 Forward differences are used throughout:
 ``(D_j a)(x, xi) = a(x, xi + e_j) - a(x, xi)``.
@@ -79,41 +83,43 @@ class TrigPolynomial:
 
 # ---------------------------------------------------------------------------
 # xi-factors: frequency dependence, evaluable at any integer point so that
-# forward differences never run out of data on catalog symbols.
+# forward differences never run out of data on catalog symbols.  Each carries
+# its claimed ``order`` and its tail ``envelope`` (b, s), |g| <= <xi>^b e^{-s|xi|^2}.
 # ---------------------------------------------------------------------------
 
 
-class XiFactor:
-    def values(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class BracketPower(XiFactor):
+class BracketPower:
     """<xi>^m."""
 
     def __init__(self, m: float):
-        self.m = m
+        self.order = m
+        self.envelope = (m, 0.0)
 
     def values(self, xi):
         sq = np.sum(np.asarray(xi, dtype=np.float64) ** 2, axis=1)
-        return ((1.0 + sq) ** (self.m / 2.0)).astype(np.complex128)
+        return ((1.0 + sq) ** (self.order / 2.0)).astype(np.complex128)
 
 
-class GaussianDecay(XiFactor):
-    """exp(-t |xi|^2)."""
+class GaussianDecay:
+    """exp(-t |xi|^2): order -inf for t > 0 and 0 at t = 0 (g = 1); for t < 0 it
+    grows faster than any power, so no order is claimed."""
 
     def __init__(self, t: float):
         self.t = t
+        self.order = NEG_INFINITY_ORDER if t > 0 else 0.0 if t == 0 else None
+        self.envelope = (0.0, t)
 
     def values(self, xi):
         sq = np.sum(np.asarray(xi, dtype=np.float64) ** 2, axis=1)
         return np.exp(-self.t * sq).astype(np.complex128)
 
 
-class DifferencedXi(XiFactor):
+class DifferencedXi:
     """Iterated forward difference of a base factor, by binomial expansion."""
 
-    def __init__(self, base: XiFactor, alpha: tuple[int, ...]):
+    order = envelope = None
+
+    def __init__(self, base, alpha: tuple[int, ...]):
         self.base = base
         self.alpha = alpha
 
@@ -138,29 +144,15 @@ def _binomial_shifts(alpha: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
-class Symbol:
-    """Common interface: pointwise values, x-sup per frequency, x-Fourier data."""
-
-    dim: int
-    claimed_order: float | None
-    claimed_rho: float
-    claimed_delta: float
-
-    def values(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Table a(x_k, xi_l) of shape (K, L)."""
-        raise NotImplementedError
-
-    def x_sup_abs(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SeparableSymbol(Symbol):
+class SeparableSymbol:
     """a(x, xi) = u(x) g(xi) with exact closed-form factors."""
+
+    radius = math.inf  # the frequencies it is known at: all of them
 
     def __init__(
         self,
         xfactor: TrigPolynomial,
-        xifactor: XiFactor,
+        xifactor,
         dim: int = 1,
         claimed_order: float | None = 0.0,
         claimed_rho: float = 1.0,
@@ -174,16 +166,56 @@ class SeparableSymbol(Symbol):
         self.claimed_order = claimed_order
         self.claimed_rho = claimed_rho
         self.claimed_delta = claimed_delta
+        # (C, b, s) with |hat{a}(0, xi)| <= C <xi>^b e^{-s|xi|^2}, or None
+        envelope = xifactor.envelope
+        self.trace_envelope = None if envelope is None else (abs(xfactor.coeffs.get(0, 0.0)), *envelope)
 
     def values(self, x, xi):
+        """Table a(x_k, xi_l) of shape (K, L)."""
         return np.outer(self.xfactor.values(np.asarray(x)), self.xifactor.values(xi))
 
     def x_sup_abs(self, xi):
         return self.xfactor.sup_abs() * np.abs(self.xifactor.values(xi))
 
+    def difference(self, alpha) -> SeparableSymbol:
+        alpha = _as_multi_index(alpha, self.dim)
+        claims = _claims(self, -(self.claimed_rho * sum(alpha)))
+        return SeparableSymbol(self.xfactor, DifferencedXi(self.xifactor, alpha), self.dim, **claims)
 
-class SampledSymbol(Symbol):
+    def x_derivative(self, beta) -> SeparableSymbol:
+        """Exact: the x-factor's derivative."""
+        beta = _as_multi_index(beta, self.dim)
+        if not any(beta):
+            return self
+        # catalog x-factors depend on x_1 only
+        xf = TrigPolynomial({}) if any(beta[1:]) else self.xfactor.derivative(beta[0])
+        claims = _claims(self, self.claimed_delta * sum(beta))
+        return SeparableSymbol(xf, self.xifactor, self.dim, **claims)
+
+    def x_fourier_support(self, radius: int | None = None) -> np.ndarray:
+        """The on-axis points (k, 0, ...), |k| <= radius, for the keys k of the
+        x-factor's coefficients."""
+        keys = sorted(k for k in self.xfactor.coeffs if radius is None or abs(k) <= radius)
+        support = np.zeros((len(keys), self.dim), dtype=np.int64)
+        support[:, 0] = keys
+        return support
+
+    def x_fourier_table(self, etas: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
+        """Exact: rows eta = (k, 0, ...) hold c_k g(xi), the rest 0."""
+        etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
+        out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
+        on_axis = np.all(etas[:, 1:] == 0, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # entries beyond float64 read inf or nan
+            g = self.xifactor.values(lattice.points)
+            for k, coef in self.xfactor.coeffs.items():
+                out[on_axis & (etas[:, 0] == k)] = coef * g
+        return out
+
+
+class SampledSymbol:
     """Symbol given as a complex table over grid x lattice (x-major order)."""
+
+    trace_envelope = None  # a table has no decay envelope past its radius
 
     def __init__(
         self,
@@ -204,19 +236,80 @@ class SampledSymbol(Symbol):
         self.dim = dim
         self.grid_size = grid_size
         self.lattice = lattice
+        self.radius = lattice.radius
         self.table = table
         self.claimed_order = claimed_order
         self.claimed_rho = claimed_rho
         self.claimed_delta = claimed_delta
 
-    def values(self, x, xi):
-        cols = self.lattice.indices_of(xi)
-        if np.asarray(x).shape[0] != self.table.shape[0]:
-            raise ValueError("sampled symbols evaluate only on their native grid")
-        return self.table[:, cols]
-
     def x_sup_abs(self, xi):
         return np.abs(self.table[:, self.lattice.indices_of(xi)]).max(axis=0)
+
+    def difference(self, alpha) -> SampledSymbol:
+        """The table shrinks: the result lives on radius N - max(alpha), so every
+        retained point still has its shifted neighbours inside the original table."""
+        alpha = _as_multi_index(alpha, self.dim)
+        new_radius = self.lattice.radius - max(alpha)
+        if new_radius < 0:
+            raise ValueError(
+                f"difference margin exhausted: order {alpha} on lattice radius "
+                f"{self.lattice.radius}"
+            )
+        new_lat = FrequencyLattice(self.dim, new_radius)
+        table = np.zeros((self.table.shape[0], len(new_lat)), dtype=np.complex128)
+        for gamma, coef in _binomial_shifts(alpha):
+            table += coef * self.table[:, self.lattice.indices_of(new_lat.points + gamma)]
+        claims = _claims(self, -(self.claimed_rho * sum(alpha)))
+        return SampledSymbol(self.dim, self.grid_size, new_lat, table, **claims)
+
+    def x_derivative(self, beta) -> SampledSymbol:
+        """Spectral, under the band-limited assumption on the table."""
+        beta = _as_multi_index(beta, self.dim)
+        if not any(beta):
+            return self
+        m = self.grid_size
+        shape = (m,) * self.dim + (len(self.lattice),)
+        cube = self.table.reshape(shape)
+        freqs = np.fft.fftfreq(m, d=1.0 / m)  # integer wavenumbers
+        spectrum = np.fft.fftn(cube, axes=tuple(range(self.dim)))
+        for axis, b in enumerate(beta):
+            if b == 0:
+                continue
+            mult = (1j * TWO_PI * freqs) ** b
+            shape_mult = [1] * (self.dim + 1)
+            shape_mult[axis] = m
+            spectrum = spectrum * mult.reshape(shape_mult)
+        table = np.fft.ifftn(spectrum, axes=tuple(range(self.dim))).reshape(self.table.shape)
+        claims = _claims(self, self.claimed_delta * sum(beta))
+        return SampledSymbol(self.dim, self.grid_size, self.lattice, table, **claims)
+
+    def x_fourier_support(self, radius: int | None = None) -> np.ndarray:
+        """The box of radius min(radius, M//2), the window ``x_fourier_table`` reports."""
+        half = self.grid_size // 2
+        return box_points(self.dim, half if radius is None else min(radius, half))
+
+    def x_fourier_table(self, etas: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
+        """The rectangle rule, by FFT over the x axes, for any lattice inside the
+        table's: the lattice's columns are taken from the table and only those are
+        transformed.  Eta outside the alias-free window |eta|_inf <= M//2 is
+        outside the admissible difference range and reported as 0."""
+        etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
+        if lattice.dim != self.dim or lattice.radius > self.lattice.radius:
+            raise ValueError(
+                f"sampled symbol is tabulated on lattice radius {self.lattice.radius} "
+                f"(dim {self.lattice.dim}), which does not hold the requested radius "
+                f"{lattice.radius} (dim {lattice.dim}); request at most radius {self.lattice.radius}"
+            )
+        m = self.grid_size
+        columns = self.table if lattice == self.lattice else self.table[:, self.lattice.indices_of(lattice.points)]
+        cube = columns.reshape((m,) * self.dim + (len(lattice),))
+        spectrum = np.fft.fftn(cube, axes=tuple(range(self.dim)), norm="forward")
+        out = spectrum[tuple((etas % m).T)]
+        out[np.abs(etas).max(axis=1) > m // 2] = 0
+        return out
+
+
+Symbol = SeparableSymbol | SampledSymbol
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +330,10 @@ def heat_symbol(t: float, dim: int = 1) -> SeparableSymbol:
                            claimed_order=NEG_INFINITY_ORDER)
 
 
-def modulated_symbol(c: float, g: XiFactor, dim: int = 1) -> SeparableSymbol:
-    """(c + cos 2 pi x_1) * g(xi), claiming g's order.  A Gaussian exp(-t |xi|^2)
-    has order -inf for t > 0 and 0 at t = 0 (g = 1); for t < 0 it grows faster
-    than any power, so no order is claimed."""
-    order = None
-    if isinstance(g, BracketPower):
-        order = g.m
-    elif isinstance(g, GaussianDecay):
-        order = NEG_INFINITY_ORDER if g.t > 0 else 0.0 if g.t == 0 else None
+def modulated_symbol(c: float, g: BracketPower | GaussianDecay, dim: int = 1) -> SeparableSymbol:
+    """(c + cos 2 pi x_1) * g(xi), claiming g's order."""
     u = TrigPolynomial({0: complex(c), 1: 0.5 + 0j, -1: 0.5 + 0j})
-    return SeparableSymbol(u, g, dim, claimed_order=order)
+    return SeparableSymbol(u, g, dim, claimed_order=g.order)
 
 
 def character_symbol(dim: int = 1) -> SeparableSymbol:
@@ -256,8 +342,8 @@ def character_symbol(dim: int = 1) -> SeparableSymbol:
                            claimed_order=0.0)
 
 
-def sample_symbol(a: Symbol, grid_size: int, lattice: FrequencyLattice) -> SampledSymbol:
-    """Tabulate any symbol into the sampled representation."""
+def sample_symbol(a: SeparableSymbol, grid_size: int, lattice: FrequencyLattice) -> SampledSymbol:
+    """Tabulate a catalog symbol into the sampled representation."""
     table = a.values(grid_points(a.dim, grid_size), lattice.points)
     return SampledSymbol(a.dim, grid_size, lattice, table, **_claims(a))
 
@@ -269,129 +355,6 @@ def _claims(a: Symbol, order_shift: float | None = None) -> dict:
     if order is not None and order_shift is not None:
         order += order_shift
     return {"claimed_order": order, "claimed_rho": a.claimed_rho, "claimed_delta": a.claimed_delta}
-
-
-# ---------------------------------------------------------------------------
-# Difference and derivative calculus
-# ---------------------------------------------------------------------------
-
-
-def difference_op(a: Symbol, alpha) -> Symbol:
-    """Iterated forward difference D^alpha in the frequency variable.
-
-    Sampled symbols shrink: the result lives on radius N - max(alpha) so every
-    retained point still has its shifted neighbours inside the original table.
-    """
-    alpha = _as_multi_index(alpha, a.dim)
-    if isinstance(a, SeparableSymbol):
-        claims = _claims(a, -(a.claimed_rho * sum(alpha)))
-        return SeparableSymbol(a.xfactor, DifferencedXi(a.xifactor, alpha), a.dim, **claims)
-    if isinstance(a, SampledSymbol):
-        new_radius = a.lattice.radius - max(alpha)
-        if new_radius < 0:
-            raise ValueError(
-                f"difference margin exhausted: order {alpha} on lattice radius "
-                f"{a.lattice.radius}"
-            )
-        new_lat = FrequencyLattice(a.dim, new_radius)
-        table = np.zeros((a.table.shape[0], len(new_lat)), dtype=np.complex128)
-        for gamma, coef in _binomial_shifts(alpha):
-            table += coef * a.table[:, a.lattice.indices_of(new_lat.points + gamma)]
-        claims = _claims(a, -(a.claimed_rho * sum(alpha)))
-        return SampledSymbol(a.dim, a.grid_size, new_lat, table, **claims)
-    raise TypeError(f"unsupported symbol type {type(a).__name__}")
-
-
-def x_derivative(a: Symbol, beta) -> Symbol:
-    """Partial derivative d^beta/dx^beta; exact for catalog symbols, spectral
-    for sampled ones (band-limited assumption on the table); beta = 0 gives ``a``."""
-    beta = _as_multi_index(beta, a.dim)
-    if not any(beta):
-        return a
-    if isinstance(a, SeparableSymbol):
-        # catalog x-factors depend on x_1 only
-        xf = TrigPolynomial({}) if any(beta[1:]) else a.xfactor.derivative(beta[0])
-        claims = _claims(a, a.claimed_delta * sum(beta))
-        return SeparableSymbol(xf, a.xifactor, a.dim, **claims)
-    if isinstance(a, SampledSymbol):
-        m = a.grid_size
-        shape = (m,) * a.dim + (len(a.lattice),)
-        cube = a.table.reshape(shape)
-        freqs = np.fft.fftfreq(m, d=1.0 / m)  # integer wavenumbers
-        spectrum = np.fft.fftn(cube, axes=tuple(range(a.dim)))
-        for axis, b in enumerate(beta):
-            if b == 0:
-                continue
-            mult = (1j * TWO_PI * freqs) ** b
-            shape_mult = [1] * (a.dim + 1)
-            shape_mult[axis] = m
-            spectrum = spectrum * mult.reshape(shape_mult)
-        table = np.fft.ifftn(spectrum, axes=tuple(range(a.dim))).reshape(a.table.shape)
-        claims = _claims(a, a.claimed_delta * sum(beta))
-        return SampledSymbol(a.dim, a.grid_size, a.lattice, table, **claims)
-    raise TypeError(f"unsupported symbol type {type(a).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# x-Fourier coefficients of symbols
-# ---------------------------------------------------------------------------
-
-
-def x_fourier_support(a: Symbol, radius: int | None = None) -> np.ndarray:
-    """The eta with |eta|_inf <= radius (no bound for None) where hat{a}(eta, .)
-    can be nonzero, as an (S, dim) int64 array in lexicographic order.
-
-    A separable symbol's are the on-axis points (k, 0, ...) for the keys k of
-    its x-factor's coefficients; a sampled table's are the box of radius
-    min(radius, M//2), the window ``x_fourier_table`` reports.
-    """
-    if isinstance(a, SeparableSymbol):
-        keys = sorted(k for k in a.xfactor.coeffs if radius is None or abs(k) <= radius)
-        support = np.zeros((len(keys), a.dim), dtype=np.int64)
-        support[:, 0] = keys
-        return support
-    if isinstance(a, SampledSymbol):
-        half = a.grid_size // 2
-        return box_points(a.dim, half if radius is None else min(radius, half))
-    raise TypeError(f"unsupported symbol type {type(a).__name__}")
-
-
-def x_fourier_table(a: Symbol, etas: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
-    """Table hat{a}(eta_r, xi_l) of shape (R, L) over explicit eta rows.
-
-    A sampled symbol answers any lattice inside its table's: the lattice's
-    columns are taken from the table and only those are transformed.  Eta
-    outside the alias-free window |eta|_inf <= M//2 is outside the admissible
-    difference range and reported as 0.  Rows off ``x_fourier_support`` are 0,
-    so callers ask for those rows only.  A catalog entry beyond float64 reads
-    inf or nan, without numpy's warning; ``quantize.CompressedOperator``
-    refuses such a table.
-    """
-    etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
-    if isinstance(a, SeparableSymbol):
-        # only rows eta = (k, 0, ...) with k in the x-factor's support are nonzero
-        out = np.zeros((etas.shape[0], len(lattice)), dtype=np.complex128)
-        on_axis = np.all(etas[:, 1:] == 0, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # entries beyond float64 read inf or nan
-            g = a.xifactor.values(lattice.points)
-            for k, coef in a.xfactor.coeffs.items():
-                out[on_axis & (etas[:, 0] == k)] = coef * g
-        return out
-    if isinstance(a, SampledSymbol):
-        if lattice.dim != a.dim or lattice.radius > a.lattice.radius:
-            raise ValueError(
-                f"sampled symbol is tabulated on lattice radius {a.lattice.radius} "
-                f"(dim {a.lattice.dim}), which does not hold the requested radius "
-                f"{lattice.radius} (dim {lattice.dim}); request at most radius {a.lattice.radius}"
-            )
-        m = a.grid_size
-        columns = a.table if lattice == a.lattice else a.table[:, a.lattice.indices_of(lattice.points)]
-        cube = columns.reshape((m,) * a.dim + (len(lattice),))
-        spectrum = np.fft.fftn(cube, axes=tuple(range(a.dim)), norm="forward")
-        out = spectrum[tuple((etas % m).T)]
-        out[np.abs(etas).max(axis=1) > m // 2] = 0
-        return out
-    raise TypeError(f"unsupported symbol type {type(a).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +371,19 @@ def estimate_order(
     suprema against the bracket, excluding the flat region <xi> < 2.  The
     all-zero case reports order -inf.  Suprema that overflow float64 (a large
     order, difference or derivative) are refused with OverflowError; nan
-    entries of a table are fitted as they are.
+    entries of a table are fitted as they are.  A sampled table of radius N
+    refuses a lattice radius R > N and is fitted over |xi|_inf <= min(R, N -
+    max alpha), where its difference is known.
     """
     if lattice.radius < 8:
         raise ValueError(f"estimate_order needs lattice radius >= 8, got {lattice.radius}")
+    if lattice.radius > a.radius:
+        raise ValueError(f"sampled symbol is tabulated on lattice radius {a.radius}, which does not "
+                         f"hold the fit's radius {lattice.radius}; request at most radius {a.radius}")
     try:
         with np.errstate(over="raise"):
-            b = difference_op(x_derivative(a, beta), alpha)
-            work_lattice = b.lattice if isinstance(b, SampledSymbol) else lattice
-            pts = work_lattice.points
+            b = a.x_derivative(beta).difference(alpha)
+            pts = FrequencyLattice(a.dim, min(lattice.radius, b.radius)).points
             sups = np.asarray(b.x_sup_abs(pts), dtype=np.float64)
     except (FloatingPointError, OverflowError) as exc:
         raise OverflowError(
@@ -467,8 +434,8 @@ def fourier_decay_constant(
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    support = x_fourier_support(a, lattice.radius)
-    table = np.abs(x_fourier_table(a, support, lattice))
+    support = a.x_fourier_support(lattice.radius)
+    table = np.abs(a.x_fourier_table(support, lattice))
     eta_brackets = np.sqrt(1.0 + np.sum(support**2, axis=1).astype(np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
         eta_w = eta_brackets ** (2 * k)

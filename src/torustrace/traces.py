@@ -19,7 +19,7 @@ from .groups import Torus, dual_tail_bound
 from .harmonic import FrequencyLattice
 from .quantize import CompressedOperator, eigenvalues
 from .sums import fsum_complex
-from .symbols import BracketPower, GaussianDecay, Symbol
+from .symbols import Symbol
 
 
 def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
@@ -49,10 +49,9 @@ def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
         nuc = op.trace()
         spec = fsum_complex(eigenvalues(op))
         history.append({"radius": radius, "nuclear": nuc, "spectral": spec, "abs_diff": abs(nuc - spec)})
-    g, tail = getattr(a, "xifactor", None), math.inf
-    if isinstance(g, (BracketPower, GaussianDecay)):
-        mean = abs(a.xfactor.coeffs.get(0, 0.0))
-        b, s = (g.m, 0.0) if isinstance(g, BracketPower) else (0.0, g.t)
+    envelope, tail = a.trace_envelope, math.inf
+    if envelope is not None:
+        mean, b, s = envelope
         tail = 0.0 if mean == 0 else mean * dual_tail_bound(Torus(a.dim), radii[-1], 0.0, b, s)
     return {
         "history": history,

@@ -16,7 +16,7 @@ def character(k: int, radius: int | None = None, grid_size: int | None = None):
     radius = radius if radius is not None else max(abs(k), 1)
     lattice = FrequencyLattice(1, radius)
     coeffs = np.zeros(len(lattice), dtype=complex)
-    coeffs[lattice.index_of((k,))] = 1.0
+    coeffs[lattice.indices_of((k,))[0]] = 1.0
     grid = grid_size or min_grid_size(radius)
     return synthesize(FourierCoefficients(lattice, coeffs), grid), lattice
 
@@ -26,6 +26,6 @@ def bandlimited(coeff_map: dict[int, complex], radius: int, grid_size: int | Non
     lattice = FrequencyLattice(1, radius)
     coeffs = np.zeros(len(lattice), dtype=complex)
     for k, v in coeff_map.items():
-        coeffs[lattice.index_of((k,))] = v
+        coeffs[lattice.indices_of((k,))[0]] = v
     grid = grid_size or min_grid_size(radius)
     return synthesize(FourierCoefficients(lattice, coeffs), grid), lattice

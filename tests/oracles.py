@@ -83,10 +83,6 @@ from torustrace.symbols import (
     SampledSymbol,
     SeparableSymbol,
     TrigPolynomial,
-    difference_op,
-    x_derivative,
-    x_fourier_support,
-    x_fourier_table,
 )
 
 
@@ -262,7 +258,7 @@ def dense_compression(a, rows: FrequencyLattice, columns: FrequencyLattice) -> n
     """hat{a}(eta - xi, xi) gathered from the table over the whole difference
     lattice of radius rows + columns, through one (rows x columns) int64 index."""
     diffs = FrequencyLattice(a.dim, rows.radius + columns.radius)
-    table = x_fourier_table(a, diffs.points, columns)
+    table = a.x_fourier_table(diffs.points, columns)
     index = np.zeros((len(rows), len(columns)), dtype=np.int64)
     for eta, xi in zip(rows.points.T, columns.points.T):
         index = index * (2 * diffs.radius + 1) + (eta[:, None] - xi[None, :] + diffs.radius)
@@ -271,7 +267,7 @@ def dense_compression(a, rows: FrequencyLattice, columns: FrequencyLattice) -> n
 
 def dense_decay_constant(a, k: int, m: float, delta: float, lattice: FrequencyLattice) -> float:
     """max over the dense lattice x lattice table of |hat{a}(eta, xi)| <eta>^{2k} <xi>^{-(m + 2k delta)}."""
-    table = np.abs(x_fourier_table(a, lattice.points, lattice))
+    table = np.abs(a.x_fourier_table(lattice.points, lattice))
     eta_w = lattice.brackets() ** (2 * k)
     xi_w = lattice.brackets() ** (-(m + 2 * k * delta))
     return float((eta_w[:, None] * table * xi_w[None, :]).max())
@@ -279,9 +275,11 @@ def dense_decay_constant(a, k: int, m: float, delta: float, lattice: FrequencyLa
 
 def shell_order_fit(a, alpha, beta, lattice: FrequencyLattice) -> tuple[float, float]:
     """(m_hat, C_hat): shell suprema kept in a dict point by point (the first point
-    of a strictly larger value wins), then the log-log least-squares fit."""
-    b = difference_op(x_derivative(a, beta), alpha)
-    pts = (b.lattice if isinstance(b, SampledSymbol) else lattice).points
+    of a strictly larger value wins), then the log-log least-squares fit, over the
+    lattice, or for a table over the part of it its difference is known on."""
+    b = a.x_derivative(beta).difference(alpha)
+    sampled = isinstance(b, SampledSymbol)
+    pts = FrequencyLattice(a.dim, min(lattice.radius, b.lattice.radius)).points if sampled else lattice.points
     sups = np.asarray(b.x_sup_abs(pts), dtype=np.float64)
     sq = np.sum(pts.astype(np.int64) ** 2, axis=1)
     shells: dict[int, tuple[float, float]] = {}
@@ -499,7 +497,7 @@ def dense_quasinorm_bound(a, r: float, besov, lattice: FrequencyLattice) -> floa
     """sum_xi ||H_xi||_B^r with H_xi column xi of the dense compression whose rows
     reach N + b (b the x-Fourier support's largest |eta|_inf), each column normed
     by synthesizing its dyadic blocks on the min_grid_size(N + b) grid."""
-    bandwidth = int(np.abs(x_fourier_support(a)).max(initial=0))
+    bandwidth = int(np.abs(a.x_fourier_support()).max(initial=0))
     rows = FrequencyLattice(lattice.dim, lattice.radius + bandwidth)
     grid = min_grid_size(rows.radius)
     columns = dense_compression(a, rows, lattice)
@@ -552,7 +550,7 @@ def symbol_fourier(a, eta, xi) -> complex:
     if isinstance(a, SeparableSymbol):
         return complex(x_fourier(a, eta, xi.reshape(1, -1))[0])
     phases = np.exp(-1j * TWO_PI * (_grid(a.dim, a.grid_size) @ eta.astype(np.float64)))
-    terms = phases * a.table[:, a.lattice.index_of(xi)]
+    terms = phases * a.table[:, a.lattice.indices_of(xi)[0]]
     return complex(math.fsum(terms.real), math.fsum(terms.imag)) / (a.grid_size**a.dim)
 
 

@@ -121,7 +121,7 @@ def test_criterion_05_multiplier_spectrum_identity():
 def test_criterion_06_besov_closed_form(rng):
     lat = FrequencyLattice(1, 8)
     coeffs = np.zeros(len(lat), dtype=complex)
-    coeffs[lat.index_of(4)] = 1.0
+    coeffs[lat.indices_of(4)[0]] = 1.0
     f = oracles.synthesize(FourierCoefficients(lat, coeffs), min_grid_size(8))
     norm = coefficient_norm(forward_transform(f, lat), BesovParams(1, 2, 2), f.grid_size)
     closed_ok = abs(norm - 4.0) <= 1e-10
@@ -142,7 +142,7 @@ def test_criterion_07_approximation_demo(rng):
         degree = int(rng.integers(2, 9))
         coeffs = np.zeros(len(lat), dtype=complex)
         for k in range(-degree, degree + 1):
-            coeffs[lat.index_of(k)] = complex(*rng.standard_normal(2))
+            coeffs[lat.indices_of(k)[0]] = complex(*rng.standard_normal(2))
         c, grid = FourierCoefficients(lat, coeffs), min_grid_size(8)
         threshold = math.sqrt(1 + degree * degree)
         n_values = [1, 2, 4, math.ceil(threshold), 12]

@@ -267,11 +267,11 @@ class TestBesovNorm:
         # e^{i 2 pi <x, (1,1)>}: |xi| = sqrt(2) sits in block 0
         lat = FrequencyLattice(2, 2)
         coeffs = np.zeros(len(lat), dtype=complex)
-        coeffs[lat.index_of((1, 1))] = 1.0
+        coeffs[lat.indices_of((1, 1))[0]] = 1.0
         f = oracles.synthesize(FourierCoefficients(lat, coeffs), min_grid_size(2))
         assert besov_of(f, BesovParams(1.0, 2.0, 2.0), lat) == pytest.approx(1.0, abs=1e-10)
         coeffs2 = np.zeros(len(lat), dtype=complex)
-        coeffs2[lat.index_of((2, 0))] = 1.0
+        coeffs2[lat.indices_of((2, 0))[0]] = 1.0
         g = oracles.synthesize(FourierCoefficients(lat, coeffs2), min_grid_size(2))
         assert besov_of(g, BesovParams(1.0, 2.0, 2.0), lat) == pytest.approx(2.0, abs=1e-10)
 

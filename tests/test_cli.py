@@ -23,7 +23,8 @@ from torustrace.io import (
     save_periodic_function,
     save_sampled_symbol,
 )
-from torustrace.symbols import SampledSymbol, bessel_symbol, heat_symbol, sample_symbol
+from torustrace.symbols import (BracketPower, SampledSymbol, bessel_symbol, heat_symbol, modulated_symbol,
+                                sample_symbol)
 
 from conftest import bandlimited
 from oracles import synthesize
@@ -1367,11 +1368,11 @@ DEFECT_COMMANDS = {
 }
 
 
-def write_defective_file(tmp_path, kind: str, defect) -> str:
+def write_defective_file(tmp_path, kind: str, defect, radius: int = 4) -> str:
     path = tmp_path / f"{kind}.json"
     if kind == "symbol":
-        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
-                            str(path))
+        lattice = FrequencyLattice(1, radius)
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(radius), lattice), str(path))
     else:
         save_periodic_function(bandlimited({1: 1.0}, radius=2)[0], str(path))
     if defect == "absent":
@@ -1427,7 +1428,7 @@ class TestDataFiles:
         argv = ["check-class", "--symbol-file", "{}", "--radius", "8", "--alpha-idx", "1", "--beta-idx", "1"]
         outs = []
         for defect in ({key: None}, {key: DELETE}):
-            path = write_defective_file(tmp_path, "symbol", defect)
+            path = write_defective_file(tmp_path, "symbol", defect, radius=8)  # a table holds the fit's radius
             code, out, err = run(capsys, [arg.format(path) for arg in argv])
             assert code == 0, err
             outs.append(out)
@@ -1456,6 +1457,24 @@ class TestDataFiles:
         assert load_sampled_symbol(path).claimed_order == -math.inf
         doc = run_json(capsys, ["check-class", "--symbol-file", path, "--radius", "8"])
         assert doc["body"]["claimed_order"] == "-inf"
+
+    def test_check_class_fits_a_table_over_the_requested_radius(self, capsys, tmp_path):
+        # alpha 1 leaves a radius-N table known on N - 1: --radius R fits over
+        # min(R, N - 1), and R > N is refused naming N
+        a = modulated_symbol(2.0, BracketPower(-2.0))
+        bodies, paths = {}, {}
+        for table_radius, radius in ((16, 8), (9, 9), (16, 16)):
+            paths[table_radius] = str(tmp_path / f"a{table_radius}.json")
+            save_sampled_symbol(sample_symbol(a, 68, FrequencyLattice(1, table_radius)), paths[table_radius])
+            argv = ["check-class", "--symbol-file", paths[table_radius], "--radius", str(radius),
+                    "--alpha-idx", "1"]
+            bodies[table_radius, radius] = run_json(capsys, argv)["body"]
+        assert bodies[16, 8] == bodies[9, 9]
+        assert bodies[16, 16]["m_hat"] == -3.2264300935204084 != bodies[16, 8]["m_hat"]
+        code, out, err = run(capsys, ["check-class", "--symbol-file", paths[16], "--radius", "17"])
+        assert code == 2 and out == ""
+        assert err == ("error: sampled symbol is tabulated on lattice radius 16, which does not hold "
+                       "the fit's radius 17; request at most radius 16\n")
 
     def test_function_round_trip(self, tmp_path):
         f, _ = bandlimited({0: 1.0, 3: 2.0 - 1.0j}, radius=4)

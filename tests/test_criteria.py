@@ -234,9 +234,9 @@ class TestNuclearDecomposition:
         }
         assert support == {2, 3, 4}
         g3 = (1.0 + 9.0) ** -1.0
-        assert coeffs[lat.index_of(3)] == pytest.approx(2 * g3, abs=1e-13)
-        assert coeffs[lat.index_of(2)] == pytest.approx(g3 / 2, abs=1e-13)
-        assert coeffs[lat.index_of(4)] == pytest.approx(g3 / 2, abs=1e-13)
+        assert coeffs[lat.indices_of(3)[0]] == pytest.approx(2 * g3, abs=1e-13)
+        assert coeffs[lat.indices_of(2)[0]] == pytest.approx(g3 / 2, abs=1e-13)
+        assert coeffs[lat.indices_of(4)[0]] == pytest.approx(g3 / 2, abs=1e-13)
 
     def test_reconstruction_matches_apply(self, rng):
         lat = FrequencyLattice(1, 4)

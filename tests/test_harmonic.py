@@ -42,7 +42,7 @@ class TestFrequencyLattice:
     def test_cardinality_and_origin(self, dim, radius):
         lat = FrequencyLattice(dim, radius)
         assert len(lat) == (2 * radius + 1) ** dim
-        assert lat.index_of((0,) * dim) == len(lat) // 2
+        assert lat.indices_of((0,) * dim)[0] == len(lat) // 2
 
     def test_ordering_reproducible(self):
         a = FrequencyLattice(2, 2)
@@ -72,15 +72,15 @@ class TestJapaneseBracket:
     # <xi> = (1 + |xi|^2)^(1/2) per lattice point, from FrequencyLattice.brackets
     def test_origin(self):
         lat = FrequencyLattice(1, 2)
-        assert lat.brackets()[lat.index_of((0,))] == 1.0
+        assert lat.brackets()[lat.indices_of((0,))[0]] == 1.0
 
     def test_three_four(self):
         lat = FrequencyLattice(2, 4)
-        assert lat.brackets()[lat.index_of((3, 4))] == pytest.approx(math.sqrt(26), abs=1e-15)
+        assert lat.brackets()[lat.indices_of((3, 4))[0]] == pytest.approx(math.sqrt(26), abs=1e-15)
 
     def test_one(self):
         lat = FrequencyLattice(1, 1)
-        assert lat.brackets()[lat.index_of((1,))] == pytest.approx(math.sqrt(2), abs=1e-15)
+        assert lat.brackets()[lat.indices_of((1,))[0]] == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 class TestForwardTransform:
@@ -88,15 +88,15 @@ class TestForwardTransform:
         lat = FrequencyLattice(1, 4)
         f = PeriodicFunction(1, min_grid_size(4), np.ones(min_grid_size(4)))
         c = forward_transform(f, lat)
-        assert c.coeffs[lat.index_of(0)] == pytest.approx(1.0, abs=1e-14)
-        off = np.abs(np.delete(c.coeffs, lat.index_of(0)))
+        assert c.coeffs[lat.indices_of(0)[0]] == pytest.approx(1.0, abs=1e-14)
+        off = np.abs(np.delete(c.coeffs, lat.indices_of(0)[0]))
         assert off.max() < 1e-14
 
     def test_single_character(self):
         f, lat = character(3, radius=4)
         c = forward_transform(f, lat)
-        assert c.coeffs[lat.index_of(3)] == pytest.approx(1.0, abs=1e-13)
-        others = np.delete(c.coeffs, lat.index_of(3))
+        assert c.coeffs[lat.indices_of(3)[0]] == pytest.approx(1.0, abs=1e-13)
+        others = np.delete(c.coeffs, lat.indices_of(3)[0])
         assert np.abs(others).max() < 1e-13
 
     def test_cosine_against_quadrature_oracle(self):
@@ -112,7 +112,7 @@ class TestForwardTransform:
         }
         c = forward_transform(PeriodicFunction(1, m, vals), lat)
         for xi, expect in oracle.items():
-            assert c.coeffs[lat.index_of(xi)] == pytest.approx(expect, abs=1e-15)
+            assert c.coeffs[lat.indices_of(xi)[0]] == pytest.approx(expect, abs=1e-15)
         assert oracle[1] == pytest.approx(0.5, abs=1e-15)
         assert oracle[-1] == pytest.approx(0.5, abs=1e-15)
 
@@ -136,7 +136,7 @@ class TestInverseTransform:
     def test_delta_at_zero_gives_constant(self):
         lat = FrequencyLattice(1, 3)
         coeffs = np.zeros(len(lat), dtype=complex)
-        coeffs[lat.index_of(0)] = 1.0
+        coeffs[lat.indices_of(0)[0]] = 1.0
         f = synthesize(FourierCoefficients(lat, coeffs), min_grid_size(3))
         assert np.abs(f.values - 1.0).max() < 1e-14
 

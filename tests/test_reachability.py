@@ -1,5 +1,6 @@
-"""Every public top-level function and class of the package is used by the package,
-and every defaulted parameter of one is passed more than one value by it.
+"""Every public top-level function and class of the package, and every public
+method of a public class, is used by the package, and every defaulted parameter
+of a top-level one is passed more than one value by it.
 
 A definition that only the tests call pins code no ``torustrace`` command runs,
 so the tests would check a wrapper instead of the path the CLI takes.  A
@@ -36,43 +37,67 @@ def package_trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
 
 
-def references(tree: ast.Module):
-    """(name, top-level statement it occurs in) for every Name, Attribute and
-    import alias of ``tree``."""
-    for stmt in tree.body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield node.id, stmt
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, stmt
-            elif isinstance(node, ast.alias):
-                yield node.name, stmt
-                if node.asname:
-                    yield node.asname, stmt
+def references(node: ast.AST, owners: frozenset[int] = frozenset()):
+    """(name, ids of the definitions it occurs in) for every Name, Attribute and
+    import alias under ``node``."""
+    if isinstance(node, PUBLIC_DEFS):
+        owners = owners | {id(node)}
+    if isinstance(node, ast.Name):
+        yield node.id, owners
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, owners
+    elif isinstance(node, ast.alias):
+        yield node.name, owners
+        if node.asname:
+            yield node.asname, owners
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, owners)
+
+
+def public_definitions(trees: dict[str, ast.Module]):
+    """(module.name, node) for every public top-level ``def``/``class``, and
+    (module.Class.name, node) for every public method of a public class."""
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, PUBLIC_DEFS) or stmt.name.startswith("_"):
+                continue
+            yield f"{module}.{stmt.name}", stmt
+            if isinstance(stmt, ast.ClassDef):
+                for method in stmt.body:
+                    if isinstance(method, PUBLIC_DEFS[:2]) and not method.name.startswith("_"):
+                        yield f"{module}.{stmt.name}.{method.name}", method
+
+
+def unused_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """The public definitions that occur nowhere in ``trees`` outside their own
+    definition, as a name, an attribute or an import."""
+    used: dict[str, list[frozenset[int]]] = {}
+    for tree in trees.values():
+        for name, owners in references(tree):
+            used.setdefault(name, []).append(owners)
+    return [qualified for qualified, node in public_definitions(trees)
+            if all(id(node) in owners for owners in used.get(node.name, []))]
 
 
 def test_every_public_definition_is_used_in_src():
-    """A public top-level ``def``/``class`` must occur somewhere in ``src`` outside
-    its own definition, as a name, an attribute or an import.
+    """A public top-level ``def``/``class``, or a public method of a public class,
+    must occur somewhere in ``src`` outside its own definition.
 
     Names are matched as bare strings, so a definition that shares its name with
     anything else the package uses (an attribute read as ``dual.<name>``,
-    a method, a dict key spelled as an attribute) counts as used: such a
-    function escapes this check.
+    a method of another class, a dict key spelled as an attribute) counts as
+    used: such a function escapes this check.
     """
-    trees = package_trees()
-    used: dict[str, set[int]] = {}
-    for tree in trees.values():
-        for name, stmt in references(tree):
-            used.setdefault(name, set()).add(id(stmt))
-    unused = [
-        f"{module}.{stmt.name}"
-        for module, tree in trees.items()
-        for stmt in tree.body
-        if isinstance(stmt, PUBLIC_DEFS) and not stmt.name.startswith("_")
-        and not used.get(stmt.name, set()) - {id(stmt)}
-    ]
-    assert [name for name in unused if name not in KEEP] == []
+    assert [name for name in unused_definitions(package_trees()) if name not in KEEP] == []
+
+
+def test_the_reachability_check_sees_an_unused_method():
+    # ``spare`` only calls itself and nothing calls ``make``; ``used`` is called
+    # by ``make``, and ``Box`` is used inside ``make``
+    tree = ast.parse("class Box:\n    def used(self):\n        return 1\n"
+                     "    def spare(self):\n        return self.spare()\n"
+                     "def make():\n    return Box().used()\n")
+    assert unused_definitions({"m": tree}) == ["m.Box.spare", "m.make"]
 
 
 def value_of(node: ast.expr):
