@@ -6,7 +6,7 @@ integer arithmetic (4^m <= |xi|^2 < 4^{m+1}), so boundary frequencies never
 migrate with rounding.  ``block_index`` is the one dyadic binning of the
 package.  Lattice callers pass |xi|^2; the series certificates (``criteria``)
 pass floor(lambda) + 1, the bracket <xi>^2 rounded down, and the bracket
-shells of a dual series (``GroupDual.shells``) are the same blocks of that
+shells of a dual series (``GroupDual.cuts``) are the same blocks of that
 key, cut from the dual's ascending lambda at 4^m - 1.  On a torus lattice of
 dim 1 or 2 the two keys bin alike: they differ in block only where
 |xi|^2 = 4^m - 1 = 3 mod 4, which no sum of two squares is, so grouping a
@@ -49,16 +49,16 @@ def block_index(key):
     return np.maximum(np.frexp(np.asarray(key, dtype=np.int64))[1] - 1, 0) // 2
 
 
-def block_sums(blocks: np.ndarray, terms: np.ndarray, weights=None) -> tuple[list[int], list[float], float]:
-    """(block indices present, exactly rounded sum of ``terms`` over each, ascending;
-    exactly rounded sum of all the terms), from one ``sums.fsum_by`` pass;
-    ``weights`` counts each term that many times."""
-    blocks = np.asarray(blocks, dtype=np.intp)
-    seen = np.zeros(int(blocks.max()) + 1 if blocks.size else 0, dtype=bool)
-    seen[blocks] = True
-    present = np.flatnonzero(seen).tolist()
-    sums, total = fsum_by(blocks, np.asarray(terms, dtype=np.float64), weights, total=True)
-    return present, [sums[m] for m in present], total
+def block_sums(cuts: np.ndarray, terms: np.ndarray, weights=None) -> tuple[list[int], list[float], float]:
+    """(blocks present, exactly rounded sum of ``terms`` over each, ascending; exactly
+    rounded sum of all the terms) from one ``sums.fsum_by`` pass, block m being rows
+    cuts[m]:cuts[m + 1], of which ``terms`` holds the first (the rest are exact zeros);
+    ``weights``, one a row, counts each term that many times."""
+    present = np.flatnonzero(np.diff(cuts)).tolist()
+    inside = int(np.searchsorted(cuts, len(terms)))  # the blocks that start among the terms
+    weights = None if weights is None else weights[:len(terms)]
+    sums, total = fsum_by(None, terms, weights, total=True, cuts=np.minimum(cuts[:inside + 1], len(terms)))
+    return present, [sums[m] if m < inside else 0.0 for m in present], total
 
 
 def block_norms(c: FourierCoefficients, p: float, grid_size: int) -> list[tuple[int, float]]:

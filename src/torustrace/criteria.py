@@ -135,15 +135,15 @@ def _power_series_witness(n: int, exponent: float) -> dict:
 
 
 def _shell_witness(
-    series: str, shells: np.ndarray, terms: np.ndarray, lambda_cap: float, beyond: float,
+    series: str, cuts: np.ndarray, terms: np.ndarray, lambda_cap: float, beyond: float,
     gaussian: bool, note: str = "", weights: np.ndarray | None = None,
 ) -> dict:
     """Witness of a series over a truncation complete up to lambda_cap: partial
     sums over the bracket shells j wholly inside it (4^{j+1} <= 1 + lambda_cap),
-    and as tail the exact sums of the other shells plus ``beyond``, the bound past
-    the truncation.  Each term counts ``weights`` times (default once).  One
-    binned pass sums every shell."""
-    labels, sums, _ = block_sums(shells, terms, weights)
+    rows cuts[j]:cuts[j + 1], and as tail the exact sums of the other shells plus
+    ``beyond``, the bound past the truncation.  Each term counts ``weights`` times
+    (default once).  One binned pass sums every shell (``besov.block_sums``)."""
+    labels, sums, _ = block_sums(cuts, terms, weights)
     complete = bisect_left(labels, int(block_index(math.floor(lambda_cap) + 1)))
     return _witness(series, labels[:complete], list(accumulate(sums[:complete])),
                     fsum(sums[complete:] + [beyond]), gaussian, note)
@@ -235,9 +235,11 @@ def _truncated_bracket_convolution(n: int, w2: float, k: int) -> dict:
     sf, sg = (fsum(window.brackets() ** b) + dual_tail_bound(torus, 2 * base, 0.0, b, 0.0)
               for b in (w2, -2.0 * k))
     beyond = tf * sg + sf * tg if math.isfinite(sf + sg) else math.inf  # no 0 * inf
+    blocks = block_index(lat.squared_norms() + 1)
+    order = np.argsort(blocks, kind="stable")  # each shell's rows together, in lattice order
     return _shell_witness(
         f"sum_xi (<.>^({w2:.6g}) * <.>^({-2.0 * k:.6g}))(xi) over Z^{n}",
-        block_index(lat.squared_norms() + 1), conv, float(base) ** 2, beyond, False,
+        np.searchsorted(blocks[order], np.arange(blocks.max() + 2)), conv[order], float(base) ** 2, beyond, False,
         note="sum <xi>^w2 or sum <xi>^-2k over Z^n diverges, and with it the convolution "
         "series; the clause verdict above follows the stated inequalities",
     )
@@ -359,7 +361,7 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
                           -1.0 - group.count_power)
     witness = _shell_witness(
         f"case {case} dual series, bracket exponent {xi_exp:.6g}, dimension exponent {d_exp:.6g}",
-        dual.shells, dual.terms(a, b, s), group.lambda_cap(dual.cutoff),
+        dual.cuts, dual.terms(a, b, s), group.lambda_cap(dual.cutoff),
         dual_tail_bound(group, dual.cutoff, a, b, s), s > 0,
         UNBOUNDED_TAIL_NOTE if summable.holds() else "", dual.mult)
     derived: dict = {"case": float(case), "dimension_exponent": d_exp, "bracket_exponent": xi_exp}

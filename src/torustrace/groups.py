@@ -12,21 +12,21 @@ carries dimension 1 and Laplacian eigenvalue |xi|^2, so the group bracket
 by l in {0, 1/2, 1, 3/2, ...} with dimension 2l + 1 and eigenvalue l(l + 1);
 ``half_integers=False`` restricts to the integer spins, whose d are ``step`` 2 apart.
 
-A ``GroupDual`` holds its record, its cutoff and arrays ``d``, ``lam`` and ``mult``,
-one row per distinct eigenvalue, sorted by lambda, each row's term counted ``mult``
-times.  The torus slice has one row per distinct lambda = n, weighted by the number
-r(n) of box points with |xi|^2 = n; the SU(2) slice has one row per spin (``mult``
-all ones).  A series is its envelope (a, b, s): ``GroupDual.terms`` gives its terms
-d^a <xi>^b e^{-s lambda}, which depend on lambda and d alone, so their exactly
-rounded sums are those of the per-point slice; ``summed_series`` sums them and
-bounds the tail by ``dual_tail_bound`` of the same envelope.  ``bessel_tail`` gives
-the dim-1 torus Bessel series the midpoint integral of its tail in closed form,
-with a bound on its error.
+A ``GroupDual`` holds its record, its cutoff and arrays ``d``, ``lam`` and ``mult``, one
+row per distinct eigenvalue, ascending, each row's term counted ``mult`` times: the
+r(n) box points with |xi|^2 = n on the torus, one spin on SU(2) (an all-ones ``d`` or
+``mult`` is a zero-stride view of one 1, not an array).  A series is its envelope (a, b, s), terms
+d^a <xi>^b e^{-s lambda} of lambda and d alone, so their exactly rounded sums are those
+of the per-point slice.  ``GroupDual.terms`` builds them in one buffer, over the rows
+where e^{-s lambda} is not 0 only; ``summed_series`` sums them over the shell ``cuts``
+and bounds the tail by ``dual_tail_bound``.  ``bessel_tail`` gives the dim-1 torus
+Bessel series the midpoint integral of its tail in closed form, with a bound on its error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .besov import block_sums
 DUAL_SIZE_LIMIT = 10**7
 UNBOUNDED_TAIL_NOTE = "the series is summable, but its tail bound leaves float64"
 # shell j of the ascending lambda lies between edges j and j + 1: 4^j - 1, -inf and inf at the ends
+_ONE = np.frombuffer(np.int64(1).tobytes(), dtype=np.int64)  # one 1, read-only: the all-ones views share it
 _SHELL_EDGES = np.concatenate(([-math.inf], 4.0 ** np.arange(1, 27) - 1.0, [math.inf]))
 
 
@@ -53,7 +54,7 @@ class Torus:
 
     def rows(self, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lam, mult = _radial_torus(self.dimension, math.floor(cutoff))
-        return np.ones(lam.shape[0], dtype=np.int64), lam, mult
+        return np.ndarray(lam.shape, np.int64, _ONE, 0, (0,)), lam, mult
 
     def lambda_cap(self, cutoff: float) -> float:
         return float(int(cutoff)) ** 2  # Euclidean ball inside the max-norm box
@@ -78,7 +79,8 @@ class SU2:
     def rows(self, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         size = self.size(cutoff)
         l = np.arange(size) * (self.step / 2)  # lambda grows with l: counting order is sorted
-        return (2.0 * l + 1.0).astype(np.int64), l * (l + 1.0), np.ones(size, dtype=np.int64)
+        d = np.arange(1, self.step * size + 1, self.step, dtype=np.int64)  # 2l + 1
+        return d, np.multiply(l, l + 1.0, out=l), np.ndarray((size,), np.int64, _ONE, 0, (0,))
 
     def lambda_cap(self, cutoff: float) -> float:
         return cutoff * (cutoff + 1.0)
@@ -98,33 +100,38 @@ class GroupDual:
         return self.lam.shape[0]
 
     def terms(self, a: float, b: float, s: float) -> np.ndarray:
-        """Terms d^a <xi>^b e^{-s lambda} of a dual series, one per row, with <xi>^b
-        one power (1 + lambda)^{b/2}; a factor that is 1 (d^a without ``d_power``,
-        b = 0, s = 0) is not computed.  Past the float range a term is inf, e^{-s lambda} 0."""
-        terms = None
+        """Terms d^a <xi>^b e^{-s lambda}, <xi>^b = (1 + lambda)^{b/2}, inf past the float range: of every
+        row, or for s > 0 of the rows with lambda <= 746/s, past which e^{-s lambda} and each term are
+        exactly 0 so long as d^a <xi>^b (monotone along the rows, or at most 1) is finite at the last row."""
+        head = len(self) if not s > 0 else int(np.searchsorted(self.lam, 746.0 / s, side="right"))
+        if head < len(self) and not np.isfinite(self._fill(np.empty(1), slice(-1, None), a, b, 0.0)[0]):
+            head = len(self)
+        return self._fill(np.empty(head), slice(head), a, b, s)
+
+    def _fill(self, out: np.ndarray, rows: slice, a: float, b: float, s: float) -> np.ndarray:
+        """``out`` = d^a (1 + lambda)^{b/2} e^{-s lambda} over ``rows``, each factor not 1
+        (d^a without ``d_power``, b = 0, s = 0) by its expression's ufuncs, in order: the first
+        in ``out``, each later one in a second buffer that then multiplies it, bit for bit."""
+        d, lam = self.d[rows], self.lam[rows]  # d + 0.0: the float d, as d.astype(np.float64)
+        factors = [factor for used, factor in (
+            (a != 0 and self.group.d_power, lambda part: operator.ipow(np.add(d, 0.0, out=part), a)),
+            (b != 0, lambda part: operator.ipow(np.add(lam, 1.0, out=part), b / 2.0)),
+            (s != 0, lambda part: np.exp(np.multiply(lam, -s, out=part), out=part))) if used]
+        spare = np.empty_like(out) if len(factors) > 1 else None
         with np.errstate(over="ignore"):
-            if a != 0 and self.group.d_power:
-                terms = self.d.astype(np.float64) ** a
-            if b != 0:
-                bracket = (1.0 + self.lam) ** (b / 2.0)
-                terms = bracket if terms is None else np.multiply(terms, bracket, out=terms)
-            if s != 0:
-                decay = np.exp(-s * self.lam)
-                terms = decay if terms is None else np.multiply(terms, decay, out=terms)
-        return np.ones(len(self)) if terms is None else terms
+            factors[0](out) if factors else out.fill(1.0)  # 1: the empty product
+            for factor in factors[1:]:
+                out *= factor(spare)
+        return out
 
     @property
-    def shells(self) -> np.ndarray:
-        """Dyadic bracket shell j of each row (not each dual point: a row stands for
-        ``mult`` points), 4^j <= floor(lambda) + 1 < 4^{j+1}.  As 4^j - 1 is an
-        integer, floor(lambda) + 1 >= 4^j exactly when lambda >= 4^j - 1, so the
-        shells are ``np.searchsorted`` cuts of the ascending lambda at the edges
-        4^j - 1, exact doubles for j <= 26 (``DUAL_SIZE_LIMIT`` keeps lambda below
-        4^23), not a binning of each row.
-
-        On the SU(2) dual the spins l = 2^k - 1/2 have floor(lambda) = 4^k - 1,
-        so the ``+ 1`` moves them up a shell."""
-        return np.repeat(np.arange(_SHELL_EDGES.size - 1), np.diff(np.searchsorted(self.lam, _SHELL_EDGES)))
+    def cuts(self) -> np.ndarray:
+        """Dyadic bracket shell j, 4^j <= floor(lambda) + 1 < 4^{j+1}, is rows cuts[j]:cuts[j + 1]
+        (a row stands for ``mult`` points).  As 4^j - 1 is an integer, these are
+        ``np.searchsorted`` cuts of the ascending lambda at the edges 4^j - 1, exact doubles
+        for j <= 26 (``DUAL_SIZE_LIMIT`` keeps lambda below 4^23).  The SU(2) spins
+        l = 2^k - 1/2 have floor(lambda) = 4^k - 1, so the ``+ 1`` moves them up a shell."""
+        return np.searchsorted(self.lam, _SHELL_EDGES)
 
 
 def dual_size(group: Torus | SU2, cutoff: float):
@@ -146,23 +153,23 @@ def enumerate_dual(group: Torus | SU2, cutoff) -> GroupDual:
 
 
 def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct n = |xi|^2 over the box |xi|_inf <= radius, ascending, with the
-    number r(n) of box points on each.  Each quarter-box point (a_1, .., a_dim),
-    a_i >= 0, stands for the 2^(number of a_i > 0) sign choices; one bincount
-    of the sums of squares adds those up.  In dim 1 the squares are distinct
-    already (and a bincount would need radius^2 bins)."""
-    signs = np.full(radius + 1, 2, dtype=np.int64)
-    signs[0] = 1
-    if dim == 1:  # squares below 2^53 are exact in float64
-        return np.arange(radius + 1, dtype=np.float64) ** 2, signs
+    """Distinct n = |xi|^2 over the box |xi|_inf <= radius, ascending, with the number r(n) of box
+    points on each.  A quarter-box point (a_i >= 0) stands for prod_i (2 - [a_i = 0]) sign choices, so
+    r = sum_k C(dim, k) (-1)^(dim - k) 2^k c_k, c_k(n) the points of the k-dimensional quarter box on n
+    (unweighted bincounts, exact integers).  In dim 1 the squares are distinct already."""
+    if dim == 1:  # squares below 2^53 are exact in float64; 2 signs but at 0
+        lam = np.arange(radius + 1, dtype=np.float64)
+        return np.square(lam, out=lam), np.minimum(np.arange(radius + 1, dtype=np.int64), 1) + 1
     square = np.arange(radius + 1, dtype=np.int64) ** 2
-    keys, weights = square, signs
+    lower = [np.zeros(1, dtype=np.int64)]  # the sums over the quarter boxes of dimension k < dim
     for _ in range(dim - 1):
-        keys = np.add.outer(keys, square).ravel()
-        weights = np.outer(weights, signs).ravel()
-    r = np.bincount(keys, weights)  # integers below DUAL_SIZE_LIMIT, exact in float64
-    n = np.flatnonzero(r)
-    return n.astype(np.float64), r[n].astype(np.int64)
+        lower.append(np.add.outer(lower[-1], square).ravel())
+    count = np.bincount(np.add.outer(lower[-1], square).ravel())
+    n = np.flatnonzero(count > 0)  # on bools: on int64 numpy's nonzero takes 3 times as long
+    r = count[n] * 2**dim
+    for k, keys in enumerate(lower):
+        np.add.at(r, np.searchsorted(n, keys), math.comb(dim, k) * (-1) ** (dim - k) * 2**k)
+    return n.astype(np.float64), r
 
 
 def is_summable(group: Torus | SU2, a: float, b: float, s: float) -> bool:
@@ -228,7 +235,7 @@ def summed_series(dual: GroupDual, envelope: tuple) -> tuple[float, dict]:
     past the slice, ``dual_tail_bound``; ``converged``, true exactly
     when that tail is finite; and, only where the series is summable but the
     bound leaves float64, a ``tail_note`` that says so."""
-    _, shell_sums, value = block_sums(dual.shells, dual.terms(*envelope), dual.mult)
+    _, shell_sums, value = block_sums(dual.cuts, dual.terms(*envelope), dual.mult)
     tail = dual_tail_bound(dual.group, dual.cutoff, *envelope)
     diagnostics = {"shell_sums": shell_sums, "tail_estimate": tail, "converged": math.isfinite(tail)}
     if tail == math.inf and is_summable(dual.group, *envelope):

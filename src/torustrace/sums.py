@@ -49,8 +49,7 @@ Weights that are all 1 are dropped, so the kernel skips the products.
 Zeros of either sign add nothing to ``math.fsum``, which keeps no zero
 partials.  So when n >= ``CROSSOVER``, the exact zeros are dropped before the
 path is chosen, and n, ``CROSSOVER`` and the other rules below count nonzero
-terms.  A series whose terms underflow costs its nonzero terms only: the
-SU(2) heat series of tt1 at cutoff 2e4 and t = 0.0015 has 1,409 of 40,001.
+terms.
 
 One call can give a series' value and its group sums (``total=True``), as for
 a dual series and its dyadic shell sums.  The bins of every group are exact
@@ -58,10 +57,10 @@ floats whose exact sum is the sum of all the terms, so one ``math.fsum`` over
 all groups' bins together is the correctly rounded total: the bits of
 ``math.fsum`` over all the terms, from the same binned pass as the group sums.
 
-Memory: where some terms are zero, a mask of 1 byte a term and copies of
-the nonzero terms, their groups and their weights, up to 32 bytes a term.
-Then the terms go through in chunks of ``CHUNK``, with about 38 bytes of
-temporaries per term (about 1.2 MB a chunk), plus 2125 x 8 bytes of bins per
+Memory: where some terms are zero, copies of the nonzero terms and of their
+indices, groups and weights, up to 32 bytes a nonzero term.  Then the terms go
+through in chunks of ``CHUNK``, with at most about 40 bytes of temporaries a
+term (weights are cast a chunk at a time), plus 2125 x 8 bytes of bins per
 group.  The terms go to ``math.fsum`` itself (repeated by their weights), so
 that its values and its exceptions are kept, when there are fewer than
 ``CROSSOVER`` of them; when any is inf or nan; when max|x| >=
@@ -88,9 +87,9 @@ import numpy as np
 # Below about 1000 terms one math.fsum call is as fast as the kernel, whose
 # fixed cost is about 60 us (2-core Xeon, numpy 2.4; figures in CHANGES.md).
 CROSSOVER = 1024
-# Terms per frexp/bincount pass: 2^14 and 2^15 time best on 200001 terms,
-# 2^17 and up fall out of cache.
-CHUNK = 1 << 15
+# Terms per frexp/bincount pass: on 200,001 weighted dual terms 2^14 takes 1.2 ms in a
+# fresh process and 0.75 ms warm, 2^13 1.3 and 0.87, 2^15 1.4 and 1.1 (figures in CHANGES.md).
+CHUNK = 1 << 14
 # Past this many groups the bins (17 kB a group) outweigh the terms; such
 # calls take the per-group math.fsum path.
 MAX_GROUPS = 256
@@ -114,16 +113,17 @@ def fsum_complex(values) -> complex:
     return complex(fsum(arr.real), fsum(arr.imag))
 
 
-def fsum_by(groups, values, weights=None, total: bool = False):
+def fsum_by(groups, values, weights=None, total: bool = False, cuts=None):
     """Exactly rounded sum of each group of float64 ``values``, equal bit for bit to
     ``math.fsum`` over that group's terms.  ``groups`` holds a nonnegative integer
     per term of a 1-D ``values``, and the sums of groups 0 .. max(groups) come back
-    (an empty group sums to 0.0).  With ``groups`` None each row of a 2-D
-    ``values`` is a group, and a 1-D ``values`` is one group.  ``weights``, of
-    ``values``' shape, gives each term a positive integer multiplicity; weights
-    that are all 1 are no weights.  With ``total`` the result is (group sums,
-    sum of all terms), the latter with the bits and exceptions of ``math.fsum``
-    over all the terms, each repeated by its weight, raised before any group's."""
+    (an empty group sums to 0.0).  With ``groups`` None, group j is terms cuts[j]:
+    cuts[j + 1] of a 1-D ``values`` (``cuts`` ascending from 0 to its size), else each
+    row of a 2-D ``values`` or a 1-D ``values`` whole.  ``weights``, of ``values``'
+    shape, gives each term a positive integer multiplicity (all 1: no weights).  With
+    ``total`` the result is (group sums, sum of all terms), the latter with the bits
+    and exceptions of ``math.fsum`` over all the terms, each repeated by its weight,
+    raised before any group's."""
     values = np.asarray(values, dtype=np.float64)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
@@ -133,35 +133,38 @@ def fsum_by(groups, values, weights=None, total: bool = False):
             raise ValueError("weights must be positive integers")
         if weights.size and weights.max() == 1:
             weights = None
-    if groups is None:
-        values = np.atleast_2d(values)
-        size, row_length = values.shape
-    else:
+    if groups is not None:
         groups = np.asarray(groups, dtype=np.intp)
         size = int(groups.max()) + 1 if groups.size else 0
+    elif cuts is not None:
+        size = len(cuts) - 1
+    else:
+        values = np.atleast_2d(values)
+        size, row_length = values.shape
     values = values.reshape(-1)
     if weights is not None:
         weights = weights.reshape(-1)
     n = values.size if weights is None else int(weights.sum())
-    if n >= CROSSOVER:  # CROSSOVER counts nonzero terms; nan != 0, so only zeros go
-        nonzero = values != 0
-        if not nonzero.all():
-            kept = np.flatnonzero(nonzero)
-            values = values[kept]
+    if n >= CROSSOVER and np.count_nonzero(values) < values.size:  # nan != 0: only zeros go
+        kept = np.flatnonzero(values)
+        values = values[kept]
+        if cuts is not None:
+            cuts = np.searchsorted(kept, cuts)
+        else:
             groups = kept // row_length if groups is None else groups[kept]
-            weights = None if weights is None else weights[kept]
-            n = values.size if weights is None else int(weights.sum())
+        weights = None if weights is None else weights[kept]
+        n = values.size if weights is None else int(weights.sum())
     limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
     if (n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS
             or not (values.max() < limit and -values.min() < limit)):  # nan fails both
         whole = math.fsum(values if weights is None else np.repeat(values, weights)) if total else None
-        if groups is None:  # no term was dropped, so the rows are whole
+        if cuts is not None:
+            groups = np.repeat(np.arange(size), np.diff(cuts))
+        elif groups is None:  # no term was dropped, so the rows are whole
             values = values.reshape(size, row_length)
             weights = None if weights is None else weights.reshape(size, row_length)
         sums = _fsum_slices(groups, values, size, weights)
         return (sums, whole) if total else sums
-    if weights is not None:
-        weights = weights.astype(np.float64)  # exact: each weight is below 2^26
     bins = np.zeros((size, _BINS))  # bins[g, k]: group g's integer sum at scale 2^(k - 1127)
     low, high = _BINS, 0  # the bins any chunk touched
     for start in range(0, values.size, CHUNK):
@@ -172,15 +175,18 @@ def fsum_by(groups, values, weights=None, total: bool = False):
         key -= first
         if groups is not None:
             key = groups[start:stop] * width + key
+        elif size > 1 and cuts is not None:
+            key = np.repeat(np.arange(size) * width, np.diff(np.clip(cuts, start, stop))) + key
         elif size > 1:
             key = np.arange(start, stop) // row_length * width + key
         frac *= 2.0**27
         hi = np.trunc(frac)
         frac -= hi
         frac *= 2.0**26
-        if weights is not None:  # products below 2^53, exact
-            hi *= weights[start:stop]
-            frac *= weights[start:stop]
+        if weights is not None:  # weights below 2^26, cast a chunk at a time: products below 2^53, exact
+            weight = weights[start:stop].astype(np.float64)
+            hi *= weight
+            frac *= weight
         key, hi, frac = _reduce_runs(key, hi, frac)
         # hi 2^(e-27) lands in bin e + 1100, lo 2^(e-53) = lo 2^((e-26)-27) in bin e + 1074
         window = bins[:, first + _OFFSET:first + _OFFSET + width + 26]

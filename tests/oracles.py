@@ -357,7 +357,7 @@ def _shell(p: DualPoint) -> int:
 
 def bracket_shells(lam: np.ndarray) -> np.ndarray:
     """Dyadic bracket shell of each row, binned row by row: ``block_index`` of
-    floor(lambda) + 1 in exact integers.  ``GroupDual.shells`` cuts the ascending
+    floor(lambda) + 1 in exact integers.  ``GroupDual.cuts`` cuts the ascending
     lambda at the shell edges instead."""
     return block_index(np.floor(lam).astype(np.int64) + 1)
 

@@ -56,6 +56,17 @@ def assert_close(got, want):
         assert abs(g - w) <= RTOL * abs(w), (g, w)
 
 
+def row_shells(dual: GroupDual) -> np.ndarray:
+    """The bracket shell of each row, read off ``dual.cuts``."""
+    return np.repeat(np.arange(dual.cuts.size - 1), np.diff(dual.cuts))
+
+
+def row_terms(dual: GroupDual, envelope: tuple) -> np.ndarray:
+    """One term per row: ``dual.terms`` with the exact zeros past its head written out."""
+    terms = dual.terms(*envelope)
+    return np.concatenate((terms, np.zeros(len(dual) - terms.size)))
+
+
 def per_point(dual: GroupDual) -> GroupDual:
     """The slice with one row per dual point: every row repeated ``mult`` times."""
     return GroupDual(dual.group, dual.cutoff, np.repeat(dual.d, dual.mult),
@@ -158,7 +169,7 @@ def test_shells_are_cuts_of_the_row_by_row_binning(spec):
     dual = GroupDual(whole.group, cutoff, whole.d[rows], whole.lam[rows], whole.mult[rows])
     if isinstance(rows, list):  # spin l = (row + 1)/2 - 1/2 = 2^k - 1/2: floor(lambda) + 1 = 4^k
         assert [math.floor(lam) + 1 for lam in dual.lam.tolist()] == [((row + 1) // 2) ** 2 for row in rows]
-    assert dual.shells.tolist() == oracles.bracket_shells(dual.lam).tolist()
+    assert row_shells(dual).tolist() == oracles.bracket_shells(dual.lam).tolist()
 
 
 def test_shells_cut_exactly_at_the_edges():
@@ -167,7 +178,7 @@ def test_shells_cut_exactly_at_the_edges():
     lam = np.sort(np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]))
     ones = np.ones(lam.size, dtype=np.int64)
     dual = GroupDual(Torus(1), 0.0, ones, lam, ones)
-    assert dual.shells.tolist() == oracles.bracket_shells(lam).tolist()
+    assert row_shells(dual).tolist() == oracles.bracket_shells(lam).tolist()
 
 
 radial_duals = st.tuples(st.integers(0, 160).map(lambda k: k / 4.0), st.sampled_from([1, 2]))
@@ -198,7 +209,7 @@ def test_radial_slice_counts_every_point(spec):
     assert radial.group.dimension == dim
     assert radial.lam.tolist() == n.tolist() and radial.mult.tolist() == r.tolist()
     assert radial.d.tolist() == [1] * len(n) and int(radial.mult.sum()) == dual_size(Torus(dim), cutoff)
-    assert radial.shells.tolist() == block_index(n.astype(np.int64) + 1).tolist()
+    assert row_shells(radial).tolist() == block_index(n.astype(np.int64) + 1).tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -262,7 +273,7 @@ def outcome(fn, *args):
 def series_by_math_fsum(dual: GroupDual, envelope: tuple):
     """``summed_series`` from ``math.fsum`` over the terms repeated by their
     multiplicities, whole and per dyadic bracket shell, the total first."""
-    flat, shells = np.repeat(dual.terms(*envelope), dual.mult), np.repeat(dual.shells, dual.mult)
+    flat, shells = np.repeat(row_terms(dual, envelope), dual.mult), np.repeat(row_shells(dual), dual.mult)
     value = math.fsum(flat)
     shell_sums = [math.fsum(flat[shells == j]) for j in np.unique(shells)]
     tail = dual_tail_bound(dual.group, dual.cutoff, *envelope)
@@ -286,8 +297,8 @@ def test_heat_and_bessel_terms_keep_the_bits_of_their_expressions(spec, t, alpha
     with np.errstate(over="ignore"):
         heat = dual.d * dual.d * np.exp(-t * dual.lam)
         bessel = dual.d * dual.d * (1.0 + dual.lam) ** (-alpha / 2)
-    assert bits(dual.terms(2.0, 0.0, t).tolist()) == bits(heat.tolist())
-    assert bits(dual.terms(2.0, -alpha, 0.0).tolist()) == bits(bessel.tolist())
+    assert bits(row_terms(dual, (2.0, 0.0, t)).tolist()) == bits(heat.tolist())
+    assert bits(row_terms(dual, (2.0, -alpha, 0.0)).tolist()) == bits(bessel.tolist())
 
 
 @settings(max_examples=120, deadline=None)
@@ -309,6 +320,63 @@ def test_summed_series_matches_the_two_calls_bit_for_bit(spec, kind):
     want = outcome(series_by_math_fsum, dual, envelope)
     got = outcome(summed_series, dual, envelope)
     assert bits(got) == bits(want)
+
+
+def every_row_terms(dual: GroupDual, a: float, b: float, s: float) -> np.ndarray:
+    """The envelope's terms over every row, as ``GroupDual.terms`` wrote them before
+    it cut the underflowed tail: three full-length factors multiplied in turn."""
+    terms = None
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 past an overflowing bracket
+        if a != 0 and dual.group.d_power:
+            terms = dual.d.astype(np.float64) ** a
+        if b != 0:
+            bracket = (1.0 + dual.lam) ** (b / 2.0)
+            terms = bracket if terms is None else np.multiply(terms, bracket, out=terms)
+        if s != 0:
+            decay = np.exp(-s * dual.lam)
+            terms = decay if terms is None else np.multiply(terms, decay, out=terms)
+    return np.ones(len(dual)) if terms is None else terms
+
+
+# (a, b): heat, Bessel, a growing bracket, a bracket that overflows (nan past the
+# head's edge), no factor but the decay
+TERM_ENVELOPES = [(2.0, 0.0), (2.0, -3.0), (1.5, 2.5), (2.0, 700.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-3, 0.0015, 1.0, 1e300, -17.7])
+@pytest.mark.parametrize("group, cutoff", [(Torus(1), 2000), (Torus(2), 30), (SU2(True), 2000), (SU2(False), 2000)],
+                         ids=["torus-1", "torus-2", "su2", "su2-integer"])
+def test_terms_are_the_head_of_every_row_bit_for_bit(group, cutoff, s):
+    """``GroupDual.terms`` evaluates the head rows only, with the bits of the
+    full-length expression, and every row past the head is +0.0 there: a nan or
+    inf past the head's edge keeps every row.  The torus dim-2 slice at cutoff 30
+    holds lambda = 746 = 25^2 + 11^2, the edge 746/s at s = 1, in its head."""
+    dual = enumerate_dual(group, cutoff)
+    for a, b in TERM_ENVELOPES:
+        want = every_row_terms(dual, a, b, s)
+        with np.errstate(invalid="ignore"):
+            got = dual.terms(a, b, s)
+        assert bits(got.tolist()) == bits(want[:got.size].tolist())
+        assert bits(want[got.size:].tolist()) == bits([0.0] * (len(dual) - got.size))
+        if not s > 0 or not np.isfinite(want).all():
+            assert got.size == len(dual)
+    heat = dual.terms(2.0, 0.0, s)
+    assert (heat.size < len(dual)) == (s > 0 and dual.lam[-1] > 746.0 / s)
+    if group.name == "torus" and group.dimension == 2 and s == 1.0:
+        assert dual.lam[heat.size - 1] == 746.0
+
+
+def test_shells_past_the_head_are_reported_with_sum_zero():
+    """The shells of ``heat-trace --group torus --dim 2 --t 0.01 --cutoff 1000`` past
+    lambda = 746/t hold no evaluated row, and are reported, each with sum +0.0."""
+    dual = enumerate_dual(Torus(2), 1000)
+    value, diagnostics = summed_series(dual, (2.0, 0.0, 0.01))
+    shells = oracles.bracket_shells(dual.lam)
+    head = dual.terms(2.0, 0.0, 0.01).size
+    assert len(diagnostics["shell_sums"]) == len(np.unique(shells)) == 11
+    assert shells[head - 1] < shells[-1] - 1  # two whole shells past the head
+    assert bits(diagnostics["shell_sums"][-2:]) == bits([0.0, 0.0])
+    assert bits(value) == bits(314.15926535897933)
 
 
 @pytest.mark.parametrize(

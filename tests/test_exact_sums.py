@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import torustrace.sums as sums
 from torustrace.criteria import check_tt1
 from torustrace.groups import SU2, Torus, enumerate_dual, summed_series
@@ -172,9 +173,13 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
     """Tripwire: the shell sums of a 200001-point dual go through the bins."""
     dual = enumerate_dual(Torus(1), 100000)
     envelopes = {"bessel": (2.0, -2.0, 0.0), "heat": (2.0, 0.0, 1e-6)}
-    shells = np.repeat(dual.shells, dual.mult)
-    want = {name: [math.fsum(np.repeat(dual.terms(*e), dual.mult)[shells == j]) for j in np.unique(shells)]
-            for name, e in envelopes.items()}
+    shells = np.repeat(oracles.bracket_shells(dual.lam), dual.mult)
+    rows = {}
+    for name, envelope in envelopes.items():  # one term per row: the zeros past the head written out
+        head = dual.terms(*envelope)
+        rows[name] = np.concatenate((head, np.zeros(len(dual) - head.size)))
+    want = {name: [math.fsum(np.repeat(rows[name], dual.mult)[shells == j]) for j in np.unique(shells)]
+            for name in envelopes}
     passed = []
     real_fsum = math.fsum
 
