@@ -8,7 +8,11 @@ header timestamp honours SOURCE_DATE_EPOCH and is null otherwise.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (eigensolver
 breakdown, or a divergence flag under --require-convergent), 1 when stdout is
-closed before the report is written.
+closed before the report is written.  Every exit 2 is a ``ValidationError``
+raised at the edge: by the flag table (argparse's usage error), by a handler's
+``_require`` before the library is called, or by the data-file reader
+(``io``).  The library trusts what passes them; any other exception escaping a
+handler is a bug, not a user error, and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norm
-from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound
-from .groups import DUAL_SIZE_LIMIT, SU2, Torus, bessel_tail, enumerate_dual, summed_series
+from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound, tt1_range_refusal
+from .groups import DUAL_SIZE_LIMIT, SU2, Torus, bessel_tail, dual_size, enumerate_dual, summed_series
 from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -34,7 +38,7 @@ from .harmonic import (
     max_alias_free_radius,
     min_grid_size,
 )
-from .io import load_periodic_function, load_sampled_symbol
+from .io import ValidationError, load_periodic_function, load_sampled_symbol
 from .quantize import (EIGEN_SIDE_LIMIT, TRACE_IDENTITY_TOL, CompressedOperator, EigensolverError,
                        eigenvalues)
 from .sums import fsum_complex
@@ -56,10 +60,6 @@ NORMALIZATION_NOTE = (
     "period-1 torus characters exp(i 2 pi <x, xi>); torus lambda = |xi|^2; "
     "su2 lambda = l(l+1), d = 2l+1"
 )
-
-
-class ValidationError(Exception):
-    """Bad flags or files; the message carries a one-line remedy."""
 
 
 class NumericalFailure(Exception):
@@ -200,14 +200,18 @@ def _number_list(item, what: str):
     return parse
 
 
-def build_symbol(args) -> Symbol:
+def build_symbol(args, radius: int, flag: str = "--radius") -> Symbol:
+    """The symbol the flags name, for a run up to ``radius`` (the command's radius
+    ``flag``): a ``--symbol-file`` table refuses a radius beyond its own."""
     if args.symbol_file:
         if args.symbol:
             raise ValidationError("give either --symbol or --symbol-file, not both")
-        for flag in ("m", "t", "c", "g"):  # catalog flags: a table has no use for them
-            _require(getattr(args, flag) is None, f"--symbol-file reads a table, not --{flag}; drop --{flag}")
+        for name in ("m", "t", "c", "g"):  # catalog flags: a table has no use for them
+            _require(getattr(args, name) is None, f"--symbol-file reads a table, not --{name}; drop --{name}")
         a = load_sampled_symbol(args.symbol_file)
         _require(args.dim in (None, a.dim), f"--symbol-file holds a dim {a.dim} table; drop --dim")
+        _require(radius <= a.radius, f"--symbol-file is tabulated on lattice radius {a.radius}, which does not "
+                 f"hold the requested radius {radius}; lower {flag} to at most {a.radius}")
         return a
     if not args.symbol:
         raise ValidationError("missing symbol: pass --symbol FAMILY or --symbol-file PATH")
@@ -219,6 +223,7 @@ def build_symbol(args) -> Symbol:
     if args.symbol == "heat":
         if args.t is None:
             raise ValidationError("heat symbol needs --t TIME > 0")
+        _require(args.t > 0, f"heat symbol needs t > 0, got {args.t}")
         return heat_symbol(args.t, dim)
     if args.symbol == "modulated":
         if args.g in (None, "bracket"):
@@ -293,6 +298,10 @@ def build_coefficients(args, radius: int | None) -> tuple[FourierCoefficients, i
     _require_dyadic_budget(args, dim, grid, radius)
     lattice = FrequencyLattice(dim, max_alias_free_radius(grid) if radius is None else radius)
     if args.input is not None:
+        need = min_grid_size(lattice.radius)
+        _require(grid >= need, f"--input grid_size {grid} violates the anti-aliasing margin; need at least "
+                 f"2(2N+1) = {need} for lattice radius {lattice.radius}; lower --radius to at most "
+                 f"{max_alias_free_radius(grid)}")
         return forward_transform(f, lattice), grid
     k = lattice.points[:, 0]
     if args.character is not None:  # e^{i 2 pi K x}
@@ -346,8 +355,10 @@ CsvTable = tuple[str, Iterable[list]]
 
 
 def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
-    a = build_symbol(args)
+    a = build_symbol(args, args.radius)
     _require_side(a.dim, args.radius)
+    _require(args.order_hint is None or args.order_hint < -a.dim,
+             f"order_hint {args.order_hint} is not summable in dimension {a.dim}; need < {-a.dim}")
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
         op = CompressedOperator(a, lattice)
@@ -390,7 +401,9 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
-    a = build_symbol(args)
+    _require(all(s < b for s, b in zip(args.radii, args.radii[1:])),
+             f"radii must be strictly increasing, got {args.radii}")
+    a = build_symbol(args, max(args.radii), "--radii")
     _require_side(a.dim, max(args.radii), "--radii")
     try:
         report = lidskii_compare(a, args.radii)
@@ -442,11 +455,13 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
             _require(value is None, f"{flag} also needs --decay-k K")
     else:
         _require(args.decay_m is not None, "--decay-k also needs --decay-m ORDER")
-    a = build_symbol(args)
+    a = build_symbol(args, args.radius)
     _require_lattice(a.dim, args.radius, "lower --radius")  # the fit's lattice
     lattice = FrequencyLattice(a.dim, args.radius)
     alpha = _multi_index(args.alpha_idx, a.dim, "--alpha-idx")
     beta = _multi_index(args.beta_idx, a.dim, "--beta-idx")
+    _require(max(alpha) <= a.radius, f"difference margin exhausted: order {alpha} on lattice radius "
+             f"{a.radius}; lower --alpha-idx to at most {a.radius}")
     try:
         m_hat, c_hat = estimate_order(a, alpha, beta, lattice)
     except OverflowError as exc:
@@ -465,7 +480,10 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
     diagnostics: dict = {"fit": "shell-sup log-log least squares, brackets < 2 excluded"}
     if args.decay_k is not None:
         delta = args.decay_delta if args.decay_delta is not None else 0.0
-        c_est = fourier_decay_constant(a, args.decay_k, args.decay_m, delta, lattice)
+        try:
+            c_est = fourier_decay_constant(a, args.decay_k, args.decay_m, delta, lattice)
+        except OverflowError as exc:
+            raise ValidationError(f"{exc}; lower --decay-k or raise --decay-m") from exc
         body["decay_constant"] = {
             "k": args.decay_k,
             "m": args.decay_m,
@@ -492,6 +510,8 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         needed = ("n", "r", "alpha", "p1", "k", "delta", "m", "w2")
         for flag in needed:
             _require(getattr(args, flag) is not None, f"--theorem {args.theorem} needs --{flag}")
+        _require(args.r > 0 and args.p1 > 0, "degenerate parameters: need n >= 1, r > 0, p1 > 0 "
+                 f"(got n={args.n}, r={args.r}, p1={args.p1})")
         checker = check_t1 if args.theorem == "t1" else check_t2  # unset --p2, --q2: its default 2
         verdict = checker(**{flag: getattr(args, flag) for flag in needed + ("p2", "q2")
                              if getattr(args, flag) is not None})
@@ -499,6 +519,8 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         _require(args.case is not None, "--theorem tt1 needs --case 1|2|3|4")
         for flag in ("r", "p", "q", "cutoff"):
             _require(getattr(args, flag) is not None, f"--theorem tt1 needs --{flag}")
+        refusal = tt1_range_refusal(args.r, args.p, args.q, args.case)
+        _require(not refusal, refusal)
         args.group, args.dim = args.group or "torus", args.dim or 1
         dual = _dual(args)
         if args.symbol == "heat":
@@ -507,8 +529,6 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
             _require(args.m is not None, "tt1 bracket multiplier needs --m EXPONENT")
         try:
             verdict = check_tt1(dual, args.r, args.p, args.q, args.case, m=args.m, t=args.t)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
         except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64
             flag = "raise --t" if args.symbol == "heat" else "lower --m"
             raise ValidationError(f"the series terms sum beyond float64; {flag} or lower --cutoff") from exc
@@ -525,10 +545,9 @@ def _dual(args, half_integers: bool = True):
     _require(args.group == "su2" or half_integers,
              "--integer-spins restricts the su2 spins; drop it for --group torus")
     group = {"torus": Torus(args.dim), "su2": SU2(half_integers)}[args.group]
-    try:
-        return enumerate_dual(group, args.cutoff)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    _require(dual_size(group, args.cutoff) <= DUAL_SIZE_LIMIT, f"the {group.name} dual at cutoff {args.cutoff} "
+             f"has more than {DUAL_SIZE_LIMIT} points; lower the cutoff")
+    return enumerate_dual(group, args.cutoff)
 
 
 def _run_heat_trace(args) -> tuple[dict, dict, CsvTable | None]:
@@ -543,10 +562,8 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
     if args.tail_correct:  # refused, or computed, before the dual is built
         _require(args.group == "torus" and args.dim == 1,
                  "tail correction is implemented for the torus with dim = 1; drop --tail-correct")
-        try:
-            tail, tail_bound = bessel_tail(args.cutoff, args.alpha)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        _require(args.alpha > 1, "tail correction needs a convergent series (alpha > 1)")
+        tail, tail_bound = bessel_tail(args.cutoff, args.alpha)
     dual = _dual(args, half_integers=not args.integer_spins)
     try:
         value, diag = summed_series(dual, (2.0, -args.alpha, 0.0))
@@ -581,7 +598,7 @@ def _run_approx_demo(args) -> tuple[dict, dict, CsvTable | None]:
 
 
 def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
-    a = build_symbol(args)
+    a = build_symbol(args, args.radius)
     _require_side(a.dim, args.radius)
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
@@ -851,7 +868,7 @@ def main(argv=None) -> int:
         else:
             text = render_json({"header": make_header(), "body": body, "diagnostics": diagnostics}) + "\n"
         emit(text, args.output)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (EigensolverError, NumericalFailure) as exc:

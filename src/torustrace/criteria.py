@@ -177,12 +177,6 @@ def _derived_source_params(n: float, alpha: float, p1: float) -> dict[str, float
     return {"w1": alpha * n, "q1": q1, "beta": q1}
 
 
-def _refuse_degenerate(n: int, r: float, p1: float) -> None:
-    if r <= 0 or p1 <= 0 or n < 1:
-        raise ValueError(f"degenerate parameters: need n >= 1, r > 0, p1 > 0 "
-                         f"(got n={n}, r={r}, p1={p1})")
-
-
 def check_t1(
     n: int,
     r: float,
@@ -200,7 +194,6 @@ def check_t1(
     Requires 0 <= w2 < 2k - n and m < -n/r - w2 - delta(2k); the governing
     series sum <xi>^{r(w2 + m + 2k delta)} is reported as the witness.
     """
-    _refuse_degenerate(n, r, p1)
     clauses = _common_t_clauses(n, r, alpha, p1, delta, p2, q2)
     clauses += [
         Clause("k is an integer", k, "int", 0),
@@ -265,7 +258,6 @@ def check_t2(
     convolution series when w2 < -n/2 (where the r-nuclear set implies the
     nuclear one), else sum <xi>^{r(m + 2k delta)}.
     """
-    _refuse_degenerate(n, r, p1)
     shared = _common_t_clauses(n, r, alpha, p1, delta, p2, q2)
     shared.append(Clause("k is an integer", k, "int", 0))
     set_nuclear = [
@@ -305,14 +297,18 @@ TT1_CASE_RANGES = {1: ("p > 1", "p < q", "q < inf"), 2: ("q == 1", "p >= 1", "p 
                    3: ("p == q", "p > 1", "p <= 2"), 4: ("q == 2", "p >= 2", "p < inf")}
 
 
-def _tt1_case_clauses(case: int, p: float, q: float) -> list[Clause]:
-    """The (p, q) range of a tt1 case, one clause per ``TT1_CASE_RANGES`` entry."""
-    if case not in TT1_CASE_RANGES:
-        raise ValueError(f"case must be 1, 2, 3 or 4, got {case}")
+def tt1_range_refusal(r: float, p: float, q: float, case: int) -> str:
+    """Why ``check_tt1`` refuses (r, p, q) for ``case`` (1 to 4), or "" when it takes
+    them: r outside (0, 1], or (p, q) outside the case's ``TT1_CASE_RANGES``."""
+    if not 0.0 < r <= 1.0:
+        return f"r must lie in (0, 1], got {r}"
     sides = {"p": p, "q": q}
-    return [Clause(f"case {case}: {lhs} {relation} {rhs}", sides[lhs], relation,
-                   sides[rhs] if rhs in sides else float(rhs))
-            for lhs, relation, rhs in map(str.split, TT1_CASE_RANGES[case])]
+    failures = _failures([Clause(f"case {case}: {lhs} {relation} {rhs}", sides[lhs], relation,
+                                 sides[rhs] if rhs in sides else float(rhs))
+                          for lhs, relation, rhs in map(str.split, TT1_CASE_RANGES[case])])
+    if not failures:
+        return ""
+    return f"parameter range mismatch for case {case}: " + "; ".join(c.render() for c in failures)
 
 
 def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = None,
@@ -327,17 +323,11 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
     on SU(2) (<xi> ~ d/2).  The witness sums the truncation's complete shells;
     its tail is ``_shell_witness``'s.
     """
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"r must lie in (0, 1], got {r}")
+    refusal = tt1_range_refusal(r, p, q, case)
+    if refusal:
+        raise ValueError(refusal)
     if (m is None) == (t is None):
         raise ValueError("give one of the multiplier's exponent m and its time t")
-    range_clauses = _tt1_case_clauses(case, p, q)
-    range_fail = _failures(range_clauses)
-    if range_fail:
-        raise ValueError(
-            "parameter range mismatch for case "
-            f"{case}: " + "; ".join(c.render() for c in range_fail)
-        )
     n = dual.group.dimension
     if case == 1:
         qc = q / (q - 1.0)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .besov import block_sums
 
-# Largest dual enumerate_dual admits, counted in dual points (``dual_size``).
+# Largest dual slice the CLI builds, counted in dual points (``dual_size``).
 DUAL_SIZE_LIMIT = 10**7
 UNBOUNDED_TAIL_NOTE = "the series is summable, but its tail bound leaves float64"
 # shell j of the ascending lambda lies between edges j and j + 1: 4^j - 1, -inf and inf at the ends
@@ -141,14 +141,8 @@ def dual_size(group: Torus | SU2, cutoff: float):
 
 
 def enumerate_dual(group: Torus | SU2, cutoff) -> GroupDual:
-    """Finite slice of ``group``'s unitary dual, ``group.rows(cutoff)``: one row per
-    distinct Laplacian eigenvalue, ascending.  A slice above DUAL_SIZE_LIMIT points
-    is refused before anything is allocated."""
-    if not cutoff >= 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    if dual_size(group, cutoff) > DUAL_SIZE_LIMIT:
-        raise ValueError(f"the {group.name} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
-                         "lower the cutoff")
+    """Finite slice of ``group``'s unitary dual at a cutoff >= 0, ``group.rows(cutoff)``:
+    one row per distinct Laplacian eigenvalue, ascending, ``dual_size`` points."""
     return GroupDual(group, cutoff, *group.rows(cutoff))
 
 

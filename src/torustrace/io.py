@@ -5,7 +5,8 @@ in x-lexicographic order; symbol files are x-major, lattice-minor with the
 lattice in its canonical ordering, and may add ``claimed_*`` numbers (null
 reads as absent); every value and claim is finite, but for a claimed_order
 of -Infinity (a smoothing symbol's).  ``_read`` reads both formats and
-``_write`` writes both; a defective file is one ValueError that names it.
+``_write`` writes both; a defective file is one ``ValidationError`` that names
+it, the error ``cli`` also refuses a bad flag with.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ import numpy as np
 
 from .harmonic import FrequencyLattice, PeriodicFunction
 from .symbols import SampledSymbol
+
+
+class ValidationError(Exception):
+    """Bad flags or files; the message carries a one-line remedy."""
 
 
 def _integer(doc: dict, key: str, least: int, most: float = float("inf")) -> int:
@@ -72,7 +77,7 @@ def _read(path: str, kind: str):
         return SampledSymbol(dim, grid, lattice, values.reshape(grid**dim, len(lattice)), **claims)
     except (OSError, ValueError, OverflowError, RecursionError) as exc:
         reason = f"cannot be read: {exc.strerror or exc}" if isinstance(exc, OSError) else exc
-        raise ValueError(f"{kind} file {path}: {reason}") from exc
+        raise ValidationError(f"{kind} file {path}: {reason}") from exc
 
 
 def _write(path: str, doc: dict) -> None:

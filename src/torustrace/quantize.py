@@ -136,11 +136,7 @@ def eigenvalues(matrix, with_residuals: bool = False):
     EigensolverError.
     """
     A = matrix if isinstance(matrix, CompressedOperator) else np.asarray(matrix)
-    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
     side = A.shape[0]
-    if side > EIGEN_SIDE_LIMIT:
-        raise ValueError(f"matrix side {side} exceeds the desk-scale guard {EIGEN_SIDE_LIMIT}")
     if not isinstance(A, CompressedOperator):
         A = A.astype(np.complex128, copy=False)
     labels = component_labels(side, *A.nonzero())

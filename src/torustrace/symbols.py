@@ -291,15 +291,10 @@ class SampledSymbol:
     def x_fourier_table(self, etas: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
         """The rectangle rule, by FFT over the x axes, for any lattice inside the
         table's: the lattice's columns are taken from the table and only those are
-        transformed.  Eta outside the alias-free window |eta|_inf <= M//2 is
-        outside the admissible difference range and reported as 0."""
+        transformed (``indices_of`` raises KeyError for a lattice outside it).  Eta
+        outside the alias-free window |eta|_inf <= M//2 is outside the admissible
+        difference range and reported as 0."""
         etas = np.atleast_2d(np.asarray(etas, dtype=np.int64))
-        if lattice.dim != self.dim or lattice.radius > self.lattice.radius:
-            raise ValueError(
-                f"sampled symbol is tabulated on lattice radius {self.lattice.radius} "
-                f"(dim {self.lattice.dim}), which does not hold the requested radius "
-                f"{lattice.radius} (dim {lattice.dim}); request at most radius {self.lattice.radius}"
-            )
         m = self.grid_size
         columns = self.table if lattice == self.lattice else self.table[:, self.lattice.indices_of(lattice.points)]
         cube = columns.reshape((m,) * self.dim + (len(lattice),))
@@ -323,11 +318,10 @@ def bessel_symbol(m: float, dim: int = 1) -> SeparableSymbol:
 
 
 def heat_symbol(t: float, dim: int = 1) -> SeparableSymbol:
-    """Multiplier exp(-t |xi|^2); decays faster than any power."""
-    if t <= 0:
-        raise ValueError(f"heat symbol needs t > 0, got {t}")
-    return SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), GaussianDecay(t), dim,
-                           claimed_order=NEG_INFINITY_ORDER)
+    """Multiplier exp(-t |xi|^2), claiming ``GaussianDecay(t).order``: for t > 0 it
+    decays faster than any power."""
+    g = GaussianDecay(t)
+    return SeparableSymbol(TrigPolynomial({0: 1.0 + 0j}), g, dim, claimed_order=g.order)
 
 
 def modulated_symbol(c: float, g: BracketPower | GaussianDecay, dim: int = 1) -> SeparableSymbol:
@@ -430,7 +424,7 @@ def fourier_decay_constant(
     A finite, radius-stable value certifies the expected x-Fourier decay of a
     symbol of order m and x-roughness delta with 2k derivatives in x.  Only
     the rows on ``x_fourier_support`` are weighted; a value that overflows
-    float64 is refused (ValueError), not reported.
+    float64 is refused (OverflowError), not reported.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -443,8 +437,8 @@ def fourier_decay_constant(
         weighted = eta_w[:, None] * table * xi_w[None, :]
         constant = float(weighted.max(initial=0.0))
     if not math.isfinite(constant):
-        raise ValueError(
+        raise OverflowError(
             f"the decay constant at k={k}, m={m}, delta={delta} is {constant}, not a finite "
-            "float64: the weights <eta>^(2k) <xi>^-(m + 2k delta) overflow; lower k or raise m"
+            "float64: the weights <eta>^(2k) <xi>^-(m + 2k delta) overflow"
         )
     return constant

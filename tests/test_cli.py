@@ -264,7 +264,7 @@ class TestCheckClassCommand:
                 "--radius", "16", "--decay-k", "1", "--decay-m", "-1000",
             ])
         assert code == 2 and out == ""
-        assert "not a finite float64" in err and "lower k or raise m" in err
+        assert "not a finite float64" in err and err.endswith("; lower --decay-k or raise --decay-m\n")
         assert "Warning" not in err and "Traceback" not in err
 
     def test_large_decay_k_reports_the_true_constant(self, capsys):
@@ -1323,6 +1323,98 @@ class TestCliContract:
         json.loads(raw.decode())
 
 
+# Each refusal a handler makes at the edge: the command line (T a radius-8 symbol table,
+# F a grid-10 function file) and its whole stderr line after "error: ".  A data file's
+# defects are the matrix of TestDataFiles.
+REFUSALS = {
+    "heat-t-0": ("trace --symbol heat --t 0 --radius 4", "heat symbol needs t > 0, got 0.0"),
+    "radii-decreasing": ("lidskii --symbol bessel --m -4 --radii 4,2",
+                         "radii must be strictly increasing, got [4, 2]"),
+    "radii-repeated": ("lidskii --symbol bessel --m -4 --radii 4,4,8",
+                       "radii must be strictly increasing, got [4, 4, 8]"),
+    "order-hint-divergent": ("trace --symbol bessel --m -4 --radius 4 --order-hint 0",
+                             "order_hint 0.0 is not summable in dimension 1; need < -1"),
+    "t1-r-0": ("nuclearity --theorem t1 --n 1 --r 0 --alpha 0.5 --p1 2 --k 1 --delta 0 --m -4 --w2 0",
+               "degenerate parameters: need n >= 1, r > 0, p1 > 0 (got n=1, r=0.0, p1=2.0)"),
+    "t2-p1-0": ("nuclearity --theorem t2 --n 1 --r 1 --alpha 0.5 --p1 0 --k 1 --delta 0 --m -4 --w2 0",
+                "degenerate parameters: need n >= 1, r > 0, p1 > 0 (got n=1, r=1.0, p1=0.0)"),
+    "tt1-case-range": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 --q 3 --m -4",
+                       "parameter range mismatch for case 3: case 3: p == q: 2 == 3 is false"),
+    # refused before the dual of 9,006,001 points is built
+    "tt1-case-range-large-dual": ("nuclearity --theorem tt1 --case 3 --group torus --dim 2 --cutoff 1500 "
+                                  "--r 1 --p 2 --q 3 --m -4",
+                                  "parameter range mismatch for case 3: case 3: p == q: 2 == 3 is false"),
+    "tt1-r-2": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 2 --p 2 --q 2 --m -4",
+                "r must lie in (0, 1], got 2.0"),
+    "tail-correct-divergent": ("bessel-trace --group torus --alpha 1 --cutoff 6 --tail-correct",
+                               "tail correction needs a convergent series (alpha > 1)"),
+    "table-radius-trace": ("trace --symbol-file T --radius 9", "--symbol-file is tabulated on lattice radius 8, "
+                           "which does not hold the requested radius 9; lower --radius to at most 8"),
+    "table-radius-spectrum": ("spectrum --symbol-file T --radius 9", "--symbol-file is tabulated on lattice "
+                              "radius 8, which does not hold the requested radius 9; lower --radius to at most 8"),
+    "table-radius-lidskii": ("lidskii --symbol-file T --radii 4,9", "--symbol-file is tabulated on lattice "
+                             "radius 8, which does not hold the requested radius 9; lower --radii to at most 8"),
+    "table-radius-check-class": ("check-class --symbol-file T --radius 9", "--symbol-file is tabulated on "
+                                 "lattice radius 8, which does not hold the requested radius 9; lower --radius "
+                                 "to at most 8"),
+    "difference-margin": ("check-class --symbol-file T --radius 8 --alpha-idx 9", "difference margin exhausted: "
+                          "order (9,) on lattice radius 8; lower --alpha-idx to at most 8"),
+    "decay-constant-overflow": ("check-class --symbol modulated --c 2 --m -4 --radius 16 --decay-k 1 "
+                                "--decay-m -1000", "the decay constant at k=1, m=-1000.0, delta=0.0 is inf, "
+                                "not a finite float64: the weights <eta>^(2k) <xi>^-(m + 2k delta) overflow; "
+                                "lower --decay-k or raise --decay-m"),
+    "input-margin": ("besov-norm --input F --w 1 --p 2 --q 2 --radius 5", "--input grid_size 10 violates the "
+                     "anti-aliasing margin; need at least 2(2N+1) = 22 for lattice radius 5; lower --radius "
+                     "to at most 2"),
+    "dual-budget": ("heat-trace --group su2 --t 1 --cutoff 1e308",
+                    "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower the cutoff"),
+    # the symbol flags (build_symbol)
+    "bessel-without-m": ("trace --symbol bessel --radius 4", "bessel symbol needs --m EXPONENT"),
+    "no-symbol": ("trace --radius 4", "missing symbol: pass --symbol FAMILY or --symbol-file PATH"),
+    "symbol-and-file": ("trace --symbol bessel --m -4 --symbol-file T --radius 4",
+                        "give either --symbol or --symbol-file, not both"),
+    "heat-without-t": ("trace --symbol heat --radius 4", "heat symbol needs --t TIME > 0"),
+    "modulated-without-m": ("trace --symbol modulated --radius 4", "modulated bracket symbol needs --m EXPONENT"),
+    "gaussian-without-t": ("trace --symbol modulated --g gaussian --radius 4",
+                           "modulated gaussian symbol needs --t TIME > 0"),
+}
+
+
+class TestRefusals:
+    """A user error is a ValidationError raised at the edge: exit 2, no report and
+    one "error:" line, so no traceback, before any dual is built or any eigensolver
+    runs.  Any other exception escaping a handler is a bug, not exit 2."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        table, function = tmp_path / "table8.json", tmp_path / "f.json"
+        table.write_text(json.dumps({"dim": 1, "grid_size": 18, "lattice_radius": 8,
+                                     "values": [[1.0, 0.0]] * 306}))
+        save_periodic_function(PeriodicFunction(1, 10, np.ones(10)), str(function))
+        return {"T": str(table), "F": str(function)}
+
+    @pytest.mark.parametrize("refusal", list(REFUSALS))
+    def test_exit_2_with_one_error_line(self, capsys, monkeypatch, paths, refusal):
+        import torustrace.cli as cli
+
+        monkeypatch.setattr(cli, "enumerate_dual", lambda *a: pytest.fail("the dual was built"))
+        monkeypatch.setattr(cli, "eigenvalues", lambda *a, **k: pytest.fail("the eigensolver ran"))
+        command, message = REFUSALS[refusal]
+        code, out, err = run(capsys, [paths.get(token, token) for token in command.split()])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_value_error_inside_a_handler_escapes(self, monkeypatch):
+        # numpy raises ValueError on a broadcast mismatch: an internal fault, not the user's
+        import torustrace.cli as cli
+
+        def broken(args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setitem(cli.HANDLERS, "heat-trace", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["heat-trace", "--group", "torus", "--t", "1", "--cutoff", "6"])
+
+
 # Defective data files: each edits a well-formed file's JSON object (DELETE drops the
 # key, a function maps its value), or is the file's raw content, or is a path with no
 # file or a directory.
@@ -1473,8 +1565,8 @@ class TestDataFiles:
         assert bodies[16, 16]["m_hat"] == -3.2264300935204084 != bodies[16, 8]["m_hat"]
         code, out, err = run(capsys, ["check-class", "--symbol-file", paths[16], "--radius", "17"])
         assert code == 2 and out == ""
-        assert err == ("error: sampled symbol is tabulated on lattice radius 16, which does not hold "
-                       "the fit's radius 17; request at most radius 16\n")
+        assert err == ("error: --symbol-file is tabulated on lattice radius 16, which does not hold "
+                       "the requested radius 17; lower --radius to at most 16\n")
 
     def test_function_round_trip(self, tmp_path):
         f, _ = bandlimited({0: 1.0, 3: 2.0 - 1.0j}, radius=4)

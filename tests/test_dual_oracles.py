@@ -390,8 +390,19 @@ def test_shells_past_the_head_are_reported_with_sum_zero():
         ("su2", math.inf, 1, True),
     ],
 )
-def test_dual_size_budget_refuses_before_allocating(group, cutoff, dim, half):
-    # every size here is above the limit, so nothing is ever built
+def test_dual_size_budget_refuses_before_allocating(capsys, monkeypatch, group, cutoff, dim, half):
+    # every size here is above the limit, so the CLI builds nothing: a cutoff of inf
+    # is refused by the flag table, the others by the budget check before the dual
+    import torustrace.cli as cli
+
     assert dual_size(record(group, dim, half), cutoff) > DUAL_SIZE_LIMIT
-    with pytest.raises(ValueError, match="lower the cutoff"):
-        enumerate_dual(record(group, dim, half), cutoff)
+    monkeypatch.setattr(cli, "enumerate_dual", lambda *a: pytest.fail("the dual was built"))
+    code = cli.main(["heat-trace", "--group", group, "--dim", str(dim), "--t", "1", "--cutoff", str(cutoff),
+                     *([] if half else ["--integer-spins"])])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    if math.isfinite(cutoff):
+        assert err == (f"error: the {group} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
+                       "lower the cutoff\n")
+    else:
+        assert "--cutoff: 'inf' is not a finite number >= 0" in err and "Traceback" not in err

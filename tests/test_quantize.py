@@ -176,10 +176,6 @@ class TestEigenvalues:
         e2 = eigenvalues(conj)
         assert np.abs(np.sort_complex(e1) - np.sort_complex(e2)).max() <= 1e-8
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError, match="desk-scale"):
-            eigenvalues(np.zeros((5000, 5000), dtype=complex))
-
     def test_nilpotent_shift_matrix(self):
         # character symbol compresses to a shift; spectrum is {0}, trace 0
         lat = FrequencyLattice(1, 3)

@@ -115,10 +115,6 @@ class TestLidskiiCompare:
         assert nuc[8] == pytest.approx(17.0, abs=1e-12)
         assert report["history_converged"] is False
 
-    def test_radii_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            lidskii_compare(bessel_symbol(-4.0), [4, 4, 8])
-
     def test_heat_tail_bound(self):
         # the Gaussian envelope past radius 2: at least 2 sum_{k > 2} e^{-0.1 k^2}, and
         # within 30% of it
@@ -177,8 +173,9 @@ class TestTailEstimate:
         assert tail_estimate(z, lat, -2.0) == 0.0
 
     def test_non_summable_hint_rejected(self):
+        # the tail of a divergent envelope is inf: no finite bound to report
         lat = FrequencyLattice(1, 8)
-        with pytest.raises(ValueError, match="summable"):
+        with pytest.raises(OverflowError, match="leaves float64"):
             tail_estimate(bessel_symbol(-4.0), lat, -0.5)
 
     def test_dim2_bound(self):
