@@ -223,7 +223,7 @@ def build_symbol(args, radius: int, flag: str = "--radius") -> Symbol:
     if args.symbol == "heat":
         if args.t is None:
             raise ValidationError("heat symbol needs --t TIME > 0")
-        _require(args.t > 0, f"heat symbol needs t > 0, got {args.t}")
+        _require(args.t > 0, f"heat symbol needs --t TIME > 0, got {args.t}")
         return heat_symbol(args.t, dim)
     if args.symbol == "modulated":
         if args.g in (None, "bracket"):
@@ -358,7 +358,8 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args, args.radius)
     _require_side(a.dim, args.radius)
     _require(args.order_hint is None or args.order_hint < -a.dim,
-             f"order_hint {args.order_hint} is not summable in dimension {a.dim}; need < {-a.dim}")
+             f"--order-hint {args.order_hint} is not summable in dimension {a.dim}; "
+             f"lower --order-hint below {-a.dim}")
     lattice = FrequencyLattice(a.dim, args.radius)
     try:
         op = CompressedOperator(a, lattice)
@@ -510,8 +511,8 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         needed = ("n", "r", "alpha", "p1", "k", "delta", "m", "w2")
         for flag in needed:
             _require(getattr(args, flag) is not None, f"--theorem {args.theorem} needs --{flag}")
-        _require(args.r > 0 and args.p1 > 0, "degenerate parameters: need n >= 1, r > 0, p1 > 0 "
-                 f"(got n={args.n}, r={args.r}, p1={args.p1})")
+        _require(args.r > 0 and args.p1 > 0, "degenerate parameters: need --r > 0 and --p1 > 0 "
+                 f"(got --r {args.r}, --p1 {args.p1})")
         checker = check_t1 if args.theorem == "t1" else check_t2  # unset --p2, --q2: its default 2
         verdict = checker(**{flag: getattr(args, flag) for flag in needed + ("p2", "q2")
                              if getattr(args, flag) is not None})
@@ -519,6 +520,7 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         _require(args.case is not None, "--theorem tt1 needs --case 1|2|3|4")
         for flag in ("r", "p", "q", "cutoff"):
             _require(getattr(args, flag) is not None, f"--theorem tt1 needs --{flag}")
+        _require(0.0 < args.r <= 1.0, f"--r must lie in (0, 1], got {args.r}")
         refusal = tt1_range_refusal(args.r, args.p, args.q, args.case)
         _require(not refusal, refusal)
         args.group, args.dim = args.group or "torus", args.dim or 1
@@ -546,7 +548,7 @@ def _dual(args, half_integers: bool = True):
              "--integer-spins restricts the su2 spins; drop it for --group torus")
     group = {"torus": Torus(args.dim), "su2": SU2(half_integers)}[args.group]
     _require(dual_size(group, args.cutoff) <= DUAL_SIZE_LIMIT, f"the {group.name} dual at cutoff {args.cutoff} "
-             f"has more than {DUAL_SIZE_LIMIT} points; lower the cutoff")
+             f"has more than {DUAL_SIZE_LIMIT} points; lower --cutoff")
     return enumerate_dual(group, args.cutoff)
 
 
@@ -562,7 +564,8 @@ def _run_bessel_trace(args) -> tuple[dict, dict, CsvTable | None]:
     if args.tail_correct:  # refused, or computed, before the dual is built
         _require(args.group == "torus" and args.dim == 1,
                  "tail correction is implemented for the torus with dim = 1; drop --tail-correct")
-        _require(args.alpha > 1, "tail correction needs a convergent series (alpha > 1)")
+        _require(args.alpha > 1, f"tail correction needs a convergent series, got --alpha {args.alpha}; "
+                 "raise --alpha above 1")
         tail, tail_bound = bessel_tail(args.cutoff, args.alpha)
     dual = _dual(args, half_integers=not args.integer_spins)
     try:

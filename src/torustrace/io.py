@@ -3,14 +3,20 @@
 Complex numbers are stored as [re, im] pairs.  Function files carry the grid
 in x-lexicographic order; symbol files are x-major, lattice-minor with the
 lattice in its canonical ordering, and may add ``claimed_*`` numbers (null
-reads as absent); every value and claim is finite, but for a claimed_order
-of -Infinity (a smoothing symbol's).  ``_read`` reads both formats and
-``_write`` writes both; a defective file is one ``ValidationError`` that names
-it, the error ``cli`` also refuses a bad flag with.
+reads as absent); every value is a JSON number, and every value and claim is
+finite, but for a claimed_order of -Infinity (a smoothing symbol's).  ``_read``
+reads both formats and ``_write`` writes both; a defective file is one
+``ValidationError`` that names it, the error ``cli`` also refuses a bad flag with.
+
+``_read`` holds one list per value while it runs and drops every one of them
+before it returns, so it runs with the cyclic GC paused: the collections those
+short-lived lists would trigger find nothing to free, and in a process with a
+large heap one of them is a full collection.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -40,14 +46,48 @@ def _number(doc: dict, key: str) -> float:
     return float(value)
 
 
+def _pairs(values, text: str):
+    """``values`` as a float64 array of [re, im] rows, or None if it is not a list of pairs of
+    JSON numbers.  numpy infers a string as ``<U``, a null, a container or an integer beyond
+    64 bits as ``object``, and an all-boolean table as ``bool``; a boolean among numbers reads
+    as one, so ``values`` is scanned for one only when the file ``text`` spells a boolean."""
+    try:
+        pairs = np.asarray(values)
+    except ValueError:  # ragged, or nested deeper than numpy allows
+        return None
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        return None
+    if pairs.dtype == object:
+        numbers = all(type(v) in (int, float) for v in pairs.flat)
+    else:
+        numbers = pairs.dtype.kind in "iuf" and not (
+            ("true" in text or "false" in text) and any(type(v) is bool for pair in values for v in pair))
+    return pairs.astype(np.float64, copy=False) if numbers else None
+
+
 def _read(path: str, kind: str):
-    """The ``kind`` ("function" or "symbol") file at ``path``: ``dim`` is checked first, then the
-    value count (grid_size (2 lattice_radius + 1))^dim, radius 0 for a function, then it is built."""
+    """The ``kind`` ("function" or "symbol") file at ``path``, parsed, checked and dropped in one
+    pause of the cyclic GC: the document goes with ``_parse``'s frame, before the pause ends, and
+    the collector is left as the caller had it."""
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        return _parse(path, kind)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(path: str, kind: str):
+    """The ``kind`` file at ``path``: ``dim`` is checked first, then the value count
+    (grid_size (2 lattice_radius + 1))^dim, radius 0 for a function, then it is built."""
     symbol = kind == "symbol"
     fields = ("dim", "grid_size", "lattice_radius", "values") if symbol else ("dim", "grid_size", "values")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"must hold a JSON object with the fields {', '.join(fields)}")
         for key in fields:
@@ -55,11 +95,8 @@ def _read(path: str, kind: str):
                 raise ValueError(f"is missing the {key!r} field")
         dim, grid = _integer(doc, "dim", 1, 2), _integer(doc, "grid_size", 1)
         radius = _integer(doc, "lattice_radius", 0) if symbol else 0
-        try:
-            pairs = np.asarray(doc["values"], dtype=np.float64)
-        except (TypeError, ValueError):
-            pairs = None
-        if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        pairs = _pairs(doc["values"], text)
+        if pairs is None:
             raise ValueError("'values' must be a list of [re, im] pairs")
         if not np.isfinite(pairs).all():
             flag = "--symbol-file" if symbol else "--input"

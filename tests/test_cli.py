@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: every subcommand, exit codes, schemas, determinism."""
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -18,6 +19,7 @@ import pytest
 from torustrace.cli import HANDLERS, build_parser, main
 from torustrace.harmonic import FourierCoefficients, FrequencyLattice, PeriodicFunction, min_grid_size
 from torustrace.io import (
+    ValidationError,
     load_periodic_function,
     load_sampled_symbol,
     save_periodic_function,
@@ -699,7 +701,7 @@ class TestDualTraceCommands:
         # sizes above the budget only: the dual is refused before it is built
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
-        assert "lower the cutoff" in err and "Traceback" not in err
+        assert "lower --cutoff" in err and "Traceback" not in err
 
     def test_budget_edge_refused_before_any_allocation(self, capsys, monkeypatch):
         # (2 * 1582 + 1)^2 = 10,017,225 points: the first dim-2 cutoff above the budget
@@ -717,7 +719,7 @@ class TestDualTraceCommands:
         finally:
             tracemalloc.stop()
         assert code == 2 and out == ""
-        assert "lower the cutoff" in err and "Traceback" not in err
+        assert "lower --cutoff" in err and "Traceback" not in err
         assert peak < 1 << 20  # a quarter box alone would be 20 MB
 
     @pytest.mark.parametrize("argv, remedy", [
@@ -731,7 +733,7 @@ class TestDualTraceCommands:
         (["bessel-trace", "--group", "torus", "--alpha", "2", "--cutoff", "6", "--integer-spins"],
          "drop it for --group torus"),
         (["bessel-trace", "--group", "torus", "--alpha", "1", "--cutoff", "6", "--tail-correct"],
-         "(alpha > 1)"),
+         "raise --alpha above 1"),
         (["besov-norm", "--input", "FILE", "--grid", "1", "--w", "1", "--p", "2", "--q", "2",
           "--radius", "2"], "--input carries its own grid; drop --grid"),
         (["approx-demo", "--input", "FILE", "--grid", "64", "--w", "0", "--p", "2", "--q", "2",
@@ -1327,17 +1329,17 @@ class TestCliContract:
 # F a grid-10 function file) and its whole stderr line after "error: ".  A data file's
 # defects are the matrix of TestDataFiles.
 REFUSALS = {
-    "heat-t-0": ("trace --symbol heat --t 0 --radius 4", "heat symbol needs t > 0, got 0.0"),
+    "heat-t-0": ("trace --symbol heat --t 0 --radius 4", "heat symbol needs --t TIME > 0, got 0.0"),
     "radii-decreasing": ("lidskii --symbol bessel --m -4 --radii 4,2",
                          "radii must be strictly increasing, got [4, 2]"),
     "radii-repeated": ("lidskii --symbol bessel --m -4 --radii 4,4,8",
                        "radii must be strictly increasing, got [4, 4, 8]"),
     "order-hint-divergent": ("trace --symbol bessel --m -4 --radius 4 --order-hint 0",
-                             "order_hint 0.0 is not summable in dimension 1; need < -1"),
+                             "--order-hint 0.0 is not summable in dimension 1; lower --order-hint below -1"),
     "t1-r-0": ("nuclearity --theorem t1 --n 1 --r 0 --alpha 0.5 --p1 2 --k 1 --delta 0 --m -4 --w2 0",
-               "degenerate parameters: need n >= 1, r > 0, p1 > 0 (got n=1, r=0.0, p1=2.0)"),
+               "degenerate parameters: need --r > 0 and --p1 > 0 (got --r 0.0, --p1 2.0)"),
     "t2-p1-0": ("nuclearity --theorem t2 --n 1 --r 1 --alpha 0.5 --p1 0 --k 1 --delta 0 --m -4 --w2 0",
-                "degenerate parameters: need n >= 1, r > 0, p1 > 0 (got n=1, r=1.0, p1=0.0)"),
+                "degenerate parameters: need --r > 0 and --p1 > 0 (got --r 1.0, --p1 0.0)"),
     "tt1-case-range": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 --q 3 --m -4",
                        "parameter range mismatch for case 3: case 3: p == q: 2 == 3 is false"),
     # refused before the dual of 9,006,001 points is built
@@ -1345,9 +1347,10 @@ REFUSALS = {
                                   "--r 1 --p 2 --q 3 --m -4",
                                   "parameter range mismatch for case 3: case 3: p == q: 2 == 3 is false"),
     "tt1-r-2": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 2 --p 2 --q 2 --m -4",
-                "r must lie in (0, 1], got 2.0"),
+                "--r must lie in (0, 1], got 2.0"),
     "tail-correct-divergent": ("bessel-trace --group torus --alpha 1 --cutoff 6 --tail-correct",
-                               "tail correction needs a convergent series (alpha > 1)"),
+                               "tail correction needs a convergent series, got --alpha 1.0; "
+                               "raise --alpha above 1"),
     "table-radius-trace": ("trace --symbol-file T --radius 9", "--symbol-file is tabulated on lattice radius 8, "
                            "which does not hold the requested radius 9; lower --radius to at most 8"),
     "table-radius-spectrum": ("spectrum --symbol-file T --radius 9", "--symbol-file is tabulated on lattice "
@@ -1367,7 +1370,7 @@ REFUSALS = {
                      "anti-aliasing margin; need at least 2(2N+1) = 22 for lattice radius 5; lower --radius "
                      "to at most 2"),
     "dual-budget": ("heat-trace --group su2 --t 1 --cutoff 1e308",
-                    "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower the cutoff"),
+                    "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower --cutoff"),
     # the symbol flags (build_symbol)
     "bessel-without-m": ("trace --symbol bessel --radius 4", "bessel symbol needs --m EXPONENT"),
     "no-symbol": ("trace --radius 4", "missing symbol: pass --symbol FAMILY or --symbol-file PATH"),
@@ -1440,7 +1443,13 @@ FILE_DEFECTS = {
     "value-count": {"grid_size": 17},
     "nan-value": {"values": lambda pairs: [[math.nan, 0.0]] + pairs[1:]},
     "infinite-value": {"values": lambda pairs: pairs[:-1] + [[0.0, -math.inf]]},
+    "string-value": {"values": lambda pairs: [["1", 0.0]] + pairs[1:]},  # once read as 1.0
+    "bool-value": {"values": lambda pairs: pairs[:-1] + [[0.0, True]]},  # once read as 1.0
+    "null-value": {"values": lambda pairs: [[None, 0.0]] + pairs[1:]},  # once refused as NaN
 }
+# the FILE_DEFECTS whose whole reason is that 'values' is not a list of pairs of JSON numbers
+NOT_PAIRS = {"values-not-a-list", "bad-pairs", "ragged-pairs", "string-pairs", "string-value", "bool-value",
+             "null-value"}
 SYMBOL_DEFECTS = {
     "negative-lattice-radius": {"lattice_radius": -1},
     "lattice-radius-1e6": {"lattice_radius": 10**6},  # 162 values: refused before the lattice
@@ -1501,6 +1510,22 @@ class TestDataFiles:
         code, out, err = run(capsys, [arg.format(path) for arg in argv])
         assert code == 2 and out == ""
         assert err.startswith(f"error: {kind} file {path}: ") and err.count("\n") == 1, err
+        if defect in NOT_PAIRS:
+            assert err == f"error: {kind} file {path}: 'values' must be a list of [re, im] pairs\n"
+
+    @pytest.mark.parametrize("ints", [
+        [[1, 0], [-3, 2**53 + 1], [0, 5]],  # int64
+        [[10**30, -(2**63)], [2**64, 1], [7, -1]],  # beyond int64
+        [[1, 0.5], [2**53 + 1, -0.0], [-7, 2.5]],  # with floats
+    ], ids=["int64", "beyond-int64", "with-floats"])
+    def test_integer_values_read_as_their_floats(self, tmp_path, ints):
+        # an integer is a JSON number, read as float(int); a "true" that is not a value
+        # does not refuse the file
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 1, "grid_size": 3, "values": ints, "note": "true"}))
+        values = load_periodic_function(str(path)).values.view(np.float64).reshape(-1, 2)
+        assert values.view(np.uint64).tolist() == np.array(ints, dtype=float).view(np.uint64).tolist()
+        assert values.tolist() == [[float(v) for v in pair] for pair in ints]
 
     def test_value_count_is_checked_before_the_lattice(self, capsys, tmp_path, monkeypatch):
         import torustrace.io as io
@@ -1634,6 +1659,59 @@ class TestDataFiles:
         ])
         assert code == 2
         assert "radius 4" in err and "radius 8" in err
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic GC on or off, as a caller may leave it; restored after the test."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """A data file's one list per value is parsed and dropped in one pause of the cyclic
+    GC: no collection runs on those lists, and the collector is left as the caller had it."""
+
+    def test_reading_a_large_table_runs_no_collection(self, tmp_path):
+        # the operator-spectra benchmark's table: dim 2, radius 4, grid 12
+        a = sample_symbol(bessel_symbol(-4.0, 2), 12, FrequencyLattice(2, 4))
+        assert a.table.size >= 10**4
+        path = str(tmp_path / "a.json")
+        save_sampled_symbol(a, path)
+        generations = []
+
+        def watch(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()  # an empty young generation: any collection below is the file's
+        gc.callbacks.append(watch)
+        try:
+            b = load_sampled_symbol(path)
+        finally:
+            gc.callbacks.remove(watch)
+            (gc.enable if enabled else gc.disable)()
+        assert generations == []
+        assert b.table.view(np.uint64).tolist() == a.table.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("kind", ["function", "symbol"])
+    def test_collector_left_as_the_caller_had_it(self, tmp_path, collector, kind):
+        load = {"function": load_periodic_function, "symbol": load_sampled_symbol}[kind]
+        defects = {**FILE_DEFECTS, **(SYMBOL_DEFECTS if kind == "symbol" else {})}
+        for name, defect in {"well-formed": {}, **defects}.items():
+            (tmp_path / name).mkdir()
+            path = write_defective_file(tmp_path / name, kind, defect)
+            assert gc.isenabled() is collector, f"after writing the file for {name}"
+            if name == "well-formed":
+                load(path)
+            else:
+                with pytest.raises(ValidationError):
+                    load(path)
+            assert gc.isenabled() is collector, name
 
 
 def test_source_date_epoch_sets_the_header_timestamp(capsys, monkeypatch):

@@ -403,6 +403,6 @@ def test_dual_size_budget_refuses_before_allocating(capsys, monkeypatch, group, 
     assert code == 2 and out == ""
     if math.isfinite(cutoff):
         assert err == (f"error: the {group} dual at cutoff {cutoff} has more than {DUAL_SIZE_LIMIT} points; "
-                       "lower the cutoff\n")
+                       "lower --cutoff\n")
     else:
         assert "--cutoff: 'inf' is not a finite number >= 0" in err and "Traceback" not in err

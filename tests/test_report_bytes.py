@@ -14,8 +14,9 @@ reduction (``sums.power_norms``); and four ``heat-trace``/``bessel-trace`` serie
 while each series still wrote out its own terms; and an SU(2) and a dim-2 torus tt1
 that each violate their summable clause, a divergent dim-2 torus ``bessel-trace`` and
 a dim-2 torus ``heat-trace``, as the package printed them while the series code still
-read the group from its name.  Each report must render to those bytes, field
-order and every float's 17 digits included.  The tails, verdicts and rules of
+read the group from its name; and a dim-2 ``spectrum`` of 289 complex eigenvalues.
+Each report must render to those bytes, field order and every float's 17 digits
+included.  The tails, verdicts and rules of
 the first files were rewritten once, when the integral-test bound replaced the
 shell-ratio rule, and the two SU(2)-monitor and dim-2 torus tt1 partial sums once,
 when the tt1 terms became one power of (1 + lambda) (last digits, toward the exact
@@ -63,6 +64,7 @@ COMMANDS = {
                                                "--cutoff 20 --r 1 --p 1.5 --q 2 --m -1",
     "bessel-trace-torus-dim2-divergent.json": "bessel-trace --group torus --dim 2 --alpha 1.5 --cutoff 60",
     "heat-trace-torus-dim2.json": "heat-trace --group torus --dim 2 --t 0.01 --cutoff 60",
+    "spectrum-modulated-dim2.json": "spectrum --symbol modulated --m -4 --dim 2 --radius 8",
 }
 
 
