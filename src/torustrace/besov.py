@@ -57,7 +57,7 @@ def block_sums(cuts: np.ndarray, terms: np.ndarray, weights=None) -> tuple[list[
     present = np.flatnonzero(np.diff(cuts)).tolist()
     inside = int(np.searchsorted(cuts, len(terms)))  # the blocks that start among the terms
     weights = None if weights is None else weights[:len(terms)]
-    sums, total = fsum_by(None, terms, weights, total=True, cuts=np.minimum(cuts[:inside + 1], len(terms)))
+    sums, total = fsum_by(terms, weights, total=True, cuts=np.minimum(cuts[:inside + 1], len(terms)))
     return present, [sums[m] if m < inside else 0.0 for m in present], total
 
 

@@ -403,7 +403,8 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
 
 def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
     _require(all(s < b for s, b in zip(args.radii, args.radii[1:])),
-             f"radii must be strictly increasing, got {args.radii}")
+             f"--radii must be strictly increasing, got {','.join(map(str, args.radii))}; "
+             "list each radius once, smallest first")
     a = build_symbol(args, max(args.radii), "--radii")
     _require_side(a.dim, max(args.radii), "--radii")
     try:
@@ -522,13 +523,13 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
             _require(getattr(args, flag) is not None, f"--theorem tt1 needs --{flag}")
         _require(0.0 < args.r <= 1.0, f"--r must lie in (0, 1], got {args.r}")
         refusal = tt1_range_refusal(args.r, args.p, args.q, args.case)
-        _require(not refusal, refusal)
-        args.group, args.dim = args.group or "torus", args.dim or 1
-        dual = _dual(args)
+        _require(not refusal, f"{refusal}; change --p or --q, or pick another --case")
         if args.symbol == "heat":
             _require(args.t is not None, "tt1 heat multiplier needs --t TIME")
         else:
             _require(args.m is not None, "tt1 bracket multiplier needs --m EXPONENT")
+        args.group, args.dim = args.group or "torus", args.dim or 1
+        dual = _dual(args)
         try:
             verdict = check_tt1(dual, args.r, args.p, args.q, args.case, m=args.m, t=args.t)
         except OverflowError as exc:  # finite terms whose exactly rounded sum leaves float64

@@ -222,7 +222,7 @@ def _truncated_bracket_convolution(n: int, w2: float, k: int) -> dict:
     lat = FrequencyLattice(n, base)
     squared = sum((xi[:, None] - eta) ** 2 for xi, eta in zip(lat.points.T, window.points.T))
     shifted = np.sqrt(1.0 + squared)
-    conv = np.array(fsum_by(None, window.brackets() ** w2 * shifted ** (-2.0 * k)))
+    conv = np.array(fsum_by(window.brackets() ** w2 * shifted ** (-2.0 * k)))
     torus = Torus(n)
     tf, tg = (dual_tail_bound(torus, base / 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
     sf, sg = (fsum(window.brackets() ** b) + dual_tail_bound(torus, 2 * base, 0.0, b, 0.0)
@@ -303,12 +303,14 @@ def tt1_range_refusal(r: float, p: float, q: float, case: int) -> str:
     if not 0.0 < r <= 1.0:
         return f"r must lie in (0, 1], got {r}"
     sides = {"p": p, "q": q}
-    failures = _failures([Clause(f"case {case}: {lhs} {relation} {rhs}", sides[lhs], relation,
+    ranges = TT1_CASE_RANGES[case]
+    failures = _failures([Clause(f"{lhs} {relation} {rhs}", sides[lhs], relation,
                                  sides[rhs] if rhs in sides else float(rhs))
-                          for lhs, relation, rhs in map(str.split, TT1_CASE_RANGES[case])])
+                          for lhs, relation, rhs in map(str.split, ranges)])
     if not failures:
         return ""
-    return f"parameter range mismatch for case {case}: " + "; ".join(c.render() for c in failures)
+    return (f"(p, q) = ({p:g}, {q:g}) lies outside case {case}'s range ({', '.join(ranges)}): "
+            + "; ".join(c.render() for c in failures))
 
 
 def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = None,

@@ -51,14 +51,16 @@ partials.  So when n >= ``CROSSOVER``, the exact zeros are dropped before the
 path is chosen, and n, ``CROSSOVER`` and the other rules below count nonzero
 terms.
 
-One call can give a series' value and its group sums (``total=True``), as for
-a dual series and its dyadic shell sums.  The bins of every group are exact
+A group is a contiguous slice of the terms (a row of a 2-D array, or the
+terms between two ``cuts``), so a group's key is the index of the cut a term
+follows.  One call can give a series' value and its group sums (``total=True``),
+as for a dual series and its dyadic shell sums.  The bins of every group are exact
 floats whose exact sum is the sum of all the terms, so one ``math.fsum`` over
 all groups' bins together is the correctly rounded total: the bits of
 ``math.fsum`` over all the terms, from the same binned pass as the group sums.
 
 Memory: where some terms are zero, copies of the nonzero terms and of their
-indices, groups and weights, up to 32 bytes a nonzero term.  Then the terms go
+indices and weights, up to 24 bytes a nonzero term.  Then the terms go
 through in chunks of ``CHUNK``, with at most about 40 bytes of temporaries a
 term (weights are cast a chunk at a time), plus 2125 x 8 bytes of bins per
 group.  The terms go to ``math.fsum`` itself (repeated by their weights), so
@@ -103,7 +105,7 @@ def fsum(values) -> float:
     float64 ndarray of ``CROSSOVER`` terms or more, ``math.fsum`` for anything else."""
     if (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.ndim == 1 and values.size >= CROSSOVER):
-        return fsum_by(None, values)[0]
+        return fsum_by(values)[0]
     return math.fsum(values)
 
 
@@ -113,17 +115,15 @@ def fsum_complex(values) -> complex:
     return complex(fsum(arr.real), fsum(arr.imag))
 
 
-def fsum_by(groups, values, weights=None, total: bool = False, cuts=None):
+def fsum_by(values, weights=None, total: bool = False, cuts=None):
     """Exactly rounded sum of each group of float64 ``values``, equal bit for bit to
-    ``math.fsum`` over that group's terms.  ``groups`` holds a nonnegative integer
-    per term of a 1-D ``values``, and the sums of groups 0 .. max(groups) come back
-    (an empty group sums to 0.0).  With ``groups`` None, group j is terms cuts[j]:
-    cuts[j + 1] of a 1-D ``values`` (``cuts`` ascending from 0 to its size), else each
-    row of a 2-D ``values`` or a 1-D ``values`` whole.  ``weights``, of ``values``'
-    shape, gives each term a positive integer multiplicity (all 1: no weights).  With
-    ``total`` the result is (group sums, sum of all terms), the latter with the bits
-    and exceptions of ``math.fsum`` over all the terms, each repeated by its weight,
-    raised before any group's."""
+    ``math.fsum`` over that group's terms.  Group j is terms cuts[j]:cuts[j + 1] of a
+    1-D ``values`` (``cuts`` ascending from 0 to its size; an empty group sums to
+    0.0); without ``cuts``, each row of a 2-D ``values`` or a 1-D ``values`` whole.
+    ``weights``, of ``values``' shape, gives each term a positive integer
+    multiplicity (all 1: no weights).  With ``total`` the result is (group sums, sum
+    of all terms), the latter with the bits and exceptions of ``math.fsum`` over all
+    the terms, each repeated by its weight, raised before any group's."""
     values = np.asarray(values, dtype=np.float64)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
@@ -131,39 +131,25 @@ def fsum_by(groups, values, weights=None, total: bool = False, cuts=None):
             raise ValueError(f"weights of shape {weights.shape} for values of shape {values.shape}")
         if weights.size and weights.min() < 1:
             raise ValueError("weights must be positive integers")
-        if weights.size and weights.max() == 1:
-            weights = None
-    if groups is not None:
-        groups = np.asarray(groups, dtype=np.intp)
-        size = int(groups.max()) + 1 if groups.size else 0
-    elif cuts is not None:
-        size = len(cuts) - 1
-    else:
-        values = np.atleast_2d(values)
-        size, row_length = values.shape
+        weights = None if weights.size and weights.max() == 1 else weights.reshape(-1)
+    if cuts is None:  # a cut at every row end
+        rows, row_length = np.atleast_2d(values).shape
+        cuts = np.arange(rows + 1) * row_length
     values = values.reshape(-1)
-    if weights is not None:
-        weights = weights.reshape(-1)
+    size = len(cuts) - 1
     n = values.size if weights is None else int(weights.sum())
     if n >= CROSSOVER and np.count_nonzero(values) < values.size:  # nan != 0: only zeros go
         kept = np.flatnonzero(values)
-        values = values[kept]
-        if cuts is not None:
-            cuts = np.searchsorted(kept, cuts)
-        else:
-            groups = kept // row_length if groups is None else groups[kept]
+        values, cuts = values[kept], np.searchsorted(kept, cuts)
         weights = None if weights is None else weights[kept]
         n = values.size if weights is None else int(weights.sum())
     limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
     if (n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS
             or not (values.max() < limit and -values.min() < limit)):  # nan fails both
-        whole = math.fsum(values if weights is None else np.repeat(values, weights)) if total else None
-        if cuts is not None:
-            groups = np.repeat(np.arange(size), np.diff(cuts))
-        elif groups is None:  # no term was dropped, so the rows are whole
-            values = values.reshape(size, row_length)
-            weights = None if weights is None else weights.reshape(size, row_length)
-        sums = _fsum_slices(groups, values, size, weights)
+        if weights is not None:  # the cuts move to the repeated terms' ends
+            values, cuts = np.repeat(values, weights), np.concatenate(([0], np.cumsum(weights)))[cuts]
+        whole = math.fsum(values) if total else None
+        sums = _fsum_slices(values, cuts)
         return (sums, whole) if total else sums
     bins = np.zeros((size, _BINS))  # bins[g, k]: group g's integer sum at scale 2^(k - 1127)
     low, high = _BINS, 0  # the bins any chunk touched
@@ -173,12 +159,8 @@ def fsum_by(groups, values, weights=None, total: bool = False, cuts=None):
         first = int(key.min())
         width = int(key.max()) - first + 1
         key -= first
-        if groups is not None:
-            key = groups[start:stop] * width + key
-        elif size > 1 and cuts is not None:
+        if size > 1:
             key = np.repeat(np.arange(size) * width, np.diff(np.clip(cuts, start, stop))) + key
-        elif size > 1:
-            key = np.arange(start, stop) // row_length * width + key
         frac *= 2.0**27
         hi = np.trunc(frac)
         frac -= hi
@@ -221,7 +203,7 @@ def power_norms(rows, p: float, divisor: float = 1.0) -> list[float]:
         scaled = (0.0 < top) & (top < math.inf) & (((exponent - 1) * p < -1000) | (exponent * p > 1000))
         if scaled.any():
             rows = rows / np.where(scaled, np.ldexp(unit, exponent - 1), 1.0)[:, None]
-        sums = fsum_by(None, rows**p)
+        sums = fsum_by(rows**p)
     return [math.ldexp(u * (s / divisor) ** (1.0 / p), e - 1) if shift else (s / divisor) ** (1.0 / p)
             for s, shift, u, e in zip(sums, scaled.tolist(), unit.tolist(), exponent.tolist())]
 
@@ -240,17 +222,7 @@ def _reduce_runs(key: np.ndarray, hi: np.ndarray, lo: np.ndarray):
     return key[starts], np.add.reduceat(hi, starts), np.add.reduceat(lo, starts)
 
 
-def _fsum_slices(groups, values: np.ndarray, size: int, weights) -> list[float]:
-    """``math.fsum`` over each group's terms in turn, each term repeated by its
-    weight: each row of ``values`` when ``groups`` is None, else the contiguous
-    slices of a stable sort by group."""
-    if groups is None:
-        if weights is None:
-            return [math.fsum(row) for row in values.tolist()]
-        return [math.fsum(np.repeat(row, w)) for row, w in zip(values, weights)]
-    if weights is not None:
-        groups, values = np.repeat(groups, weights), np.repeat(values, weights)
-    order = np.argsort(groups, kind="stable")
-    cuts = np.searchsorted(groups[order], np.arange(size + 1)).tolist()
-    values = values[order].tolist()
+def _fsum_slices(values: np.ndarray, cuts) -> list[float]:
+    """``math.fsum`` over each slice values[cuts[j]:cuts[j + 1]] in turn."""
+    values, cuts = values.tolist(), np.asarray(cuts).tolist()
     return [math.fsum(values[a:b]) for a, b in zip(cuts, cuts[1:])]

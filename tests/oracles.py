@@ -33,7 +33,7 @@ support rows only and bins shells in one vectorised pass;
 ``test_support_oracles.py`` compares the two, bit for bit.
 
 L^p norms on a grid: each total by ``math.fsum``, independent of the binned
-``sums.fsum_by`` the package reduces with.
+``sums.fsum_by`` row sums (``sums.power_norms``) the package reduces with.
 
 Canonical decomposition: the rank-one factors H_xi sampled on a grid, their
 sum applied to a function, and the quasi-norm bound computed by forward

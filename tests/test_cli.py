@@ -452,14 +452,6 @@ class TestNuclearityCommand:
             [clause] = body["violated_clauses"]
             assert clause["lhs"] == clause["rhs"] == -1.0 and clause["relation"] == "<"
 
-    def test_tt1_case_mismatch_exit_2(self, capsys):
-        code, _, err = run(capsys, [
-            "nuclearity", "--theorem", "tt1", "--case", "3", "--group", "torus",
-            "--cutoff", "64", "--r", "1", "--p", "3", "--q", "3.5",
-            "--symbol", "bessel", "--m", "-3",
-        ])
-        assert code == 2 and "case 3" in err
-
     def test_missing_flag_exit_2(self, capsys):
         code, _, err = run(capsys, [
             "nuclearity", "--theorem", "t1", "--n", "1",
@@ -691,11 +683,9 @@ class TestDualTraceCommands:
         ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "1e9"],
         ["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "torus", "--cutoff",
          "1e7", "--r", "1", "--p", "2", "--q", "2", "--m", "-4"],
-        # the su2 count floors 2 * cutoff, inf at these: an OverflowError traceback once
+        # the su2 count floors 2 * cutoff, inf at this one (and at the dual-budget rows
+        # of REFUSALS): an OverflowError traceback once
         ["heat-trace", "--group", "su2", "--t", "1", "--cutoff", "1e308"],
-        ["bessel-trace", "--group", "su2", "--alpha", "4", "--cutoff", "1e308"],
-        ["nuclearity", "--theorem", "tt1", "--case", "3", "--group", "su2", "--cutoff",
-         "1e308", "--r", "1", "--p", "2", "--q", "2"],
     ])
     def test_dual_above_size_budget_exit_2(self, capsys, argv):
         # sizes above the budget only: the dual is refused before it is built
@@ -732,14 +722,12 @@ class TestDualTraceCommands:
          "drop it for --group torus"),
         (["bessel-trace", "--group", "torus", "--alpha", "2", "--cutoff", "6", "--integer-spins"],
          "drop it for --group torus"),
-        (["bessel-trace", "--group", "torus", "--alpha", "1", "--cutoff", "6", "--tail-correct"],
-         "raise --alpha above 1"),
         (["besov-norm", "--input", "FILE", "--grid", "1", "--w", "1", "--p", "2", "--q", "2",
           "--radius", "2"], "--input carries its own grid; drop --grid"),
         (["approx-demo", "--input", "FILE", "--grid", "64", "--w", "0", "--p", "2", "--q", "2",
           "--n-values", "1"], "--input carries its own grid; drop --grid"),
     ], ids=["heat-su2-dim", "bessel-su2-dim", "tt1-su2-dim", "heat-torus-spins", "bessel-torus-spins",
-            "bessel-divergent-tail", "besov-input-grid", "approx-input-grid"])
+            "besov-input-grid", "approx-input-grid"])
     def test_flag_the_group_ignores_exit_2(self, capsys, monkeypatch, tmp_path, argv, remedy):
         # the flag was ignored (exit 0), and su2 reports echoed "dim": 2; a function
         # file's run gave the same bytes with --grid as without it
@@ -1326,14 +1314,15 @@ class TestCliContract:
 
 
 # Each refusal a handler makes at the edge: the command line (T a radius-8 symbol table,
-# F a grid-10 function file) and its whole stderr line after "error: ".  A data file's
-# defects are the matrix of TestDataFiles.
+# S the radius-4 table save_sampled_symbol writes for bessel m = -4, F a grid-10 function
+# file) and its whole stderr line after "error: ".  A data file's defects are the matrix
+# of TestDataFiles.
 REFUSALS = {
     "heat-t-0": ("trace --symbol heat --t 0 --radius 4", "heat symbol needs --t TIME > 0, got 0.0"),
     "radii-decreasing": ("lidskii --symbol bessel --m -4 --radii 4,2",
-                         "radii must be strictly increasing, got [4, 2]"),
+                         "--radii must be strictly increasing, got 4,2; list each radius once, smallest first"),
     "radii-repeated": ("lidskii --symbol bessel --m -4 --radii 4,4,8",
-                       "radii must be strictly increasing, got [4, 4, 8]"),
+                       "--radii must be strictly increasing, got 4,4,8; list each radius once, smallest first"),
     "order-hint-divergent": ("trace --symbol bessel --m -4 --radius 4 --order-hint 0",
                              "--order-hint 0.0 is not summable in dimension 1; lower --order-hint below -1"),
     "t1-r-0": ("nuclearity --theorem t1 --n 1 --r 0 --alpha 0.5 --p1 2 --k 1 --delta 0 --m -4 --w2 0",
@@ -1341,11 +1330,33 @@ REFUSALS = {
     "t2-p1-0": ("nuclearity --theorem t2 --n 1 --r 1 --alpha 0.5 --p1 0 --k 1 --delta 0 --m -4 --w2 0",
                 "degenerate parameters: need --r > 0 and --p1 > 0 (got --r 1.0, --p1 0.0)"),
     "tt1-case-range": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 --q 3 --m -4",
-                       "parameter range mismatch for case 3: case 3: p == q: 2 == 3 is false"),
+                       "(p, q) = (2, 3) lies outside case 3's range (p == q, p > 1, p <= 2): p == q: 2 == 3 "
+                       "is false; change --p or --q, or pick another --case"),
     # refused before the dual of 9,006,001 points is built
     "tt1-case-range-large-dual": ("nuclearity --theorem tt1 --case 3 --group torus --dim 2 --cutoff 1500 "
                                   "--r 1 --p 2 --q 3 --m -4",
-                                  "parameter range mismatch for case 3: case 3: p == q: 2 == 3 is false"),
+                                  "(p, q) = (2, 3) lies outside case 3's range (p == q, p > 1, p <= 2): "
+                                  "p == q: 2 == 3 is false; change --p or --q, or pick another --case"),
+    "tt1-case-range-two-clauses": ("nuclearity --theorem tt1 --case 3 --group torus --cutoff 64 --r 1 --p 3 "
+                                   "--q 3.5 --symbol bessel --m -3",
+                                   "(p, q) = (3, 3.5) lies outside case 3's range (p == q, p > 1, p <= 2): "
+                                   "p == q: 3 == 3.5 is false; p <= 2: 3 <= 2 is false; change --p or --q, "
+                                   "or pick another --case"),
+    # tt1's own flags, each refused before the dual is built
+    "tt1-without-case": ("nuclearity --theorem tt1 --group su2 --cutoff 200 --r 1 --p 2 --q 2 --m -4",
+                         "--theorem tt1 needs --case 1|2|3|4"),
+    "tt1-without-r": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --p 2 --q 2 --m -4",
+                      "--theorem tt1 needs --r"),
+    "tt1-without-p": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --q 2 --m -4",
+                      "--theorem tt1 needs --p"),
+    "tt1-without-q": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 --m -4",
+                      "--theorem tt1 needs --q"),
+    "tt1-without-cutoff": ("nuclearity --theorem tt1 --case 3 --group su2 --r 1 --p 2 --q 2 --m -4",
+                           "--theorem tt1 needs --cutoff"),
+    "tt1-heat-without-t": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 --q 2 "
+                           "--symbol heat", "tt1 heat multiplier needs --t TIME"),
+    "tt1-bracket-without-m": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 1 --p 2 --q 2",
+                              "tt1 bracket multiplier needs --m EXPONENT"),
     "tt1-r-2": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 200 --r 2 --p 2 --q 2 --m -4",
                 "--r must lie in (0, 1], got 2.0"),
     "tail-correct-divergent": ("bessel-trace --group torus --alpha 1 --cutoff 6 --tail-correct",
@@ -1353,6 +1364,9 @@ REFUSALS = {
                                "raise --alpha above 1"),
     "table-radius-trace": ("trace --symbol-file T --radius 9", "--symbol-file is tabulated on lattice radius 8, "
                            "which does not hold the requested radius 9; lower --radius to at most 8"),
+    "saved-table-radius-trace": ("trace --symbol-file S --radius 8", "--symbol-file is tabulated on lattice "
+                                 "radius 4, which does not hold the requested radius 8; lower --radius to at "
+                                 "most 4"),
     "table-radius-spectrum": ("spectrum --symbol-file T --radius 9", "--symbol-file is tabulated on lattice "
                               "radius 8, which does not hold the requested radius 9; lower --radius to at most 8"),
     "table-radius-lidskii": ("lidskii --symbol-file T --radii 4,9", "--symbol-file is tabulated on lattice "
@@ -1362,6 +1376,8 @@ REFUSALS = {
                                  "to at most 8"),
     "difference-margin": ("check-class --symbol-file T --radius 8 --alpha-idx 9", "difference margin exhausted: "
                           "order (9,) on lattice radius 8; lower --alpha-idx to at most 8"),
+    "alpha-idx-length": ("check-class --symbol bessel --m -4 --radius 16 --alpha-idx 1,2,3",
+                         "--alpha-idx must be 1 nonnegative integers for dim=1, got '1,2,3'"),
     "decay-constant-overflow": ("check-class --symbol modulated --c 2 --m -4 --radius 16 --decay-k 1 "
                                 "--decay-m -1000", "the decay constant at k=1, m=-1000.0, delta=0.0 is inf, "
                                 "not a finite float64: the weights <eta>^(2k) <xi>^-(m + 2k delta) overflow; "
@@ -1371,6 +1387,10 @@ REFUSALS = {
                      "to at most 2"),
     "dual-budget": ("heat-trace --group su2 --t 1 --cutoff 1e308",
                     "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower --cutoff"),
+    "dual-budget-bessel": ("bessel-trace --group su2 --alpha 4 --cutoff 1e308",
+                           "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower --cutoff"),
+    "dual-budget-tt1": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 1e308 --r 1 --p 2 --q 2 --m -4",
+                        "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower --cutoff"),
     # the symbol flags (build_symbol)
     "bessel-without-m": ("trace --symbol bessel --radius 4", "bessel symbol needs --m EXPONENT"),
     "no-symbol": ("trace --radius 4", "missing symbol: pass --symbol FAMILY or --symbol-file PATH"),
@@ -1390,11 +1410,17 @@ class TestRefusals:
 
     @pytest.fixture
     def paths(self, tmp_path):
-        table, function = tmp_path / "table8.json", tmp_path / "f.json"
+        table, saved, function = tmp_path / "table8.json", tmp_path / "saved4.json", tmp_path / "f.json"
         table.write_text(json.dumps({"dim": 1, "grid_size": 18, "lattice_radius": 8,
                                      "values": [[1.0, 0.0]] * 306}))
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
+                            str(saved))
         save_periodic_function(PeriodicFunction(1, 10, np.ones(10)), str(function))
-        return {"T": str(table), "F": str(function)}
+        return {"T": str(table), "S": str(saved), "F": str(function)}
+
+    def test_every_message_names_a_flag(self):
+        # the remedy a README promises for each refusal: a flag the user can change
+        assert [name for name, (_, message) in REFUSALS.items() if not re.search(r"--[a-z]", message)] == []
 
     @pytest.mark.parametrize("refusal", list(REFUSALS))
     def test_exit_2_with_one_error_line(self, capsys, monkeypatch, paths, refusal):
@@ -1648,17 +1674,6 @@ class TestDataFiles:
                             str(path))
         want = run_json(capsys, ["trace", "--symbol-file", str(path), "--radius", "4"])
         assert run_json(capsys, ["trace", "--symbol-file", str(path), "--radius", "4", "--dim", "1"]) == want
-
-    def test_symbol_file_radius_mismatch_exit_2(self, capsys, tmp_path):
-        lat = FrequencyLattice(1, 4)
-        a = sample_symbol(bessel_symbol(-4.0), min_grid_size(4), lat)
-        path = tmp_path / "a.json"
-        save_sampled_symbol(a, str(path))
-        code, _, err = run(capsys, [
-            "trace", "--symbol-file", str(path), "--radius", "8",
-        ])
-        assert code == 2
-        assert "radius 4" in err and "radius 8" in err
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

@@ -32,13 +32,23 @@ def bits(x) -> bytes:
 
 def weighted_fsum(x, w):
     """The one-group weighted sum: ``fsum_by``'s first group."""
-    return fsum_by(None, x, w)[0]
+    return fsum_by(x, w)[0]
 
 
-def outcome(fn, *args):
+def contiguous(groups, x, w=None):
+    """``x`` and ``w`` sorted stably by their group labels, and the cuts of groups
+    0 .. max(groups) in that order (a label no term has is an empty group).  Within
+    a group the terms keep their order, so ``math.fsum`` over ``x[groups == g]`` sees
+    them as ``fsum_by`` does, exceptions included."""
+    order = np.argsort(groups, kind="stable")
+    cuts = np.searchsorted(groups[order], np.arange(groups.max() + 2 if groups.size else 1))
+    return x[order], None if w is None else w[order], cuts
+
+
+def outcome(fn, *args, **kwargs):
     """Bits of the result, or the exception's type and message."""
     try:
-        result = fn(*args)
+        result = fn(*args, **kwargs)
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
     if isinstance(result, list):
@@ -86,10 +96,11 @@ class TestMatchesMathFsum:
         # every other group id is unused, so groups in the middle are empty
         groups = 2 * rng.integers(0, group_count, n)
         want = [math.fsum(x[groups == g]) for g in range(groups.max() + 1)] if n else []
-        assert outcome(fsum_by, groups, x) == [bits(v) for v in want]
+        xs, _, cuts = contiguous(groups, x)
+        assert outcome(fsum_by, xs, cuts=cuts) == [bits(v) for v in want]
         # rows as groups; their length need not divide CHUNK
         rows = x[: n - n % group_count].reshape(group_count, -1)
-        assert outcome(fsum_by, None, rows) == [bits(math.fsum(row)) for row in rows]
+        assert outcome(fsum_by, rows) == [bits(math.fsum(row)) for row in rows]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
@@ -120,7 +131,7 @@ class TestMatchesMathFsum:
 
     def test_empty_inputs(self):
         assert bits(fsum(np.array([]))) == bits(math.fsum([]))
-        assert fsum_by(np.array([], dtype=np.int64), np.array([])) == []
+        assert fsum_by(np.array([]), cuts=[0]) == []
         assert fsum_complex(np.array([])) == 0j
 
     def test_more_groups_than_max_groups(self):
@@ -128,7 +139,8 @@ class TestMatchesMathFsum:
         x = rng.standard_normal(4 * CROSSOVER)
         groups = rng.integers(0, sums.MAX_GROUPS + 5, x.size)
         want = [math.fsum(x[groups == g]) for g in range(groups.max() + 1)]
-        assert outcome(fsum_by, groups, x) == [bits(v) for v in want]
+        xs, _, cuts = contiguous(groups, x)
+        assert outcome(fsum_by, xs, cuts=cuts) == [bits(v) for v in want]
 
 
 class TestExceptionParity:
@@ -152,21 +164,19 @@ class TestExceptionParity:
         x = self.padded(head)
         want = outcome(math.fsum, x)
         assert outcome(fsum, x) == want
-        got = outcome(fsum_by, np.zeros(x.size, dtype=np.int64), x)
+        got = outcome(fsum_by, x)
         assert got == (want if isinstance(want, tuple) else [want])
 
     def test_nan(self):
         x = self.padded([1.0, math.nan])
         assert math.isnan(math.fsum(x)) and math.isnan(fsum(x))
-        assert math.isnan(fsum_by(np.zeros(x.size, dtype=np.int64), x)[0])
+        assert math.isnan(fsum_by(x)[0])
 
     def test_first_failing_group_raises(self):
         x = self.padded([1.0, math.inf, -math.inf])
-        groups = np.zeros(x.size, dtype=np.int64)
-        groups[1:3] = 1
         with pytest.raises(ValueError):
             math.fsum(x[1:3])
-        assert outcome(fsum_by, groups, x) == outcome(math.fsum, x[1:3])
+        assert outcome(fsum_by, x, cuts=[0, 1, 3, x.size]) == outcome(math.fsum, x[1:3])
 
 
 def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monkeypatch):
@@ -259,7 +269,8 @@ class TestWeights:
         w = rng.integers(1, max(1, min(top, 100_000 // n)) + 1, n)  # at most 10^5 repeated terms
         assert outcome(weighted_fsum, x, w) == self.want(None, x, w)
         groups = 2 * rng.integers(0, group_count, n)
-        assert outcome(fsum_by, groups, x, w) == self.want(groups, x, w)
+        xs, ws, cuts = contiguous(groups, x, w)
+        assert outcome(fsum_by, xs, ws, cuts=cuts) == self.want(groups, x, w)
 
     @pytest.mark.parametrize("total", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1])
     @pytest.mark.parametrize("group_count", [1, sums.MAX_GROUPS, sums.MAX_GROUPS + 1])
@@ -271,7 +282,8 @@ class TestWeights:
         w[0] = total - n + 1
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
         groups = np.arange(n) % group_count
-        assert outcome(fsum_by, groups, x, w) == self.want(groups, x, w)
+        xs, ws, cuts = contiguous(groups, x, w)
+        assert outcome(fsum_by, xs, ws, cuts=cuts) == self.want(groups, x, w)
 
     def test_weighted_kernel_runs_without_the_fallback(self, monkeypatch):
         # 300 distinct finite terms standing for about 10^5: no expansion to math.fsum
@@ -309,43 +321,46 @@ class TestWeights:
     @pytest.mark.parametrize("w", [[1, 0, 2], [1, -1, 2], [1, 2]])
     def test_non_positive_or_misshapen_weights_refused(self, w):
         with pytest.raises(ValueError, match="weights"):
-            fsum_by(None, np.ones(3), np.array(w))
+            fsum_by(np.ones(3), np.array(w))
 
     @pytest.mark.parametrize("n", [7, CROSSOVER - 1, CROSSOVER, CHUNK + 1])
     @pytest.mark.parametrize("kind", ["wide", "cancel", "negative-zero"])
     def test_unit_weights_are_no_weights(self, monkeypatch, n, kind):
         # SU(2) and per-point duals pass weights that are all 1: math.fsum's bits, and
-        # neither the kernel nor the fallback sees the weights
+        # neither the kernel nor the fallback sees the weights: the fallback sums the
+        # terms themselves (a view of x, or none where every term was a dropped zero),
+        # not their repetition by the weights
         rng = np.random.default_rng(n)
         x, w = terms(kind, n, rng), np.ones(n, dtype=np.int64)
-        groups = rng.integers(0, 3, n)
+        xs, ws, cuts = contiguous(rng.integers(0, 3, n), x, w)
         assert outcome(weighted_fsum, x, w) == outcome(math.fsum, x)
-        assert outcome(fsum_by, groups, x, w) == [bits(math.fsum(x[groups == g])) for g in range(3)]
+        assert outcome(fsum_by, xs, ws, cuts=cuts) == [bits(math.fsum(xs[a:b])) for a, b in zip(cuts, cuts[1:])]
         seen = []
         real = sums._fsum_slices
-        monkeypatch.setattr(sums, "_fsum_slices", lambda *a: seen.append(a[3]) or real(*a))
-        fsum_by(groups, x, w)
+        monkeypatch.setattr(sums, "_fsum_slices",
+                            lambda *a: seen.append(np.shares_memory(a[0], xs) or not a[0].size) or real(*a))
+        fsum_by(xs, ws, cuts=cuts)
         # zeros are dropped before the path is chosen: CROSSOVER counts nonzero terms
-        assert seen == ([None] if np.count_nonzero(x) < CROSSOVER else [])
+        assert seen == ([True] if np.count_nonzero(x) < CROSSOVER else [])
 
 
 class TestTotal:
-    """``fsum_by(groups, values, weights, total=True)`` is (``fsum_by(groups, values,
-    weights)``, ``fsum_by(None, values, weights)[0]``) bit for bit from one call; an
-    exception is the total's when the one-group sum raises, else the group sums'."""
+    """``fsum_by(values, weights, total=True, cuts=cuts)`` is (``fsum_by(values,
+    weights, cuts=cuts)``, ``fsum_by(values, weights)[0]``) bit for bit from one call;
+    an exception is the total's when the one-group sum raises, else the group sums'."""
 
     @staticmethod
-    def want(groups, x, w):
+    def want(x, w, cuts):
         total = outcome(weighted_fsum, x, w)
         if isinstance(total, tuple):
             return total
-        by = outcome(fsum_by, groups, x, w)
+        by = outcome(fsum_by, x, w, cuts=cuts)
         return by if isinstance(by, tuple) else (by, total)
 
     @staticmethod
-    def got(groups, x, w):
+    def got(x, w, cuts):
         try:
-            by, total = fsum_by(groups, x, w, total=True)
+            by, total = fsum_by(x, w, total=True, cuts=cuts)
         except (ValueError, OverflowError) as exc:
             return type(exc), str(exc)
         return [bits(v) for v in by], bits(total)
@@ -369,19 +384,20 @@ class TestTotal:
         groups = rng.integers(0, group_count, n)
         if n:
             groups[0] = group_count - 1  # max(groups) + 1 is the group count, on each side of MAX_GROUPS
-        assert self.got(groups, x, w) == self.want(groups, x, w)
+        args = contiguous(groups, x, w)
+        assert self.got(*args) == self.want(*args)
 
     def test_kernel_total_is_the_bins_total(self, monkeypatch):
         # finite terms above the crossover: group sums and total from one binned pass
         rng = np.random.default_rng(9)
         x, w = terms("wide", CHUNK + 1, rng), rng.integers(1, 4, CHUNK + 1)
-        groups = rng.integers(0, 17, x.size)
-        want = self.want(groups, x, w)
+        args = contiguous(rng.integers(0, 17, x.size), x, w)
+        want = self.want(*args)
         monkeypatch.setattr(sums, "_fsum_slices", lambda *args: pytest.fail("fell back"))
-        assert self.got(groups, x, w) == want
+        assert self.got(*args) == want
 
     def test_rows_as_groups(self):
         x = terms("cancel", 3 * CROSSOVER, np.random.default_rng(2)).reshape(3, -1)
-        by, total = fsum_by(None, x, total=True)
+        by, total = fsum_by(x, total=True)
         assert [bits(v) for v in by] == [bits(math.fsum(row)) for row in x]
         assert bits(total) == bits(math.fsum(x.ravel()))
