@@ -722,12 +722,14 @@ class TestDualTraceCommands:
          "drop it for --group torus"),
         (["bessel-trace", "--group", "torus", "--alpha", "2", "--cutoff", "6", "--integer-spins"],
          "drop it for --group torus"),
+        (["bessel-trace", "--group", "torus", "--alpha", "1", "--cutoff", "6", "--tail-correct"],
+         "raise --alpha above 1"),
         (["besov-norm", "--input", "FILE", "--grid", "1", "--w", "1", "--p", "2", "--q", "2",
           "--radius", "2"], "--input carries its own grid; drop --grid"),
         (["approx-demo", "--input", "FILE", "--grid", "64", "--w", "0", "--p", "2", "--q", "2",
           "--n-values", "1"], "--input carries its own grid; drop --grid"),
     ], ids=["heat-su2-dim", "bessel-su2-dim", "tt1-su2-dim", "heat-torus-spins", "bessel-torus-spins",
-            "besov-input-grid", "approx-input-grid"])
+            "bessel-divergent-tail", "besov-input-grid", "approx-input-grid"])
     def test_flag_the_group_ignores_exit_2(self, capsys, monkeypatch, tmp_path, argv, remedy):
         # the flag was ignored (exit 0), and su2 reports echoed "dim": 2; a function
         # file's run gave the same bytes with --grid as without it
