@@ -41,7 +41,6 @@ from .harmonic import (
 from .io import ValidationError, load_periodic_function, load_sampled_symbol
 from .quantize import (EIGEN_SIDE_LIMIT, TRACE_IDENTITY_TOL, CompressedOperator, EigensolverError,
                        eigenvalues)
-from .sums import fsum_complex
 from .symbols import (
     BracketPower,
     GaussianDecay,
@@ -315,7 +314,8 @@ def _multi_index(vals: list[int], dim: int, flag: str) -> tuple[int, ...]:
     if len(vals) == 1 and dim == 2:
         vals = vals + [0]
     _require(len(vals) == dim,
-             f"{flag} must be {dim} nonnegative integers for dim={dim}, got {','.join(map(str, vals))!r}")
+             f"{flag} must be {dim} nonnegative integer{'' if dim == 1 else 's'} for dim={dim}, "
+             f"got {','.join(map(str, vals))!r}")
     return tuple(vals)
 
 
@@ -332,6 +332,17 @@ def _overflow_remedy(w: float, flags: str) -> str:
 def _symbol_remedy(args) -> str:
     """Remedy for a symbol whose x-Fourier table, or a sum over it, leaves float64."""
     return "check the values in --symbol-file" if args.symbol_file else "lower --m or --c, or raise --t"
+
+
+def _compressions(args, a: Symbol, radii: list[int]) -> list[CompressedOperator]:
+    """The compression of ``a`` at each of ``radii``, built largest first: a table or
+    trace that leaves float64 is refused (exit 2, with the symbol's remedy) before
+    any other diagnostic or solve."""
+    try:
+        operators = [CompressedOperator(a, FrequencyLattice(a.dim, r)) for r in reversed(radii)]
+    except OverflowError as exc:
+        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
+    return operators[::-1]
 
 
 def _require_side(dim: int, radius: int, flag: str = "--radius") -> None:
@@ -360,22 +371,17 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
     _require(args.order_hint is None or args.order_hint < -a.dim,
              f"--order-hint {args.order_hint} is not summable in dimension {a.dim}; "
              f"lower --order-hint below {-a.dim}")
-    lattice = FrequencyLattice(a.dim, args.radius)
-    try:
-        op = CompressedOperator(a, lattice)
-        nuc = op.trace()  # the support table's zero row: sum_xi hat{a}(0, xi)
-    except OverflowError as exc:
-        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
+    (op,) = _compressions(args, a, [args.radius])
     # the diagnostics' refusals come before the eigensolver, the run's costliest step
     diagnostics: dict = {"trace_identity_tolerance": TRACE_IDENTITY_TOL}
     if args.order_hint is not None:
         try:
-            diagnostics["tail_estimate"] = tail_estimate(a, lattice, args.order_hint)
+            diagnostics["tail_estimate"] = tail_estimate(a, op.lattice, args.order_hint)
         except OverflowError as exc:
             raise ValidationError(f"{exc}; pass an --order-hint nearer the symbol's order") from exc
     if args.certify_w is not None:
         try:
-            bound = nuclear_quasinorm_bound(a, 1.0, args.certify_w, lattice)
+            bound = nuclear_quasinorm_bound(a, 1.0, args.certify_w, op.lattice)
         except OverflowError as exc:
             remedy = _overflow_remedy(args.certify_w, f"--certify-w, or {_symbol_remedy(args)}")
             raise ValidationError(remedy) from exc
@@ -386,17 +392,13 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
             "r": 1.0,
             "bound": bound,
         }
-    try:
-        eigs = eigenvalues(op)
-        spec = fsum_complex(eigs)
-    except OverflowError as exc:
-        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
+    (row,) = lidskii_compare(a, [op])["history"]
     body = {
         "radius": args.radius,
-        "nuclear_trace": nuc,
-        "spectral_trace": spec,
-        "abs_difference": abs(nuc - spec),
-        "eigenvalue_count": int(eigs.size),
+        "nuclear_trace": row["nuclear"],
+        "spectral_trace": row["spectral"],
+        "abs_difference": row["abs_diff"],
+        "eigenvalue_count": len(op.lattice),
     }
     return body, diagnostics, None
 
@@ -407,10 +409,7 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
              "list each radius once, smallest first")
     a = build_symbol(args, max(args.radii), "--radii")
     _require_side(a.dim, max(args.radii), "--radii")
-    try:
-        report = lidskii_compare(a, args.radii)
-    except OverflowError as exc:
-        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
+    report = lidskii_compare(a, _compressions(args, a, args.radii))
     body = {"radii": args.radii, **report}
     diagnostics = {
         "note": "nuclear/spectral agreement at every radius is a property of the "
@@ -604,13 +603,8 @@ def _run_approx_demo(args) -> tuple[dict, dict, CsvTable | None]:
 def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     a = build_symbol(args, args.radius)
     _require_side(a.dim, args.radius)
-    lattice = FrequencyLattice(a.dim, args.radius)
-    try:
-        op = CompressedOperator(a, lattice)
-        eigs, residuals = eigenvalues(op, with_residuals=True)
-        trace = op.trace()
-    except OverflowError as exc:
-        raise ValidationError(f"{exc}; {_symbol_remedy(args)}") from exc
+    (op,) = _compressions(args, a, [args.radius])
+    eigs, residuals = eigenvalues(op, with_residuals=True)
     residual_max = float(residuals.max()) if eigs.size else 0.0
     if args.matrix_csv:  # one f-string a row; .17g spells nan/inf/-inf as render_csv does
         rows = [
@@ -622,7 +616,7 @@ def _run_spectrum(args) -> tuple[dict, dict, CsvTable | None]:
     body = {
         "radius": args.radius,
         "eigenvalues": [complex(v) for v in eigs],
-        "trace": trace,
+        "trace": op.trace(),
     }
     csv_table = ("index,re,im", ([i, v.real, v.imag] for i, v in enumerate(eigs)))
     return body, {"max_residual": residual_max, "order": "descending |lambda|, ties by argument"}, csv_table

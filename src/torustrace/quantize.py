@@ -40,8 +40,9 @@ class CompressedOperator:
     Entry (eta, xi) is hat{a}(eta - xi, xi): row k of ``table`` when eta - xi is
     support point k, else the appended zero row.  ``slot`` maps each radix key
     of the difference box, key(eta - xi) = key(eta) - key(xi) + key(0), to it.
-    A table with an inf or nan entry (a symbol that overflows float64) is
-    refused with OverflowError; no eigensolver could use it.
+    A table with an inf or nan entry (a symbol that overflows float64), or a
+    trace whose exactly rounded sum leaves float64, is refused with
+    OverflowError when the compression is built; no eigensolver could use it.
     """
 
     def __init__(self, a: Symbol, lattice: FrequencyLattice):
@@ -61,6 +62,7 @@ class CompressedOperator:
         self.slot = np.full((2 * span + 1) ** a.dim, len(self.support))
         self.slot[self.support @ radix + self._zero_key] = np.arange(len(self.support))
         self._keys = lattice.points @ radix
+        self._trace = fsum_complex(self.diagonal())
 
     def __getitem__(self, index) -> np.ndarray:
         """Entries (eta_i, xi_j) for a pair (i, j) of broadcastable index arrays."""
@@ -88,7 +90,7 @@ class CompressedOperator:
         return self.table[self.slot[self._zero_key]]
 
     def trace(self) -> complex:
-        return fsum_complex(self.diagonal())
+        return self._trace
 
 
 def canonical_eigen_order(eigs: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 At every truncation radius the compression satisfies the trace identity
 exactly: sum of eigenvalues = matrix trace = sum_xi hat{a}(0, xi).
-``lidskii_compare`` reads every radius from its own x-Fourier support table
-(``quantize.CompressedOperator``); a sampled table answers any radius up to its
-own.  Non-summable symbols are not rejected: their nuclear-trace tail is
-reported as inf.  Both tails here, that one and ``tail_estimate``, are
+``lidskii_compare`` reads every radius from its own compression
+(``quantize.CompressedOperator``), built by its caller; a sampled table answers
+any radius up to its own, and ``trace`` is the case of one radius.
+Non-summable symbols are not rejected: their nuclear-trace tail is reported as
+inf.  Both tails here, that one and ``tail_estimate``, are
 ``groups.dual_tail_bound`` times a constant.
 """
 
@@ -22,33 +23,26 @@ from .sums import fsum_complex
 from .symbols import Symbol
 
 
-def lidskii_compare(a: Symbol, radii: list[int]) -> dict:
-    """Nuclear and spectral traces across increasing radii: the ``lidskii``
-    report body without its radii, one history row per radius.
+def lidskii_compare(a: Symbol, operators: list[CompressedOperator]) -> dict:
+    """Nuclear and spectral traces of the compressions ``operators`` of ``a``, by
+    increasing radius: the ``lidskii`` report body without its radii.
 
-    Each radius reads its compression's blocks and trace from its own support
-    table, built largest radius first, so a sampled table too small for it, or
-    a table that is not finite, is refused before any solve.  The tail is that
-    of the nuclear trace past the largest radius R: for a catalog symbol
-    u(x) g(xi) it is hat{u}(0) sum_{|xi|_inf > R} g(xi), at most |hat{u}(0)|
-    times ``groups.dual_tail_bound`` of g (0 when hat{u}(0) = 0).  A sampled
-    symbol has no such envelope: its tail is inf.  ``history_converged`` is true
-    exactly when the tail is finite.
+    A table or trace that is not finite was refused when its compression was
+    built.  The tail is that of the nuclear trace past the largest radius R: for a
+    catalog symbol u(x) g(xi) it is hat{u}(0) sum_{|xi|_inf > R} g(xi), at most
+    |hat{u}(0)| times ``groups.dual_tail_bound`` of g (0 when hat{u}(0) = 0).  A
+    sampled symbol has no such envelope: its tail is inf.  ``history_converged``
+    is true exactly when the tail is finite.
     """
-    radii = [int(r) for r in radii]
-    operators: list[CompressedOperator] = []
-    for radius in reversed(radii):
-        lattice = FrequencyLattice(a.dim, radius)
-        operators.insert(0, CompressedOperator(a, lattice))
     history = []
-    for radius, op in zip(radii, operators):
-        nuc = op.trace()
-        spec = fsum_complex(eigenvalues(op))
-        history.append({"radius": radius, "nuclear": nuc, "spectral": spec, "abs_diff": abs(nuc - spec)})
+    for op in operators:
+        nuc, spec = op.trace(), fsum_complex(eigenvalues(op))
+        history.append({"radius": op.lattice.radius, "nuclear": nuc, "spectral": spec,
+                        "abs_diff": abs(nuc - spec)})
     envelope, tail = a.trace_envelope, math.inf
     if envelope is not None:
         mean, b, s = envelope
-        tail = 0.0 if mean == 0 else mean * dual_tail_bound(Torus(a.dim), radii[-1], 0.0, b, s)
+        tail = 0.0 if mean == 0 else mean * dual_tail_bound(Torus(a.dim), history[-1]["radius"], 0.0, b, s)
     return {
         "history": history,
         "nuclear_trace": history[-1]["nuclear"],

@@ -89,7 +89,7 @@ def test_criterion_03_su2_heat_trace(capsys):
 
 def test_criterion_04_lidskii_compressions():
     a = modulated_symbol(2.0, BracketPower(-4.0))
-    rep = lidskii_compare(a, [4, 8, 16])
+    rep = lidskii_compare(a, [CompressedOperator(a, FrequencyLattice(1, r)) for r in (4, 8, 16)])
     diffs_ok = all(rec["abs_diff"] <= 1e-8 for rec in rep["history"])
     incs = [abs(b["nuclear"] - q["nuclear"]) for q, b in zip(rep["history"], rep["history"][1:])]
     shrink = incs[0] / incs[1]

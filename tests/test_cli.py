@@ -103,6 +103,12 @@ class TestTraceCommand:
             assert doc["diagnostics"]["quasinorm_certificate"]["w"] == float(w)
         assert outs[0] == outs[1] == outs[2]
 
+    def test_character_symbol_traces_vanish(self, capsys):
+        # e^{i 2 pi x_1} has hat{a}(0, xi) = 0: every diagonal entry, so both traces, are 0
+        body = run_json(capsys, ["trace", "--symbol", "character", "--radius", "4"])["body"]
+        assert body["nuclear_trace"] == body["spectral_trace"] == [0, 0]
+        assert body["abs_difference"] == 0 and body["eigenvalue_count"] == 9
+
 
 class TestLidskiiCommand:
     def test_json_history(self, capsys):
@@ -132,6 +138,12 @@ class TestLidskiiCommand:
         ])
         assert code == 3
         assert "numerical failure" in err
+
+    def test_character_symbol_has_tail_zero(self, capsys):
+        # hat{u}(0) = 0 for u = e^{i 2 pi x_1}: the tail is 0 although g = 1 is not summable
+        body = run_json(capsys, ["lidskii", "--symbol", "character", "--radii", "1,2"])["body"]
+        assert [[rec["nuclear"], rec["spectral"]] for rec in body["history"]] == [[[0, 0], [0, 0]]] * 2
+        assert body["tail_estimate"] == 0 and body["history_converged"] is True
 
 
 class TestLidskiiTail:
@@ -238,6 +250,22 @@ class TestCheckClassCommand:
             "--radius", "16", "--decay-k", "1", "--decay-m", "-4",
         ])
         assert doc["body"]["decay_constant"]["C_est"] <= 4.0
+        assert "decay_note" not in doc["diagnostics"]
+
+    def test_sampled_decay_section_is_noted(self, capsys, tmp_path):
+        path = tmp_path / "sym.json"
+        save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(8), FrequencyLattice(1, 8)),
+                            str(path))
+        doc = run_json(capsys, ["check-class", "--symbol-file", str(path), "--radius", "8",
+                                "--decay-k", "1", "--decay-m", "-4"])
+        assert doc["body"]["decay_constant"]["k"] == 1
+        assert doc["diagnostics"]["decay_note"] == ("sampled symbol: smoothness in x not verifiable, "
+                                                    "conclusion-only run")
+
+    def test_one_alpha_index_is_padded_in_dim_2(self, capsys):
+        doc = run_json(capsys, ["check-class", "--symbol", "bessel", "--m", "-4", "--dim", "2",
+                                "--radius", "16", "--alpha-idx", "1"])
+        assert doc["body"]["alpha"] == [1, 0] and doc["body"]["beta"] == [0, 0]
 
     def test_missing_decay_m_exit_2(self, capsys):
         code, _, err = run(capsys, [
@@ -439,6 +467,13 @@ class TestNuclearityCommand:
             "--symbol", "bessel", "--m", "-3",
         ])
         assert doc["body"]["satisfied"] is True
+
+    def test_tt1_case2_epsilon_at_p_1(self, capsys):
+        # epsilon is extended to p = 1 by 1/2: entrywise L^1 norms are dominated by L^2 ones
+        params = run_json(capsys, ["nuclearity", "--theorem", "tt1", "--case", "2", "--group", "torus",
+                                   "--cutoff", "64", "--r", "1", "--p", "1", "--q", "1",
+                                   "--m", "-4"])["body"]["derived_params"]
+        assert params["epsilon_p"] == 0.5 and params["dimension_exponent"] == 1.5
 
     @pytest.mark.parametrize("m, satisfied", [("-3.1", True), ("-3", False)])
     def test_tt1_exponent_clause(self, capsys, m, satisfied):
@@ -1113,10 +1148,9 @@ class TestWeightOverflow:
          "pass an --order-hint nearer the symbol's order"),
     ], ids=["trace", "besov-norm", "approx-demo", "order-hint"])
     def test_exit_2_names_the_flag(self, capsys, monkeypatch, argv, remedy):
-        import torustrace.cli as cli
-
         # every refusal comes before the eigensolver, the costliest step of a trace
-        monkeypatch.setattr(cli, "eigenvalues", lambda *a, **k: pytest.fail("the eigensolver ran"))
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("the eigensolver ran"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, argv)
@@ -1379,7 +1413,9 @@ REFUSALS = {
     "difference-margin": ("check-class --symbol-file T --radius 8 --alpha-idx 9", "difference margin exhausted: "
                           "order (9,) on lattice radius 8; lower --alpha-idx to at most 8"),
     "alpha-idx-length": ("check-class --symbol bessel --m -4 --radius 16 --alpha-idx 1,2,3",
-                         "--alpha-idx must be 1 nonnegative integers for dim=1, got '1,2,3'"),
+                         "--alpha-idx must be 1 nonnegative integer for dim=1, got '1,2,3'"),
+    "alpha-idx-length-dim-2": ("check-class --symbol bessel --m -4 --dim 2 --radius 16 --alpha-idx 1,2,3",
+                               "--alpha-idx must be 2 nonnegative integers for dim=2, got '1,2,3'"),
     "decay-constant-overflow": ("check-class --symbol modulated --c 2 --m -4 --radius 16 --decay-k 1 "
                                 "--decay-m -1000", "the decay constant at k=1, m=-1000.0, delta=0.0 is inf, "
                                 "not a finite float64: the weights <eta>^(2k) <xi>^-(m + 2k delta) overflow; "
@@ -1393,6 +1429,14 @@ REFUSALS = {
                            "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower --cutoff"),
     "dual-budget-tt1": ("nuclearity --theorem tt1 --case 3 --group su2 --cutoff 1e308 --r 1 --p 2 --q 2 --m -4",
                         "the su2 dual at cutoff 1e+308 has more than 10000000 points; lower --cutoff"),
+    # a finite table whose trace sum_xi hat{a}(0, xi) leaves float64, refused when the
+    # compression is built
+    "trace-sum-overflow-trace": ("trace --symbol modulated --c 1e308 --m 0 --radius 3",
+                                 "intermediate overflow in fsum; lower --m or --c, or raise --t"),
+    "trace-sum-overflow-spectrum": ("spectrum --symbol modulated --c 1e308 --m 0 --radius 3",
+                                    "intermediate overflow in fsum; lower --m or --c, or raise --t"),
+    "trace-sum-overflow-lidskii": ("lidskii --symbol modulated --c 1e308 --m 0 --radii 1,3",
+                                   "intermediate overflow in fsum; lower --m or --c, or raise --t"),
     # the symbol flags (build_symbol)
     "bessel-without-m": ("trace --symbol bessel --radius 4", "bessel symbol needs --m EXPONENT"),
     "no-symbol": ("trace --radius 4", "missing symbol: pass --symbol FAMILY or --symbol-file PATH"),
@@ -1429,7 +1473,8 @@ class TestRefusals:
         import torustrace.cli as cli
 
         monkeypatch.setattr(cli, "enumerate_dual", lambda *a: pytest.fail("the dual was built"))
-        monkeypatch.setattr(cli, "eigenvalues", lambda *a, **k: pytest.fail("the eigensolver ran"))
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("the eigensolver ran"))
         command, message = REFUSALS[refusal]
         code, out, err = run(capsys, [paths.get(token, token) for token in command.split()])
         assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -5,7 +5,7 @@ factors H_xi = e_xi a(., xi) from the symbol's x-Fourier support table; the
 oracle in ``oracles`` samples every H_xi and forward-transforms it.  The two
 sum the same B^w_{2,2} norms of coefficients that differ only by FFT rounding,
 so they agree to 1e-13 relative.  ``traces.lidskii_compare`` reads each radius from
-its own support table; its records must equal the per-radius traces exactly, and for a sampled table
+its own compression; its records must equal the per-radius traces exactly, and for a sampled table
 they must match the quadrature and whole-matrix oracles.  A sampled table
 answers every radius up to its own: the compression at a smaller radius is
 the sub-block of the table-radius compression, bit for bit.
@@ -84,7 +84,7 @@ def test_sampled_certificate_equals_catalog(dim, radius, grid):
 def test_lidskii_records_equal_per_radius_traces(name, dim, radii):
     a = CATALOG[name](dim)
     radii = sorted(radii)
-    report = lidskii_compare(a, radii)
+    report = lidskii_compare(a, [CompressedOperator(a, FrequencyLattice(dim, r)) for r in radii])
     for rec, radius in zip(report["history"], radii):
         lattice = FrequencyLattice(dim, radius)
         assert rec["radius"] == radius

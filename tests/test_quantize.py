@@ -88,6 +88,11 @@ class TestOperatorMatrix:
         assert mat.trace() == pytest.approx(oracle, abs=1e-14)
         assert mat.trace().real == pytest.approx(3.2138408304498269, abs=1e-12)
 
+    def test_trace_beyond_float64_is_refused_when_built(self):
+        # every entry is finite (1e308 on the diagonal), but the 7 diagonal entries sum past float64
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            CompressedOperator(modulated_symbol(1e308, BracketPower(0.0)), FrequencyLattice(1, 3))
+
     def test_consistency_with_apply(self, rng):
         lat = FrequencyLattice(1, 4)
         a = modulated_symbol(2.0, BracketPower(-2.0))

@@ -28,6 +28,11 @@ def matrix_trace(a, lat):
     return CompressedOperator(a, lat).trace()
 
 
+def compare(a, radii):
+    """``lidskii_compare`` over the compressions of ``a`` at ``radii``, built as ``lidskii`` builds them."""
+    return lidskii_compare(a, [CompressedOperator(a, FrequencyLattice(a.dim, r)) for r in radii])
+
+
 def spectrum(a, lat):
     """The compression's eigenvalues and their sum, as ``spectrum`` and ``trace`` report them."""
     eigs = eigenvalues(CompressedOperator(a, lat))
@@ -88,7 +93,7 @@ class TestSpectralTrace:
 
 class TestLidskiiCompare:
     def test_power_law_shrinking_increments(self):
-        report = lidskii_compare(bessel_symbol(-4.0), [4, 8, 16])
+        report = compare(bessel_symbol(-4.0), [4, 8, 16])
         for rec in report["history"]:
             assert rec["abs_diff"] <= 1e-10
         incs = [
@@ -102,13 +107,13 @@ class TestLidskiiCompare:
         assert true_tail <= report["tail_estimate"] == 2.0 * 16**-3 / 3.0
 
     def test_gaussian_tail(self):
-        report = lidskii_compare(heat_symbol(1.0), [2, 4, 6])
+        report = compare(heat_symbol(1.0), [2, 4, 6])
         nuc = {rec["radius"]: rec["nuclear"].real for rec in report["history"]}
         assert abs(nuc[6] - nuc[4]) <= 1e-7
         assert report["history_converged"] is True
 
     def test_identity_flagged_nonconvergent(self):
-        report = lidskii_compare(bessel_symbol(0.0), [2, 4, 8])
+        report = compare(bessel_symbol(0.0), [2, 4, 8])
         nuc = {rec["radius"]: rec["nuclear"].real for rec in report["history"]}
         assert nuc[2] == pytest.approx(5.0, abs=1e-12)
         assert nuc[4] == pytest.approx(9.0, abs=1e-12)
@@ -118,30 +123,30 @@ class TestLidskiiCompare:
     def test_heat_tail_bound(self):
         # the Gaussian envelope past radius 2: at least 2 sum_{k > 2} e^{-0.1 k^2}, and
         # within 30% of it
-        report = lidskii_compare(heat_symbol(0.1), [1, 2])
+        report = compare(heat_symbol(0.1), [1, 2])
         true_tail = 2 * fsum(math.exp(-0.1 * k * k) for k in range(3, 200))
         assert true_tail <= report["tail_estimate"] <= 1.3 * true_tail
         assert report["history_converged"] is True
 
     def test_a_slow_power_law_is_certified(self):
         # <xi>^-1.2 is summable in dim 1, however slowly its increments shrink
-        report = lidskii_compare(bessel_symbol(-1.2), [2, 4, 8, 16, 32])
+        report = compare(bessel_symbol(-1.2), [2, 4, 8, 16, 32])
         assert report["tail_estimate"] == pytest.approx(2.0 * 32**-0.2 / 0.2, rel=1e-15)
         assert report["history_converged"] is True
 
     def test_one_radius_gets_a_verdict(self):
-        assert lidskii_compare(bessel_symbol(-4.0), [4])["history_converged"] is True
+        assert compare(bessel_symbol(-4.0), [4])["history_converged"] is True
 
     def test_zero_mean_symbol_has_tail_zero(self):
         # e^{i 2 pi x} g(xi) has hat u(0) = 0: trace and tail are 0 whatever g is
         a = SeparableSymbol(TrigPolynomial({1: 1.0 + 0j}), BracketPower(0.0))
-        report = lidskii_compare(a, [2, 4])
+        report = compare(a, [2, 4])
         assert report["nuclear_trace"] == 0 and report["tail_estimate"] == 0.0
         assert report["history_converged"] is True
 
     def test_sampled_symbol_not_certified(self):
         a = sample_symbol(bessel_symbol(-4.0), min_grid_size(8), FrequencyLattice(1, 8))
-        report = lidskii_compare(a, [4, 8])
+        report = compare(a, [4, 8])
         assert report["tail_estimate"] == math.inf and report["history_converged"] is False
 
 
