@@ -3,7 +3,8 @@
 Complex numbers are stored as [re, im] pairs.  Function files carry the grid
 in x-lexicographic order; symbol files are x-major, lattice-minor with the
 lattice in its canonical ordering, and may add ``claimed_*`` numbers (null
-reads as absent); every value is a JSON number, and every value and claim is
+reads as absent); every value is a JSON number, an int or a float by its own
+type (``_pairs`` checks them all in one pass), and every value and claim is
 finite, but for a claimed_order of -Infinity (a smoothing symbol's).  ``_read``
 reads both formats and ``_write`` writes both; a defective file is one
 ``ValidationError`` that names it, the error ``cli`` also refuses a bad flag with.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -46,23 +48,17 @@ def _number(doc: dict, key: str) -> float:
     return float(value)
 
 
-def _pairs(values, text: str):
+def _pairs(values):
     """``values`` as a float64 array of [re, im] rows, or None if it is not a list of pairs of
-    JSON numbers.  numpy infers a string as ``<U``, a null, a container or an integer beyond
-    64 bits as ``object``, and an all-boolean table as ``bool``; a boolean among numbers reads
-    as one, so ``values`` is scanned for one only when the file ``text`` spells a boolean."""
-    try:
-        pairs = np.asarray(values)
-    except ValueError:  # ragged, or nested deeper than numpy allows
+    JSON numbers: every item a list of two, checked before they are flattened, and every value
+    an int or a float by its own type (a bool, a string, a null or a container is not one),
+    read with the bits ``float()`` gives it."""
+    if type(values) is not list or set(map(type, values)) != {list} or set(map(len, values)) != {2}:
         return None
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
+    flat = list(chain.from_iterable(values))
+    if not set(map(type, flat)) <= {int, float}:
         return None
-    if pairs.dtype == object:
-        numbers = all(type(v) in (int, float) for v in pairs.flat)
-    else:
-        numbers = pairs.dtype.kind in "iuf" and not (
-            ("true" in text or "false" in text) and any(type(v) is bool for pair in values for v in pair))
-    return pairs.astype(np.float64, copy=False) if numbers else None
+    return np.array(flat, dtype=np.float64).reshape(-1, 2)
 
 
 def _read(path: str, kind: str):
@@ -86,8 +82,7 @@ def _parse(path: str, kind: str):
     fields = ("dim", "grid_size", "lattice_radius", "values") if symbol else ("dim", "grid_size", "values")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
+            doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"must hold a JSON object with the fields {', '.join(fields)}")
         for key in fields:
@@ -95,7 +90,7 @@ def _parse(path: str, kind: str):
                 raise ValueError(f"is missing the {key!r} field")
         dim, grid = _integer(doc, "dim", 1, 2), _integer(doc, "grid_size", 1)
         radius = _integer(doc, "lattice_radius", 0) if symbol else 0
-        pairs = _pairs(doc["values"], text)
+        pairs = _pairs(doc["values"])
         if pairs is None:
             raise ValueError("'values' must be a list of [re, im] pairs")
         if not np.isfinite(pairs).all():

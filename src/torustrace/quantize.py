@@ -128,14 +128,15 @@ def eigenvalues(matrix, with_residuals: bool = False):
     batched LAPACK call (balancing, Hessenberg, shifted QR): dgeev on the real
     parts when none of them has a nonzero (or nan) imaginary part, so conjugate
     pairs are exact and real eigenvalues have imaginary part 0, else zgeev.  The
-    eigenvalue sum must match the matrix trace to within ``TRACE_IDENTITY_TOL *
-    (1 + |trace|)``.  With ``with_residuals`` the eigenvectors are computed too,
-    every pair is checked against ``||A v - lambda v|| <= EIGEN_RESIDUAL_TOL *
-    ||A||_2`` (the largest block norm), and the residual norms are returned
-    alongside the eigenvalues, in the same order.  The block 2-norms (an SVD
-    each) are computed only when the largest entry magnitude, a lower bound on
-    ||A||_2, cannot clear every residual.  Either check failing raises
-    EigensolverError.
+    eigenvalue sum must match the matrix trace (``A.trace()``, a compression's exact
+    one) to within ``TRACE_IDENTITY_TOL * (1 + sum |lambda_i|)``, the scale of the
+    sum's own rounding, so a zero-trace spectrum with large eigenvalues passes.
+    With ``with_residuals`` the eigenvectors are computed too, every pair is
+    checked against ``||A v - lambda v|| <= EIGEN_RESIDUAL_TOL * ||A||_2`` (the
+    largest block norm), and the residual norms are returned alongside the
+    eigenvalues, in the same order.  The block 2-norms (an SVD each) are computed
+    only when the largest entry magnitude, a lower bound on ||A||_2, cannot clear
+    every residual.  Either check failing raises EigensolverError.
     """
     A = matrix if isinstance(matrix, CompressedOperator) else np.asarray(matrix)
     side = A.shape[0]
@@ -189,9 +190,9 @@ def eigenvalues(matrix, with_residuals: bool = False):
                 f"eigenpair {i} residual {residuals[i]:.3e} exceeds "
                 f"{EIGEN_RESIDUAL_TOL:.1e} * ||A|| = {EIGEN_RESIDUAL_TOL * norm_a:.3e}"
             )
-    trace = fsum_complex(A.diagonal())
-    esum = fsum_complex(eigs)
-    if abs(esum - trace) > TRACE_IDENTITY_TOL * (1.0 + abs(trace)):
+    trace, esum = A.trace(), fsum_complex(eigs)
+    # sum |lambda_i| >= |trace|; each term is scaled before the sum, which then cannot overflow
+    if abs(esum - trace) > TRACE_IDENTITY_TOL + np.abs(TRACE_IDENTITY_TOL * eigs).sum():
         raise EigensolverError(f"eigenvalue sum {esum} disagrees with matrix trace {trace}")
     if with_residuals:
         return eigs, residuals

@@ -110,6 +110,43 @@ class TestTraceCommand:
         assert body["abs_difference"] == 0 and body["eigenvalue_count"] == 9
 
 
+ZERO_TRACE_LINES = [
+    "trace --symbol modulated --c=0 --m 4 --dim 2 --radius 31",
+    "spectrum --symbol modulated --c=0 --m 4 --dim 2 --radius 31",
+    "lidskii --symbol modulated --c=0 --m 4 --dim 2 --radii 8,16,31",
+    "trace --symbol modulated --c=0 --m 6 --dim 1 --radius 16",
+]
+
+
+class TestZeroTraceSpectra:
+    """c = 0 zeroes the diagonal, so the trace is exactly 0 while the eigenvalues are
+    large: the identity check compares the sum with the eigenvalues' own scale and
+    these spectra, refused (exit 3) against 1 + |trace|, pass."""
+
+    @pytest.mark.parametrize("line", ZERO_TRACE_LINES)
+    def test_exit_0(self, capsys, line):
+        code, out, err = run(capsys, line.split())
+        assert (code, err) == (0, "")
+        body = json.loads(out)["body"]
+        if line.startswith("trace"):
+            assert body["nuclear_trace"] == [0, 0]
+        if line.startswith("lidskii"):
+            assert [row["nuclear"] for row in body["history"]] == [[0, 0]] * 3
+
+    def test_corrupted_eigenvalue_sum_exit_3(self, capsys, monkeypatch):
+        real = np.linalg.eigvals
+
+        def shifted(a):
+            vals = real(a).copy()
+            vals[..., 0] += 1e-3
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvals", shifted)
+        code, out, err = run(capsys, "trace --symbol modulated --c=0 --m -4 --dim 2 --radius 2".split())
+        assert code == 3 and out == ""
+        assert "disagrees with matrix trace 0j" in err and "Traceback" not in err
+
+
 class TestLidskiiCommand:
     def test_json_history(self, capsys):
         doc = run_json(capsys, [
@@ -1519,10 +1556,15 @@ FILE_DEFECTS = {
     "string-value": {"values": lambda pairs: [["1", 0.0]] + pairs[1:]},  # once read as 1.0
     "bool-value": {"values": lambda pairs: pairs[:-1] + [[0.0, True]]},  # once read as 1.0
     "null-value": {"values": lambda pairs: [[None, 0.0]] + pairs[1:]},  # once refused as NaN
+    "values-a-string": {"values": "ab"},
+    "object-pairs": {"values": [{"re": 1, "im": 0}] * 162},
+    "nested-value": {"values": lambda pairs: [[[1.0], 0.0]] + pairs[1:]},
+    "three-beside-one": {"values": lambda pairs: [[1.0, 0.0, 0.0], [1.0]] + pairs[2:]},  # an even flat count
+    "empty-values": {"values": []},
 }
 # the FILE_DEFECTS whose whole reason is that 'values' is not a list of pairs of JSON numbers
 NOT_PAIRS = {"values-not-a-list", "bad-pairs", "ragged-pairs", "string-pairs", "string-value", "bool-value",
-             "null-value"}
+             "null-value", "values-a-string", "object-pairs", "nested-value", "three-beside-one", "empty-values"}
 SYMBOL_DEFECTS = {
     "negative-lattice-radius": {"lattice_radius": -1},
     "lattice-radius-1e6": {"lattice_radius": 10**6},  # 162 values: refused before the lattice
@@ -1590,7 +1632,8 @@ class TestDataFiles:
         [[1, 0], [-3, 2**53 + 1], [0, 5]],  # int64
         [[10**30, -(2**63)], [2**64, 1], [7, -1]],  # beyond int64
         [[1, 0.5], [2**53 + 1, -0.0], [-7, 2.5]],  # with floats
-    ], ids=["int64", "beyond-int64", "with-floats"])
+        [[-0.0, 5e-324], [2**53 + 1, 2**70], [0, -0.0]],  # signed zero, least subnormal, rounded ints
+    ], ids=["int64", "beyond-int64", "with-floats", "edges"])
     def test_integer_values_read_as_their_floats(self, tmp_path, ints):
         # an integer is a JSON number, read as float(int); a "true" that is not a value
         # does not refuse the file
