@@ -152,8 +152,9 @@ def _radial_torus(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     r = sum_k C(dim, k) (-1)^(dim - k) 2^k c_k, c_k(n) the points of the k-dimensional quarter box on n
     (unweighted bincounts, exact integers).  In dim 1 the squares are distinct already."""
     if dim == 1:  # squares below 2^53 are exact in float64; 2 signs but at 0
-        lam = np.arange(radius + 1, dtype=np.float64)
-        return np.square(lam, out=lam), np.minimum(np.arange(radius + 1, dtype=np.int64), 1) + 1
+        lam, mult = np.arange(radius + 1, dtype=np.float64), np.full(radius + 1, 2, dtype=np.int64)
+        mult[0] = 1
+        return np.square(lam, out=lam), mult
     square = np.arange(radius + 1, dtype=np.int64) ** 2
     lower = [np.zeros(1, dtype=np.int64)]  # the sums over the quarter boxes of dimension k < dim
     for _ in range(dim - 1):

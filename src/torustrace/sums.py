@@ -16,19 +16,20 @@ as ``math.fsum`` at a fraction of its per-term cost:
   into two exact integers: ``hi`` = trunc(f 2^27), below 2^27, and
   ``lo`` = (f 2^27 - hi) 2^26, below 2^26.  Then x = hi 2^(e-27) + lo 2^(e-53),
   and both parts are multiples of 2^-1074.
-- Two ``np.bincount`` calls add up the parts in bins of one scale 2^(k-1127):
-  ``hi`` in bin k = e + 1100, ``lo`` in bin k = e + 1074 (its scale is that of
-  ``hi`` 26 exponents down).  A term puts at most one part, below 2^27, in any
-  bin, so with fewer than 2^26 terms every partial bin sum is an integer
-  below 2^53 and each float addition is exact, in any order.
-- Where a chunk's keys (group and exponent) come in runs of 16 equal keys or
-  more on average, ``np.add.reduceat`` first adds up ``hi`` and ``lo`` over
-  each run, and the two bincounts add the run sums.  A run sum is a partial
-  bin sum, so it is exact too.  Every dual series has such runs: its rows
-  ascend in lambda and its terms are monotone or unimodal.  On sorted keys
-  ``np.bincount`` waits on its own stores: a chunk of 2^15 terms in long
-  runs bins in about 150 us directly and 30 us run-reduced.  A chunk of
-  shorter runs is binned directly, after one pass that counts its runs.
+- The parts add up in bins of one scale 2^(k-1127): ``hi`` in bin k = e + 1100,
+  ``lo`` in bin k = e + 1074 (its scale is that of ``hi`` 26 exponents down).
+  A term puts at most one part, below 2^27, in any bin, so with fewer than
+  2^26 terms every partial bin sum is an integer below 2^53 and each float
+  addition is exact, in any order.
+- Each chunk is cut into runs of one group and one exponent, at every change
+  of exponent and at every cut inside it.  Where the runs average 16 terms or
+  more, ``np.add.reduceat`` sums ``hi`` and ``lo`` over each run and
+  ``np.add.at`` adds the run sums straight into their bins: a run sum is a
+  partial bin sum, so it is exact too.  A dual series' terms follow its
+  ascending lambda and are monotone or unimodal, so a slowly varying one (a
+  Bessel series, a heat series at small t) has such runs.  A chunk of shorter
+  runs (a Gaussian past its decay length) keys each term by group and
+  exponent and bins it with two ``np.bincount`` calls.
 - ``np.ldexp`` turns each nonzero bin into an exact float (a multiple of
   2^-1074 with at most 53 significant bits), and one ``math.fsum`` over those
   (at most 2125 per group, largest scale first, so that it keeps few
@@ -61,8 +62,9 @@ all groups' bins together is the correctly rounded total: the bits of
 
 Memory: where some terms are zero, copies of the nonzero terms and of their
 indices and weights, up to 24 bytes a nonzero term.  Then the terms go
-through in chunks of ``CHUNK``, with at most about 40 bytes of temporaries a
-term (weights are cast a chunk at a time), plus 2125 x 8 bytes of bins per
+through in chunks of ``CHUNK``, with about 22 bytes of temporaries a term of
+a chunk in long runs (29 weighted: weights are cast a chunk at a time) and up
+to 41 in short runs of several groups, plus 2125 x 8 bytes of bins per
 group.  The terms go to ``math.fsum`` itself (repeated by their weights), so
 that its values and its exceptions are kept, when there are fewer than
 ``CROSSOVER`` of them; when any is inf or nan; when max|x| >=
@@ -89,8 +91,8 @@ import numpy as np
 # Below about 1000 terms one math.fsum call is as fast as the kernel, whose
 # fixed cost is about 60 us (2-core Xeon, numpy 2.4; figures in CHANGES.md).
 CROSSOVER = 1024
-# Terms per frexp/bincount pass: on 200,001 weighted dual terms 2^14 takes 1.2 ms in a
-# fresh process and 0.75 ms warm, 2^13 1.3 and 0.87, 2^15 1.4 and 1.1 (figures in CHANGES.md).
+# Terms per frexp/reduceat pass: in-process passes of the dual-series benchmark take 3.8%
+# longer at 2^13 and 6.0% at 2^15 (medians of 16 fresh-process pairs; figures in CHANGES.md).
 CHUNK = 1 << 14
 # Past this many groups the bins (17 kB a group) outweigh the terms; such
 # calls take the per-group math.fsum path.
@@ -135,7 +137,7 @@ def fsum_by(values, weights=None, total: bool = False, cuts=None):
     if cuts is None:  # a cut at every row end
         rows, row_length = np.atleast_2d(values).shape
         cuts = np.arange(rows + 1) * row_length
-    values = values.reshape(-1)
+    values, cuts = values.reshape(-1), np.asarray(cuts)
     size = len(cuts) - 1
     n = values.size if weights is None else int(weights.sum())
     if n >= CROSSOVER and np.count_nonzero(values) < values.size:  # nan != 0: only zeros go
@@ -153,28 +155,38 @@ def fsum_by(values, weights=None, total: bool = False, cuts=None):
         return (sums, whole) if total else sums
     bins = np.zeros((size, _BINS))  # bins[g, k]: group g's integer sum at scale 2^(k - 1127)
     low, high = _BINS, 0  # the bins any chunk touched
+    inner = cuts[1:-1].tolist()  # the cuts a chunk can hold past its first term
     for start in range(0, values.size, CHUNK):
         stop = min(start + CHUNK, values.size)
-        frac, key = np.frexp(values[start:stop])
-        first = int(key.min())
-        width = int(key.max()) - first + 1
-        key -= first
-        if size > 1:
-            key = np.repeat(np.arange(size) * width, np.diff(np.clip(cuts, start, stop))) + key
-        frac *= 2.0**27
-        hi = np.trunc(frac)
-        frac -= hi
-        frac *= 2.0**26
+        parts = np.empty((2, stop - start))  # hi and lo of each term
+        exponent = np.frexp(values[start:stop], out=(parts[1], np.empty(stop - start, dtype=np.intc)))[1]
+        parts[1] *= 2.0**27
+        np.trunc(parts[1], out=parts[0])
+        parts[1] -= parts[0]
+        parts[1] *= 2.0**26
         if weights is not None:  # weights below 2^26, cast a chunk at a time: products below 2^53, exact
-            weight = weights[start:stop].astype(np.float64)
-            hi *= weight
-            frac *= weight
-        key, hi, frac = _reduce_runs(key, hi, frac)
+            parts *= weights[start:stop].astype(np.float64)
+        # a run of one group and one exponent starts at the chunk's start, at each new exponent and at each cut
+        edge = np.ones(stop - start, dtype=bool)
+        np.not_equal(exponent[1:], exponent[:-1], out=edge[1:])
+        edge[[cut - start for cut in inner if start < cut < stop]] = True
         # hi 2^(e-27) lands in bin e + 1100, lo 2^(e-53) = lo 2^((e-26)-27) in bin e + 1074
-        window = bins[:, first + _OFFSET:first + _OFFSET + width + 26]
-        window[:, 26:] += np.bincount(key, hi, minlength=size * width).reshape(size, width)
-        window[:, :width] += np.bincount(key, frac, minlength=size * width).reshape(size, width)
-        low, high = min(low, first + _OFFSET), max(high, first + _OFFSET + width + 26)
+        if np.count_nonzero(edge) * 16 <= stop - start:  # long runs: each run's sum goes straight into its bin
+            starts = np.flatnonzero(edge)
+            exponent, parts = exponent[starts], np.add.reduceat(parts, starts, axis=1)
+            first, last = int(exponent.min()), int(exponent.max())
+            key = (np.searchsorted(cuts, starts + start, side="right") - 1) * _BINS + (exponent + _OFFSET)
+            np.add.at(bins.reshape(-1), key + [[26], [0]], parts)
+        else:  # short runs: one keyed bincount over the terms
+            first, last = int(exponent.min()), int(exponent.max())
+            width = last - first + 1
+            exponent -= first
+            if size > 1:
+                exponent = np.repeat(np.arange(size) * width, np.diff(np.clip(cuts, start, stop))) + exponent
+            window = bins[:, first + _OFFSET:last + _OFFSET + 27]
+            window[:, 26:] += np.bincount(exponent, parts[0], minlength=size * width).reshape(size, width)
+            window[:, :width] += np.bincount(exponent, parts[1], minlength=size * width).reshape(size, width)
+        low, high = min(low, first + _OFFSET), max(high, last + _OFFSET + 27)
     # largest scale first: math.fsum then keeps few partials (over a wide exponent
     # range, ascending bins cost it about 6 times as much)
     window = bins[:, low:high][:, ::-1]
@@ -206,20 +218,6 @@ def power_norms(rows, p: float, divisor: float = 1.0) -> list[float]:
         sums = fsum_by(rows**p)
     return [math.ldexp(u * (s / divisor) ** (1.0 / p), e - 1) if shift else (s / divisor) ** (1.0 / p)
             for s, shift, u, e in zip(sums, scaled.tolist(), unit.tolist(), exponent.tolist())]
-
-
-def _reduce_runs(key: np.ndarray, hi: np.ndarray, lo: np.ndarray):
-    """(key, hi, lo) with each run of equal ``key`` summed into its first term when
-    the runs average 16 terms or more, else as given.  ``np.bincount`` adds sorted
-    keys at about half its speed on scattered ones (each add waits for the last
-    store to its bin), and a dual series' keys are sorted: its rows ascend in
-    lambda and its terms are monotone or unimodal.  The sums are exact, being
-    partial bin sums."""
-    change = key[1:] != key[:-1]
-    if (np.count_nonzero(change) + 1) * 16 > key.size:
-        return key, hi, lo
-    starts = np.flatnonzero(np.concatenate(([True], change)))
-    return key[starts], np.add.reduceat(hi, starts), np.add.reduceat(lo, starts)
 
 
 def _fsum_slices(values: np.ndarray, cuts) -> list[float]:

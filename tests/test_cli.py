@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torustrace.cli import HANDLERS, build_parser, main
+from torustrace.cli import HANDLERS, build_parser, main, render_json
 from torustrace.harmonic import FourierCoefficients, FrequencyLattice, PeriodicFunction, min_grid_size
 from torustrace.io import (
     ValidationError,
@@ -1262,6 +1262,20 @@ class TestLebesgueExponentRange:
             assert sup * (1.0 - 1e-8) <= got <= sup * (1.0 + 1e-12)
 
 
+class TestRenderJson:
+    @pytest.mark.parametrize("value, text", [
+        (math.nan, '"nan"'), (math.inf, '"inf"'), (-math.inf, '"-inf"'), (np.float64(math.nan), '"nan"'),
+        (complex(math.nan, -math.inf), '["nan", "-inf"]'), ([1.5, math.nan], '[1.5, "nan"]'),
+    ], ids=["nan", "inf", "-inf", "numpy-nan", "complex", "list"])
+    def test_non_finite_floats_are_strings(self, value, text):
+        assert render_json(value) == text
+
+    @pytest.mark.parametrize("value, name", [(object(), "object"), ({"a": [{1, 2}]}, "set"), (b"x", "bytes")])
+    def test_other_types_are_refused(self, value, name):
+        with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+            render_json(value)
+
+
 class TestCliContract:
     def test_console_script_target_runs(self, capsys, monkeypatch):
         # the [project.scripts] target an install puts on PATH as `torustrace`
@@ -1642,6 +1656,24 @@ class TestDataFiles:
         values = load_periodic_function(str(path)).values.view(np.float64).reshape(-1, 2)
         assert values.view(np.uint64).tolist() == np.array(ints, dtype=float).view(np.uint64).tolist()
         assert values.tolist() == [[float(v) for v in pair] for pair in ints]
+
+    @pytest.mark.parametrize("kind, argv", [DEFECT_COMMANDS["trace"], DEFECT_COMMANDS["besov-norm"]],
+                             ids=["symbol", "function"])
+    def test_integral_float_headers_read_as_integers(self, capsys, tmp_path, kind, argv):
+        # "dim": 1.0 is dim 1: the same report as the file that says 1
+        outs = []
+        for header in ({}, {"dim": 1.0, "grid_size": float}):
+            path = write_defective_file(tmp_path, kind, header)
+            code, out, err = run(capsys, [arg.format(path) for arg in argv])
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_fractional_grid_size_refused_with_its_bytes(self, capsys, tmp_path):
+        path = write_defective_file(tmp_path, "function", FILE_DEFECTS["fractional-grid-size"])
+        code, out, err = run(capsys, [arg.format(path) for arg in DEFECT_COMMANDS["besov-norm"][1]])
+        assert (code, out) == (2, "")
+        assert err == f"error: function file {path}: 'grid_size' must be an integer in [1, inf], not 8.5\n"
 
     def test_value_count_is_checked_before_the_lattice(self, capsys, tmp_path, monkeypatch):
         import torustrace.io as io

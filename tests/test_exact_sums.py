@@ -85,6 +85,46 @@ def terms(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.ldexp(rng.integers(-(2**53) + 1, 2**53, n).astype(np.float64), rng.integers(-40, -30, n))
 
 
+class KernelSpy:
+    """numpy as ``sums`` sees it, noting the terms of each ``np.frexp`` call (one a
+    chunk) in ``chunks`` and the (terms, runs) of each ``np.add.reduceat`` call (the
+    hi and lo parts of a chunk of long runs, together) in ``runs``."""
+
+    def __init__(self):
+        self.chunks, self.runs = [], []
+        spy = self
+
+        class Add:
+            def reduceat(self, parts, starts, **kwargs):
+                spy.runs.append((parts.shape[-1], starts.size))
+                return np.add.reduceat(parts, starts, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+        self.add = Add()
+
+    def frexp(self, x, **kwargs):
+        self.chunks.append(x.size)
+        return np.frexp(x, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def long_chunks(self) -> list[int]:
+        """Terms of each chunk that took the long-run path, after checking that its
+        runs average 16 terms or more."""
+        assert all(reduced * 16 <= size for size, reduced in self.runs)
+        return [size for size, _ in self.runs]
+
+
+@pytest.fixture
+def kernel(monkeypatch) -> KernelSpy:
+    spy = KernelSpy()
+    monkeypatch.setattr(sums, "np", spy)
+    return spy
+
+
 class TestMatchesMathFsum:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(SIZES), st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
@@ -207,18 +247,12 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
 
 
 
-def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkeypatch):
-    """The torus dim-1 cutoff-1e5 Bessel series bins every chunk run-reduced, and the
-    SU(2) cutoff-2e4 heat series of tt1 hands only its nonzero terms to the exact sum:
-    the kernel sees them and nothing else, and no ndarray of terms reaches math.fsum."""
-    runs = []
-    reduce_runs = sums._reduce_runs
-
-    def spy_runs(key, hi, lo):
-        reduced = reduce_runs(key, hi, lo)
-        runs.append((key.size, reduced[0].size))
-        return reduced
-
+def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkeypatch, kernel):
+    """The torus dim-1 cutoff-1e5 Bessel series sums every chunk's runs with
+    ``np.add.reduceat``, 16 terms a run or more, and the SU(2) cutoff-2e4 heat series
+    of tt1 hands only its nonzero terms to the exact sum, in one chunk of short runs
+    (946 exponents in 1409 terms: the keyed bincount): the kernel sees them and
+    nothing else, and no ndarray of terms reaches math.fsum."""
     passed = []
     real_fsum = math.fsum
 
@@ -231,18 +265,79 @@ def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkey
     bessel = np.repeat(torus.terms(2.0, -2.0, 0.0), torus.mult)
     su2 = enumerate_dual(SU2(True), 20000)
     heat = su2.terms(2.0, 0.0, 0.0015)  # case 4 at p = 2, r = 1: d^2 e^{-t lambda}
-    monkeypatch.setattr(sums, "_reduce_runs", spy_runs)
     monkeypatch.setattr(math, "fsum", spy_fsum)
     value = summed_series(torus, (2.0, -2.0, 0.0))[0]
-    assert sum(size for size, _ in runs) == len(torus) > 3 * CHUNK
-    assert all(reduced * 16 <= size for size, reduced in runs)
-    runs.clear()
+    assert kernel.chunks == [min(CHUNK, len(torus) - start) for start in range(0, len(torus), CHUNK)]
+    assert len(kernel.chunks) > 3 and kernel.long_chunks() == kernel.chunks
+    kernel.chunks.clear()
+    kernel.runs.clear()
     verdict = check_tt1(su2, 1.0, 2.0, 2.0, 4, t=0.0015)
-    assert [size for size, _ in runs] == [np.count_nonzero(heat)] == [1409]
+    assert kernel.chunks == [np.count_nonzero(heat)] == [1409]
+    assert kernel.runs == []
     assert passed == []
     monkeypatch.undo()
     assert bits(value) == bits(math.fsum(bessel))
     assert bits(verdict["witness"]["partial_sums"][-1]) == bits(61042.302096036867)
+
+
+def runs_of(exponents, lengths, rng: np.random.Generator) -> np.ndarray:
+    """Terms in runs of one exponent e each, of the given lengths: m 2^e with m in
+    [1, 2) of random sign."""
+    exponent = np.repeat(exponents, lengths)
+    return rng.choice([-1.0, 1.0], exponent.size) * np.ldexp(1.0 + rng.random(exponent.size), exponent)
+
+
+N = 2 * CHUNK + 4000  # chunks of CHUNK, CHUNK and 4000 terms
+RUNS = [5000] * (N // 5000) + [N % 5000]  # the run of terms 15000:20000 spans the first chunk edge
+
+
+class TestRunCutting:
+    """Each chunk is cut into runs of one group and one exponent, at every new
+    exponent and at every cut inside it; a chunk of long runs adds each run's sum
+    straight into its bin.  Every case is compared bit for bit with ``math.fsum``
+    over each group and over all the terms, each repeated by its weight."""
+
+    @staticmethod
+    def check(x, w, cuts):
+        """Two calls, one without ``total`` and one with."""
+        rx = x if w is None else np.repeat(x, w)
+        rcuts = cuts if w is None else np.concatenate(([0], np.cumsum(w)))[cuts]
+        want = [bits(math.fsum(rx[a:b])) for a, b in zip(rcuts, rcuts[1:])]
+        assert outcome(fsum_by, x, w, cuts=cuts) == want
+        by, total = fsum_by(x, w, total=True, cuts=cuts)
+        assert [bits(v) for v in by] == want and bits(total) == bits(math.fsum(rx))
+
+    @pytest.mark.parametrize("cuts", [
+        [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, N],  # at each chunk's first and last term
+        [0, 0, CHUNK, CHUNK, CHUNK, 2 * CHUNK, 2 * CHUNK, N, N],  # empty groups at the chunk edges
+        [0, 2500, 7500, 17000, N],  # one exponent on both sides of each inner cut
+        [0, N],  # runs across the chunk edges, in one group
+    ], ids=["chunk-first-and-last", "repeated-cuts", "cut-inside-a-run", "run-across-chunks"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "torus-mult"])
+    def test_cuts_and_runs(self, kernel, cuts, weighted):
+        x = runs_of(-np.arange(len(RUNS)), RUNS, np.random.default_rng(len(cuts)))
+        w = None
+        if weighted:  # the dim-1 torus mult: 1 at lambda = 0, else 2
+            w = np.full(N, 2, dtype=np.int64)
+            w[0] = 1
+        self.check(x, w, np.array(cuts))
+        assert kernel.chunks == 2 * [CHUNK, CHUNK, 4000] and kernel.long_chunks() == kernel.chunks
+
+    def test_a_chunk_of_one_run_beside_a_chunk_of_one_term_runs(self, kernel):
+        # chunk 0 is one run, chunk 1 changes exponent at every term (the keyed
+        # bincount), chunk 2 holds five runs; they share the bins of each group
+        exponents = np.concatenate(([0], np.tile([-1, -2], CHUNK // 2), -np.arange(3, 8)))
+        x = runs_of(exponents, [CHUNK] + [1] * CHUNK + [800] * 5, np.random.default_rng(5))
+        self.check(x, None, np.array([0, CHUNK // 2, CHUNK + 7, N]))
+        assert kernel.chunks == 2 * [CHUNK, CHUNK, 4000] and kernel.long_chunks() == 2 * [CHUNK, 4000]
+        assert kernel.runs[0] == (CHUNK, 2)  # the cut at CHUNK // 2 splits the one run
+
+    def test_runs_of_one_bin_in_a_chunk(self, kernel):
+        # exponents rise and fall, as a unimodal series' terms do: runs apart in a
+        # chunk add into one bin, every sum of them kept
+        x = runs_of(np.tile([-3, -2, -1, 0, -1, -2], 7), 900, np.random.default_rng(6))
+        self.check(x, None, np.array([0, 10000, x.size]))
+        assert kernel.chunks == 2 * [CHUNK, CHUNK, x.size - 2 * CHUNK] and kernel.long_chunks() == kernel.chunks
 
 
 class TestWeights:

@@ -158,3 +158,11 @@ def test_torus_power_law_is_the_shell_count_integral(exponent, n, radius):
     else:
         assert dual_tail_bound(Torus(n), radius, 0.0, exponent, 0.0) == \
             8.0 * radius ** (exponent + 2) / (-exponent - 2)
+
+
+def test_a_peak_term_beyond_float64_reads_inf():
+    # summable (s > 0), but the peak of <xi>^10 e^{-s |xi|^2} at s = 1e-300, about
+    # (2.2e150)^10, overflows math.exp: the bound reads inf
+    assert is_summable(Torus(1), 0.0, 10.0, 1e-300)
+    assert dual_tail_bound(Torus(1), 1, 0.0, 10.0, 1e-300) == math.inf
+    assert dual_tail_bound(Torus(1), 1, 0.0, 10.0, 1e-3) < math.inf
