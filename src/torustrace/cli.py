@@ -149,7 +149,7 @@ def emit(text: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write {output}: {exc}; pick a writable path") from exc
+        raise ValidationError(f"cannot write {output}: {exc}; pick a writable --output") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +514,11 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         _require(args.r > 0 and args.p1 > 0, "degenerate parameters: need --r > 0 and --p1 > 0 "
                  f"(got --r {args.r}, --p1 {args.p1})")
         checker = check_t1 if args.theorem == "t1" else check_t2  # unset --p2, --q2: its default 2
-        verdict = checker(**{flag: getattr(args, flag) for flag in needed + ("p2", "q2")
-                             if getattr(args, flag) is not None})
+        try:
+            verdict = checker(**{flag: getattr(args, flag) for flag in needed + ("p2", "q2")
+                                 if getattr(args, flag) is not None})
+        except OverflowError as exc:  # the witness's finite terms sum beyond float64
+            raise ValidationError("the series terms sum beyond float64; lower --m") from exc
     else:
         _require(args.case is not None, "--theorem tt1 needs --case 1|2|3|4")
         for flag in ("r", "p", "q", "cutoff"):

@@ -21,10 +21,12 @@ Strict inequalities are checked strictly; a failure at equality is reported as
 such.  Every series tail of the package is ``groups.dual_tail_bound``: an upper bound
 on sum d^a <xi>^b e^{-s lambda} over the dual points past a slice, the integral
 test in closed form, inf exactly when the series is not summable or when the
-bound leaves float64; ``check_tt1`` sums ``GroupDual.terms`` of the envelope it
-bounds.  A witness is certified when its tail is finite, and names its envelope
-as its rule: ``integral-test(power-law)`` (s = 0) or ``integral-test(gaussian)``
-(s > 0).
+bound leaves float64.  Every witness sums ``GroupDual.terms`` of the envelope it
+bounds over ``enumerate_dual`` rows through ``_shell_witness``: tt1's series over
+the group's dual, t1's and t2's sum <xi>^b over the torus dual Z^n, and the t2
+nuclear set's convolution series, which by Tonelli is the product of two of those.
+A witness is certified when its tail is finite, and names its envelope as its
+rule: ``integral-test(power-law)`` (s = 0) or ``integral-test(gaussian)`` (s > 0).
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from itertools import accumulate
 import numpy as np
 
 from .besov import block_index, block_sums
-from .groups import UNBOUNDED_TAIL_NOTE, Torus, dual_tail_bound
+from .groups import UNBOUNDED_TAIL_NOTE, Torus, dual_tail_bound, enumerate_dual
 from .harmonic import FrequencyLattice
-from .sums import fsum, fsum_by, power_norms
+from .sums import fsum, power_norms
 from .symbols import Symbol
 
 RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
@@ -109,15 +111,6 @@ def _epsilon_ext(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_power_sums(n: int, exponent: float, radii: list[int]) -> list[float]:
-    """Partial sums of sum_{|xi|_inf <= R} <xi>^exponent, each over a nested box
-    of the largest lattice."""
-    lat = FrequencyLattice(n, max(radii))
-    terms = lat.brackets() ** exponent
-    sup = np.abs(lat.points).max(axis=1)
-    return [fsum(terms[sup <= radius]) for radius in radii]
-
-
 def _witness(series: str, labels, partial_sums: list[float], tail: float, gaussian: bool,
              note: str = "") -> dict:
     """A series witness: certified exactly when its tail is a finite bound; ``note``
@@ -126,12 +119,6 @@ def _witness(series: str, labels, partial_sums: list[float], tail: float, gaussi
             "tail_estimate": tail, "certified": math.isfinite(tail),
             "rule": f"integral-test({'gaussian' if gaussian else 'power-law'})",
             "note": "" if math.isfinite(tail) else note}
-
-
-def _power_series_witness(n: int, exponent: float) -> dict:
-    radii = [4, 8, 16, 32, 64] if n == 1 else [2, 4, 8, 16]
-    return _witness(f"sum <xi>^({exponent:.6g}) over Z^{n}", radii, _lattice_power_sums(n, exponent, radii),
-                    dual_tail_bound(Torus(n), radii[-1], 0.0, exponent, 0.0), False)
 
 
 def _shell_witness(
@@ -147,6 +134,34 @@ def _shell_witness(
     complete = bisect_left(labels, int(block_index(math.floor(lambda_cap) + 1)))
     return _witness(series, labels[:complete], list(accumulate(sums[:complete])),
                     fsum(sums[complete:] + [beyond]), gaussian, note)
+
+
+def _power_witness(n: int, b: float) -> dict:
+    """Witness of sum <xi>^b over Z^n, built as tt1's: the rows of
+    ``enumerate_dual(Torus(n), R)``, R = 64 in dim 1 and 16 in dim 2, through
+    ``_shell_witness``."""
+    torus, radius = Torus(n), 64 if n == 1 else 16
+    dual = enumerate_dual(torus, radius)
+    return _shell_witness(f"sum <xi>^({b:.6g}) over Z^{n}", dual.cuts, dual.terms(0.0, b, 0.0),
+                          torus.lambda_cap(radius), dual_tail_bound(torus, radius, 0.0, b, 0.0), False,
+                          weights=dual.mult)
+
+
+def _product_witness(n: int, w2: float, k: int) -> dict:
+    """Witness of sum_xi (f * g)(xi), f = <.>^{w2} and g = <.>^{-2k} over Z^n.  Both are
+    positive, so by Tonelli the series is (sum f)(sum g): shell by shell the partial sums
+    are P_f(j) P_g(j) of the two power witnesses, and the tail bounds
+    (P_f + T_f)(P_g + T_g) - P_f P_g, summed as P_f T_g + T_f P_g + T_f T_g at the last
+    shell; inf when either tail is."""
+    f, g = _power_witness(n, w2), _power_witness(n, -2.0 * k)
+    (pf, tf), (pg, tg) = ((w["partial_sums"][-1], w["tail_estimate"]) for w in (f, g))
+    return _witness(
+        f"sum_xi (<.>^({w2:.6g}) * <.>^({-2.0 * k:.6g}))(xi) over Z^{n}", f["labels"],
+        [x * y for x, y in zip(f["partial_sums"], g["partial_sums"])],
+        math.inf if math.isinf(tf + tg) else fsum([pf * tg, tf * pg, tf * tg]), False,
+        note="sum <xi>^w2 or sum <xi>^-2k over Z^n diverges, and with it the convolution "
+        "series; the clause verdict above follows the stated inequalities",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,36 +221,7 @@ def check_t1(
     exponent = r * (w2 + m + delta * 2.0 * k)
     derived = _derived_source_params(n, alpha, p1)
     derived["series_exponent"] = exponent
-    return _verdict(not failures, derived, failures, _power_series_witness(n, exponent))
-
-
-def _truncated_bracket_convolution(n: int, w2: float, k: int) -> dict:
-    """Witness for sum_xi (f * g)(xi), f = <.>^{w2} and g = <.>^{-2k}, over the box
-    |xi|_inf <= R (R = 64 in dim 1, 8 in dim 2), each convolution value summed over
-    the window |eta|_inf <= 2R: one (lattice x window) array, each row exactly
-    rounded.  A pair (eta, xi - eta) left out has |xi|_inf > R or |eta|_inf > 2R,
-    so |eta|_inf > R/2 or |xi - eta|_inf > R/2: the tail beyond the box is at most
-    T_f(R/2) S_g + S_f T_g(R/2), T the power tails past a radius and S the whole
-    sums (the window's sum plus the tail past 2R)."""
-    base = 64 if n == 1 else 8
-    window = FrequencyLattice(n, 2 * base)
-    lat = FrequencyLattice(n, base)
-    squared = sum((xi[:, None] - eta) ** 2 for xi, eta in zip(lat.points.T, window.points.T))
-    shifted = np.sqrt(1.0 + squared)
-    conv = np.array(fsum_by(window.brackets() ** w2 * shifted ** (-2.0 * k)))
-    torus = Torus(n)
-    tf, tg = (dual_tail_bound(torus, base / 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
-    sf, sg = (fsum(window.brackets() ** b) + dual_tail_bound(torus, 2 * base, 0.0, b, 0.0)
-              for b in (w2, -2.0 * k))
-    beyond = tf * sg + sf * tg if math.isfinite(sf + sg) else math.inf  # no 0 * inf
-    blocks = block_index(lat.squared_norms() + 1)
-    order = np.argsort(blocks, kind="stable")  # each shell's rows together, in lattice order
-    return _shell_witness(
-        f"sum_xi (<.>^({w2:.6g}) * <.>^({-2.0 * k:.6g}))(xi) over Z^{n}",
-        np.searchsorted(blocks[order], np.arange(blocks.max() + 2)), conv[order], float(base) ** 2, beyond, False,
-        note="sum <xi>^w2 or sum <xi>^-2k over Z^n diverges, and with it the convolution "
-        "series; the clause verdict above follows the stated inequalities",
-    )
+    return _verdict(not failures, derived, failures, _power_witness(n, exponent))
 
 
 def check_t2(
@@ -255,8 +241,8 @@ def check_t2(
     Nuclear set: w2 < -n/2, m <= -delta(2k), k > n/4.  r-nuclear set: w2 <= 0,
     m < -n/r - delta(2k), k > n/2.  The verdict is satisfied when either set
     holds together with the shared parameter ranges.  The witness is the
-    convolution series when w2 < -n/2 (where the r-nuclear set implies the
-    nuclear one), else sum <xi>^{r(m + 2k delta)}.
+    convolution series sum_xi (<.>^{w2} * <.>^{-2k})(xi) when w2 < -n/2 (where the
+    r-nuclear set implies the nuclear one), else sum <xi>^{r(m + 2k delta)}.
     """
     shared = _common_t_clauses(n, r, alpha, p1, delta, p2, q2)
     shared.append(Clause("k is an integer", k, "int", 0))
@@ -284,9 +270,9 @@ def check_t2(
         derived["clause_set"] = "none"
     satisfied = derived["clause_set"] != "none"
     if w2 < -n / 2.0:
-        witness = _truncated_bracket_convolution(n, w2, k)
+        witness = _product_witness(n, w2, k)
     else:
-        witness = _power_series_witness(n, exponent)
+        witness = _power_witness(n, exponent)
     return _verdict(satisfied, derived, [] if satisfied else shared_fail + nuclear_fail + r_nuclear_fail,
                     witness)
 

@@ -78,9 +78,12 @@ class SU2:
 
     def rows(self, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         size = self.size(cutoff)
-        l = np.arange(size) * (self.step / 2)  # lambda grows with l: counting order is sorted
+        l = np.arange(size, dtype=np.float64)  # lambda grows with l: counting order is sorted
+        l *= self.step / 2
         d = np.arange(1, self.step * size + 1, self.step, dtype=np.int64)  # 2l + 1
-        return d, np.multiply(l, l + 1.0, out=l), np.ndarray((size,), np.int64, _ONE, 0, (0,))
+        # l(l + 1) in place as (l + 1/2)^2 - 1/4: each step is exact below 2^53, so bit for bit
+        lam = np.subtract(np.square(np.add(l, 0.5, out=l), out=l), 0.25, out=l)
+        return d, lam, np.ndarray((size,), np.int64, _ONE, 0, (0,))
 
     def lambda_cap(self, cutoff: float) -> float:
         return cutoff * (cutoff + 1.0)

@@ -16,10 +16,9 @@ Dual series: one ``DualPoint`` object per point of the unitary dual, walked
 point by point with ``math`` functions and per-point dyadic binning.  The
 package holds the dual as numpy arrays; ``test_dual_oracles.py`` compares the
 two.  Its bracket shells likewise, floor(lambda) + 1 binned row by row against
-the package's cuts of the ascending lambda.  The t2 convolution witness
-likewise, one window sum and one shell per lattice point; the package sums all
-rows of one (lattice x window) array, and ``test_criteria.py`` compares the two
-bit for bit.
+the package's cuts of the ascending lambda.  The t1/t2 power witness likewise,
+its shells point by point (``tt1_shells``) against the package's dual rows;
+``test_criteria.py`` compares the two.
 
 Spectra: breadth-first search for the connected components of a matrix's
 nonzero pattern, and the full-matrix LAPACK solve.  The package solves one
@@ -63,13 +62,12 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
 from torustrace import harmonic
 from torustrace.besov import BesovParams, block_index, coefficient_norm
-from torustrace.groups import Torus, dual_tail_bound
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
@@ -384,32 +382,6 @@ def tt1_shells(points, a, r, d_exp, xi_exp, lambda_cap) -> tuple[list[float], li
         if j <= max_complete:
             shells.setdefault(j, []).append(term)
     return [float(j) for j in sorted(shells)], [math.fsum(shells[j]) for j in sorted(shells)]
-
-
-def bracket_convolution_witness(n: int, w2: float, k: int):
-    """(labels, partial sums, tail, certified) of the t2 convolution witness, point
-    by point: each value (<.>^{w2} * <.>^{-2k})(xi), xi in the box of radius R
-    (64 in dim 1, 8 in dim 2), summed over the window |eta|_inf <= 2R by one
-    ``math.fsum``, binned into its bracket shell one point at a time, and only the
-    shells wholly inside |xi| <= R kept.  The tail is the other shells' sums plus
-    T_f(R/2) S_g + S_f T_g(R/2) (f = <.>^{w2}, g = <.>^{-2k}), with the power tails
-    T of ``dual_tail_bound`` and the whole sums S the window's plus T(2R)."""
-    base = 64 if n == 1 else 8
-    window = FrequencyLattice(n, 2 * base)
-    u = window.brackets() ** w2
-    shells: dict[int, list[float]] = {}
-    for xi in FrequencyLattice(n, base).points:
-        shifted = np.sqrt(1.0 + np.sum((xi[None, :] - window.points) ** 2, axis=1))
-        j = (int(xi @ xi + 1).bit_length() - 1) // 2  # 4^j <= |xi|^2 + 1 < 4^(j+1)
-        shells.setdefault(j, []).append(math.fsum(u * shifted ** (-2.0 * k)))
-    complete = [j for j in sorted(shells) if 4 ** (j + 1) <= 1 + base**2]
-    sums = [math.fsum(shells[j]) for j in complete]
-    clipped = [math.fsum(shells[j]) for j in sorted(shells) if j not in complete]
-    tf, tg = (dual_tail_bound(Torus(n), base // 2, 0.0, b, 0.0) for b in (w2, -2.0 * k))
-    sf, sg = (math.fsum(window.brackets() ** b) + dual_tail_bound(Torus(n), 2 * base, 0.0, b, 0.0)
-              for b in (w2, -2.0 * k))
-    tail = math.inf if math.isinf(sf + sg) else math.fsum(clipped + [tf * sg + sf * tg])
-    return [float(j) for j in complete], list(accumulate(sums)), tail, math.isfinite(tail)
 
 
 # ---------------------------------------------------------------------------

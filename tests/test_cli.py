@@ -1367,7 +1367,7 @@ class TestCliContract:
         code, out, err = run(capsys, argv + ["--output", target])
         assert (code, out) == (2, "")
         assert err == (f"error: cannot write {target}: [Errno 2] No such file or directory: "
-                       f"'{target}'; pick a writable path\n")
+                       f"'{target}'; pick a writable --output\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_byte_determinism(self, capsys):
@@ -1497,16 +1497,79 @@ REFUSALS = {
     "modulated-without-m": ("trace --symbol modulated --radius 4", "modulated bracket symbol needs --m EXPONENT"),
     "gaussian-without-t": ("trace --symbol modulated --g gaussian --radius 4",
                            "modulated gaussian symbol needs --t TIME > 0"),
+    "symbol-file-and-m": ("trace --symbol-file T --m -4 --radius 4", "--symbol-file reads a table, not --m; drop --m"),
+    "symbol-file-dim": ("trace --symbol-file T --dim 2 --radius 4", "--symbol-file holds a dim 1 table; drop --dim"),
+    # the sizes, each refused before anything is built
+    "lattice-budget": ("check-class --symbol bessel --m -4 --radius 5000000", "radius 5000000 in dim 1 gives a "
+                       "lattice of 10000001 points, above 10000000; lower --radius"),
+    "dyadic-budget": ("besov-norm --stock 8 --w 0 --p 2 --q 2 --radius 200000", "18 dyadic blocks synthesized on "
+                      "800002 grid points hold 14400036 points, above 10000000; lower --radius"),
+    "matrix-side": ("spectrum --symbol bessel --m -4 --dim 2 --radius 40", "radius 40 in dim 2 gives matrix side "
+                    "6561, above the desk-scale guard 4096; lower --radius"),
+    # the function flags (build_coefficients)
+    "no-input": ("besov-norm --w 1 --p 2 --q 2 --radius 8",
+                 "give exactly one input: --input FILE, --character K, or --stock K"),
+    "input-and-grid": ("besov-norm --input F --grid 10 --w 1 --p 2 --q 2 --radius 2",
+                       "--input carries its own grid; drop --grid"),
+    "grid-margin": ("besov-norm --character 4 --grid 5 --w 1 --p 2 --q 2 --radius 8",
+                    "--grid 5 is below the anti-aliasing margin 34; raise it"),
+    # numbers that leave float64, refused before the eigensolver runs
+    "order-hint-overflow": ("trace --symbol bessel --m -4 --radius 4 --order-hint -1000",
+                            "the envelope C <xi>^-1000 of the outermost shell leaves float64; pass an "
+                            "--order-hint nearer the symbol's order"),
+    "certificate-overflow": ("trace --symbol modulated --c 2 --m -4 --radius 4 --certify-w 2000",
+                             "the weighted dyadic block norms at w = 2000 overflow float64; lower --certify-w, "
+                             "or lower --m or --c, or raise --t"),
+    "besov-norm-overflow": ("besov-norm --stock 8 --w 2000 --p 2 --q 2 --radius 8",
+                            "the weighted dyadic block norms at w = 2000 overflow float64; lower --w or --q"),
+    "approx-demo-overflow": ("approx-demo --stock 8 --w 2000 --p 2 --q 2 --n-values 1,2",
+                             "the weighted dyadic block norms at w = 2000 overflow float64; lower --w or --q"),
+    "order-fit-overflow": ("check-class --symbol bessel --m 800 --alpha-idx 1 --radius 9",
+                           "the order fit's suprema sup_x |D^alpha d^beta a(x, xi)| at alpha=(1,), beta=(0,) "
+                           "overflow float64; lower --m, --alpha-idx or --beta-idx"),
+    "t1-sum-overflow": ("nuclearity --theorem t1 --n 1 --r 1 --alpha 0.5 --p1 2 --k 1 --delta 0 --m 340 --w2 0",
+                        "the series terms sum beyond float64; lower --m"),
+    # refused once the series is summed (SUMMED)
+    "tt1-sum-overflow": ("nuclearity --theorem tt1 --case 3 --group torus --dim 2 --cutoff 40 --r 1 --p 2 --q 2 "
+                         "--m 280", "the series terms sum beyond float64; lower --m or lower --cutoff"),
+    "bessel-sum-overflow": ("bessel-trace --group torus --dim 2 --alpha -280 --cutoff 40",
+                            "the series terms sum beyond float64; raise --alpha or lower --cutoff"),
+    # check-class's decay flags
+    "decay-m-without-k": ("check-class --symbol bessel --m -4 --radius 16 --decay-m -4",
+                          "--decay-m also needs --decay-k K"),
+    "decay-k-without-m": ("check-class --symbol bessel --m -4 --radius 16 --decay-k 1",
+                          "--decay-k also needs --decay-m ORDER"),
+    # nuclearity's flags of the other theorem family, and t1/t2's own
+    "t1-with-case": ("nuclearity --theorem t1 --n 1 --r 1 --alpha 0.5 --p1 2 --k 1 --delta 0 --m -4 --w2 0 --case 3",
+                     "--theorem t1 does not read --case; drop --case"),
+    "t1-without-w2": ("nuclearity --theorem t1 --n 1 --r 1 --alpha 0.5 --p1 2 --k 1 --delta 0 --m -4",
+                      "--theorem t1 needs --w2"),
+    # the dual's flags
+    "su2-dim": ("heat-trace --group su2 --dim 2 --t 1 --cutoff 5",
+                "--dim 2 counts torus factors; the su2 dual is indexed by spin alone, so drop --dim"),
+    "torus-integer-spins": ("heat-trace --group torus --t 1 --cutoff 5 --integer-spins",
+                            "--integer-spins restricts the su2 spins; drop it for --group torus"),
+    "tail-correct-su2": ("bessel-trace --group su2 --alpha 4 --cutoff 6 --tail-correct",
+                         "tail correction is implemented for the torus with dim = 1; drop --tail-correct"),
+    # the report's own flags, refused once the report is made
+    "no-csv-schema": ("nuclearity --theorem t1 --n 1 --r 1 --alpha 0.5 --p1 2 --k 1 --delta 0 --m -4 --w2 0 "
+                      "--format csv", "nuclearity has no CSV schema; use --format json"),
+    "unwritable-output": ("nuclearity --theorem t1 --n 1 --r 1 --alpha 0.5 --p1 2 --k 1 --delta 0 --m -4 --w2 0 "
+                          "--output no-such-dir/report.json", "cannot write no-such-dir/report.json: [Errno 2] "
+                          "No such file or directory: 'no-such-dir/report.json'; pick a writable --output"),
 }
+SUMMED = {"tt1-sum-overflow", "bessel-sum-overflow"}  # refusals that need the dual built and summed
 
 
 class TestRefusals:
     """A user error is a ValidationError raised at the edge: exit 2, no report and
-    one "error:" line, so no traceback, before any dual is built or any eigensolver
-    runs.  Any other exception escaping a handler is a bug, not exit 2."""
+    one "error:" line, so no traceback, before any dual is built (a sum that leaves
+    float64 only once it is summed, ``SUMMED``) or any eigensolver runs.  Any other
+    exception escaping a handler is a bug, not exit 2."""
 
     @pytest.fixture
-    def paths(self, tmp_path):
+    def paths(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where --output no-such-dir/report.json cannot be written
         table, saved, function = tmp_path / "table8.json", tmp_path / "saved4.json", tmp_path / "f.json"
         table.write_text(json.dumps({"dim": 1, "grid_size": 18, "lattice_radius": 8,
                                      "values": [[1.0, 0.0]] * 306}))
@@ -1523,12 +1586,44 @@ class TestRefusals:
     def test_exit_2_with_one_error_line(self, capsys, monkeypatch, paths, refusal):
         import torustrace.cli as cli
 
-        monkeypatch.setattr(cli, "enumerate_dual", lambda *a: pytest.fail("the dual was built"))
+        if refusal not in SUMMED:
+            monkeypatch.setattr(cli, "enumerate_dual", lambda *a: pytest.fail("the dual was built"))
         for name in ("eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("the eigensolver ran"))
         command, message = REFUSALS[refusal]
         code, out, err = run(capsys, [paths.get(token, token) for token in command.split()])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_every_refusal_site_is_reached(self, capsys, monkeypatch, paths):
+        # each _require(...) call and raise ValidationError(...) of cli.py, as its span of lines,
+        # must refuse some row of REFUSALS: a spy on ValidationError notes the line that made it,
+        # the caller's line when that is _require
+        import ast
+
+        import torustrace.cli as cli
+
+        source = Path(cli.__file__).read_text()
+        sites = [(node.lineno, node.end_lineno) for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"
+                 or isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                 and getattr(node.exc.func, "id", None) == "ValidationError"]
+        reached = set()
+
+        def spy(self, *args):
+            frame = sys._getframe(1)
+            if frame.f_code.co_filename == cli.__file__:
+                reached.add(frame.f_lineno)
+                if frame.f_code.co_name == "_require":
+                    reached.add(frame.f_back.f_lineno)
+            Exception.__init__(self, *args)
+
+        monkeypatch.setattr(ValidationError, "__init__", spy)
+        for command, _ in REFUSALS.values():
+            assert run(capsys, [paths.get(token, token) for token in command.split()])[0] == 2
+        assert len(sites) > 30
+        lines = source.splitlines()
+        assert [f"cli.py:{first}: {lines[first - 1].strip()}" for first, last in sites
+                if not any(first <= line <= last for line in reached)] == []
 
     def test_value_error_inside_a_handler_escapes(self, monkeypatch):
         # numpy raises ValueError on a broadcast mismatch: an internal fault, not the user's

@@ -2,16 +2,17 @@
 series certificates, and the canonical quasi-norm bound."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torustrace.criteria import (
     Clause,
-    _lattice_power_sums,
-    _truncated_bracket_convolution,
+    _power_witness,
+    _product_witness,
     check_t1,
     check_t2,
     check_tt1,
@@ -65,16 +66,10 @@ class TestCheckT1:
         assert v["derived_params"]["q1"] == pytest.approx(1.0)
         assert v["derived_params"]["w1"] == pytest.approx(0.5)
         assert v["witness"]["certified"]
-        # governing series here is sum <xi>^{-4}, known partial sums
+        # governing series here is sum <xi>^{-4}; its last complete shell is 5, |k| <= 63
         assert v["witness"]["partial_sums"][-1] == pytest.approx(
-            fsum((1.0 + k * k) ** -2.0 for k in range(-64, 65)), abs=1e-14
+            fsum((1.0 + k * k) ** -2.0 for k in range(-63, 64)), abs=1e-14
         )
-
-    @pytest.mark.parametrize("n, radii", [(1, [4, 8, 16, 32, 64]), (2, [2, 4, 8, 16])])
-    def test_witness_sums_over_nested_boxes_equal_per_radius_sums(self, n, radii):
-        # one lattice at the largest radius, summed over nested boxes, exactly rounded
-        want = [fsum(FrequencyLattice(n, r).brackets() ** -4.5) for r in radii]
-        assert _lattice_power_sums(n, -4.5, radii) == want
 
     def test_order_clause_fails_at_equality(self):
         v = check_t1(n=1, r=1.0, alpha=0.5, p1=2.0, k=1, delta=0.0, m=-1.0, w2=0.0)
@@ -144,19 +139,43 @@ class TestCheckT2:
         assert "diverges" in v["witness"]["note"]
 
 
-class TestConvolutionWitness:
-    """The broadcast convolution witness equals the per-point loop bit for bit."""
+class TestPowerWitness:
+    """The t1/t2 witness of sum <xi>^b over Z^n, summed over the torus dual's rows as
+    tt1's, and the t2 nuclear set's product of two of them."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.sampled_from([1, 2]), k=st.integers(1, 3), gap=st.floats(1e-6, 40.0))
-    @example(n=1, k=1, gap=0.5)  # w2 = -1: the borderline, uncertified case
-    @example(n=1, k=2, gap=1.0)  # w2 = -1.5: certified
-    @example(n=2, k=2, gap=1.0)
-    def test_matches_the_per_point_oracle(self, n, k, gap):
-        w2 = -n / 2.0 - gap  # the nuclear set's w2 < -n/2
-        w = _truncated_bracket_convolution(n, w2, k)
-        want = oracles.bracket_convolution_witness(n, w2, k)
-        assert (w["labels"], w["partial_sums"], w["tail_estimate"], w["certified"]) == want
+    @pytest.mark.parametrize("n, b", [(1, -4.0), (1, -1.5), (1, 0.5), (2, -4.5), (2, -1.0)])
+    def test_shell_sums_match_the_per_point_oracle(self, n, b):
+        radius = 64 if n == 1 else 16
+        points = oracles.enumerate_dual("torus", radius, dim=n)
+        labels, sums = oracles.tt1_shells(points, lambda p: 1.0, 1.0, 0.0, b, float(radius) ** 2)
+        w = _power_witness(n, b)
+        assert w["labels"] == labels
+        assert w["partial_sums"] == pytest.approx(list(accumulate(sums)), rel=1e-14, abs=0)
+
+    def test_brackets_pi_coth_pi(self):
+        # sum over Z of 1/(1 + k^2)
+        w = _power_witness(1, -2.0)
+        low = w["partial_sums"][-1]
+        assert w["certified"]
+        assert low <= math.pi / math.tanh(math.pi) <= low + w["tail_estimate"]
+
+    def test_product_brackets_the_square(self):
+        # f = g = <.>^-2 (w2 = -2, k = 1): sum_xi (f * g)(xi) = (sum f)(sum g) = (pi coth pi)^2
+        w = _product_witness(1, -2.0, 1)
+        f = _power_witness(1, -2.0)
+        assert w["labels"] == f["labels"]
+        assert w["partial_sums"] == [s * s for s in f["partial_sums"]]
+        low = w["partial_sums"][-1]
+        assert w["certified"]
+        assert low <= (math.pi / math.tanh(math.pi)) ** 2 <= low + w["tail_estimate"]
+
+    @pytest.mark.parametrize("k", [1, 1000])
+    def test_a_divergent_factor_reads_inf(self, k):
+        # README's w2 = -1: sum <xi>^-1 over Z diverges; at k = 1000 g's tail is 0, and inf * 0 is nan
+        assert math.isfinite(_power_witness(1, -2.0 * k)["tail_estimate"])
+        w = _product_witness(1, -1.0, k)
+        assert (w["tail_estimate"], w["certified"]) == (math.inf, False)
+        assert "diverges" in w["note"]
 
 
 class TestCheckTT1:

@@ -21,8 +21,10 @@ the first files were rewritten once, when the integral-test bound replaced the
 shell-ratio rule, and the two SU(2)-monitor and dim-2 torus tt1 partial sums once,
 when the tt1 terms became one power of (1 + lambda) (last digits, toward the exact
 sums), and the p = 2 table's block 2 and the approx-demo error at N = 4 once, when
-p = 2 block norms went to Parseval (last digit, to the correctly rounded values);
-every other byte was kept.
+p = 2 block norms went to Parseval (last digit, to the correctly rounded values),
+and the t1 and both t2 witnesses' labels, partial sums and tails once, when they
+went from nested lattice boxes to the torus dual's shells (the t2 convolution
+witness to the product of two such series); every other byte was kept.
 """
 
 from pathlib import Path

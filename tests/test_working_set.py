@@ -7,7 +7,8 @@ multiplicities; the all-ones torus d and SU(2) multiplicities are zero-stride
 views of one 1.  ``summed_series`` evaluates only the rows whose terms can be nonzero,
 in one buffer (two where the envelope has two factors besides 1), passes the
 shells as row ranges, and sums in chunks of ``sums.CHUNK`` terms.  The dim-1 torus
-slice is built in the two arrays it holds, with no full-size temporary.
+and SU(2) slices are each built in the two arrays they hold, with no full-size
+temporary.
 """
 
 import tracemalloc
@@ -53,6 +54,18 @@ def test_the_torus_slice_peaks_at_what_it_holds():
     tracemalloc.start()
     try:
         dual = enumerate_dual(Torus(1), 100000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= peak <= 16 * len(dual) + OBJECTS
+
+
+def test_the_su2_slice_peaks_at_what_it_holds():
+    """``enumerate_dual(SU2(True), l)`` allocates only the d and lambda arrays it
+    returns, 16 bytes a row: lambda = l(l + 1) is computed in place."""
+    tracemalloc.start()
+    try:
+        dual = enumerate_dual(SU2(True), 200000)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
