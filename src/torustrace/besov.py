@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harmonic import FourierCoefficients, _require_margin, lp_norms
+from .harmonic import FourierCoefficients, lp_norms
 from .sums import fsum_by, power_norms
 
 
@@ -33,10 +33,6 @@ class BesovParams:
     """Weight w and Lebesgue exponents of a dyadic-block norm (Banach range)."""
 
     def __init__(self, w: float, p: float, q: float):
-        if not (p >= 1.0):
-            raise ValueError(f"p must lie in [1, inf], got {p}")
-        if not (q >= 1.0):
-            raise ValueError(f"q must lie in [1, inf], got {q}")
         self.w = w
         self.p = p
         self.q = q
@@ -67,11 +63,11 @@ def block_norms(c: FourierCoefficients, p: float, grid_size: int) -> list[tuple[
     p = 2 is Parseval: one ``power_norms`` row a block, over its coefficients'
     real and imaginary parts.  Otherwise every block is scattered into one
     (blocks, M, ..) array at ``points % M``, one inverse FFT runs over the grid
-    axes, and ``lp_norms`` reduces the rows together.  Memory: blocks x M^dim x
-    16 bytes, twice over for the FFT's output.
+    axes, and ``lp_norms`` reduces the rows together; ``grid_size`` must meet the
+    lattice's anti-aliasing margin (``harmonic.min_grid_size``).  Memory: blocks x
+    M^dim x 16 bytes, twice over for the FFT's output.
     """
     lattice = c.lattice
-    _require_margin(grid_size, lattice.radius, "block_norms")
     blocks = block_index(lattice.squared_norms())
     present = np.flatnonzero(np.bincount(blocks))  # not np.unique: ~15 ms first call
     if p == 2.0:

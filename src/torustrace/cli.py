@@ -461,12 +461,14 @@ def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:
     lattice = FrequencyLattice(a.dim, args.radius)
     alpha = _multi_index(args.alpha_idx, a.dim, "--alpha-idx")
     beta = _multi_index(args.beta_idx, a.dim, "--beta-idx")
-    _require(max(alpha) <= a.radius, f"difference margin exhausted: order {alpha} on lattice radius "
-             f"{a.radius}; lower --alpha-idx to at most {a.radius}")
+    # the fit drops the shells with <xi> < 2, so its window |xi|_inf <= radius - max(alpha)
+    # needs radius 3 to hold two shells past them
+    _require(max(alpha) <= a.radius - 3, f"difference margin exhausted: order {alpha} on lattice radius "
+             f"{a.radius} leaves the order fit less than radius 3; lower --alpha-idx to at most {a.radius - 3}")
     try:
         m_hat, c_hat = estimate_order(a, alpha, beta, lattice)
     except OverflowError as exc:
-        raise ValidationError(f"{exc}; lower --m, --alpha-idx or --beta-idx") from exc
+        raise ValidationError(f"{exc}; lower --alpha-idx or --beta-idx, or {_symbol_remedy(args)}") from exc
     body: dict = {
         "alpha": list(alpha),
         "beta": list(beta),
@@ -524,7 +526,7 @@ def _run_nuclearity(args) -> tuple[dict, dict, CsvTable | None]:
         for flag in ("r", "p", "q", "cutoff"):
             _require(getattr(args, flag) is not None, f"--theorem tt1 needs --{flag}")
         _require(0.0 < args.r <= 1.0, f"--r must lie in (0, 1], got {args.r}")
-        refusal = tt1_range_refusal(args.r, args.p, args.q, args.case)
+        refusal = tt1_range_refusal(args.p, args.q, args.case)
         _require(not refusal, f"{refusal}; change --p or --q, or pick another --case")
         if args.symbol == "heat":
             _require(args.t is not None, "tt1 heat multiplier needs --t TIME")

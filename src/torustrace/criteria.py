@@ -91,19 +91,11 @@ def _verdict(satisfied: bool, derived_params: dict, violated: list[Clause], witn
 
 
 def epsilon(t: float) -> float:
-    """L^p decay exponent of representation entries: 1/2 on (1, 2], 1/t beyond."""
-    if t <= 1.0:
-        raise ValueError(f"epsilon is defined for t > 1, got {t}")
+    """L^p decay exponent of representation entries, t >= 1: 1/2 on (1, 2], 1/t
+    beyond, and 1/2 at t = 1, where entrywise L^1 norms are dominated by L^2 ones."""
     if t <= 2.0:
         return 0.5
     return 1.0 / t
-
-
-def _epsilon_ext(t: float) -> float:
-    # entrywise L^1 norms are dominated by L^2 ones, extending the exponent to t = 1
-    if t == 1.0:
-        return 0.5
-    return epsilon(t)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +275,9 @@ TT1_CASE_RANGES = {1: ("p > 1", "p < q", "q < inf"), 2: ("q == 1", "p >= 1", "p 
                    3: ("p == q", "p > 1", "p <= 2"), 4: ("q == 2", "p >= 2", "p < inf")}
 
 
-def tt1_range_refusal(r: float, p: float, q: float, case: int) -> str:
-    """Why ``check_tt1`` refuses (r, p, q) for ``case`` (1 to 4), or "" when it takes
-    them: r outside (0, 1], or (p, q) outside the case's ``TT1_CASE_RANGES``."""
-    if not 0.0 < r <= 1.0:
-        return f"r must lie in (0, 1], got {r}"
+def tt1_range_refusal(p: float, q: float, case: int) -> str:
+    """Why (p, q) lies outside ``case``'s ``TT1_CASE_RANGES`` (case 1 to 4), or "" when
+    it lies inside, where ``check_tt1`` is defined."""
     sides = {"p": p, "q": q}
     ranges = TT1_CASE_RANGES[case]
     failures = _failures([Clause(f"{lhs} {relation} {rhs}", sides[lhs], relation,
@@ -309,20 +299,16 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
     ``dual.terms(1 + d_exp, b, s)``; it is summable, and the verdict satisfied,
     exactly when s > 0, or s = 0 and b < -n on the torus Z^n, 1 + d_exp + b < -1
     on SU(2) (<xi> ~ d/2).  The witness sums the truncation's complete shells;
-    its tail is ``_shell_witness``'s.
+    its tail is ``_shell_witness``'s.  It takes r in (0, 1] and (p, q) inside the
+    case's range (``tt1_range_refusal``).
     """
-    refusal = tt1_range_refusal(r, p, q, case)
-    if refusal:
-        raise ValueError(refusal)
-    if (m is None) == (t is None):
-        raise ValueError("give one of the multiplier's exponent m and its time t")
     n = dual.group.dimension
     if case == 1:
         qc = q / (q - 1.0)
-        d_exp = 1.0 + r * (1.0 - _epsilon_ext(p) - _epsilon_ext(qc))
+        d_exp = 1.0 + r * (1.0 - epsilon(p) - epsilon(qc))
         xi_exp = n * (1.0 / p - 1.0 / q) * r
     elif case == 2:
-        d_exp = 1.0 + r * (1.0 - _epsilon_ext(p))
+        d_exp = 1.0 + r * (1.0 - epsilon(p))
         xi_exp = n * r / p
     elif case == 3:
         d_exp = 1.0 + r * (1.0 / p - 0.5)
@@ -344,9 +330,9 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
         UNBOUNDED_TAIL_NOTE if summable.holds() else "", dual.mult)
     derived: dict = {"case": float(case), "dimension_exponent": d_exp, "bracket_exponent": xi_exp}
     if case in (1, 2):
-        derived["epsilon_p"] = _epsilon_ext(p)
+        derived["epsilon_p"] = epsilon(p)
     if case == 1:
-        derived["epsilon_q_conjugate"] = _epsilon_ext(q / (q - 1.0))
+        derived["epsilon_q_conjugate"] = epsilon(q / (q - 1.0))
     return _verdict(summable.holds(), derived, _failures([summable]), witness)
 
 
@@ -377,8 +363,6 @@ def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLat
     certificate; raised to 1/r it upper-bounds the r-quasi-norm up to the
     embedding constant absorbed in the functional bounds.
     """
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"r must lie in (0, 1], got {r}")
     support = a.x_fourier_support()
     radius = lattice.radius + int(np.abs(support).max(initial=0))  # N + b
     table = a.x_fourier_table(support, lattice)  # (S, L): H_xi's coefficient at xi + d

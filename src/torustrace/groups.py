@@ -252,8 +252,6 @@ def bessel_tail(cutoff: float, alpha: float) -> tuple[float, float]:
     ``dual_tail_bound``.  The bound is the bracket's width, widened by the
     integrals' rounding and rounded up.
     """
-    if alpha <= 1:
-        raise ValueError("tail correction needs a convergent series (alpha > 1)")
     radius = math.floor(cutoff)
     correction = 2.0 * _bessel_integral(radius + 0.5, alpha)
     lower = 2.0 * _bessel_integral(radius + 1.0, alpha) + math.hypot(1.0, radius + 1.0) ** -alpha

@@ -60,10 +60,6 @@ class FrequencyLattice:
     """
 
     def __init__(self, dim: int, radius: int):
-        if dim not in (1, 2):
-            raise ValueError(f"lattice dim must be 1 or 2, got {dim}")
-        if radius < 0:
-            raise ValueError(f"lattice radius must be >= 0, got {radius}")
         self.dim = int(dim)
         self.radius = int(radius)
         self.points = box_points(self.dim, self.radius)
@@ -114,48 +110,25 @@ class PeriodicFunction:
     """Complex samples of f on the uniform grid x_i = i/M, lexicographic order."""
 
     def __init__(self, dim: int, grid_size: int, values: np.ndarray):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
-        if grid_size < 1:
-            raise ValueError("grid_size must be positive")
-        vals = np.asarray(values, dtype=np.complex128).reshape(-1)
-        if vals.size != grid_size**dim:
-            raise ValueError(
-                f"values has length {vals.size}, expected grid_size^dim = {grid_size ** dim}"
-            )
         self.dim = dim
         self.grid_size = grid_size
-        self.values = vals
+        self.values = np.asarray(values, dtype=np.complex128).reshape(-1)
 
 
 class FourierCoefficients:
     """Coefficients aligned to the canonical ordering of a FrequencyLattice."""
 
     def __init__(self, lattice: FrequencyLattice, coeffs: np.ndarray):
-        arr = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-        if arr.size != len(lattice):
-            raise ValueError(f"{arr.size} coefficients for a lattice of {len(lattice)} points")
         self.lattice = lattice
-        self.coeffs = arr
-
-
-def _require_margin(grid_size: int, radius: int, what: str) -> None:
-    need = min_grid_size(radius)
-    if grid_size < need:
-        raise ValueError(
-            f"{what}: grid_size {grid_size} violates the anti-aliasing margin; "
-            f"need at least 2(2N+1) = {need} for lattice radius {radius}"
-        )
+        self.coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
 
 
 def forward_transform(f: PeriodicFunction, lattice: FrequencyLattice) -> FourierCoefficients:
     """Toroidal Fourier coefficients (1/M^dim) sum_i f(x_i) e^{-i2pi<x_i, xi>}.
 
-    Exact (to rounding) for trigonometric polynomials of degree <= radius.
+    Exact (to rounding) for trigonometric polynomials of degree <= radius, on a
+    grid of f's dimension inside the margin M >= 2(2N+1) (``min_grid_size``).
     """
-    if f.dim != lattice.dim:
-        raise ValueError(f"dimension mismatch: function dim {f.dim}, lattice dim {lattice.dim}")
-    _require_margin(f.grid_size, lattice.radius, "forward_transform")
     cube = np.fft.fftn(f.values.reshape((f.grid_size,) * f.dim), norm="forward")
     return FourierCoefficients(lattice, cube[tuple((lattice.points % f.grid_size).T)])
 
@@ -163,6 +136,4 @@ def forward_transform(f: PeriodicFunction, lattice: FrequencyLattice) -> Fourier
 def lp_norms(rows: np.ndarray, p: float) -> list[float]:
     """Rectangle-rule L^p norm on the probability-measure torus of each row of grid
     values (p = inf: the grid sup): ``sums.power_norms`` over the grid size."""
-    if p != math.inf and p < 1:
-        raise ValueError(f"p must satisfy p >= 1 or p = inf, got {p}")
     return power_norms(np.abs(rows), p, rows.shape[1])

@@ -46,8 +46,6 @@ class CompressedOperator:
     """
 
     def __init__(self, a: Symbol, lattice: FrequencyLattice):
-        if a.dim != lattice.dim:
-            raise ValueError(f"dimension mismatch: symbol dim {a.dim}, lattice dim {lattice.dim}")
         self.lattice, self.shape = lattice, (len(lattice), len(lattice))
         span = 2 * lattice.radius
         self.support = a.x_fourier_support(span)

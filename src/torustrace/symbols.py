@@ -42,12 +42,7 @@ NEG_INFINITY_ORDER = -math.inf
 def _as_multi_index(alpha, dim: int) -> tuple[int, ...]:
     if isinstance(alpha, (int, np.integer)):
         alpha = (int(alpha),) + (0,) * (dim - 1)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != dim:
-        raise ValueError(f"multi-index {alpha} does not match dimension {dim}")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
-    return alpha
+    return tuple(int(a) for a in alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +153,6 @@ class SeparableSymbol:
         claimed_rho: float = 1.0,
         claimed_delta: float = 0.0,
     ):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
         self.xfactor = xfactor
         self.xifactor = xifactor
         self.dim = dim
@@ -227,17 +220,11 @@ class SampledSymbol:
         claimed_rho: float = 1.0,
         claimed_delta: float = 0.0,
     ):
-        if dim != lattice.dim:
-            raise ValueError("sampled symbol dim does not match its lattice")
-        table = np.asarray(table, dtype=np.complex128)
-        expected = (grid_size**dim, len(lattice))
-        if table.shape != expected:
-            raise ValueError(f"table shape {table.shape}, expected {expected}")
         self.dim = dim
         self.grid_size = grid_size
         self.lattice = lattice
         self.radius = lattice.radius
-        self.table = table
+        self.table = np.asarray(table, dtype=np.complex128)
         self.claimed_order = claimed_order
         self.claimed_rho = claimed_rho
         self.claimed_delta = claimed_delta
@@ -247,15 +234,10 @@ class SampledSymbol:
 
     def difference(self, alpha) -> SampledSymbol:
         """The table shrinks: the result lives on radius N - max(alpha), so every
-        retained point still has its shifted neighbours inside the original table."""
+        retained point still has its shifted neighbours inside the original table;
+        max(alpha) <= N."""
         alpha = _as_multi_index(alpha, self.dim)
-        new_radius = self.lattice.radius - max(alpha)
-        if new_radius < 0:
-            raise ValueError(
-                f"difference margin exhausted: order {alpha} on lattice radius "
-                f"{self.lattice.radius}"
-            )
-        new_lat = FrequencyLattice(self.dim, new_radius)
+        new_lat = FrequencyLattice(self.dim, self.lattice.radius - max(alpha))
         table = np.zeros((self.table.shape[0], len(new_lat)), dtype=np.complex128)
         for gamma, coef in _binomial_shifts(alpha):
             table += coef * self.table[:, self.lattice.indices_of(new_lat.points + gamma)]
@@ -366,14 +348,9 @@ def estimate_order(
     all-zero case reports order -inf.  Suprema that overflow float64 (a large
     order, difference or derivative) are refused with OverflowError; nan
     entries of a table are fitted as they are.  A sampled table of radius N
-    refuses a lattice radius R > N and is fitted over |xi|_inf <= min(R, N -
+    takes a lattice radius R <= N and is fitted over |xi|_inf <= min(R, N -
     max alpha), where its difference is known.
     """
-    if lattice.radius < 8:
-        raise ValueError(f"estimate_order needs lattice radius >= 8, got {lattice.radius}")
-    if lattice.radius > a.radius:
-        raise ValueError(f"sampled symbol is tabulated on lattice radius {a.radius}, which does not "
-                         f"hold the fit's radius {lattice.radius}; request at most radius {a.radius}")
     try:
         with np.errstate(over="raise"):
             b = a.x_derivative(beta).difference(alpha)
@@ -426,8 +403,6 @@ def fourier_decay_constant(
     the rows on ``x_fourier_support`` are weighted; a value that overflows
     float64 is refused (OverflowError), not reported.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
     support = a.x_fourier_support(lattice.radius)
     table = np.abs(a.x_fourier_table(support, lattice))
     eta_brackets = np.sqrt(1.0 + np.sum(support**2, axis=1).astype(np.float64))

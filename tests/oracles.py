@@ -92,7 +92,7 @@ def _grid(dim: int, grid_size: int) -> np.ndarray:
 def synthesize(c: FourierCoefficients, grid_size: int) -> PeriodicFunction:
     """f(x_i) = sum_xi e^{i2pi<x_i, xi>} c[xi] on an M-point grid, by one inverse
     FFT of the cube holding c[xi] at ``xi mod M`` (the margin keeps them apart)."""
-    harmonic._require_margin(grid_size, c.lattice.radius, "synthesize")
+    assert grid_size >= harmonic.min_grid_size(c.lattice.radius), "the grid aliases the lattice"
     dim = c.lattice.dim
     cube = np.zeros((grid_size,) * dim, dtype=np.complex128)
     cube[tuple((c.lattice.points % grid_size).T)] = c.coeffs

@@ -1401,8 +1401,8 @@ class TestCliContract:
 
 
 # Each refusal a handler makes at the edge: the command line (T a radius-8 symbol table,
-# S the radius-4 table save_sampled_symbol writes for bessel m = -4, F a grid-10 function
-# file) and its whole stderr line after "error: ".  A data file's defects are the matrix
+# L the radius-8 table of 1e300 cos(2 pi 3 x), S the radius-4 table save_sampled_symbol
+# writes for bessel m = -4, F a grid-10 function file) and its whole stderr line after "error: ".  A data file's defects are the matrix
 # of TestDataFiles.
 REFUSALS = {
     "heat-t-0": ("trace --symbol heat --t 0 --radius 4", "heat symbol needs --t TIME > 0, got 0.0"),
@@ -1461,8 +1461,9 @@ REFUSALS = {
     "table-radius-check-class": ("check-class --symbol-file T --radius 9", "--symbol-file is tabulated on "
                                  "lattice radius 8, which does not hold the requested radius 9; lower --radius "
                                  "to at most 8"),
-    "difference-margin": ("check-class --symbol-file T --radius 8 --alpha-idx 9", "difference margin exhausted: "
-                          "order (9,) on lattice radius 8; lower --alpha-idx to at most 8"),
+    "difference-margin": ("check-class --symbol-file T --radius 8 --alpha-idx 6", "difference margin exhausted: "
+                          "order (6,) on lattice radius 8 leaves the order fit less than radius 3; "
+                          "lower --alpha-idx to at most 5"),
     "alpha-idx-length": ("check-class --symbol bessel --m -4 --radius 16 --alpha-idx 1,2,3",
                          "--alpha-idx must be 1 nonnegative integer for dim=1, got '1,2,3'"),
     "alpha-idx-length-dim-2": ("check-class --symbol bessel --m -4 --dim 2 --radius 16 --alpha-idx 1,2,3",
@@ -1526,7 +1527,11 @@ REFUSALS = {
                              "the weighted dyadic block norms at w = 2000 overflow float64; lower --w or --q"),
     "order-fit-overflow": ("check-class --symbol bessel --m 800 --alpha-idx 1 --radius 9",
                            "the order fit's suprema sup_x |D^alpha d^beta a(x, xi)| at alpha=(1,), beta=(0,) "
-                           "overflow float64; lower --m, --alpha-idx or --beta-idx"),
+                           "overflow float64; lower --alpha-idx or --beta-idx, or lower --m or --c, or raise --t"),
+    "order-fit-overflow-table": ("check-class --symbol-file L --radius 8 --beta-idx 10",
+                                 "the order fit's suprema sup_x |D^alpha d^beta a(x, xi)| at alpha=(0,), "
+                                 "beta=(10,) overflow float64; lower --alpha-idx or --beta-idx, or check the "
+                                 "values in --symbol-file"),
     "t1-sum-overflow": ("nuclearity --theorem t1 --n 1 --r 1 --alpha 0.5 --p1 2 --k 1 --delta 0 --m 340 --w2 0",
                         "the series terms sum beyond float64; lower --m"),
     # refused once the series is summed (SUMMED)
@@ -1576,7 +1581,11 @@ class TestRefusals:
         save_sampled_symbol(sample_symbol(bessel_symbol(-4.0), min_grid_size(4), FrequencyLattice(1, 4)),
                             str(saved))
         save_periodic_function(PeriodicFunction(1, 10, np.ones(10)), str(function))
-        return {"T": str(table), "S": str(saved), "F": str(function)}
+        large = tmp_path / "large8.json"
+        wave = 1e300 * np.cos(2 * np.pi * 3 * np.arange(18) / 18)
+        large.write_text(json.dumps({"dim": 1, "grid_size": 18, "lattice_radius": 8,
+                                     "values": [[v, 0.0] for v in np.repeat(wave, 17).tolist()]}))
+        return {"T": str(table), "L": str(large), "S": str(saved), "F": str(function)}
 
     def test_every_message_names_a_flag(self):
         # the remedy a README promises for each refusal: a flag the user can change

@@ -61,12 +61,6 @@ class TestFrequencyLattice:
         assert mask.sum() == 13
         assert not mask.all()  # corners (2,2) fall outside
 
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            FrequencyLattice(3, 2)
-        with pytest.raises(ValueError):
-            FrequencyLattice(1, -1)
-
 
 class TestJapaneseBracket:
     # <xi> = (1 + |xi|^2)^(1/2) per lattice point, from FrequencyLattice.brackets
@@ -115,18 +109,6 @@ class TestForwardTransform:
             assert c.coeffs[lat.indices_of(xi)[0]] == pytest.approx(expect, abs=1e-15)
         assert oracle[1] == pytest.approx(0.5, abs=1e-15)
         assert oracle[-1] == pytest.approx(0.5, abs=1e-15)
-
-    def test_margin_enforced(self):
-        lat = FrequencyLattice(1, 4)
-        f = PeriodicFunction(1, 10, np.ones(10))  # needs 18
-        with pytest.raises(ValueError, match="anti-aliasing"):
-            forward_transform(f, lat)
-
-    def test_dimension_mismatch(self):
-        lat = FrequencyLattice(2, 1)
-        f = PeriodicFunction(1, 16, np.ones(16))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            forward_transform(f, lat)
 
 
 class TestInverseTransform:
@@ -179,11 +161,6 @@ class TestLpNorm:
         m = 64
         f = PeriodicFunction(1, m, np.cos(2 * np.pi * np.arange(m) / m))
         assert grid_norm(f, 2) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
-
-    def test_rejects_small_p(self):
-        f = PeriodicFunction(1, 8, np.ones(8))
-        with pytest.raises(ValueError):
-            grid_norm(f, 0.5)
 
     @pytest.mark.parametrize("value, p", [(2.0, 1e10), (0.5, 1e10), (1e-200, 2.0), (1e200, 2.0)])
     def test_sum_out_of_float64_range_normed_at_the_sup(self, value, p):

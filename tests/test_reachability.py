@@ -1,11 +1,14 @@
 """Every public top-level function and class of the package, and every public
 method of a public class, is used by the package, and every defaulted parameter
-of a top-level one is passed more than one value by it.
+of a top-level one is passed more than one value by it; and every ``raise`` of
+the library (every module but ``cli`` and ``io``, the edge) is a kept one.
 
 A definition that only the tests call pins code no ``torustrace`` command runs,
 so the tests would check a wrapper instead of the path the CLI takes.  A
 parameter the package always leaves at one value is the same: a branch only
-the tests take.
+the tests take.  A library guard that repeats a refusal of the edge (a flag
+type, a handler's ``_require``, the data-file reader) is one too: no command
+line reaches it.
 """
 
 import ast
@@ -27,6 +30,23 @@ KEEP = {
     "criteria.check_t2(p2)": UNSET_FLAG,
     "criteria.check_t2(q2)": UNSET_FLAG,
 }
+
+NOT_FINITE = "a numerical failure no flag foresees: a value that leaves float64"
+# module.function: exception -> why the library raises it although the edge refuses user errors
+KEPT = {
+    "criteria.nuclear_quasinorm_bound: OverflowError": NOT_FINITE,
+    "harmonic.FrequencyLattice.indices_of: KeyError": "an index check: a point outside the box would read a "
+    "wrong column",
+    "quantize.CompressedOperator.__init__: OverflowError": NOT_FINITE,
+    "quantize.eigenvalues: EigensolverError": "LAPACK's breakdown, a residual past its bound, or a spectrum "
+    "that misses the exact trace",
+    "sums.fsum_by: ValueError": "a weight of another shape, or below 1, would make the exactly rounded sum "
+    "wrong, and no edge refusal covers weights",
+    "symbols.estimate_order: OverflowError": NOT_FINITE,
+    "symbols.fourier_decay_constant: OverflowError": NOT_FINITE,
+    "traces.tail_estimate: OverflowError": NOT_FINITE,
+}
+EDGE = ("cli", "io")
 
 PUBLIC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 VARIES = "<varies>"
@@ -176,3 +196,40 @@ def test_every_defaulted_parameter_takes_two_values_in_src():
         if len(values := seen.get(f"{qualified}({name})", set())) < 2 and VARIES not in values
     ]
     assert [name for name in fixed if name not in KEEP] == []
+
+
+def raise_sites(trees: dict[str, ast.Module]) -> set[str]:
+    """"module.function: exception" for every ``raise`` outside the ``EDGE`` modules,
+    the function qualified by its class; a bare re-raise reads "re-raise"."""
+    found = set()
+
+    def walk(node: ast.AST, module: str, scope: tuple[str, ...]):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, PUBLIC_DEFS):
+                walk(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.add(f"{'.'.join((module,) + scope)}: {'re-raise' if exc is None else ast.unparse(exc)}")
+            walk(child, module, scope)
+
+    for module, tree in trees.items():
+        if module not in EDGE:
+            walk(tree, module, ())
+    return found
+
+
+def test_every_library_raise_is_kept():
+    """The library raises only what ``KEPT`` lists, each with its reason, and each
+    entry still names a raise.  A guard on a condition the edge refuses first is
+    deleted, not listed."""
+    found = raise_sites(package_trees())
+    assert sorted(found - KEPT.keys()) == []
+    assert sorted(KEPT.keys() - found) == []
+
+
+def test_the_raise_walk_keys_by_function_not_line():
+    tree = ast.parse("def f(x):\n    if x:\n        raise ValueError(x)\n    raise ValueError\n"
+                     "class Box:\n    def get(self):\n        try:\n            pass\n"
+                     "        except KeyError:\n            raise\n")
+    assert raise_sites({"m": tree, "cli": tree}) == {"m.f: ValueError", "m.Box.get: re-raise"}

@@ -83,8 +83,6 @@ class TestDifferenceOp:
         a = sample_symbol(bessel_symbol(-2.0), min_grid_size(4), lat)
         d = a.difference(1)
         assert d.lattice.radius == 3
-        with pytest.raises(ValueError, match="margin exhausted"):
-            a.difference(5)
 
     def test_sampled_matches_catalog(self):
         lat = FrequencyLattice(1, 6)
@@ -214,10 +212,6 @@ class TestEstimateOrder:
         # first difference of the constant 1 is identically zero
         assert m_hat == -math.inf and c_hat == 0.0
 
-    def test_small_radius_rejected(self):
-        with pytest.raises(ValueError, match="radius"):
-            estimate_order(bessel_symbol(-2.0), 0, 0, FrequencyLattice(1, 4))
-
     @pytest.mark.parametrize("t, claimed, slope", [(0.01, -math.inf, -1), (0.0, 0.0, 0), (-0.01, None, 1)])
     def test_modulated_gaussian_claims_its_order(self, t, claimed, slope):
         # exp(-t |xi|^2) decays faster than any power for t > 0, is 1 at t = 0 and
@@ -293,17 +287,8 @@ class TestFourierDecayConstant:
         assert c32 >= c16 - 1e-12
         assert c32 <= 1.05 * c16
 
-    def test_k_validated(self):
-        with pytest.raises(ValueError):
-            fourier_decay_constant(bessel_symbol(-2.0), 0, -2.0, 0.0, FrequencyLattice(1, 4))
-
 
 class TestSampledRepresentation:
-    def test_table_shape_validated(self):
-        lat = FrequencyLattice(1, 2)
-        with pytest.raises(ValueError, match="table shape"):
-            SampledSymbol(1, 12, lat, np.zeros((12, 4)))
-
     def test_claimed_metadata_flows_through(self):
         lat = FrequencyLattice(1, 4)
         a = sample_symbol(bessel_symbol(-2.0), min_grid_size(4), lat)
