@@ -381,7 +381,7 @@ def _run_trace(args) -> tuple[dict, dict, CsvTable | None]:
             raise ValidationError(f"{exc}; pass an --order-hint nearer the symbol's order") from exc
     if args.certify_w is not None:
         try:
-            bound = nuclear_quasinorm_bound(a, 1.0, args.certify_w, op.lattice)
+            bound = nuclear_quasinorm_bound(a, args.certify_w, op.lattice)
         except OverflowError as exc:
             remedy = _overflow_remedy(args.certify_w, f"--certify-w, or {_symbol_remedy(args)}")
             raise ValidationError(remedy) from exc

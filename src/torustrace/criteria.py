@@ -5,7 +5,7 @@ coefficients of H_xi are hat{a}(d, xi) at eta = xi + d for d on the symbol's
 x-Fourier support (``a.x_fourier_support``), so the bound never samples
 H_xi.  The bound is in B^w_{2,2}, where Parseval makes a dyadic block's L^2
 norm the l^2 norm of its coefficients: it reads the support table once and
-sums |hat{a}|^2 per (block, column), with no compression and no synthesis.
+norms each column's weighted coefficients, with no compression and no synthesis.
 
 Three checkers are exposed:
 
@@ -341,47 +341,31 @@ def check_tt1(dual, r: float, p: float, q: float, case: int, m: float | None = N
 # ---------------------------------------------------------------------------
 
 
-def nuclear_quasinorm_bound(a: Symbol, r: float, w: float, lattice: FrequencyLattice) -> float:
-    """sum_xi ||H_xi||_{B^w_{2,2}}^r for the canonical decomposition.
+def nuclear_quasinorm_bound(a: Symbol, w: float, lattice: FrequencyLattice) -> float:
+    """sum_xi ||H_xi||_{B^w_{2,2}} for the canonical decomposition.
 
     H_xi = e_xi a(., xi) has coefficients hat{a}(d, xi) at eta = xi + d for d
-    on the symbol's x-Fourier support (``a.x_fourier_support``), so they lie in
-    |eta|_inf <= N + b with b the support's largest |d|_inf: the x-factor's
-    bandwidth, or for a sampled table its window M//2.
-
-    Parseval gives each block's L^2 norm as the l^2 norm of its coefficients,
-    which is what a grid synthesis on a margin-safe grid computes up to
-    rounding.  So the support table (S x L) is read once, the block of each
-    eta = xi + d found by ``block_index``, and |hat a|^2 summed into a
-    (blocks x L) table of per-(block, column) energies.  Each column is
-    scaled by a power of two before squaring (exact), so that its grouped sums
-    stay in range; its weighted block norms 2^{mw} n_m are then one row of
-    ``sums.power_norms`` at p = 2, all columns in one call.  Only a weight
-    2^{mw} or a bound beyond float64 raises OverflowError.
+    on the symbol's x-Fourier support (``a.x_fourier_support``).  Parseval gives
+    each block's L^2 norm as the l^2 norm of its coefficients, which is what a
+    grid synthesis on a margin-safe grid computes up to rounding, so H_xi's
+    B^w_{2,2} norm is the l^2 norm of its coefficients, each weighted by
+    2^{m w} with m the block of eta (``block_index``).  The support table
+    (S x L) is read once, and every column's norm is one group of a single
+    ``sums.power_norms`` call at p = 2 (Blue-scaled, so squares beyond float64
+    do not overflow).  Only a weight 2^{mw} or a bound beyond float64 raises
+    OverflowError.
 
     Stability of this sum across growing radii is the numerical nuclearity
-    certificate; raised to 1/r it upper-bounds the r-quasi-norm up to the
-    embedding constant absorbed in the functional bounds.
+    certificate; it upper-bounds the nuclear norm (the r-quasi-norm at r = 1) up
+    to the embedding constant absorbed in the functional bounds.
     """
     support = a.x_fourier_support()
-    radius = lattice.radius + int(np.abs(support).max(initial=0))  # N + b
-    table = a.x_fourier_table(support, lattice)  # (S, L): H_xi's coefficient at xi + d
-    peak = np.abs(table).max(axis=0, initial=0.0)
-    scale = np.exp2(np.frexp(peak)[1] - 1.0)  # each column's largest |hat a| in [1, 2)
-    squared = sum((d[:, None] + xi) ** 2 for d, xi in zip(support.T, lattice.points.T))
-    # every block of the row box |eta|_inf <= N + b is nonempty, so each column
-    # reports all of them, as block_norms does on that lattice
-    count = int(block_index(lattice.dim * radius**2)) + 1
-    size = len(lattice)
-    # real divisions: numpy divides a complex by a subnormal scale through 1/scale, which overflows
-    energy = np.bincount(
-        (block_index(squared) * size + np.arange(size)).ravel(),
-        weights=((table.real / scale) ** 2 + (table.imag / scale) ** 2).ravel(),
-        minlength=count * size,
-    ).reshape(count, size)
-    with np.errstate(over="ignore"):  # refused below
-        weighted = np.array([[2.0 ** (m * w)] for m in range(count)]) * (scale * np.sqrt(energy))
-    bound = fsum(norm**r for norm in power_norms(weighted.T, 2.0))
+    table = a.x_fourier_table(support, lattice).T  # (L, S): H_xi's coefficient at xi + d
+    squared = sum((xi[:, None] + d) ** 2 for d, xi in zip(support.T, lattice.points.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        weighted = np.ascontiguousarray(table * 2.0 ** (block_index(squared) * w))
+    parts = weighted.view(np.float64)  # re, im of each coefficient, column by column
+    bound = fsum(power_norms(np.abs(parts, out=parts), 2.0))
     if not math.isfinite(bound):  # an inf block norm makes it inf or nan
         raise OverflowError("the certificate's block norms of |hat{a}(d, xi)| leave float64")
     return float(bound)

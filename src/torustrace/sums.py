@@ -47,11 +47,6 @@ weighted sum then has the bits of ``math.fsum`` over ``np.repeat(values, w)``.
 In what follows n is the number of terms, counted with their weights.
 Weights that are all 1 are dropped, so the kernel skips the products.
 
-Zeros of either sign add nothing to ``math.fsum``, which keeps no zero
-partials.  So when n >= ``CROSSOVER``, the exact zeros are dropped before the
-path is chosen, and n, ``CROSSOVER`` and the other rules below count nonzero
-terms.
-
 A group is a contiguous slice of the terms (a row of a 2-D array, or the
 terms between two ``cuts``), so a group's key is the index of the cut a term
 follows.  One call can give a series' value and its group sums (``total=True``),
@@ -60,14 +55,16 @@ floats whose exact sum is the sum of all the terms, so one ``math.fsum`` over
 all groups' bins together is the correctly rounded total: the bits of
 ``math.fsum`` over all the terms, from the same binned pass as the group sums.
 
-Memory: where some terms are zero, copies of the nonzero terms and of their
-indices and weights, up to 24 bytes a nonzero term.  Then the terms go
-through in chunks of ``CHUNK``, with about 22 bytes of temporaries a term of
-a chunk in long runs (29 weighted: weights are cast a chunk at a time) and up
-to 41 in short runs of several groups, plus 2125 x 8 bytes of bins per
-group.  The terms go to ``math.fsum`` itself (repeated by their weights), so
-that its values and its exceptions are kept, when there are fewer than
-``CROSSOVER`` of them; when any is inf or nan; when max|x| >=
+An exact zero of either sign splits into parts 0 and adds nothing to any bin,
+as it adds no partial to ``math.fsum``, so zeros are summed like any other
+term and count in n.
+
+Memory: the terms go through in chunks of ``CHUNK``, with about 22 bytes of
+temporaries a term of a chunk in long runs (29 weighted: weights are cast a
+chunk at a time) and up to 41 in short runs of several groups, plus 2125 x 8
+bytes of bins per group.  The terms go to ``math.fsum`` itself (repeated by
+their weights), so that its values and its exceptions are kept, when there
+are fewer than ``CROSSOVER`` of them; when any is inf or nan; when max|x| >=
 2^(1023 - n.bit_length()) (``math.fsum`` raises an order-dependent
 OverflowError on some finite sums near the top of the range, and a bin could
 overflow); when there are 2^26 or more; and when there are more than
@@ -77,9 +74,10 @@ terms in order, taken before the group sums, so its exceptions come first.
 ``fsum_by``; lists, generators and other arrays go to ``math.fsum``.
 
 Every l^p norm of the package (``harmonic.lp_norms``, ``besov.weighted_norm``,
-the certificate's columns) is one ``power_norms`` call: a row sum per row, each
-row first scaled into range where its largest p-th power could leave float64
-(Blue's scaled norm).
+``besov.block_norms`` at p = 2, the certificate's columns) is one
+``power_norms`` call: one ``fsum_by`` sum of p-th powers a group, grouped as
+``fsum_by`` groups its terms, each group first scaled into range where its
+largest p-th power could leave float64 (Blue's scaled norm).
 """
 
 from __future__ import annotations
@@ -134,17 +132,9 @@ def fsum_by(values, weights=None, total: bool = False, cuts=None):
         if weights.size and weights.min() < 1:
             raise ValueError("weights must be positive integers")
         weights = None if weights.size and weights.max() == 1 else weights.reshape(-1)
-    if cuts is None:  # a cut at every row end
-        rows, row_length = np.atleast_2d(values).shape
-        cuts = np.arange(rows + 1) * row_length
-    values, cuts = values.reshape(-1), np.asarray(cuts)
+    values, cuts = _groups(values, cuts)
     size = len(cuts) - 1
     n = values.size if weights is None else int(weights.sum())
-    if n >= CROSSOVER and np.count_nonzero(values) < values.size:  # nan != 0: only zeros go
-        kept = np.flatnonzero(values)
-        values, cuts = values[kept], np.searchsorted(kept, cuts)
-        weights = None if weights is None else weights[kept]
-        n = values.size if weights is None else int(weights.sum())
     limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
     if (n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS
             or not (values.max() < limit and -values.min() < limit)):  # nan fails both
@@ -198,15 +188,20 @@ def fsum_by(values, weights=None, total: bool = False, cuts=None):
     return (sums, math.fsum(exact)) if total else sums
 
 
-def power_norms(rows, p: float, divisor: float = 1.0) -> list[float]:
-    """(sum_j x_j^p / divisor)^(1/p) of each row of nonnegative ``rows``, from one
-    exactly rounded ``fsum_by`` row sum; the row max at p = inf.  Where the largest
-    term's p-th power, in [2^((e - 1) p), 2^(e p)), could leave [2^-1000, 2^1000],
-    the row is normed relative to unit 2^(e - 1), unit 1 (exact: a p = 2 norm keeps
-    its bits) or, where [1, 2)^p can overflow (p > 1000), the largest term's
-    mantissa; ``math.ldexp`` puts it back, raising OverflowError beyond float64."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    top = rows.max(axis=1, initial=0.0)
+def power_norms(values, p: float, divisor: float = 1.0, cuts=None) -> list[float]:
+    """(sum_j x_j^p / divisor)^(1/p) of each group of nonnegative ``values``, grouped
+    as ``fsum_by`` groups them (each row of a 2-D ``values``, or the terms between
+    ``cuts``), from one exactly rounded ``fsum_by`` group sum; the group max at
+    p = inf.  An empty group reads 0.  Where the largest term's p-th power, in
+    [2^((e - 1) p), 2^(e p)), could leave [2^-1000, 2^1000], the group is normed
+    relative to unit 2^(e - 1), unit 1 (exact: a p = 2 norm keeps its bits) or,
+    where [1, 2)^p can overflow (p > 1000), the largest term's mantissa;
+    ``math.ldexp`` puts it back, raising OverflowError beyond float64."""
+    values, cuts = _groups(values, cuts)
+    sizes = np.diff(cuts)
+    top, filled = np.zeros(len(sizes)), sizes > 0
+    if filled.any():  # reduceat reads the next group's first term for an empty one
+        top[filled] = np.maximum.reduceat(values, cuts[:-1][filled])
     if p == math.inf:
         return top.tolist()
     mantissa, exponent = np.frexp(top)
@@ -214,10 +209,20 @@ def power_norms(rows, p: float, divisor: float = 1.0) -> list[float]:
     with np.errstate(over="ignore", under="ignore"):  # a p of 1e300 times e; tiny scaled terms
         scaled = (0.0 < top) & (top < math.inf) & (((exponent - 1) * p < -1000) | (exponent * p > 1000))
         if scaled.any():
-            rows = rows / np.where(scaled, np.ldexp(unit, exponent - 1), 1.0)[:, None]
-        sums = fsum_by(rows**p)
+            values = values / np.repeat(np.where(scaled, np.ldexp(unit, exponent - 1), 1.0), sizes)
+        sums = fsum_by(values**p, cuts=cuts)
     return [math.ldexp(u * (s / divisor) ** (1.0 / p), e - 1) if shift else (s / divisor) ** (1.0 / p)
             for s, shift, u, e in zip(sums, scaled.tolist(), unit.tolist(), exponent.tolist())]
+
+
+def _groups(values, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """1-D float64 ``values`` and the cuts of their groups: ``cuts`` as given, else
+    a cut at every row end of a 2-D ``values`` (a 1-D one is one group)."""
+    values = np.asarray(values, dtype=np.float64)
+    if cuts is None:
+        rows, row_length = np.atleast_2d(values).shape
+        cuts = np.arange(rows + 1) * row_length
+    return values.reshape(-1), np.asarray(cuts)
 
 
 def _fsum_slices(values: np.ndarray, cuts) -> list[float]:

@@ -195,7 +195,7 @@ def test_criterion_10_order_recovery():
 def test_criterion_11_quasinorm_and_w_independence(capsys):
     lat = FrequencyLattice(1, 16)
     a = bessel_symbol(-4.0)
-    bound = nuclear_quasinorm_bound(a, 1.0, 0.0, lat)
+    bound = nuclear_quasinorm_bound(a, 0.0, lat)
     closed = fsum((1.0 + k * k) ** -2.0 for k in range(-16, 17))
     closed_ok = abs(bound - closed) <= 1e-10
     lines = []

@@ -1,8 +1,8 @@
 """The B^w_{2,2} quasi-norm certificate by Parseval over the x-Fourier support.
 
-``criteria.nuclear_quasinorm_bound`` sums |hat a(d, xi)|^2 over the dyadic
-block of each eta = xi + d, d on the symbol's x-Fourier support, and never
-synthesizes H_xi.  ``oracles.dense_quasinorm_bound`` builds the dense
+``criteria.nuclear_quasinorm_bound`` weights each hat a(d, xi) by 2^{mw}, m
+the dyadic block of eta = xi + d, d on the symbol's x-Fourier support, norms
+each column's weighted coefficients, and never synthesizes H_xi.  ``oracles.dense_quasinorm_bound`` builds the dense
 compression with rows out to N + b and synthesizes every column's blocks on
 the margin grid.  On that alias-free grid both compute the same block norms
 up to rounding, so the bounds agree within 2 ulp.
@@ -61,13 +61,12 @@ def _symbol(source: str, dim: int, lattice: FrequencyLattice, grid: int | None):
     dim=st.sampled_from([1, 2]),
     radius=st.integers(min_value=0, max_value=6),
     w=st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
-    r=st.sampled_from([0.5, 1.0]),
 )
-def test_certificate_matches_dense_synthesis(source, sampled, grid, dim, radius, w, r):
+def test_certificate_matches_dense_synthesis(source, sampled, grid, dim, radius, w):
     lattice = FrequencyLattice(dim, radius)
     a = _symbol(source, dim, lattice, grid if sampled or source == "random" else None)
-    got = nuclear_quasinorm_bound(a, r, w, lattice)
-    want = oracles.dense_quasinorm_bound(a, r, BesovParams(w, 2.0, 2.0), lattice)
+    got = nuclear_quasinorm_bound(a, w, lattice)
+    want = oracles.dense_quasinorm_bound(a, 1.0, BesovParams(w, 2.0, 2.0), lattice)
     assert abs(got - want) <= 2 * math.ulp(want)
 
 
@@ -75,20 +74,21 @@ def test_certificate_matches_dense_synthesis(source, sampled, grid, dim, radius,
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("source", ["random", "modulated-bracket"])
 def test_certificate_is_homogeneous_past_the_square_root_of_float64(source, dim, w):
-    # |hat a|^2 of the table times 2^520 leaves float64; scaling each column by a
-    # power of two before squaring keeps every step exact, so the bound scales too
+    # |hat a|^2 of the table times 2^520 leaves float64; sums.power_norms scales
+    # each column by a power of two before squaring, which keeps every step exact,
+    # so the bound scales too
     lattice = FrequencyLattice(dim, 4)
     a = _symbol(source, dim, lattice, 8)
     big = SampledSymbol(dim, a.grid_size, lattice, a.table * 2.0**520)
-    want = nuclear_quasinorm_bound(a, 1.0, w, lattice)
-    assert nuclear_quasinorm_bound(big, 1.0, w, lattice) == math.ldexp(want, 520)
+    want = nuclear_quasinorm_bound(a, w, lattice)
+    assert nuclear_quasinorm_bound(big, w, lattice) == math.ldexp(want, 520)
 
 
 def test_certificate_beyond_float64_is_refused():
     lattice = FrequencyLattice(1, 4)
     a = _symbol("random", 1, lattice, 8)
     with pytest.raises(OverflowError):
-        nuclear_quasinorm_bound(SampledSymbol(1, 8, lattice, a.table * 2.0**1020), 1.0, 1.0, lattice)
+        nuclear_quasinorm_bound(SampledSymbol(1, 8, lattice, a.table * 2.0**1020), 1.0, lattice)
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -106,7 +106,7 @@ def test_p2_certificate_builds_no_compression_and_no_synthesis(monkeypatch, samp
     # the dense compression is CompressedOperator.entries, whoever builds it
     monkeypatch.setattr(quantize.CompressedOperator, "entries", property(trip))
     monkeypatch.setattr(np.fft, "ifftn", trip)
-    got = nuclear_quasinorm_bound(a, 1.0, 1.0, lattice)
+    got = nuclear_quasinorm_bound(a, 1.0, lattice)
     assert abs(got - want) <= 2 * math.ulp(want)
 
 
@@ -114,8 +114,8 @@ def test_sampled_certificate_of_a_fine_table_equals_catalog():
     # grid 40 widens the support box to |d|_inf <= 20; every H_xi still matches the catalog's
     a = modulated_symbol(2.0, BracketPower(-4.0), 2)
     lattice = FrequencyLattice(2, 12)
-    got = nuclear_quasinorm_bound(sample_symbol(a, 40, lattice), 1.0, 1.0, lattice)
-    want = nuclear_quasinorm_bound(a, 1.0, 1.0, lattice)
+    got = nuclear_quasinorm_bound(sample_symbol(a, 40, lattice), 1.0, lattice)
+    want = nuclear_quasinorm_bound(a, 1.0, lattice)
     assert abs(got - want) <= 1e-12 * want
 
 

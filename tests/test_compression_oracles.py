@@ -54,13 +54,12 @@ CATALOG = {
     dim=st.sampled_from([1, 2]),
     radius=st.integers(min_value=0, max_value=6),
     w=st.sampled_from([0.0, 0.5, 1.0]),
-    r=st.sampled_from([0.5, 1.0]),
 )
-def test_catalog_certificate_matches_rank_one_oracle(name, dim, radius, w, r):
+def test_catalog_certificate_matches_rank_one_oracle(name, dim, radius, w):
     a = CATALOG[name](dim)
     lattice = FrequencyLattice(dim, radius)
-    got = nuclear_quasinorm_bound(a, r, w, lattice)
-    want = oracles.quasinorm_bound(a, r, BesovParams(w, 2.0, 2.0), lattice)
+    got = nuclear_quasinorm_bound(a, w, lattice)
+    want = oracles.quasinorm_bound(a, 1.0, BesovParams(w, 2.0, 2.0), lattice)
     assert abs(got - want) <= 1e-13 * want
 
 
@@ -70,8 +69,8 @@ def test_sampled_certificate_equals_catalog(dim, radius, grid):
     a = modulated_symbol(2.0, BracketPower(-4.0), dim)
     lattice = FrequencyLattice(dim, radius)
     sampled = sample_symbol(a, grid, lattice)
-    got = nuclear_quasinorm_bound(sampled, 1.0, 1.0, lattice)
-    want = nuclear_quasinorm_bound(a, 1.0, 1.0, lattice)
+    got = nuclear_quasinorm_bound(sampled, 1.0, lattice)
+    want = nuclear_quasinorm_bound(a, 1.0, lattice)
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -155,7 +154,7 @@ def test_sampled_trace_and_spectrum_run_below_table_radius(capsys, tmp_path, dim
     nuclear, spectral = _oracle_traces(a, below)
     assert abs(complex(*doc["body"]["nuclear_trace"]) - nuclear) <= 1e-12 * (1.0 + abs(nuclear))
     assert abs(complex(*doc["body"]["spectral_trace"]) - spectral) <= 1e-11 * (1.0 + abs(spectral))
-    bound = nuclear_quasinorm_bound(catalog, 1.0, 1.0, FrequencyLattice(dim, below))
+    bound = nuclear_quasinorm_bound(catalog, 1.0, FrequencyLattice(dim, below))
     assert abs(doc["diagnostics"]["quasinorm_certificate"]["bound"] - bound) <= 1e-12 * bound
     code = main(["spectrum", "--symbol-file", str(path), "--radius", str(below)])
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ Values are compared through ``struct.pack('<d')``, so the sign of a zero
 counts.  Sizes sit on both sides of ``CROSSOVER`` and of each chunk boundary,
 so the kernel, its chunk loop and the ``math.fsum`` fallback all run.  The
 ``sorted`` and ``zero-tail`` kinds are shaped like dual series, so the one-group
-and rows-as-groups sums take the run-reduced kernel and drop exact zeros.
+and rows-as-groups sums take the run-reduced kernel, exact zeros included.
 """
 
 import math
@@ -159,15 +159,15 @@ class TestMatchesMathFsum:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_kernel_runs_without_the_fallback(self, monkeypatch, kind):
-        # zeros are dropped before the path is chosen: the terms reach math.fsum only
-        # when fewer than CROSSOVER of them are nonzero (all zeros here, or none)
+        # zeros reach the kernel like any other term: CHUNK + 1 finite terms never
+        # reach math.fsum, all zeros included
         x = terms(kind, CHUNK + 1, np.random.default_rng(7))
         want = outcome(math.fsum, x)
         seen = []
         real = sums._fsum_slices
         monkeypatch.setattr(sums, "_fsum_slices", lambda *a: seen.append(a) or real(*a))
         assert outcome(fsum, x) == want
-        assert len(seen) == (np.count_nonzero(x) < CROSSOVER)
+        assert seen == []
 
     def test_empty_inputs(self):
         assert bits(fsum(np.array([]))) == bits(math.fsum([]))
@@ -250,9 +250,10 @@ def test_dual_diagnostics_take_no_ndarray_above_the_crossover_to_math_fsum(monke
 def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkeypatch, kernel):
     """The torus dim-1 cutoff-1e5 Bessel series sums every chunk's runs with
     ``np.add.reduceat``, 16 terms a run or more, and the SU(2) cutoff-2e4 heat series
-    of tt1 hands only its nonzero terms to the exact sum, in one chunk of short runs
-    (946 exponents in 1409 terms: the keyed bincount): the kernel sees them and
-    nothing else, and no ndarray of terms reaches math.fsum."""
+    of tt1 hands its head (the rows with lambda <= 746/t: 1409 nonzero terms and one
+    that underflowed to zero) to the exact sum, in one chunk of short runs (938
+    distinct exponents in 1410 terms: the keyed bincount): the kernel sees them and nothing
+    else, zeros included, and no ndarray of terms reaches math.fsum."""
     passed = []
     real_fsum = math.fsum
 
@@ -272,7 +273,7 @@ def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkey
     kernel.chunks.clear()
     kernel.runs.clear()
     verdict = check_tt1(su2, 1.0, 2.0, 2.0, 4, t=0.0015)
-    assert kernel.chunks == [np.count_nonzero(heat)] == [1409]
+    assert kernel.chunks == [len(heat)] == [1410] and np.count_nonzero(heat) == 1409
     assert kernel.runs == []
     assert passed == []
     monkeypatch.undo()
@@ -423,8 +424,7 @@ class TestWeights:
     def test_unit_weights_are_no_weights(self, monkeypatch, n, kind):
         # SU(2) and per-point duals pass weights that are all 1: math.fsum's bits, and
         # neither the kernel nor the fallback sees the weights: the fallback sums the
-        # terms themselves (a view of x, or none where every term was a dropped zero),
-        # not their repetition by the weights
+        # terms themselves (a view of x), not their repetition by the weights
         rng = np.random.default_rng(n)
         x, w = terms(kind, n, rng), np.ones(n, dtype=np.int64)
         xs, ws, cuts = contiguous(rng.integers(0, 3, n), x, w)
@@ -433,10 +433,10 @@ class TestWeights:
         seen = []
         real = sums._fsum_slices
         monkeypatch.setattr(sums, "_fsum_slices",
-                            lambda *a: seen.append(np.shares_memory(a[0], xs) or not a[0].size) or real(*a))
+                            lambda *a: seen.append(np.shares_memory(a[0], xs)) or real(*a))
         fsum_by(xs, ws, cuts=cuts)
-        # zeros are dropped before the path is chosen: CROSSOVER counts nonzero terms
-        assert seen == ([True] if np.count_nonzero(x) < CROSSOVER else [])
+        # zeros reach the kernel like any other term: CROSSOVER counts every term
+        assert seen == ([True] if n < CROSSOVER else [])
 
 
 class TestTotal:

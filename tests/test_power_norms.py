@@ -5,10 +5,12 @@ so its norm is a plain ``math.fsum`` of the p-th powers over the divisor, to the
 p-th root; the terms' powers are numpy's, so the oracle's scalar powers may
 differ from them by an ulp.  A row outside that range is normed relative to
 the power of two of its largest term (p <= 1000), which commutes with rounding:
-2^k times a row in range gives exactly 2^k times its norm.
+2^k times a row in range gives exactly 2^k times its norm.  Groups cut from
+one 1-D array are normed exactly as the same groups given as 2-D rows.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -81,3 +83,40 @@ def test_empty_and_zero_rows():
 def test_norm_beyond_float64_is_refused():
     with pytest.raises(OverflowError):
         power_norms([[1.9 * 2.0**1023, 2.0**1023]], 2.0)
+
+
+@st.composite
+def term_groups(draw):
+    """Groups of nonnegative terms m s, m in [0, 4] and s a scale from 2^-1074 to
+    1e300, some groups empty, so groups that are scaled into range lie beside groups
+    that are not, and 1e300 beside 1e-300 within one group."""
+    scale = st.sampled_from([1.0, 1e300, 1e-300, 2.0**-1074])
+    term = st.builds(operator.mul, st.floats(0.0, 4.0), scale)
+    return draw(st.lists(st.lists(term, max_size=12), min_size=1, max_size=6))
+
+
+def bits(values: list[float]) -> list[str]:
+    return [x.hex() for x in values]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf, 1e10])
+@settings(max_examples=100, deadline=None)
+@given(groups=term_groups(), divisor=st.sampled_from([1.0, 3.0]))
+def test_cut_groups_match_their_own_rows(p, groups, divisor):
+    values = np.array([x for group in groups for x in group])
+    cuts = np.cumsum([0] + [len(group) for group in groups])
+    got = power_norms(values, p, divisor, cuts=cuts)
+    assert bits(got) == bits([power_norms([group], p, divisor)[0] for group in groups])
+    # groups of one length are the rows of one 2-D array too
+    length = min(map(len, groups))
+    rows = np.array([group[:length] for group in groups]).reshape(len(groups), length)
+    assert bits(power_norms(rows.reshape(-1), p, divisor, cuts=np.arange(len(groups) + 1) * length)) == bits(
+        power_norms(rows, p, divisor))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf, 1e10])
+def test_empty_groups_read_zero(p):
+    # np.maximum.reduceat would give an empty group the next group's first term
+    five, seven = (power_norms([[x]], p)[0] for x in (5.0, 7.0))
+    assert bits(power_norms([5.0, 7.0], p, cuts=[0, 0, 1, 1, 2, 2])) == bits([0.0, five, 0.0, seven, 0.0])
+    assert power_norms(np.array([]), p, cuts=[0, 0, 0]) == [0.0, 0.0]

@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package, and every public
-method of a public class, is used by the package, and every defaulted parameter
-of a top-level one is passed more than one value by it; and every ``raise`` of
-the library (every module but ``cli`` and ``io``, the edge) is a kept one.
+method of a public class, is used by the package; every defaulted parameter
+of a top-level one is passed more than one value by it, and no other parameter
+is passed the same literal by every call; and every ``raise`` of the library
+(every module but ``cli`` and ``io``, the edge) is a kept one.
 
 A definition that only the tests call pins code no ``torustrace`` command runs,
 so the tests would check a wrapper instead of the path the CLI takes.  A
@@ -162,19 +163,19 @@ def callables(trees: dict[str, ast.Module]) -> dict[str, tuple[str, list[str], d
     return found
 
 
-def test_every_defaulted_parameter_takes_two_values_in_src():
-    """Across the calls ``src`` makes by name (``f(...)``, ``Class(...)``), each
-    defaulted parameter of a public function or explicit ``__init__`` must take at
-    least two values.  An omitted argument counts as the default; a non-literal
-    argument, or any argument under a ``*``/``**`` splat, counts as varying.
+def passed_values(trees: dict[str, ast.Module]) -> dict[str, set]:
+    """"module.name(parameter)" -> the values it takes across the calls ``trees``
+    make by name (``f(...)``, ``Class(...)``), for every parameter of a public
+    function or explicit ``__init__``.  An omitted argument counts as the default;
+    a non-literal argument, or any argument under a ``*``/``**`` splat, counts as
+    varying.
 
     A function passed around as a value and called through another name (a
     ``checker = check_t1`` alias) is not seen; its parameters read as never
     varied and need a ``KEEP`` entry.
     """
-    trees = package_trees()
     defs = callables(trees)
-    seen: dict[str, set] = {}
+    seen: dict[str, set] = {f"{qualified}({name})": set() for qualified, names, _ in defs.values() for name in names}
     for tree in trees.values():
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs):
@@ -183,19 +184,45 @@ def test_every_defaulted_parameter_takes_two_values_in_src():
             splat = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
             given = dict(zip(names, takewhile(lambda a: not isinstance(a, ast.Starred), node.args)))
             given.update((k.arg, k.value) for k in node.keywords if k.arg is not None)
-            for name, default in defaults.items():
+            for name in names:
                 if name in given:
                     value = value_of(given[name])
                 else:
-                    value = VARIES if splat else default
-                seen.setdefault(f"{qualified}({name})", set()).add(value)
-    fixed = [
-        f"{qualified}({name})"
-        for qualified, _, defaults in defs.values()
-        for name in defaults
-        if len(values := seen.get(f"{qualified}({name})", set())) < 2 and VARIES not in values
-    ]
-    assert [name for name in fixed if name not in KEEP] == []
+                    value = VARIES if splat or name not in defaults else defaults[name]
+                seen[f"{qualified}({name})"].add(value)
+    return seen
+
+
+def fixed_parameters(trees: dict[str, ast.Module], defaulted: bool) -> list[str]:
+    """The parameters ``src`` never varies: with ``defaulted``, each defaulted one
+    that takes fewer than two values; else each one without a default that every
+    call passes the same literal."""
+    defaults = {f"{qualified}({name})" for qualified, _, keyed in callables(trees).values() for name in keyed}
+    return [key for key, values in passed_values(trees).items()
+            if (key in defaults) == defaulted and VARIES not in values and len(values) < 2
+            and (values or defaulted)]
+
+
+def test_every_defaulted_parameter_takes_two_values_in_src():
+    """Each defaulted parameter of a public function or explicit ``__init__`` must
+    take at least two values across the calls ``src`` makes (``passed_values``)."""
+    assert [name for name in fixed_parameters(package_trees(), True) if name not in KEEP] == []
+
+
+def test_no_parameter_takes_one_literal_from_every_src_call():
+    """A parameter without a default that every ``src`` call passes the same literal
+    is a knob no command turns: the function should use the value itself."""
+    assert [name for name in fixed_parameters(package_trees(), False) if name not in KEEP] == []
+
+
+def test_the_parameter_check_sees_a_fixed_literal():
+    # ``r`` is 1.0 at both calls; ``a`` varies; ``b`` is only ever its default; ``c``
+    # takes two literals; ``g`` is never called by name, so nothing is known of ``z``
+    tree = ast.parse("def f(a, r, b=2, c=0):\n    return a\n"
+                     "def g(z):\n    return z\n"
+                     "def h(x):\n    return f(x, 1.0, c=1) + f(x + 1, 1.0)\n")
+    assert fixed_parameters({"m": tree}, True) == ["m.f(b)"]
+    assert fixed_parameters({"m": tree}, False) == ["m.f(r)"]
 
 
 def raise_sites(trees: dict[str, ast.Module]) -> set[str]:

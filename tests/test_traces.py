@@ -202,6 +202,6 @@ class TestWIndependence:
         a = bessel_symbol(-4.0)
         traces = []
         for w in (0.0, 1.0, 2.0):
-            nuclear_quasinorm_bound(a, 1.0, w, lat)
+            nuclear_quasinorm_bound(a, w, lat)
             traces.append(matrix_trace(a, lat))
         assert repr(traces[0]) == repr(traces[1]) == repr(traces[2])

@@ -8,14 +8,18 @@ views of one 1.  ``summed_series`` evaluates only the rows whose terms can be no
 in one buffer (two where the envelope has two factors besides 1), passes the
 shells as row ranges, and sums in chunks of ``sums.CHUNK`` terms.  The dim-1 torus
 and SU(2) slices are each built in the two arrays they hold, with no full-size
-temporary.
+temporary.  The p = 2 dyadic block norms read a function's coefficients in
+block order, with no blocks x lattice array.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from torustrace.besov import block_norms
 from torustrace.groups import SU2, Torus, enumerate_dual, summed_series
+from torustrace.harmonic import FourierCoefficients, FrequencyLattice
 
 OBJECTS = 4096  # bytes of Python objects beside the arrays: the record, the dual, the views
 
@@ -70,3 +74,23 @@ def test_the_su2_slice_peaks_at_what_it_holds():
     finally:
         tracemalloc.stop()
     assert held <= peak <= 16 * len(dual) + OBJECTS
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 100000), (2, 300)])
+def test_parseval_block_norms_peak_at_what_they_hold(dim, radius):
+    """``block_norms`` at p = 2 allocates at most 64 bytes a coefficient (41 at dim
+    1 radius 1e5): the coefficients copied in block order, the sort order, the
+    blocks, their squares and a chunk's temporaries.  The blocks x 2L mask that it
+    replaced peaked at 596."""
+    lattice = FrequencyLattice(dim, radius)
+    rng = np.random.default_rng(radius)
+    c = FourierCoefficients(lattice, rng.standard_normal(len(lattice)) + 1j * rng.standard_normal(len(lattice)))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        block_norms(c, 2.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 64 * len(lattice)
