@@ -28,9 +28,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norm
+from .besov import (DUAL_SIZE_LIMIT, BesovParams, block_index, block_norms, partial_sum_convergence,
+                    weighted_norms)
 from .criteria import check_t1, check_t2, check_tt1, nuclear_quasinorm_bound, tt1_range_refusal
-from .groups import DUAL_SIZE_LIMIT, SU2, Torus, bessel_tail, dual_size, enumerate_dual, summed_series
+from .groups import SU2, Torus, bessel_tail, dual_size, enumerate_dual, summed_series
 from .harmonic import (
     FourierCoefficients,
     FrequencyLattice,
@@ -78,12 +79,19 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
+def _render_scalar(obj) -> str | None:
+    """JSON text of a number or a string (a list of them renders inline), or None:
+    the exact ``float``, ``int`` and ``str`` first, then their subclasses and the
+    numpy scalars.  A bool is an int here; ``None`` and ``np.bool_`` are not scalars
+    of this kind."""
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return json.dumps(obj)
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -93,6 +101,19 @@ def render_json(obj, indent: int = 0) -> str:
         return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
+    return None
+
+
+def render_json(obj, indent: int = 0) -> str:
+    text = _render_scalar(obj)
+    if text is not None:
+        return text
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -102,12 +123,9 @@ def render_json(obj, indent: int = 0) -> str:
         items = list(obj)
         if not items:
             return "[]"
-        simple = all(
-            isinstance(v, (int, float, complex, np.integer, np.floating, np.complexfloating, str))
-            for v in items
-        )
-        if simple:
-            return "[" + ", ".join(render_json(v, indent + 1) for v in items) + "]"
+        texts = [_render_scalar(v) for v in items]
+        if None not in texts:
+            return "[" + ", ".join(texts) + "]"
         rows = [f"{inner}{render_json(v, indent + 1)}" for v in items]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -250,10 +268,11 @@ def _require_lattice(dim: int, radius: int, remedy: str) -> None:
 
 def _require_dyadic_budget(args, dim: int, grid: int, analysis_radius: int | None) -> None:
     """Refuse a dyadic-norm run above DUAL_SIZE_LIMIT points before anything is
-    built: its analysis lattice, and its block synthesis, which holds one copy of
-    the grid per dyadic block of that lattice (``besov.block_norms``).  The remedy
-    names the flags that set those sizes: a catalog K sizes the grid only when
-    neither --grid nor --radius is given."""
+    built: its analysis lattice, and the block synthesis of one coefficient row,
+    one copy of the grid per dyadic block of that lattice (``besov.block_norms``;
+    ``approx-demo`` synthesizes its residual rows in chunks within the same limit).
+    The remedy names the flags that set those sizes: a catalog K sizes the grid
+    only when neither --grid nor --radius is given."""
     radius = max_alias_free_radius(grid) if analysis_radius is None else analysis_radius
     sources = (("--input grid", args.input), ("--grid", args.grid), ("--radius", analysis_radius))
     if args.grid is None and analysis_radius is None:
@@ -435,9 +454,9 @@ def _run_lidskii(args) -> tuple[dict, dict, CsvTable | None]:
 def _run_besov_norm(args) -> tuple[dict, dict, CsvTable | None]:
     c, grid = build_coefficients(args, args.radius)
     params = BesovParams(args.w, args.p, args.q)
-    blocks = block_norms(c, args.p, grid)
+    blocks, table = block_norms(c.lattice, c.coeffs[None], args.p, grid)
     try:
-        norm = weighted_norm(blocks, params)
+        (norm,) = weighted_norms(blocks, table, params)
     except OverflowError as exc:
         raise ValidationError(_overflow_remedy(args.w, "--w or --q")) from exc
     body = {
@@ -445,9 +464,9 @@ def _run_besov_norm(args) -> tuple[dict, dict, CsvTable | None]:
         "p": args.p,
         "q": args.q,
         "norm": norm,
-        "blocks": [{"m": m, "lp_norm": v} for m, v in blocks],
+        "blocks": [{"m": m, "lp_norm": v} for m, v in zip(blocks, table[0])],
     }
-    return body, {}, ("m,block_lp_norm", ([m, v] for m, v in blocks))
+    return body, {}, ("m,block_lp_norm", ([m, v] for m, v in zip(blocks, table[0])))
 
 
 def _run_check_class(args) -> tuple[dict, dict, CsvTable | None]:

@@ -32,8 +32,6 @@ import numpy as np
 
 from .besov import block_sums
 
-# Largest dual slice the CLI builds, counted in dual points (``dual_size``).
-DUAL_SIZE_LIMIT = 10**7
 UNBOUNDED_TAIL_NOTE = "the series is summable, but its tail bound leaves float64"
 # shell j of the ascending lambda lies between edges j and j + 1: 4^j - 1, -inf and inf at the ends
 _ONE = np.frombuffer(np.int64(1).tobytes(), dtype=np.int64)  # one 1, read-only: the all-ones views share it
@@ -132,7 +130,7 @@ class GroupDual:
         """Dyadic bracket shell j, 4^j <= floor(lambda) + 1 < 4^{j+1}, is rows cuts[j]:cuts[j + 1]
         (a row stands for ``mult`` points).  As 4^j - 1 is an integer, these are
         ``np.searchsorted`` cuts of the ascending lambda at the edges 4^j - 1, exact doubles
-        for j <= 26 (``DUAL_SIZE_LIMIT`` keeps lambda below 4^23).  The SU(2) spins
+        for j <= 26 (``besov.DUAL_SIZE_LIMIT`` keeps lambda below 4^23).  The SU(2) spins
         l = 2^k - 1/2 have floor(lambda) = 4^k - 1, so the ``+ 1`` moves them up a shell."""
         return np.searchsorted(self.lam, _SHELL_EDGES)
 

@@ -64,16 +64,19 @@ temporaries a term of a chunk in long runs (29 weighted: weights are cast a
 chunk at a time) and up to 41 in short runs of several groups, plus 2125 x 8
 bytes of bins per group.  The terms go to ``math.fsum`` itself (repeated by
 their weights), so that its values and its exceptions are kept, when there
-are fewer than ``CROSSOVER`` of them; when any is inf or nan; when max|x| >=
-2^(1023 - n.bit_length()) (``math.fsum`` raises an order-dependent
-OverflowError on some finite sums near the top of the range, and a bin could
-overflow); when there are 2^26 or more; and when there are more than
-``MAX_GROUPS`` groups.  On that path a total is ``math.fsum`` over all the
-terms in order, taken before the group sums, so its exceptions come first.
+are fewer than ``CROSSOVER`` of them a group on average (a short group's bins
+cost the kernel more than its terms cost ``math.fsum``, so a call of several
+groups takes the path its groups would each take alone); when any is inf or
+nan; when max|x| >= 2^(1023 - n.bit_length()) (``math.fsum`` raises an
+order-dependent OverflowError on some finite sums near the top of the range,
+and a bin could overflow); when there are 2^26 or more; and when there are
+more than ``MAX_GROUPS`` groups.  On that path a total is ``math.fsum`` over
+all the terms in order, taken before the group sums, so its exceptions come
+first.
 ``fsum`` hands a 1-D float64 ndarray of ``CROSSOVER`` terms or more to
 ``fsum_by``; lists, generators and other arrays go to ``math.fsum``.
 
-Every l^p norm of the package (``harmonic.lp_norms``, ``besov.weighted_norm``,
+Every l^p norm of the package (``harmonic.lp_norms``, ``besov.weighted_norms``,
 ``besov.block_norms`` at p = 2, the certificate's columns) is one
 ``power_norms`` call: one ``fsum_by`` sum of p-th powers a group, grouped as
 ``fsum_by`` groups its terms, each group first scaled into range where its
@@ -87,7 +90,8 @@ import math
 import numpy as np
 
 # Below about 1000 terms one math.fsum call is as fast as the kernel, whose
-# fixed cost is about 60 us (2-core Xeon, numpy 2.4; figures in CHANGES.md).
+# fixed cost is about 60 us (2-core Xeon, numpy 2.4; figures in CHANGES.md); the
+# kernel takes a call of several groups only where they average this many terms.
 CROSSOVER = 1024
 # Terms per frexp/reduceat pass: in-process passes of the dual-series benchmark take 3.8%
 # longer at 2^13 and 6.0% at 2^15 (medians of 16 fresh-process pairs; figures in CHANGES.md).
@@ -136,11 +140,11 @@ def fsum_by(values, weights=None, total: bool = False, cuts=None):
     size = len(cuts) - 1
     n = values.size if weights is None else int(weights.sum())
     limit = 2.0 ** (1023 - n.bit_length())  # n max|x| < 2^1023: no bin and no partial overflows
-    if (n < CROSSOVER or n >= _MAX_TERMS or size > MAX_GROUPS
+    if (n < CROSSOVER * max(size, 1) or n >= _MAX_TERMS or size > MAX_GROUPS
             or not (values.max() < limit and -values.min() < limit)):  # nan fails both
         if weights is not None:  # the cuts move to the repeated terms' ends
             values, cuts = np.repeat(values, weights), np.concatenate(([0], np.cumsum(weights)))[cuts]
-        whole = math.fsum(values) if total else None
+        whole = math.fsum(values.tolist()) if total else None
         sums = _fsum_slices(values, cuts)
         return (sums, whole) if total else sums
     bins = np.zeros((size, _BINS))  # bins[g, k]: group g's integer sum at scale 2^(k - 1127)
@@ -204,15 +208,19 @@ def power_norms(values, p: float, divisor: float = 1.0, cuts=None) -> list[float
         top[filled] = np.maximum.reduceat(values, cuts[:-1][filled])
     if p == math.inf:
         return top.tolist()
-    mantissa, exponent = np.frexp(top)
-    unit = 2.0 * mantissa if p > 1000 else np.ones_like(top)
-    with np.errstate(over="ignore", under="ignore"):  # a p of 1e300 times e; tiny scaled terms
-        scaled = (0.0 < top) & (top < math.inf) & (((exponent - 1) * p < -1000) | (exponent * p > 1000))
-        if scaled.any():
-            values = values / np.repeat(np.where(scaled, np.ldexp(unit, exponent - 1), 1.0), sizes)
+    units = []  # per group: None, or (unit, e) where it is normed relative to unit 2^(e - 1)
+    for t in top.tolist():  # a norm table's few groups cost less here, cold, than a dozen numpy calls
+        mantissa, e = math.frexp(t)
+        if 0.0 < t < math.inf and ((e - 1) * p < -1000 or e * p > 1000):  # e p may be inf
+            units.append((2.0 * mantissa if p > 1000 else 1.0, e))
+        else:
+            units.append(None)
+    with np.errstate(over="ignore", under="ignore"):  # tiny terms' p-th powers
+        if any(units):
+            values = values / np.repeat([math.ldexp(u[0], u[1] - 1) if u else 1.0 for u in units], sizes)
         sums = fsum_by(values**p, cuts=cuts)
-    return [math.ldexp(u * (s / divisor) ** (1.0 / p), e - 1) if shift else (s / divisor) ** (1.0 / p)
-            for s, shift, u, e in zip(sums, scaled.tolist(), unit.tolist(), exponent.tolist())]
+    return [math.ldexp(u[0] * (s / divisor) ** (1.0 / p), u[1] - 1) if u else (s / divisor) ** (1.0 / p)
+            for s, u in zip(sums, units)]
 
 
 def _groups(values, cuts) -> tuple[np.ndarray, np.ndarray]:

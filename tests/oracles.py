@@ -67,7 +67,7 @@ from itertools import product
 import numpy as np
 
 from torustrace import harmonic
-from torustrace.besov import BesovParams, block_index, coefficient_norm
+from torustrace.besov import BesovParams, block_index, block_norms
 from torustrace.harmonic import (
     TWO_PI,
     FourierCoefficients,
@@ -76,6 +76,7 @@ from torustrace.harmonic import (
     max_alias_free_radius,
     min_grid_size,
 )
+from torustrace.sums import power_norms
 from torustrace.symbols import (
     BracketPower,
     SampledSymbol,
@@ -180,6 +181,27 @@ def parseval_block_norms(c: FourierCoefficients) -> list[tuple[int, float]]:
         total = math.fsum(math.ldexp(x, -shift) * math.ldexp(x, -shift) for x in parts)
         out.append((m, math.ldexp(total ** 0.5, shift)))
     return out
+
+
+def coefficient_norm(c: FourierCoefficients, besov, grid_size: int) -> float:
+    """The dyadic-block norm of the function with coefficients ``c``: ``c`` as the one
+    row of a ``block_norms`` table, each block norm weighted by a Python float
+    product 2^{m w} n_m and the row normed by one ``power_norms`` call."""
+    blocks, (norms,) = block_norms(c.lattice, c.coeffs[None], besov.p, grid_size)
+    return power_norms([[(2.0 ** (m * besov.w)) * norm for m, norm in zip(blocks, norms)]], besov.q)[0]
+
+
+def per_cutoff_partial_sums(c: FourierCoefficients, besov, n_values, grid_size: int) -> list[tuple[float, float]]:
+    """(N, ||f - S_N f||_B) one cutoff at a time: each residual (``c`` with the
+    coefficients of <xi> <= N zeroed) normed on its own by ``coefficient_norm``, the
+    slow form of ``besov.partial_sum_convergence``."""
+    sq = c.lattice.squared_norms().astype(np.float64)
+    rows = []
+    for n_cut in map(float, n_values):
+        dropped = (n_cut < 0) | (1.0 + sq > n_cut * n_cut)
+        residual = FourierCoefficients(c.lattice, np.where(dropped, c.coeffs, 0.0))
+        rows.append((n_cut, coefficient_norm(residual, besov, grid_size)))
+    return rows
 
 
 def partial_sum_errors(f: PeriodicFunction, besov, n_values, lattice: FrequencyLattice) -> list[tuple[float, float]]:

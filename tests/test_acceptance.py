@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from torustrace.besov import BesovParams, coefficient_norm, partial_sum_convergence
+from torustrace.besov import BesovParams, partial_sum_convergence
 from torustrace.cli import main
 from torustrace.criteria import Clause, check_t1, nuclear_quasinorm_bound
 from torustrace.harmonic import (
@@ -33,7 +33,7 @@ from torustrace.symbols import (
 from torustrace.traces import lidskii_compare
 
 import oracles
-from oracles import random_bandlimited
+from oracles import coefficient_norm, random_bandlimited
 from test_criteria import HAND_TABLE
 
 

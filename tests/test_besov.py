@@ -2,6 +2,8 @@
 
 import json
 import math
+import struct
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torustrace.besov import (BesovParams, block_index, block_norms, coefficient_norm,
-                              partial_sum_convergence, weighted_norm)
+from torustrace import besov
+from torustrace.besov import BesovParams, block_index, block_norms, partial_sum_convergence, weighted_norms
 from torustrace.cli import main
 from torustrace.harmonic import (
     FourierCoefficients,
@@ -22,7 +24,19 @@ from torustrace.harmonic import (
     min_grid_size,
 )
 from conftest import bandlimited, character
-from oracles import fourier_embedding_ratio, random_bandlimited, scaled
+from oracles import coefficient_norm, fourier_embedding_ratio, random_bandlimited, scaled
+
+
+def _table(c, p, grid):
+    """(m, ||block_m||_{L^p}) of ``c`` as the one row of a ``block_norms`` table."""
+    blocks, (norms,) = block_norms(c.lattice, c.coeffs[None], p, grid)
+    return list(zip(blocks, norms))
+
+
+def weighted_norm(table, params):
+    """``weighted_norms`` of one (m, n_m) table."""
+    (norm,) = weighted_norms([m for m, _ in table], [[n for _, n in table]], params)
+    return norm
 
 
 class TestBlockIndex:
@@ -54,17 +68,17 @@ class TestDyadicBlocks:
 
     def test_character_four_single_block(self):
         f, lat = character(4, radius=8)
-        nonempty = [(m, v) for m, v in block_norms(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12]
+        nonempty = [(m, v) for m, v in _table(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12]
         assert [m for m, _ in nonempty] == [2]
 
     def test_constant_block_zero(self):
         f, lat = bandlimited({0: 1.0}, radius=4)
-        nonempty = [m for m, v in block_norms(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12]
+        nonempty = [m for m, v in _table(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12]
         assert nonempty == [0]
 
     def test_two_characters_two_blocks(self):
         f, lat = bandlimited({1: 1.0, 5: 1.0}, radius=8)
-        nonempty = sorted(m for m, v in block_norms(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12)
+        nonempty = sorted(m for m, v in _table(forward_transform(f, lat), 2, f.grid_size) if v > 1e-12)
         assert nonempty == [0, 2]
 
     def test_partition_sums_to_function(self, rng):
@@ -122,7 +136,7 @@ def test_block_norms_match_per_block_synthesis(shape, extra, p, scale, held, low
     grid = min_grid_size(radius) + extra
     c = _random_coefficients(lat, np.random.default_rng(seed), 1.0 if p == 3.0 else scale, held)
     c = FourierCoefficients(lat, np.where(block_index(lat.squared_norms()) < low, 0.0, c.coeffs))
-    got = block_norms(c, p, grid)
+    got = _table(c, p, grid)
     assert got == (oracles.parseval_block_norms(c) if p == 2.0 else _synthesis_norms(c, p, grid))
     assert all(math.copysign(1.0, norm) == 1.0 for _, norm in got)  # empty blocks are +0.0
 
@@ -137,7 +151,7 @@ def test_p2_block_norms_agree_with_per_block_synthesis(shape, extra, held, seed)
     lat = FrequencyLattice(dim, radius)
     grid = min_grid_size(radius) + extra
     c = _random_coefficients(lat, np.random.default_rng(seed), held=held)
-    got, want = block_norms(c, 2.0, grid), _synthesis_norms(c, 2.0, grid)
+    got, want = _table(c, 2.0, grid), _synthesis_norms(c, 2.0, grid)
     assert [m for m, _ in got] == [m for m, _ in want]
     assert max(_ulps(g, e) for (_, g), (_, e) in zip(got, want)) <= 8
 
@@ -151,7 +165,7 @@ def test_stock_block_norms_within_one_ulp_of_40_digit_values():
              2: "0.1101812846467565847360246282978328560582",
              3: "0.02175713172881684690464136498784150890107"}
     lat = FrequencyLattice(1, 8)
-    got = dict(block_norms(FourierCoefficients(lat, lat.brackets() ** -2.0), 2.0, min_grid_size(8)))
+    got = dict(_table(FourierCoefficients(lat, lat.brackets() ** -2.0), 2.0, min_grid_size(8)))
     assert sorted(got) == sorted(exact)
     for m, digits in exact.items():
         assert abs(Decimal(got[m]) - Decimal(digits)) <= Decimal(math.ulp(got[m])), (m, got[m], digits)
@@ -195,6 +209,47 @@ def test_readme_partial_sum_errors_within_two_ulp():
     for n_cut, err in got:
         closed = math.sqrt(math.fsum((1.0 + k * k) ** -2.0 for k in range(-8, 9) if 1 + k * k > n_cut**2))
         assert _ulps(err, closed) <= 4, (n_cut, err, closed)
+
+
+def _bits(rows):
+    return [(n, struct.pack("<d", e)) for n, e in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 0), (1, 1), (1, 6), (1, 19), (1, 128), (2, 0), (2, 1), (2, 4), (2, 7)]),
+    extra=st.integers(0, 3),
+    w=st.sampled_from([-0.5, 0.0, 0.3, 1.0 / 3.0, 1.0, 2.5]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+    q=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    scale=st.sampled_from([2.0**-600, 1.0, 1e200]),
+    n_values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 9.0, 100.0, 1e300]),
+                      min_size=1, max_size=6),
+    rows_a_chunk=st.sampled_from([None, 1, 2]),
+    seed=st.integers(0, 2**31),
+)
+def test_partial_sum_errors_match_the_per_cutoff_oracle_bit_for_bit(
+        shape, extra, w, p, q, scale, n_values, rows_a_chunk, seed):
+    # every residual normed in one evaluation a chunk of rows gives the bits of each
+    # residual normed on its own, whichever rows share a chunk; p != 2 makes one
+    # inverse FFT a chunk and p = 2 none
+    dim, radius = shape
+    lat = FrequencyLattice(dim, radius)
+    grid = min_grid_size(radius) + extra
+    c = _random_coefficients(lat, np.random.default_rng(seed), 1.0 if p == 3.0 else scale, 0.5)
+    params = BesovParams(w, p, q)
+    want = oracles.per_cutoff_partial_sums(c, params, n_values, grid)
+    ffts = []
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_a_chunk is not None:  # the budget of that many residuals
+            row_points = (int(block_index(dim * radius**2)) + 1) * grid**dim
+            patch.setattr(besov, "DUAL_SIZE_LIMIT", rows_a_chunk * row_points)
+        inverse = np.fft.ifftn
+        patch.setattr(np.fft, "ifftn", lambda *a, **k: ffts.append(1) or inverse(*a, **k))
+        got = partial_sum_convergence(c, params, n_values, grid)
+    assert _bits(got) == _bits(want)
+    chunks = -(-len(n_values) // (rows_a_chunk or len(n_values)))
+    assert len(ffts) == (0 if p == 2.0 else chunks)
 
 
 def besov_of(f, params, lat):
@@ -334,6 +389,15 @@ def test_weighted_norm_scaled_q_power_matches_logs():
 def test_weighted_norm_beyond_float64_is_refused():
     with pytest.raises(OverflowError):
         weighted_norm([(0, 1.9 * 2.0**1023), (1, 2.0**1022)], BesovParams(1.0, 2.0, 2.0))
+
+
+def test_weighted_norms_term_beyond_float64_reads_inf_without_a_warning():
+    # 2^{1 w} 2^1000 at w = 30 leaves float64: the term reads inf, as a Python float
+    # product does, and numpy's product over the table warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = weighted_norms([0, 1], [[1.0, 2.0**1000], [1.0, 0.5]], BesovParams(30.0, 2.0, 2.0))
+    assert norms == [math.inf, math.hypot(1.0, 2.0**29)]
 
 
 @pytest.mark.parametrize("q", [2000.0, 1e10, 1e300])

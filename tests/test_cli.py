@@ -892,11 +892,12 @@ class TestDyadicCommandTransforms:
         assert ffts == {"fftn": 1, "ifftn": 0}
 
     def test_approx_demo_p3_one_synthesis_a_residual(self, capsys, ffts, path):
-        # p != 2 synthesizes every block of each residual, zeroed or not
+        # p != 2 synthesizes every block of every residual, zeroed or not, in one
+        # inverse FFT: the five residuals fit in one chunk
         doc = run_json(capsys, ["approx-demo", "--input", path, "--w", "0", "--p", "3", "--q", "2",
                                 "--radius", "8", "--n-values", "1,2,4,8,9"])
         assert len(doc["body"]["table"]) == 5
-        assert ffts == {"fftn": 1, "ifftn": 5}
+        assert ffts == {"fftn": 1, "ifftn": 1}
 
 
 class TestApproxDemoNValues:
@@ -1269,6 +1270,19 @@ class TestRenderJson:
     ], ids=["nan", "inf", "-inf", "numpy-nan", "complex", "list"])
     def test_non_finite_floats_are_strings(self, value, text):
         assert render_json(value) == text
+
+    @pytest.mark.parametrize("value, text", [
+        (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"), (1e16, "10000000000000000"),
+        (1e-7, "9.9999999999999995e-08"), (np.float32(0.1), "0.10000000149011612"),
+        (np.float64(2.5), "2.5"), (np.int64(-7), "-7"), (np.bool_(True), "true"),
+        ([True, 1, 2.5], "[true, 1, 2.5]"), ([None, 1], "[\n    null,\n    1\n  ]"),
+        ([np.bool_(False), 1], "[\n    false,\n    1\n  ]"),
+    ], ids=["minus-zero", "least-subnormal", "1e16", "1e-7", "float32", "float64", "int64", "bool_",
+            "true-inline", "none-in-rows", "bool_-in-rows"])
+    def test_scalars_by_exact_type_then_numpy(self, value, text):
+        # 17 significant digits whatever the scalar's type; a list of numbers (a bool
+        # among them) is inline, one holding None or an np.bool_ one item a row
+        assert render_json(value, 1) == text
 
     @pytest.mark.parametrize("value, name", [(object(), "object"), ({"a": [{1, 2}]}, "set"), (b"x", "bytes")])
     def test_other_types_are_refused(self, value, name):
@@ -1745,6 +1759,33 @@ class TestDataFiles:
         assert err.startswith(f"error: {kind} file {path}: ") and err.count("\n") == 1, err
         if defect in NOT_PAIRS:
             assert err == f"error: {kind} file {path}: 'values' must be a list of [re, im] pairs\n"
+
+    def test_every_reader_refusal_is_reached(self, tmp_path):
+        # each raise ValueError(...) of io.py, as its span of lines, must refuse some row of
+        # FILE_DEFECTS or SYMBOL_DEFECTS: the line of the innermost io.py frame of the
+        # refusal's cause marks the site that raised it
+        import ast
+        import traceback
+
+        import torustrace.io as io
+
+        source = Path(io.__file__).read_text()
+        sites = [(node.lineno, node.end_lineno) for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                 and getattr(node.exc.func, "id", None) == "ValueError"]
+        reached = set()
+        for kind, load, defects in (("function", load_periodic_function, FILE_DEFECTS),
+                                    ("symbol", load_sampled_symbol, {**FILE_DEFECTS, **SYMBOL_DEFECTS})):
+            for name, defect in defects.items():
+                (tmp_path / kind / name).mkdir(parents=True)
+                with pytest.raises(ValidationError) as info:
+                    load(write_defective_file(tmp_path / kind / name, kind, defect))
+                frames = traceback.walk_tb(info.value.__cause__.__traceback__)
+                reached.add([line for frame, line in frames if frame.f_code.co_filename == io.__file__][-1])
+        assert len(sites) >= 5
+        lines = source.splitlines()
+        assert [f"io.py:{first}: {lines[first - 1].strip()}" for first, last in sites
+                if not any(first <= line <= last for line in reached)] == []
 
     @pytest.mark.parametrize("ints", [
         [[1, 0], [-3, 2**53 + 1], [0, 5]],  # int64

@@ -21,10 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torustrace.besov import block_index
+from torustrace.besov import DUAL_SIZE_LIMIT, block_index
 from torustrace.criteria import check_tt1
 from torustrace.groups import (
-    DUAL_SIZE_LIMIT,
     SU2,
     UNBOUNDED_TAIL_NOTE,
     GroupDual,

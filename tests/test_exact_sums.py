@@ -251,9 +251,9 @@ def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkey
     """The torus dim-1 cutoff-1e5 Bessel series sums every chunk's runs with
     ``np.add.reduceat``, 16 terms a run or more, and the SU(2) cutoff-2e4 heat series
     of tt1 hands its head (the rows with lambda <= 746/t: 1409 nonzero terms and one
-    that underflowed to zero) to the exact sum, in one chunk of short runs (938
-    distinct exponents in 1410 terms: the keyed bincount): the kernel sees them and nothing
-    else, zeros included, and no ndarray of terms reaches math.fsum."""
+    that underflowed to zero) to the exact sum: 1410 terms in 10 shells, fewer than
+    CROSSOVER a shell, so ``math.fsum`` sums them as lists, zeros included, and the
+    kernel sees nothing of them; no ndarray of terms reaches math.fsum."""
     passed = []
     real_fsum = math.fsum
 
@@ -272,9 +272,12 @@ def test_dual_series_take_the_run_reduced_kernel_with_their_nonzero_terms(monkey
     assert len(kernel.chunks) > 3 and kernel.long_chunks() == kernel.chunks
     kernel.chunks.clear()
     kernel.runs.clear()
+    real_slices, lists = sums._fsum_slices, []
+    monkeypatch.setattr(sums, "_fsum_slices", lambda values, cuts: lists.append(
+        (values.size, len(cuts) - 1)) or real_slices(values, cuts))
     verdict = check_tt1(su2, 1.0, 2.0, 2.0, 4, t=0.0015)
-    assert kernel.chunks == [len(heat)] == [1410] and np.count_nonzero(heat) == 1409
-    assert kernel.runs == []
+    assert kernel.chunks == [] and lists == [(len(heat), 10)] == [(1410, 10)]
+    assert np.count_nonzero(heat) == 1409
     assert passed == []
     monkeypatch.undo()
     assert bits(value) == bits(math.fsum(bessel))
@@ -435,8 +438,9 @@ class TestWeights:
         monkeypatch.setattr(sums, "_fsum_slices",
                             lambda *a: seen.append(np.shares_memory(a[0], xs)) or real(*a))
         fsum_by(xs, ws, cuts=cuts)
-        # zeros reach the kernel like any other term: CROSSOVER counts every term
-        assert seen == ([True] if n < CROSSOVER else [])
+        # zeros reach the kernel like any other term: CROSSOVER counts every term, and
+        # the kernel takes the call where its groups average CROSSOVER terms or more
+        assert seen == ([True] if n < CROSSOVER * (len(cuts) - 1) else [])
 
 
 class TestTotal:

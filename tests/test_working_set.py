@@ -9,7 +9,8 @@ in one buffer (two where the envelope has two factors besides 1), passes the
 shells as row ranges, and sums in chunks of ``sums.CHUNK`` terms.  The dim-1 torus
 and SU(2) slices are each built in the two arrays they hold, with no full-size
 temporary.  The p = 2 dyadic block norms read a function's coefficients in
-block order, with no blocks x lattice array.
+block order, with no blocks x lattice array; the partial-sum errors hold one
+chunk of residual rows and their block norms at a time.
 """
 
 import tracemalloc
@@ -17,9 +18,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torustrace.besov import block_norms
+from torustrace import besov
+from torustrace.besov import BesovParams, block_index, block_norms, partial_sum_convergence
 from torustrace.groups import SU2, Torus, enumerate_dual, summed_series
-from torustrace.harmonic import FourierCoefficients, FrequencyLattice
+from torustrace.harmonic import FourierCoefficients, FrequencyLattice, min_grid_size
 
 OBJECTS = 4096  # bytes of Python objects beside the arrays: the record, the dual, the views
 
@@ -89,8 +91,35 @@ def test_parseval_block_norms_peak_at_what_they_hold(dim, radius):
     try:
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        block_norms(c, 2.0, 0)
+        block_norms(lattice, c.coeffs[None], 2.0, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - held <= 64 * len(lattice)
+
+
+@pytest.mark.parametrize("p, radius, bound", [(2.0, 20000, 80), (3.0, 2000, 64)], ids=["p2", "p3"])
+def test_partial_sum_errors_peak_per_row_of_a_chunk(p, radius, bound):
+    """``partial_sum_convergence`` over five cutoffs, all in one chunk, allocates at
+    most ``bound`` bytes for each row of it: at p = 2 per coefficient (61 here: the
+    residual rows, their copy in block order, the squares of their parts, the drop
+    mask, and a ``fsum_by`` chunk and the bins of every (row, block) group); at
+    p = 3 per synthesized point, the unit the chunk rule counts (53 here, about
+    1160 a coefficient: the (rows, blocks, M) cube, the inverse FFT's output, its
+    moduli and their cubes)."""
+    lattice = FrequencyLattice(1, radius)
+    grid = min_grid_size(radius)
+    row_points = (int(block_index(radius**2)) + 1) * grid
+    n_values = [1, 4, 16, 64, 1e300]
+    assert len(n_values) * row_points <= besov.DUAL_SIZE_LIMIT  # one chunk
+    rng = np.random.default_rng(radius)
+    c = FourierCoefficients(lattice, rng.standard_normal(len(lattice)) + 1j * rng.standard_normal(len(lattice)))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        partial_sum_convergence(c, BesovParams(0.5, p, 2.0), n_values, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= bound * len(n_values) * (len(lattice) if p == 2.0 else row_points)
